@@ -130,40 +130,13 @@ class Bio:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def fast_write(cls, offset: int, data, flags: int) -> "Bio":
-        """Bare WRITE construction for trusted internal fan-out.
-
-        Skips ``__init__``'s argument validation: the RAIZN write path
-        derives its sub-bio offsets and payload slices from an already
-        validated logical bio, and the constructor showed up in datapath
-        profiles at one allocation per device command.  ``flags`` must
-        already be a plain int.
-        """
-        bio = cls.__new__(cls)
-        bio.op = Op.WRITE
-        bio.offset = offset
-        bio.data = data
-        bio.length = len(data)
-        bio.flags = flags
-        bio.result = None
-        bio.error = None
-        bio.errors_as_status = False
-        bio.submit_time = None
-        bio.complete_time = None
-        bio.aux = None
-        bio.wctx = None
-        bio.counted = False
-        bio.span = None
-        bio.span_grant = 0.0
-        return bio
-
-    @classmethod
     def fast_append(cls, zone_start: int, data, flags: int) -> "Bio":
         """Bare ZONE_APPEND construction for trusted internal callers.
 
-        Same contract as :meth:`fast_write`: the metadata-zone append
-        path validates its zone-start offsets itself and encodes flags
-        as a plain int already.
+        Skips ``__init__``'s argument validation: the metadata-zone
+        append path validates its zone-start offsets itself, and the
+        constructor showed up in datapath profiles at one allocation per
+        device command.  ``flags`` must already be a plain int.
         """
         bio = cls.__new__(cls)
         bio.op = Op.ZONE_APPEND

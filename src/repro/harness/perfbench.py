@@ -382,7 +382,7 @@ def _run_scenario(name: str, scale: PerfScale, seed: int,
     builder: Callable[..., Tuple] = _SCENARIOS[name]
     walls: List[float] = []
     digest: Optional[str] = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         sim, volume, devices, bios = builder(scale, seed)
         sim_start = sim.now
         driver = _Driver(sim, volume, bios, scale.iodepth)
@@ -724,6 +724,8 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--json", metavar="PATH",
                         help="also write the report as JSON to PATH")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
     repeats = 1 if args.quick else args.repeat
     kwargs = dict(fast=args.fast, only=args.only, repeats=repeats,
                   jobs=args.jobs, paired_tracing=not args.quick)

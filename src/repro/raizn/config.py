@@ -101,8 +101,9 @@ class RaiznConfig:
             raise RaiznError("only P=1 (RAID-5 style) parity is supported")
         if self.num_data < 2:
             raise RaiznError("need at least 2 data stripe units per stripe")
-        if self.stripe_unit_bytes % SECTOR_SIZE:
-            raise RaiznError("stripe unit must be a multiple of the sector size")
+        if self.stripe_unit_bytes <= 0 or self.stripe_unit_bytes % SECTOR_SIZE:
+            raise RaiznError(
+                "stripe unit must be a positive multiple of the sector size")
         if self.num_metadata_zones < 3:
             raise RaiznError(
                 "need >= 3 metadata zones per device "
@@ -115,6 +116,13 @@ class RaiznConfig:
             raise RaiznError("transient_backoff_s must be >= 0")
         if self.device_error_threshold < 1:
             raise RaiznError("device_error_threshold must be >= 1")
+        for name in ("latency_ewma_alpha", "slow_score_alpha"):
+            if not 0 < getattr(self, name) <= 1:
+                raise RaiznError(f"{name} must be in (0, 1]")
+        for name in ("hedge_min_samples", "slow_evict_min_samples",
+                     "relocation_rebuild_threshold"):
+            if getattr(self, name) < 0:
+                raise RaiznError(f"{name} must be >= 0")
 
     @property
     def num_devices(self) -> int:

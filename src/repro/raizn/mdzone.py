@@ -108,6 +108,12 @@ class DeviceMetadataZones:
                 f"metadata entry of {len(encoded)} bytes exceeds the "
                 f"metadata zone capacity {self.zone_capacity}")
         yield self._locks[role].request()
+        return (yield from self._append_holding_lock(role, encoded, fua))
+
+    def _append_holding_lock(self, role: MetadataRole, encoded: bytes,
+                             fua: bool):
+        """Generator tail of an append whose caller holds the role lock:
+        rotate if the entry does not fit, submit, release, await."""
         try:
             if self.used[self.role_zone[role]] + len(encoded) > self.zone_capacity:
                 yield from self._rotate(role)
@@ -128,6 +134,16 @@ class DeviceMetadataZones:
                      fua: bool = False, batch: list = None) -> Event:
         """Callback-style :meth:`append`; succeeds with the landing PBA.
 
+        Encoding an entry is pure computation, so doing it here rather
+        than in the first hop changes no event order."""
+        return self.append_encoded_async(role, entry.encode(), fua, batch)
+
+    def append_encoded_async(self, role: MetadataRole, encoded: bytes,
+                             fua: bool = False, batch: list = None) -> Event:
+        """:meth:`append_async` for a caller that already holds the encoded
+        bytes (the write path's partial-parity entries are produced by
+        :func:`repro.raizn.metadata.encode_partial_parity_bytes`).
+
         Semantically identical to ``sim.process(mdz.append(...))`` but
         without a generator per log entry — the RAIZN write path appends
         metadata on every partial-stripe write, so the process machinery
@@ -137,9 +153,17 @@ class DeviceMetadataZones:
 
         When ``batch`` is given, the start hop is appended to it as a
         ``(fn, args)`` call instead of being scheduled — the caller owns
-        one ``schedule_batch`` entry covering a whole stripe's appends.
+        one ``schedule_batch`` entry covering a whole write's appends.
         """
-        done = self.sim.event()
+        sim = self.sim
+        # ``sim.event()`` inlined: one call per metadata append.
+        free = sim._event_free
+        if free:
+            done = free.pop()
+            done.triggered = False
+            done.ok = True
+        else:
+            done = Event(sim)
         tracer = self.device.tracer
         if tracer is not None:
             # The md span covers lock wait, any log rotation, and the
@@ -156,53 +180,12 @@ class DeviceMetadataZones:
             done.add_callback(tracer.begin_at(site))
         # Hop 1 stands in for the deferred process start.
         if batch is not None:
-            batch.append((self._append_start, (role, entry, fua, done)))
-        else:
-            self.sim.schedule(0.0, self._append_start, role, entry, fua, done)
-        return done
-
-    def append_encoded_async(self, role: MetadataRole, encoded: bytes,
-                             fua: bool = False, batch: list = None) -> Event:
-        """:meth:`append_async` for a caller that already holds the encoded
-        bytes (the write path's partial-parity entries are produced by
-        :func:`repro.raizn.metadata.encode_partial_parity_bytes`).  The
-        hop structure is identical — encoding an entry is pure
-        computation, so moving it before hop 1 changes no event order."""
-        sim = self.sim
-        # ``sim.event()`` inlined: one call per metadata append.
-        free = sim._event_free
-        if free:
-            done = free.pop()
-            done.triggered = False
-            done.ok = True
-        else:
-            done = Event(sim)
-        tracer = self.device.tracer
-        if tracer is not None:
-            sites = self._tr_sites
-            rolename = role._value_
-            try:
-                site = sites[rolename]
-            except KeyError:
-                site = sites[rolename] = tracer.site("md", role,
-                                                     self.device.name)
-            done.add_callback(tracer.begin_at(site))
-        if batch is not None:
             batch.append((self._append_start_encoded,
                           (role, encoded, fua, done)))
         else:
             self.sim.schedule(0.0, self._append_start_encoded, role, encoded,
                               fua, done)
         return done
-
-    def _append_start(self, role: MetadataRole, entry: MetadataEntry,
-                      fua: bool, done: Event) -> None:
-        try:
-            encoded = entry.encode()
-        except MetadataError as exc:
-            done.fail(exc)
-            return
-        self._append_start_encoded(role, encoded, fua, done)
 
     def _append_start_encoded(self, role: MetadataRole, encoded: bytes,
                               fua: bool, done: Event) -> None:
@@ -256,21 +239,11 @@ class DeviceMetadataZones:
                          fua: bool, done: Event):
         """Generator tail of :meth:`append_async` when GC must run first."""
         try:
-            try:
-                yield from self._rotate(role)
-                zone_index = self.role_zone[role]
-                self.used[zone_index] += len(encoded)
-                flags = BioFlags.FUA if fua else BioFlags.NONE
-                event = self.device.submit(Bio.zone_append(
-                    zone_index * self.zone_size, encoded, flags))
-            finally:
-                self._locks[role].release()
-            bio = yield event
+            pba = yield from self._append_holding_lock(role, encoded, fua)
         except BaseException as exc:  # noqa: BLE001 - deliver, don't unwind
             done.fail(exc)
             return
-        self.appended_bytes += len(encoded)
-        done.succeed(bio.result)
+        done.succeed(pba)
 
     def _append_done(self, event: Event, nbytes: int, done: Event) -> None:
         value = event.value

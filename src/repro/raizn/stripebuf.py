@@ -56,7 +56,7 @@ class StripeBuffer:
     zero-padding rule.
     """
 
-    __slots__ = ("zone", "stripe", "num_data", "su", "width_bytes", "data",
+    __slots__ = ("zone", "stripe", "num_data", "su", "width", "data",
                  "fill_end")
 
     def __init__(self, zone: int, stripe: int, num_data: int, su: int):
@@ -64,9 +64,8 @@ class StripeBuffer:
         self.stripe = stripe
         self.num_data = num_data
         self.su = su
-        #: ``num_data * su`` as a plain attribute — the write path's fast
-        #: loop reads it per absorbed chunk.
-        self.width_bytes = num_data * su
+        #: Data bytes per stripe.
+        self.width = num_data * su
         free = _free_arrays.get(num_data * su)
         self.data = free.pop() if free else bytearray(num_data * su)
         #: Bytes filled from the start of the stripe (writes are sequential).
@@ -83,10 +82,6 @@ class StripeBuffer:
                 data[:] = bytes([_POISON_BYTE]) * len(data)
             free.append(data)
         self.data = b""
-
-    @property
-    def width(self) -> int:
-        return self.width_bytes
 
     @property
     def full(self) -> bool:

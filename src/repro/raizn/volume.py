@@ -36,7 +36,6 @@ from ..errors import (
     ZoneStateError,
 )
 from ..sim import Event, Simulator
-from ..sim.engine import _run_batch
 from ..trace import Tracer
 from ..units import SECTOR_SIZE
 from ..trace.tracer import SITE_BITS
@@ -67,8 +66,8 @@ _SECTOR_MASK = SECTOR_SIZE - 1
 _PREFLUSH = int(BioFlags.PREFLUSH)
 _FUA_OR_PREFLUSH = _FUA | _PREFLUSH
 
-#: Upper bound on the per-volume write-plan cache.  Keys are
-#: ``(zone, offset-in-zone, length)``; steady-state workloads cycle
+#: Upper bound on the per-volume write-plan cache.  Keys are ``(rotation
+#: phase, offset in first stripe, length)``; steady-state workloads cycle
 #: through a tiny working set, so the cap exists only to bound a
 #: pathological scan over every possible offset.
 _PLAN_CACHE_MAX = 65536
@@ -461,7 +460,9 @@ class RaiznVolume:
         if len(devices) != config.num_devices:
             raise RaiznError(
                 f"config wants {config.num_devices} devices, got {len(devices)}")
-        template = next(d for d in devices if d is not None)
+        template = next((d for d in devices if d is not None), None)
+        if template is None:
+            raise RaiznError("array has no present device to take geometry from")
         for dev in devices:
             if dev is None:
                 continue
@@ -974,10 +975,13 @@ class RaiznVolume:
 
     def _start_write(self, bio: Bio, done: Event, zone: int,
                      desc: LogicalZoneDesc) -> None:
-        """Synchronous half of the write path: validate, absorb, fan out.
+        """Synchronous half of the write path: validate, plan, emit.
 
         ``zone``/``desc`` come from ``_dispatch``, which already resolved
-        (and range-checked) the logical zone for this bio.
+        (and range-checked) the logical zone for this bio.  Every array
+        state (healthy, degraded, rebuilding, relocating, traced) takes
+        the one emission loop below; what happens to an individual piece
+        is decided inside the ``_emit_*`` helpers and nowhere else.
         """
         if bio.op is Op.ZONE_APPEND:
             # §5.4: RAIZN serializes zone appends; emulate as a write at
@@ -1019,30 +1023,19 @@ class RaiznVolume:
         # so the key is (rotation phase, offset within stripe, length):
         # a steady sequential workload cycles through a handful of keys
         # and skips the per-piece address arithmetic entirely.  Runtime
-        # checks (availability, conflicts) still happen below.
+        # state (availability, conflicts, relocations) is checked per
+        # piece by the ``_emit_*`` helpers below.
         width = desc.stripe_width
         in_zone = bio.offset - desc.start_lba
         stripe0 = in_zone // width
         key = ((stripe0 + zone) % self._num_rotations,
                in_zone - stripe0 * width, bio.length)
-        cached = self._plan_cache.get(key)
-        if cached is None:
+        plan = self._plan_cache.get(key)
+        if plan is None:
             if len(self._plan_cache) >= _PLAN_CACHE_MAX:
                 self._plan_cache.clear()
-            plan = self._build_write_plan(desc, bio.offset, bio.length)
-            # Pre-flatten the dominant small-write shape (one segment,
-            # one device piece, stripe not completed): the fast path
-            # below then does a single tuple unpack per write instead of
-            # re-deriving the nested indices every time.
-            if len(plan) == 1 and len(plan[0][4]) == 1 and not plan[0][5]:
-                seg = plan[0]
-                piece = seg[4][0]
-                fast = (piece[0], piece[1], piece[2], seg[1], seg[6],
-                        seg[8], seg[1] % self.config.stripe_unit_bytes)
-            else:
-                fast = None
-            cached = self._plan_cache[key] = (plan, fast)
-        plan, fast = cached
+            plan = self._plan_cache[key] = self._build_write_plan(
+                desc, bio.offset, bio.length)
         pba_base = zone * self.phys_zone_size + \
             stripe0 * self.config.stripe_unit_bytes
         lba_base = desc.start_lba + stripe0 * width
@@ -1063,8 +1056,8 @@ class RaiznVolume:
         else:
             join = _WriteJoin(self)
             join._reset(bio, done, desc)
-        # Plain int (0 or FUA): tested per fan-out piece below, and Bio
-        # stores flags as an int anyway.
+        # Plain int (0 or FUA): tested per fan-out piece, and Bio stores
+        # flags as an int anyway.
         sub_flags = bio.flags & _FUA
         # Fan out through a memoryview so every per-stripe chunk and
         # per-device piece below is a zero-copy slice of the caller's
@@ -1072,258 +1065,63 @@ class RaiznVolume:
         data = memoryview(bio.data) if bio.data else memoryview(b"")
         # Device commands and deferred zero-delay hops are collected and
         # dispatched together at the end of the fan-out: the whole
-        # stripe's commands go to the block layer in one ``submit_many``
+        # write's commands go to the block layer in one ``submit_many``
         # step and its metadata appends ride one batched scheduler entry.
         # Per-device submission order is the piece order either way, so
         # every channel grant — and with it every RNG draw — is unmoved.
         cmds: List[tuple] = []
         batch: List[tuple] = []
+        buffers = desc.buffers
+        row = self._tr_stripe_row
         try:
-            row = self._tr_stripe_row
-            # Healthy-array fast loop: with every device present, no
-            # rebuild under way and no relocations armed in this zone,
-            # the per-piece availability and relocation-map checks in
-            # ``_emit_data_piece`` can never redirect — only the write-
-            # pointer conflict check stays (it is semantic, §5.2).  The
-            # emitted commands, their order, and the join bookkeeping are
-            # exactly those of the general path; pieces that DO conflict
-            # fall back to ``_emit_data_piece`` for the redirect flow.
-            if row is None and self.rebuild_state is None \
-                    and not desc.has_relocations \
-                    and True not in self.failed \
-                    and None not in self.devices:
-                sim = self.sim
-                devices = self.devices
-                phys = self.phys
-                buffers = desc.buffers
-                free_events = sim._event_free
-                write_attempted = self._write_attempted
-                fast_write = Bio.fast_write
-                read_only = ZoneState.READ_ONLY
-                offline = ZoneState.OFFLINE
-                if fast is not None:
-                    # Straight-line emission for the dominant small-write
-                    # shape: one stripe segment, one device piece, stripe
-                    # not completed (partial parity).  Same operations in
-                    # the same order as one iteration of the loop below,
-                    # minus the per-segment slicing and list plumbing; a
-                    # write-pointer conflict bails to the general loop
-                    # before any state is touched.
-                    (device, rel_pba, rel_lba, f_in_stripe, parity_dev,
-                     rel_slba, in_su) = fast
-                    pba = pba_base + rel_pba
-                    pdesc = phys[device][zone]
-                    state = pdesc.state
-                    if pdesc.write_pointer == pba and state is not read_only \
-                            and state is not offline:
-                        in_stripe = f_in_stripe
-                        # ``StripeBufferPool.acquire`` inlined for the hit
-                        # (the steady state: the tail stripe's buffer is
-                        # live); misses allocate through the method.
-                        buffer = buffers._buffers.get(stripe0)
-                        if buffer is None:
-                            buffer = buffers.acquire(stripe0)
-                        if buffer is None:
-                            raise RaiznError(
-                                f"zone {zone}: all "
-                                f"{self.config.stripe_buffers_per_zone} "
-                                "stripe buffers occupied (should not happen: "
-                                "writes are sequential, so only the tail "
-                                "stripe is ever incomplete)")
-                        payload = bio.data
-                        fill = in_stripe + bio.length
-                        if buffer.fill_end == in_stripe and \
-                                fill <= buffer.width_bytes:
-                            buffer.data[in_stripe:fill] = payload
-                            buffer.fill_end = fill
-                        else:
-                            buffer.absorb(in_stripe, payload)
-                        pdesc.write_pointer = pba + bio.length
-                        wbio = fast_write(pba, payload, sub_flags)
-                        wbio.errors_as_status = True
-                        wbio.wctx = (join, device, desc, lba_base + rel_lba,
-                                     0)
-                        if free_events:
-                            event = free_events.pop()
-                            event.triggered = False
-                            event.ok = True
-                        else:
-                            event = Event(sim)
-                        event.callback = write_attempted
-                        join._count += 1
-                        if sub_flags:
-                            join.fua_devices.add(device)
-                        try:
-                            mdz = self.mdzones[parity_dev]
-                            if mdz.device.tracer is None:
-                                # ``_emit_partial_parity`` inlined for the
-                                # untraced healthy case.  The single piece
-                                # sits inside one stripe unit by
-                                # construction, so its delta is the payload
-                                # itself (``delta_parity``'s fast path) and
-                                # its SU-relative offset came precomputed
-                                # with the plan.
-                                row = self._tr_parity_partial_row
-                                if row is not None:
-                                    row[0] += 1
-                                    row[2] += bio.length
-                                stripe_lba = lba_base + rel_slba + in_stripe
-                                encoded = encode_partial_parity_bytes(
-                                    stripe_lba, stripe_lba + bio.length,
-                                    self.generation[desc.zone], in_su,
-                                    payload)
-                                if free_events:
-                                    pp_done = free_events.pop()
-                                    pp_done.triggered = False
-                                    pp_done.ok = True
-                                else:
-                                    pp_done = Event(sim)
-                                pp_done.callback = join._on_child
-                                batch.append((mdz._append_start_encoded,
-                                              (MetadataRole.PARTIAL_PARITY,
-                                               encoded, bool(sub_flags),
-                                               pp_done)))
-                                join._count += 1
-                            else:
-                                self._emit_partial_parity(
-                                    join, desc, stripe0, parity_dev,
-                                    lba_base + rel_slba, in_stripe, payload,
-                                    bool(sub_flags), batch)
-                        except BaseException:
-                            # Mirror ``submit_many`` on the shared except
-                            # path below: the built command still goes out
-                            # (the outer handler schedules ``batch``).
-                            devices[device].submit(wbio, event)
-                            raise
-                        stats = self.stats
-                        stats.writes += 1
-                        stats.bytes_written += bio.length
-                        stats.media_bytes_written += bio.length
-                        devices[device].submit(wbio, event)
-                        batch.append((join._arm, ()))
-                        sim._now_queue.append((_run_batch, (batch,)))
-                        return
-                for (dstripe, in_stripe, seg_lo, seg_hi, pieces, completes,
-                     parity_device, rel_ppba, rel_slba) in plan:
-                    stripe = stripe0 + dstripe
-                    chunk = data[seg_lo:seg_hi]
-                    buffer = buffers.acquire(stripe)
-                    if buffer is None:
-                        raise RaiznError(
-                            f"zone {zone}: all "
-                            f"{self.config.stripe_buffers_per_zone} "
-                            "stripe buffers occupied (should not happen: "
-                            "writes are sequential, so only the tail stripe "
-                            "is ever incomplete)")
-                    # ``absorb`` inlined (sequential-fill invariant holds
-                    # by construction here; misses take the checked path).
-                    fill = in_stripe + seg_hi - seg_lo
-                    if buffer.fill_end == in_stripe and \
-                            fill <= buffer.width_bytes:
-                        buffer.data[in_stripe:fill] = chunk
-                        buffer.fill_end = fill
-                    else:
-                        buffer.absorb(in_stripe, chunk)
-                    for device, rel_pba, rel_lba, piece_lo, piece_hi in pieces:
-                        pba = pba_base + rel_pba
-                        pdesc = phys[device][zone]
-                        state = pdesc.state
-                        if pdesc.write_pointer != pba or state is read_only \
-                                or state is offline:
-                            self._emit_data_piece(join, desc, device, pba,
-                                                  lba_base + rel_lba,
-                                                  data[piece_lo:piece_hi],
-                                                  sub_flags, cmds, batch)
-                            continue
-                        pdesc.write_pointer = pba + piece_hi - piece_lo
-                        wbio = fast_write(pba, data[piece_lo:piece_hi],
-                                          sub_flags)
-                        wbio.errors_as_status = True
-                        wbio.wctx = (join, device, desc, lba_base + rel_lba, 0)
-                        if free_events:
-                            event = free_events.pop()
-                            event.triggered = False
-                            event.ok = True
-                        else:
-                            event = Event(sim)
-                        event.callback = write_attempted
-                        join._count += 1
-                        cmds.append((devices[device], wbio, event))
-                        if sub_flags:
-                            join.fua_devices.add(device)
-                    if completes:
-                        self._emit_full_parity(join, desc, stripe,
-                                               parity_device,
-                                               pba_base + rel_ppba,
-                                               lba_base + rel_slba, buffer,
-                                               in_stripe, chunk, sub_flags,
-                                               cmds, batch)
-                        buffers.release(stripe)
-                    else:
-                        self._emit_partial_parity(join, desc, stripe,
-                                                  parity_device,
-                                                  lba_base + rel_slba,
-                                                  in_stripe, chunk,
-                                                  bool(sub_flags), batch)
-            else:
-                for (dstripe, in_stripe, seg_lo, seg_hi, pieces, completes,
-                     parity_device, rel_ppba, rel_slba) in plan:
-                    stripe = stripe0 + dstripe
-                    chunk = data[seg_lo:seg_hi]
-                    buffer = desc.buffers.acquire(stripe)
-                    if buffer is None:
-                        raise RaiznError(
-                            f"zone {zone}: all "
-                            f"{self.config.stripe_buffers_per_zone} "
-                            "stripe buffers occupied (should not happen: "
-                            "writes are sequential, so only the tail stripe "
-                            "is ever incomplete)")
-                    buffer.absorb(in_stripe, chunk)
-                    if row is not None:
-                        row[0] += 1
-                        row[2] += seg_hi - seg_lo
-                    for device, rel_pba, rel_lba, piece_lo, piece_hi in pieces:
-                        self._emit_data_piece(join, desc, device,
-                                              pba_base + rel_pba,
-                                              lba_base + rel_lba,
-                                              data[piece_lo:piece_hi],
-                                              sub_flags, cmds, batch)
-                    if completes:
-                        self._emit_full_parity(join, desc, stripe,
-                                               parity_device,
-                                               pba_base + rel_ppba,
-                                               lba_base + rel_slba, buffer,
-                                               in_stripe, chunk, sub_flags,
-                                               cmds, batch)
-                        desc.buffers.release(stripe)
-                    else:
-                        self._emit_partial_parity(join, desc, stripe,
-                                                  parity_device,
-                                                  lba_base + rel_slba,
-                                                  in_stripe, chunk,
-                                                  bool(sub_flags), batch)
+            for (dstripe, in_stripe, seg_lo, seg_hi, pieces, completes,
+                 parity_device, rel_ppba, rel_slba) in plan:
+                stripe = stripe0 + dstripe
+                chunk = data[seg_lo:seg_hi]
+                buffer = buffers.acquire(stripe)
+                if buffer is None:
+                    raise RaiznError(
+                        f"zone {zone}: all "
+                        f"{self.config.stripe_buffers_per_zone} "
+                        "stripe buffers occupied (should not happen: "
+                        "writes are sequential, so only the tail stripe "
+                        "is ever incomplete)")
+                buffer.absorb(in_stripe, chunk)
+                if row is not None:
+                    row[0] += 1
+                    row[2] += seg_hi - seg_lo
+                for device, rel_pba, rel_lba, piece_lo, piece_hi in pieces:
+                    self._emit_data_piece(join, desc, device,
+                                          pba_base + rel_pba,
+                                          lba_base + rel_lba,
+                                          data[piece_lo:piece_hi],
+                                          sub_flags, cmds, batch)
+                if completes:
+                    self._emit_full_parity(join, desc, stripe, parity_device,
+                                           pba_base + rel_ppba,
+                                           lba_base + rel_slba, buffer,
+                                           in_stripe, chunk, sub_flags,
+                                           cmds, batch)
+                    buffers.release(stripe)
+                else:
+                    self._emit_partial_parity(join, desc, stripe,
+                                              parity_device,
+                                              lba_base + rel_slba, in_stripe,
+                                              chunk, bool(sub_flags), batch)
         except BaseException:
-            # Mirror the pre-batch failure shape: everything emitted before
-            # the raise was already submitted/scheduled, and the join is
-            # never armed (``submit`` fails the logical bio).
+            # Everything emitted before the raise still goes out, and the
+            # join is never armed (``submit`` fails the logical bio).
             submit_many(cmds)
             if batch:
                 self.sim.schedule_batch(0.0, batch)
             raise
 
-        # ``DeviceStats.account`` inlined for the only two ops that reach
-        # this function.
-        stats = self.stats
-        stats.writes += 1
-        stats.bytes_written += bio.length
-        stats.media_bytes_written += bio.length
-        # ``submit_many`` unrolled: same strict batch order, no result list.
-        for cmd_device, cmd_bio, cmd_done in cmds:
-            cmd_device.submit(cmd_bio, cmd_done)
+        self.stats.account(bio)
+        submit_many(cmds)
         # The arm call runs after every sibling append's start hop, in the
         # now-queue slot the old completion-chain hop occupied.
         batch.append((join._arm, ()))
-        self.sim._now_queue.append((_run_batch, (batch,)))
+        self.sim.schedule_batch(0.0, batch)
 
     def _build_write_plan(self, desc: LogicalZoneDesc, offset: int,
                           length: int) -> tuple:

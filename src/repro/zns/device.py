@@ -197,10 +197,11 @@ class ZNSDevice(BlockDevice):
         # per command, and a per-call dispatch dict showed up in profiles.
         op = bio.op
         if op is Op.WRITE:
-            # ``_apply_write``'s healthy fast path inlined: this dispatch
-            # plus the write run once per data command, and the extra
-            # frame showed up in profiles.  Any miss (preflush flag,
-            # state, pointer, capacity) takes the full method below.
+            # Healthy fast path: an already-open zone written exactly at
+            # its write pointer within capacity needs no state-machine
+            # work, and handling it in this frame matters — dispatch plus
+            # write run once per data command.  Any miss (preflush flag,
+            # state, pointer, capacity) takes the validating method below.
             if not bio.flags & _BIO_PREFLUSH:
                 offset = bio.offset
                 index = offset // self.zone_size
@@ -225,7 +226,8 @@ class ZNSDevice(BlockDevice):
         if op is Op.READ:
             return self._apply_read(bio)
         if op is Op.ZONE_APPEND:
-            # Mirror of the WRITE fast path for appends.
+            # The WRITE fast path's twin for appends into an open zone
+            # with room left; misses take the validating method.
             offset = bio.offset
             if not offset % self.zone_size and \
                     not bio.flags & _BIO_PREFLUSH:
@@ -308,29 +310,6 @@ class ZNSDevice(BlockDevice):
     def _apply_write(self, bio: Bio) -> float:
         if bio.flags & _BIO_PREFLUSH:
             self._snapshot_flush(bio)
-        # Healthy fast path: an already-open zone written exactly at its
-        # write pointer within capacity needs no state-machine work.  Any
-        # miss falls through to the original validation so error messages
-        # and transition order are unchanged.
-        offset = bio.offset
-        index = offset // self.zone_size
-        zones = self.zones
-        if 0 <= index < len(zones):
-            zone = zones[index]
-            state = zone.state
-            if ((state is ZoneState.IMPLICIT_OPEN
-                 or state is ZoneState.EXPLICIT_OPEN)
-                    and offset == zone.write_pointer):
-                end = offset + bio.length
-                cap_end = zone.start + zone.capacity
-                if end <= cap_end:
-                    self._media[offset:end] = bio.data
-                    zone.write_pointer = end
-                    zone.last_write_time = self.sim.now
-                    self._dirty_zones.add(index)
-                    if end == cap_end:
-                        self._note_full(zone)
-                    return 0.0
         zone = self._check_write(bio)
         self._make_open(zone, explicit=False)
         assert bio.data is not None
@@ -349,27 +328,6 @@ class ZNSDevice(BlockDevice):
                 "a zone start")
         if bio.flags & _BIO_PREFLUSH:
             self._snapshot_flush(bio)
-        # Healthy fast path, mirroring _apply_write: append into an
-        # already-open zone with room left skips the state machine.
-        index = offset // self.zone_size
-        zones = self.zones
-        if 0 <= index < len(zones):
-            zone = zones[index]
-            state = zone.state
-            if (state is ZoneState.IMPLICIT_OPEN
-                    or state is ZoneState.EXPLICIT_OPEN):
-                placed_at = zone.write_pointer
-                end = placed_at + bio.length
-                cap_end = zone.start + zone.capacity
-                if end <= cap_end:
-                    self._media[placed_at:end] = bio.data
-                    zone.write_pointer = end
-                    zone.last_write_time = self.sim.now
-                    self._dirty_zones.add(index)
-                    if end == cap_end:
-                        self._note_full(zone)
-                    bio.result = placed_at
-                    return 0.0
         zone = self.zone_at(offset)
         if not zone.state.is_writable:
             raise ZoneStateError(

@@ -165,6 +165,13 @@ class TestCheckDigests:
         out = capsys.readouterr().out
         assert "DIGEST MISMATCH" in out and "seq_write" in out
 
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_main_rejects_nonpositive_repeat(self, repeat, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--fast", "--only", "seq_write", "--repeat", repeat])
+        assert excinfo.value.code == 2
+        assert "--repeat must be >= 1" in capsys.readouterr().err
+
 
 class TestParallelJobs:
     def test_jobs_merge_matches_sequential(self):

@@ -31,6 +31,31 @@ class TestConfig:
         with pytest.raises(RaiznError):
             RaiznConfig(stripe_unit_bytes=1000)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("stripe_unit_bytes", 0, "stripe unit"),
+        ("stripe_unit_bytes", -4096, "stripe unit"),
+        ("latency_ewma_alpha", 0.0, "latency_ewma_alpha"),
+        ("latency_ewma_alpha", 1.5, "latency_ewma_alpha"),
+        ("slow_score_alpha", -0.1, "slow_score_alpha"),
+        ("slow_score_alpha", 2.0, "slow_score_alpha"),
+        ("hedge_min_samples", -1, "hedge_min_samples"),
+        ("slow_evict_min_samples", -1, "slow_evict_min_samples"),
+        ("relocation_rebuild_threshold", -1, "relocation_rebuild_threshold"),
+    ])
+    def test_rejects_out_of_range_field(self, field, value, message):
+        with pytest.raises(RaiznError, match=message):
+            RaiznConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("latency_ewma_alpha", 1.0),
+        ("slow_score_alpha", 1.0),
+        ("hedge_min_samples", 0),
+        ("slow_evict_min_samples", 0),
+        ("relocation_rebuild_threshold", 0),
+    ])
+    def test_accepts_boundary_values(self, field, value):
+        assert getattr(RaiznConfig(**{field: value}), field) == value
+
     def test_rejects_too_few_metadata_zones(self):
         with pytest.raises(RaiznError):
             RaiznConfig(num_metadata_zones=2)

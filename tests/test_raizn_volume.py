@@ -8,11 +8,13 @@ from repro.block import Bio, BioFlags, Op
 from repro.errors import (
     DataLossError,
     InvalidAddressError,
+    RaiznError,
     ReadUnwrittenError,
     VolumeStateError,
     WritePointerViolation,
     ZoneStateError,
 )
+from repro.faults import wear_out_zone
 from repro.raizn import RaiznConfig, RaiznVolume
 from repro.sim import Simulator
 from repro.units import KiB, MiB
@@ -47,6 +49,11 @@ class TestGeometry:
         devices.append(make_zns_devices(sim, n=1, num_zones=20)[0])
         with pytest.raises(Exception):
             RaiznVolume.create(sim, devices)
+
+
+    def test_array_without_any_device_rejected(self, sim):
+        with pytest.raises(RaiznError, match="no present device"):
+            RaiznVolume(sim, [None] * 5, RaiznConfig(num_data=4), b"\0" * 16)
 
 
 class TestWriteRead:
@@ -123,6 +130,127 @@ class TestWriteRead:
         from repro.raizn.mdzone import MetadataRole
         pp_zone = mdz.role_zone[MetadataRole.PARTIAL_PARITY]
         assert mdz.used[pp_zone] >= 8192  # header + delta
+
+
+def _record_commands(devices):
+    """Log every command submitted to ``devices`` as plain tuples."""
+    log = []
+    for index, dev in enumerate(devices):
+        def submit(bio, done=None, _index=index, _submit=dev.submit):
+            log.append((_index, bio.op, bio.offset, bio.length, bio.flags))
+            return _submit(bio, done)
+        dev.submit = submit
+    return log
+
+
+def _traced_volume(sim, tracing):
+    config = RaiznConfig(num_data=4, stripe_unit_bytes=SU, tracing=tracing)
+    devices = make_zns_devices(sim)
+    return RaiznVolume.create(sim, devices, config,
+                              array_uuid=b"\x07" * 16), devices
+
+
+# Array states that change a piece's fate.  Each arranges the state on a
+# volume whose zone 0 holds an 8 KiB prefix and returns the expected
+# outcome of a data piece as a function of its target device.
+
+def _healthy(volume, devices):
+    return lambda device: "in place"
+
+
+def _device_failed(volume, devices):
+    failed, _pba = volume.mapper.lba_to_pba(SU)
+    volume.fail_device(failed)
+    return lambda device: "omitted" if device == failed else "in place"
+
+
+def _relocation_armed(volume, devices):
+    # §5.2 state: SU 2 of stripe 0 already lives in the log.  The
+    # device's write pointer then stays behind for later stripes, so
+    # everything this write sends to that device is relocated too.
+    armed, _pba = volume.mapper.lba_to_pba(2 * SU)
+    volume.relocations.unit_for(2 * SU, armed, 0)
+    volume.zone_descs[0].has_relocations = True
+    return lambda device: "relocated" if device == armed else "in place"
+
+
+def _zone_read_only(volume, devices):
+    worn, _pba = volume.mapper.lba_to_pba(3 * SU)
+    wear_out_zone(devices[worn], 0)
+    volume._sync_phys_desc(worn, 0)     # the volume has noticed
+    return lambda device: "relocated" if device == worn else "in place"
+
+
+class TestWriteEmission:
+    """One multi-stripe logical write through the single emission loop."""
+
+    PREFIX = 8 * KiB              # start mid-SU: first piece is a partial SU
+    LENGTH = 2 * STRIPE           # 3 stripes touched, 9 data pieces
+
+    @pytest.mark.parametrize("flags", [BioFlags.NONE, BioFlags.FUA],
+                             ids=["plain", "fua"])
+    @pytest.mark.parametrize("tracing, arrange", [
+        (False, _healthy), (False, _device_failed),
+        (False, _relocation_armed), (False, _zone_read_only),
+        (True, _healthy),
+    ], ids=["healthy", "device-failed", "relocation-armed",
+            "zone-read-only", "tracing"])
+    def test_multi_stripe_write_piece_outcomes(self, sim, tracing, arrange,
+                                               flags):
+        volume, devices = _traced_volume(sim, tracing)
+        prefix = pattern(self.PREFIX, seed=20)
+        volume.execute(Bio.write(0, prefix))
+        expected = arrange(volume, devices)
+        log = _record_commands(devices)
+
+        data = pattern(self.LENGTH, seed=21)
+        bio = Bio.write(self.PREFIX, data, flags)
+        done = volume.submit(bio)
+        sim.run()
+        assert done.triggered and done.ok and done.value is bio
+        assert bio.complete_time is not None
+
+        writes = {(dev, offset, length): cmd_flags
+                  for dev, op, offset, length, cmd_flags in log
+                  if op is Op.WRITE}
+        lba, end, count = self.PREFIX, self.PREFIX + self.LENGTH, 0
+        while lba < end:
+            take = min(end - lba, SU - lba % SU)
+            device, pba = volume.mapper.lba_to_pba(lba)
+            unit = volume.relocations.lookup(lba - lba % SU)
+            if (device, pba, take) in writes:
+                outcome = "in place"
+                assert writes[(device, pba, take)] == int(flags)
+            elif unit is not None and unit.covers(lba, take):
+                outcome = "relocated"
+                assert unit.device == device
+            else:
+                outcome = "omitted"
+                assert not any(cmd[0] == device for cmd in log)
+            assert outcome == expected(device), (lba, device)
+            lba += take
+            count += 1
+        assert count == 9
+
+        got = volume.execute(Bio.read(0, end)).result
+        assert got == prefix + data
+
+    def test_tracing_issues_identical_device_commands(self):
+        logs = []
+        for tracing in (False, True):
+            sim = Simulator()
+            volume, devices = _traced_volume(sim, tracing)
+            log = _record_commands(devices)
+            blob = pattern(self.PREFIX + self.LENGTH + 8 * KiB, seed=22)
+            cuts = [0, self.PREFIX, self.PREFIX + self.LENGTH, len(blob)]
+            events = [volume.submit(Bio.write(lo, blob[lo:hi], flags))
+                      for lo, hi, flags in zip(
+                          cuts, cuts[1:],
+                          (BioFlags.NONE, BioFlags.FUA, BioFlags.NONE))]
+            sim.run()
+            assert all(e.ok for e in events)
+            logs.append(log)
+        assert logs[0] and logs[0] == logs[1]
 
 
 class TestZoneAppendEmulation:

@@ -8,6 +8,7 @@ replacement device's write throughput.
 
 import pytest
 
+from repro.block import conventional_ssd_model, zns_zn540_model
 from repro.harness import ArrayScale, format_table, ttr_sweep
 from repro.units import MiB
 
@@ -41,4 +42,12 @@ def test_fig12_rebuild_ttr(benchmark, print_rows):
     # The curves meet at 100% fill.
     assert raizn[1.0].ttr_seconds == pytest.approx(
         mdraid[1.0].ttr_seconds, rel=0.35)
+    # ...where both are bottlenecked by the replacement device's write
+    # throughput (Observation 4), not by the rebuild loop's queue depth.
+    for point, model in ((raizn[1.0], zns_zn540_model()),
+                         (mdraid[1.0], conventional_ssd_model())):
+        rate = point.bytes_rebuilt / point.ttr_seconds
+        assert rate >= 0.6 * model.write_bandwidth, point.system
+        benchmark.extra_info[f"{point.system}_full_write_bw_share"] = \
+            rate / model.write_bandwidth
     benchmark.extra_info["raizn_full_ttr"] = raizn[1.0].ttr_seconds

@@ -74,6 +74,15 @@ class ServiceTimeModel:
         # the library call bit for bit while skipping its Python frame.
         object.__setattr__(self, "_jitter_span", self.jitter + self.jitter)
 
+    @property
+    def saturating_depth(self) -> int:
+        """Commands to keep in flight so that no channel idles: one in
+        service per channel plus one queued behind it.  Background
+        streams (RAIZN rebuild, mdraid resync) size their windows from
+        this rather than from a setting — fewer starves channels, more
+        only holds memory."""
+        return 2 * self.channels
+
     def occupancy_time(self, op: Op, nbytes: int,
                        rng: Optional[random.Random] = None) -> float:
         """Time one command holds a channel."""

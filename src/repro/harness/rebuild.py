@@ -5,7 +5,11 @@ a blank device, and measures the rebuild in simulated time.  RAIZN's TTR
 scales linearly with the valid data (it rebuilds only up to each logical
 zone's write pointer); mdraid's resync always reconstructs the entire
 device address space, so its TTR is constant — the two meet at 100% fill,
-where both are bottlenecked by the replacement device's write throughput.
+where both are bottlenecked by the replacement device's write throughput:
+both loops keep a window of reconstructions in flight (twice the
+replacement's channel count) and write them back in address order without
+waiting for the previous write, so ``bytes_rebuilt / ttr_seconds`` sits
+near the replacement's modelled ``write_bandwidth``.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ Figure 12 contrasts with RAIZN's valid-data-only rebuild.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..block.bio import Bio, Op
 from ..block.device import BlockDevice, DeviceStats
@@ -30,7 +30,7 @@ from ..errors import (
     ZoneStateError,
 )
 from ..raizn.parity import xor_into
-from ..sim import Event, Lock, Simulator
+from ..sim import Event, Lock, ReadAhead, Simulator
 from ..units import KiB
 
 
@@ -601,19 +601,38 @@ class MdraidVolume:
             raise RaiznError("replacement device capacity mismatch")
         started_at = self.sim.now
         self.devices[index] = new_device
-        bytes_written = 0
-        resync_span = 8 * self.chunk  # chunks reconstructed per batch
-        for batch_start in range(0, self.device_capacity, resync_span):
-            span = min(resync_span, self.device_capacity - batch_start)
-            reads = [self.devices[other].submit(Bio.read(batch_start, span))
-                     for other in range(self.num_devices)
+        survivors = [dev for other, dev in enumerate(self.devices)
                      if other != index and not self.failed[other]]
-            results = yield self.sim.all_of(reads)
-            out = bytearray(span)
-            for piece in results:
+        resync_span = 8 * self.chunk  # chunks reconstructed per batch
+        # The same windowing as RAIZN's rebuild: batches are read ahead,
+        # retired in address order and written without waiting for the
+        # write before, so the replacement's channels stay full.
+        depth = new_device.model.saturating_depth
+        cursor = 0
+
+        def issue() -> Optional[Event]:
+            nonlocal cursor
+            if cursor >= self.device_capacity:
+                return None
+            span = min(resync_span, self.device_capacity - cursor)
+            reads = [dev.submit(Bio.read(cursor, span)) for dev in survivors]
+            cursor += span
+            return self.sim.all_of(reads)
+
+        ahead = ReadAhead(issue, depth)
+        writes: Deque[Event] = deque()
+        bytes_written = 0
+        while (pieces := (yield from ahead.take())) is not None:
+            out = bytearray(pieces[0].length)
+            for piece in pieces:
                 xor_into(out, piece.result)
-            yield new_device.submit(Bio.write(batch_start, bytes(out)))
-            bytes_written += span
+            if len(writes) == depth:
+                yield writes.popleft()
+            writes.append(new_device.submit(Bio.write(bytes_written,
+                                                      bytes(out))))
+            bytes_written += len(out)
+        while writes:
+            yield writes.popleft()
         self.failed[index] = False
         self.cache.invalidate()
         return ResyncReport(device_index=index, bytes_written=bytes_written,

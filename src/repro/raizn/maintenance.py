@@ -26,6 +26,7 @@ from ..errors import MetadataError, RaiznError
 from ..sim import Simulator
 from .mdzone import MetadataRole
 from .metadata import MetadataEntry, MetadataType, decode_op_wal, encode_op_wal
+from .rebuild import ZoneStream, heal_relocations, rebuild
 
 #: OP_WAL opcodes.
 OP_ZONE_REWRITE_START = 1   # copy phase beginning (original intact)
@@ -112,57 +113,19 @@ def rewrite_physical_zone(volume, device_index: int, zone: int,
     # The relocations this device held in the zone are healed in place.
     pdesc = volume.phys[device_index][zone]
     pdesc.write_pointer = zone_pba + len(content)
-    _drop_healed_relocations(volume, device_index, zone)
+    heal_relocations(volume, device_index, zone)
     return len(content)
 
 
 def _desired_content(volume, device_index: int, zone: int):
-    """The corrected byte image of one device's physical zone.
-
-    Regenerated through the volume's logical read path (which consults
-    relocation units and relocated parity), exactly like a rebuild — the
-    only difference is that the destination device is the same one.
-    """
-    from .rebuild import _device_target_extent, _parity_of
-    desc = volume.zone_descs[zone]
-    su = volume.config.stripe_unit_bytes
-    target = _device_target_extent(volume, device_index, zone,
-                                   desc.write_pointer)
+    """The corrected byte image of one device's physical zone: the same
+    chunk stream a rebuild writes to a replacement, collected instead —
+    the only difference is that the destination device is the same one."""
+    stream = ZoneStream(volume, device_index, zone)
     out = bytearray()
-    position = 0
-    while position < target:
-        stripe = position // su
-        layout = volume.mapper.stripe_layout(zone, stripe)
-        stripe_lba = desc.start_lba + stripe * desc.stripe_width
-        read_len = min(desc.stripe_width, desc.write_pointer - stripe_lba)
-        bio = yield volume.submit(Bio.read(stripe_lba, read_len))
-        if device_index == layout.parity_device:
-            chunk = _parity_of(bio.result, volume.config.num_data, su)
-        else:
-            i = layout.data_devices.index(device_index)
-            chunk = bio.result[i * su:min((i + 1) * su, read_len)]
-        take = min(len(chunk), target - position)
-        out.extend(chunk[:take])
-        position += take
+    while (chunk := (yield from stream.next_chunk())) is not None:
+        out += chunk
     return bytes(out)
-
-
-def _drop_healed_relocations(volume, device_index: int, zone: int) -> None:
-    desc = volume.zone_descs[zone]
-    doomed = [unit.su_lba for unit in
-              volume.relocations.units_on_device(device_index)
-              if volume.mapper.zone_of(unit.su_lba) == zone]
-    for su_lba in doomed:
-        volume.relocations._units.pop(su_lba, None)
-    volume.relocations.rebuild_counters(
-        lambda unit: volume.mapper.zone_of(unit.su_lba))
-    for key in [k for k in volume.relocated_parity if k[0] == zone
-                and volume.mapper.stripe_layout(zone, k[1]).parity_device
-                == device_index]:
-        del volume.relocated_parity[key]
-    desc.has_relocations = any(
-        volume.mapper.zone_of(unit.su_lba) == zone
-        for unit in volume.relocations.units())
 
 
 def run_pending_rewrites(volume):
@@ -423,7 +386,6 @@ def run_health_maintenance(sim: Simulator, volume,
     but not-yet-evicted devices are only reported: demotion is reversible
     and the volume lifts it on sustained recovery.
     """
-    from .rebuild import rebuild
     from .volume import DeviceHealth
 
     report = HealthSweepReport()

@@ -12,20 +12,32 @@ in degraded mode; each zone is reconstructed from the surviving devices
 via the volume's (relocation- and parity-aware) logical read path, so
 relocated stripe units are healed onto the fresh device at their correct
 physical addresses.
+
+Reconstruction is a bounded pipeline (:class:`ZoneStream`): a window of
+stripe reconstructions is read ahead, retired in stripe order, and each
+retired chunk is written to the replacement without waiting for the
+write before it.  The block layer applies a command's write-pointer
+effect at submission, so in-order submission is all the zone's
+sequential-write contract needs; completions are collected before the
+zone is finished and marked rebuilt.  The next zone starts filling while
+the previous one drains, so the replacement's channels stay full — the
+write bandwidth of the replacement is what bounds time-to-repair.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List
+from collections import deque
+from typing import Deque, Iterable, List, Optional
 
 from ..block.bio import Bio
 from ..errors import RaiznError
-from ..sim import Simulator
+from ..sim import Event, ReadAhead, Simulator
 from ..zns.device import ZNSDevice
 from ..zns.spec import ZoneState
 from .mdzone import DeviceMetadataZones, MetadataRole
 from .metadata import MetadataType, Superblock
+from .parity import stripe_parity
 from .volume import SUPERBLOCK_VERSION, RaiznVolume, RebuildState
 
 
@@ -52,7 +64,12 @@ def rebuild(sim: Simulator, volume: RaiznVolume, index: int,
 
 def rebuild_process(sim: Simulator, volume: RaiznVolume, index: int,
                     new_device: ZNSDevice):
-    """Process-style rebuild; yields while reconstruction IO is in flight."""
+    """Process-style rebuild; yields while reconstruction IO is in flight.
+
+    A rebuild that raises leaves the array in plain degraded mode for
+    ``index`` — replacement detached, nothing of it in flight — so it can
+    be retried onto another device.
+    """
     if not volume.failed[index]:
         raise RaiznError(f"device {index} has not failed; nothing to rebuild")
     template = next(d for d in volume.devices if d is not None)
@@ -62,8 +79,10 @@ def rebuild_process(sim: Simulator, volume: RaiznVolume, index: int,
     started_at = sim.now
 
     state = RebuildState(index)
+    displaced = volume.devices[index], volume.mdzones[index]
     volume.rebuild_state = state
     volume.devices[index] = new_device
+    new_device.tracer = volume.tracer
     md_indices = list(range(volume.num_data_zones, template.num_zones))
     volume.mdzones[index] = DeviceMetadataZones(
         sim, new_device, index, md_indices, volume.phys_zone_size,
@@ -73,18 +92,23 @@ def rebuild_process(sim: Simulator, volume: RaiznVolume, index: int,
     # that _device_available now applies) is a membership transition.
     volume.invalidate_write_plans()
 
-    for zone in _rebuild_order(volume):
-        yield from _rebuild_zone(sim, volume, state, zone)
-        state.rebuilt_zones.add(zone)
-    # Zones that were empty need no data but must be marked serviceable.
-    for zone in range(volume.num_data_zones):
-        state.rebuilt_zones.add(zone)
-
-    yield from _rebuild_metadata(sim, volume, index)
-    # The reconstructed data must be durable before the rebuild counts as
-    # complete: acknowledged-durable (FUA/flushed) data now lives on this
-    # device and must survive an immediate power cut.
-    yield new_device.submit(Bio.flush())
+    try:
+        pipeline = _Pipeline(sim, volume, state)
+        yield from pipeline.run(_rebuild_order(volume))
+        # Zones that were empty need no data but must be marked serviceable.
+        state.rebuilt_zones.update(range(volume.num_data_zones))
+        yield from _rebuild_metadata(sim, volume, index)
+        # The reconstructed data must be durable before the rebuild counts
+        # as complete: acknowledged-durable (FUA/flushed) data now lives on
+        # this device and must survive an immediate power cut.
+        yield new_device.submit(Bio.flush())
+        pipeline.span("metadata", 0)
+    except Exception:
+        volume.failed[index] = True
+        volume.devices[index], volume.mdzones[index] = displaced
+        volume.rebuild_state = None
+        volume.invalidate_write_plans()
+        raise
     state.done = True
     volume.rebuild_state = None
     # Rebuild completion lifts the rebuilt_zones gating: a fresh epoch.
@@ -124,81 +148,236 @@ def _device_target_extent(volume: RaiznVolume, index: int, zone: int,
     return extent
 
 
-def _rebuild_zone(sim: Simulator, volume: RaiznVolume, state: RebuildState,
-                  zone: int):
-    """Reconstruct one physical zone onto the replacement device.
+class ZoneStream:
+    """What device ``index`` should hold in physical zone ``zone``,
+    regenerated in stripe order with read-ahead.
 
-    Loops until the logical write pointer is stable across a pass, so
-    writes arriving during the rebuild (served degraded) are caught up.
+    The one implementation of "regenerate this device's chunk of stripe
+    *s*", shared by rebuild (destination: the replacement) and the §5.2
+    zone rewrite (destination: the same device).  Chunks come through
+    the volume's logical read path, so relocation units, relocated
+    parity and degraded reconstruction all apply.  Where the device held
+    a data unit only that unit's LBA range is read (the degraded path
+    reconstructs exactly that from the survivors); where it held parity
+    the whole stripe is read and XORed once.
+
+    The stream follows the logical write pointer live: once it reports
+    caught up, a later :meth:`next_chunk` picks up whatever foreground
+    writes have added since.
     """
-    index = state.device_index
-    desc = volume.zone_descs[zone]
-    device = volume.devices[index]
-    su = volume.config.stripe_unit_bytes
-    zone_pba = zone * volume.phys_zone_size
-    position = 0  # bytes rebuilt within this physical zone
-    while True:
-        snapshot_wp = desc.write_pointer
-        target = _device_target_extent(volume, index, zone, snapshot_wp)
-        if target <= position:
-            break
-        while position < target:
-            stripe = position // su
-            layout = volume.mapper.stripe_layout(zone, stripe)
-            stripe_lba = desc.start_lba + stripe * desc.stripe_width
-            read_len = min(desc.stripe_width, snapshot_wp - stripe_lba)
-            bio = yield volume.submit(Bio.read(stripe_lba, read_len))
-            stripe_data = bio.result
-            if index == layout.parity_device:
-                chunk = _parity_of(stripe_data, volume.config.num_data, su)
-            else:
-                i = layout.data_devices.index(index)
-                chunk = stripe_data[i * su:min((i + 1) * su, read_len)]
-            take = min(len(chunk), target - position)
-            chunk = chunk[:take]
-            if chunk:
-                yield device.submit(Bio.write(zone_pba + position, chunk))
-                state.bytes_rebuilt += len(chunk)
-            position += take
-        if desc.write_pointer == snapshot_wp:
-            break
-    pdesc = volume.phys[index][zone]
-    pdesc.write_pointer = zone_pba + position
-    if desc.state is ZoneState.FULL:
-        yield device.submit(Bio.zone_finish(zone_pba))
-        pdesc.state = ZoneState.FULL
-    elif position:
-        pdesc.state = ZoneState.CLOSED
-    # Relocations that lived on the dead device are healed: the rebuilt
-    # data sits at its correct PBA on the fresh device.
-    _heal_relocations(volume, index, zone)
+
+    def __init__(self, volume: RaiznVolume, index: int, zone: int):
+        self.volume = volume
+        self.index = index
+        self.zone = zone
+        #: Bytes of the device zone whose reconstruction reads are issued.
+        self.issued = 0
+        #: Bytes of the device zone handed out as chunks.
+        self.position = 0
+        # Either way the chunks are headed for the device in slot
+        # ``index``; its channels size the window.
+        self.reads = ReadAhead(
+            self._issue, volume.devices[index].model.saturating_depth)
+
+    def _issue(self) -> Optional[Event]:
+        volume = self.volume
+        desc = volume.zone_descs[self.zone]
+        wp = desc.write_pointer
+        if self.issued >= _device_target_extent(volume, self.index,
+                                                self.zone, wp):
+            return None
+        su = volume.config.stripe_unit_bytes
+        stripe, in_unit = divmod(self.issued, su)
+        layout = volume.mapper.stripe_layout(self.zone, stripe)
+        lba = desc.start_lba + stripe * desc.stripe_width
+        if self.index == layout.parity_device:
+            # Parity is only ever due for a complete stripe.
+            length = desc.stripe_width
+            self.issued += su
+        else:
+            lba += layout.data_devices.index(self.index) * su + in_unit
+            length = min(su - in_unit, wp - lba)
+            self.issued += length
+        return volume.submit(Bio.read(lba, length))
+
+    def next_chunk(self):
+        """Process-style: the next chunk in zone order, or ``None``
+        (without waiting) once caught up with the logical write pointer
+        and nothing is in flight."""
+        bio = yield from self.reads.take()
+        if bio is None:
+            return None
+        volume = self.volume
+        su = volume.config.stripe_unit_bytes
+        layout = volume.mapper.stripe_layout(self.zone, self.position // su)
+        chunk = bio.result
+        if self.index == layout.parity_device:
+            view = memoryview(chunk)
+            chunk = stripe_parity(
+                [view[i * su:(i + 1) * su]
+                 for i in range(volume.config.num_data)], su)
+        self.position += len(chunk)
+        return chunk
 
 
-def _parity_of(stripe_data: bytes, num_data: int, su: int) -> bytes:
-    from .parity import stripe_parity
-    units = [stripe_data[i * su:(i + 1) * su] for i in range(num_data)]
-    return stripe_parity(units, su)
+def _settle(events: Iterable[Event]):
+    """Process-style: wait until every event has triggered, swallowing
+    failures — the abandon path of a failed pipeline, which must leave
+    none of its commands in flight behind it."""
+    for event in events:
+        if not event.triggered:
+            try:
+                yield event
+            except Exception:  # noqa: BLE001 - the first failure is re-raised by the caller
+                pass
 
 
-def _heal_relocations(volume: RaiznVolume, index: int, zone: int) -> None:
-    desc = volume.zone_descs[zone]
-    # Parity that lived in the metadata zone is now written at its proper
-    # PBA on the fresh device.
+class _Pipeline:
+    """The zone jobs of one rebuild and what they share."""
+
+    def __init__(self, sim: Simulator, volume: RaiznVolume,
+                 state: RebuildState):
+        self.sim = sim
+        self.volume = volume
+        self.state = state
+        self.device = volume.devices[state.device_index]
+        #: The first job failure; the other jobs stop issuing and fail
+        #: with it too, so whichever event ``run`` waits on surfaces it.
+        self.error: Optional[Exception] = None
+        #: Where the previous ``rebuild`` span ended (spans tile the run).
+        self._span_mark = sim.now
+
+    def run(self, zones: List[int]):
+        """Process-style: rebuild ``zones`` in order.
+
+        One zone fills at a time; the ones before it drain their writes
+        and finish behind it.  A zone counts as held open on the
+        replacement from its first write until it is sealed, so no more
+        than the device's open-zone limit are in the pipeline at once
+        (in practice two or three: sealing takes about as long as
+        filling).
+        """
+        open_limit = self.device.max_open_zones
+        jobs: Deque[_ZoneJob] = deque()
+        try:
+            for zone in zones:
+                if len(jobs) == open_limit:
+                    yield jobs.popleft().sealed
+                jobs.append(_ZoneJob(self, zone))
+                yield jobs[-1].filled
+            while jobs:
+                yield jobs.popleft().sealed
+        except Exception:
+            yield from _settle(job.sealed for job in jobs)
+            raise
+
+    def span(self, name: str, nbytes: int) -> None:
+        """Record the ``rebuild`` span from the previous one's end to now."""
+        tracer = self.volume.tracer
+        if tracer is None:
+            return
+        span = tracer.begin("rebuild", name, self.device.name, nbytes)
+        span.start, self._span_mark = self._span_mark, self.sim.now
+        tracer.end(span)
+
+
+class _ZoneJob:
+    """One physical zone's trip through the pipeline.
+
+    ``filled`` fires once every chunk due at that moment has been
+    submitted to the replacement (the next zone may start reading);
+    ``sealed`` once the writes are collected, the zone is finished if its
+    logical zone is, and it is marked rebuilt.  Both fail with the job's
+    error, after the job has settled everything it had in flight.
+    """
+
+    def __init__(self, pipeline: _Pipeline, zone: int):
+        self.pipeline = pipeline
+        self.zone = zone
+        self.filled = Event(pipeline.sim)
+        self.sealed = Event(pipeline.sim)
+        self.stream = ZoneStream(pipeline.volume,
+                                 pipeline.state.device_index, zone)
+        #: Replacement writes submitted and not yet collected, in order.
+        self.writes: Deque[Event] = deque()
+        pipeline.sim.process(self._run())
+
+    def _run(self):
+        try:
+            yield from self._rebuild()
+        except Exception as exc:  # noqa: BLE001 - delivered through the events
+            pipeline = self.pipeline
+            if pipeline.error is None:
+                pipeline.error = exc
+            yield from _settle([*self.stream.reads.pending, *self.writes])
+            for event in (self.filled, self.sealed):
+                if not event.triggered:
+                    event.fail(pipeline.error)
+        else:
+            self.sealed.succeed()
+
+    def _rebuild(self):
+        pipeline = self.pipeline
+        volume, state, device = pipeline.volume, pipeline.state, \
+            pipeline.device
+        stream, writes = self.stream, self.writes
+        zone_pba = self.zone * volume.phys_zone_size
+        # Loops until the logical write pointer is stable across a drain,
+        # so writes arriving during the rebuild (served degraded) are
+        # caught up.
+        while True:
+            if pipeline.error is not None:
+                raise pipeline.error
+            position = stream.position
+            chunk = yield from stream.next_chunk()
+            if chunk is None:
+                if not self.filled.triggered:
+                    self.filled.succeed()
+                if not writes:
+                    break
+                while writes:
+                    yield writes.popleft()
+                continue
+            if len(writes) == stream.reads.depth:
+                yield writes.popleft()
+            writes.append(device.submit(Bio.write(zone_pba + position,
+                                                  chunk)))
+            state.bytes_rebuilt += len(chunk)
+        desc = volume.zone_descs[self.zone]
+        pdesc = volume.phys[state.device_index][self.zone]
+        pdesc.write_pointer = zone_pba + stream.position
+        if desc.state is ZoneState.FULL:
+            yield device.submit(Bio.zone_finish(zone_pba))
+            pdesc.state = ZoneState.FULL
+        elif stream.position:
+            pdesc.state = ZoneState.CLOSED
+        # Relocations that lived on the dead device are healed: the rebuilt
+        # data sits at its correct PBA on the fresh device.
+        heal_relocations(volume, state.device_index, self.zone)
+        state.rebuilt_zones.add(self.zone)
+        counters = volume.rebuild_counters
+        if counters is not None:   # tracing only, like the span
+            counters["zones"] += 1
+            counters["bytes"] += stream.position
+            counters["peak_inflight"] = max(counters["peak_inflight"],
+                                            stream.reads.peak)
+            pipeline.span("zone", stream.position)
+
+
+def heal_relocations(volume: RaiznVolume, index: int, zone: int) -> None:
+    """Device ``index``'s share of ``zone`` now sits at its proper PBAs:
+    drop the relocation units and relocated parity that stood in for it."""
+    zone_of = volume.mapper.zone_of
     for key in [k for k in volume.relocated_parity if k[0] == zone
                 and volume.mapper.stripe_layout(zone, k[1]).parity_device
                 == index]:
         del volume.relocated_parity[key]
-    doomed = [unit.su_lba for unit in volume.relocations.units_on_device(index)
-              if volume.mapper.zone_of(unit.su_lba) == zone]
-    if not doomed:
-        return
-    for su_lba in doomed:
-        volume.relocations._units.pop(su_lba, None)
-    volume.relocations.rebuild_counters(
-        lambda unit: volume.mapper.zone_of(unit.su_lba))
-    desc.has_relocations = any(
-        volume.mapper.zone_of(unit.su_lba) == zone
-        for unit in volume.relocations.units())
+    volume.relocations.discard(
+        unit.su_lba for unit in volume.relocations.units_on_device(index)
+        if zone_of(unit.su_lba) == zone)
+    volume.relocations.rebuild_counters(lambda unit: zone_of(unit.su_lba))
+    volume.zone_descs[zone].has_relocations = any(
+        zone_of(unit.su_lba) == zone for unit in volume.relocations.units())
 
 
 def _rebuild_metadata(sim: Simulator, volume: RaiznVolume, index: int):

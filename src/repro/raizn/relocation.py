@@ -10,7 +10,7 @@ cached in memory in addition to being persisted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class RelocatedUnit:
@@ -111,10 +111,14 @@ class RelocationStore:
         the per-physical-zone relocation counts; resets are rare enough
         that recomputing from scratch is fine.
         """
-        doomed = [lba for lba in self._units
-                  if zone_start_lba <= lba < zone_start_lba + zone_capacity]
-        for lba in doomed:
-            del self._units[lba]
+        self.discard([lba for lba in self._units
+                      if zone_start_lba <= lba < zone_start_lba + zone_capacity])
+
+    def discard(self, su_lbas: Iterable[int]) -> None:
+        """Forget the units starting at ``su_lbas`` (healed in place);
+        like :meth:`drop_zone`, follow with :meth:`rebuild_counters`."""
+        for lba in su_lbas:
+            self._units.pop(lba, None)
 
     def rebuild_counters(self, phys_zone_of) -> None:
         """Recompute per-physical-zone counters; ``phys_zone_of(unit)->int``."""

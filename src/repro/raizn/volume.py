@@ -540,6 +540,9 @@ class RaiznVolume:
         self._tr_vol_sites: dict = {}
         #: Shared root-span completion callback (set by attach_tracer).
         self._tr_root_cb = None
+        #: Rebuild progress counters (zones, bytes, peak_inflight) for the
+        #: metrics registry; kept only while tracing.
+        self.rebuild_counters: Optional[Dict[str, int]] = None
         if config.tracing:
             self.attach_tracer(Tracer(sim))
         #: Pending (bio, done) pairs per zone blocked by an in-flight reset.
@@ -643,6 +646,7 @@ class RaiznVolume:
         may attach later to trace only part of a run.
         """
         self.tracer = tracer
+        self.rebuild_counters = {"zones": 0, "bytes": 0, "peak_inflight": 0}
         self._tr_stripe_row = tracer.aggregate_row("stripe", "assemble")
         self._tr_parity_full_row = tracer.aggregate_row("parity", "full")
         self._tr_parity_partial_row = tracer.aggregate_row("parity",

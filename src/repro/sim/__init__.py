@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel used by every substrate in this repo."""
 
 from .engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
-from .resources import Lock, Queue, Resource
+from .resources import Lock, Queue, ReadAhead, Resource
 from .stats import LatencyStats, ThroughputSeries, throughput_mib_s
 from .tuning import simulation_gc
 
@@ -14,6 +14,7 @@ __all__ = [
     "Timeout",
     "Lock",
     "Queue",
+    "ReadAhead",
     "Resource",
     "LatencyStats",
     "ThroughputSeries",

@@ -3,13 +3,14 @@
 ``Resource`` models a pool of identical servers (e.g. the parallel command
 channels of an SSD).  ``Queue`` is an unbounded FIFO hand-off between
 producer and consumer processes.  ``Lock`` is a single-holder mutex built on
-``Resource``.
+``Resource``.  ``ReadAhead`` keeps a bounded window of operations in flight
+and hands their results out in issue order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Callable, Deque, Optional
 
 from ..errors import SimulationError
 from .engine import Event, Simulator
@@ -98,3 +99,41 @@ class Queue:
 
     def __len__(self) -> int:
         return len(self._items)
+
+
+class ReadAhead:
+    """A bounded, in-order window over a source of operations.
+
+    ``issue()`` starts the next operation and returns its event, or
+    ``None`` when there is nothing to start *right now*; it is asked
+    again on every :meth:`take`, so a source that grows later (a rebuild
+    chasing a moving write pointer) is picked up.  At most ``depth``
+    operations are in flight, and :meth:`take` yields their values
+    strictly in issue order however their completions interleave.
+    """
+
+    def __init__(self, issue: Callable[[], Optional[Event]], depth: int):
+        if depth < 1:
+            raise SimulationError(f"read-ahead depth must be >= 1, got {depth}")
+        self.issue = issue
+        self.depth = depth
+        #: Issued operations not yet taken, oldest first.
+        self.pending: Deque[Event] = deque()
+        #: Most operations ever in flight at once.
+        self.peak = 0
+
+    def take(self):
+        """Process-style: the oldest in-flight operation's value, or
+        ``None`` (without waiting) when none is in flight and the source
+        has nothing to issue."""
+        pending = self.pending
+        while len(pending) < self.depth:
+            event = self.issue()
+            if event is None:
+                break
+            pending.append(event)
+        if not pending:
+            return None
+        if len(pending) > self.peak:
+            self.peak = len(pending)
+        return (yield pending.popleft())

@@ -180,6 +180,31 @@ class TestDegradedAndResync:
         md.fail_device(0)
         assert md.execute(Bio.read(0, 4 * STRIPE)).result == data
 
+    def test_resync_is_windowed_in_address_order(self, sim):
+        """Batches are read ahead and written without waiting for the
+        write before — in address order, at a rate the replacement's
+        write bandwidth bounds rather than one command's round trip."""
+        md, _ = make_md(sim, capacity=32 * MiB)
+        md.execute(Bio.write(0, pattern(4 * STRIPE, seed=16)))
+        md.fail_device(1)
+        replacement = ConventionalSSD(sim, name="new",
+                                      capacity_bytes=32 * MiB, seed=97)
+        writes, inflight = [], []
+        replacement.pre_apply_hook = lambda dev, bio: (
+            writes.append((bio.offset, bio.length)),
+            inflight.append(dev.channels.in_use + len(dev._channel_queue)))
+        report = md.resync(1, replacement)
+        replacement.pre_apply_hook = None
+        cursor = 0
+        for offset, length in writes:
+            assert offset == cursor
+            cursor += length
+        assert cursor == 32 * MiB
+        depth = replacement.model.saturating_depth
+        assert replacement.model.channels < max(inflight) < depth
+        rate = report.bytes_written / report.duration
+        assert rate >= 0.6 * replacement.model.write_bandwidth
+
     def test_resync_constant_regardless_of_fill(self, sim):
         md, _ = make_md(sim, capacity=8 * MiB)
         md.execute(Bio.write(0, pattern(STRIPE, seed=15)))

@@ -1,8 +1,12 @@
 """Rebuild interacting with the self-healing machinery (§4.2 + §5.2)."""
 
+import random
+
 from repro.block import Bio
 from repro.faults import FaultPlan, fresh_replacement
 from repro.raizn import RaiznConfig, RaiznVolume, rebuild
+from repro.raizn.rebuild import rebuild_process
+from repro.units import KiB
 
 from conftest import TEST_STRIPE_UNIT, make_volume, make_zns_devices, pattern
 
@@ -87,3 +91,62 @@ class TestHealAfterRebuild:
         # participates in reconstructing the survivor's bad unit.
         assert volume.execute(Bio.read(0, len(data))).result == data
         assert volume.health.heals >= 1
+
+
+class TestRebuildUnderForegroundLoad:
+    def test_foreground_io_everywhere_while_the_window_runs(self, sim):
+        """Four closed loops of foreground appends and checked reads over
+        every zone, transient command failures armed on every device,
+        running for the whole rebuild: whatever zone an IO hits —
+        sealed, in the window, not yet reached — it is served correctly,
+        and the array ends byte-exact with redundancy restored."""
+        volume, devices = make_tuned_volume(sim, max_transient_retries=5)
+        zcap = volume.zone_capacity
+        expected = {0: bytearray(pattern(zcap, seed=60)),
+                    1: bytearray(pattern(9 * STRIPE + 8 * KiB, seed=61)),
+                    2: bytearray(pattern(zcap, seed=62)),
+                    3: bytearray(pattern(2 * STRIPE, seed=63))}
+        for zone, data in expected.items():
+            volume.execute(Bio.write(zone * zcap, bytes(data)))
+        volume.fail_device(4)
+        plan = FaultPlan(seed=11, num_data_zones=volume.num_data_zones,
+                         stripe_unit_bytes=SU, transient_rate=0.05)
+        plan.arm(devices)
+        replacement = fresh_replacement(sim, devices[0], "r4")
+        proc = sim.process(rebuild_process(sim, volume, 4, replacement))
+        rng = random.Random(12)
+        served = {"reads": 0, "appends": 0}
+
+        def foreground():
+            while not proc.triggered:
+                zone = rng.randrange(4)
+                data = expected[zone]
+                if zone in (1, 3) and len(data) + 20 * KiB <= zcap \
+                        and rng.random() < 0.4:
+                    more = pattern(20 * KiB, seed=rng.randrange(1 << 30))
+                    lba = zone * zcap + len(data)
+                    data += more
+                    yield volume.submit(Bio.write(lba, more))
+                    served["appends"] += 1
+                else:
+                    offset = rng.randrange(0, len(data) - 4 * KiB, 4 * KiB)
+                    length = min(len(data) - offset, 96 * KiB)
+                    bio = yield volume.submit(
+                        Bio.read(zone * zcap + offset, length))
+                    assert bio.result == bytes(data[offset:offset + length])
+                    served["reads"] += 1
+
+        load = [sim.process(foreground()) for _ in range(4)]
+        sim.run()
+        plan.disarm()
+        assert proc.ok and all(job.ok for job in load)
+        assert served["reads"] > 20 and served["appends"] > 5
+        assert volume.health.transient_retries > 0
+
+        def check():
+            for zone, data in expected.items():
+                got = volume.execute(Bio.read(zone * zcap, len(data))).result
+                assert got == bytes(data), zone
+        check()
+        volume.fail_device(1)
+        check()

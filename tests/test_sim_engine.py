@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Lock, Queue, Resource, Simulator
+from repro.sim import Lock, Queue, ReadAhead, Resource, Simulator
 
 
 class TestEventBasics:
@@ -246,6 +246,79 @@ class TestLockAndQueue:
         queue.put(1)
         queue.put(2)
         assert len(queue) == 2
+
+
+class TestReadAhead:
+    @staticmethod
+    def source(sim, delays, issued):
+        """``issue()`` over operations finishing after ``delays``."""
+        todo = iter(enumerate(delays))
+
+        def issue():
+            item = next(todo, None)
+            if item is None:
+                return None
+            index, delay = item
+            issued.append((sim.now, index))
+            return sim.timeout(delay, index)
+        return issue
+
+    def test_values_come_back_in_issue_order(self):
+        sim = Simulator()
+        # Completion order is the reverse of issue order.
+        ahead = ReadAhead(self.source(sim, [4.0, 3.0, 2.0, 1.0], []), 4)
+        got = []
+
+        def consumer():
+            while (value := (yield from ahead.take())) is not None:
+                got.append((sim.now, value))
+        sim.run_process(consumer())
+        assert got == [(4.0, 0), (4.0, 1), (4.0, 2), (4.0, 3)]
+
+    def test_window_is_bounded_and_refilled(self):
+        sim = Simulator()
+        issued = []
+        ahead = ReadAhead(self.source(sim, [1.0] * 5, issued), 2)
+
+        def consumer():
+            while (yield from ahead.take()) is not None:
+                assert len(ahead.pending) < 2
+        sim.run_process(consumer())
+        # Two up front, then one per value taken.
+        assert issued == [(0.0, 0), (0.0, 1), (1.0, 2), (1.0, 3), (2.0, 4)]
+        assert ahead.peak == 2
+
+    def test_source_that_grows_is_picked_up(self):
+        sim = Simulator()
+        ready = [sim.timeout(1.0, "a")]
+        ahead = ReadAhead(lambda: ready.pop() if ready else None, 4)
+
+        def consumer():
+            first = yield from ahead.take()
+            dry = yield from ahead.take()    # returns without waiting
+            at = sim.now
+            ready.append(sim.timeout(1.0, "b"))
+            second = yield from ahead.take()
+            return first, dry, at, second
+        assert sim.run_process(consumer()) == ("a", None, 1.0, "b")
+
+    def test_failure_surfaces_at_its_turn(self):
+        sim = Simulator()
+        bad = sim.event()
+        events = [sim.timeout(2.0, "late"), bad, sim.timeout(1.0, "ok")]
+        ahead = ReadAhead(lambda: events.pop() if events else None, 3)
+        sim.schedule(0.5, bad.fail, ValueError("boom"))
+
+        def consumer():
+            assert (yield from ahead.take()) == "ok"
+            with pytest.raises(ValueError):
+                yield from ahead.take()
+            return (yield from ahead.take())
+        assert sim.run_process(consumer()) == "late"
+
+    def test_depth_must_be_positive(self):
+        with pytest.raises(SimulationError):
+            ReadAhead(lambda: None, 0)
 
 
 class TestNowQueue:

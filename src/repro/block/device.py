@@ -13,7 +13,8 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import (Callable, Deque, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from ..errors import (DeviceError, DeviceFailedError, PowerLossError,
                       SimulationError)
@@ -109,6 +110,41 @@ class DeviceStats:
         }
 
 
+#: Fault-hook slots of a :class:`BlockDevice`; every hook is called as
+#: ``hook(device, bio)``.
+#:
+#: ``pre_apply``
+#:     before each command is applied.  Raising a ``DeviceError``
+#:     rejects the command (and stops the hooks installed after it);
+#:     cutting power or failing the device inside the hook rejects it too.
+#: ``service_delay``
+#:     at the channel-grant point; returns extra seconds of channel
+#:     occupancy, summed over the installed hooks.  The delay holds the
+#:     channel, so a gray-failing device also inflicts queueing delay on
+#:     the commands behind the slow one.
+#: ``completion``
+#:     right after a command's completion event fires.  The bio counts as
+#:     acked — ``done.succeed`` only queues waiter callbacks — so cutting
+#:     power inside the hook models a crash where completions 1..k were
+#:     delivered and nothing after.
+HOOK_SLOTS = ("pre_apply", "service_delay", "completion")
+
+
+class HookHandle(NamedTuple):
+    """What ``add_hook`` returns and ``remove_hook`` takes back."""
+
+    device: "BlockDevice"
+    slot: str
+    fn: Callable
+
+
+def remove_hooks(handles: List[HookHandle]) -> None:
+    """Uninstall every handle and empty the list — a fault layer's disarm."""
+    while handles:
+        handle = handles.pop()
+        handle.device.remove_hook(handle)
+
+
 class BlockDevice:
     """Abstract simulated device; subclasses implement ``_apply``/``_persist``."""
 
@@ -142,22 +178,14 @@ class BlockDevice:
         self.failed = False
         self.powered = True
         self._rng = random.Random(seed)
-        #: Optional fault-injection hook: called as ``hook(device, bio)``
-        #: before each command is applied (see :mod:`repro.faults`).
+        # The three fault-hook slots.  The datapath reads these attributes
+        # directly; they are written only by ``add_hook``/``remove_hook``
+        # (see ``HOOK_SLOTS``), which keep each one equal to the
+        # composition of its installed hooks — None when there are none.
         self.pre_apply_hook = None
-        #: Optional hook called as ``hook(device, bio)`` right after a
-        #: command's completion event fires.  The bio counts as acked —
-        #: ``done.succeed`` only queues waiter callbacks — so cutting power
-        #: inside the hook models a crash where completions 1..k were
-        #: delivered and nothing after; the crash-point explorer uses this
-        #: to snapshot array state at every completion boundary.
         self.completion_hook = None
-        #: Optional fail-slow hook: called as ``hook(device, bio)`` at the
-        #: channel-grant point, returning extra seconds of channel
-        #: occupancy for this command.  The delay holds the channel, so a
-        #: gray-failing device also inflicts queueing delay on commands
-        #: behind the slow one (see :mod:`repro.faults.failslow`).
         self.service_delay_hook = None
+        self._hooks = {slot: [] for slot in HOOK_SLOTS}
         #: Shared :class:`repro.trace.Tracer` when the owning volume has
         #: tracing enabled; None costs each command one attribute test.
         self.tracer = None
@@ -471,6 +499,36 @@ class BlockDevice:
             done.fail(exc)
 
     # -- fault injection ---------------------------------------------------------
+
+    def add_hook(self, slot: str, fn) -> HookHandle:
+        """Install ``fn`` in ``slot`` (one of ``HOOK_SLOTS``), after the
+        hooks already there; the only way to install a fault hook."""
+        handle = HookHandle(self, slot, fn)
+        self._hooks[slot].append(handle)
+        self._compose_slot(slot)
+        return handle
+
+    def remove_hook(self, handle: HookHandle) -> None:
+        """Uninstall one hook; the others keep running, whatever the
+        order they were installed and are removed in."""
+        self._hooks[handle.slot].remove(handle)
+        self._compose_slot(handle.slot)
+
+    def _compose_slot(self, slot: str) -> None:
+        fns = [handle.fn for handle in self._hooks[slot]]
+        if len(fns) <= 1:
+            composed = fns[0] if fns else None
+        elif slot == "service_delay":
+            def composed(device, bio):
+                delay = 0.0
+                for fn in fns:
+                    delay += fn(device, bio)
+                return delay
+        else:
+            def composed(device, bio):
+                for fn in fns:
+                    fn(device, bio)
+        setattr(self, slot + "_hook", composed)
 
     def fail_device(self) -> None:
         """Mark the device failed; all current and future IO errors out."""

@@ -31,15 +31,15 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..block.bio import Bio
-from ..block.device import BlockDevice
+from ..block.device import BlockDevice, remove_hooks
 from ..zns.device import ZNSDevice
 
 
 class CompletionBoundaries:
     """Array-wide completion counter with snapshot and crash triggers.
 
-    Installs itself as every device's ``completion_hook``.  The hook runs
-    right after a bio's completion event fires, so boundary ``k`` means
+    Adds a ``completion`` hook to every device.  The hook runs right
+    after a bio's completion event fires, so boundary ``k`` means
     "completions 1..k were acknowledged, nothing later was".
 
     ``snapshot_at`` names boundaries at which to capture a
@@ -51,11 +51,10 @@ class CompletionBoundaries:
     to each snapshot — the crash-test harness uses it to freeze the
     workload's expectation model at the same instant.
 
-    Hook discipline: any ``completion_hook`` already installed (e.g. a
-    :class:`~repro.faults.errinject.FaultPlan`'s) keeps running — it is
-    chained *before* the counter, so a snapshot at boundary ``k``
-    captures the device after every effect of the k-th completion,
-    injected faults included.
+    ``completion`` hooks run in install order, so arming the counter
+    after a :class:`~repro.faults.errinject.FaultPlan` makes a snapshot
+    at boundary ``k`` capture the device after every effect of the k-th
+    completion, injected faults included.
     """
 
     def __init__(self, devices: Sequence[BlockDevice],
@@ -68,22 +67,10 @@ class CompletionBoundaries:
         self.aux_state = aux_state
         self.count = 0
         self.fired = False
-        self.armed = True
         #: boundary -> (per-device snapshots, aux_state() result)
         self.snapshots: Dict[int, Tuple[List[Tuple], object]] = {}
-        #: (device, previous hook, installed wrapper) per device, so
-        #: disarm can restore exactly what it displaced.
-        self._installed: List[Tuple[BlockDevice, object, object]] = []
-        for dev in self.devices:
-            prev = dev.completion_hook
-
-            def hook(device, bio, _chained=prev):
-                if _chained is not None:
-                    _chained(device, bio)
-                if self.armed:
-                    self._on_complete(device, bio)
-            self._installed.append((dev, prev, hook))
-            dev.completion_hook = hook
+        self._hooks = [dev.add_hook("completion", self._on_complete)
+                       for dev in self.devices]
 
     def _on_complete(self, device: BlockDevice, bio: Bio) -> None:
         if self.fired:
@@ -100,19 +87,8 @@ class CompletionBoundaries:
                 dev.power_off()
 
     def disarm(self) -> None:
-        """Stop counting and restore each device's previous hook.
-
-        If another hook was layered on top after this one (its closure
-        chains to our wrapper), the wrapper cannot be unlinked — it stays
-        in the chain as a pass-through instead, so the later hook keeps
-        working and the counter goes permanently quiet rather than
-        leaking live tracing forever.
-        """
-        self.armed = False
-        for dev, prev, hook in self._installed:
-            if dev.completion_hook is hook:
-                dev.completion_hook = prev
-        self._installed = []
+        """Stop counting: remove the counter's hooks."""
+        remove_hooks(self._hooks)
 
 
 # -- array-wide snapshot helpers --------------------------------------------------

@@ -34,10 +34,12 @@ paper's failure model (§4.2) treats metadata loss as device loss, which
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..block.bio import Bio, Op
+from ..block.device import HookHandle, remove_hooks
 from ..errors import TransientCommandError
 from ..units import KiB
 from ..zns.device import ZNSDevice
@@ -67,11 +69,12 @@ class FaultCounts:
 class FaultPlan:
     """A deterministic, seeded error-injection plan over an array's devices.
 
-    ``arm(devices)`` installs submission and completion hooks on each
-    device (chaining any hooks already present); ``disarm()`` restores
-    them.  All probability draws come from ``random.Random(seed)`` in
-    command-submission order, so a fixed seed plus a deterministic
-    workload reproduces the exact same fault sequence.
+    ``arm(devices)`` adds a ``pre_apply`` and a ``completion`` hook to
+    each device through :meth:`BlockDevice.add_hook`; ``disarm()``
+    removes exactly those.  All probability draws come from
+    ``random.Random(seed)`` in command-submission order, so a fixed seed
+    plus a deterministic workload reproduces the exact same fault
+    sequence.
 
     ``wear_victims`` is a sequence of ``(device_index, zone_index,
     offline)`` triples; each victim zone wears out just before its
@@ -112,7 +115,7 @@ class FaultPlan:
         self._write_counts: Dict[Tuple[int, int], int] = {}
         self._latent_per_device: Dict[int, int] = {}
         self._devices: List[ZNSDevice] = []
-        self._saved_hooks: List[Tuple[object, object]] = []
+        self._hooks: List[HookHandle] = []
         self.armed = False
 
     # -- arming ----------------------------------------------------------------
@@ -122,33 +125,16 @@ class FaultPlan:
         if self.armed:
             raise RuntimeError("fault plan is already armed")
         self._devices = list(devices)
-        self._saved_hooks = []
         for index, device in enumerate(self._devices):
-            prev_pre = device.pre_apply_hook
-            prev_done = device.completion_hook
-            self._saved_hooks.append((prev_pre, prev_done))
-
-            def pre(dev, bio, i=index, chained=prev_pre):
-                if chained is not None:
-                    chained(dev, bio)
-                self._pre_apply(i, dev, bio)
-
-            def done(dev, bio, i=index, chained=prev_done):
-                self._on_complete(i, dev, bio)
-                if chained is not None:
-                    chained(dev, bio)
-            device.pre_apply_hook = pre
-            device.completion_hook = done
+            self._hooks.append(device.add_hook(
+                "pre_apply", functools.partial(self._pre_apply, index)))
+            self._hooks.append(device.add_hook(
+                "completion", functools.partial(self._on_complete, index)))
         self.armed = True
 
     def disarm(self) -> None:
-        """Restore each device's original hooks."""
-        if not self.armed:
-            return
-        for device, (prev_pre, prev_done) in zip(self._devices,
-                                                 self._saved_hooks):
-            device.pre_apply_hook = prev_pre
-            device.completion_hook = prev_done
+        """Remove the plan's hooks from every device."""
+        remove_hooks(self._hooks)
         self.armed = False
 
     # -- the hooks -------------------------------------------------------------

@@ -23,23 +23,25 @@ campaign is reproducible bit-for-bit:
   characterization result that per-command cost climbs as a zone
   approaches capacity.
 
-The plan injects through :attr:`~repro.block.device.BlockDevice.
-service_delay_hook`, a separate hook from the error-injection hooks, so
-it composes freely with a :class:`~repro.faults.errinject.FaultPlan`
-armed on the same devices: a campaign can make one device slow *and*
-error-prone at once.  The injected delay extends channel occupancy, so
-a gray-failing device also inflicts queueing delay on the commands
-stuck behind the slow one — the collateral damage that makes fail-slow
-faults so expensive in practice.
+The plan injects through the ``service_delay`` hook slot (see
+:data:`~repro.block.device.HOOK_SLOTS`), a separate slot from the
+error-injection ones, so it composes freely with a
+:class:`~repro.faults.errinject.FaultPlan` armed on the same devices:
+a campaign can make one device slow *and* error-prone at once.  The
+injected delay extends channel occupancy, so a gray-failing device also
+inflicts queueing delay on the commands stuck behind the slow one — the
+collateral damage that makes fail-slow faults so expensive in practice.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..block.bio import Bio, Op
+from ..block.device import HookHandle, remove_hooks
 from ..zns.device import ZNSDevice
 
 
@@ -104,11 +106,12 @@ class SlowCounts:
 class SlowPlan:
     """A deterministic, seeded fail-slow plan over an array's devices.
 
-    ``arm(devices)`` installs a service-delay hook on every device named
-    by a :class:`SlowDeviceSpec` (chaining any hook already present);
-    ``disarm()`` restores them.  All probability draws come from
-    ``random.Random(seed)`` in channel-grant order, so a fixed seed plus
-    a deterministic workload reproduces the exact same delay sequence.
+    ``arm(devices)`` adds a ``service_delay`` hook to every device named
+    by a :class:`SlowDeviceSpec`; ``disarm()`` removes exactly those (the
+    delays of several armed plans add up).  All probability draws come
+    from ``random.Random(seed)`` in channel-grant order, so a fixed seed
+    plus a deterministic workload reproduces the exact same delay
+    sequence.
     """
 
     def __init__(self, seed: int = 0,
@@ -119,8 +122,7 @@ class SlowPlan:
         if len(self.specs) != len(specs):
             raise ValueError("one SlowDeviceSpec per device index")
         self.counts = SlowCounts()
-        self._devices: List[ZNSDevice] = []
-        self._saved_hooks: List[object] = []
+        self._hooks: List[HookHandle] = []
         self._armed_at = 0.0
         self.armed = False
 
@@ -130,29 +132,16 @@ class SlowPlan:
         """Install the delay hook on every spec'd device (index = slot)."""
         if self.armed:
             raise RuntimeError("slow plan is already armed")
-        self._devices = list(devices)
-        self._saved_hooks = []
         self._armed_at = devices[0].sim.now if devices else 0.0
-        for index, device in enumerate(self._devices):
-            prev = device.service_delay_hook
-            self._saved_hooks.append(prev)
-            if index not in self.specs:
-                continue
-
-            def hook(dev, bio, i=index, chained=prev):
-                delay = self._delay(i, dev, bio)
-                if chained is not None:
-                    delay += chained(dev, bio)
-                return delay
-            device.service_delay_hook = hook
+        for index, device in enumerate(devices):
+            if index in self.specs:
+                self._hooks.append(device.add_hook(
+                    "service_delay", functools.partial(self._delay, index)))
         self.armed = True
 
     def disarm(self) -> None:
-        """Restore each device's original delay hook."""
-        if not self.armed:
-            return
-        for device, prev in zip(self._devices, self._saved_hooks):
-            device.service_delay_hook = prev
+        """Remove the plan's delay hooks."""
+        remove_hooks(self._hooks)
         self.armed = False
 
     # -- the hook --------------------------------------------------------------

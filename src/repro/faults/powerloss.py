@@ -14,7 +14,7 @@ import random
 from typing import Iterable, List, Optional
 
 from ..block.bio import Bio, Op
-from ..block.device import BlockDevice
+from ..block.device import BlockDevice, remove_hooks
 from ..errors import ReproError
 from ..sim import Process, Simulator
 from ..zns.device import ZNSDevice
@@ -78,17 +78,16 @@ def crash_during(sim: Simulator, devices: Iterable[BlockDevice],
 class CrashPoint:
     """Deterministic crash trigger: cut array power on the Nth command.
 
-    Installs itself as every device's ``pre_apply_hook`` and counts
-    matching commands across the whole array; when the count reaches
-    ``after``, power drops on all devices *before* that command applies —
+    Adds a ``pre_apply`` hook to every device and counts matching
+    commands across the whole array; when the count reaches ``after``,
+    power drops on all devices *before* that command applies —
     reproducing "the system lost power after only a subset of the
     sub-IOs reached the devices".
 
-    Any ``pre_apply_hook`` already present (e.g. a
-    :class:`~repro.faults.errinject.FaultPlan`'s) is chained ahead of
-    the counter, so composing a crash trigger with error injection
-    disables neither: a command the chained hook rejects never applies,
-    and is therefore not counted as a crash candidate either.
+    ``pre_apply`` hooks run in install order and a rejection stops the
+    ones after it, so a command that an earlier-armed
+    :class:`~repro.faults.errinject.FaultPlan` rejects never applies and
+    is not counted as a crash candidate either.
     """
 
     def __init__(self, devices: List[BlockDevice], after: int,
@@ -99,18 +98,8 @@ class CrashPoint:
         self.ops = set(ops) if ops is not None else None
         self.rng = rng or random.Random(0)
         self.fired = False
-        self.armed = True
-        self._installed = []
-        for dev in devices:
-            prev = dev.pre_apply_hook
-
-            def hook(device, bio, _chained=prev):
-                if _chained is not None:
-                    _chained(device, bio)
-                if self.armed:
-                    self._count(device, bio)
-            self._installed.append((dev, prev, hook))
-            dev.pre_apply_hook = hook
+        self._hooks = [dev.add_hook("pre_apply", self._count)
+                       for dev in devices]
 
     def _count(self, device: BlockDevice, bio: Bio) -> None:
         if self.fired:
@@ -123,15 +112,5 @@ class CrashPoint:
             power_fail_array(self.devices, self.rng)
 
     def disarm(self) -> None:
-        """Stop counting and restore each device's previous hook.
-
-        A hook layered on top after arming keeps our wrapper in its
-        chain; the wrapper turns into a pass-through (``armed`` is
-        cleared) so the later hook keeps working and the trigger cannot
-        fire again.
-        """
-        self.armed = False
-        for dev, prev, hook in self._installed:
-            if dev.pre_apply_hook is hook:
-                dev.pre_apply_hook = prev
-        self._installed = []
+        """Stop counting: remove the trigger's hooks."""
+        remove_hooks(self._hooks)

@@ -1,0 +1,379 @@
+"""The campaign kernel: what crashtest, errortest, slowtest and soaktest share.
+
+Each fault campaign is the same pipeline over a different fault layer —
+build the small array, arm layers (every one through
+``BlockDevice.add_hook``), drive a seeded scripted workload while an
+acked-content model follows it, then check: read everything back on the
+live array, or crash the array into sampled survivor states and mount
+each under the durability oracle — and write a JSON report.  This module
+holds one of each of those pieces; the four campaign modules keep only
+what is theirs (crashtest: boundary sampling + double crash; errortest:
+fault plan, eviction, detection power; slowtest: the three variants and
+the tail bound; soaktest: phase specs, wear rules, mechanism pruning).
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import time
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
+
+from ..block.bio import Bio, BioFlags
+from ..errors import PowerLossError, ReproError
+from ..faults.crashpoints import (
+    apply_survivor_assignment,
+    array_restore_crash_snapshot,
+    enumerate_survivor_assignments,
+)
+from ..faults.devicefail import fresh_replacement
+from ..faults.oracle import (
+    WorkloadExpectation,
+    check_mount_stability,
+    check_persistence_bitmap_soundness,
+    check_recovered_volume,
+)
+from ..raizn.config import RaiznConfig
+from ..raizn.recovery import mount
+from ..raizn.volume import RaiznVolume
+from ..sim import Simulator
+from ..trace import Tracer
+from ..units import KiB, MiB
+from ..zns.device import ZNSDevice
+
+#: Array geometry: small enough that a single crash state mounts in
+#: milliseconds, rich enough for multi-zone / metadata-GC interleavings.
+NUM_DEVICES = 5
+NUM_ZONES = 12
+ZONE_CAPACITY = 1 * MiB
+STRIPE_UNIT = 64 * KiB
+#: Bytes per logical zone (D physical zone capacities).
+LOGICAL_ZONE_CAPACITY = ZONE_CAPACITY * (NUM_DEVICES - 1)
+#: Scripted workloads touch this many logical zones.
+WORKLOAD_ZONES = 3
+#: Fixed array UUID so every replay produces byte-identical media.
+ARRAY_UUID = bytes(range(16))
+
+#: Default script mix: write sizes, and the (flush, read, reset) roll
+#: thresholds — no reads, 12 % flushes, 6 % voluntary resets.
+WRITE_SIZES = (4 * KiB, 12 * KiB, 64 * KiB, 128 * KiB, 192 * KiB, 256 * KiB)
+THRESHOLDS = (0.12, 0.12, 0.18)
+
+#: One scripted op: (kind, zone, lba, data, flags); lba/data are None for
+#: anything but a write.
+Op = Tuple[str, int, Optional[int], Optional[bytes], BioFlags]
+
+
+# ---------------------------------------------------------------- array
+
+
+def fresh_array(seed: int, zone_reset_limit: Optional[int] = None,
+                trace_out: Optional[str] = None, **config_overrides):
+    """A formatted campaign array in a fresh simulator (identical on
+    every call).  With ``trace_out`` it is traced from the start, for
+    ``tracecli.dump_spans(volume, trace_out)`` to write out at the end
+    (a no-op on an untraced array)."""
+    sim = Simulator()
+    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=NUM_ZONES,
+                         zone_capacity=ZONE_CAPACITY,
+                         zone_reset_limit=zone_reset_limit, seed=seed + i)
+               for i in range(NUM_DEVICES)]
+    config = RaiznConfig(num_data=NUM_DEVICES - 1,
+                         stripe_unit_bytes=STRIPE_UNIT, **config_overrides)
+    volume = RaiznVolume.create(sim, devices, config, array_uuid=ARRAY_UUID)
+    if trace_out:
+        volume.attach_tracer(Tracer(sim))
+    return sim, devices, volume
+
+
+def replacement_device(sim: Simulator, volume: RaiznVolume, name: str,
+                       seed: int) -> ZNSDevice:
+    """A blank device of the array's geometry, to rebuild onto."""
+    template = next(d for d in volume.devices if d is not None)
+    return fresh_replacement(sim, template, name=name, seed=seed)
+
+
+def drain(sim: Simulator) -> None:
+    """Run the event loop dry, absorbing power-loss process deaths."""
+    while True:
+        try:
+            sim.run()
+            return
+        except PowerLossError:
+            continue
+
+
+# ---------------------------------------------------------------- workload
+
+
+class ZoneRules:
+    """Per-zone limits on the scripted workload; the default has none.
+
+    soaktest overrides these with its erase-budget (wear) rules.
+    """
+
+    def skip(self, zone: int) -> bool:
+        """Drop this iteration's op on ``zone`` altogether."""
+        return False
+
+    def can_reset(self, zone: int) -> bool:
+        return True
+
+    def clamp(self, zone: int, nbytes: int) -> int:
+        """Final size of a write the script drew for ``zone``."""
+        return nbytes
+
+    def note_reset(self, zone: int) -> None:
+        pass
+
+
+def script_ops(rng: random.Random, num_ops: int,
+               payload_seed: Callable[[int, int], int],
+               thresholds: Tuple[float, float, float] = THRESHOLDS,
+               write_sizes: Sequence[int] = WRITE_SIZES,
+               frontier: Optional[Sequence[int]] = None,
+               rules: Optional[ZoneRules] = None,
+               extra_ops: Optional[Mapping[int, Op]] = None) -> List[Op]:
+    """The seeded op script every campaign replays.
+
+    Each of ``num_ops`` iterations draws a zone and a roll; ``thresholds``
+    = (flush, read, reset) are the roll values below which the iteration
+    becomes that op instead of a write (a threshold equal to the one
+    before it disables its op).  A write that would overflow its zone is
+    preceded by a scripted reset, so every replay makes the same choice.
+    Payloads come from ``random.Random(payload_seed(iteration, position
+    in the script))``.  ``frontier`` is each workload zone's starting
+    fill, ``extra_ops[i]`` is inserted ahead of iteration ``i``.
+    """
+    flush_below, read_below, reset_below = thresholds
+    rules = rules or ZoneRules()
+    extra_ops = extra_ops or {}
+    frontier = list(frontier) if frontier is not None \
+        else [0] * WORKLOAD_ZONES
+    ops: List[Op] = []
+    for index in range(num_ops):
+        if index in extra_ops:
+            ops.append(extra_ops[index])
+        zone = rng.randrange(WORKLOAD_ZONES)
+        roll = rng.random()
+        if rules.skip(zone):
+            continue
+        if roll < flush_below:
+            ops.append(("flush", 0, None, None, BioFlags.NONE))
+            continue
+        if roll < read_below and frontier[zone] > 0:
+            ops.append(("read", zone, None, None, BioFlags.NONE))
+            continue
+        can_reset = rules.can_reset(zone)
+        if roll < reset_below and frontier[zone] > 0 and can_reset:
+            ops.append(("reset", zone, None, None, BioFlags.NONE))
+            frontier[zone] = 0
+            rules.note_reset(zone)
+            continue
+        nbytes = rules.clamp(zone, rng.choice(write_sizes))
+        if frontier[zone] + nbytes > LOGICAL_ZONE_CAPACITY:
+            if not can_reset:
+                continue  # full, and the zone may not be recycled
+            ops.append(("reset", zone, None, None, BioFlags.NONE))
+            frontier[zone] = 0
+            rules.note_reset(zone)
+        flag_roll = rng.random()
+        if flag_roll < 0.15:
+            flags = BioFlags.FUA | BioFlags.PREFLUSH
+        elif flag_roll < 0.30:
+            flags = BioFlags.FUA
+        else:
+            flags = BioFlags.NONE
+        data = random.Random(payload_seed(index, len(ops))).randbytes(nbytes)
+        ops.append(("write", zone,
+                    zone * LOGICAL_ZONE_CAPACITY + frontier[zone], data,
+                    flags))
+        frontier[zone] += nbytes
+    return ops
+
+
+def expectation_for(volume: RaiznVolume) -> WorkloadExpectation:
+    """An empty acked-content model sized to ``volume``."""
+    return WorkloadExpectation(volume.num_data_zones, volume.zone_capacity)
+
+
+def drive_ops(volume: RaiznVolume, ops: Sequence[Op],
+              expect: WorkloadExpectation, other=None):
+    """Process-style driver; updates ``expect`` at submit/ack time.
+
+    Writes, flushes and resets are handled here; any other op kind goes
+    to ``other(op)``, which may return a generator to run in-line.
+    """
+    for op in ops:
+        kind, zone, lba, data, flags = op
+        if kind == "write":
+            expect.note_submit_write(zone, data)
+            yield volume.submit(Bio.write(lba, data, flags))
+            expect.note_write_acked(zone, fua=bool(flags & BioFlags.FUA))
+        elif kind == "flush":
+            yield volume.submit(Bio.flush())
+            expect.note_flush_acked()
+        elif kind == "reset":
+            expect.note_submit_reset(zone)
+            yield volume.submit(Bio.zone_reset(zone * volume.zone_capacity))
+            expect.note_reset_acked(zone)
+        else:
+            step = other(op)
+            if step is not None:
+                yield from step
+
+
+def checked_read(volume: RaiznVolume, expect: WorkloadExpectation,
+                 report: "CampaignReport", phase: str, zone: int,
+                 offset: int, length: int):
+    """Read a range of ``zone`` and compare it with what was acked
+    (process); a mismatch is ``report.corruption(phase, ...)``."""
+    bio = yield volume.submit(
+        Bio.read(zone * volume.zone_capacity + offset, length))
+    if bio.result != bytes(
+            expect.zones[zone].submitted[offset:offset + length]):
+        report.corruption(phase, zone, offset, length)
+
+
+def verify_readback(sim: Simulator, volume: RaiznVolume,
+                    expect: WorkloadExpectation, report: "CampaignReport",
+                    label: str) -> Dict:
+    """Read back every acked byte of every zone, a stripe width at a
+    time; returns the pass record (label, bytes, corruptions found)."""
+    def proc():
+        chunk = volume.config.stripe_width_bytes
+        verified = 0
+        for zone, zexp in enumerate(expect.zones):
+            for offset in range(0, len(zexp.submitted), chunk):
+                length = min(chunk, len(zexp.submitted) - offset)
+                yield from checked_read(volume, expect, report, label, zone,
+                                        offset, length)
+                verified += length
+        return verified
+
+    before = report.corruptions
+    return {"label": label, "bytes": sim.run_process(proc()),
+            "corruptions": report.corruptions - before}
+
+
+# ---------------------------------------------------------------- crash states
+
+
+def enumerate_crash_states(devices, snaps, budget: int, rng: random.Random):
+    """Restore a boundary snapshot and sample its survivor states.
+
+    Returns ``(spaces, assignments, product)``: the per-device survivor
+    spaces, the sampled assignments (all-min and all-max corners always
+    included) and the size of the full cross-zone product.
+    """
+    array_restore_crash_snapshot(devices, snaps)
+    spaces = [dev.survivor_state_space() for dev in devices]
+    assignments, product = enumerate_survivor_assignments(spaces, budget, rng)
+    return spaces, assignments, product
+
+
+def enter_crash_state(devices, snaps, assignment) -> None:
+    """Crash the array into one survivor state of a boundary snapshot —
+    an exact, replayable crash — and leave it powered on, ready to mount."""
+    array_restore_crash_snapshot(devices, snaps)
+    apply_survivor_assignment(devices, assignment)
+
+
+def mount_and_check(sim, devices, expect: WorkloadExpectation,
+                    report: "CampaignReport", where: Dict,
+                    check: Optional[str] = None, stability: bool = False,
+                    **mount_overrides) -> Optional[RaiznVolume]:
+    """Mount the crash state the array is in and run the durability oracle.
+
+    Every finding is reported as ``report.violation(**where, check=...,
+    detail=...)`` under ``check``, or under the failing oracle's own
+    name when ``check`` is None; ``report.oracle_checks`` counts each
+    oracle that ran.  ``stability`` adds the remount-is-idempotent
+    check.  Returns the mounted volume, or None if it did not mount.
+    """
+    def flag(name: str, detail: str) -> None:
+        report.violation(**where, check=check or name, detail=detail)
+
+    try:
+        volume = mount(sim, list(devices), **mount_overrides)
+    except ReproError as exc:
+        flag("mount", f"mount failed: {exc!r}")
+        return None
+    report.oracle_checks["recovered_volume"] += 1
+    for detail in check_recovered_volume(volume, expect):
+        flag("recovered_volume", detail)
+    report.oracle_checks["persistence_bitmap"] += 1
+    for detail in check_persistence_bitmap_soundness(volume):
+        flag("persistence_bitmap", detail)
+    if stability:
+        try:
+            remounted = mount(sim, list(devices), **mount_overrides)
+        except ReproError as exc:
+            flag("mount_stability", f"remount failed: {exc!r}")
+            return volume
+        report.oracle_checks["mount_stability"] += 1
+        for detail in check_mount_stability(volume, remounted):
+            flag("mount_stability", detail)
+    return volume
+
+
+# ---------------------------------------------------------------- report
+
+
+class CampaignReport:
+    """Mutable campaign counters; serialises its declared ``fields``.
+
+    ``to_dict`` emits ``fields`` in order, reading each name as an
+    attribute or property (a set is reported by its size).  A declared
+    field that is neither a property nor set by the subclass is a
+    counter starting at 0.  The base provides the shared ones:
+    ``violations``, ``corruptions``, ``passed`` and ``elapsed_s`` (wall
+    time since construction).
+    """
+
+    fields: Tuple[str, ...] = ()
+    #: Corruption records kept in ``violations`` (all are counted).
+    MAX_CORRUPTION_RECORDS = 20
+
+    def __init__(self) -> None:
+        self.violations: List[Dict] = []
+        self.corruptions = 0
+        self._began = time.time()
+        for name in self.fields:
+            if not hasattr(type(self), name):
+                self.__dict__.setdefault(name, 0)
+
+    def violation(self, **finding) -> None:
+        """Record one oracle finding."""
+        self.violations.append(finding)
+
+    def corruption(self, phase: str, zone: int, offset: int,
+                   length: int) -> None:
+        """Record one read that returned other than the acked bytes."""
+        self.corruptions += 1
+        if len(self.violations) < self.MAX_CORRUPTION_RECORDS:
+            self.violation(phase=phase, zone=zone, offset=offset,
+                           length=length)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations and not self.corruptions
+
+    @property
+    def elapsed_s(self) -> float:
+        return round(time.time() - self._began, 2)
+
+    def to_dict(self) -> Dict:
+        out = {}
+        for name in self.fields:
+            value = getattr(self, name)
+            out[name] = len(value) if isinstance(value, (set, frozenset)) \
+                else value
+        return out
+
+
+def write_report(report: Dict, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")

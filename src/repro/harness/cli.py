@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..units import KiB, MiB
 from . import (
@@ -132,152 +132,100 @@ def run_trace_cli(quick: bool = False, seed: int = 0,
     return run_trace(quick=quick, seed=seed, out=out)
 
 
-def run_crashtest(states: int = 600, seed: int = 0,
-                  out: str = "crashtest_report.json",
-                  trace: Optional[str] = None) -> int:
-    """Systematic crash-state exploration of the recovery path."""
-    from .crashtest import explore, write_report
+# -- fault campaigns ---------------------------------------------------------
+#
+# One ``run(args) -> report dict`` adapter per campaign; everything else
+# — report file, summary, verdict, exit status — is ``run_campaign_cli``.
+
+
+def _progress(line: Callable[[object], str]):
+    def progress(report) -> None:
+        print(f"\r  {line(report)}, {len(report.violations)} violations",
+              end="", flush=True)
+    return progress
+
+
+def _run_crashtest(args) -> Dict:
+    from .crashtest import explore
 
     budget = 12
-    boundaries = max(1, -(-states // budget))  # ceil
-
-    def progress(report) -> None:
-        print(f"\r  explored {report.states_explored} states "
-              f"({len(report.distinct_states)} distinct, "
-              f"{report.double_crash_states} double-crash), "
-              f"{len(report.violations)} violations", end="", flush=True)
-
-    report = explore(seed=seed, boundaries=boundaries,
-                     budget_per_boundary=budget, progress=progress,
-                     trace_out=trace)
+    report = explore(
+        seed=args.seed, boundaries=max(1, -(-args.states // budget)),  # ceil
+        budget_per_boundary=budget, trace_out=args.trace,
+        progress=_progress(lambda r: (
+            f"explored {r.states_explored} states "
+            f"({len(r.distinct_states)} distinct, "
+            f"{r.double_crash_states} double-crash)")))
     print()
-    write_report(report, out)
-    print(f"workload: {report['workload_ops']} ops, "
-          f"{report['completion_boundaries']} completion boundaries "
-          f"({report['boundaries_sampled']} sampled)")
-    print(f"states: {report['states_explored']} explored, "
-          f"{report['distinct_states']} distinct, "
-          f"{report['double_crash_states']} double-crash "
-          f"({report['double_crash_fired']} fired mid-recovery), "
-          f"survivor product {report['survivor_product_total']}")
-    print(f"oracle: {report['oracle_checks']}")
-    if report["violations"]:
-        print(f"FAILED: {len(report['violations'])} durability "
-              "violations; first:")
-        first = report["violations"][0]
-        print(f"  [{first['check']}] boundary {first['boundary']}: "
-              f"{first['detail']}")
-    else:
-        print("oracle passed on every explored state")
-    print(f"report written to {out}")
-    return 1 if report["violations"] else 0
+    return report
 
 
-def run_errortest_cli(seed: int = 0, smoke: bool = False,
-                      out: str = "errortest_report.json",
-                      trace: Optional[str] = None) -> int:
-    """Seeded error campaign + integrity oracle + detection-power check."""
-    from .errortest import run_errortest, write_report
+def _run_errortest(args) -> Dict:
+    from .errortest import run_errortest
 
-    report = run_errortest(seed=seed, smoke=smoke, trace_out=trace)
-    write_report(report, out)
-    injected = report["injected"]
-    health = report["health"]
-    print(f"workload: {report['workload_ops']} ops "
-          f"({report['midstream_reads']} inline reads)")
-    print(f"injected: {injected['total']} faults "
-          f"(latent {injected['latent']}, transient {injected['transient']}, "
-          f"wear {injected['wear']}; floor {report['min_faults']})")
-    print(f"healing: {health['heals']} stripe units healed, "
-          f"{health['parity_heals']} parity heals, "
-          f"{health['transient_retries']} retries, "
-          f"{health['evictions']} evictions")
-    if report.get("scrub"):
-        print(f"scrub: {report['scrub']['stripes_scanned']} stripes, "
-              f"{report['scrub']['parity_heals']} parity repairs")
-    verified = sum(p["bytes"] for p in report["verify_passes"])
-    print(f"verified: {verified} bytes over "
-          f"{len(report['verify_passes'])} passes, "
-          f"{report['corruptions']} corruptions")
-    detection = report["detection_power"]
-    print(f"detection power (read-repair off): "
-          f"{detection['corruptions']} corruptions caught "
-          f"({detection['unrepaired_serves']} unrepaired serves)")
-    print("errortest PASSED" if report["passed"] else "errortest FAILED")
-    print(f"report written to {out}")
-    return 0 if report["passed"] else 1
+    return run_errortest(seed=args.seed, quick=args.quick,
+                         trace_out=args.trace)
 
 
-def run_slowtest_cli(seed: int = 0, quick: bool = False,
-                     out: str = "slowtest_report.json",
-                     bench_out: Optional[str] = None,
-                     trace: Optional[str] = None) -> int:
-    """Fail-slow campaign: hedged-read tail bound + integrity oracle."""
-    from .slowtest import run_slowtest, write_report
+def _run_slowtest(args) -> Dict:
+    from .campaign import write_report
+    from .slowtest import run_slowtest
 
-    report = run_slowtest(seed=seed, quick=quick, trace_out=trace)
-    write_report(report, out)
-    if bench_out:
-        write_report(report["bench"], bench_out)
-    by_name = {c["name"]: c for c in report["campaigns"]}
-    for name in ("healthy", "hedged", "unhedged"):
-        lat = by_name[name]["read_latency"]
-        print(f"{name:9s} p50 {lat['p50_ms']:7.3f} ms   "
-              f"p99 {lat['p99_ms']:7.3f} ms   p999 {lat['p999_ms']:7.3f} ms"
-              f"   ({by_name[name]['reads']} reads)")
-    hedged = by_name["hedged"]["health"]
-    print(f"defense: {hedged['slow_hedges']} hedges "
-          f"({hedged['hedge_wins']} reconstruction wins), "
-          f"{hedged['slow_demotions']} demotions, "
-          f"{hedged['slow_evictions']} slow evictions")
-    sweep = by_name["hedged"].get("sweep") or {}
-    if sweep.get("replaced"):
-        print(f"escalation: devices {sweep['replaced']} rebuilt onto fresh "
-              f"replacements ({sweep['zones_rebuilt']} zones)")
-    print(f"tail bound: hedged p999 = "
-          f"{report['hedged_p999_over_healthy']}x healthy "
-          f"(<= {report['hedged_bound']}x required), unhedged = "
-          f"{report['unhedged_p999_over_healthy']}x "
-          f"(>= {report['unhedged_bound']}x required)")
-    print(f"oracle: {report['oracle_violations']} violations")
-    print("slowtest PASSED" if report["passed"] else "slowtest FAILED")
-    print(f"report written to {out}"
-          + (f", bench numbers to {bench_out}" if bench_out else ""))
-    return 0 if report["passed"] else 1
+    report = run_slowtest(seed=args.seed, quick=args.quick,
+                          trace_out=args.trace)
+    if args.bench_out:
+        write_report(report["bench"], args.bench_out)
+        print(f"bench numbers written to {args.bench_out}")
+    return report
 
 
-def run_soaktest_cli(seed: int = 0, quick: bool = False,
-                     out: str = "soaktest_report.json") -> int:
-    """Compound-fault soak: crash x error x slow x wear on one array."""
-    from .soaktest import run_soaktest, write_report
+def _run_soaktest(args) -> Dict:
+    from .soaktest import run_soaktest
 
-    def progress(report) -> None:
-        print(f"\r  {report.candidates} crash candidates "
-              f"({report.mounted} mounted, {report.pruned} pruned), "
-              f"{len(report.violations)} violations", end="", flush=True)
-
-    report = run_soaktest(seed=seed, quick=quick, progress=progress)
+    report = run_soaktest(
+        seed=args.seed, quick=args.quick,
+        progress=_progress(lambda r: (
+            f"{r.candidates} crash candidates "
+            f"({r.mounted} mounted, {r.pruned} pruned)")))
     print()
+    return report
+
+
+CAMPAIGNS: Dict[str, Callable[[argparse.Namespace], Dict]] = {
+    "crashtest": _run_crashtest,
+    "errortest": _run_errortest,
+    "slowtest": _run_slowtest,
+    "soaktest": _run_soaktest,
+}
+
+
+def _print_fields(fields: Dict, prefix: str = "") -> None:
+    """A report's fields, one per line; lists of records (violations,
+    per-variant and per-device detail) stay in the file."""
+    for key, value in fields.items():
+        if isinstance(value, dict) and any(isinstance(v, dict)
+                                           for v in value.values()):
+            _print_fields(value, f"{prefix}{key}.")
+        elif not (isinstance(value, list) and any(
+                isinstance(v, (dict, list)) for v in value)):
+            print(f"  {prefix}{key}: {value}")
+
+
+def run_campaign_cli(name: str, args) -> int:
+    """Run one fault campaign, write its JSON report, print the verdict."""
+    from .campaign import write_report
+
+    began = time.time()
+    report = CAMPAIGNS[name](args)
+    out = args.out or f"{name}_report.json"
     write_report(report, out)
-    pruning = report["pruning"]
-    print(f"campaign: {report['phases']} phases, "
-          f"{report['workload_ops']} ops, {report['crash_cycles']} "
-          f"crash/recover cycles, {report['evictions']} evictions, "
-          f"{report['rebuilds']} rebuilds, {report['scrubs']} scrubs")
-    print(f"faults: {report['injected']} injected, "
-          f"{report['slowed_commands']} commands slowed, "
-          f"endurance {[e['worn_zones'] for e in report['endurance']]} "
-          "worn zones per device")
-    print(f"pruning: {pruning['pruned']}/{pruning['candidates']} candidates "
-          f"pruned (ratio {pruning['ratio']}, floor {pruning['floor']}), "
-          f"{pruning['verified_sample']} pruned states verified, "
-          f"{len(pruning['escapes'])} mechanism escapes")
-    print(f"mechanisms: {report['mechanisms_exercised']}")
-    print(f"oracle: {report['oracle_checks']} -> "
-          f"{report['oracle_violations']} violations")
-    print(f"fingerprint: {report['campaign_fingerprint']}")
-    print("soaktest PASSED" if report["passed"] else "soaktest FAILED")
+    _print_fields(report)
+    if report.get("violations"):
+        print(f"first of {len(report['violations'])} violations: "
+              f"{report['violations'][0]}")
+    print(f"{name} PASSED" if report["passed"] else f"{name} FAILED")
     print(f"report written to {out}")
+    print(f"[{name} completed in {time.time() - began:.1f}s wall]")
     return 0 if report["passed"] else 1
 
 
@@ -324,19 +272,18 @@ def main(argv=None) -> int:
     parser.add_argument("--states", type=int, default=600,
                         help="crashtest: target number of crash states")
     parser.add_argument("--seed", type=int, default=0,
-                        help="crashtest/errortest: campaign seed")
+                        help="campaign / trace seed")
     parser.add_argument("--out", default=None,
-                        help="crashtest/errortest: JSON report path")
-    parser.add_argument("--smoke", action="store_true",
-                        help="errortest: small CI-sized campaign")
-    parser.add_argument("--quick", action="store_true",
-                        help="slowtest/soaktest: small CI-sized campaign")
+                        help="campaign JSON report (trace: span dump) path")
+    parser.add_argument("--quick", "--smoke", dest="quick",
+                        action="store_true",
+                        help="small CI-sized run")
     parser.add_argument("--bench-out", default=None,
                         help="slowtest: also write BENCH_tail.json numbers "
                              "to this path")
     parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="crashtest/errortest/slowtest: trace the "
-                             "campaign and dump spans (JSONL) to PATH")
+                        help="trace the campaign and dump spans (JSONL) to "
+                             "PATH")
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -351,34 +298,8 @@ def main(argv=None) -> int:
                                out=args.out or "trace_spans.jsonl")
         print(f"[trace completed in {time.time() - began:.1f}s wall]")
         return status
-    if args.experiment == "crashtest":
-        began = time.time()
-        status = run_crashtest(states=args.states, seed=args.seed,
-                               out=args.out or "crashtest_report.json",
-                               trace=args.trace)
-        print(f"[crashtest completed in {time.time() - began:.1f}s wall]")
-        return status
-    if args.experiment == "errortest":
-        began = time.time()
-        status = run_errortest_cli(seed=args.seed, smoke=args.smoke,
-                                   out=args.out or "errortest_report.json",
-                                   trace=args.trace)
-        print(f"[errortest completed in {time.time() - began:.1f}s wall]")
-        return status
-    if args.experiment == "soaktest":
-        began = time.time()
-        status = run_soaktest_cli(seed=args.seed, quick=args.quick,
-                                  out=args.out or "soaktest_report.json")
-        print(f"[soaktest completed in {time.time() - began:.1f}s wall]")
-        return status
-    if args.experiment == "slowtest":
-        began = time.time()
-        status = run_slowtest_cli(seed=args.seed, quick=args.quick,
-                                  out=args.out or "slowtest_report.json",
-                                  bench_out=args.bench_out,
-                                  trace=args.trace)
-        print(f"[slowtest completed in {time.time() - began:.1f}s wall]")
-        return status
+    if args.experiment in CAMPAIGNS:
+        return run_campaign_cli(args.experiment, args)
     names = list(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     unknown = [n for n in names if n not in EXPERIMENTS]

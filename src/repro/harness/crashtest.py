@@ -2,216 +2,88 @@
 
 Replaces "run a workload, randomly settle the write caches, hope the bad
 interleaving shows up" with systematic coverage in the style of
-crash-state enumerators like Silhouette (FAST '25):
+crash-state enumerators like Silhouette (FAST '25).  On top of the
+campaign kernel (:mod:`repro.harness.campaign`: array, op script,
+restore → enumerate → crash → mount → oracle) this module adds:
 
-1. **Trace** — run a scripted, fully deterministic write/flush/reset
-   workload against a freshly formatted array and count every device-level
-   bio completion.  Completion boundaries are the instants at which the
-   acknowledged-IO set changes, so they index every distinct crash moment
-   the workload can distinguish.
+* **Two-pass boundary sampling** — pass 1 runs the scripted workload and
+  counts device-level bio completions, the instants at which the
+  acknowledged-IO set changes; pass 2 replays it identically, taking a
+  device snapshot plus a frozen copy of the workload's durability
+  expectations at an even spread of those boundaries (pure copies:
+  nothing is perturbed).  Every sampled survivor state of every sampled
+  boundary is mounted under the full oracle, remount stability included.
+* **Double crash** — a fraction of states get a *second* crash at a
+  random command of recovery itself; the array must recover from that
+  too.
 
-2. **Snapshot** — replay the identical workload, capturing a full device
-   snapshot (zone tables + written media) plus a frozen copy of the
-   workload's durability expectations at a spread of sampled boundaries.
-   Nothing is perturbed: snapshots are pure copies.
-
-3. **Enumerate** — for each sampled boundary, enumerate legal survivor
-   states (per-zone durable-prefix choices at atomic-write-unit
-   granularity), always including the all-min and all-max corners, and
-   sample the cross-zone product under a budget.  Each chosen state is
-   applied with ``power_fail_to`` — an exact, replayable crash.
-
-4. **Check** — mount each crash state and run the durability oracle:
-   FLUSH/FUA-acked bytes intact and content-exact, write pointers inside
-   legal bounds, persistence bitmaps sound, remount idempotent.  A
-   fraction of states additionally get a *second* crash injected part-way
-   through recovery itself; the array must recover from that too.
-
-Run via ``python -m repro crashtest`` or ``python -m repro.harness.cli
-crashtest``; emits a JSON coverage report.
+Run via ``python -m repro crashtest``; emits a JSON coverage report
+(README, "Crash-consistency testing"; EXPERIMENTS.md has the numbers).
 """
 
 from __future__ import annotations
 
-import json
 import random
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..block.bio import Bio, BioFlags
+from ..block.device import remove_hooks
 from ..errors import PowerLossError, ReproError
 from ..faults.crashpoints import (
     CompletionBoundaries,
-    apply_survivor_assignment,
-    array_restore_crash_snapshot,
     array_state_fingerprint,
-    enumerate_survivor_assignments,
 )
-from ..faults.oracle import (
-    WorkloadExpectation,
-    check_mount_stability,
-    check_persistence_bitmap_soundness,
-    check_recovered_volume,
-)
+from ..faults.oracle import check_recovered_volume
 from ..faults.powerloss import CrashPoint
-from ..raizn.config import RaiznConfig
 from ..raizn.recovery import mount
-from ..raizn.volume import RaiznVolume
-from ..sim import Simulator
-from ..units import KiB, MiB
-from ..zns.device import ZNSDevice
-
-#: Array geometry: small enough that a single crash state mounts in
-#: milliseconds, rich enough for multi-zone / metadata-GC interleavings.
-NUM_DEVICES = 5
-NUM_ZONES = 12
-ZONE_CAPACITY = 1 * MiB
-STRIPE_UNIT = 64 * KiB
-#: The workload touches this many logical zones.
-WORKLOAD_ZONES = 3
-#: Fixed array UUID so every replay produces byte-identical media.
-ARRAY_UUID = bytes(range(16))
-
-_WRITE_SIZES = (4 * KiB, 12 * KiB, 64 * KiB, 128 * KiB, 192 * KiB,
-                256 * KiB)
+from .campaign import (
+    CampaignReport,
+    Op,
+    drain,
+    drive_ops,
+    enter_crash_state,
+    enumerate_crash_states,
+    expectation_for,
+    fresh_array,
+    mount_and_check,
+    script_ops,
+)
+from .tracecli import dump_spans
 
 
-class ScriptedWorkload:
-    """A pre-generated, replayable op sequence with known expectations.
+def scripted_workload(seed: int, num_ops: int) -> List[Op]:
+    """The pre-generated, replayable write/flush/reset op sequence.
 
-    Ops are fixed at construction — sizes, payloads, flags, and target
-    LBAs are all derived from ``seed`` — so the trace pass, the snapshot
-    pass, and any debugging rerun execute the exact same submissions.
+    Sizes, payloads, flags and target LBAs are all derived from
+    ``seed``, so the trace pass, the snapshot pass, and any debugging
+    rerun execute the exact same submissions.
     """
-
-    def __init__(self, seed: int, num_ops: int,
-                 zone_capacity: int, num_zones: int = WORKLOAD_ZONES):
-        self.seed = seed
-        self.num_zones = num_zones
-        self.zone_capacity = zone_capacity
-        rng = random.Random(seed)
-        #: (kind, zone, lba, data, flags) tuples; lba/data are None for
-        #: non-write ops.
-        self.ops: List[Tuple[str, int, Optional[int], Optional[bytes],
-                             BioFlags]] = []
-        frontier = [0] * num_zones
-        for index in range(num_ops):
-            zone = rng.randrange(num_zones)
-            roll = rng.random()
-            if roll < 0.12:
-                self.ops.append(("flush", 0, None, None, BioFlags.NONE))
-                continue
-            if roll < 0.18 and frontier[zone] > 0:
-                self.ops.append(("reset", zone, None, None, BioFlags.NONE))
-                frontier[zone] = 0
-                continue
-            nbytes = rng.choice(_WRITE_SIZES)
-            if frontier[zone] + nbytes > zone_capacity:
-                # The zone is nearly full; recycle it instead (scripted,
-                # so every replay makes the same choice).
-                self.ops.append(("reset", zone, None, None, BioFlags.NONE))
-                frontier[zone] = 0
-            flag_roll = rng.random()
-            if flag_roll < 0.15:
-                flags = BioFlags.FUA | BioFlags.PREFLUSH
-            elif flag_roll < 0.30:
-                flags = BioFlags.FUA
-            else:
-                flags = BioFlags.NONE
-            data = random.Random(seed * 1000003 + index).randbytes(nbytes)
-            lba = zone * zone_capacity + frontier[zone]
-            self.ops.append(("write", zone, lba, data, flags))
-            frontier[zone] += nbytes
-
-    def run(self, volume: RaiznVolume, expect: WorkloadExpectation):
-        """Process-style driver; updates ``expect`` at submit/ack time."""
-        for kind, zone, lba, data, flags in self.ops:
-            if kind == "write":
-                expect.note_submit_write(zone, data)
-                yield volume.submit(Bio.write(lba, data, flags))
-                expect.note_write_acked(zone, fua=bool(flags & BioFlags.FUA))
-            elif kind == "flush":
-                yield volume.submit(Bio.flush())
-                expect.note_flush_acked()
-            else:
-                expect.note_submit_reset(zone)
-                yield volume.submit(Bio.zone_reset(zone * self.zone_capacity))
-                expect.note_reset_acked(zone)
+    return script_ops(random.Random(seed), num_ops,
+                      lambda index, _pos: seed * 1000003 + index)
 
 
-def _fresh_array(seed: int):
-    """A formatted array in a fresh simulator (identical on every call)."""
-    sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=NUM_ZONES,
-                         zone_capacity=ZONE_CAPACITY, seed=seed + i)
-               for i in range(NUM_DEVICES)]
-    config = RaiznConfig(num_data=NUM_DEVICES - 1,
-                         stripe_unit_bytes=STRIPE_UNIT)
-    volume = RaiznVolume.create(sim, devices, config, array_uuid=ARRAY_UUID)
-    return sim, devices, volume
-
-
-def _drain(sim: Simulator) -> None:
-    """Run the event loop dry, absorbing power-loss process deaths."""
-    while True:
-        try:
-            sim.run()
-            return
-        except PowerLossError:
-            continue
-
-
-class _Report:
+class _Report(CampaignReport):
     """Mutable counters the explorer fills in; serializes to JSON."""
 
+    fields = ("seed", "workload_ops", "completion_boundaries",
+              "boundaries_sampled", "survivor_product_total",
+              "states_explored", "distinct_states", "double_crash_states",
+              "double_crash_fired", "oracle_checks", "violations", "passed",
+              "elapsed_s")
+
     def __init__(self, seed: int):
+        super().__init__()
         self.seed = seed
-        self.workload_ops = 0
-        self.completion_boundaries = 0
-        self.boundaries_sampled = 0
-        self.survivor_product_total = 0
-        self.states_explored = 0
         self.distinct_states: set = set()
         #: (fingerprint, expectation summary) pairs already oracle-checked.
         #: The expectation matters: the same settled state reached at two
         #: boundaries can carry different acked frontiers, and only the
         #: stronger one may expose a lost-acked-byte violation.
         self.checked_keys: set = set()
-        self.double_crash_states = 0
-        self.double_crash_fired = 0
         self.oracle_checks = {
             "recovered_volume": 0,
             "persistence_bitmap": 0,
             "mount_stability": 0,
             "double_crash_recovery": 0,
-        }
-        self.violations: List[Dict] = []
-        self.elapsed_s = 0.0
-
-    def violation(self, boundary: int, state: str, check: str,
-                  detail: str) -> None:
-        self.violations.append({
-            "boundary": boundary,
-            "state": state,
-            "check": check,
-            "detail": detail,
-        })
-
-    def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "workload_ops": self.workload_ops,
-            "completion_boundaries": self.completion_boundaries,
-            "boundaries_sampled": self.boundaries_sampled,
-            "survivor_product_total": self.survivor_product_total,
-            "states_explored": self.states_explored,
-            "distinct_states": len(self.distinct_states),
-            "double_crash_states": self.double_crash_states,
-            "double_crash_fired": self.double_crash_fired,
-            "oracle_checks": dict(self.oracle_checks),
-            "violations": self.violations,
-            "passed": not self.violations,
-            "elapsed_s": round(self.elapsed_s, 2),
         }
 
 
@@ -230,27 +102,18 @@ def explore(seed: int = 0, num_ops: int = 90, boundaries: int = 60,
     workload replay (the reference run every crash state is carved
     from) and dumps its spans there as JSONL.
     """
-    began = time.time()
     report = _Report(seed)
-    workload = ScriptedWorkload(seed, num_ops, zone_capacity=ZONE_CAPACITY
-                                * (NUM_DEVICES - 1))
-    report.workload_ops = len(workload.ops)
+    ops = scripted_workload(seed, num_ops)
+    report.workload_ops = len(ops)
 
     # Pass 1: count completion boundaries.
-    sim, devices, volume = _fresh_array(seed)
-    if trace_out:
-        from ..trace import Tracer
-        volume.attach_tracer(Tracer(sim))
+    sim, devices, volume = fresh_array(seed, trace_out=trace_out)
     counter = CompletionBoundaries(devices)
-    expect = WorkloadExpectation(volume.num_data_zones,
-                                 volume.zone_capacity)
-    sim.run_process(workload.run(volume, expect))
+    sim.run_process(drive_ops(volume, ops, expectation_for(volume)))
     counter.disarm()
     total = counter.count
     report.completion_boundaries = total
-    if trace_out:
-        from .tracecli import dump_spans
-        dump_spans(volume, trace_out)
+    dump_spans(volume, trace_out)
 
     sampled = sorted({max(1, round((i + 1) * total / boundaries))
                       for i in range(min(boundaries, total))})
@@ -262,72 +125,41 @@ def explore(seed: int = 0, num_ops: int = 90, boundaries: int = 60,
         batch = sampled[batch_start:batch_start + batch_size]
         # Pass 2 (per batch): identical replay, snapshotting this batch's
         # boundaries.  One replay per batch bounds snapshot memory.
-        sim, devices, volume = _fresh_array(seed)
-        expect = WorkloadExpectation(volume.num_data_zones,
-                                     volume.zone_capacity)
+        sim, devices, volume = fresh_array(seed)
+        expect = expectation_for(volume)
         recorder = CompletionBoundaries(devices, snapshot_at=batch,
                                         aux_state=expect.copy)
-        sim.run_process(workload.run(volume, expect))
+        sim.run_process(drive_ops(volume, ops, expect))
         recorder.disarm()
 
         for boundary in batch:
             snaps, frozen = recorder.snapshots[boundary]
-            array_restore_crash_snapshot(devices, snaps)
-            spaces = [dev.survivor_state_space() for dev in devices]
-            assignments, product = enumerate_survivor_assignments(
-                spaces, budget_per_boundary, rng)
+            _spaces, assignments, product = enumerate_crash_states(
+                devices, snaps, budget_per_boundary, rng)
             report.survivor_product_total += product
             expect_key = tuple(
                 (zone.synced, len(zone.submitted), zone.resetting)
                 for zone in frozen.zones)
             for assignment in assignments:
-                array_restore_crash_snapshot(devices, snaps)
-                apply_survivor_assignment(devices, assignment)
+                enter_crash_state(devices, snaps, assignment)
                 fingerprint = array_state_fingerprint(devices)
+                where = {"boundary": boundary, "state": fingerprint}
                 state_serial += 1
                 report.states_explored += 1
                 report.distinct_states.add(fingerprint)
                 check_key = (fingerprint, expect_key)
-                double = state_serial % double_crash_every == 0
                 if check_key not in report.checked_keys:
                     report.checked_keys.add(check_key)
-                    _check_state(sim, devices, frozen, boundary,
-                                 fingerprint, report)
-                if double:
+                    mount_and_check(sim, devices, frozen, report, where,
+                                    stability=True)
+                if state_serial % double_crash_every == 0:
                     _check_double_crash(sim, devices, snaps, assignment,
-                                        frozen, boundary, fingerprint,
-                                        state_serial, seed, report)
+                                        frozen, where, state_serial, seed,
+                                        report)
             if progress is not None:
                 progress(report)
 
-    report.elapsed_s = time.time() - began
     return report.to_dict()
-
-
-def _check_state(sim, devices, expect, boundary, fingerprint,
-                 report) -> None:
-    """Mount one crash state and run the single-crash oracle."""
-    try:
-        volume = mount(sim, list(devices))
-    except ReproError as exc:
-        report.violation(boundary, fingerprint, "mount",
-                         f"mount failed: {exc!r}")
-        return
-    report.oracle_checks["recovered_volume"] += 1
-    for detail in check_recovered_volume(volume, expect):
-        report.violation(boundary, fingerprint, "recovered_volume", detail)
-    report.oracle_checks["persistence_bitmap"] += 1
-    for detail in check_persistence_bitmap_soundness(volume):
-        report.violation(boundary, fingerprint, "persistence_bitmap", detail)
-    try:
-        remounted = mount(sim, list(devices))
-    except ReproError as exc:
-        report.violation(boundary, fingerprint, "mount_stability",
-                         f"remount failed: {exc!r}")
-        return
-    report.oracle_checks["mount_stability"] += 1
-    for detail in check_mount_stability(volume, remounted):
-        report.violation(boundary, fingerprint, "mount_stability", detail)
 
 
 def _count_recovery_commands(sim, devices) -> int:
@@ -338,37 +170,32 @@ def _count_recovery_commands(sim, devices) -> int:
     never reach hole repair or metadata compaction.
     """
     counts = [0]
-    saved = []
-    for dev in devices:
-        prev = dev.pre_apply_hook
 
-        def tally(device, bio, _chained=prev) -> None:
-            if _chained is not None:
-                _chained(device, bio)
-            counts[0] += 1
-        saved.append((dev, prev, tally))
-        dev.pre_apply_hook = tally
+    def tally(device, bio) -> None:
+        counts[0] += 1
+
+    hooks = [dev.add_hook("pre_apply", tally) for dev in devices]
     try:
         mount(sim, list(devices))
     except ReproError:
-        pass  # an unmountable state is reported by _check_state
+        pass  # an unmountable state is reported by the single-crash check
     finally:
-        for dev, prev, tally in saved:
-            if dev.pre_apply_hook is tally:
-                dev.pre_apply_hook = prev
+        remove_hooks(hooks)
     return counts[0]
 
 
-def _check_double_crash(sim, devices, snaps, assignment, expect, boundary,
-                        fingerprint, state_serial, seed, report) -> None:
+def _check_double_crash(sim, devices, snaps, assignment, expect, where,
+                        state_serial, seed, report) -> None:
     """Crash again *during* recovery, then demand a clean final mount."""
+    def flag(detail: str) -> None:
+        report.violation(**where, check="double_crash_recovery",
+                         detail=detail)
+
     report.double_crash_states += 1
     rng = random.Random(seed * 1000003 + state_serial)
-    array_restore_crash_snapshot(devices, snaps)
-    apply_survivor_assignment(devices, assignment)
+    enter_crash_state(devices, snaps, assignment)
     commands = _count_recovery_commands(sim, devices)
-    array_restore_crash_snapshot(devices, snaps)
-    apply_survivor_assignment(devices, assignment)
+    enter_crash_state(devices, snaps, assignment)
     crash = CrashPoint(devices, after=1 + rng.randrange(max(1, commands)),
                        rng=rng)
     try:
@@ -377,10 +204,9 @@ def _check_double_crash(sim, devices, snaps, assignment, expect, boundary,
         pass
     except ReproError as exc:
         crash.disarm()
-        report.violation(boundary, fingerprint, "double_crash_recovery",
-                         f"first recovery died non-crash: {exc!r}")
+        flag(f"first recovery died non-crash: {exc!r}")
         return
-    _drain(sim)
+    drain(sim)
     crash.disarm()
     if crash.fired:
         report.double_crash_fired += 1
@@ -389,16 +215,8 @@ def _check_double_crash(sim, devices, snaps, assignment, expect, boundary,
     try:
         final = mount(sim, list(devices))
     except ReproError as exc:
-        report.violation(boundary, fingerprint, "double_crash_recovery",
-                         f"mount after double crash failed: {exc!r}")
+        flag(f"mount after double crash failed: {exc!r}")
         return
     report.oracle_checks["double_crash_recovery"] += 1
     for detail in check_recovered_volume(final, expect):
-        report.violation(boundary, fingerprint, "double_crash_recovery",
-                         detail)
-
-
-def write_report(report: Dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        flag(detail)

@@ -2,61 +2,54 @@
 
 Answers the question the self-healing datapath exists for: *after
 hundreds of injected media, transient, and wear-out faults, is every
-byte the array ever acknowledged still exactly what was written?*
+byte the array ever acknowledged still exactly what was written?*  On
+top of the campaign kernel (:mod:`repro.harness.campaign`: array, op
+script and driver, acked-content model, read-back verifier) this module
+adds:
 
-The campaign runs four phases against one small array:
+* the :class:`~repro.faults.errinject.FaultPlan` armed during the
+  workload (latent errors on just-written media, transient command
+  failures, victim zones wearing out to READ_ONLY / OFFLINE mid-write)
+  and inline verification of the script's mid-campaign reads;
+* the phases after it, each closed by a full read-back: a background
+  **scrub**, then **eviction** — one device is driven over the volume's
+  error threshold until it is evicted into degraded mode — and
+  **rebuild** onto a fresh replacement;
+* a **detection-power** run: a small campaign with ``read_repair``
+  disabled must make the oracle report corruption — evidence that "0
+  violations" is a property of the healing datapath, not of a blind
+  oracle.
 
-1. **Fault workload** — a scripted write/read/flush/reset workload runs
-   with a :class:`~repro.faults.errinject.FaultPlan` armed: latent (UNC)
-   errors corrupt just-written media, transient command failures hit a
-   fraction of submissions, and victim zones wear out to READ_ONLY /
-   OFFLINE mid-write.  Mid-campaign reads exercise retry and read-repair
-   under foreground load.
-2. **Scrub** — a full background-scrub pass walks every written stripe,
-   healing latent data errors and re-establishing mismatched parity.
-3. **Verify** — every acknowledged byte of every zone is read back and
-   compared against the workload's expected image; any mismatch is an
-   integrity violation (and, en passant, the reads heal whatever the
-   scrub did not reach).
-4. **Eviction + rebuild** — one device is driven over the volume's
-   error threshold with targeted command failures until the volume
-   evicts it into degraded mode; the full image is verified degraded,
-   the device is rebuilt onto a fresh replacement, and verified again.
-
-A companion **detection-power** run repeats a small campaign with
-``read_repair`` disabled and asserts the oracle *does* catch the
-resulting corruption — evidence that "0 violations" in the main
-campaign is a property of the healing datapath, not of a blind oracle.
-
-Run via ``python -m repro errortest [--smoke]``; emits a JSON report.
+Run via ``python -m repro errortest [--quick]``; emits a JSON report.
 Fixed seed ⇒ bit-identical report (minus wall-clock timing).
 """
 
 from __future__ import annotations
 
-import json
 import random
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from ..block.bio import Bio, BioFlags
-from ..faults.devicefail import fresh_replacement
+from ..block.bio import Bio
 from ..faults.errinject import FaultPlan
-from ..raizn.config import RaiznConfig
+from ..faults.oracle import WorkloadExpectation
 from ..raizn.maintenance import run_scrub
 from ..raizn.rebuild import rebuild
 from ..raizn.volume import RaiznVolume
-from ..sim import Simulator
-from ..units import KiB, MiB
-from ..zns.device import ZNSDevice
-
-#: Array geometry (same scale as the crashtest explorer).
-NUM_DEVICES = 5
-NUM_ZONES = 12
-ZONE_CAPACITY = 1 * MiB
-STRIPE_UNIT = 64 * KiB
-WORKLOAD_ZONES = 3
-ARRAY_UUID = bytes(range(16))
+from ..units import KiB
+from .campaign import (
+    NUM_DEVICES,
+    STRIPE_UNIT,
+    WORKLOAD_ZONES,
+    CampaignReport,
+    checked_read,
+    drive_ops,
+    expectation_for,
+    fresh_array,
+    replacement_device,
+    script_ops,
+    verify_readback,
+)
+from .tracecli import dump_spans
 
 _WRITE_SIZES = (4 * KiB, 16 * KiB, 64 * KiB, 128 * KiB, 192 * KiB,
                 256 * KiB)
@@ -64,181 +57,47 @@ _WRITE_SIZES = (4 * KiB, 16 * KiB, 64 * KiB, 128 * KiB, 192 * KiB,
 EVICT_TARGET = 1
 
 
-class _ZoneModel:
-    """Expected contents of one logical zone (what the array acked)."""
-
-    def __init__(self) -> None:
-        self.data = bytearray()
-
-    def write(self, payload: bytes) -> None:
-        self.data.extend(payload)
-
-    def reset(self) -> None:
-        self.data = bytearray()
-
-
-class CampaignReport:
+class _Report(CampaignReport):
     """Mutable campaign counters; serializes to JSON."""
 
-    def __init__(self, seed: int, smoke: bool, read_repair: bool):
+    fields = ("seed", "smoke", "read_repair", "workload_ops",
+              "midstream_reads", "injected", "health", "scrub",
+              "verify_passes", "eviction", "rebuild", "corruptions",
+              "violations", "passed", "elapsed_s")
+
+    def __init__(self, seed: int, quick: bool, read_repair: bool):
+        super().__init__()
         self.seed = seed
-        self.smoke = smoke
+        self.smoke = quick
         self.read_repair = read_repair
-        self.workload_ops = 0
-        self.midstream_reads = 0
         self.injected: Dict = {}
         self.health: Dict = {}
         self.scrub: Dict = {}
-        self.verify_passes: List[Dict] = []
+        self.verify_passes = []
         self.eviction: Dict = {}
         self.rebuild: Dict = {}
-        self.corruptions = 0
-        self.violations: List[Dict] = []
-        self.elapsed_s = 0.0
-
-    def corruption(self, phase: str, zone: int, offset: int,
-                   length: int) -> None:
-        self.corruptions += 1
-        if len(self.violations) < 20:
-            self.violations.append({
-                "phase": phase,
-                "zone": zone,
-                "offset": offset,
-                "length": length,
-            })
-
-    def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "smoke": self.smoke,
-            "read_repair": self.read_repair,
-            "workload_ops": self.workload_ops,
-            "midstream_reads": self.midstream_reads,
-            "injected": self.injected,
-            "health": self.health,
-            "scrub": self.scrub,
-            "verify_passes": self.verify_passes,
-            "eviction": self.eviction,
-            "rebuild": self.rebuild,
-            "corruptions": self.corruptions,
-            "violations": self.violations,
-            "passed": self.corruptions == 0 and not self.violations,
-            "elapsed_s": round(self.elapsed_s, 2),
-        }
 
 
-def _fresh_array(seed: int, read_repair: bool, error_threshold: int):
-    sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=NUM_ZONES,
-                         zone_capacity=ZONE_CAPACITY, seed=seed + i)
-               for i in range(NUM_DEVICES)]
-    # Extra metadata zones: heal relocation entries are stripe-unit
-    # sized, so the GENERAL log rotates far more often than under a
-    # fault-free workload, and its checkpoint can spill past one zone
-    # (a worn-out zone's worth of relocated SUs exceeds one metadata
-    # zone).  Five zones sustain a two-zone checkpoint at steady state:
-    # role + spill live while two fresh swap zones stay in the pool.
-    config = RaiznConfig(num_data=NUM_DEVICES - 1,
-                         stripe_unit_bytes=STRIPE_UNIT,
-                         num_metadata_zones=5,
-                         max_transient_retries=4,
-                         device_error_threshold=error_threshold,
-                         read_repair=read_repair)
-    volume = RaiznVolume.create(sim, devices, config, array_uuid=ARRAY_UUID)
-    return sim, devices, volume
-
-
-def _script_ops(seed: int, num_ops: int, zone_capacity: int,
-                allow_resets: bool = True):
-    """Deterministic op script: (kind, zone, size_or_none, flags)."""
-    rng = random.Random(seed)
-    ops: List[Tuple[str, int, Optional[int], BioFlags]] = []
-    frontier = [0] * WORKLOAD_ZONES
-    for _ in range(num_ops):
-        zone = rng.randrange(WORKLOAD_ZONES)
-        roll = rng.random()
-        if roll < 0.08:
-            ops.append(("flush", 0, None, BioFlags.NONE))
-            continue
-        if roll < 0.30 and frontier[zone] > 0:
-            ops.append(("read", zone, None, BioFlags.NONE))
-            continue
-        if roll < 0.33 and allow_resets and frontier[zone] > 0:
-            ops.append(("reset", zone, None, BioFlags.NONE))
-            frontier[zone] = 0
-            continue
-        nbytes = rng.choice(_WRITE_SIZES)
-        if frontier[zone] + nbytes > zone_capacity:
-            ops.append(("reset", zone, None, BioFlags.NONE))
-            frontier[zone] = 0
-        flag_roll = rng.random()
-        if flag_roll < 0.15:
-            flags = BioFlags.FUA | BioFlags.PREFLUSH
-        elif flag_roll < 0.30:
-            flags = BioFlags.FUA
-        else:
-            flags = BioFlags.NONE
-        ops.append(("write", zone, nbytes, flags))
-        frontier[zone] += nbytes
-    return ops
-
-
-def _drive(sim: Simulator, volume: RaiznVolume, ops, seed: int,
-           model: List[_ZoneModel], report: CampaignReport):
-    """Process-style workload driver with inline read verification."""
+def _inline_reads(volume: RaiznVolume, expect: WorkloadExpectation,
+                  seed: int, report: _Report):
+    """The driver's handler for scripted ``read`` ops: a random 4 KiB-
+    aligned range of the zone's acked content, verified inline."""
     rng = random.Random(seed + 17)
-    zone_capacity = volume.zone_capacity
-    for op_index, (kind, zone, size, flags) in enumerate(ops):
-        base = zone * zone_capacity
-        if kind == "write":
-            data = random.Random(seed * 1000003 + op_index).randbytes(size)
-            lba = base + len(model[zone].data)
-            yield volume.submit(Bio.write(lba, data, flags))
-            model[zone].write(data)
-        elif kind == "flush":
-            yield volume.submit(Bio.flush())
-        elif kind == "reset":
-            yield volume.submit(Bio.zone_reset(base))
-            model[zone].reset()
-        else:  # read
-            frontier = len(model[zone].data)
-            if frontier < 4 * KiB:
-                continue
-            offset = rng.randrange(0, frontier // (4 * KiB)) * (4 * KiB)
-            length = min(frontier - offset,
-                         (1 + rng.randrange(16)) * (4 * KiB))
-            bio = yield volume.submit(Bio.read(base + offset, length))
-            report.midstream_reads += 1
-            if bio.result != bytes(model[zone].data[offset:offset + length]):
-                report.corruption("workload", zone, offset, length)
+
+    def read(op):
+        zone = op[1]
+        frontier = expect.next_write_offset(zone)
+        if frontier < 4 * KiB:
+            return
+        offset = rng.randrange(0, frontier // (4 * KiB)) * (4 * KiB)
+        length = min(frontier - offset, (1 + rng.randrange(16)) * (4 * KiB))
+        yield from checked_read(volume, expect, report, "workload", zone,
+                                offset, length)
+        report.midstream_reads += 1
+    return read
 
 
-def _verify(sim: Simulator, volume: RaiznVolume, model: List[_ZoneModel],
-            report: CampaignReport, label: str):
-    """Read back every acked byte of every zone and compare (process)."""
-    chunk = volume.config.stripe_width_bytes
-    verified = 0
-    corruptions_before = report.corruptions
-    for zone in range(WORKLOAD_ZONES):
-        expected = model[zone].data
-        base = zone * volume.zone_capacity
-        offset = 0
-        while offset < len(expected):
-            length = min(chunk, len(expected) - offset)
-            bio = yield volume.submit(Bio.read(base + offset, length))
-            if bio.result != bytes(expected[offset:offset + length]):
-                report.corruption(label, zone, offset, length)
-            verified += length
-            offset += length
-    report.verify_passes.append({
-        "label": label,
-        "bytes": verified,
-        "corruptions": report.corruptions - corruptions_before,
-    })
-
-
-def _evict_phase(sim: Simulator, volume: RaiznVolume, plan: FaultPlan,
-                 model: List[_ZoneModel], report: CampaignReport):
+def _evict_phase(volume: RaiznVolume, plan: FaultPlan, report: _Report):
     """Drive EVICT_TARGET over the error threshold with targeted faults.
 
     Every submission to the target fails transiently, so each read of
@@ -271,12 +130,8 @@ def _evict_phase(sim: Simulator, volume: RaiznVolume, plan: FaultPlan,
     i = layout.data_devices.index(target)
     offset = stripe * width + i * su
     expected = payload[stripe][i * su:(i + 1) * su]
-    # Every submission to the target now fails transiently, so each read
-    # of its stripe unit exhausts the retry budget, charges one error,
-    # and is served from redundancy — correct data throughout, until the
-    # threshold trips and the volume evicts the device.  The degraded
-    # serve does not relocate, so re-reading the same unit keeps hitting
-    # the device.
+    # The degraded serve does not relocate, so re-reading the same unit
+    # keeps hitting the device.
     plan.transient_rate = 1.0
     plan.transient_targets = {target}
     reads = 0
@@ -296,21 +151,26 @@ def _evict_phase(sim: Simulator, volume: RaiznVolume, plan: FaultPlan,
     }
 
 
-def run_campaign(seed: int = 0, smoke: bool = False,
+def run_campaign(seed: int = 0, quick: bool = False,
                  read_repair: bool = True,
                  with_eviction: bool = True,
                  allow_resets: bool = True,
-                 trace_out: Optional[str] = None) -> CampaignReport:
+                 trace_out: Optional[str] = None) -> _Report:
     """One full error campaign; returns the filled-in report."""
-    report = CampaignReport(seed, smoke, read_repair)
-    num_ops = 80 if smoke else 160
-    threshold = 15 if smoke else 40
-    sim, devices, volume = _fresh_array(seed, read_repair, threshold)
-    if trace_out:
-        from ..trace import Tracer
-        volume.attach_tracer(Tracer(sim))
+    report = _Report(seed, quick, read_repair)
+    # Extra metadata zones: heal relocation entries are stripe-unit
+    # sized, so the GENERAL log rotates far more often than under a
+    # fault-free workload, and its checkpoint can spill past one zone
+    # (a worn-out zone's worth of relocated SUs exceeds one metadata
+    # zone).  Five zones sustain a two-zone checkpoint at steady state:
+    # role + spill live while two fresh swap zones stay in the pool.
+    sim, devices, volume = fresh_array(
+        seed, trace_out=trace_out, num_metadata_zones=5,
+        max_transient_retries=4,
+        device_error_threshold=15 if quick else 40,
+        read_repair=read_repair)
     rng = random.Random(seed + 5)
-    victim_devices = rng.sample(range(NUM_DEVICES), 2 if smoke else 3)
+    victim_devices = rng.sample(range(NUM_DEVICES), 2 if quick else 3)
     # All wear victims share one zone, so the other workload zones stay
     # eligible for latent injection.  Only the first goes OFFLINE — a
     # stripe can lose at most one readable unit (READ_ONLY zones still
@@ -322,48 +182,46 @@ def run_campaign(seed: int = 0, smoke: bool = False,
         seed=seed + 1,
         num_data_zones=volume.num_data_zones,
         stripe_unit_bytes=STRIPE_UNIT,
-        latent_rate=0.4 if smoke else 0.45,
-        transient_rate=0.01 if smoke else 0.015,
-        max_latent_per_device=5 if smoke else 8,
+        latent_rate=0.4 if quick else 0.45,
+        transient_rate=0.01 if quick else 0.015,
+        max_latent_per_device=5 if quick else 8,
         wear_victims=wear_victims,
-        wear_after_writes=6 if smoke else 8,
+        wear_after_writes=6 if quick else 8,
     )
     plan.arm(devices)
 
-    ops = _script_ops(seed, num_ops,
-                      zone_capacity=ZONE_CAPACITY * (NUM_DEVICES - 1),
-                      allow_resets=allow_resets)
+    ops = script_ops(random.Random(seed), 80 if quick else 160,
+                     lambda _index, position: seed * 1000003 + position,
+                     thresholds=(0.08, 0.30, 0.33 if allow_resets else 0.30),
+                     write_sizes=_WRITE_SIZES)
     report.workload_ops = len(ops)
-    model = [_ZoneModel() for _ in range(WORKLOAD_ZONES)]
-    sim.run_process(_drive(sim, volume, ops, seed, model, report))
+    expect = expectation_for(volume)
+    sim.run_process(drive_ops(
+        volume, ops, expect, _inline_reads(volume, expect, seed, report)))
 
     if read_repair:
         report.scrub = run_scrub(sim, volume).to_dict()
-    sim.run_process(_verify(sim, volume, model, report, "post-scrub"))
+    report.verify_passes.append(
+        verify_readback(sim, volume, expect, report, "post-scrub"))
 
     if with_eviction and read_repair:
-        sim.run_process(_evict_phase(sim, volume, plan, model, report))
-        sim.run_process(_verify(sim, volume, model, report, "degraded"))
+        sim.run_process(_evict_phase(volume, plan, report))
+        report.verify_passes.append(
+            verify_readback(sim, volume, expect, report, "degraded"))
         if volume.failed[EVICT_TARGET]:
             plan.latent_rate = 0.0
-            template = next(d for i, d in enumerate(volume.devices)
-                            if d is not None and i != EVICT_TARGET)
-            replacement = fresh_replacement(sim, template,
-                                            name=f"replacement{EVICT_TARGET}",
-                                            seed=seed + 99)
-            rb = rebuild(sim, volume, EVICT_TARGET, replacement)
+            rb = rebuild(sim, volume, EVICT_TARGET, replacement_device(
+                sim, volume, f"replacement{EVICT_TARGET}", seed + 99))
             report.rebuild = {
                 "zones_rebuilt": rb.zones_rebuilt,
                 "bytes_written": rb.bytes_written,
             }
-            sim.run_process(_verify(sim, volume, model, report,
-                                    "post-rebuild"))
+            report.verify_passes.append(
+                verify_readback(sim, volume, expect, report, "post-rebuild"))
     plan.disarm()
     report.injected = plan.counts.to_dict()
     report.health = volume.health.to_dict()
-    if trace_out:
-        from .tracecli import dump_spans
-        dump_spans(volume, trace_out)
+    dump_spans(volume, trace_out)
     return report
 
 
@@ -374,7 +232,7 @@ def detection_power(seed: int = 0) -> Dict:
     so a sound integrity oracle must report corruption.  If this comes
     back clean, the main campaign's "0 violations" would be meaningless.
     """
-    report = run_campaign(seed=seed, smoke=True, read_repair=False,
+    report = run_campaign(seed=seed, quick=True, read_repair=False,
                           with_eviction=False, allow_resets=False)
     return {
         "corruptions": report.corruptions,
@@ -383,26 +241,19 @@ def detection_power(seed: int = 0) -> Dict:
     }
 
 
-def run_errortest(seed: int = 0, smoke: bool = False,
+def run_errortest(seed: int = 0, quick: bool = False,
                   trace_out: Optional[str] = None) -> Dict:
     """The full errortest: main campaign + detection-power check."""
-    began = time.time()
-    report = run_campaign(seed=seed, smoke=smoke, trace_out=trace_out)
-    result = report.to_dict()
-    result["detection_power"] = detection_power(seed)
-    min_faults = 20 if smoke else 200
+    report = run_campaign(seed=seed, quick=quick, trace_out=trace_out)
+    detection = detection_power(seed)
+    result = report.to_dict()  # elapsed_s covers both runs
+    result["detection_power"] = detection
+    min_faults = 20 if quick else 200
     result["min_faults"] = min_faults
     result["passed"] = (
         result["passed"]
         and result["injected"].get("total", 0) >= min_faults
-        and result["detection_power"]["caught"]
+        and detection["caught"]
         and result["eviction"].get("evicted", False)
     )
-    result["elapsed_s"] = round(time.time() - began, 2)
     return result
-
-
-def write_report(report: Dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")

@@ -3,59 +3,52 @@
 Answers the question the hedging datapath exists for: *with one device
 silently degraded — answering every command, just slowly — does the
 array still serve reads at roughly healthy tail latency, and is every
-acknowledged byte still correct?*
+acknowledged byte still correct?*  On top of the campaign kernel
+(:mod:`repro.harness.campaign`: array, acked-content model, read-back
+verifier) this module adds the fill / prime / mixed-load phases and
+three variants of them:
 
-Three campaigns run against the same seeded mixed workload:
-
-1. **healthy** — no fault injected, fail-slow protection enabled: the
-   baseline read-latency distribution (and evidence the defense is free
-   when nothing is wrong).
+1. **healthy** — no fault, protection on: the baseline read-latency
+   distribution (and evidence the defense is free when nothing is wrong).
 2. **hedged** — a :class:`~repro.faults.failslow.SlowPlan` makes one
    device persistently slower with intermittent multi-millisecond
-   stalls; protection is enabled, so stragglers are raced against
-   parity reconstruction, the device is demoted, and past the score
-   threshold evicted into the standard rebuild flow.
-3. **unhedged** — same fault, protection disabled: what an undefended
-   array suffers, demonstrating the defense matters.
+   stalls; stragglers are raced against parity reconstruction, the
+   device is demoted, and past the score threshold evicted into the
+   standard rebuild flow.
+3. **unhedged** — same fault, protection off: what an undefended array
+   suffers.
 
-The harness asserts the paper-style tail bound: hedged p999 read
-latency ≤ ``HEDGED_BOUND``× the healthy p999 while unhedged p999 is
-≥ ``UNHEDGED_BOUND``× — and that the integrity oracle (inline read
-verification plus a full read-back of every acknowledged byte) reports
-zero violations in all three runs.
-
-Run via ``python -m repro slowtest [--quick]``; emits a JSON report and
-the committed ``BENCH_tail.json`` numbers.  Fixed seed ⇒ bit-identical
-report (minus wall-clock timing).
+It asserts hedged p999 ≤ ``HEDGED_BOUND``× the healthy p999 while
+unhedged p999 is ≥ ``UNHEDGED_BOUND``×, and zero integrity violations
+in all three runs.  Run via ``python -m repro slowtest [--quick]``;
+emits a JSON report and the ``BENCH_tail.json`` numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import time
 from typing import Dict, List, Optional
 
 from ..block.bio import Bio
-from ..faults.devicefail import fresh_replacement
 from ..faults.failslow import SlowDeviceSpec, SlowPlan
-from ..raizn.config import RaiznConfig
+from ..faults.oracle import WorkloadExpectation
 from ..raizn.maintenance import run_health_maintenance
 from ..raizn.volume import RaiznVolume
 from ..sim import Simulator
 from ..sim.stats import LatencyStats
-from ..units import KiB, MiB
-from ..zns.device import ZNSDevice
-
-#: Array geometry (same scale as the errortest campaign).
-NUM_DEVICES = 5
-NUM_ZONES = 12
-ZONE_CAPACITY = 1 * MiB
-STRIPE_UNIT = 64 * KiB
-#: Zones pre-filled before the fault arms; mixed-phase reads hit these.
-WORKLOAD_ZONES = 3
-ARRAY_UUID = bytes(range(16))
+from .campaign import (
+    NUM_DEVICES,
+    WORKLOAD_ZONES,
+    CampaignReport,
+    checked_read,
+    expectation_for,
+    fresh_array,
+    replacement_device,
+    verify_readback,
+)
+from .tracecli import dump_spans
 
 #: The gray-failing device.
 SLOW_DEVICE = 1
@@ -64,104 +57,55 @@ HEDGED_BOUND = 3.0
 UNHEDGED_BOUND = 10.0
 
 
-def _slow_spec() -> SlowDeviceSpec:
-    """The campaign's gray failure: persistently 3x slower with
-    intermittent 10 ms stalls on 15 % of commands."""
-    return SlowDeviceSpec(device_index=SLOW_DEVICE, degrade_factor=3.0,
-                          stall_probability=0.15, stall_seconds=10e-3)
+#: The campaign's gray failure: persistently 3x slower with
+#: intermittent 10 ms stalls on 15 % of commands.
+SLOW_SPEC = SlowDeviceSpec(device_index=SLOW_DEVICE, degrade_factor=3.0,
+                           stall_probability=0.15, stall_seconds=10e-3)
 
 
-class _ZoneModel:
-    """Expected contents of one logical zone (what the array acked)."""
-
-    def __init__(self) -> None:
-        self.data = bytearray()
-
-    def write(self, payload: bytes) -> None:
-        self.data.extend(payload)
-
-    def reset(self) -> None:
-        self.data = bytearray()
-
-
-class CampaignReport:
+class VariantReport(CampaignReport):
     """One variant's counters and latency distribution."""
+
+    fields = ("name", "seed", "protection", "injected", "reads", "writes",
+              "read_latency", "latency_digest", "health", "device_health",
+              "slow_counts", "sweep", "verified_bytes", "corruptions",
+              "violations")
 
     def __init__(self, name: str, seed: int, protection: bool,
                  injected: bool):
+        super().__init__()
         self.name = name
         self.seed = seed
         self.protection = protection
         self.injected = injected
-        self.reads = 0
-        self.writes = 0
-        self.read_latency = LatencyStats()
+        self.latencies = LatencyStats()
         self.health: Dict = {}
         self.device_health: List[Dict] = []
         self.slow_counts: Dict = {}
         self.sweep: Dict = {}
-        self.corruptions = 0
-        self.violations: List[Dict] = []
-        self.verified_bytes = 0
 
-    def corruption(self, phase: str, zone: int, offset: int,
-                   length: int) -> None:
-        self.corruptions += 1
-        if len(self.violations) < 20:
-            self.violations.append({"phase": phase, "zone": zone,
-                                    "offset": offset, "length": length})
-
-    def latency_ms(self) -> Dict[str, float]:
-        pcts = self.read_latency.percentiles((50.0, 99.0, 99.9))
+    @property
+    def read_latency(self) -> Dict[str, float]:
+        pcts = self.latencies.percentiles((50.0, 99.0, 99.9))
         return {
             "p50_ms": round(pcts[50.0] * 1e3, 4),
             "p99_ms": round(pcts[99.0] * 1e3, 4),
             "p999_ms": round(pcts[99.9] * 1e3, 4),
-            "max_ms": round(self.read_latency.maximum * 1e3, 4),
-            "mean_ms": round(self.read_latency.mean * 1e3, 4),
+            "max_ms": round(self.latencies.maximum * 1e3, 4),
+            "mean_ms": round(self.latencies.mean * 1e3, 4),
         }
 
-    def digest(self) -> str:
+    @property
+    def latency_digest(self) -> str:
         """Sample-exact fingerprint: same seed must reproduce it."""
         fingerprint = hashlib.sha256()
-        for sample in self.read_latency._samples:
+        for sample in self.latencies.sorted_samples():
             fingerprint.update(str(round(sample * 1e9)).encode())
         return fingerprint.hexdigest()[:16]
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "protection": self.protection,
-            "injected": self.injected,
-            "reads": self.reads,
-            "writes": self.writes,
-            "read_latency": self.latency_ms(),
-            "latency_digest": self.digest(),
-            "health": self.health,
-            "device_health": self.device_health,
-            "slow_counts": self.slow_counts,
-            "sweep": self.sweep,
-            "verified_bytes": self.verified_bytes,
-            "corruptions": self.corruptions,
-            "violations": self.violations,
-        }
 
-
-def _fresh_array(seed: int, protection: bool):
-    sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=NUM_ZONES,
-                         zone_capacity=ZONE_CAPACITY, seed=seed + i)
-               for i in range(NUM_DEVICES)]
-    config = RaiznConfig(num_data=NUM_DEVICES - 1,
-                         stripe_unit_bytes=STRIPE_UNIT,
-                         failslow_protection=protection)
-    volume = RaiznVolume.create(sim, devices, config, array_uuid=ARRAY_UUID)
-    return sim, devices, volume
-
-
-def _fill_zones(sim: Simulator, volume: RaiznVolume, seed: int,
-                model: List[_ZoneModel]):
+def _fill_zones(volume: RaiznVolume, seed: int,
+                expect: WorkloadExpectation):
     """Fill and finish the workload zones with seeded data (process)."""
     su = volume.config.stripe_unit_bytes
     for zone in range(WORKLOAD_ZONES):
@@ -170,115 +114,91 @@ def _fill_zones(sim: Simulator, volume: RaiznVolume, seed: int,
         for offset in range(0, volume.zone_capacity, su):
             data = rng.randbytes(su)
             yield volume.submit(Bio.write(base + offset, data))
-            model[zone].write(data)
+            expect.note_submit_write(zone, data)
         yield volume.submit(Bio.zone_finish(base))
     yield volume.submit(Bio.flush())
 
 
-def _prime_reads(sim: Simulator, volume: RaiznVolume, seed: int,
-                 model: List[_ZoneModel], count: int,
-                 report: CampaignReport):
+def _read_su(volume: RaiznVolume, rng: random.Random,
+             expect: WorkloadExpectation, report: VariantReport,
+             phase: str):
+    """One verified read of a random stripe unit of the filled zones
+    (each lands on exactly one device, so a fifth hit the slow one)."""
+    su = volume.config.stripe_unit_bytes
+    zone = rng.randrange(WORKLOAD_ZONES)
+    offset = rng.randrange(volume.zone_capacity // su) * su
+    yield from checked_read(volume, expect, report, phase, zone, offset, su)
+
+
+def _prime_reads(volume: RaiznVolume, seed: int,
+                 expect: WorkloadExpectation, count: int,
+                 report: VariantReport):
     """Seeded healthy reads that prime the per-device latency EWMAs
     before any fault arms (a gray failure develops on a *running*
     array, so the baseline distributions are learned clean)."""
-    su = volume.config.stripe_unit_bytes
     rng = random.Random(seed + 41)
     for _ in range(count):
-        zone = rng.randrange(WORKLOAD_ZONES)
-        offset = rng.randrange(volume.zone_capacity // su) * su
-        bio = yield volume.submit(
-            Bio.read(zone * volume.zone_capacity + offset, su))
-        if bio.result != bytes(model[zone].data[offset:offset + su]):
-            report.corruption("prime", zone, offset, su)
+        yield from _read_su(volume, rng, expect, report, "prime")
 
 
 def _mixed_load(sim: Simulator, volume: RaiznVolume, seed: int,
-                model: List[_ZoneModel], num_reads: int, num_writes: int,
-                report: CampaignReport):
+                expect: WorkloadExpectation, num_reads: int,
+                num_writes: int, report: VariantReport):
     """Mixed read/write phase; read completion latencies are recorded.
 
-    Reads are SU-sized and SU-aligned over the pre-filled zones (each
-    lands on exactly one device, so a fifth of them hit the slow one);
-    writes stream through the spare zones, cycling with resets, so the
+    Reads are SU-sized and SU-aligned over the pre-filled zones; writes
+    stream through the spare zones, cycling with resets, so the
     straggler also sees foreground write pressure.
     """
     su = volume.config.stripe_unit_bytes
     rng = random.Random(seed + 97)
     spare = list(range(WORKLOAD_ZONES, volume.num_zones))
-    while len(model) < volume.num_zones:
-        model.append(_ZoneModel())
     spare_at = 0
     reads_left, writes_left = num_reads, num_writes
     write_rng = random.Random(seed + 131)
     while reads_left or writes_left:
-        total = reads_left + writes_left
-        do_read = rng.randrange(total) < reads_left
-        if do_read:
-            zone = rng.randrange(WORKLOAD_ZONES)
-            offset = rng.randrange(volume.zone_capacity // su) * su
+        if rng.randrange(reads_left + writes_left) < reads_left:
             began = sim.now
-            bio = yield volume.submit(
-                Bio.read(zone * volume.zone_capacity + offset, su))
-            report.read_latency.add(sim.now - began)
+            yield from _read_su(volume, rng, expect, report, "mixed")
+            report.latencies.add(sim.now - began)
             report.reads += 1
             reads_left -= 1
-            if bio.result != bytes(model[zone].data[offset:offset + su]):
-                report.corruption("mixed", zone, offset, su)
         else:
             zone = spare[spare_at % len(spare)]
-            if len(model[zone].data) + su > volume.zone_capacity:
+            if expect.next_write_offset(zone) + su > volume.zone_capacity:
                 spare_at += 1
                 zone = spare[spare_at % len(spare)]
-                if model[zone].data:
+                if expect.next_write_offset(zone):
                     yield volume.submit(
                         Bio.zone_reset(zone * volume.zone_capacity))
-                    model[zone].reset()
+                    expect.note_reset_acked(zone)
             data = write_rng.randbytes(su)
-            lba = zone * volume.zone_capacity + len(model[zone].data)
+            lba = zone * volume.zone_capacity + expect.next_write_offset(zone)
             yield volume.submit(Bio.write(lba, data))
-            model[zone].write(data)
+            expect.note_submit_write(zone, data)
             report.writes += 1
             writes_left -= 1
 
 
-def _verify(sim: Simulator, volume: RaiznVolume, model: List[_ZoneModel],
-            report: CampaignReport):
-    """Read back every acknowledged byte and compare (the oracle)."""
-    chunk = volume.config.stripe_width_bytes
-    for zone, zm in enumerate(model):
-        expected = zm.data
-        base = zone * volume.zone_capacity
-        offset = 0
-        while offset < len(expected):
-            length = min(chunk, len(expected) - offset)
-            bio = yield volume.submit(Bio.read(base + offset, length))
-            if bio.result != bytes(expected[offset:offset + length]):
-                report.corruption("verify", zone, offset, length)
-            report.verified_bytes += length
-            offset += length
-
-
 def run_campaign(name: str, seed: int = 0, protection: bool = True,
                  inject: bool = True, quick: bool = False,
-                 trace_out: Optional[str] = None) -> CampaignReport:
+                 trace_out: Optional[str] = None) -> VariantReport:
     """One fail-slow campaign variant; returns the filled-in report."""
-    report = CampaignReport(name, seed, protection, inject)
+    report = VariantReport(name, seed, protection, inject)
     num_reads = 400 if quick else 2000
     num_writes = 100 if quick else 500
-    sim, devices, volume = _fresh_array(seed, protection)
-    if trace_out:
-        from ..trace import Tracer
-        volume.attach_tracer(Tracer(sim))
+    sim, devices, volume = fresh_array(seed, trace_out=trace_out,
+                                       failslow_protection=protection)
 
-    model = [_ZoneModel() for _ in range(WORKLOAD_ZONES)]
-    sim.run_process(_fill_zones(sim, volume, seed, model))
+    expect = expectation_for(volume)
+    sim.run_process(_fill_zones(volume, seed, expect))
     # Prime until every device's read-latency distribution is trusted
     # (>= hedge_min_samples): the gray failure must arm against learned
     # *healthy* baselines, or the slow device's early samples would be
     # absorbed into its own deadline.
     min_samples = volume.config.hedge_min_samples
     for round_ in range(8):
-        sim.run_process(_prime_reads(sim, volume, seed + round_, model,
+        sim.run_process(_prime_reads(volume, seed + round_, expect,
                                      count=64 * NUM_DEVICES, report=report))
         if not protection or all(h.read.samples >= min_samples
                                  for h in volume.device_health):
@@ -286,9 +206,9 @@ def run_campaign(name: str, seed: int = 0, protection: bool = True,
 
     plan = None
     if inject:
-        plan = SlowPlan(seed=seed + 1, specs=[_slow_spec()])
+        plan = SlowPlan(seed=seed + 1, specs=[SLOW_SPEC])
         plan.arm(devices)
-    sim.run_process(_mixed_load(sim, volume, seed, model, num_reads,
+    sim.run_process(_mixed_load(sim, volume, seed, expect, num_reads,
                                 num_writes, report))
     if plan is not None:
         plan.disarm()
@@ -298,20 +218,17 @@ def run_campaign(name: str, seed: int = 0, protection: bool = True,
     # standard rebuild flow onto a fresh replacement before the verify
     # pass, exercising the whole ladder (demote -> evict -> rebuild).
     if protection and inject:
-        template = next(d for i, d in enumerate(volume.devices)
-                        if d is not None and not volume.failed[i])
         sweep = run_health_maintenance(
             sim, volume,
-            lambda index: fresh_replacement(
-                sim, template, name=f"replacement{index}", seed=seed + 99))
+            lambda index: replacement_device(
+                sim, volume, f"replacement{index}", seed + 99))
         report.sweep = sweep.to_dict()
 
-    sim.run_process(_verify(sim, volume, model, report))
+    report.verified_bytes = verify_readback(
+        sim, volume, expect, report, "verify")["bytes"]
     report.health = volume.health.to_dict()
     report.device_health = volume.device_health_report()
-    if trace_out:
-        from .tracecli import dump_spans
-        dump_spans(volume, trace_out)
+    dump_spans(volume, trace_out)
     return report
 
 
@@ -330,23 +247,23 @@ def run_slowtest(seed: int = 0, quick: bool = False,
                           quick=quick, trace_out=trace_out)
     unhedged = run_campaign("unhedged", seed, protection=False, inject=True,
                             quick=quick)
-    healthy_p999 = healthy.read_latency.p999
-    hedged_ratio = hedged.read_latency.p999 / healthy_p999
-    unhedged_ratio = unhedged.read_latency.p999 / healthy_p999
-    clean = all(r.corruptions == 0 for r in (healthy, hedged, unhedged))
+    variants = (healthy, hedged, unhedged)
+    healthy_p999 = healthy.latencies.p999
+    hedged_ratio = hedged.latencies.p999 / healthy_p999
+    unhedged_ratio = unhedged.latencies.p999 / healthy_p999
+    violations = sum(r.corruptions for r in variants)
     defended = (hedged.health.get("slow_hedges", 0) >= 1
                 and hedged.health.get("slow_demotions", 0) >= 1)
     result = {
         "seed": seed,
         "quick": quick,
-        "campaigns": [r.to_dict() for r in (healthy, hedged, unhedged)],
+        "campaigns": [r.to_dict() for r in variants],
         "hedged_p999_over_healthy": round(hedged_ratio, 2),
         "unhedged_p999_over_healthy": round(unhedged_ratio, 2),
         "hedged_bound": HEDGED_BOUND,
         "unhedged_bound": UNHEDGED_BOUND,
-        "oracle_violations": sum(r.corruptions
-                                 for r in (healthy, hedged, unhedged)),
-        "passed": (clean and defended
+        "oracle_violations": violations,
+        "passed": (violations == 0 and defended
                    and hedged_ratio <= HEDGED_BOUND
                    and unhedged_ratio >= UNHEDGED_BOUND),
         "elapsed_s": round(time.time() - began, 2),
@@ -374,9 +291,3 @@ def bench_summary(result: Dict) -> Dict:
         "unhedged_p999_over_healthy": result["unhedged_p999_over_healthy"],
         "passed": result["passed"],
     }
-
-
-def write_report(report: Dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")

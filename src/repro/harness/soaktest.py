@@ -1,42 +1,28 @@
 """Compound-fault soak campaign: crash x error x slow x wear, composed.
 
-Each fault family has its own harness (``crashtest``, ``errortest``,
-``slowtest``), but the paper's durability argument (§5.2/§5.3) only
-holds if the recovery mechanisms *compose*: a latent error discovered
-while a gray-failing device drags the array through hedged reads, on a
-zone whose erase budget just ran out, across a power cut.  This module
-runs one long-horizon, fully deterministic campaign that layers all four
-dimensions on a single array:
+The paper's durability argument (§5.2/§5.3) only holds if the recovery
+mechanisms *compose*: a latent error discovered while a gray-failing
+device drags the array through hedged reads, on a zone whose erase
+budget just ran out, across a power cut.  This is the campaign kernel
+(:mod:`repro.harness.campaign`) with all layers on — a
+:class:`~repro.faults.errinject.FaultPlan`, a
+:class:`~repro.faults.failslow.SlowPlan` and a
+:class:`~repro.faults.crashpoints.CompletionBoundaries` recorder armed
+together on one long-lived array — and what this module adds to it:
 
-* a seeded :class:`~repro.faults.errinject.FaultPlan` (latent +
-  transient errors) and :class:`~repro.faults.failslow.SlowPlan`
-  (gray failure) armed simultaneously — exercising the completion-hook
-  chaining the injectors share;
-* scheduled crash/recover cycles and per-phase crash-state exploration,
-  reusing the crashtest snapshot machinery
-  (:class:`~repro.faults.crashpoints.CompletionBoundaries`);
-* GC/scrub/rebuild pressure: per-phase scrubs, a mid-campaign eviction
-  *during* the workload (the write-plan-cache invalidation seam), and a
-  rebuild onto a fresh replacement;
-* finite zone endurance (``ZNSDevice.zone_reset_limit``): the workload
-  recycles zones until erase budgets run out, so wear-driven faults
-  appear organically instead of being injected.
-
-The integrity oracle runs continuously — at every phase boundary on the
-live array and on every explored crash state — not once at the end.
-
-**Mechanism-signature pruning (Silhouette-style).**  Exhaustively
-mounting every survivor state is wasteful: most states exercise the
-same recovery mechanisms.  Each candidate crash state is abstracted to
-a *mechanism key* — per device: the min/mid/max class of every dirty
-zone's survivor choice, the set of zones whose latent-error extents
-survive the cut, worn-out zones, and the failed flag — computed without
-mounting.  A candidate whose key was already explored is skipped; a
-deterministic sample of skipped states is mounted anyway and its
-observed mechanism signature (derived from the recovered volume's
-:class:`~repro.trace.MetricsRegistry` counters) must not add any
-mechanism the explored set missed — so the report can claim the pruner
-preserved the exercised-mechanism set.
+* **phase specs**: per phase, the fault rates, the gray failure, a
+  mid-workload eviction, a rebuild, a real crash/recover cycle; every
+  phase ends with the oracle on the live array, a scrub, and
+  exploration of the phase's recorded crash states;
+* **wear rules**: devices have a finite erase budget
+  (``zone_reset_limit``) and the script recycles zones until it runs
+  out, so wear-driven faults appear organically instead of injected;
+* **mechanism keys and signatures** (Silhouette-style pruning): a
+  candidate crash state whose pre-mount :func:`candidate_mechanism_key`
+  was already explored is skipped; every fifth skipped state is mounted
+  anyway and its :func:`mechanism_signature` must add no mechanism the
+  explored set missed, so the report can claim the pruner preserved
+  the exercised-mechanism set.
 
 Run via ``python -m repro soaktest`` (``--quick`` for the CI-sized
 campaign); emits a JSON mechanism-coverage report.
@@ -44,23 +30,19 @@ campaign); emits a JSON mechanism-coverage report.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
-import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..block.bio import Bio, BioFlags
-from ..errors import PowerLossError, ReproError
 from ..faults.crashpoints import (
     CompletionBoundaries,
-    apply_survivor_assignment,
     array_crash_snapshot,
     array_restore_crash_snapshot,
     array_state_fingerprint,
-    enumerate_survivor_assignments,
 )
-from ..faults.devicefail import fresh_replacement
 from ..faults.errinject import FaultPlan
 from ..faults.failslow import SlowDeviceSpec, SlowPlan
 from ..faults.oracle import (
@@ -68,25 +50,30 @@ from ..faults.oracle import (
     check_persistence_bitmap_soundness,
     check_recovered_volume,
 )
-from ..raizn.config import RaiznConfig
 from ..raizn.maintenance import run_scrub
 from ..raizn.rebuild import rebuild
 from ..raizn.recovery import mount
 from ..raizn.volume import RaiznVolume
-from ..sim import Simulator
 from ..trace.metrics import MetricsRegistry
-from ..units import KiB, MiB
-from ..zns.device import ZNSDevice
+from ..zns.device import CrashSnapshot
 from ..zns.spec import ZoneState
+from .campaign import (
+    STRIPE_UNIT,
+    WORKLOAD_ZONES,
+    CampaignReport,
+    Op,
+    ZoneRules,
+    drain,
+    drive_ops,
+    enter_crash_state,
+    enumerate_crash_states,
+    expectation_for,
+    fresh_array,
+    mount_and_check,
+    replacement_device,
+    script_ops,
+)
 
-#: Same geometry as crashtest: small enough that one mount costs
-#: milliseconds, rich enough for multi-zone / metadata-GC interleavings.
-NUM_DEVICES = 5
-NUM_ZONES = 12
-ZONE_CAPACITY = 1 * MiB
-STRIPE_UNIT = 64 * KiB
-WORKLOAD_ZONES = 3
-ARRAY_UUID = bytes(range(16))
 #: Erase budget per physical zone: low enough that the campaign's zone
 #: recycling wears data zones out organically in the later phases.
 ENDURANCE_LIMIT = 4
@@ -116,15 +103,18 @@ SOAK_OVERRIDES = dict(
     slow_evict_score=10.0 ** 9,
 )
 
-_WRITE_SIZES = (4 * KiB, 12 * KiB, 64 * KiB, 128 * KiB, 192 * KiB,
-                256 * KiB)
-
+#: Health counter -> the mechanism a non-zero value proves ran.
+_COUNTER_MECHANISMS = {
+    "health.heals": "read_repair",
+    "health.parity_heals": "parity_heal",
+    "health.slow_hedges": "hedge",
+    "health.evictions": "eviction",
+    "health.wear_errors": "wear_redirect",
+    "health.transient_retries": "transient_retry",
+}
 #: Everything the signature extractor can tag a recovered state with.
-MECHANISMS = (
-    "read_repair", "parity_heal", "relocation", "partial_parity_rebuild",
-    "hedge", "eviction", "degraded_mount", "wear_redirect",
-    "transient_retry", "mdzone_gc_replay",
-)
+MECHANISMS = (*_COUNTER_MECHANISMS.values(), "mdzone_gc_replay",
+              "degraded_mount", "relocation", "partial_parity_rebuild")
 
 
 # ---------------------------------------------------------------- signatures
@@ -138,19 +128,8 @@ def mechanism_signature(volume: RaiznVolume) -> FrozenSet[str]:
     signature is exactly what the observability layer already exports.
     """
     flat = MetricsRegistry.for_volume(volume).flat()
-    mechs = set()
-    if flat.get("health.heals"):
-        mechs.add("read_repair")
-    if flat.get("health.parity_heals"):
-        mechs.add("parity_heal")
-    if flat.get("health.slow_hedges"):
-        mechs.add("hedge")
-    if flat.get("health.evictions"):
-        mechs.add("eviction")
-    if flat.get("health.wear_errors"):
-        mechs.add("wear_redirect")
-    if flat.get("health.transient_retries"):
-        mechs.add("transient_retry")
+    mechs = {mechanism for counter, mechanism in _COUNTER_MECHANISMS.items()
+             if flat.get(counter)}
     if any(value for key, value in flat.items()
            if key.startswith("mdzone.") and key.endswith(".gc_cycles")):
         mechs.add("mdzone_gc_replay")
@@ -163,7 +142,7 @@ def mechanism_signature(volume: RaiznVolume) -> FrozenSet[str]:
     return frozenset(mechs)
 
 
-def candidate_mechanism_key(snaps: Sequence[Tuple],
+def candidate_mechanism_key(snaps: Sequence[CrashSnapshot],
                             spaces: Sequence[Dict[int, List[int]]],
                             assignment: Sequence[Dict[int, int]],
                             md_start: Optional[int] = None) -> Tuple:
@@ -194,11 +173,9 @@ def candidate_mechanism_key(snaps: Sequence[Tuple],
     data_worst = 2
     md_worst = 2
     for index, snap in enumerate(snaps):
-        zone_rows = snap[0]
-        if snap[5]:
+        if snap.failed:
             failed.append(index)
             continue  # a failed device contributes no live reads
-        bad = snap[7] if len(snap) > 7 else {}
         chosen = assignment[index]
         for zone, states in sorted(spaces[index].items()):
             survivor = chosen.get(zone, states[0])
@@ -213,15 +190,15 @@ def candidate_mechanism_key(snaps: Sequence[Tuple],
             else:
                 data_worst = min(data_worst, cls)
         if not any_bad:
-            for zone, extents in sorted(bad.items()):
+            for zone, extents in sorted(snap.bad_extents.items()):
                 # Unnamed zones settle to their durable pointer.
-                survivor = chosen.get(zone, zone_rows[zone][2])
+                survivor = chosen.get(zone, snap.zones[zone][2])
                 if any(start < survivor for start, _end in extents):
                     any_bad = True
                     break
         if not worn and any(row[0] is ZoneState.READ_ONLY
                             or row[0] is ZoneState.OFFLINE
-                            for row in zone_rows):
+                            for row in snap.zones):
             worn = True
     return (tuple(failed), any_bad, worn, data_worst, md_worst)
 
@@ -229,27 +206,22 @@ def candidate_mechanism_key(snaps: Sequence[Tuple],
 # ---------------------------------------------------------------- campaign
 
 
+@dataclasses.dataclass(frozen=True)
 class _PhaseSpec:
     """What one soak phase layers onto the array."""
 
-    def __init__(self, latent: float = 0.02, transient: float = 0.01,
-                 slow: Optional[SlowDeviceSpec] = None,
-                 wear_victims: Sequence[Tuple[int, int, bool]] = (),
-                 evict: bool = False, rebuild: bool = False,
-                 cycle: bool = False):
-        self.latent = latent
-        self.transient = transient
-        self.slow = slow
-        self.wear_victims = tuple(wear_victims)
-        #: Evict ``EVICT_TARGET`` mid-segment (latent injection must be
-        #: off: a degraded stripe cannot absorb a second lost unit).
-        self.evict = evict
-        #: Rebuild the evicted device onto a fresh replacement at the
-        #: start of this phase.
-        self.rebuild = rebuild
-        #: End the phase with a real crash/recover cycle: the recovered
-        #: volume *becomes* the live array for the next phase.
-        self.cycle = cycle
+    latent: float = 0.02
+    transient: float = 0.01
+    slow: Optional[SlowDeviceSpec] = None
+    #: Evict ``EVICT_TARGET`` mid-segment (latent injection must be off:
+    #: a degraded stripe cannot absorb a second lost unit).
+    evict: bool = False
+    #: Rebuild the evicted device onto a fresh replacement at the start
+    #: of this phase.
+    rebuild: bool = False
+    #: End the phase with a real crash/recover cycle: the recovered
+    #: volume *becomes* the live array for the next phase.
+    cycle: bool = False
 
 
 def _phase_specs(quick: bool) -> List[_PhaseSpec]:
@@ -281,122 +253,62 @@ def _phase_specs(quick: bool) -> List[_PhaseSpec]:
     ]
 
 
-def _fresh_array(seed: int):
-    """A formatted endurance-limited array (identical on every call)."""
-    sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=NUM_ZONES,
-                         zone_capacity=ZONE_CAPACITY,
-                         zone_reset_limit=ENDURANCE_LIMIT, seed=seed + i)
-               for i in range(NUM_DEVICES)]
-    config = RaiznConfig(num_data=NUM_DEVICES - 1,
-                         stripe_unit_bytes=STRIPE_UNIT,
-                         **SOAK_OVERRIDES)
-    volume = RaiznVolume.create(sim, devices, config, array_uuid=ARRAY_UUID)
-    return sim, volume
+class _WearRules(ZoneRules):
+    """Erase-budget rules for one phase's script.
 
+    Zones that wore out (every physical zone READ_ONLY after a reset)
+    stop being reset — their erase budget is spent; ``WEAR_ZONE`` keeps
+    taking a capped number of small writes, which the datapath relocates.
+    """
 
-def _drain(sim: Simulator) -> None:
-    while True:
-        try:
-            sim.run()
-            return
-        except PowerLossError:
-            continue
+    def __init__(self, volume: RaiznVolume):
+        # Highest erase count across the array: a logical reset erases
+        # every device's physical zone in lockstep, so one number per zone.
+        self.spent = [max(dev.zone_reset_count(zone)
+                          for dev in volume.devices if dev is not None)
+                      for zone in range(WORKLOAD_ZONES)]
+        self.worn_writes = 0
+
+    def _budget(self, zone: int) -> int:
+        return ENDURANCE_LIMIT - self.spent[zone]
+
+    def skip(self, zone: int) -> bool:
+        return self._budget(zone) <= 0 and (
+            zone != WEAR_ZONE or self.worn_writes >= _WORN_WRITE_CAP)
+
+    def can_reset(self, zone: int) -> bool:
+        # Only WEAR_ZONE may spend its final erase cycle; the others keep
+        # one in reserve so they never go end-of-life mid-campaign.
+        budget = self._budget(zone)
+        return budget >= 2 or (zone == WEAR_ZONE and budget >= 1)
+
+    def clamp(self, zone: int, nbytes: int) -> int:
+        if self._budget(zone) > 0:
+            return nbytes
+        self.worn_writes += 1
+        return min(nbytes, STRIPE_UNIT)
+
+    def note_reset(self, zone: int) -> None:
+        self.spent[zone] += 1
 
 
 def _phase_ops(seed: int, phase: int, volume: RaiznVolume, num_ops: int,
-               evict_at: Optional[int]) -> List[Tuple]:
+               evict_at: Optional[int]) -> List[Op]:
     """Scripted ops for one phase, anchored to the live zone pointers.
 
     Unlike the crashtest workload, the soak cannot pre-script the whole
     campaign: crash/recover cycles roll zone pointers back, so each
     phase's ops are generated from the current (deterministic) volume
-    state.  Zones that wore out (every physical zone READ_ONLY after a
-    reset) stop being reset — their erase budget is spent — but keep
-    taking writes, which the datapath relocates.
+    state, under the wear rules above.
     """
-    rng = random.Random(seed * 9176 + phase)
-    zone_capacity = volume.zone_capacity
-    frontier = [volume.zone_descs[zone].write_pointer
-                - volume.zone_descs[zone].start_lba
-                for zone in range(WORKLOAD_ZONES)]
-    # Highest erase count across the array: a logical reset erases every
-    # device's physical zone in lockstep, so one number per zone.
-    spent = [max(dev.zone_reset_count(zone)
-                 for dev in volume.devices if dev is not None)
-             for zone in range(WORKLOAD_ZONES)]
-    worn_writes = 0
-    ops: List[Tuple] = []
-    for index in range(num_ops):
-        if evict_at is not None and index == evict_at:
-            ops.append(("evict", EVICT_TARGET, None, None, BioFlags.NONE))
-        zone = rng.randrange(WORKLOAD_ZONES)
-        roll = rng.random()
-        budget = ENDURANCE_LIMIT - spent[zone]
-        worn = budget <= 0
-        if worn and (zone != WEAR_ZONE or worn_writes >= _WORN_WRITE_CAP):
-            continue
-        if roll < 0.12:
-            ops.append(("flush", 0, None, None, BioFlags.NONE))
-            continue
-        # Only WEAR_ZONE may spend its final erase cycle; the others keep
-        # one in reserve so they never go end-of-life mid-campaign.
-        can_reset = budget >= 2 or (zone == WEAR_ZONE and budget >= 1)
-        if roll < 0.18 and frontier[zone] > 0 and can_reset:
-            ops.append(("reset", zone, None, None, BioFlags.NONE))
-            frontier[zone] = 0
-            spent[zone] += 1
-            continue
-        nbytes = rng.choice(_WRITE_SIZES)
-        if worn:
-            nbytes = min(nbytes, STRIPE_UNIT)
-            worn_writes += 1
-        if frontier[zone] + nbytes > zone_capacity:
-            if not can_reset:
-                continue  # full, and the erase budget is exhausted
-            ops.append(("reset", zone, None, None, BioFlags.NONE))
-            frontier[zone] = 0
-            spent[zone] += 1
-        flag_roll = rng.random()
-        if flag_roll < 0.15:
-            flags = BioFlags.FUA | BioFlags.PREFLUSH
-        elif flag_roll < 0.30:
-            flags = BioFlags.FUA
-        else:
-            flags = BioFlags.NONE
-        data = random.Random(seed * 7 + phase * 1000003 + index) \
-            .randbytes(nbytes)
-        lba = zone * zone_capacity + frontier[zone]
-        ops.append(("write", zone, lba, data, flags))
-        frontier[zone] += nbytes
-    return ops
-
-
-def _run_segment(sim: Simulator, volume: RaiznVolume, ops: Sequence[Tuple],
-                 expect: WorkloadExpectation, report: "_Report") -> None:
-    """Drive one phase's scripted ops against the live volume."""
-
-    def proc():
-        for kind, zone, lba, data, flags in ops:
-            if kind == "write":
-                expect.note_submit_write(zone, data)
-                yield volume.submit(Bio.write(lba, data, flags))
-                expect.note_write_acked(zone,
-                                        fua=bool(flags & BioFlags.FUA))
-            elif kind == "flush":
-                yield volume.submit(Bio.flush())
-                expect.note_flush_acked()
-            elif kind == "reset":
-                expect.note_submit_reset(zone)
-                yield volume.submit(
-                    Bio.zone_reset(zone * volume.zone_capacity))
-                expect.note_reset_acked(zone)
-            elif kind == "evict":
-                volume.fail_device(zone, remove=False)
-                report.evictions += 1
-        report.workload_ops += len(ops)
-
-    sim.run_process(proc())
+    extra = {} if evict_at is None else {
+        evict_at: ("evict", EVICT_TARGET, None, None, BioFlags.NONE)}
+    return script_ops(
+        random.Random(seed * 9176 + phase), num_ops,
+        lambda index, _pos: seed * 7 + phase * 1000003 + index,
+        frontier=[desc.write_pointer - desc.start_lba
+                  for desc in volume.zone_descs[:WORKLOAD_ZONES]],
+        rules=_WearRules(volume), extra_ops=extra)
 
 
 def _expectation_from_volume(volume: RaiznVolume) -> WorkloadExpectation:
@@ -406,8 +318,7 @@ def _expectation_from_volume(volume: RaiznVolume) -> WorkloadExpectation:
     durable: the new expectation's submitted stream and synced frontier
     are both the recovered content.
     """
-    expect = WorkloadExpectation(volume.num_data_zones,
-                                 volume.zone_capacity)
+    expect = expectation_for(volume)
     for zone in range(WORKLOAD_ZONES):
         desc = volume.zone_descs[zone]
         length = desc.write_pointer - desc.start_lba
@@ -424,24 +335,25 @@ def _expectation_from_volume(volume: RaiznVolume) -> WorkloadExpectation:
 # ---------------------------------------------------------------- report
 
 
-class _Report:
+class _Report(CampaignReport):
+    fields = ("seed", "quick", "phases", "workload_ops", "boundaries",
+              "pruning", "distinct_states", "evictions", "rebuilds",
+              "crash_cycles", "scrubs", "scrub_heals", "injected",
+              "slowed_commands", "endurance", "oracle_checks",
+              "oracle_violations", "violations", "mechanism_signatures",
+              "mechanisms_exercised", "campaign_fingerprint", "passed",
+              "elapsed_s")
+    PRUNE_FLOOR = 0.3
+
     def __init__(self, seed: int, quick: bool):
+        super().__init__()
         self.seed = seed
         self.quick = quick
-        self.phases = 0
-        self.workload_ops = 0
-        self.boundaries = 0
-        self.candidates = 0
-        self.mounted = 0
-        self.pruned = 0
+        #: Pruning counters (reported together, under ``pruning``).
+        self.candidates = self.mounted = self.pruned = 0
         self.pruned_verified = 0
         self.pruned_escapes: List[Dict] = []
         self.distinct_states: set = set()
-        self.evictions = 0
-        self.rebuilds = 0
-        self.crash_cycles = 0
-        self.scrubs = 0
-        self.scrub_heals = 0
         self.oracle_checks = {
             "phase_boundary": 0,
             "recovered_volume": 0,
@@ -449,18 +361,10 @@ class _Report:
             "pruned_verification": 0,
             "crash_cycle": 0,
         }
-        self.violations: List[Dict] = []
         self.signatures: set = set()
         self.injected: Dict[str, int] = {}
-        self.slowed_commands = 0
         self.endurance: List[dict] = []
-        self.elapsed_s = 0.0
         self._digest = hashlib.blake2b(digest_size=16)
-
-    def violation(self, phase: int, where: str, check: str,
-                  detail: str) -> None:
-        self.violations.append({"phase": phase, "where": where,
-                                "check": check, "detail": detail})
 
     def stamp(self, *chunks: str) -> None:
         for chunk in chunks:
@@ -472,45 +376,39 @@ class _Report:
             return 0.0
         return self.pruned / self.candidates
 
-    def to_dict(self) -> Dict:
-        mechanisms = sorted(set().union(*self.signatures)
-                            if self.signatures else set())
-        passed = (not self.violations and not self.pruned_escapes
-                  and self.prune_ratio >= 0.3 and len(mechanisms) >= 3)
+    @property
+    def pruning(self) -> Dict:
         return {
-            "seed": self.seed,
-            "quick": self.quick,
-            "phases": self.phases,
-            "workload_ops": self.workload_ops,
-            "boundaries": self.boundaries,
-            "pruning": {
-                "candidates": self.candidates,
-                "mounted": self.mounted,
-                "pruned": self.pruned,
-                "ratio": round(self.prune_ratio, 4),
-                "floor": 0.3,
-                "verified_sample": self.pruned_verified,
-                "escapes": self.pruned_escapes,
-            },
-            "distinct_states": len(self.distinct_states),
-            "evictions": self.evictions,
-            "rebuilds": self.rebuilds,
-            "crash_cycles": self.crash_cycles,
-            "scrubs": self.scrubs,
-            "scrub_heals": self.scrub_heals,
-            "injected": dict(self.injected),
-            "slowed_commands": self.slowed_commands,
-            "endurance": self.endurance,
-            "oracle_checks": dict(self.oracle_checks),
-            "oracle_violations": len(self.violations),
-            "violations": self.violations,
-            "mechanism_signatures": sorted(
-                [sorted(sig) for sig in self.signatures]),
-            "mechanisms_exercised": mechanisms,
-            "campaign_fingerprint": self._digest.hexdigest(),
-            "passed": passed,
-            "elapsed_s": round(self.elapsed_s, 2),
+            "candidates": self.candidates,
+            "mounted": self.mounted,
+            "pruned": self.pruned,
+            "ratio": round(self.prune_ratio, 4),
+            "floor": self.PRUNE_FLOOR,
+            "verified_sample": self.pruned_verified,
+            "escapes": self.pruned_escapes,
         }
+
+    @property
+    def oracle_violations(self) -> int:
+        return len(self.violations)
+
+    @property
+    def mechanism_signatures(self) -> List[List[str]]:
+        return sorted(sorted(sig) for sig in self.signatures)
+
+    @property
+    def mechanisms_exercised(self) -> List[str]:
+        return sorted(set().union(*self.signatures))
+
+    @property
+    def campaign_fingerprint(self) -> str:
+        return self._digest.hexdigest()
+
+    @property
+    def passed(self) -> bool:
+        return (not self.violations and not self.pruned_escapes
+                and self.prune_ratio >= self.PRUNE_FLOOR
+                and len(self.mechanisms_exercised) >= 3)
 
 
 # ---------------------------------------------------------------- explorer
@@ -525,7 +423,6 @@ class _Campaign:
         self.rng = random.Random(seed + 101)
         #: mechanism key -> signature observed for its representative.
         self.explored: Dict[Tuple, FrozenSet[str]] = {}
-        self.union: set = set()
         self.num_ops = 70 if quick else 110
         self.snap_every = 90
         self.max_snaps = 6 if quick else 9
@@ -536,23 +433,24 @@ class _Campaign:
     # -- top level -------------------------------------------------------------
 
     def run(self) -> Dict:
-        began = time.time()
         report = self.report
-        sim, volume = _fresh_array(self.seed)
-        devices = volume.devices
+        sim, _, volume = fresh_array(
+            self.seed, zone_reset_limit=ENDURANCE_LIMIT, **SOAK_OVERRIDES)
+        devices = volume.devices  # the live slots: rebuild swaps one
         self.md_start = volume.num_data_zones
-        expect = WorkloadExpectation(volume.num_data_zones,
-                                     volume.zone_capacity)
+        expect = expectation_for(volume)
         specs = _phase_specs(self.quick)
         report.phases = len(specs)
 
+        def evict(op) -> None:
+            volume.fail_device(op[1], remove=False)
+            report.evictions += 1
+
         for phase, spec in enumerate(specs):
             if spec.rebuild and volume.failed[EVICT_TARGET]:
-                replacement = fresh_replacement(
-                    sim, next(d for d in devices if d is not None),
-                    name=f"soak-replacement{phase}",
-                    seed=self.seed + 900 + phase)
-                rebuild(sim, volume, EVICT_TARGET, replacement)
+                rebuild(sim, volume, EVICT_TARGET, replacement_device(
+                    sim, volume, f"soak-replacement{phase}",
+                    self.seed + 900 + phase))
                 report.rebuilds += 1
 
             faults = FaultPlan(
@@ -560,16 +458,14 @@ class _Campaign:
                 num_data_zones=volume.num_data_zones,
                 stripe_unit_bytes=STRIPE_UNIT,
                 latent_rate=spec.latent, transient_rate=spec.transient,
-                max_latent=3, max_latent_per_device=1,
-                wear_victims=spec.wear_victims, wear_after_writes=6)
+                max_latent=3, max_latent_per_device=1)
             slow = SlowPlan(seed=self.seed * 37 + phase,
                             specs=[spec.slow] if spec.slow else [])
             faults.arm(devices)
             slow.arm(devices)
-            # Recorder last: its hook chains the fault plan's, so a
+            # Recorder last: completion hooks run in install order, so a
             # boundary snapshot sees the k-th completion's injected
-            # faults too.  (Pre-chaining, this install order silently
-            # disabled latent injection — the composition bug.)
+            # faults too.
             recorder = CompletionBoundaries(
                 devices,
                 snapshot_at=range(self.snap_every,
@@ -580,16 +476,15 @@ class _Campaign:
             evict_at = self.num_ops // 2 if spec.evict else None
             ops = _phase_ops(self.seed, phase, volume, self.num_ops,
                              evict_at)
-            _run_segment(sim, volume, ops, expect, report)
-            _drain(sim)
+            sim.run_process(drive_ops(volume, ops, expect, evict))
+            report.workload_ops += len(ops)
+            drain(sim)
 
-            # LIFO disarm: recorder first (restores the plan's hook),
-            # then the fault plan.  The slow plan stays armed through
-            # exploration so recovery mounts see the gray failure too.
+            # The slow plan stays armed through exploration so recovery
+            # mounts see the gray failure too.
             recorder.disarm()
             faults.disarm()
-            counts = faults.counts.to_dict()
-            for key, value in counts.items():
+            for key, value in faults.counts.to_dict().items():
                 report.injected[key] = report.injected.get(key, 0) + value
 
             self._phase_boundary(sim, volume, expect, phase)
@@ -611,7 +506,6 @@ class _Campaign:
             report.stamp(json.dumps(entry, sort_keys=True))
         report.stamp(array_state_fingerprint(
             [d for d in devices if d is not None]))
-        report.elapsed_s = time.time() - began
         return report.to_dict()
 
     # -- phase pieces ----------------------------------------------------------
@@ -620,10 +514,10 @@ class _Campaign:
         """Continuous oracle: check the live, drained array + scrub it."""
         report = self.report
         report.oracle_checks["phase_boundary"] += 1
-        for detail in check_recovered_volume(volume, expect):
-            report.violation(phase, "live", "phase_boundary", detail)
-        for detail in check_persistence_bitmap_soundness(volume):
-            report.violation(phase, "live", "phase_boundary", detail)
+        for detail in (check_recovered_volume(volume, expect)
+                       + check_persistence_bitmap_soundness(volume)):
+            report.violation(phase=phase, where="live",
+                             check="phase_boundary", detail=detail)
         # Scrub every boundary: heals this phase's latent errors so the
         # next phase's fresh FaultPlan re-arms onto clean media (its
         # one-error-per-stripe cap only spans its own injections).
@@ -638,10 +532,8 @@ class _Campaign:
         for boundary in sorted(recorder.snapshots):
             snaps, frozen = recorder.snapshots[boundary]
             report.boundaries += 1
-            array_restore_crash_snapshot(devices, snaps)
-            spaces = [dev.survivor_state_space() for dev in devices]
-            assignments, _product = enumerate_survivor_assignments(
-                spaces, self.budget_per_boundary, self.rng)
+            spaces, assignments, _product = enumerate_crash_states(
+                devices, snaps, self.budget_per_boundary, self.rng)
             for assignment in assignments:
                 report.candidates += 1
                 key = candidate_mechanism_key(snaps, spaces, assignment,
@@ -653,38 +545,29 @@ class _Campaign:
                         self._verify_pruned(sim, devices, snaps,
                                             assignment, frozen, key, phase)
                     continue
-                array_restore_crash_snapshot(devices, snaps)
-                apply_survivor_assignment(devices, assignment)
+                enter_crash_state(devices, snaps, assignment)
                 fingerprint = array_state_fingerprint(devices)
                 report.distinct_states.add(fingerprint)
-                signature = self._mount_and_check(sim, devices, frozen,
-                                                  phase)
+                report.mounted += 1
+                signature = self._mounted_signature(
+                    sim, devices, frozen, phase, "recovered_volume")
                 self.explored[key] = signature
-                self.union |= signature
                 report.signatures.add(signature)
                 report.stamp(fingerprint, ",".join(sorted(signature)))
         array_restore_crash_snapshot(devices, live)
 
-    def _mount_and_check(self, sim, devices, frozen, phase,
-                         check: str = "recovered_volume") -> FrozenSet[str]:
-        report = self.report
-        report.mounted += 1
-        try:
-            # failslow_protection is a runtime knob, not superblock
-            # state: re-enable it on every recovery mount so hedged
-            # reads stay live while the SlowPlan drags a device.
-            volume = mount(sim, list(devices), **SOAK_OVERRIDES)
-        except ReproError as exc:
-            report.violation(phase, "crash_state", check,
-                             f"mount failed: {exc!r}")
-            return frozenset()
-        report.oracle_checks["recovered_volume"] += 1
-        for detail in check_recovered_volume(volume, frozen):
-            report.violation(phase, "crash_state", check, detail)
-        report.oracle_checks["persistence_bitmap"] += 1
-        for detail in check_persistence_bitmap_soundness(volume):
-            report.violation(phase, "crash_state", check, detail)
-        return mechanism_signature(volume)
+    def _mounted_signature(self, sim, devices, frozen, phase,
+                           check: str) -> FrozenSet[str]:
+        """Mount-and-check the crash state the array is in; returns the
+        mechanisms its recovery exercised."""
+        # failslow_protection is a runtime knob, not superblock state:
+        # re-enable it on every recovery mount so hedged reads stay live
+        # while the SlowPlan drags a device.
+        volume = mount_and_check(
+            sim, devices, frozen, self.report,
+            {"phase": phase, "where": "crash_state"}, check=check,
+            **SOAK_OVERRIDES)
+        return frozenset() if volume is None else mechanism_signature(volume)
 
     def _verify_pruned(self, sim, devices, snaps, assignment, frozen,
                        key, phase) -> None:
@@ -692,12 +575,10 @@ class _Campaign:
         report = self.report
         report.pruned_verified += 1
         report.oracle_checks["pruned_verification"] += 1
-        array_restore_crash_snapshot(devices, snaps)
-        apply_survivor_assignment(devices, assignment)
-        signature = self._mount_and_check(sim, devices, frozen, phase,
-                                          check="pruned_verification")
-        report.mounted -= 1  # verification mounts are accounted separately
-        escaped = signature - self.union
+        enter_crash_state(devices, snaps, assignment)
+        signature = self._mounted_signature(sim, devices, frozen, phase,
+                                            "pruned_verification")
+        escaped = signature - set(report.mechanisms_exercised)
         if escaped:
             report.pruned_escapes.append({
                 "phase": phase,
@@ -706,23 +587,20 @@ class _Campaign:
             })
 
     def _crash_cycle(self, sim, devices, recorder, phase):
-        """Really crash the live array and carry on from the recovery."""
+        """Really crash the live array and carry on from the recovery
+        (so, unlike a candidate state, a failed mount here propagates)."""
         report = self.report
-        boundary = max(recorder.snapshots)
-        snaps, frozen = recorder.snapshots[boundary]
-        array_restore_crash_snapshot(devices, snaps)
-        spaces = [dev.survivor_state_space() for dev in devices]
-        assignments, _product = enumerate_survivor_assignments(
-            spaces, 3, self.rng)
-        apply_survivor_assignment(devices, assignments[-1])
+        snaps, frozen = recorder.snapshots[max(recorder.snapshots)]
+        _spaces, assignments, _product = enumerate_crash_states(
+            devices, snaps, 3, self.rng)
+        enter_crash_state(devices, snaps, assignments[-1])
         report.crash_cycles += 1
         report.oracle_checks["crash_cycle"] += 1
         volume = mount(sim, list(devices), **SOAK_OVERRIDES)
         for detail in check_recovered_volume(volume, frozen):
-            report.violation(phase, "crash_cycle", "crash_cycle", detail)
-        signature = mechanism_signature(volume)
-        self.union |= signature
-        report.signatures.add(signature)
+            report.violation(phase=phase, where="crash_cycle",
+                             check="crash_cycle", detail=detail)
+        report.signatures.add(mechanism_signature(volume))
         report.stamp("cycle", array_state_fingerprint(
             [d for d in volume.devices if d is not None]))
         return volume, _expectation_from_volume(volume)
@@ -731,9 +609,3 @@ class _Campaign:
 def run_soaktest(seed: int = 0, quick: bool = False, progress=None) -> Dict:
     """Run the compound-fault soak campaign; returns the report dict."""
     return _Campaign(seed, quick, progress=progress).run()
-
-
-def write_report(report: Dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")

@@ -41,6 +41,12 @@ class LatencyStats:
             self._samples.sort()
             self._sorted = True
 
+    def sorted_samples(self) -> Sequence[float]:
+        """Every sample, ascending — the same view whether or not a
+        percentile was queried first.  Read-only: do not mutate."""
+        self._ensure_sorted()
+        return self._samples
+
     def _interpolate(self, pct: float) -> float:
         """Shared linear interpolation over the sample list.
 

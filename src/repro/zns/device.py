@@ -17,7 +17,8 @@ and recovery logic upstack is verified against real content.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Set,
+                    Tuple)
 
 from ..errors import (
     InvalidAddressError,
@@ -41,6 +42,27 @@ from .spec import (
     ZoneState,
 )
 from .zone import Zone
+
+
+#: ``bytes.translate`` table that inverts every bit (``mark_bad``).
+_FLIP_BITS = bytes(b ^ 0xFF for b in range(256))
+
+
+class CrashSnapshot(NamedTuple):
+    """What :meth:`ZNSDevice.crash_snapshot` returns (in memory only)."""
+
+    #: Per zone: (state, write_pointer, durable_pointer, last_write_time,
+    #: finished_by_command, written media prefix).
+    zones: List[Tuple]
+    open_count: int
+    active_count: int
+    dirty: Set[int]
+    powered: bool
+    failed: bool
+    rng_state: tuple
+    #: zone index -> [(start, end)] latent-error extents.
+    bad_extents: Dict[int, List[Tuple[int, int]]]
+    reset_counts: Dict[int, int]
 
 
 class ZNSDevice(BlockDevice):
@@ -585,8 +607,8 @@ class ZNSDevice(BlockDevice):
 
     # -- crash snapshots ----------------------------------------------------------------
 
-    def crash_snapshot(self) -> Tuple:
-        """Opaque copy of all crash-relevant device state.
+    def crash_snapshot(self) -> CrashSnapshot:
+        """Copy of all crash-relevant device state.
 
         Captures each zone's written media prefix plus the zone table,
         open/active accounting, the dirty set, power state, and the
@@ -597,46 +619,41 @@ class ZNSDevice(BlockDevice):
         power-loss settle zeroes what it rolls back), which keeps a
         snapshot proportional to written data, not device size.
         """
-        return (
-            [(z.state, z.write_pointer, z.durable_pointer,
-              z.last_write_time, z.finished_by_command,
-              bytes(self._media[z.start:z.write_pointer]))
-             for z in self.zones],
-            self._open_count,
-            self._active_count,
-            set(self._dirty_zones),
-            self.powered,
-            self.failed,
-            self._rng.getstate(),
-            {index: list(extents)
-             for index, extents in self._bad_extents.items()},
-            dict(self._reset_counts),
+        return CrashSnapshot(
+            zones=[(z.state, z.write_pointer, z.durable_pointer,
+                    z.last_write_time, z.finished_by_command,
+                    bytes(self._media[z.start:z.write_pointer]))
+                   for z in self.zones],
+            open_count=self._open_count,
+            active_count=self._active_count,
+            dirty=set(self._dirty_zones),
+            powered=self.powered,
+            failed=self.failed,
+            rng_state=self._rng.getstate(),
+            bad_extents={index: list(extents)
+                         for index, extents in self._bad_extents.items()},
+            reset_counts=dict(self._reset_counts),
         )
 
-    def restore_crash_snapshot(self, snapshot: Tuple) -> None:
+    def restore_crash_snapshot(self, snapshot: CrashSnapshot) -> None:
         """Restore state captured by :meth:`crash_snapshot` (quiescent IO)."""
-        zones, open_count, active_count, dirty, powered, failed, rng_state = \
-            snapshot[:7]
-        # Snapshots predating latent-error / endurance support carry no
-        # extent map / reset counters.
-        bad = snapshot[7] if len(snapshot) > 7 else {}
-        resets = snapshot[8] if len(snapshot) > 8 else {}
-        for zone, (state, wp, dp, lwt, fbc, prefix) in zip(self.zones, zones):
+        for zone, (state, wp, dp, lwt, fbc, prefix) in zip(self.zones,
+                                                           snapshot.zones):
             zone.state = state
             zone.write_pointer = wp
             zone.durable_pointer = dp
             zone.last_write_time = lwt
             zone.finished_by_command = fbc
             self._media[zone.start:zone.start + len(prefix)] = prefix
-        self._open_count = open_count
-        self._active_count = active_count
-        self._dirty_zones = set(dirty)
-        self.powered = powered
-        self.failed = failed
-        self._rng.setstate(rng_state)
-        self._bad_extents = {index: list(extents)
-                             for index, extents in bad.items()}
-        self._reset_counts = dict(resets)
+        self._open_count = snapshot.open_count
+        self._active_count = snapshot.active_count
+        self._dirty_zones = set(snapshot.dirty)
+        self.powered = snapshot.powered
+        self.failed = snapshot.failed
+        self._rng.setstate(snapshot.rng_state)
+        self._bad_extents = {index: list(extents) for index, extents
+                             in snapshot.bad_extents.items()}
+        self._reset_counts = dict(snapshot.reset_counts)
         # A drained event loop leaves no channel holders; reset defensively
         # so a restored device never inherits a stale grant.
         self.channels.in_use = 0
@@ -659,9 +676,8 @@ class ZNSDevice(BlockDevice):
             raise InvalidAddressError(
                 f"{self.name}: bad extent crosses zone boundary at "
                 f"{offset:#x}")
-        span = memoryview(self._media)[offset:offset + length]
-        for i in range(len(span)):
-            span[i] ^= 0xFF
+        self._media[offset:offset + length] = \
+            self._media[offset:offset + length].translate(_FLIP_BITS)
         self._bad_extents.setdefault(zone.index, []).append(
             (offset, offset + length))
 

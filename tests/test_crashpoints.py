@@ -108,6 +108,16 @@ class TestCrashSnapshot:
         assert 0 in zns._dirty_zones
         assert zns.execute(Bio.read(0, 24 * KiB)).result == data
 
+    def test_snapshot_fields_are_named(self, zns):
+        zns.execute(Bio.write(0, pattern(8 * KiB, seed=16)))
+        zns.mark_bad(0, 4 * KiB)
+        snapshot = zns.crash_snapshot()
+        assert snapshot.dirty == {0} and snapshot.powered
+        assert not snapshot.failed
+        assert snapshot.bad_extents == {0: [(0, 4 * KiB)]}
+        assert snapshot.zones[0][1] == 8 * KiB   # write pointer
+        assert snapshot.reset_counts == {}
+
     def test_restore_then_power_fail_is_replayable(self, zns):
         """The same snapshot must admit many different crash outcomes."""
         zns.execute(Bio.write(0, pattern(12 * KiB, seed=15)))

@@ -18,7 +18,8 @@ from repro.faults import (
     check_persistence_bitmap_soundness,
     check_recovered_volume,
 )
-from repro.harness.crashtest import ScriptedWorkload, explore, write_report
+from repro.harness.campaign import LOGICAL_ZONE_CAPACITY, write_report
+from repro.harness.crashtest import explore, scripted_workload
 from repro.raizn.recovery import mount
 from repro.raizn.volume import RaiznVolume
 from repro.units import KiB
@@ -125,25 +126,21 @@ class TestOracleChecks:
 
 class TestScriptedWorkload:
     def test_replay_is_identical(self):
-        a = ScriptedWorkload(seed=5, num_ops=40, zone_capacity=4096 * KiB)
-        b = ScriptedWorkload(seed=5, num_ops=40, zone_capacity=4096 * KiB)
-        assert a.ops == b.ops
+        assert scripted_workload(5, 40) == scripted_workload(5, 40)
 
     def test_seeds_differ(self):
-        a = ScriptedWorkload(seed=5, num_ops=40, zone_capacity=4096 * KiB)
-        b = ScriptedWorkload(seed=6, num_ops=40, zone_capacity=4096 * KiB)
-        assert a.ops != b.ops
+        assert scripted_workload(5, 40) != scripted_workload(6, 40)
 
     def test_writes_are_sequential_per_zone(self):
-        wl = ScriptedWorkload(seed=7, num_ops=60, zone_capacity=4096 * KiB)
         frontier = {}
-        for kind, zone, lba, data, _flags in wl.ops:
+        for kind, zone, lba, data, _flags in scripted_workload(7, 60):
             if kind == "reset":
                 frontier[zone] = 0
             elif kind == "write":
-                expected = zone * 4096 * KiB + frontier.get(zone, 0)
+                expected = zone * LOGICAL_ZONE_CAPACITY + frontier.get(zone, 0)
                 assert lba == expected
                 frontier[zone] = frontier.get(zone, 0) + len(data)
+                assert frontier[zone] <= LOGICAL_ZONE_CAPACITY
 
 
 SMALL = dict(seed=0, num_ops=20, boundaries=6, budget_per_boundary=4,

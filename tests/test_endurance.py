@@ -77,13 +77,6 @@ class TestSnapshots:
         dev.restore_crash_snapshot(snap)
         assert dev.zone_reset_count(0) == 1
 
-    def test_legacy_snapshot_without_counters_restores(self, sim):
-        dev = make_dev(sim, limit=3)
-        fill_and_reset(dev)
-        legacy = dev.crash_snapshot()[:8]    # pre-endurance shape
-        dev.restore_crash_snapshot(legacy)
-        assert dev.zone_reset_count(0) == 0
-
 
 def test_fresh_replacement_propagates_limit(sim):
     dev = make_dev(sim, limit=5)

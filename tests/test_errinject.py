@@ -118,35 +118,30 @@ class TestArming:
         with pytest.raises(RuntimeError):
             plan.arm(devices)
 
-    def test_disarm_restores_hooks_and_stops_injection(self, sim):
+    def test_disarm_removes_hooks_and_stops_injection(self, sim):
         volume, devices, plan = armed_volume(sim, latent_rate=1.0)
-        saved = [(d.pre_apply_hook, d.completion_hook) for d in devices]
+        assert all(d.pre_apply_hook is not None
+                   and d.completion_hook is not None for d in devices)
         plan.disarm()
-        for device, (pre, done) in zip(devices, saved):
-            assert device.pre_apply_hook is not pre
-            assert device.completion_hook is not done
+        assert all(d.pre_apply_hook is None and d.completion_hook is None
+                   for d in devices)
         volume.execute(Bio.write(0, pattern(STRIPE, seed=5)))
         assert plan.counts.latent == 0
 
-    def test_arm_chains_existing_hooks(self, sim):
-        volume, devices, _plan = armed_volume(sim, latent_rate=1.0)
+    def test_arm_keeps_hooks_installed_before_and_after(self, sim):
+        volume, devices, plan = armed_volume(sim, latent_rate=1.0)
         calls = []
-        wrapped = devices[0].pre_apply_hook
-        assert wrapped is not None  # the plan's own hook is installed
-
-        def outer(dev, bio):
-            calls.append(bio.op)
-            wrapped(dev, bio)
-
-        devices[0].pre_apply_hook = outer
-        # A second plan must keep calling the wrapper it found installed.
+        outer = devices[0].add_hook(
+            "pre_apply", lambda dev, bio: calls.append(bio.op))
+        # A second plan must leave both the first plan and ``outer`` live.
         second = FaultPlan(seed=9, num_data_zones=volume.num_data_zones,
                            stripe_unit_bytes=SU)
         second.arm(devices)
         volume.execute(Bio.write(0, pattern(STRIPE, seed=6)))
-        assert calls  # the chain still reaches the inner wrapper
+        assert calls and plan.counts.latent > 0
         second.disarm()
-        assert devices[0].pre_apply_hook is outer
+        plan.disarm()
+        assert devices[0].pre_apply_hook is outer.fn
 
     def test_determinism_across_runs(self):
         def campaign():

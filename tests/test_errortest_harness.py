@@ -2,17 +2,23 @@
 
 import json
 
+from repro.harness.campaign import write_report
 from repro.harness.errortest import (
     detection_power,
     run_campaign,
     run_errortest,
-    write_report,
 )
+
+
+def report_of(**kwargs):
+    report = run_campaign(**kwargs).to_dict()
+    del report["elapsed_s"]  # wall clock
+    return report
 
 
 class TestSmokeCampaign:
     def test_smoke_campaign_passes(self):
-        result = run_errortest(seed=0, smoke=True)
+        result = run_errortest(seed=0, quick=True)
         assert result["passed"]
         assert result["corruptions"] == 0
         assert result["violations"] == []
@@ -22,7 +28,7 @@ class TestSmokeCampaign:
         assert result["detection_power"]["caught"]
 
     def test_campaign_exercises_every_fault_class(self):
-        report = run_campaign(seed=0, smoke=True)
+        report = run_campaign(seed=0, quick=True)
         injected = report.injected
         assert injected["latent"] > 0
         assert injected["transient"] > 0
@@ -37,13 +43,11 @@ class TestSmokeCampaign:
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
-        first = run_campaign(seed=3, smoke=True).to_dict()
-        second = run_campaign(seed=3, smoke=True).to_dict()
-        assert first == second
+        assert report_of(seed=3, quick=True) == report_of(seed=3, quick=True)
 
     def test_different_seeds_diverge(self):
-        first = run_campaign(seed=0, smoke=True).to_dict()
-        second = run_campaign(seed=1, smoke=True).to_dict()
+        first = report_of(seed=0, quick=True)
+        second = report_of(seed=1, quick=True)
         assert first["injected"] != second["injected"]
 
 
@@ -57,7 +61,7 @@ class TestDetectionPower:
 
 class TestReportFile:
     def test_write_report_round_trips(self, tmp_path):
-        report = run_campaign(seed=2, smoke=True).to_dict()
+        report = run_campaign(seed=2, quick=True).to_dict()
         path = tmp_path / "errortest.json"
         write_report(report, str(path))
         with open(path) as fh:

@@ -118,7 +118,7 @@ class TestSlowPlan:
         # A different seed draws a different stall sequence.
         assert run(7)[1] != run(8)[1]
 
-    def test_disarm_restores_chained_hook(self, sim):
+    def test_delays_add_and_disarm_leaves_the_other_hook(self, sim):
         device = one_device(sim)
         device.execute(Bio.write(0, pattern(SU)))
         calls = []
@@ -127,7 +127,7 @@ class TestSlowPlan:
             calls.append(bio.op)
             return 1e-3
 
-        device.service_delay_hook = prior_hook
+        device.add_hook("service_delay", prior_hook)
         plan = SlowPlan(specs=[stalling_device(0, probability=1.0,
                                                stall_seconds=5e-3)])
         plan.arm([device])

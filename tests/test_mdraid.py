@@ -190,11 +190,11 @@ class TestDegradedAndResync:
         replacement = ConventionalSSD(sim, name="new",
                                       capacity_bytes=32 * MiB, seed=97)
         writes, inflight = [], []
-        replacement.pre_apply_hook = lambda dev, bio: (
+        hook = replacement.add_hook("pre_apply", lambda dev, bio: (
             writes.append((bio.offset, bio.length)),
-            inflight.append(dev.channels.in_use + len(dev._channel_queue)))
+            inflight.append(dev.channels.in_use + len(dev._channel_queue))))
         report = md.resync(1, replacement)
-        replacement.pre_apply_hook = None
+        replacement.remove_hook(hook)
         cursor = 0
         for offset, length in writes:
             assert offset == cursor

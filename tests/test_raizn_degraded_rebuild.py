@@ -228,10 +228,10 @@ class TestRebuild:
                 expected[target] += more
                 volume.submit(Bio.write(lba, more))
 
-        replacement.pre_apply_hook = trigger
+        hook = replacement.add_hook("pre_apply", trigger)
         proc = sim.process(rebuild_process(sim, volume, lost, replacement))
         sim.run()
-        replacement.pre_apply_hook = None
+        replacement.remove_hook(hook)
         assert proc.ok and fired
         assert volume.rebuild_state is None
 
@@ -267,7 +267,10 @@ class CommandLog:
         #: Data zones between their first rebuild write and their seal.
         self.in_pipeline = []
         self._written = set()
-        device.pre_apply_hook = self
+        self._hook = device.add_hook("pre_apply", self)
+
+    def detach(self):
+        self._hook.device.remove_hook(self._hook)
 
     def __call__(self, device, bio):
         self.commands.append((self.sim.now, bio.op, bio.offset, bio.length))
@@ -305,7 +308,7 @@ class TestRebuildPipeline:
         volume.submit = counting_submit
         report = rebuild(sim, volume, failed_index, replacement)
         del volume.submit
-        replacement.pre_apply_hook = None
+        log.detach()
         return volume, devices, data, replacement, log, reads, report
 
     def test_zone_writes_contiguous_and_ascending(self, sim):
@@ -427,7 +430,7 @@ class TestFailedRebuild:
                 if len(writes_seen) == 12:   # window full, zone 0 mid-way
                     devices[3].fail_device()
 
-        replacement.pre_apply_hook = pull_the_plug
+        replacement.add_hook("pre_apply", pull_the_plug)
         proc = sim.process(rebuild_process(sim, volume, 0, replacement))
         proc.add_callback(lambda _ev: None)   # the test inspects the outcome
         sim.run()   # a second, unhandled failure would raise out of here
@@ -448,7 +451,7 @@ class TestRebuildObservability:
         replacement = fresh_replacement(sim, devices[0], "new")
         log = CommandLog(sim, replacement, volume)
         report = rebuild(sim, volume, 1, replacement)
-        replacement.pre_apply_hook = None
+        log.detach()
         return volume, report, log
 
     def test_rebuild_spans_tile_the_report(self, sim):

@@ -70,15 +70,12 @@ class TestTransientRetry:
     def install_flaky_reads(self, device, failures):
         """Fail the next ``failures`` READ submissions on ``device``."""
         budget = [failures]
-        chained = device.pre_apply_hook
 
         def hook(dev, bio):
-            if chained is not None:
-                chained(dev, bio)
             if bio.op is Op.READ and budget[0] > 0:
                 budget[0] -= 1
                 raise TransientCommandError(f"{dev.name}: injected")
-        device.pre_apply_hook = hook
+        device.add_hook("pre_apply", hook)
 
     def test_bounded_retry_recovers(self, sim):
         volume, devices = make_tuned_volume(sim, max_transient_retries=4)

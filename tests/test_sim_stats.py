@@ -60,6 +60,13 @@ class TestLatencyStats:
         assert stats.median == 3.0
         assert stats.maximum == 5.0
 
+    def test_sorted_samples_same_before_and_after_a_query(self):
+        stats = LatencyStats()
+        stats.extend([3.0, 1.0, 2.0])
+        assert list(stats.sorted_samples()) == [1.0, 2.0, 3.0]
+        assert stats.median == 2.0
+        assert list(stats.sorted_samples()) == [1.0, 2.0, 3.0]
+
     def test_summary_keys(self):
         stats = LatencyStats()
         stats.extend([1.0, 2.0])

@@ -110,9 +110,9 @@ class Bio:
         self.complete_time: Optional[float] = None
         #: Device-private scratch (e.g. flush snapshots); not for callers.
         self.aux: object = None
-        #: Submitter-private context rider: the RAIZN write path parks its
-        #: per-attempt join state here so the device completion callback
-        #: can be one shared bound method instead of a closure per command.
+        #: Submitter-private context rider: the RAIZN write and read paths
+        #: park their per-attempt join state here so the device completion
+        #: callback can be one shared bound method, not a closure per command.
         self.wctx: object = None
         #: Set once the bio has been charged to ``DeviceStats`` — stats
         #: count logical commands, so a resubmission (retry) of the same

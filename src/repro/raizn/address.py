@@ -49,6 +49,8 @@ class AddressMapper:
         self.su = config.stripe_unit_bytes
         self.stripe_width = config.stripe_width_bytes
         self.zone_capacity = config.logical_zone_capacity(physical_zone_capacity)
+        #: Total user-visible bytes.
+        self.logical_capacity = self.zone_capacity * num_data_zones
         self.stripes_per_zone = config.stripes_per_zone(physical_zone_capacity)
         # One StripeLocation per parity rotation; stripe_layout() is on the
         # per-stripe-unit write path, so it must not allocate.
@@ -61,11 +63,6 @@ class AddressMapper:
             for rotation in range(n))
 
     # -- logical geometry ----------------------------------------------------
-
-    @property
-    def logical_capacity(self) -> int:
-        """Total user-visible bytes."""
-        return self.zone_capacity * self.num_data_zones
 
     def zone_of(self, lba: int) -> int:
         """Logical zone index containing ``lba``."""
@@ -134,16 +131,35 @@ class AddressMapper:
         """
         if length <= 0:
             raise InvalidAddressError(f"non-positive extent length {length}")
+        pieces: List[Tuple[int, int, int]] = []
+        end = lba + length
+        while lba < end:
+            zone = self.zone_of(lba)
+            pieces += self.split_in_zone(zone, lba, end)
+            lba = (zone + 1) * self.zone_capacity
+        return pieces
+
+    def split_in_zone(self, zone: int, lba: int,
+                      end: int) -> List[Tuple[int, int, int]]:
+        """:meth:`split_extent` for a caller that knows ``lba`` is in
+        logical zone ``zone``: the pieces of ``[lba, end)`` up to the end
+        of that zone, where a zone-crossing caller carries on with
+        ``zone + 1``."""
+        su = self.su
+        width = self.stripe_width
+        base = zone * self.phys_zone_size
+        zone_start = zone * self.zone_capacity
+        offset = lba - zone_start
+        stop = min(end - zone_start, self.zone_capacity)
         pieces = []
-        position = lba
-        remaining = length
-        while remaining > 0:
-            device, pba = self.lba_to_pba(position)
-            in_su = position % self.su
-            take = min(remaining, self.su - in_su)
-            pieces.append((device, pba, take))
-            position += take
-            remaining -= take
+        while offset < stop:
+            stripe, in_stripe = divmod(offset, width)
+            su_index, in_su = divmod(in_stripe, su)
+            take = min(stop - offset, su - in_su)
+            pieces.append((
+                self.stripe_layout(zone, stripe).data_devices[su_index],
+                base + stripe * su + in_su, take))
+            offset += take
         return pieces
 
     # -- device PBA -> LBA (used by rebuild and recovery) ---------------------------

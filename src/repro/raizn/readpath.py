@@ -1,0 +1,528 @@
+"""The logical read path of a RAIZN volume (paper §4.1, §4.2, §5.2).
+
+Healthy reads are pure address arithmetic: validate once, split into
+per-device pieces of at most one stripe unit, one device command each.
+The rest is what happens when a piece cannot simply be read: it lives in
+a relocated unit, its device is gone, slow, worn out or mid-rebuild, or
+the command comes back with an error.
+
+One callback chain serves every piece kind.  A :class:`_ReadJoin` counts
+the pieces of a read; a :class:`_Piece` rides each device command's
+``bio.wctx``, is completed by the one :meth:`ReadPath._read_attempted`
+and delivers into its join directly; survivor reads of a degraded, hedged
+or healing piece report to a :class:`_Reconstruction` the same way.  Why
+calling instead of queueing these steps reorders nothing: DESIGN.md,
+"Read-path fan-out".
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, List, Optional
+
+from ..block.bio import Bio
+from ..errors import (DataLossError, DegradedModeError, DeviceError,
+                      DeviceFailedError, MediaError, RaiznError,
+                      ReadUnwrittenError, TransientCommandError,
+                      ZoneStateError)
+from ..sim import Event
+from ..trace.tracer import SITE_BITS
+from ..zns.spec import ZoneState
+from .parity import xor_into
+from .zonedesc import LogicalZoneDesc
+
+if TYPE_CHECKING:
+    from .volume import RaiznVolume
+
+
+class _ReadJoin:
+    """Join point of one logical read: counts pieces, assembles the result."""
+
+    __slots__ = ("volume", "bio", "done", "chunks", "pending")
+
+    def __init__(self, volume: "RaiznVolume", bio: Bio, done: Event):
+        self.volume = volume
+        self.bio = bio
+        self.done = done
+        self.chunks: List[Optional[bytes]] = []
+        #: Pieces not delivered yet, plus one held by the fan-out itself
+        #: so pieces served from memory cannot complete the read while
+        #: later pieces are still being routed.
+        self.pending = 1
+
+    def deliver(self, index: int, data) -> None:
+        self.chunks[index] = data
+        self.settle()
+
+    def settle(self) -> None:
+        self.pending -= 1
+        if self.pending:
+            return
+        bio = self.bio
+        bio.result = b"".join(self.chunks)  # type: ignore[arg-type]
+        volume = self.volume
+        volume.stats.account(bio)
+        bio.complete_time = volume.sim.now
+        self.done.succeed(bio)
+
+    def fail(self, exc: BaseException) -> None:
+        """The first failing piece fails the read; a failed read never
+        settles (its piece is never delivered), so stragglers that report
+        in afterwards change nothing."""
+        if not isinstance(exc, (DeviceError, RaiznError)):
+            raise exc
+        if not self.done.triggered:
+            self.done.fail(exc)
+
+    def persisted(self, event: Event) -> None:
+        """A piece already in ``chunks`` waited for its metadata append."""
+        if event.ok:
+            self.settle()
+        else:
+            self.fail(event.value)
+
+
+class _Piece:
+    """One device-read piece (at most a stripe unit) of a logical read,
+    from routing to delivery: the context every attempt's ``bio.wctx``
+    carries.  A piece is born registered: it takes the next slot of its
+    join's ``chunks`` and one count of its ``pending``."""
+
+    __slots__ = ("join", "index", "device", "pba", "lba", "length", "desc",
+                 "parent", "attempt", "hedged", "served_at")
+
+    def __init__(self, join: _ReadJoin, device: int, pba: int, lba: int,
+                 length: int, desc: LogicalZoneDesc, parent: int):
+        self.join = join
+        self.index = len(join.chunks)
+        join.chunks.append(None)
+        join.pending += 1
+        self.device = device
+        self.pba = pba
+        self.lba = lba
+        self.length = length
+        self.desc = desc
+        #: Root span id of the logical read (``-1`` when not traced).
+        self.parent = parent
+        self.attempt = 0
+        #: True while the first attempt is in flight with a hedge timer
+        #: (or the hedged reconstruction) running against it.
+        self.hedged = False
+        #: Simulated time at which the hedge served the piece, if it did;
+        #: the straggler's eventual completion is then accounting-only.
+        self.served_at: Optional[float] = None
+
+
+class _Reconstruction:
+    """XOR of the surviving sources of one stripe-unit range.
+
+    ``then(reconstruction, exc)`` runs once every survivor read has been
+    folded into ``accumulator`` (``exc`` None), or when one of them fails
+    for good — a fault on a survivor is a double fault.
+    """
+
+    __slots__ = ("piece", "accumulator", "pending", "then")
+
+    def __init__(self, piece: _Piece, length: int, then: Callable):
+        self.piece = piece
+        self.accumulator = bytearray(length)
+        self.pending = 1  # held by the fan-out, as in _ReadJoin
+        self.then = then
+
+    def settle(self) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.then(self, None)
+
+
+class ReadPath:
+    """Serves ``Op.READ`` bios for one :class:`RaiznVolume`."""
+
+    def __init__(self, volume: "RaiznVolume"):
+        self.volume = volume
+        self.sim = volume.sim
+
+    def start(self, bio: Bio, done: Event) -> None:
+        """Validate ``bio`` and queue its fan-out.
+
+        Reads may cross logical zone boundaries (the device-mapper layer
+        splits them); every crossed zone must be written through the
+        requested range.
+        """
+        volume = self.volume
+        end = bio.offset + bio.length
+        zone = first = volume.mapper.zone_of(bio.offset)
+        while True:
+            desc = volume.zone_descs[zone]
+            if end <= desc.write_pointer:
+                break
+            zone_end = desc.writable_end
+            if end <= zone_end or desc.write_pointer < zone_end:
+                raise ReadUnwrittenError(
+                    f"read [{bio.offset:#x},{end:#x}) beyond logical zone "
+                    f"{zone} write pointer {desc.write_pointer:#x}")
+            zone = volume.mapper.zone_of(zone_end)
+        self.sim.schedule(0.0, self._run_read, bio, done, first)
+
+    def _run_read(self, bio: Bio, done: Event, zone: int) -> None:
+        volume = self.volume
+        join = _ReadJoin(volume, bio, done)
+        parent = -1
+        if volume.tracer is not None and bio.span is not None:
+            parent = bio.span >> SITE_BITS
+        split = volume.mapper.split_in_zone
+        lba = bio.offset
+        end = lba + bio.length
+        try:
+            while lba < end:
+                desc = volume.zone_descs[zone]
+                for device, pba, length in split(zone, lba, end):
+                    self._route(join, device, pba, lba, length, desc, parent)
+                    lba += length
+                zone += 1
+        except (DeviceError, RaiznError) as exc:
+            join.fail(exc)
+            return
+        join.settle()
+
+    def _route(self, join: _ReadJoin, device: int, pba: int, lba: int,
+               length: int, desc: LogicalZoneDesc, parent: int) -> None:
+        """Serve ``length`` bytes at ``lba`` from memory, from ``device``
+        at ``pba``, or from redundancy."""
+        volume = self.volume
+        available = volume._device_available(device, desc.zone)
+        if desc.has_relocations:
+            unit = volume.relocations.lookup(lba - lba % desc.su)
+            overlaps = unit.overlaps(lba, length) if unit is not None else []
+            if overlaps == [(0, length)] or (
+                    overlaps and available and
+                    volume.phys[device][desc.zone].state
+                    is not ZoneState.OFFLINE):
+                # Relocated bytes (§5.2) come from the unit.  A read can
+                # straddle the relocation boundary when recovery rolled the
+                # logical write pointer back into the middle of a stripe
+                # unit; the gaps between the unit's (sorted, disjoint)
+                # extents are still valid on the device and are read as
+                # pieces of their own.
+                cursor = 0
+                for lo, hi in overlaps + [(length, length)]:
+                    if cursor < lo:
+                        self._attempt_read(_Piece(
+                            join, device, pba + cursor, lba + cursor,
+                            lo - cursor, desc, parent))
+                    if lo < hi:
+                        join.chunks.append(unit.read(lba + lo, hi - lo))
+                    cursor = hi
+                return
+            # Partially relocated but the on-device gap bytes are
+            # unreadable (device lost or zone OFFLINE): the whole range is
+            # reconstructed from redundancy.
+        piece = _Piece(join, device, pba, lba, length, desc, parent)
+        if available and not (volume._failslow_on and
+                              self._avoid_for_reads(device, desc.zone)):
+            self._attempt_read(piece)
+        else:
+            self._degraded(piece)
+
+    def _avoid_for_reads(self, device: int, zone: int) -> bool:
+        """Should reads skip this (demoted) device in favour of
+        reconstruction?  Only while every *other* device is available —
+        reconstruction needs all of them, so with a second device down
+        the demoted straggler is still the best source."""
+        volume = self.volume
+        return volume.device_health[device].demoted and all(
+            volume._device_available(other, zone)
+            for other in range(volume.config.num_devices) if other != device)
+
+    def _traced(self, parent: int, submit: Callable, *args):
+        """``submit(*args)`` for a logical read: whatever span it opens
+        is parented under the read's root span."""
+        tracer = self.volume.tracer
+        if tracer is None:
+            return submit(*args)
+        tracer.current_parent = parent
+        try:
+            return submit(*args)
+        finally:
+            tracer.current_parent = -1
+
+    # -- self-healing device reads ------------------------------------------
+
+    def _attempt_read(self, piece: _Piece) -> None:
+        """(Re)submit a piece's device read under the self-healing policy
+        of :meth:`_read_attempted`."""
+        volume = self.volume
+        bio = Bio.read(piece.pba, piece.length)
+        bio.errors_as_status = True
+        bio.wctx = piece
+        event = self._traced(piece.parent,
+                             volume.devices[piece.device].submit, bio)
+        if piece.attempt == 0 and volume._failslow_on:
+            # Hedge timer: if the read outlives the deadline derived from
+            # this device's own latency distribution, race a parity
+            # reconstruction against the straggler.
+            deadline = volume.device_health[piece.device].read.threshold(
+                volume.config)
+            if deadline is not None:
+                piece.hedged = True
+                self.sim.schedule(deadline, self._fire_hedge, piece)
+        event.add_callback(self._read_attempted)
+
+    def _read_attempted(self, event: Event) -> None:
+        """Completion of a piece's device read — every attempt, every
+        outcome: deliver, retry, read-repair, or degrade (§5.2, §4.2)."""
+        bio = event.value
+        self.sim.recycle(event)
+        piece = bio.wctx
+        volume = self.volume
+        exc = bio.error
+        if volume._failslow_on:
+            piece.hedged = False  # the straggler is in: its hedge is void
+            served_at = piece.served_at
+            if exc is None and served_at != self.sim.now:
+                # A straggler completing in the very tick its hedge served
+                # met the deadline to the tick: the hedge owns the serve and
+                # its win counters, and charging the sample on top would
+                # double-count the event and skew the slow-score.  A genuine
+                # straggler (a *later* tick) still feeds the health score.
+                volume._note_latency(piece.device, True,
+                                     self.sim.now - bio.submit_time)
+            if served_at is not None:
+                # The hedge served this piece; nothing else is owed.  A
+                # latent error surfacing on the abandoned straggler is
+                # left for the scrubber.
+                return
+        if exc is None:
+            piece.join.deliver(piece.index, bio.result)
+            return
+        device = piece.device
+        health = volume.health
+        heal = False
+        if isinstance(exc, TransientCommandError):
+            if piece.attempt < volume.config.max_transient_retries:
+                health.transient_retries += 1
+                piece.attempt += 1
+                self.sim.schedule(volume.config.transient_backoff_s,
+                                  self._attempt_read, piece)
+                return
+            # Retries exhausted: charge the device and serve the read
+            # from redundancy instead of failing it.
+            health.transient_escalations += 1
+            volume._note_device_error(device)
+        elif isinstance(exc, MediaError):
+            health.media_errors += 1
+            if not volume.config.read_repair:
+                # Detection-power path: serve the corrupt media view the
+                # way an unprotected consumer would have seen it.
+                health.unrepaired_serves += 1
+                piece.join.deliver(piece.index, bio.result)
+                return
+            volume._note_device_error(device)
+            # If the charge just evicted the device there is no relocation
+            # log left to heal into: plain reconstruction.
+            heal = not volume.failed[device]
+        elif isinstance(exc, ZoneStateError):
+            # The physical zone went OFFLINE (end-of-life): its media is
+            # gone for good, so reconstruct *and* relocate like a media
+            # error.
+            health.wear_errors += 1
+            volume._note_device_error(device)
+            volume._sync_phys_desc(device, piece.desc.zone)
+            heal = not volume.failed[device]
+        elif isinstance(exc, DeviceFailedError) and not volume.failed[device]:
+            try:
+                volume.fail_device(device, remove=False)
+            except DataLossError as loss:
+                piece.join.fail(loss)
+                return
+        # Bad media, or an unavailable device (failed, evicted, powered
+        # off): serve the piece from the surviving devices plus parity.
+        try:
+            self._degraded(piece, heal)
+        except (RaiznError, DeviceError) as degraded_exc:
+            piece.join.fail(degraded_exc)
+
+    # -- hedged reads -------------------------------------------------------
+
+    def _fire_hedge(self, piece: _Piece) -> None:
+        """The first attempt outlived its adaptive deadline: race a parity
+        reconstruction of the same range against the straggler; whichever
+        is in first delivers the piece.  The loser is accounted as a
+        hedge — never as a device error, so hedging cannot push a
+        merely-slow device over the error-threshold eviction."""
+        if not piece.hedged:
+            return
+        volume = self.volume
+        volume.health.slow_hedges += 1
+        volume.device_health[piece.device].slow_hedges += 1
+        data = self._from_stripe_buffer(piece)
+        if data is not None:
+            self._hedge_won(piece, data)
+            return
+        try:
+            self._reconstruct(piece, self._hedge_settled)
+        except (RaiznError, DeviceError):
+            # Another device is unavailable (failed or mid-rebuild):
+            # reconstruction cannot race, keep waiting on the straggler.
+            pass
+
+    def _hedge_settled(self, recon: _Reconstruction,
+                       exc: Optional[BaseException]) -> None:
+        # Not hedged any more: the straggler won the race (it served or
+        # escalated; the reconstruction drained into a dead buffer).  A
+        # failed reconstruction (a fault on a survivor is a double fault)
+        # likewise keeps waiting on the straggler.
+        if recon.piece.hedged and exc is None:
+            self._hedge_won(recon.piece, bytes(recon.accumulator))
+
+    def _hedge_won(self, piece: _Piece, data) -> None:
+        piece.served_at = self.sim.now
+        self.volume.health.hedge_wins += 1
+        self.volume.device_health[piece.device].hedge_wins += 1
+        piece.join.deliver(piece.index, data)
+
+    # -- degraded reads and read-repair -------------------------------------
+
+    def _from_stripe_buffer(self, piece: _Piece) -> Optional[bytes]:
+        """The piece's bytes if its stripe is an incomplete tail stripe:
+        the parity is not on media yet, but the stripe buffer holds the
+        data."""
+        desc = piece.desc
+        stripe, offset = divmod(piece.lba - desc.start_lba, desc.stripe_width)
+        buffer = desc.buffers.get(stripe)
+        if buffer is None:
+            return None
+        return bytes(buffer.data[offset:offset + piece.length])
+
+    def _degraded(self, piece: _Piece, heal: bool = False) -> None:
+        """Reconstruct a piece whose device is unavailable (§4.2) or,
+        with ``heal``, whose media is bad (read-repair, :meth:`_healed`).
+        A piece still in the stripe buffer leaves the durable heal to a
+        future read of the sealed stripe."""
+        data = self._from_stripe_buffer(piece)
+        if data is not None:
+            piece.join.deliver(piece.index, data)
+        elif heal:
+            self._reconstruct(piece, self._healed, whole=True)
+        else:
+            self._reconstruct(piece, self._reconstructed)
+
+    def _reconstructed(self, recon: _Reconstruction,
+                       exc: Optional[BaseException]) -> None:
+        piece = recon.piece
+        if exc is not None:
+            piece.join.fail(exc)
+        else:
+            piece.join.deliver(piece.index, bytes(recon.accumulator))
+
+    def _healed(self, recon: _Reconstruction,
+                exc: Optional[BaseException]) -> None:
+        piece = recon.piece
+        if exc is not None:
+            piece.join.fail(exc)
+            return
+        desc = piece.desc
+        data = bytes(recon.accumulator)
+        in_su = piece.lba % desc.su
+        self.volume.health.heals += 1
+        piece.join.chunks[piece.index] = data[in_su:in_su + piece.length]
+        # Relocate the unit (§5.2).  The original bytes may have been
+        # acknowledged durable (FUA), so the healed copy is persisted FUA
+        # before the read completes.
+        self._traced(piece.parent, self.volume._relocate_write, desc,
+                     piece.device, piece.lba - in_su, data, True
+                     ).add_callback(piece.join.persisted)
+
+    def _reconstruct(self, piece: _Piece, then: Callable,
+                     whole: bool = False) -> None:
+        """XOR-fold every surviving source of the piece's range of its
+        stripe unit — with ``whole``, of the unit's whole written extent —
+        then call ``then``.  Raises ``DegradedModeError`` when a second
+        device is unavailable; sources already submitted drain into a
+        reconstruction nobody settles."""
+        volume = self.volume
+        desc = piece.desc
+        zone = desc.zone
+        stripe = (piece.lba - desc.start_lba) // desc.stripe_width
+        layout = volume.mapper.stripe_layout(zone, stripe)
+        relocated = volume.relocated_parity.get((zone, stripe))
+        in_su = piece.lba % desc.su
+        length = piece.length
+        pba = zone * volume.phys_zone_size + stripe * desc.su
+        if whole:
+            # A worn zone's frozen pointer can sit below the data we know
+            # was written; reconstruct at least the requested range.
+            written = volume.phys[piece.device][zone].write_pointer - pba
+            length = max(min(desc.su, written), in_su + length)
+            in_su = 0
+        pba += in_su
+        recon = _Reconstruction(piece, length, then)
+        accumulator = recon.accumulator
+        for other in range(volume.config.num_devices):
+            if other == piece.device:
+                continue
+            if not volume._device_available(other, zone):
+                raise DegradedModeError(
+                    f"two unavailable devices ({piece.device}, {other}); "
+                    "single parity cannot reconstruct")
+            if other == layout.parity_device:
+                if relocated is not None:
+                    # The stripe's true parity lives in memory / the md
+                    # zone; the on-device parity PBA holds stale data.
+                    xor_into(accumulator, relocated[in_su:in_su + length])
+                    continue
+            else:
+                unit = volume.relocations.lookup(volume.mapper.su_lba(
+                    zone, stripe, layout.data_devices.index(other)))
+                if unit is not None and unit.covers(unit.su_lba + in_su,
+                                                    length):
+                    # This source SU was itself relocated; its on-device
+                    # bytes are stale.
+                    xor_into(accumulator,
+                             unit.read(unit.su_lba + in_su, length))
+                    continue
+            # A source SU may be shorter than the requested range (the
+            # tail stripe of a finished zone); its unwritten suffix
+            # counts as zeroes, matching the parity computation (§5.1).
+            take = min(length, volume.phys[other][zone].write_pointer - pba)
+            if take > 0:
+                recon.pending += 1
+                self._attempt_source(recon, other, pba, take, 0)
+        recon.settle()
+
+    def _attempt_source(self, recon: _Reconstruction, device: int, pba: int,
+                        length: int, attempt: int) -> None:
+        """(Re)submit one survivor read feeding ``recon``."""
+        bio = Bio.read(pba, length)
+        bio.errors_as_status = True
+        bio.wctx = (recon, device, attempt)
+        self._traced(recon.piece.parent, self.volume.devices[device].submit,
+                     bio).add_callback(self._source_attempted)
+
+    def _source_attempted(self, event: Event) -> None:
+        """Completion of a survivor read.  Transient command failures are
+        retried like any piece; any other error (a media error on a
+        survivor is a double fault) fails the reconstruction loudly."""
+        bio = event.value
+        self.sim.recycle(event)
+        recon, device, attempt = bio.wctx
+        volume = self.volume
+        exc = bio.error
+        if exc is None:
+            if volume._failslow_on:
+                volume._note_latency(device, True,
+                                     self.sim.now - bio.submit_time)
+            xor_into(recon.accumulator, bio.result)
+            recon.settle()
+        elif isinstance(exc, TransientCommandError) and \
+                attempt < volume.config.max_transient_retries:
+            volume.health.transient_retries += 1
+            self.sim.schedule(volume.config.transient_backoff_s,
+                              self._attempt_source, recon, device,
+                              bio.offset, bio.length, attempt + 1)
+        else:
+            # Not a lone chain: a survivor rejected at submission fails in
+            # the tick (even the fan-out) of pieces failing on their own.
+            # The survivors' gather put a reconstruction's failure one hop
+            # behind those; keep it there, so the same piece's error is
+            # the one the read fails with.
+            self.sim.schedule(0.0, recon.then, recon, exc)

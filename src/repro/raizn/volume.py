@@ -26,10 +26,8 @@ from ..errors import (
     DeviceError,
     DeviceFailedError,
     InvalidAddressError,
-    MediaError,
     PowerLossError,
     RaiznError,
-    ReadUnwrittenError,
     TransientCommandError,
     VolumeStateError,
     WritePointerViolation,
@@ -54,7 +52,7 @@ from .metadata import (
     encode_relocated_su,
     encode_zone_reset,
 )
-from .parity import xor_into
+from .readpath import ReadPath
 from .relocation import RelocationStore
 from .stripebuf import StripeBuffer, enable_pool_poisoning
 from .zonedesc import LogicalZoneDesc, PhysicalZoneDesc
@@ -434,24 +432,6 @@ class DeviceHealth:
         }
 
 
-class _HedgeState:
-    """Flags shared between a straggler read and its hedge timer."""
-
-    __slots__ = ("primary", "served", "served_at")
-
-    def __init__(self, primary: Event):
-        #: The straggler's device completion event.
-        self.primary = primary
-        #: True once the hedged reconstruction served the piece; the
-        #: straggler's eventual completion is then accounting-only.
-        self.served = False
-        #: Simulated time at which the reconstruction served the piece.
-        #: A straggler completing in the *same tick* tied the race — the
-        #: AnyOf winner is exclusive, so the tie is not charged to the
-        #: primary's latency EWMA (see ``_read_attempted``).
-        self.served_at: Optional[float] = None
-
-
 class RaiznVolume:
     """A logical ZNS volume striped over an array of ZNS devices."""
 
@@ -564,6 +544,7 @@ class RaiznVolume:
         self._num_rotations = self.mapper.num_rotations
         #: Recycled :class:`_WriteJoin` objects (see its docstring).
         self._join_free: List[_WriteJoin] = []
+        self.readpath = ReadPath(self)
         # Logical open-zone budget: each device spends open slots on its
         # partial-parity and general metadata zones.
         self.max_open_logical = max(1, template.max_open_zones - 2)
@@ -764,7 +745,7 @@ class RaiznVolume:
                 return
             self._start_write(bio, done, zone, desc)
         elif op is Op.READ:
-            self._start_read(bio, done)
+            self.readpath.start(bio, done)
         elif op is Op.FLUSH:
             self.sim.schedule(0.0, self._run_flush, bio, done)
         elif op is Op.ZONE_RESET:
@@ -1247,16 +1228,6 @@ class RaiznVolume:
         return self.mdzones[device].append_async(MetadataRole.GENERAL, entry,
                                                  fua=fua, batch=batch)
 
-    @staticmethod
-    def _chain(event: Event, outcome: Event) -> None:
-        """Forward ``event``'s completion (success or failure) to ``outcome``."""
-        def forward(ev: Event) -> None:
-            if ev.ok:
-                outcome.succeed(ev.value)
-            else:
-                outcome.fail(ev.value)
-        event.add_callback(forward)
-
     def _attempt_write(self, join: _WriteJoin, device: int, desc, tag,
                        pba: int, piece, flags: int, attempt: int) -> None:
         """(Re)submit one protected device write (retry path)."""
@@ -1458,526 +1429,6 @@ class RaiznVolume:
             return []
         return [self.devices[d].submit(Bio.flush())
                 for d in devices_to_flush]
-
-    # ------------------------------------------------------------------ read path
-
-    def _start_read(self, bio: Bio, done: Event) -> None:
-        # Reads may cross logical zone boundaries (the device-mapper layer
-        # splits them); every crossed zone must be written through the
-        # requested range.
-        position = bio.offset
-        while position < bio.end_offset:
-            zone = self.mapper.zone_of(position)
-            desc = self.zone_descs[zone]
-            end_in_zone = min(bio.end_offset, desc.writable_end)
-            if end_in_zone > desc.write_pointer:
-                raise ReadUnwrittenError(
-                    f"read [{bio.offset:#x},{bio.end_offset:#x}) beyond "
-                    f"logical zone {zone} write pointer "
-                    f"{desc.write_pointer:#x}")
-            position = end_in_zone
-        self.sim.process(self._run_read(bio, done))
-
-    def _run_read(self, bio: Bio, done: Event):
-        pieces = self.mapper.split_extent(bio.offset, bio.length)
-        chunks: List[Optional[bytes]] = [None] * len(pieces)
-        events = []
-        lba = bio.offset
-        try:
-            for index, (device, pba, length) in enumerate(pieces):
-                desc = self.zone_descs[self.mapper.zone_of(lba)]
-                chunk = self._read_piece(device, pba, lba, length, desc,
-                                         events, chunks, index)
-                if chunk is not None:
-                    chunks[index] = chunk
-                lba += length
-            if events:
-                yield self.sim.gather(events)
-        except (DeviceError, RaiznError) as exc:
-            done.fail(exc)
-            return
-        bio.result = b"".join(chunks)  # type: ignore[arg-type]
-        self.stats.account(bio)
-        bio.complete_time = self.sim.now
-        done.succeed(bio)
-
-    def _read_piece(self, device: int, pba: int, lba: int, length: int,
-                    desc: LogicalZoneDesc, events: List[Event],
-                    chunks: List[Optional[bytes]],
-                    index: int) -> Optional[bytes]:
-        """Route one ≤SU-sized piece; returns data if served from memory."""
-        su = self.config.stripe_unit_bytes
-        if desc.has_relocations:
-            unit = self.relocations.lookup(lba - (lba % su))
-            if unit is not None:
-                overlaps = unit.overlaps(lba, length)
-                if overlaps == [(0, length)]:
-                    return unit.read(lba, length)
-                if overlaps and \
-                        self._device_available(device, desc.zone) and \
-                        self.phys[device][desc.zone].state \
-                        is not ZoneState.OFFLINE:
-                    return self._stitched_read_piece(
-                        unit, overlaps, device, pba, lba, length, desc,
-                        events, chunks, index)
-                # Partially relocated but the on-device gap bytes are
-                # unreadable (device lost or zone OFFLINE): fall through —
-                # the protected/degraded machinery reconstructs the whole
-                # range from redundancy.
-        if self._device_available(device, desc.zone):
-            if self._avoid_for_reads(device, desc.zone):
-                # Demoted by its health score: serve from redundancy and
-                # spare the read the gray-failing device's tail.
-                return self._degraded_read_piece(device, pba, lba, length,
-                                                 desc, events, chunks, index)
-            events.append(self._protected_read(device, pba, lba, length,
-                                               desc, chunks, index))
-            return None
-        return self._degraded_read_piece(device, pba, lba, length, desc,
-                                         events, chunks, index)
-
-    def _avoid_for_reads(self, device: int, zone: int) -> bool:
-        """Should reads skip this (demoted) device in favour of
-        reconstruction?  Only while every *other* device is available —
-        reconstruction needs all of them, so with a second device down
-        the demoted straggler is still the best source."""
-        if not self._failslow_on or not self.device_health[device].demoted:
-            return False
-        for other in range(self.config.num_devices):
-            if other != device and not self._device_available(other, zone):
-                return False
-        return True
-
-    # -- self-healing device reads ------------------------------------------------
-
-    def _protected_read(self, device: int, pba: int, lba: int, length: int,
-                        desc: LogicalZoneDesc,
-                        chunks: List[Optional[bytes]], index: int) -> Event:
-        """Device read with the self-healing error policy.
-
-        Transient command failures get a bounded retry with simulated
-        backoff; a media (UNC) error triggers read-repair — the stripe
-        unit is reconstructed from the surviving devices plus parity and
-        relocated so the next read hits clean media (§5.2 machinery); a
-        wear-out (offline zone) or failed device degrades the read to
-        reconstruction.  The returned event completes when the piece has
-        been delivered into ``chunks[index]``.
-        """
-        outcome = Event(self.sim)
-        self._attempt_read(device, pba, lba, length, desc, chunks, index,
-                           outcome, 0)
-        return outcome
-
-    def _attempt_read(self, device: int, pba: int, lba: int, length: int,
-                      desc: LogicalZoneDesc, chunks: List[Optional[bytes]],
-                      index: int, outcome: Event, attempt: int) -> None:
-        bio = Bio.read(pba, length)
-        bio.errors_as_status = True
-        event = self.devices[device].submit(bio)
-        hedge = None
-        if attempt == 0 and self._failslow_on:
-            # Hedge timer: if the read outlives the deadline derived from
-            # this device's own latency distribution, race a parity
-            # reconstruction against the straggler.
-            deadline = self.device_health[device].read.threshold(self.config)
-            if deadline is not None:
-                hedge = _HedgeState(event)
-                self.sim.schedule(deadline, self._fire_hedge, device, lba,
-                                  length, desc, chunks, index, outcome,
-                                  hedge)
-        event.add_callback(
-            lambda ev: self._read_attempted(ev, device, pba, lba, length,
-                                            desc, chunks, index, outcome,
-                                            attempt, hedge))
-
-    def _read_attempted(self, event: Event, device: int, pba: int, lba: int,
-                        length: int, desc: LogicalZoneDesc,
-                        chunks: List[Optional[bytes]], index: int,
-                        outcome: Event, attempt: int,
-                        hedge: Optional[_HedgeState] = None) -> None:
-        bio = event.value
-        exc = bio.error
-        if self._failslow_on and exc is None and \
-                not (hedge is not None and hedge.served
-                     and hedge.served_at == self.sim.now):
-            # The AnyOf winner is exclusive: when the reconstruction and
-            # the primary complete in the same tick, the hedge already
-            # owns the serve (and its win counters), so the primary's
-            # sample is dropped — it met the deadline to the tick, and
-            # charging it as a straggler on top of the hedge win would
-            # double-count the event and skew the slow-score.  A genuine
-            # straggler (completing in a *later* tick) still feeds the
-            # health score.
-            self._note_latency(device, True, self.sim.now - bio.submit_time)
-        if hedge is not None and hedge.served:
-            # The hedged reconstruction won the race and served this
-            # piece; the straggler's completion fed the health score
-            # above (unless it tied) and nothing else is owed.  A latent
-            # error surfacing on the abandoned straggler is left for the
-            # scrubber.
-            return
-        if exc is None:
-            chunks[index] = bio.result
-            outcome.succeed(bio)
-            return
-        if isinstance(exc, TransientCommandError):
-            if attempt < self.config.max_transient_retries:
-                self.health.transient_retries += 1
-                self.sim.schedule(self.config.transient_backoff_s,
-                                  self._attempt_read, device, pba, lba,
-                                  length, desc, chunks, index, outcome,
-                                  attempt + 1)
-                return
-            # Retries exhausted: charge the device and serve the read
-            # from redundancy instead of failing it.
-            self.health.transient_escalations += 1
-            self._note_device_error(device)
-        elif isinstance(exc, MediaError):
-            self.health.media_errors += 1
-            if not self.config.read_repair:
-                # Detection-power path: serve the corrupt media view the
-                # way an unprotected consumer would have seen it.
-                self.health.unrepaired_serves += 1
-                chunks[index] = bio.result
-                outcome.succeed(bio)
-                return
-            self._note_device_error(device)
-            if not self.failed[device]:
-                self._heal_and_serve(device, lba, length, desc, chunks,
-                                     index, outcome)
-                return
-            # The charge just evicted the device; fall through to plain
-            # reconstruction (no relocation log left to heal into).
-        elif isinstance(exc, ZoneStateError):
-            # The physical zone went OFFLINE (end-of-life): its media is
-            # gone for good, so reconstruct *and* relocate like a media
-            # error.
-            self.health.wear_errors += 1
-            self._note_device_error(device)
-            self._sync_phys_desc(device, desc.zone)
-            if not self.failed[device]:
-                self._heal_and_serve(device, lba, length, desc, chunks,
-                                     index, outcome)
-                return
-        elif isinstance(exc, DeviceFailedError) and not self.failed[device]:
-            try:
-                self.fail_device(device, remove=False)
-            except DataLossError as loss:
-                outcome.fail(loss)
-                return
-        # Unavailable device (failed, evicted, or powered off): serve the
-        # piece degraded from the surviving devices plus parity.
-        sub_events: List[Event] = []
-        try:
-            served = self._degraded_read_piece(device, pba, lba, length,
-                                               desc, sub_events, chunks,
-                                               index)
-        except (RaiznError, DeviceError) as degraded_exc:
-            outcome.fail(degraded_exc)
-            return
-        if served is not None:
-            chunks[index] = served
-            outcome.succeed(None)
-        else:
-            self._chain(sub_events[0], outcome)
-
-    def _fire_hedge(self, device: int, lba: int, length: int,
-                    desc: LogicalZoneDesc, chunks: List[Optional[bytes]],
-                    index: int, outcome: Event,
-                    hedge: _HedgeState) -> None:
-        """The primary read outlived its adaptive deadline: hedge it.
-
-        A parity reconstruction of the same range is raced against the
-        straggler via ``AnyOf``; the first winner delivers
-        ``chunks[index]``.  The loser is accounted as a hedge — never as
-        a device error, so hedging cannot push a merely-slow device over
-        the error-threshold eviction.
-        """
-        if hedge.primary.triggered or outcome.triggered:
-            return
-        su = self.config.stripe_unit_bytes
-        zone = desc.zone
-        in_zone = lba - desc.start_lba
-        stripe = in_zone // desc.stripe_width
-        in_su = (in_zone % desc.stripe_width) % su
-        self.health.slow_hedges += 1
-        self.device_health[device].slow_hedges += 1
-        buffer = desc.buffers.get(stripe)
-        if buffer is not None:
-            # Incomplete tail stripe: its parity is not on media yet, but
-            # the stripe buffer holds the bytes — instant win from memory.
-            stripe_offset = in_zone % desc.stripe_width
-            hedge.served = True
-            hedge.served_at = self.sim.now
-            self.health.hedge_wins += 1
-            self.device_health[device].hedge_wins += 1
-            chunks[index] = bytes(
-                buffer.data[stripe_offset:stripe_offset + length])
-            outcome.succeed(None)
-            return
-        accumulator = bytearray(length)
-        try:
-            sources = self._reconstruct_sources(device, zone, stripe, in_su,
-                                                length, accumulator)
-        except (RaiznError, DeviceError):
-            # Another device is unavailable (failed or mid-rebuild):
-            # reconstruction cannot race, keep waiting on the straggler.
-            return
-        recon = self.sim.gather(sources)
-        race = self.sim.any_of([hedge.primary, recon])
-        race.add_callback(
-            lambda ev: self._hedge_settled(ev, recon, accumulator, device,
-                                           chunks, index, outcome, hedge))
-
-    def _hedge_settled(self, race: Event, recon: Event,
-                       accumulator: bytearray, device: int,
-                       chunks: List[Optional[bytes]], index: int,
-                       outcome: Event, hedge: _HedgeState) -> None:
-        if outcome.triggered or hedge.primary.triggered:
-            # The straggler won the race (its own callback, attached
-            # first, already served or escalated); the reconstruction is
-            # abandoned — its source reads drain into a dead buffer.
-            return
-        if not race.ok or not recon.triggered:
-            # The reconstruction itself failed (a fault on a survivor is
-            # a double fault): keep waiting on the straggler.
-            return
-        hedge.served = True
-        hedge.served_at = self.sim.now
-        self.health.hedge_wins += 1
-        self.device_health[device].hedge_wins += 1
-        chunks[index] = bytes(accumulator)
-        outcome.succeed(None)
-
-    def _heal_and_serve(self, device: int, lba: int, length: int,
-                        desc: LogicalZoneDesc,
-                        chunks: List[Optional[bytes]], index: int,
-                        outcome: Event) -> None:
-        """Read-repair: reconstruct the whole written extent of the SU,
-        relocate it (persisted in the device's metadata log, §5.2), and
-        serve the requested range from the reconstruction."""
-        su = self.config.stripe_unit_bytes
-        zone = desc.zone
-        in_zone = lba - desc.start_lba
-        stripe = in_zone // desc.stripe_width
-        buffer = desc.buffers.get(stripe)
-        if buffer is not None:
-            # Incomplete tail stripe: the stripe buffer still holds the
-            # data; serve from memory and let a future read of the sealed
-            # stripe do the durable heal.
-            stripe_offset = in_zone % desc.stripe_width
-            chunks[index] = bytes(
-                buffer.data[stripe_offset:stripe_offset + length])
-            outcome.succeed(None)
-            return
-        su_lba = lba - (lba % su)
-        in_su = lba - su_lba
-        su_pba = zone * self.phys_zone_size + stripe * su
-        written = min(su, self.phys[device][zone].write_pointer - su_pba)
-        if written < in_su + length:
-            # A worn zone's frozen pointer can sit below the data we know
-            # was written; reconstruct at least the requested range.
-            written = in_su + length
-        accumulator = bytearray(written)
-        try:
-            sources = self._reconstruct_sources(device, zone, stripe, 0,
-                                                written, accumulator)
-        except (RaiznError, DeviceError) as exc:
-            outcome.fail(exc)
-            return
-        gather = self.sim.gather(sources)
-        gather.add_callback(
-            lambda ev: self._healed(ev, device, su_lba, accumulator, desc,
-                                    chunks, index, in_su, length, outcome))
-
-    def _healed(self, gather: Event, device: int, su_lba: int,
-                accumulator: bytearray, desc: LogicalZoneDesc,
-                chunks: List[Optional[bytes]], index: int, in_su: int,
-                length: int, outcome: Event) -> None:
-        if not gather.ok:
-            outcome.fail(gather.value)
-            return
-        data = bytes(accumulator)
-        zone = desc.zone
-        unit = self.relocations.unit_for(su_lba, device, zone)
-        unit.write(su_lba, data)
-        desc.has_relocations = True
-        self.health.heals += 1
-        chunks[index] = data[in_su:in_su + length]
-        # The original bytes may have been acknowledged durable (FUA), so
-        # the healed copy is persisted FUA before the read completes.
-        entry = encode_relocated_su(su_lba, data, self.generation[zone])
-        self._chain(self.mdzones[device].append_async(
-            MetadataRole.GENERAL, entry, fua=True), outcome)
-
-    def _stitched_read_piece(self, unit, overlaps, device: int, pba: int,
-                             lba: int, length: int, desc: LogicalZoneDesc,
-                             events: List[Event],
-                             chunks: List[Optional[bytes]],
-                             index: int) -> Optional[bytes]:
-        """Merge relocated bytes with on-device bytes for one piece.
-
-        A read can straddle the relocation boundary when recovery rolled
-        the logical write pointer back into the middle of a stripe unit:
-        the prefix below the rollback point is valid on the device while
-        the redirected suffix lives in the relocated unit (§5.2).
-        """
-        container = bytearray(length)
-        for rel_lo, rel_hi in overlaps:
-            container[rel_lo:rel_hi] = unit.read(lba + rel_lo,
-                                                 rel_hi - rel_lo)
-        gap_events = []
-        cursor = 0
-        gaps = []
-        for rel_lo, rel_hi in sorted(overlaps):
-            if cursor < rel_lo:
-                gaps.append((cursor, rel_lo))
-            cursor = max(cursor, rel_hi)
-        if cursor < length:
-            gaps.append((cursor, length))
-        for gap_lo, gap_hi in gaps:
-            if not self._device_available(device, desc.zone):
-                raise DegradedModeError(
-                    "cannot read non-relocated bytes of a relocated stripe "
-                    "unit on an unavailable device")
-            # Gap bytes go through the same self-healing policy as whole
-            # pieces: retry transients, read-repair media errors.
-            slot: List[Optional[bytes]] = [None]
-            event = self._protected_read(device, pba + gap_lo, lba + gap_lo,
-                                         gap_hi - gap_lo, desc, slot, 0)
-
-            def on_gap(ev: Event, lo: int = gap_lo, hi: int = gap_hi,
-                       filled: List[Optional[bytes]] = slot) -> None:
-                if ev.ok and filled[0] is not None:
-                    container[lo:hi] = filled[0]
-            event.add_callback(on_gap)
-            gap_events.append(event)
-        if not gap_events:
-            return bytes(container)
-        gather = self.sim.gather(gap_events)
-
-        def on_all(ev: Event) -> None:
-            if ev.ok:
-                chunks[index] = bytes(container)
-        gather.add_callback(on_all)
-        events.append(gather)
-        return None
-
-    def _degraded_read_piece(self, device: int, pba: int, lba: int,
-                             length: int, desc: LogicalZoneDesc,
-                             events: List[Event],
-                             chunks: List[Optional[bytes]],
-                             index: int) -> Optional[bytes]:
-        """Reconstruct a piece whose device is unavailable (§4.2)."""
-        su = self.config.stripe_unit_bytes
-        zone = desc.zone
-        in_zone = lba - desc.start_lba
-        stripe = in_zone // desc.stripe_width
-        in_su = (in_zone % desc.stripe_width) % su
-        buffer = desc.buffers.get(stripe)
-        if buffer is not None:
-            # Incomplete tail stripe: the stripe buffer has the data.
-            stripe_offset = in_zone % desc.stripe_width
-            return bytes(buffer.data[stripe_offset:stripe_offset + length])
-        accumulator = bytearray(length)
-        sources = self._reconstruct_sources(device, zone, stripe, in_su,
-                                            length, accumulator)
-        gather = self.sim.gather(sources)
-
-        def on_sources(event: Event) -> None:
-            if event.ok:
-                chunks[index] = bytes(accumulator)
-        gather.add_callback(on_sources)
-        events.append(gather)
-        return None
-
-    def _reconstruct_sources(self, device: int, zone: int, stripe: int,
-                             in_su: int, length: int,
-                             accumulator: bytearray) -> List[Event]:
-        """XOR-fold every surviving source of one SU range into ``accumulator``.
-
-        Returns the source read events; the accumulator holds the
-        reconstruction once all of them have completed.  Raises
-        ``DegradedModeError`` when a second device is unavailable — single
-        parity cannot reconstruct through two losses.
-        """
-        su = self.config.stripe_unit_bytes
-        layout = self.mapper.stripe_layout(zone, stripe)
-        sources: List[Event] = []
-        relocated = self.relocated_parity.get((zone, stripe))
-        for other in range(self.config.num_devices):
-            if other == device:
-                continue
-            if not self._device_available(other, zone):
-                raise DegradedModeError(
-                    f"two unavailable devices ({device}, {other}); "
-                    "single parity cannot reconstruct")
-            if other == layout.parity_device and relocated is not None:
-                # The stripe's true parity lives in memory / the metadata
-                # zone; the on-device parity PBA holds stale data.
-                xor_into(accumulator, relocated[in_su:in_su + length])
-                continue
-            if other != layout.parity_device:
-                su_index = layout.data_devices.index(other)
-                unit = self.relocations.lookup(
-                    self.mapper.su_lba(zone, stripe, su_index))
-                if unit is not None and unit.covers(unit.su_lba + in_su,
-                                                    length):
-                    # This source SU was itself relocated; its on-device
-                    # bytes are stale.
-                    xor_into(accumulator,
-                             unit.read(unit.su_lba + in_su, length))
-                    continue
-            other_pba = zone * self.phys_zone_size + stripe * su + in_su
-            # A source SU may be shorter than the requested range (the
-            # tail stripe of a finished zone); its unwritten suffix
-            # counts as zeroes, matching the parity computation (§5.1).
-            available = self.phys[other][zone].write_pointer - other_pba
-            take = max(0, min(length, available))
-            if take == 0:
-                continue
-            sources.append(
-                self._source_read(other, other_pba, take, accumulator))
-        return sources
-
-    def _source_read(self, device: int, pba: int, length: int,
-                     accumulator: bytearray) -> Event:
-        """Survivor read feeding a reconstruction, with transient retry.
-
-        Transient command failures are retried like any protected read;
-        any other error (a media error on a survivor is a double fault)
-        fails the reconstruction loudly.
-        """
-        outcome = Event(self.sim)
-        self._attempt_source_read(device, pba, length, accumulator,
-                                  outcome, 0)
-        return outcome
-
-    def _attempt_source_read(self, device: int, pba: int, length: int,
-                             accumulator: bytearray, outcome: Event,
-                             attempt: int) -> None:
-        bio = Bio.read(pba, length)
-        bio.errors_as_status = True
-        event = self.devices[device].submit(bio)
-
-        def done(ev: Event) -> None:
-            completed = ev.value
-            exc = completed.error
-            if exc is None:
-                if self._failslow_on:
-                    self._note_latency(device, True,
-                                       self.sim.now - completed.submit_time)
-                xor_into(accumulator, completed.result)
-                outcome.succeed(completed)
-            elif isinstance(exc, TransientCommandError) and \
-                    attempt < self.config.max_transient_retries:
-                self.health.transient_retries += 1
-                self.sim.schedule(self.config.transient_backoff_s,
-                                  self._attempt_source_read, device, pba,
-                                  length, accumulator, outcome, attempt + 1)
-            else:
-                outcome.fail(exc)
-        event.add_callback(done)
 
     # ------------------------------------------------------------------ flush
 

@@ -286,32 +286,34 @@ class ZNSDevice(BlockDevice):
         raise ZoneStateError(f"{self.name}: unsupported op {bio.op}")
 
     def _apply_read(self, bio: Bio) -> float:
-        zone = self.zone_at(bio.offset)
-        if bio.end_offset > zone.start + self.zone_size:
+        offset = bio.offset
+        end = offset + bio.length
+        zone = self.zone_at(offset)
+        if end > zone.start + self.zone_size:
             raise InvalidAddressError(
-                f"{self.name}: read crosses zone boundary at {bio.offset:#x}")
+                f"{self.name}: read crosses zone boundary at {offset:#x}")
         if zone.state is ZoneState.OFFLINE:
             raise ZoneStateError(f"{self.name}: zone {zone.index} is offline")
-        if bio.end_offset > zone.write_pointer:
+        if end > zone.write_pointer:
             raise ReadUnwrittenError(
-                f"{self.name}: read [{bio.offset:#x},{bio.end_offset:#x}) "
+                f"{self.name}: read [{offset:#x},{end:#x}) "
                 f"beyond write pointer {zone.write_pointer:#x} "
                 f"of zone {zone.index}")
         # Zero-copy: the result is a view of the media.  Safe because zones
         # are sequential-write — already-written bytes cannot be overwritten
         # without a zone reset — and consumers materialize ``bytes`` at the
         # user-visible boundary (RaiznVolume joins pieces into bytes).
-        bio.result = memoryview(self._media)[bio.offset:bio.end_offset]
+        bio.result = memoryview(self._media)[offset:end]
         extents = self._bad_extents.get(zone.index)
         if extents:
-            for start, end in extents:
-                if start < bio.end_offset and bio.offset < end:
+            for start, stop in extents:
+                if start < end and offset < stop:
                     # The corrupt view stays in ``bio.result`` so harnesses
                     # can show what an unprotected read would have returned.
                     raise MediaError(
                         f"{self.name}: unrecoverable media error in "
-                        f"[{start:#x},{end:#x}) of zone {zone.index}",
-                        device=self.name, offset=start, length=end - start)
+                        f"[{start:#x},{stop:#x}) of zone {zone.index}",
+                        device=self.name, offset=start, length=stop - start)
         return 0.0
 
     def _check_write(self, bio: Bio) -> Zone:

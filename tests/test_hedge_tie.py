@@ -11,7 +11,8 @@ import pytest
 
 from repro.block import Bio
 from repro.raizn.config import RaiznConfig
-from repro.raizn.volume import RaiznVolume, _HedgeState, _LatencyEwma
+from repro.raizn.readpath import _Piece, _ReadJoin
+from repro.raizn.volume import RaiznVolume, _LatencyEwma
 from repro.sim import Event, Simulator
 
 from conftest import TEST_STRIPE_UNIT, make_zns_devices
@@ -26,62 +27,71 @@ def failslow_volume(sim):
     return RaiznVolume.create(sim, devices, config)
 
 
-def _attempt_completion(sim: Simulator, volume: RaiznVolume, hedge,
-                        length: int = 4096):
+def _hedged_piece(sim: Simulator, volume: RaiznVolume, length: int = 4096):
+    """The only piece of a logical read, hedged, its first attempt in
+    flight (the fan-out's own hold on the join already released)."""
+    join = _ReadJoin(volume, Bio.read(0, length), Event(sim))
+    piece = _Piece(join, 0, 0, 0, length, volume.zone_descs[0], -1)
+    piece.hedged = True
+    join.pending -= 1
+    return piece
+
+
+def _attempt_completion(sim: Simulator, volume: RaiznVolume, piece):
     """Drive ``_read_attempted`` directly with a crafted completion."""
-    bio = Bio.read(0, length)
+    bio = Bio.read(piece.pba, piece.length)
     bio.errors_as_status = True
+    bio.wctx = piece
     bio.submit_time = sim.now - 0.004  # the primary took 4 ms
-    bio.result = b"\xab" * length
+    bio.result = b"\xab" * piece.length
     event = Event(sim)
     event.succeed(bio)
-    chunks = [None]
-    outcome = Event(sim)
-    volume._read_attempted(event, 0, 0, 0, length, None, chunks, 0,
-                           outcome, 0, hedge)
-    return chunks, outcome
+    volume.readpath._read_attempted(event)
+    return piece.join.chunks, piece.join.done
 
 
 class TestHedgeTie:
     def test_tied_primary_not_charged(self, sim, failslow_volume):
         """Same-tick completion: the hedge won, the primary's sample is
         dropped and the already-served outcome is left alone."""
-        hedge = _HedgeState(Event(sim))
-        hedge.served = True
-        hedge.served_at = sim.now  # reconstruction served this tick
+        piece = _hedged_piece(sim, failslow_volume)
+        piece.served_at = sim.now  # reconstruction served this tick
         health = failslow_volume.device_health[0]
         before = health.read.samples
-        chunks, outcome = _attempt_completion(sim, failslow_volume, hedge)
+        chunks, done = _attempt_completion(sim, failslow_volume, piece)
         assert health.read.samples == before
         assert chunks == [None]  # hedge delivered the piece, not us
-        assert not outcome.triggered
+        assert not done.triggered
 
     def test_late_straggler_still_charged(self, sim, failslow_volume):
         """The primary limped in a tick after the hedge served: that is
         exactly the signal the health score exists for."""
-        hedge = _HedgeState(Event(sim))
-        hedge.served = True
-        hedge.served_at = sim.now - 1e-3  # hedge won a full tick earlier
+        piece = _hedged_piece(sim, failslow_volume)
+        piece.served_at = sim.now - 1e-3  # hedge won a full tick earlier
         health = failslow_volume.device_health[0]
         before = health.read.samples
-        chunks, outcome = _attempt_completion(sim, failslow_volume, hedge)
+        chunks, done = _attempt_completion(sim, failslow_volume, piece)
         assert health.read.samples == before + 1
         assert chunks == [None]
-        assert not outcome.triggered
+        assert not done.triggered
 
     def test_unhedged_completion_serves_and_charges(self, sim,
                                                     failslow_volume):
+        piece = _hedged_piece(sim, failslow_volume)
+        piece.hedged = False
         health = failslow_volume.device_health[0]
         before = health.read.samples
-        chunks, outcome = _attempt_completion(sim, failslow_volume, None)
+        chunks, done = _attempt_completion(sim, failslow_volume, piece)
         assert health.read.samples == before + 1
         assert chunks[0] == b"\xab" * 4096
-        assert outcome.triggered and outcome.ok
+        assert done.triggered and done.ok
+        assert done.value.result == b"\xab" * 4096
 
-    def test_hedge_state_starts_unserved(self, sim):
-        hedge = _HedgeState(Event(sim))
-        assert not hedge.served
-        assert hedge.served_at is None
+    def test_hedge_state_starts_unserved(self, sim, failslow_volume):
+        join = _ReadJoin(failslow_volume, Bio.read(0, 4096), Event(sim))
+        piece = _Piece(join, 0, 0, 0, 4096, failslow_volume.zone_descs[0], -1)
+        assert not piece.hedged
+        assert piece.served_at is None
 
 
 class TestLatencyEwma:

@@ -162,6 +162,52 @@ class TestTracedRun:
             if parent is not None:
                 assert parent in ids
 
+    def test_device_reads_parent_under_their_logical_read(self):
+        """Every device read issued for a logical read — first attempt,
+        transient retry, healing and degraded survivor reads — names that
+        read's root span as its parent; the read fan-out is deferred one
+        hop past ``submit``, so the parent rides the piece context."""
+        from repro.block import Bio
+        from repro.errors import TransientCommandError
+
+        sim, volume, devices = _build(seed=11, quick=True)
+        su = volume.config.stripe_unit_bytes
+        data = bytes(range(256)) * (8 * su // 256)
+        volume.execute(Bio.write(0, data))
+        flaky = [2]
+
+        def transient_once(dev, bio):
+            if bio.op is Op.READ and flaky[0]:
+                flaky[0] -= 1
+                raise TransientCommandError(f"{dev.name}: injected")
+        devices[volume.mapper.lba_to_pba(0)[0]].add_hook("pre_apply",
+                                                         transient_once)
+        bad_device, bad_pba = volume.mapper.lba_to_pba(5 * su)
+        devices[bad_device].mark_bad(bad_pba, 4096)
+        first = volume.tracer.sink.total_recorded
+        _drive(sim, volume, [Bio.read(0, 4 * su), Bio.read(4 * su, 4 * su)],
+               2)
+        volume.fail_device(volume.mapper.lba_to_pba(2 * su)[0])
+        _drive(sim, volume, [Bio.read(0, 8 * su), Bio.read(su, 4096)], 2)
+        assert volume.health.transient_retries == 2
+        assert volume.health.heals == 1
+
+        sink = volume.tracer.sink
+        records = [sink._ring_record(ordinal)
+                   for ordinal in range(first, sink.total_recorded)]
+        roots = {record["id"] for record in records
+                 if record["layer"] == "volume" and record["name"] == "read"}
+        assert len(roots) == 4
+        device_reads = [record for record in records
+                        if record["layer"] == "zns"
+                        and record["name"] == "read"]
+        assert len(device_reads) > 8 + 4  # pieces plus survivor reads
+        for record in device_reads:
+            assert record["parent"] in roots, record
+        # The healed unit's log append parents under its read as well.
+        assert any(record["layer"] == "md" and record["parent"] in roots
+                   for record in records)
+
     def test_jsonl_dump_schema(self, tmp_path):
         _sim, volume, _devices = _traced_volume()
         path = tmp_path / "spans.jsonl"

@@ -9,7 +9,7 @@ module reproduces that vocabulary.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import InvalidAddressError
 from ..units import SECTOR_SIZE
@@ -63,6 +63,7 @@ class Bio:
         "result",
         "error",
         "errors_as_status",
+        "end_io",
         "submit_time",
         "complete_time",
         "aux",
@@ -106,6 +107,11 @@ class Bio:
         #: layer's ``bio->bi_status``: a driver that checks status gets the
         #: failing bio back; everyone else keeps the legacy raise behaviour.
         self.errors_as_status = False
+        #: Completion callback, ``bi_end_io``: when set, the device calls
+        #: ``end_io(bio)`` at completion instead of triggering an event.
+        #: Every outcome arrives as status (``error`` set, never raised),
+        #: so the submitter must set ``errors_as_status`` too.
+        self.end_io: Optional[Callable[["Bio"], None]] = None
         self.submit_time: Optional[float] = None
         self.complete_time: Optional[float] = None
         #: Device-private scratch (e.g. flush snapshots); not for callers.
@@ -121,9 +127,10 @@ class Bio:
         #: Trace state while this bio is in flight on a device (see
         #: :mod:`repro.trace`); None unless tracing is enabled, else the
         #: parent-span id (an int, ``-1`` for no parent) captured at
-        #: submission.  With ``span_grant`` — the channel-grant time
-        #: stamped by ``_grant`` — the device folds a full span into the
-        #: trace ring at completion without allocating anything.
+        #: submission.  With ``span_grant`` — the instant service starts
+        #: on a channel, computed by ``BlockDevice._serve`` — the device
+        #: folds a full span into the trace ring at completion without
+        #: allocating anything.
         self.span = None
         self.span_grant = 0.0
 
@@ -147,6 +154,7 @@ class Bio:
         bio.result = None
         bio.error = None
         bio.errors_as_status = False
+        bio.end_io = None
         bio.submit_time = None
         bio.complete_time = None
         bio.aux = None

@@ -16,9 +16,8 @@ from collections import deque
 from typing import (Callable, Deque, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
-from ..errors import (DeviceError, DeviceFailedError, PowerLossError,
-                      SimulationError)
-from ..sim import Event, Resource, Simulator
+from ..errors import DeviceError, DeviceFailedError, PowerLossError
+from ..sim import Event, Simulator
 from ..units import SECTOR_SIZE
 from .bio import Bio, BioFlags, Op
 from .timing import ServiceTimeModel
@@ -81,17 +80,6 @@ class DeviceStats:
         else:
             self.zone_mgmt += 1
 
-    def observe_completion(self, bio: Bio, now: float) -> None:
-        """Charge one successful completion's latency to the time counters."""
-        elapsed = now - bio.submit_time
-        op = bio.op
-        if op is Op.READ:
-            self.read_seconds += elapsed
-        elif op is Op.WRITE or op is Op.ZONE_APPEND:
-            self.write_seconds += elapsed
-        else:
-            self.other_seconds += elapsed
-
     def to_dict(self) -> dict:
         """Snapshot for the metrics registry."""
         return {
@@ -118,15 +106,17 @@ class DeviceStats:
 #:     rejects the command (and stops the hooks installed after it);
 #:     cutting power or failing the device inside the hook rejects it too.
 #: ``service_delay``
-#:     at the channel-grant point; returns extra seconds of channel
+#:     at the instant a command's service starts (``sim.now`` is that
+#:     instant), in start order; returns extra seconds of channel
 #:     occupancy, summed over the installed hooks.  The delay holds the
 #:     channel, so a gray-failing device also inflicts queueing delay on
 #:     the commands behind the slow one.
 #: ``completion``
-#:     right after a command's completion event fires.  The bio counts as
-#:     acked — ``done.succeed`` only queues waiter callbacks — so cutting
-#:     power inside the hook models a crash where completions 1..k were
-#:     delivered and nothing after.
+#:     at a command's completion, before its submitter hears of it.  The
+#:     bio counts as acked — ``complete_time`` is stamped, durability
+#:     applied, and the submitter's callback runs whatever the hook does —
+#:     so cutting power inside the hook models a crash where completions
+#:     1..k were delivered and nothing after.
 HOOK_SLOTS = ("pre_apply", "service_delay", "completion")
 
 
@@ -168,12 +158,12 @@ class BlockDevice:
         # them here skips a method call per command completion.
         self._pl_read = model.pipeline_latency(Op.READ)
         self._pl_write = model.pipeline_latency(Op.WRITE)
-        self.channels = Resource(sim, model.channels)
-        # Commands waiting for a free channel, FIFO.  A plain deque of
-        # (bio, extra_time, done) tuples: queueing a command costs no
-        # waiter Event and no closure, and the grant hop a releasing
-        # command queues is a direct ``_grant`` continuation.
-        self._channel_queue: Deque[Tuple[Bio, float, Event]] = deque()
+        # Commands parked until a channel comes free, FIFO, as ``_serve``
+        # argument tuples.  Only a ``service_delay`` hook parks commands
+        # (see ``submit``); ``_wake`` starts them.
+        self._channel_queue: Deque[Tuple[Bio, float, Optional[Event]]] = \
+            deque()
+        self._reset_channels()
         self.stats = DeviceStats()
         self.failed = False
         self.powered = True
@@ -194,26 +184,27 @@ class BlockDevice:
 
     # -- the public IO interface ----------------------------------------------
 
-    def submit(self, bio: Bio, done: Optional[Event] = None) -> Event:
-        """Submit ``bio``; the returned event succeeds with the completed bio.
+    def submit(self, bio: Bio) -> Optional[Event]:
+        """Submit ``bio``; its completion is delivered the way it asks.
+
+        With ``bio.end_io`` set the device calls ``end_io(bio)`` and
+        returns None.  Otherwise — the adapter for generator callers — it
+        returns an event that succeeds with the completed bio, or fails
+        with the ``DeviceError`` unless ``bio.errors_as_status`` is set.
 
         Command validation and logical state changes happen synchronously
-        here, in submission order.  The event fails with a ``DeviceError``
-        on invalid commands and with ``DeviceFailedError`` if the device has
-        failed.  ``done`` lets a caller that recycles completion events
-        through ``Simulator.recycle`` supply a pooled one.
+        here, in submission order; an invalid command, or any command to a
+        failed or powered-off device, is rejected.
         """
         sim = self.sim
+        if bio.end_io is None:
+            done = sim.event()
+        elif bio.errors_as_status:
+            done = None
+        else:
+            raise ValueError("bio.end_io requires bio.errors_as_status: a "
+                             "callback has no event to fail")
         bio.submit_time = sim.now
-        if done is None:
-            # ``Simulator.event`` inlined (one call per command).
-            free = sim._event_free
-            if free:
-                done = free.pop()
-                done.triggered = False
-                done.ok = True
-            else:
-                done = Event(sim)
         if self.failed or not self.powered:
             if self.failed:
                 self._reject(bio, done,
@@ -261,43 +252,23 @@ class BlockDevice:
         if self.tracer is not None:
             # Device spans stay off the object heap until completion:
             # the parent link rides in ``bio.span`` (an int, untracked
-            # by the GC) and the channel-grant time in ``bio.span_grant``.
+            # by the GC) and the service-start time in ``bio.span_grant``.
             bio.span = self.tracer.current_parent
-        # Service chain: channel grant -> occupancy -> pipeline -> complete,
-        # as plain scheduled callbacks.  A generator process here cost a
-        # Process allocation plus several scheduler round-trips per command,
-        # which dominated wall time at high IO rates.  The channel-time RNG
-        # draw stays at the grant point, so fixed-seed runs are unchanged.
-        channels = self.channels
-        if channels.in_use < channels.capacity:
-            channels.in_use += 1
-            # Inlined ``_grant`` (the uncontended case): same steps, one
-            # call frame and one ``schedule`` indirection fewer.
-            if bio.span is not None:
-                bio.span_grant = sim.now
-            op = bio.op
-            model = self.model
-            if op is Op.WRITE or op is Op.ZONE_APPEND:
-                # ``occupancy_time`` inlined for the dominant ops; the
-                # jitter expansion matches rng.uniform bit for bit (see
-                # the model's __post_init__).
-                occupancy = model.command_overhead + \
-                    bio.length / model._write_rate
-                jitter = model.jitter
-                if jitter > 0:
-                    occupancy *= 1.0 + (-jitter +
-                                        model._jitter_span *
-                                        self._rng.random())
-            else:
-                occupancy = model.occupancy_time(op, bio.length, self._rng)
-            if self.service_delay_hook is not None:
-                occupancy += self.service_delay_hook(self, bio)
-            sim._seq += 1
-            heapq.heappush(sim._heap,
-                           (sim.now + occupancy + extra_time, sim._seq,
-                            self._channel_done, (bio, done)))
+        # The channels are a FIFO k-server, so a command's service start
+        # is known the moment it arrives and ``_serve`` computes its whole
+        # timeline here.  A ``service_delay`` hook must run *at* the start
+        # instant, though: while one is installed a command that cannot
+        # start now is parked — and, to stay FIFO, so is any command behind
+        # a parked one, even after the hook is removed.
+        queue = self._channel_queue
+        if queue:
+            queue.append((bio, extra_time, done))
+        elif self.service_delay_hook is not None \
+                and self._free_at[0] > sim.now:
+            queue.append((bio, extra_time, done))
+            sim.schedule_at(self._free_at[0], self._wake)
         else:
-            self._channel_queue.append((bio, extra_time, done))
+            self._serve(bio, extra_time, done)
         return done
 
     def execute(self, bio: Bio) -> Bio:
@@ -327,76 +298,88 @@ class BlockDevice:
 
     # -- internals --------------------------------------------------------------
 
-    def _grant(self, bio: Bio, extra_time: float, done: Event) -> None:
-        """A channel is ours: hold it for the occupancy time."""
-        if bio.span is not None:
-            bio.span_grant = self.sim.now  # queue wait ends, service begins
+    def _reset_channels(self) -> None:
+        """Every channel idle, nothing parked."""
+        #: One busy-until instant per channel, as a ``heapq``: the
+        #: earliest-free channel is ``_free_at[0]``.
+        self._free_at = [0.0] * self.model.channels
+        self._channel_queue.clear()
+
+    def _serve(self, bio: Bio, extra_time: float,
+               done: Optional[Event]) -> None:
+        """Give ``bio`` the earliest-free channel and time its completion.
+
+        Service starts when that channel is free (now, if it is idle),
+        holds it for the occupancy time, and the command completes a
+        pipelined latency after leaving it.  Arrival order is service
+        order, so the occupancy RNG draws happen in the order a
+        grant-by-grant server would make them; the instants are summed
+        left to right, each from the instant such a server's clock would
+        show, so every float is the one it would compute.
+        """
+        sim = self.sim
+        free_at = self._free_at
+        start = free_at[0]
+        if start < sim.now:
+            start = sim.now
+        bio.span_grant = start  # queue wait ends, service begins
         op = bio.op
         model = self.model
         if op is Op.WRITE or op is Op.ZONE_APPEND:
-            # Same inlined occupancy as ``submit``'s uncontended branch.
+            # ``occupancy_time`` inlined for the dominant ops; the
+            # jitter expansion matches rng.uniform bit for bit (see
+            # the model's __post_init__).
             occupancy = model.command_overhead + \
                 bio.length / model._write_rate
             jitter = model.jitter
             if jitter > 0:
                 occupancy *= 1.0 + (-jitter +
                                     model._jitter_span * self._rng.random())
-        else:
-            occupancy = model.occupancy_time(op, bio.length, self._rng)
-        if self.service_delay_hook is not None:
-            occupancy += self.service_delay_hook(self, bio)
-        sim = self.sim
-        sim._seq += 1
-        heapq.heappush(sim._heap, (sim.now + occupancy + extra_time, sim._seq,
-                                   self._channel_done, (bio, done)))
-
-    def _channel_done(self, bio: Bio, done: Event) -> None:
-        """Occupancy over: free the channel, wait out the pipeline latency."""
-        queue = self._channel_queue
-        if queue:
-            # Hand the channel straight to the next queued command.  The
-            # grant goes through the now-queue — the same hop the waiter
-            # Event's dispatch used to take — so the occupancy RNG draw
-            # happens at exactly the same point in the event order.
-            self.sim._now_queue.append((self._grant, queue.popleft()))
-        else:
-            self.channels.in_use -= 1
-        op = bio.op
-        if op is Op.READ:
-            pipeline = self._pl_read
-        elif op is Op.WRITE or op is Op.ZONE_APPEND:
             pipeline = self._pl_write
         else:
-            pipeline = 0.0
-        if pipeline > 0:
-            # The fused completion may only run from its own heap entry:
-            # the now-queue is empty when the loop pops one, so the
-            # waiter continuation it invokes inline cannot jump ahead of
-            # queued work (unlike here, where a grant hand-off may
-            # already sit on the now-queue).
-            sim = self.sim
-            sim._seq += 1
-            heapq.heappush(sim._heap, (sim.now + pipeline, sim._seq,
-                                       self._complete_fused, (bio, done)))
-        else:
-            self._complete(bio, done)
+            occupancy = model.occupancy_time(op, bio.length, self._rng)
+            pipeline = self._pl_read if op is Op.READ else 0.0
+        if self.service_delay_hook is not None:
+            occupancy += self.service_delay_hook(self, bio)
+        freed = start + occupancy + extra_time
+        heapq.heapreplace(free_at, freed)
+        sim.complete_at(freed + pipeline, self._complete, bio, done)
 
-    def _reject(self, bio: Bio, done: Event, exc: BaseException) -> None:
-        """Deliver a command error: fail the event, or — when the submitter
-        opted in via ``bio.errors_as_status`` — complete the bio with
-        ``bio.error`` set so the caller can recover per-bio instead of
-        having a gathered fan-out unwind on the first failure."""
+    def _wake(self) -> None:
+        """A channel came free with commands parked: start, in order,
+        those that can start now, and come back for the rest."""
+        queue = self._channel_queue
+        free_at = self._free_at
+        sim = self.sim
+        while queue and free_at[0] <= sim.now:
+            self._serve(*queue.popleft())
+        if queue:
+            sim.schedule_at(free_at[0], self._wake)
+
+    def _reject(self, bio: Bio, done: Optional[Event],
+                exc: BaseException) -> None:
+        """Deliver a command error, two zero-delay hops from here: complete
+        the bio with ``bio.error`` set when the submitter opted in via
+        ``bio.errors_as_status`` — so it can recover per bio instead of
+        having a gathered fan-out unwind on the first failure — or fail
+        the event."""
         if bio.errors_as_status:
             bio.error = exc
             self.sim.schedule(0.0, self._complete_errored, bio, done)
         else:
             self.sim.schedule(0.0, done.fail, exc)
 
-    def _complete_errored(self, bio: Bio, done: Event) -> None:
+    def _complete_errored(self, bio: Bio, done: Optional[Event]) -> None:
         bio.complete_time = self.sim.now
-        done.succeed(bio)
+        if done is None:
+            self.sim.schedule(0.0, bio.end_io, bio)
+        else:
+            done.succeed(bio)
 
-    def _complete(self, bio: Bio, done: Event) -> None:
+    def _complete(self, bio: Bio, done: Optional[Event]) -> None:
+        """A command's completion instant, from its own heap entry: the
+        now-queue is empty, so the submitter's continuation runs in this
+        frame (``Event.succeed_inline``) instead of through a hop."""
         if self.failed:
             self._fail_inflight(bio, done,
                                 DeviceFailedError(f"{self.name} failed mid-IO"))
@@ -405,96 +388,53 @@ class BlockDevice:
             self._fail_inflight(bio, done,
                                 PowerLossError(f"{self.name} lost power mid-IO"))
             return
-        self._persist(bio)
-        self.stats.observe_completion(bio, self.sim.now)
-        parent = bio.span
-        if parent is not None:
-            bio.span = None
-            opname = bio.op._value_  # str key: Enum.__hash__ is Python-level
-            try:
-                site = self._trace_sites[opname]
-            except KeyError:
-                site = self._trace_sites[opname] = self.tracer.site(
-                    self.trace_layer, bio.op, self.name)
-            self.tracer.complete_io(site, bio.submit_time, bio.span_grant,
-                                    bio.length, parent)
-        bio.complete_time = self.sim.now
-        done.succeed(bio)
-        if self.completion_hook is not None:
-            self.completion_hook(self, bio)
-
-    def _complete_fused(self, bio: Bio, done: Event) -> None:
-        """``_complete`` plus the waiter's continuation, as ONE engine step.
-
-        Entered only from a dedicated heap entry, where the engine
-        guarantees the now-queue is empty.  ``done.succeed`` would queue
-        the (single) waiter continuation as the very next entry and the
-        loop would pop it immediately after this frame returns — so
-        triggering the event here and invoking the continuation directly
-        (after the completion hook, exactly where the loop would have
-        run it) executes the same work in the same order without the
-        queue round-trip.  Completion batching per the engine's sibling
-        rule: the completion and its continuation ride one step.
-        """
-        if self.failed or not self.powered:
-            self._complete(bio, done)
-            return
-        if bio.flags or bio.aux is not None:
-            # Plain (non-FUA, non-flush) commands have no durability
-            # effect; every ``_persist`` implementation no-ops on them,
-            # so skip the call entirely.
-            self._persist(bio)
         now = self.sim.now
-        # ``DeviceStats.observe_completion`` inlined, as with ``account``.
+        # ``DeviceStats`` latency accounting inlined, as with ``account``.
         stats = self.stats
         elapsed = now - bio.submit_time
         op = bio.op
-        if op is Op.WRITE or op is Op.ZONE_APPEND:
-            stats.write_seconds += elapsed
-        elif op is Op.READ:
+        if op is Op.READ:
             stats.read_seconds += elapsed
+        elif op is Op.WRITE or op is Op.ZONE_APPEND:
+            # Plain (non-FUA, non-preflush) writes have no durability
+            # effect; every ``_persist`` no-ops on them, so skip the call.
+            if bio.flags or bio.aux is not None:
+                self._persist(bio)
+            stats.write_seconds += elapsed
         else:
+            self._persist(bio)
             stats.other_seconds += elapsed
         parent = bio.span
         if parent is not None:
             bio.span = None
-            opname = bio.op._value_  # str key: Enum.__hash__ is Python-level
+            opname = op._value_  # str key: Enum.__hash__ is Python-level
             try:
                 site = self._trace_sites[opname]
             except KeyError:
                 site = self._trace_sites[opname] = self.tracer.site(
-                    self.trace_layer, bio.op, self.name)
+                    self.trace_layer, op, self.name)
             self.tracer.complete_io(site, bio.submit_time, bio.span_grant,
                                     bio.length, parent)
         bio.complete_time = now
-        # Trigger ``done`` without queueing the continuation (the succeed
-        # fast path's only effect beyond state changes).
-        if done.triggered:
-            raise SimulationError(f"{done!r} triggered twice")
-        done.triggered = True
-        done.value = bio
-        callback = done.callback
-        callbacks = None
-        if callback is not None:
-            done.callback = None
-            callbacks = done.callbacks
-            done.callbacks = None
         if self.completion_hook is not None:
             self.completion_hook(self, bio)
-        if callback is not None:
-            callback(done)
-            if callbacks is not None:
-                for fn in callbacks:
-                    fn(done)
+        if done is None:
+            bio.end_io(bio)
+        else:
+            done.succeed_inline(bio)
 
-    def _fail_inflight(self, bio: Bio, done: Event, exc: BaseException) -> None:
+    def _fail_inflight(self, bio: Bio, done: Optional[Event],
+                       exc: BaseException) -> None:
         # The command never completed; neither the trace nor io_seconds
         # charges it (they must stay reconcilable).
         bio.span = None
         if bio.errors_as_status:
             bio.error = exc
             bio.complete_time = self.sim.now
-            done.succeed(bio)
+            if done is None:
+                bio.end_io(bio)
+            else:
+                done.succeed(bio)
         else:
             done.fail(exc)
 
@@ -560,17 +500,17 @@ class BlockDevice:
         return bio
 
 
-def submit_many(
-        commands: Iterable[Tuple["BlockDevice", Bio, Optional[Event]]]
-) -> List[Event]:
-    """Submit a batch of ``(device, bio, done)`` commands in one step.
+def submit_many(commands: Iterable[Tuple["BlockDevice", Bio]]) -> None:
+    """Submit a batch of ``(device, bio)`` commands in one step.
 
     The upper layer (the RAIZN volume hands a whole stripe's device
     commands here) builds the batch while computing its fan-out, then
     submits everything with a single call.  Commands are applied strictly
     in batch order, so per-device submission order — and with it every
-    zone write-pointer check and channel-grant RNG draw — is identical to
+    zone write-pointer check and occupancy RNG draw — is identical to
     issuing the same ``submit`` calls one by one.  Tracer spans are still
-    attributed per command by each device's completion path.
+    attributed per command by each device's completion path.  The
+    commands complete through their ``bio.end_io``.
     """
-    return [device.submit(bio, done) for device, bio, done in commands]
+    for device, bio in commands:
+        device.submit(bio)

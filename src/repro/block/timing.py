@@ -1,7 +1,8 @@
 """Device service-time model.
 
-Devices are modelled as a pool of parallel command channels (``Resource``),
-each serving one IO at a time.  An IO occupies a channel for::
+Devices are modelled as a pool of parallel command channels, each serving
+one IO at a time in arrival order (``BlockDevice`` keeps their busy-until
+instants).  An IO occupies a channel for::
 
     command_overhead + transfer_bytes / per_channel_bandwidth (+ jitter)
 

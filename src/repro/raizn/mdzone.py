@@ -155,15 +155,7 @@ class DeviceMetadataZones:
         ``(fn, args)`` call instead of being scheduled — the caller owns
         one ``schedule_batch`` entry covering a whole write's appends.
         """
-        sim = self.sim
-        # ``sim.event()`` inlined: one call per metadata append.
-        free = sim._event_free
-        if free:
-            done = free.pop()
-            done.triggered = False
-            done.ok = True
-        else:
-            done = Event(sim)
+        done = self.sim.event()
         tracer = self.device.tracer
         if tracer is not None:
             # The md span covers lock wait, any log rotation, and the
@@ -224,16 +216,17 @@ class DeviceMetadataZones:
             return
         try:
             self.used[zone_index] += nbytes
-            event = self.device.submit(
-                Bio.fast_append(zone_index * self.zone_size, encoded,
-                                _BIO_FUA if fua else 0))
+            bio = Bio.fast_append(zone_index * self.zone_size, encoded,
+                                  _BIO_FUA if fua else 0)
+            bio.errors_as_status = True
+            bio.wctx = done
+            bio.end_io = self._append_done
+            self.device.submit(bio)
         except BaseException as exc:  # noqa: BLE001 - mirror process failure
             lock.release()
             done.fail(exc)
             return
         lock.release()
-        event.add_callback(
-            lambda ev, n=nbytes, d=done: self._append_done(ev, n, d))
 
     def _append_rotating(self, role: MetadataRole, encoded: bytes,
                          fua: bool, done: Event):
@@ -245,17 +238,13 @@ class DeviceMetadataZones:
             return
         done.succeed(pba)
 
-    def _append_done(self, event: Event, nbytes: int, done: Event) -> None:
-        value = event.value
-        if event.ok:
-            # The submit event is exclusively ours and fully drained (the
-            # succeed fast path cleared its callback slot) — return it to
-            # the simulator's freelist instead of leaving it to the GC.
-            self.sim.recycle(event)
-            self.appended_bytes += nbytes
-            done.succeed(value.result)
+    def _append_done(self, bio: Bio) -> None:
+        done = bio.wctx
+        if bio.error is None:
+            self.appended_bytes += bio.length
+            done.succeed(bio.result)
         else:
-            done.fail(value)
+            done.fail(bio.error)
 
     def remaining(self, role: MetadataRole) -> int:
         """Bytes left in the role's current zone."""

@@ -254,8 +254,12 @@ class ReadPath:
         bio = Bio.read(piece.pba, piece.length)
         bio.errors_as_status = True
         bio.wctx = piece
-        event = self._traced(piece.parent,
-                             volume.devices[piece.device].submit, bio)
+        bio.end_io = self._read_attempted
+        submit = volume.devices[piece.device].submit
+        if volume.tracer is None:
+            submit(bio)
+        else:
+            self._traced(piece.parent, submit, bio)
         if piece.attempt == 0 and volume._failslow_on:
             # Hedge timer: if the read outlives the deadline derived from
             # this device's own latency distribution, race a parity
@@ -265,13 +269,10 @@ class ReadPath:
             if deadline is not None:
                 piece.hedged = True
                 self.sim.schedule(deadline, self._fire_hedge, piece)
-        event.add_callback(self._read_attempted)
 
-    def _read_attempted(self, event: Event) -> None:
+    def _read_attempted(self, bio: Bio) -> None:
         """Completion of a piece's device read — every attempt, every
         outcome: deliver, retry, read-repair, or degrade (§5.2, §4.2)."""
-        bio = event.value
-        self.sim.recycle(event)
         piece = bio.wctx
         volume = self.volume
         exc = bio.error
@@ -495,15 +496,17 @@ class ReadPath:
         bio = Bio.read(pba, length)
         bio.errors_as_status = True
         bio.wctx = (recon, device, attempt)
-        self._traced(recon.piece.parent, self.volume.devices[device].submit,
-                     bio).add_callback(self._source_attempted)
+        bio.end_io = self._source_attempted
+        submit = self.volume.devices[device].submit
+        if self.volume.tracer is None:
+            submit(bio)
+        else:
+            self._traced(recon.piece.parent, submit, bio)
 
-    def _source_attempted(self, event: Event) -> None:
+    def _source_attempted(self, bio: Bio) -> None:
         """Completion of a survivor read.  Transient command failures are
         retried like any piece; any other error (a media error on a
         survivor is a double fault) fails the reconstruction loudly."""
-        bio = event.value
-        self.sim.recycle(event)
         recon, device, attempt = bio.wctx
         volume = self.volume
         exc = bio.error

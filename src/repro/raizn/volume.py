@@ -662,14 +662,7 @@ class RaiznVolume:
         """Submit a logical bio; the event succeeds with the completed bio."""
         sim = self.sim
         bio.submit_time = sim.now
-        # ``sim.event()`` inlined: one call per logical bio.
-        free = sim._event_free
-        if free:
-            done = free.pop()
-            done.triggered = False
-            done.ok = True
-        else:
-            done = Event(sim)
+        done = sim.event()
         tracer = self.tracer
         if tracer is not None:
             sites = self._tr_vol_sites
@@ -1028,19 +1021,9 @@ class RaiznVolume:
         free = self._join_free
         if free:
             join = free.pop()
-            # ``_reset`` inlined; ``fua_devices`` is cleared by ``_release``
-            # on the pooled path, so only the scalar slots need setting.
-            join.bio = bio
-            join.done = done
-            join.desc = desc
-            join._count = 0
-            join._armed = False
-            join._failed = False
-            join._flush_pending = 0
-            join._flush_failed = False
         else:
             join = _WriteJoin(self)
-            join._reset(bio, done, desc)
+        join._reset(bio, done, desc)
         # Plain int (0 or FUA): tested per fan-out piece, and Bio stores
         # flags as an int anyway.
         sub_flags = bio.flags & _FUA
@@ -1195,10 +1178,9 @@ class RaiznVolume:
         # come back with a wear-out error, ``_redirect_attempt`` rebuilds
         # the relocation from (desc, device, lba, bio.data) — no closure.
         wbio.wctx = (join, device, desc, lba, 0)
-        event = self.sim.event()
-        event.add_callback(self._write_attempted)
+        wbio.end_io = self._write_attempted
         join._count += 1
-        cmds.append((self.devices[device], wbio, event))
+        cmds.append((self.devices[device], wbio))
         if sub_flags:
             join.fua_devices.add(device)
 
@@ -1234,11 +1216,10 @@ class RaiznVolume:
         wbio = Bio.write(pba, piece, flags)
         wbio.errors_as_status = True
         wbio.wctx = (join, device, desc, tag, attempt)
-        event = self.sim.event()
-        event.add_callback(self._write_attempted)
-        self.devices[device].submit(wbio, event)
+        wbio.end_io = self._write_attempted
+        self.devices[device].submit(wbio)
 
-    def _write_attempted(self, event: Event) -> None:
+    def _write_attempted(self, bio: Bio) -> None:
         """Completion of a protected device write — self-healing policy.
 
         One shared bound method for every data/parity piece: the
@@ -1250,8 +1231,6 @@ class RaiznVolume:
         a failed device degrades the write (§4.2: the piece is omitted
         and parity covers it).  Anything else fails the logical write.
         """
-        bio = event.value
-        self.sim.recycle(event)
         join, device, desc, tag, attempt = bio.wctx
         exc = bio.error
         if exc is None:
@@ -1366,10 +1345,9 @@ class RaiznVolume:
         wbio.errors_as_status = True
         # Tuple tag marks a parity piece for ``_redirect_attempt``.
         wbio.wctx = (join, device, desc, (stripe, stripe_lba), 0)
-        event = self.sim.event()
-        event.add_callback(self._write_attempted)
+        wbio.end_io = self._write_attempted
         join._count += 1
-        cmds.append((self.devices[device], wbio, event))
+        cmds.append((self.devices[device], wbio))
         if sub_flags:
             join.fua_devices.add(device)
 

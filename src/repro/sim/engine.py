@@ -48,6 +48,11 @@ def _run_batch(calls: List[Tuple[Callable, tuple]]) -> None:
         fn(*args)
 
 
+#: Added to the sequence number of a device completion's heap entry (see
+#: ``Simulator.complete_at``): at one instant every timer sorts before every
+#: completion, whichever was pushed first.  Far above any run's ``_seq``.
+_COMPLETION_RANK = 1 << 62
+
 #: Upper bound on each recycled-object pool; beyond this, freed events are
 #: simply dropped to the garbage collector.  Sized to cover a deep IO
 #: window (iodepth x fan-out) without pinning memory after a burst.
@@ -102,6 +107,30 @@ class Event:
                 self.sim._now_queue.append(
                     (_dispatch, (self, callback, callbacks)))
         return self
+
+    def succeed_inline(self, value: Any = None) -> None:
+        """:meth:`succeed`, running the waiters in this frame.
+
+        Only for a caller entered from its own heap entry (a device
+        completion): the loop drained the now-queue before popping it, so
+        the entry ``succeed`` would queue is the very next thing the loop
+        would run.  A chain that is alone in the queue runs its steps back
+        to back whether they are queued or called (DESIGN.md, the
+        lone-chain rule), so this reorders nothing and saves the hop.
+        """
+        if self.triggered:
+            raise SimulationError(f"{self!r} triggered twice")
+        self.triggered = True
+        self.value = value
+        callback = self.callback
+        if callback is not None:
+            self.callback = None
+            callbacks = self.callbacks
+            self.callbacks = None
+            callback(self)
+            if callbacks is not None:
+                for fn in callbacks:
+                    fn(self)
 
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception, raised inside waiters."""
@@ -409,6 +438,31 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
+    def schedule_at(self, at: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` at the absolute instant ``at``: a timer like
+        :meth:`schedule`'s, for a caller that holds the instant itself and
+        must not have it rounded through ``now + (at - now)``."""
+        if at < self.now:
+            raise SimulationError(f"cannot schedule into the past: {at}")
+        self._seq += 1
+        heapq.heappush(self._heap, (at, self._seq, fn, args))
+
+    def complete_at(self, at: float, fn: Callable, *args: Any) -> None:
+        """Deliver a device completion at the absolute instant ``at``.
+
+        The tie rule: a completion due at ``at`` runs after every timer
+        scheduled for ``at`` — including timers scheduled after this call
+        — and completions due at the same instant run in call order.  A
+        device computes a command's completion instant when the command
+        arrives, long before timers for that instant exist (a read's hedge
+        timer is armed right after its submission); ranking completions
+        behind timers keeps "the deadline fired, then the straggler came
+        in" the outcome of an exact tie whatever the push order.
+        """
+        self._seq += 1
+        heapq.heappush(self._heap,
+                       (at, _COMPLETION_RANK + self._seq, fn, args))
+
     def schedule_batch(self, delay: float,
                        calls: List[Tuple[Callable, tuple]]) -> None:
         """Run sibling ``(fn, args)`` calls after ``delay``, as ONE entry.
@@ -514,27 +568,14 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         popleft = nowq.popleft
-        if until is None:
-            # Unbounded run (the common case): no deadline test per pop.
-            while True:
-                # Drain everything due *now* before letting the clock move.
-                while nowq:
-                    fn, args = popleft()
-                    fn(*args)
-                if not heap:
-                    return
-                at, _seq, fn, args = pop(heap)
-                if at < self.now - 1e-12:
-                    raise SimulationError("event heap went backwards in time")
-                self.now = at
-                fn(*args)
         while True:
+            # Drain everything due *now* before letting the clock move.
             while nowq:
                 fn, args = popleft()
                 fn(*args)
             if not heap:
                 break
-            if heap[0][0] > until:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 return
             at, _seq, fn, args = pop(heap)
@@ -542,7 +583,7 @@ class Simulator:
                 raise SimulationError("event heap went backwards in time")
             self.now = at
             fn(*args)
-        if until > self.now:
+        if until is not None and until > self.now:
             self.now = until
 
     def run_process(self, gen: ProcessGenerator) -> Any:

@@ -361,7 +361,7 @@ class Tracer:
 
         The fast path for :class:`~repro.block.device.BlockDevice`
         completions: the device already holds every timestamp (submit
-        time on the bio, channel grant stashed by ``_grant``) and caches
+        time on the bio, service start computed by ``_serve``) and caches
         its per-op site ids, so the whole span is one call at
         completion.  ``mark`` is the channel-grant time; ``parent`` is
         the root-span id captured at submission (``-1`` for none).

@@ -656,11 +656,9 @@ class ZNSDevice(BlockDevice):
         self._bad_extents = {index: list(extents) for index, extents
                              in snapshot.bad_extents.items()}
         self._reset_counts = dict(snapshot.reset_counts)
-        # A drained event loop leaves no channel holders; reset defensively
-        # so a restored device never inherits a stale grant.
-        self.channels.in_use = 0
-        self.channels._waiters.clear()
-        self._channel_queue.clear()
+        # A drained event loop leaves no channel busy; reset defensively
+        # so a restored device never inherits a stale timeline.
+        self._reset_channels()
 
     def mark_bad(self, offset: int, length: int) -> None:
         """Inject a latent (UNC) media error over ``[offset, offset+length)``.

@@ -44,9 +44,7 @@ def _attempt_completion(sim: Simulator, volume: RaiznVolume, piece):
     bio.wctx = piece
     bio.submit_time = sim.now - 0.004  # the primary took 4 ms
     bio.result = b"\xab" * piece.length
-    event = Event(sim)
-    event.succeed(bio)
-    volume.readpath._read_attempted(event)
+    volume.readpath._read_attempted(bio)
     return piece.join.chunks, piece.join.done
 
 

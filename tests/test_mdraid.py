@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.block import Bio, Op
+from repro.block.device import remove_hooks
 from repro.conv import ConventionalSSD
 from repro.errors import DataLossError, InvalidAddressError, RaiznError
 from repro.mdraid import MdraidVolume, StripeCache
@@ -189,12 +190,17 @@ class TestDegradedAndResync:
         md.fail_device(1)
         replacement = ConventionalSSD(sim, name="new",
                                       capacity_bytes=32 * MiB, seed=97)
-        writes, inflight = [], []
-        hook = replacement.add_hook("pre_apply", lambda dev, bio: (
-            writes.append((bio.offset, bio.length)),
-            inflight.append(dev.channels.in_use + len(dev._channel_queue))))
+        writes, inflight, completed = [], [], []
+        hooks = [
+            # Outstanding when each write arrives: submitted - completed.
+            replacement.add_hook("pre_apply", lambda dev, bio: (
+                inflight.append(len(writes) - len(completed)),
+                writes.append((bio.offset, bio.length)))),
+            replacement.add_hook("completion",
+                                 lambda dev, bio: completed.append(bio))]
         report = md.resync(1, replacement)
-        replacement.remove_hook(hook)
+        remove_hooks(hooks)
+        assert len(completed) == len(writes)
         cursor = 0
         for offset, length in writes:
             assert offset == cursor

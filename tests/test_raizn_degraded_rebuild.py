@@ -373,6 +373,20 @@ class TestRebuildPipeline:
         assert volume.execute(Bio.read(0, len(data))).result == data
 
 
+def watch_commands(device):
+    """Every bio submitted to ``device`` from now on (``pre_apply`` hook)."""
+    seen = []
+    device.add_hook("pre_apply", lambda dev, bio: seen.append(bio))
+    return seen
+
+
+def in_flight(seen):
+    """The watched commands the device accepted (``counted``; a rejected
+    one never is) whose outcome it has not delivered yet."""
+    return [bio for bio in seen
+            if bio.counted and bio.complete_time is None]
+
+
 class TestFailedRebuild:
     """A rebuild that raises must leave the array rebuildable."""
 
@@ -389,12 +403,13 @@ class TestFailedRebuild:
         volume.fail_device(0)
         broken = fresh_replacement(sim, devices[1], "broken")
         broken.set_zone_read_only(0)
+        seen = watch_commands(broken)
         with pytest.raises(ZoneStateError):
             rebuild(sim, volume, 0, broken)
         self.assert_plain_degraded(volume, 0)
         assert volume.failed.count(True) == 1
         # Nothing of the abandoned window is still in flight.
-        assert broken.channels.in_use == 0 and not broken._channel_queue
+        assert seen and not in_flight(seen)
         assert volume.execute(Bio.read(0, len(data))).result == data
         report = rebuild(sim, volume, 0,
                          fresh_replacement(sim, devices[1], "good"))
@@ -431,14 +446,16 @@ class TestFailedRebuild:
                     devices[3].fail_device()
 
         replacement.add_hook("pre_apply", pull_the_plug)
+        seen = [watch_commands(device)
+                for device in (replacement, *devices[1:])]
         proc = sim.process(rebuild_process(sim, volume, 0, replacement))
         proc.add_callback(lambda _ev: None)   # the test inspects the outcome
         sim.run()   # a second, unhandled failure would raise out of here
         assert proc.triggered and not proc.ok
         assert isinstance(proc.value, (DeviceError, RaiznError))
         self.assert_plain_degraded(volume, 0)
-        for device in (replacement, *devices[1:]):
-            assert device.channels.in_use == 0 and not device._channel_queue
+        for commands in seen:
+            assert commands and not in_flight(commands)
 
 
 class TestRebuildObservability:

@@ -136,9 +136,9 @@ def _record_commands(devices):
     """Log every command submitted to ``devices`` as plain tuples."""
     log = []
     for index, dev in enumerate(devices):
-        def submit(bio, done=None, _index=index, _submit=dev.submit):
+        def submit(bio, _index=index, _submit=dev.submit):
             log.append((_index, bio.op, bio.offset, bio.length, bio.flags))
-            return _submit(bio, done)
+            return _submit(bio)
         dev.submit = submit
     return log
 

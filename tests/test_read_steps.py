@@ -1,24 +1,26 @@
 """Deterministic step counts and seams of the callback read path.
 
 Wall-clock speed on a shared box is noise; the number of engine entries
-and ``Event`` allocations a read costs is not.  Entries are counted from
+and ``Event`` allocations a bio costs is not.  Entries are counted from
 the test side — a counting ``deque`` swapped in for the simulator's
-now-queue, and the heap sequence number — so the engine carries no
-counter of its own.
+now-queue, the heap sequence number, a counting list for the event pool —
+so the engine carries no counter of its own.
 
-With one waiter on the returned event and every device command queued
-behind a busy channel, a healthy single-piece read is the start hop, the
-channel grant and the waiter (3 now-queue entries) plus the channel and
-pipeline timers (2 heap entries); the generator path it replaced took 5
-and 2.  A whole-unit degraded read (4 survivor commands) is the start
-hop, 4 grants and the waiter, plus 8 timers; it took 12 and 8.
+With one waiter on the returned event, a healthy single-piece read is the
+start hop and the waiter (2 now-queue entries) plus the device command's
+one completion timer (1 heap entry), however busy the channels are: the
+block layer computes a command's completion instant when it arrives.  The
+grant-by-grant service chain it replaced took 3 and 2 (grant hop, channel
+and pipeline timers), the generator read path before that 5 and 2.  A
+whole-unit degraded read (4 survivor commands) is 2 and 4; it took 6 and
+8, and 12 and 8.  Writes: ``TestWriteSteps``.
 """
 
 from collections import deque
 
 import pytest
 
-from repro.block import Bio
+from repro.block import Bio, BioFlags
 from repro.errors import DataLossError, DeviceFailedError
 from repro.raizn.readpath import _ReadJoin
 from repro.sim import Event
@@ -28,7 +30,6 @@ from conftest import TEST_STRIPE_UNIT, make_volume, pattern
 SU = TEST_STRIPE_UNIT
 STRIPE = 4 * SU
 READS = 400
-CHANNELS = 5 * 8  # five devices, eight channels each
 
 
 class CountingQueue(deque):
@@ -48,6 +49,16 @@ def written_volume(sim, stripes=16):
     return volume, devices, data
 
 
+class CountingPool(list):
+    """The simulator's event pool, counting what is taken from it."""
+
+    pops = 0
+
+    def pop(self, *args):
+        self.pops += 1
+        return super().pop(*args)
+
+
 def run_counted(sim, volume, bios):
     """Submit ``bios`` at once, one waiter each, and drain; returns
     (now-queue entries, heap entries, completed bios)."""
@@ -61,6 +72,22 @@ def run_counted(sim, volume, bios):
     return queue.appended, sim._seq - seq, completed
 
 
+def run_counting_events(sim, volume, bios, monkeypatch):
+    """``run_counted`` plus the ``Event`` objects the run obtained, fresh
+    (``Event.__init__``) or pooled (``sim._event_free.pop``)."""
+    created = [0]
+    init = Event.__init__
+
+    def counting_init(self, sim):
+        created[0] += 1
+        init(self, sim)
+    pool = sim._event_free = CountingPool(sim._event_free)
+    with monkeypatch.context() as patch:
+        patch.setattr(Event, "__init__", counting_init)
+        now_entries, heap_entries, completed = run_counted(sim, volume, bios)
+    return now_entries, heap_entries, created[0] + pool.pops, completed
+
+
 class TestEngineSteps:
     def test_healthy_single_piece_read(self, sim):
         volume, _devices, data = written_volume(sim)
@@ -69,10 +96,9 @@ class TestEngineSteps:
         assert [bytes(bio.result) for bio in completed] == \
             [data[bio.offset:bio.offset + 4096] for bio in completed]
         assert len(completed) == READS
-        # Start hop + waiter for every read, a grant for all but the
-        # commands that found a free channel.
-        assert 3 * READS - CHANNELS <= now_entries <= 3 * READS
-        assert heap_entries == 2 * READS
+        # Start hop + waiter, and the command's completion timer — also
+        # for the 360 commands that had to wait for a channel.
+        assert (now_entries, heap_entries) == (2 * READS, READS)
 
     def test_whole_unit_degraded_read(self, sim):
         volume, _devices, data = written_volume(sim)
@@ -88,24 +114,17 @@ class TestEngineSteps:
         assert len(completed) == READS
         assert all(bytes(bio.result) == data[bio.offset:bio.offset + SU]
                    for bio in completed)
-        assert 6 * READS - CHANNELS <= now_entries <= 6 * READS
-        assert heap_entries == 8 * READS
+        assert (now_entries, heap_entries) == (2 * READS, 4 * READS)
 
     def test_event_allocations_per_healthy_read(self, sim, monkeypatch):
+        """One ``Event`` per read, fresh or pooled: the logical bio's.
+        The device commands under it complete through ``bio.end_io``."""
         volume, _devices, _data = written_volume(sim)
-        created = [0]
-        init = Event.__init__
-
-        def counting_init(self, sim):
-            created[0] += 1
-            init(self, sim)
-        monkeypatch.setattr(Event, "__init__", counting_init)
         bios = [Bio.read(i * 4096, 4096) for i in range(READS)]
-        _now, _heap, completed = run_counted(sim, volume, bios)
+        _now, _heap, events, completed = run_counting_events(
+            sim, volume, bios, monkeypatch)
         assert len(completed) == READS
-        # The logical event and the device command's; the latter is
-        # recycled, so in steady state one of the two is a pooled one.
-        assert created[0] <= 2 * READS
+        assert events == READS
 
     def test_read_from_memory_completes_in_the_start_hop(self, sim):
         """A read served entirely from the stripe buffer touches no
@@ -121,6 +140,50 @@ class TestEngineSteps:
         assert bytes(completed[0].result) == data[STRIPE:STRIPE + SU]
         assert (now_entries, heap_entries) == (2, 0)
         assert [dev.stats.reads for dev in devices] == reads
+
+
+class TestWriteSteps:
+    """24 writes submitted at once to an empty volume: each is one data
+    command plus one partial-parity log append, 48 device commands, some
+    of which wait for a channel.  Recorded at the commit before the
+    block layer's timeline, in the same units:
+
+    ==================  =========  ====  ======
+    24 x                now-queue  heap  events
+    ==================  =========  ====  ======
+    4 KiB FUA, before         192    96     119
+    4 KiB FUA, after          168    48      71
+    64 KiB, before            116    96     103
+    64 KiB, after             108    48      55
+    ==================  =========  ====  ======
+
+    The difference is one heap entry (channel timer) per device command,
+    one now-queue entry (grant hop) per command that waited — 24 and 8 —
+    and one ``Event`` per device command; nothing else moved.
+    """
+
+    WRITES = 24
+    COMMANDS = 2 * WRITES
+
+    def run_writes(self, sim, monkeypatch, length, flags):
+        volume, devices = make_volume(sim)
+        data = pattern(length, seed=3)
+        bios = [Bio.write(i * length, data, flags)
+                for i in range(self.WRITES)]
+        before = sum(dev.stats.writes for dev in devices)
+        counts = run_counting_events(sim, volume, bios, monkeypatch)
+        assert len(counts[3]) == self.WRITES
+        assert sum(dev.stats.writes for dev in devices) - before == \
+            self.COMMANDS
+        return counts[:3]
+
+    def test_small_durable_writes(self, sim, monkeypatch):
+        assert self.run_writes(sim, monkeypatch, 4096, BioFlags.FUA) == \
+            (192 - 24, 96 - self.COMMANDS, 119 - self.COMMANDS)
+
+    def test_sub_stripe_writes(self, sim, monkeypatch):
+        assert self.run_writes(sim, monkeypatch, SU, BioFlags.NONE) == \
+            (116 - 8, 96 - self.COMMANDS, 103 - self.COMMANDS)
 
 
 class TestSeams:

@@ -440,6 +440,63 @@ class TestScheduleBatch:
         assert run_once() == run_once() == [0, 1, 2, 3]
 
 
+class TestAbsoluteInstants:
+    """``schedule_at`` / ``complete_at``: entries at an instant the caller
+    computed, and the tie rule between timers and device completions."""
+
+    def test_schedule_at_keeps_the_instant_bit_for_bit(self, sim):
+        sim.schedule(0.1, lambda: None)
+        sim.run()
+        at = 0.1 + 0.2  # not representable as now + (at - now)
+        seen = []
+        sim.schedule_at(at, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [at]
+
+    def test_schedule_at_refuses_the_past(self, sim):
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(0.5, lambda: None)
+
+    def test_timers_before_completions_at_one_instant(self, sim):
+        """Whatever the push order: every timer due at an instant runs
+        before any completion due at it; each kind keeps call order."""
+        order = []
+        sim.complete_at(1.0, order.append, "completion 1")
+        sim.schedule(1.0, order.append, "timer 1")
+        sim.complete_at(1.0, order.append, "completion 2")
+        sim.schedule_at(1.0, order.append, "timer 2")
+        sim.schedule(0.5, sim.schedule, 0.5, order.append, "timer 3")
+        sim.complete_at(2.0, order.append, "later")
+        sim.run()
+        assert order == ["timer 1", "timer 2", "timer 3",
+                         "completion 1", "completion 2", "later"]
+
+    def test_succeed_inline_runs_waiters_in_the_callers_frame(self, sim):
+        order = []
+        event = sim.event()
+        event.add_callback(lambda ev: order.append(("first", ev.value)))
+        event.add_callback(lambda ev: order.append(("second", ev.value)))
+        sim.schedule(0.0, order.append, "queued earlier")
+        event.succeed_inline("v")
+        assert order == [("first", "v"), ("second", "v")]
+        assert event.triggered and event.ok and event.callback is None
+        with pytest.raises(SimulationError):
+            event.succeed_inline("again")
+        sim.recycle(event)  # fully drained
+        sim.run()
+        assert order[-1] == "queued earlier"
+
+    def test_late_waiter_on_an_inline_event_still_runs(self, sim):
+        event = sim.event()
+        event.succeed_inline(7)
+        seen = []
+        event.add_callback(lambda ev: seen.append(ev.value))
+        sim.run()
+        assert seen == [7]
+
+
 class TestEventRecycling:
     def test_recycle_requires_fired_event(self, sim):
         event = sim.event()

@@ -12,6 +12,15 @@ low/high free-block watermarks.  It tracks *accounting* (which physical
 page holds which logical page, how many pages GC moved); user data bytes
 are stored logically by the owning device, since physical placement does
 not change read results.
+
+Mapping is extent-at-a-time.  ``write`` walks its extent in *runs*, each
+the longest stretch that fits in the active erase block.  Only a run's
+first page can need a fresh block, and that page alone is unmapped before
+GC reads ``valid_count`` (greedy victim choice depends on it); no GC
+starts inside a run; and relocation — the same walk, bounded by the GC
+frontier block — never re-enters host allocation.  So slice operations
+over a run end in exactly the state of a page-at-a-time walk
+(``tests/ftl_reference.py``, held equal after every operation).
 """
 
 from __future__ import annotations
@@ -40,6 +49,14 @@ class FTLConfig:
     gc_low_watermark: int = 4
     #: Stop GC when free blocks reach this count.
     gc_high_watermark: int = 8
+
+    def __post_init__(self) -> None:
+        if min(self.logical_pages, self.page_size, self.pages_per_block) <= 0:
+            raise InvalidAddressError(f"FTL geometry must be positive: {self}")
+        if self.op_ratio < 0 or \
+                not 0 <= self.gc_low_watermark < self.gc_high_watermark:
+            raise ValueError("need op_ratio >= 0 and 0 <= gc_low_watermark "
+                             f"< gc_high_watermark: {self}")
 
     @property
     def physical_blocks(self) -> int:
@@ -99,50 +116,23 @@ class PageMappedFTL:
         """True if logical page ``lpn`` currently maps to flash."""
         return bool(self.l2p[lpn] != self.UNMAPPED)
 
-    def _check_lpn(self, lpn: int) -> None:
-        if not 0 <= lpn < self.config.logical_pages:
-            raise InvalidAddressError(f"logical page {lpn} out of range")
+    def _check_extent(self, first_lpn: int, npages: int) -> None:
+        """An empty extent is valid wherever its first page is."""
+        if npages < 0:
+            raise InvalidAddressError(f"negative extent length {npages}")
+        for page in (first_lpn, first_lpn + max(npages, 1) - 1):
+            if not 0 <= page < self.config.logical_pages:
+                raise InvalidAddressError(f"logical page {page} out of range")
 
-    def _invalidate(self, lpn: int) -> None:
-        ppn = self.l2p[lpn]
-        if ppn != self.UNMAPPED:
-            self.p2l[ppn] = self.UNMAPPED
-            self.valid_count[ppn // self.config.pages_per_block] -= 1
-            self.l2p[lpn] = self.UNMAPPED
-
-    def _next_physical_page(self, gc: GCResult, for_gc: bool = False) -> int:
-        ppb = self.config.pages_per_block
-        if for_gc:
-            if self.gc_block is None or self.gc_offset == ppb:
-                if not self.free_blocks:
-                    raise RuntimeError("FTL out of free blocks during GC")
-                self.gc_block = self.free_blocks.pop()
-                self.gc_offset = 0
-            ppn = self.gc_block * ppb + self.gc_offset
-            self.gc_offset += 1
-            if self.gc_offset == ppb:
-                self.gc_block = None
-            return ppn
-        if self.active_block is None or self.active_offset == ppb:
-            self._maybe_collect(gc)
-            if not self.free_blocks:
-                raise RuntimeError(
-                    "FTL out of free blocks: GC could not reclaim space "
-                    "(device overfilled?)")
-            self.active_block = self.free_blocks.pop()
-            self.active_offset = 0
-        ppn = self.active_block * ppb + self.active_offset
-        self.active_offset += 1
-        if self.active_offset == ppb:
-            self.active_block = None
-        return ppn
-
-    def _map(self, lpn: int, gc: GCResult, for_gc: bool = False) -> None:
-        self._invalidate(lpn)
-        ppn = self._next_physical_page(gc, for_gc=for_gc)
-        self.l2p[lpn] = ppn
-        self.p2l[ppn] = lpn
-        self.valid_count[ppn // self.config.pages_per_block] += 1
+    def _invalidate(self, lo: int, hi: int) -> None:
+        """Unmap the logical pages ``[lo, hi)``."""
+        old = self.l2p[lo:hi]
+        old = old[old != self.UNMAPPED]
+        if old.size:
+            self.p2l[old] = self.UNMAPPED
+            self.valid_count -= np.bincount(
+                old // self.config.pages_per_block, minlength=self.num_blocks)
+            self.l2p[lo:hi] = self.UNMAPPED
 
     # -- garbage collection --------------------------------------------------------
 
@@ -160,14 +150,31 @@ class PageMappedFTL:
         if victim is None:
             return False
         base = victim * ppb
-        victims = [int(lpn) for lpn in self.p2l[base:base + ppb]
-                   if lpn != self.UNMAPPED]
-        for lpn in victims:
-            self._map(lpn, gc, for_gc=True)
-            gc.pages_moved += 1
-            self.gc_pages_moved += 1
-        self.p2l[base:base + ppb] = self.UNMAPPED
-        self.valid_count[victim] = 0
+        src = base + np.flatnonzero(self.p2l[base:base + ppb] != self.UNMAPPED)
+        lpns = self.p2l[src]
+        moved = 0
+        while moved < src.size:
+            if self.gc_block is None:
+                if not self.free_blocks:
+                    # As in write(): unmapped before the allocation fails.
+                    self._invalidate(lpns[moved], lpns[moved] + 1)
+                    raise RuntimeError("FTL out of free blocks during GC")
+                self.gc_block = self.free_blocks.pop()
+                self.gc_offset = 0
+            take = min(src.size - moved, ppb - self.gc_offset)
+            ppn = self.gc_block * ppb + self.gc_offset
+            run = lpns[moved:moved + take]
+            self.p2l[src[moved:moved + take]] = self.UNMAPPED
+            self.valid_count[victim] -= take
+            self.l2p[run] = np.arange(ppn, ppn + take)
+            self.p2l[ppn:ppn + take] = run
+            self.valid_count[self.gc_block] += take
+            self.gc_offset += take
+            if self.gc_offset == ppb:
+                self.gc_block = None
+            moved += take
+            gc.pages_moved += take
+            self.gc_pages_moved += take
         self.free_blocks.insert(0, victim)
         gc.blocks_erased += 1
         self.blocks_erased += 1
@@ -194,20 +201,49 @@ class PageMappedFTL:
 
     def write(self, first_lpn: int, npages: int) -> GCResult:
         """Map ``npages`` starting at ``first_lpn``; returns the GC work done."""
-        self._check_lpn(first_lpn)
-        self._check_lpn(first_lpn + npages - 1)
+        self._check_extent(first_lpn, npages)
+        ppb = self.config.pages_per_block
         gc = GCResult()
-        for lpn in range(first_lpn, first_lpn + npages):
-            self._map(lpn, gc)
-            self.host_pages_written += 1
+        lpn, end = first_lpn, first_lpn + npages
+        while lpn < end:
+            if self.active_block is None:
+                # Unmap the page that needs the block, and only that page,
+                # before GC picks victims by valid_count.
+                self._invalidate(lpn, lpn + 1)
+                self._maybe_collect(gc)
+                if not self.free_blocks:
+                    raise RuntimeError(
+                        "FTL out of free blocks: GC could not reclaim space "
+                        "(device overfilled?)")
+                self.active_block = self.free_blocks.pop()
+                self.active_offset = 0
+            take = min(end - lpn, ppb - self.active_offset)
+            ppn = self.active_block * ppb + self.active_offset
+            if take == 1:
+                # Scalar stores: below a few pages the slice machinery
+                # costs more than the pages it maps.
+                old = self.l2p[lpn]
+                if old != self.UNMAPPED:
+                    self.p2l[old] = self.UNMAPPED
+                    self.valid_count[old // ppb] -= 1
+                self.l2p[lpn] = ppn
+                self.p2l[ppn] = lpn
+            else:
+                self._invalidate(lpn, lpn + take)
+                self.l2p[lpn:lpn + take] = np.arange(ppn, ppn + take)
+                self.p2l[ppn:ppn + take] = np.arange(lpn, lpn + take)
+            self.valid_count[self.active_block] += take
+            self.active_offset += take
+            if self.active_offset == ppb:
+                self.active_block = None
+            lpn += take
+            self.host_pages_written += take
         return gc
 
     def trim(self, first_lpn: int, npages: int) -> None:
         """Deallocate (TRIM) a logical page range."""
-        self._check_lpn(first_lpn)
-        self._check_lpn(first_lpn + npages - 1)
-        for lpn in range(first_lpn, first_lpn + npages):
-            self._invalidate(lpn)
+        self._check_extent(first_lpn, npages)
+        self._invalidate(first_lpn, first_lpn + npages)
 
     @property
     def write_amplification(self) -> float:

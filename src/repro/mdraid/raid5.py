@@ -19,6 +19,8 @@ import dataclasses
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..block.bio import Bio, Op
 from ..block.device import BlockDevice, DeviceStats
 from ..conv.device import ConventionalSSD
@@ -323,8 +325,7 @@ class MdraidVolume:
         yield lock.request()
         try:
             if pending.full_cover:
-                yield from self._full_stripe_write(stripe,
-                                                   bytes(pending.data))
+                yield from self._full_stripe_write(stripe, pending.data)
             else:
                 for lo, hi in pending.intervals:
                     yield from self._partial_stripe_write(
@@ -341,14 +342,18 @@ class MdraidVolume:
         for event in pending.waiters:
             event.succeed()
 
-    def _full_stripe_write(self, stripe: int, data: bytes):
+    def _full_stripe_write(self, stripe: int, data: bytearray):
         parity_dev, data_devs = self.layout(stripe)
         pba = self.chunk_pba(stripe)
-        chunks = [data[i * self.chunk:(i + 1) * self.chunk]
+        # The devices copy out of the plugged buffer itself (nothing
+        # absorbs into it once unplugged) and parity is one reduction over
+        # it seen as (num_data, chunk), as StripeBuffer.full_parity does.
+        view = memoryview(data)
+        chunks = [view[i * self.chunk:(i + 1) * self.chunk]
                   for i in range(self.num_data)]
-        parity = bytearray(self.chunk)
-        for chunk in chunks:
-            xor_into(parity, chunk)
+        parity = np.bitwise_xor.reduce(
+            np.frombuffer(data, dtype=np.uint8).reshape(
+                self.num_data, self.chunk), axis=0).tobytes()
         writes = []
         for i, device in enumerate(data_devs):
             if not self.failed[device]:
@@ -356,9 +361,9 @@ class MdraidVolume:
                     Bio.write(pba, chunks[i])))
         if not self.failed[parity_dev]:
             writes.append(self.devices[parity_dev].submit(
-                Bio.write(pba, bytes(parity))))
+                Bio.write(pba, parity)))
         yield self.sim.all_of(writes)
-        self.cache.put(stripe, [bytes(c) for c in chunks] + [bytes(parity)])
+        self.cache.put(stripe, [bytes(c) for c in chunks] + [parity])
 
     def _partial_stripe_write(self, stripe: int, in_stripe: int, data: bytes):
         """Sub-stripe write: RMW or RCW, preferring fewer device reads.

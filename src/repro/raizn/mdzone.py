@@ -242,7 +242,9 @@ class DeviceMetadataZones:
         done = bio.wctx
         if bio.error is None:
             self.appended_bytes += bio.length
-            done.succeed(bio.result)
+            # Success arrives from the command's own heap entry, alone in
+            # the now-queue: the waiter runs in this frame (lone chain).
+            done.succeed_inline(bio.result)
         else:
             done.fail(bio.error)
 

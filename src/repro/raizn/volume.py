@@ -79,20 +79,19 @@ class _WriteJoin:
     Replaces the per-write ``Gather`` over per-piece outcome events with
     direct counting: device completions and metadata appends report in
     via one shared object instead of allocating an outcome ``Event`` and
-    a closure per piece.  Every reporting path queues exactly the same
-    number of now-queue hops the event/gather implementation used, so
-    fixed-seed event ordering — and with it every RNG draw and digest —
-    is byte-identical (see DESIGN.md).
+    a closure per piece.  A successful completion arrives from the
+    command's own heap entry, alone in the now-queue, so the chain from
+    it to the logical bio's event — last child, ``_fired``, the flushes,
+    ``_flushed`` — is plain calls (DESIGN.md, the lone-chain rule).  A
+    path that starts inside a populated tick keeps the hops the
+    event/gather implementation queued there, so fixed-seed event
+    ordering — and with it every RNG draw and digest — is unchanged:
 
-    Children come in three flavours, matching the old hop structure:
-
-    - device pieces: ``_write_attempted`` queues ``_child_ok`` /
-      ``_child_fail`` where the outcome event used to trigger the
-      gather's callback (one hop);
-    - metadata appends: ``_on_child`` runs as the append event's own
-      callback (one hop, like ``Gather._on_child``);
-    - redirected pieces: ``_on_child_hop`` adds the extra hop the old
-      ``_chain`` forwarder introduced (two hops).
+    - every failure (``_child_fail``, ``_fired_fail``, ``_flushed_fail``):
+      a rejected command completes inside the tick that submitted it;
+    - a fully degraded fan-out (``_arm``, two hops, as the empty gather);
+    - redirected and omitted pieces (``_on_child_hop``, ``_child_ok``
+      queued from ``_redirect_attempt``).
     """
 
     __slots__ = ("volume", "sim", "bio", "done", "desc", "fua_devices",
@@ -160,7 +159,7 @@ class _WriteJoin:
         self.sim.recycle(event)
         self._count -= 1
         if self._count == 0 and self._armed:
-            self.sim._now_queue.append((self._fired, ()))
+            self._fired()
 
     def _on_child_hop(self, event: Event) -> None:
         """Completion callback of a redirected child (extra hop, as _chain)."""
@@ -179,7 +178,7 @@ class _WriteJoin:
                                                     self.fua_devices)
             self._flush_pending = len(events)
             if not events:
-                self.sim._now_queue.append((self._queue_flushed, ()))
+                self._flushed()
                 return
             callback = self._on_flush_child
             for event in events:
@@ -201,9 +200,6 @@ class _WriteJoin:
             return
         raise exc
 
-    def _queue_flushed(self) -> None:
-        self.sim._now_queue.append((self._flushed, ()))
-
     def _on_flush_child(self, event: Event) -> None:
         if self._flush_failed:
             return
@@ -214,7 +210,7 @@ class _WriteJoin:
         self.sim.recycle(event)
         self._flush_pending -= 1
         if self._flush_pending == 0:
-            self.sim._now_queue.append((self._flushed, ()))
+            self._flushed()
 
     def _flushed(self) -> None:
         bio = self.bio
@@ -1241,7 +1237,7 @@ class RaiznVolume:
             if not join._failed:
                 join._count = count = join._count - 1
                 if count == 0 and join._armed:
-                    self.sim._now_queue.append((join._fired, ()))
+                    join._fired()
             return
         if isinstance(exc, (TransientCommandError, WritePointerViolation)):
             # A WritePointerViolation here is collateral of a transient

@@ -55,6 +55,76 @@ class TestFTLMapping:
         assert int(ftl.valid_count.sum()) == mapped == 150
 
 
+class TestFTLDoorChecks:
+    """Bad geometry is refused at construction, not as "out of free
+    blocks" or ZeroDivisionError later; an empty extent is a no-op
+    wherever its first page is valid."""
+
+    @pytest.mark.parametrize("field", ["logical_pages", "page_size",
+                                       "pages_per_block"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_geometry_must_be_positive(self, field, value):
+        kwargs = {"logical_pages": 1024, field: value}
+        with pytest.raises(InvalidAddressError, match=f"{field}={value}"):
+            FTLConfig(**kwargs)
+
+    def test_negative_overprovisioning_rejected(self):
+        with pytest.raises(ValueError, match="op_ratio=-0.5"):
+            FTLConfig(logical_pages=1024, op_ratio=-0.5)
+        assert FTLConfig(logical_pages=1024, op_ratio=0.0).physical_blocks
+
+    @pytest.mark.parametrize("low, high", [(9, 8), (8, 8), (-1, 8), (0, 0)])
+    def test_watermarks_must_be_ordered(self, low, high):
+        with pytest.raises(ValueError, match=f"gc_low_watermark={low}"):
+            FTLConfig(logical_pages=1024, gc_low_watermark=low,
+                      gc_high_watermark=high)
+
+    def test_device_refuses_bad_geometry(self, sim):
+        with pytest.raises(InvalidAddressError):
+            ConventionalSSD(sim, capacity_bytes=0)
+        with pytest.raises(InvalidAddressError):
+            ConventionalSSD(sim, capacity_bytes=16 * MiB, pages_per_block=0)
+        with pytest.raises(ValueError):
+            ConventionalSSD(sim, capacity_bytes=16 * MiB, op_ratio=-0.5)
+
+    @pytest.mark.parametrize("lpn", [0, 1, 500, 1023])
+    def test_empty_extent_is_a_noop_at_any_valid_page(self, lpn):
+        ftl = small_ftl()
+        ftl.write(0, 1024)
+        before = (ftl.l2p.copy(), ftl.p2l.copy(), ftl.host_pages_written)
+        assert ftl.write(lpn, 0) == GCResult()
+        ftl.trim(lpn, 0)
+        assert (ftl.l2p == before[0]).all() and (ftl.p2l == before[1]).all()
+        assert ftl.host_pages_written == before[2]
+
+    @pytest.mark.parametrize("lpn", [-1, 1024])
+    def test_empty_extent_outside_the_device_rejected(self, lpn):
+        ftl = small_ftl()
+        with pytest.raises(InvalidAddressError, match="out of range"):
+            ftl.write(lpn, 0)
+        with pytest.raises(InvalidAddressError, match="out of range"):
+            ftl.trim(lpn, 0)
+
+    def test_negative_length_rejected(self):
+        ftl = small_ftl()
+        with pytest.raises(InvalidAddressError, match="negative"):
+            ftl.write(8, -2)
+        with pytest.raises(InvalidAddressError, match="negative"):
+            ftl.trim(8, -2)
+
+    def test_extent_past_the_end_maps_nothing(self):
+        ftl = small_ftl()
+        with pytest.raises(InvalidAddressError, match="logical page 1024"):
+            ftl.write(1020, 5)
+        assert not ftl.mapped(1020) and ftl.host_pages_written == 0
+
+    @pytest.mark.parametrize("offset", [0, 4096])
+    def test_empty_device_write_succeeds_everywhere(self, sim, offset):
+        dev = ConventionalSSD(sim, capacity_bytes=16 * MiB)
+        assert dev.execute(Bio.write(offset, b"")).error is None
+        assert dev.ftl.host_pages_written == 0
+
+
 class TestFTLGarbageCollection:
     def test_sequential_overwrite_low_wa(self):
         ftl = small_ftl(op_ratio=0.3)

@@ -144,22 +144,32 @@ class TestEngineSteps:
 
 class TestWriteSteps:
     """24 writes submitted at once to an empty volume: each is one data
-    command plus one partial-parity log append, 48 device commands, some
-    of which wait for a channel.  Recorded at the commit before the
-    block layer's timeline, in the same units:
+    command plus one partial-parity log append (the 64 KiB writes close
+    six stripes, whose parity goes to the parity device instead), 48
+    device commands, some of which wait for a channel.  In the same
+    units, at the commit before the block layer's timeline, after it, and
+    with ``_WriteJoin``'s lone-chain hops turned into calls:
 
-    ==================  =========  ====  ======
-    24 x                now-queue  heap  events
-    ==================  =========  ====  ======
-    4 KiB FUA, before         192    96     119
-    4 KiB FUA, after          168    48      71
-    64 KiB, before            116    96     103
-    64 KiB, after             108    48      55
-    ==================  =========  ====  ======
+    ========================  =========  ====  ======
+    24 x                      now-queue  heap  events
+    ========================  =========  ====  ======
+    4 KiB FUA, before               192    96     119
+    4 KiB FUA, timeline             168    48      71
+    4 KiB FUA, lone chains           72    48      71
+    64 KiB, before                  116    96     103
+    64 KiB, timeline                108    48      55
+    64 KiB, lone chains              66    48      55
+    ========================  =========  ====  ======
 
-    The difference is one heap entry (channel timer) per device command,
+    The timeline took one heap entry (channel timer) per device command,
     one now-queue entry (grant hop) per command that waited — 24 and 8 —
-    and one ``Event`` per device command; nothing else moved.
+    and one ``Event`` per device command.  The lone chains took, per
+    write, the hop from a log append's completion to the join (24 and
+    18), the hop from the last child to ``_fired`` (24 and 24) and, for a
+    durable write with nothing left to flush, the two hops to
+    ``_flushed`` (48): 7 -> 3 entries per 4 KiB FUA write.  What is left
+    is the submission batch, the logical bio's own completion and the
+    hops that start inside a populated tick.
     """
 
     WRITES = 24
@@ -179,11 +189,11 @@ class TestWriteSteps:
 
     def test_small_durable_writes(self, sim, monkeypatch):
         assert self.run_writes(sim, monkeypatch, 4096, BioFlags.FUA) == \
-            (192 - 24, 96 - self.COMMANDS, 119 - self.COMMANDS)
+            (192 - 24 - 96, 96 - self.COMMANDS, 119 - self.COMMANDS)
 
     def test_sub_stripe_writes(self, sim, monkeypatch):
         assert self.run_writes(sim, monkeypatch, SU, BioFlags.NONE) == \
-            (116 - 8, 96 - self.COMMANDS, 103 - self.COMMANDS)
+            (116 - 8 - 42, 96 - self.COMMANDS, 103 - self.COMMANDS)
 
 
 class TestSeams:

@@ -957,14 +957,14 @@ class RaiznVolume:
         the one emission loop below; what happens to an individual piece
         is decided inside the ``_emit_*`` helpers and nowhere else.
         """
+        offset = bio.offset
         if bio.op is Op.ZONE_APPEND:
             # §5.4: RAIZN serializes zone appends; emulate as a write at
             # the logical write pointer (as dm-level append emulation does).
-            if bio.offset != desc.start_lba:
+            if offset != desc.start_lba:
                 raise InvalidAddressError(
                     "zone append offset must be the zone start LBA")
-            bio.offset = desc.write_pointer
-            bio.result = bio.offset
+            offset = desc.write_pointer
         # Identity-check the two open states before falling back to the
         # is_writable property: writability is tested once per logical
         # write and the steady state is an open zone.
@@ -974,17 +974,21 @@ class RaiznVolume:
                 and not state.is_writable:
             raise ZoneStateError(
                 f"logical zone {zone} not writable (state={state.value})")
-        if bio.offset != desc.write_pointer:
+        if offset != desc.write_pointer:
             raise WritePointerViolation(
-                f"logical write at {bio.offset:#x} != zone {zone} write "
+                f"logical write at {offset:#x} != zone {zone} write "
                 f"pointer {desc.write_pointer:#x}")
-        end_offset = bio.offset + bio.length
+        end_offset = offset + bio.length
         writable_end = desc.writable_end
         if end_offset > writable_end:
             raise InvalidAddressError("write past logical zone capacity")
         if state is not ZoneState.IMPLICIT_OPEN \
                 and state is not ZoneState.EXPLICIT_OPEN:
             self._open_logical_zone(desc)
+        # Accepted: only now does an append learn (and report) where it
+        # lands — a refused bio goes back to its caller as it came.
+        if bio.op is Op.ZONE_APPEND:
+            bio.offset = bio.result = offset
         desc.write_pointer = end_offset
         desc.last_write_time = self.sim.now
         if end_offset == writable_end:
@@ -1000,7 +1004,7 @@ class RaiznVolume:
         # state (availability, conflicts, relocations) is checked per
         # piece by the ``_emit_*`` helpers below.
         width = desc.stripe_width
-        in_zone = bio.offset - desc.start_lba
+        in_zone = offset - desc.start_lba
         stripe0 = in_zone // width
         key = ((stripe0 + zone) % self._num_rotations,
                in_zone - stripe0 * width, bio.length)
@@ -1009,7 +1013,7 @@ class RaiznVolume:
             if len(self._plan_cache) >= _PLAN_CACHE_MAX:
                 self._plan_cache.clear()
             plan = self._plan_cache[key] = self._build_write_plan(
-                desc, bio.offset, bio.length)
+                desc, offset, bio.length)
         pba_base = zone * self.phys_zone_size + \
             stripe0 * self.config.stripe_unit_bytes
         lba_base = desc.start_lba + stripe0 * width
@@ -1499,6 +1503,9 @@ class RaiznVolume:
         except DeviceError as exc:
             desc.reset_in_progress = False
             done.fail(exc)
+            # What queued behind the reset runs against the un-reset zone
+            # and succeeds or fails on its own.
+            self._drain_reset_pending(zone)
             return
         self.stats.account(bio)
         bio.complete_time = self.sim.now

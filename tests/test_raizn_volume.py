@@ -264,6 +264,26 @@ class TestZoneAppendEmulation:
         with pytest.raises(InvalidAddressError):
             volume.execute(Bio.zone_append(4096, b"\x01" * 4096))
 
+    def test_refused_append_goes_back_as_it_came(self, volume):
+        """A refused append must not carry a rewritten ``offset`` (or a
+        ``result``) back to its caller: resubmitted, the same bio then
+        fails the zone-start check instead of reporting the real error."""
+        room = 4096
+        volume.execute(Bio.write(0, pattern(volume.zone_capacity - room,
+                                            seed=30)))
+        too_big = Bio.zone_append(0, b"\x01" * (2 * room))
+        for _ in range(2):
+            with pytest.raises(InvalidAddressError, match="capacity"):
+                volume.execute(too_big)
+            assert (too_big.offset, too_big.result) == (0, None)
+        fits = volume.execute(Bio.zone_append(0, b"\x02" * room))
+        assert fits.result == fits.offset == volume.zone_capacity - room
+        full = Bio.zone_append(0, b"\x03" * room)
+        for _ in range(2):
+            with pytest.raises(ZoneStateError, match="not writable"):
+                volume.execute(full)
+            assert (full.offset, full.result) == (0, None)
+
 
 class TestFlushAndFua:
     def test_flush_broadcasts(self, volume_and_devices):
@@ -308,6 +328,20 @@ class TestZoneManagement:
     def test_reset_requires_zone_start(self, volume):
         with pytest.raises(InvalidAddressError):
             volume.execute(Bio.zone_reset(4096))
+
+    def test_failed_reset_releases_what_queued_behind_it(
+            self, volume_and_devices):
+        """A reset that fails (here: a device dead under the volume)
+        must still hand the bios parked behind it back to dispatch."""
+        volume, devices = volume_and_devices
+        devices[0].fail_device()
+        reset = volume.submit(Bio.zone_reset(0))
+        write = volume.submit(Bio.write(0, pattern(SU, seed=31)))
+        volume.sim.run()
+        assert reset.triggered and not reset.ok
+        assert write.triggered
+        assert not volume._reset_pending
+        assert not volume.zone_descs[0].reset_in_progress
 
     def test_reset_resets_physical_zones(self, volume_and_devices):
         volume, devices = volume_and_devices

@@ -540,6 +540,32 @@ def reset_racing_queued_writes():
 
 
 @scenario
+def failed_reset_releases_queued_writes():
+    """A device dies under the volume and the next zone reset fails on
+    it: the writes parked behind the reset are dispatched against the
+    un-reset zone — the one continuing at the write pointer completes
+    (degraded), the ones aimed at offset 0 are refused — and the zone is
+    not left ``reset_in_progress``."""
+    array = Array()
+    streams = Streams(array, 24, (0, 1))
+    for _ in range(6):
+        streams.write(0, 16 * KiB)
+        streams.write(1, 16 * KiB)
+    array.sim.schedule(250e-6, array.devices[array.location(0)[0]].fail_device)
+    streams.bios.append(Bio.zone_reset(0))
+    streams.write(0, 8 * KiB, FUA)              # continues the old zone
+    streams.bios.append(Bio.write(0, bytes(8 * KiB)))   # expects the reset
+    for _ in range(6):
+        streams.write(1, 16 * KiB)
+    streams.bios.append(Bio.zone_reset(0))      # now degraded: succeeds
+    streams.cursor[0] = 0
+    streams.mix(12, SIZES, (BioFlags.NONE, FUA))
+    result = report(array, drive(array, streams.bios))
+    assert not array.volume._reset_pending
+    return result
+
+
+@scenario
 def device_fails_mid_write():
     """The device dies under a full window: in-flight pieces come back
     failed, later ones are rejected, the volume evicts it and the writes
@@ -639,6 +665,8 @@ def test_goldens_reach_the_branches_they_name():
     assert golden["mdzone_rotation_general"]["md_rotations"]["general"]
     assert golden["reset_racing_queued_writes"]["errors"] == {
         "WritePointerViolation": 4}
+    assert golden["failed_reset_releases_queued_writes"]["errors"] == {
+        "DeviceFailedError": 1, "WritePointerViolation": 1}
     for name in ("failed_device", "device_fails_mid_write"):
         assert len(golden[name]["failed"]) == 1, name
     assert golden["device_powered_off_mid_write"]["errors"].get(

@@ -159,7 +159,7 @@ def check_mount_stability(volume, remounted) -> List[str]:
 def check_persistence_bitmap_soundness(volume) -> List[str]:
     """White-box §5.3 check: a marked-persistent SU must be durable.
 
-    ``volume._flush_unpersisted`` skips SUs the bitmap declares
+    ``WritePath.flush_unpersisted`` skips SUs the bitmap declares
     persistent, so a set bit over cache-only bytes means a later flush
     ack lies to the workload — exactly the class of bug a missing flush
     in the recovery path produces.  SUs covered by relocation units are

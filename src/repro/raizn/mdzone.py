@@ -15,14 +15,13 @@ presence of many concurrent metadata log writes".
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..block.bio import _FUA as _BIO_FUA
-from ..block.bio import Bio, BioFlags
+from ..block.bio import Bio
 from ..block.device import BlockDevice
 from ..errors import MetadataError
 from ..sim import Event, Lock, Simulator
-from ..sim.engine import InlineProcess
 from .metadata import MetadataEntry
 
 
@@ -103,39 +102,22 @@ class DeviceMetadataZones:
         many concurrent metadata log writes", §4.3).
         """
         encoded = entry.encode()
+        oversized = self._oversized(encoded)
+        if oversized is not None:
+            raise oversized
+        done = self.sim.event()
+        self._append_start_encoded(role, encoded, fua, done)
+        return (yield done)
+
+    def _oversized(self, encoded: bytes) -> Optional[MetadataError]:
         if len(encoded) > self.zone_capacity:
-            raise MetadataError(
+            return MetadataError(
                 f"metadata entry of {len(encoded)} bytes exceeds the "
                 f"metadata zone capacity {self.zone_capacity}")
-        yield self._locks[role].request()
-        return (yield from self._append_holding_lock(role, encoded, fua))
-
-    def _append_holding_lock(self, role: MetadataRole, encoded: bytes,
-                             fua: bool):
-        """Generator tail of an append whose caller holds the role lock:
-        rotate if the entry does not fit, submit, release, await."""
-        try:
-            if self.used[self.role_zone[role]] + len(encoded) > self.zone_capacity:
-                yield from self._rotate(role)
-            zone_index = self.role_zone[role]
-            self.used[zone_index] += len(encoded)
-            flags = BioFlags.FUA if fua else BioFlags.NONE
-            # Submission (synchronous) reserves the placement; completion
-            # is awaited outside the lock so appends pipeline.
-            event = self.device.submit(
-                Bio.zone_append(zone_index * self.zone_size, encoded, flags))
-        finally:
-            self._locks[role].release()
-        bio = yield event
-        self.appended_bytes += len(encoded)
-        return bio.result
 
     def append_async(self, role: MetadataRole, entry: MetadataEntry,
                      fua: bool = False, batch: list = None) -> Event:
-        """Callback-style :meth:`append`; succeeds with the landing PBA.
-
-        Encoding an entry is pure computation, so doing it here rather
-        than in the first hop changes no event order."""
+        """Callback-style :meth:`append`; succeeds with the landing PBA."""
         return self.append_encoded_async(role, entry.encode(), fua, batch)
 
     def append_encoded_async(self, role: MetadataRole, encoded: bytes,
@@ -144,16 +126,14 @@ class DeviceMetadataZones:
         bytes (the write path's partial-parity entries are produced by
         :func:`repro.raizn.metadata.encode_partial_parity_bytes`).
 
-        Semantically identical to ``sim.process(mdz.append(...))`` but
-        without a generator per log entry — the RAIZN write path appends
-        metadata on every partial-stripe write, so the process machinery
-        dominated wall time.  Each step is queued exactly where the
-        process version's resumptions fell, keeping fixed-seed event
-        ordering (and with it every RNG draw) byte-identical.
+        A callback chain, not a process: the RAIZN write path appends
+        metadata on every partial-stripe write.  Each step is queued
+        exactly where a process's resumptions would fall — a start hop,
+        then a hop through the role lock — which :meth:`append` relies on.
 
         When ``batch`` is given, the start hop is appended to it as a
-        ``(fn, args)`` call instead of being scheduled — the caller owns
-        one ``schedule_batch`` entry covering a whole write's appends.
+        ``(fn, args)`` call instead of being scheduled — the caller puts
+        a whole write's appends on the now-queue side by side.
         """
         done = self.sim.event()
         tracer = self.device.tracer
@@ -170,7 +150,7 @@ class DeviceMetadataZones:
                 site = sites[rolename] = tracer.site("md", role,
                                                      self.device.name)
             done.add_callback(tracer.begin_at(site))
-        # Hop 1 stands in for the deferred process start.
+        # Hop 1: where a process would start.
         if batch is not None:
             batch.append((self._append_start_encoded,
                           (role, encoded, fua, done)))
@@ -181,18 +161,17 @@ class DeviceMetadataZones:
 
     def _append_start_encoded(self, role: MetadataRole, encoded: bytes,
                               fua: bool, done: Event) -> None:
-        if len(encoded) > self.zone_capacity:
-            done.fail(MetadataError(
-                f"metadata entry of {len(encoded)} bytes exceeds the "
-                f"metadata zone capacity {self.zone_capacity}"))
+        oversized = self._oversized(encoded)
+        if oversized is not None:
+            done.fail(oversized)
             return
         lock = self._locks[role]
         if lock.in_use < lock.capacity:
-            # Uncontended: take the lock and queue the next step, matching
-            # the process version's hop through its triggered-yield path.
-            # (Running the locked step inline here reorders md submissions
-            # relative to interleaved same-tick work and shifts the fixed
-            # seed digests — measured, not hypothetical.)
+            # Uncontended: take the lock and queue the next step, the hop
+            # a process waiting on a free lock takes.  (Running the locked
+            # step inline here reorders md submissions relative to
+            # interleaved same-tick work and shifts the fixed seed
+            # digests — measured, not hypothetical.)
             lock.in_use += 1
             self.sim._now_queue.append(
                 (self._append_locked, (role, encoded, fua, done)))
@@ -204,18 +183,32 @@ class DeviceMetadataZones:
 
     def _append_locked(self, role: MetadataRole, encoded: bytes,
                        fua: bool, done: Event) -> None:
-        lock = self._locks[role]
-        nbytes = len(encoded)
-        zone_index = self.role_zone[role]
-        if self.used[zone_index] + nbytes > self.zone_capacity:
-            # Rare slow path: zone rotation involves multi-step GC, so hand
-            # off to generator code.  InlineProcess starts in this frame —
-            # exactly where the process version would have kept running.
-            InlineProcess(self.sim,
-                          self._append_rotating(role, encoded, fua, done))
-            return
+        """Holding the role lock: submit, after rotating if the entry
+        does not fit (rare; the multi-step GC runs as a process)."""
+        if self.used[self.role_zone[role]] + len(encoded) > \
+                self.zone_capacity:
+            self.sim.process(
+                self._rotate_then_submit(role, encoded, fua, done))
+        else:
+            self._submit_append(role, encoded, fua, done)
+
+    def _rotate_then_submit(self, role: MetadataRole, encoded: bytes,
+                            fua: bool, done: Event):
         try:
-            self.used[zone_index] += nbytes
+            yield from self._rotate(role)
+        except BaseException as exc:  # noqa: BLE001 - deliver, don't unwind
+            self._locks[role].release()
+            done.fail(exc)
+            return
+        self._submit_append(role, encoded, fua, done)
+
+    def _submit_append(self, role: MetadataRole, encoded: bytes,
+                       fua: bool, done: Event) -> None:
+        """Reserve the placement and submit the log append; completion is
+        awaited outside the lock so appends pipeline."""
+        try:
+            zone_index = self.role_zone[role]
+            self.used[zone_index] += len(encoded)
             bio = Bio.fast_append(zone_index * self.zone_size, encoded,
                                   _BIO_FUA if fua else 0)
             bio.errors_as_status = True
@@ -223,20 +216,10 @@ class DeviceMetadataZones:
             bio.end_io = self._append_done
             self.device.submit(bio)
         except BaseException as exc:  # noqa: BLE001 - mirror process failure
-            lock.release()
+            self._locks[role].release()
             done.fail(exc)
             return
-        lock.release()
-
-    def _append_rotating(self, role: MetadataRole, encoded: bytes,
-                         fua: bool, done: Event):
-        """Generator tail of :meth:`append_async` when GC must run first."""
-        try:
-            pba = yield from self._append_holding_lock(role, encoded, fua)
-        except BaseException as exc:  # noqa: BLE001 - deliver, don't unwind
-            done.fail(exc)
-            return
-        done.succeed(pba)
+        self._locks[role].release()
 
     def _append_done(self, bio: Bio) -> None:
         done = bio.wctx

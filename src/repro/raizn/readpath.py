@@ -429,7 +429,7 @@ class ReadPath:
         # Relocate the unit (§5.2).  The original bytes may have been
         # acknowledged durable (FUA), so the healed copy is persisted FUA
         # before the read completes.
-        self._traced(piece.parent, self.volume._relocate_write, desc,
+        self._traced(piece.parent, self.volume.writepath.relocate, desc,
                      piece.device, piece.lba - in_su, data, True
                      ).add_callback(piece.join.persisted)
 

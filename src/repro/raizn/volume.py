@@ -6,11 +6,15 @@ accepts the same ``Bio`` vocabulary as a physical device, so any
 ZNS-compatible layer (the fio-like workload driver, the F2FS-like
 filesystem) runs unmodified on a volume.
 
-The write path mirrors the kernel implementation's ordering discipline:
-logical requests are validated and their sub-IOs generated *in submission
-order* (the simulator's synchronous-submit model plays the role of §4.3's
-write-pointer-matching worker threads), while completions — and the
-FUA/flush persistence protocol of §5.3 — are handled asynchronously.
+The volume owns the state — zone descriptors, relocations, device
+health, the metadata zones — and dispatches: reads to
+:mod:`repro.raizn.readpath`, writes and flushes to
+:mod:`repro.raizn.writepath`, zone management to the generators below.
+Logical requests are validated and their sub-IOs generated *in
+submission order* (the simulator's synchronous-submit model plays the
+role of §4.3's write-pointer-matching worker threads), while completions
+— and the FUA/flush persistence protocol of §5.3 — are handled
+asynchronously.
 """
 
 from __future__ import annotations
@@ -18,19 +22,15 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..block.bio import Bio, BioFlags, Op
-from ..block.device import DeviceStats, submit_many
+from ..block.bio import Bio, Op
+from ..block.device import DeviceStats
 from ..errors import (
     DataLossError,
     DegradedModeError,
     DeviceError,
-    DeviceFailedError,
     InvalidAddressError,
-    PowerLossError,
     RaiznError,
-    TransientCommandError,
     VolumeStateError,
-    WritePointerViolation,
     ZoneStateError,
 )
 from ..sim import Event, Simulator
@@ -48,204 +48,19 @@ from .metadata import (
     Superblock,
     encode_generation_block,
     encode_partial_parity,
-    encode_partial_parity_bytes,
     encode_relocated_su,
     encode_zone_reset,
 )
 from .readpath import ReadPath
 from .relocation import RelocationStore
-from .stripebuf import StripeBuffer, enable_pool_poisoning
+from .stripebuf import enable_pool_poisoning
+from .writepath import WritePath
 from .zonedesc import LogicalZoneDesc, PhysicalZoneDesc
 
-#: Plain-int FUA mask: the write fan-out tests sub-IO flags per piece,
-#: and ``IntFlag.__and__`` costs a dynamic class lookup per call.
-_FUA = int(BioFlags.FUA)
 _SECTOR_MASK = SECTOR_SIZE - 1
-_PREFLUSH = int(BioFlags.PREFLUSH)
-_FUA_OR_PREFLUSH = _FUA | _PREFLUSH
 
-#: Upper bound on the per-volume write-plan cache.  Keys are ``(rotation
-#: phase, offset in first stripe, length)``; steady-state workloads cycle
-#: through a tiny working set, so the cap exists only to bound a
-#: pathological scan over every possible offset.
-_PLAN_CACHE_MAX = 65536
 
 SUPERBLOCK_VERSION = 1
-
-
-class _WriteJoin:
-    """Join point for one logical write's fan-out (pooled, hop-exact).
-
-    Replaces the per-write ``Gather`` over per-piece outcome events with
-    direct counting: device completions and metadata appends report in
-    via one shared object instead of allocating an outcome ``Event`` and
-    a closure per piece.  A successful completion arrives from the
-    command's own heap entry, alone in the now-queue, so the chain from
-    it to the logical bio's event — last child, ``_fired``, the flushes,
-    ``_flushed`` — is plain calls (DESIGN.md, the lone-chain rule).  A
-    path that starts inside a populated tick keeps the hops the
-    event/gather implementation queued there, so fixed-seed event
-    ordering — and with it every RNG draw and digest — is unchanged:
-
-    - every failure (``_child_fail``, ``_fired_fail``, ``_flushed_fail``):
-      a rejected command completes inside the tick that submitted it;
-    - a fully degraded fan-out (``_arm``, two hops, as the empty gather);
-    - redirected and omitted pieces (``_on_child_hop``, ``_child_ok``
-      queued from ``_redirect_attempt``).
-    """
-
-    __slots__ = ("volume", "sim", "bio", "done", "desc", "fua_devices",
-                 "_count", "_armed", "_failed", "_flush_pending",
-                 "_flush_failed")
-
-    def __init__(self, volume: "RaiznVolume"):
-        self.volume = volume
-        self.sim = volume.sim
-        self.bio: Optional[Bio] = None
-        self.done: Optional[Event] = None
-        self.desc = None
-        self.fua_devices: Set[int] = set()
-        self._count = 0
-        self._armed = False
-        self._failed = False
-        self._flush_pending = 0
-        self._flush_failed = False
-
-    def _reset(self, bio: Bio, done: Event, desc) -> None:
-        self.bio = bio
-        self.done = done
-        self.desc = desc
-        self.fua_devices.clear()
-        self._count = 0
-        self._armed = False
-        self._failed = False
-        self._flush_pending = 0
-        self._flush_failed = False
-
-    # -- fan-out bookkeeping ------------------------------------------------
-
-    def _arm(self) -> None:
-        """Last call of the fan-out batch: all children are registered."""
-        self._armed = True
-        if self._count == 0 and not self._failed:
-            # Degenerate fan-out (fully degraded write): mimic the empty
-            # gather's two-hop completion so event order is unchanged.
-            self.sim.schedule(0.0, self._queue_fired)
-
-    def _queue_fired(self) -> None:
-        self.sim._now_queue.append((self._fired, ()))
-
-    def _child_ok(self) -> None:
-        if self._failed:
-            return
-        self._count -= 1
-        if self._count == 0 and self._armed:
-            self.sim._now_queue.append((self._fired, ()))
-
-    def _child_fail(self, exc: BaseException) -> None:
-        if self._failed:
-            return
-        self._failed = True
-        self.sim._now_queue.append((self._fired_fail, (exc,)))
-
-    def _on_child(self, event: Event) -> None:
-        """Completion callback of a metadata-append child."""
-        if self._failed:
-            return
-        if not event.ok:
-            self._failed = True
-            self.sim._now_queue.append((self._fired_fail, (event.value,)))
-            return
-        self.sim.recycle(event)
-        self._count -= 1
-        if self._count == 0 and self._armed:
-            self._fired()
-
-    def _on_child_hop(self, event: Event) -> None:
-        """Completion callback of a redirected child (extra hop, as _chain)."""
-        if event.ok:
-            self.sim.recycle(event)
-            self.sim._now_queue.append((self._child_ok, ()))
-        else:
-            self.sim._now_queue.append((self._child_fail, (event.value,)))
-
-    # -- completion ---------------------------------------------------------
-
-    def _fired(self) -> None:
-        bio = self.bio
-        if bio.flags & _FUA_OR_PREFLUSH:
-            events = self.volume._flush_unpersisted(self.desc, bio,
-                                                    self.fua_devices)
-            self._flush_pending = len(events)
-            if not events:
-                self._flushed()
-                return
-            callback = self._on_flush_child
-            for event in events:
-                event.add_callback(callback)
-            return
-        bio.complete_time = self.sim.now
-        done = self.done
-        self._release()
-        done.succeed(bio)
-
-    def _fired_fail(self, exc: BaseException) -> None:
-        if self.done.triggered:
-            # The fan-out itself raised at submission; ``submit`` already
-            # failed the logical bio and this straggler has nothing to add
-            # (the gather implementation never even saw it).
-            return
-        if isinstance(exc, DeviceError):
-            self.done.fail(exc)
-            return
-        raise exc
-
-    def _on_flush_child(self, event: Event) -> None:
-        if self._flush_failed:
-            return
-        if not event.ok:
-            self._flush_failed = True
-            self.sim._now_queue.append((self._flushed_fail, (event.value,)))
-            return
-        self.sim.recycle(event)
-        self._flush_pending -= 1
-        if self._flush_pending == 0:
-            self._flushed()
-
-    def _flushed(self) -> None:
-        bio = self.bio
-        desc = self.desc
-        # Only stripe units *fully* below the durable point may be marked.
-        # A partial tail SU is durable right now, but a later plain write
-        # can extend it in the device cache — a set bit would then be
-        # stale, the next FUA would skip flushing that device, and a crash
-        # could lose acknowledged data.
-        desc.persistence.mark_up_to(
-            (bio.offset + bio.length - desc.start_lba) // desc.su)
-        bio.complete_time = self.sim.now
-        done = self.done
-        self._release()
-        done.succeed(bio)
-
-    def _flushed_fail(self, exc: BaseException) -> None:
-        if isinstance(exc, DeviceError):
-            self.done.fail(exc)
-            return
-        raise exc
-
-    def _release(self) -> None:
-        """Return this join to the volume pool (clean completions only).
-
-        Failure paths leave the join to the garbage collector: stragglers
-        of a failed fan-out may still hold a reference and report in.
-        """
-        free = self.volume._join_free
-        if len(free) < 64:
-            self.bio = None
-            self.done = None
-            self.desc = None
-            self.fua_devices.clear()
-            free.append(self)
 
 
 class RebuildState:
@@ -523,24 +338,11 @@ class RaiznVolume:
             self.attach_tracer(Tracer(sim))
         #: Pending (bio, done) pairs per zone blocked by an in-flight reset.
         self._reset_pending: Dict[int, List[Tuple[Bio, Event]]] = {}
-        #: Cached submission schedules keyed (rotation phase, offset in
-        #: first stripe, length): the pure-geometry half of the write
-        #: fan-out (stripe/piece bounds, target devices, stripe-relative
-        #: addresses), so steady-state appends skip the address
-        #: arithmetic.  Runtime state — device availability, write-pointer
-        #: conflicts, relocations — is still checked at execution.  The
-        #: cache is valid only within one array-membership epoch: any
-        #: eviction/degraded-mode/rejoin transition must call
-        #: :meth:`invalidate_write_plans` so no plan built under the old
-        #: membership is replayed under the new one.
-        self._plan_cache: Dict[Tuple[int, int, int], tuple] = {}
         #: Bumped on every membership/degraded transition (eviction,
         #: rebuild start, rebuild completion).
         self._membership_epoch = 0
-        self._num_rotations = self.mapper.num_rotations
-        #: Recycled :class:`_WriteJoin` objects (see its docstring).
-        self._join_free: List[_WriteJoin] = []
         self.readpath = ReadPath(self)
+        self.writepath = WritePath(self)
         # Logical open-zone budget: each device spends open slots on its
         # partial-parity and general metadata zones.
         self.max_open_logical = max(1, template.max_open_zones - 2)
@@ -676,33 +478,13 @@ class RaiznVolume:
             # metadata appends it spawns parent themselves under this
             # bio's root span via the tracer's current-parent slot.
             tracer.current_parent = code >> SITE_BITS
-            try:
-                self._dispatch(bio, done)
-            except (RaiznError, DeviceError) as exc:
-                self.sim.schedule(0.0, done.fail, exc)
-            finally:
-                tracer.current_parent = -1
-            return done
         try:
-            # ``_dispatch``'s write branch inlined (the hot op, one frame
-            # per logical write).  Every gate condition is a pure read, so
-            # any miss falls through to ``_dispatch`` and raises exactly
-            # what it always raised, in the original check order.
-            op = bio.op
-            if (op is Op.WRITE or op is Op.ZONE_APPEND) \
-                    and not (bio.offset | bio.length) & _SECTOR_MASK \
-                    and not self.read_only and True not in self.failed:
-                zone = self.mapper.zone_of(bio.offset)
-                desc = self.zone_descs[zone]
-                if desc.reset_in_progress:
-                    self._reset_pending.setdefault(zone, []).append(
-                        (bio, done))
-                else:
-                    self._start_write(bio, done, zone, desc)
-            else:
-                self._dispatch(bio, done)
+            self._dispatch(bio, done)
         except (RaiznError, DeviceError) as exc:
-            self.sim.schedule(0.0, done.fail, exc)
+            sim.schedule(0.0, done.fail, exc)
+        finally:
+            if tracer is not None:
+                tracer.current_parent = -1
         return done
 
     def execute(self, bio: Bio) -> Bio:
@@ -732,11 +514,11 @@ class RaiznVolume:
             if desc.reset_in_progress:
                 self._reset_pending.setdefault(zone, []).append((bio, done))
                 return
-            self._start_write(bio, done, zone, desc)
+            self.writepath.start(bio, done, zone, desc)
         elif op is Op.READ:
             self.readpath.start(bio, done)
         elif op is Op.FLUSH:
-            self.sim.schedule(0.0, self._run_flush, bio, done)
+            self.sim.schedule(0.0, self.writepath.flush_all, bio, done)
         elif op is Op.ZONE_RESET:
             if self.read_only:
                 raise VolumeStateError("volume is read-only")
@@ -866,12 +648,6 @@ class RaiznVolume:
         event.add_callback(on_done)
         return outcome
 
-    def _su_device(self, zone: int, su_index_in_zone: int) -> int:
-        """Device holding data SU number ``su_index_in_zone`` of a zone."""
-        stripe = su_index_in_zone // self.config.num_data
-        i = su_index_in_zone % self.config.num_data
-        return self.mapper.stripe_layout(zone, stripe).data_devices[i]
-
     def _persist_generation(self, fua: bool = False) -> List[Event]:
         """Append the generation-counter block(s) to every live device."""
         events = []
@@ -944,496 +720,6 @@ class RaiznVolume:
                     stripe_lba, stripe_lba + desc.stripe_width,
                     self.generation[zone], 0, parity))
         return entries
-
-    # ------------------------------------------------------------------ write path
-
-    def _start_write(self, bio: Bio, done: Event, zone: int,
-                     desc: LogicalZoneDesc) -> None:
-        """Synchronous half of the write path: validate, plan, emit.
-
-        ``zone``/``desc`` come from ``_dispatch``, which already resolved
-        (and range-checked) the logical zone for this bio.  Every array
-        state (healthy, degraded, rebuilding, relocating, traced) takes
-        the one emission loop below; what happens to an individual piece
-        is decided inside the ``_emit_*`` helpers and nowhere else.
-        """
-        offset = bio.offset
-        if bio.op is Op.ZONE_APPEND:
-            # §5.4: RAIZN serializes zone appends; emulate as a write at
-            # the logical write pointer (as dm-level append emulation does).
-            if offset != desc.start_lba:
-                raise InvalidAddressError(
-                    "zone append offset must be the zone start LBA")
-            offset = desc.write_pointer
-        # Identity-check the two open states before falling back to the
-        # is_writable property: writability is tested once per logical
-        # write and the steady state is an open zone.
-        state = desc.state
-        if state is not ZoneState.IMPLICIT_OPEN \
-                and state is not ZoneState.EXPLICIT_OPEN \
-                and not state.is_writable:
-            raise ZoneStateError(
-                f"logical zone {zone} not writable (state={state.value})")
-        if offset != desc.write_pointer:
-            raise WritePointerViolation(
-                f"logical write at {offset:#x} != zone {zone} write "
-                f"pointer {desc.write_pointer:#x}")
-        end_offset = offset + bio.length
-        writable_end = desc.writable_end
-        if end_offset > writable_end:
-            raise InvalidAddressError("write past logical zone capacity")
-        if state is not ZoneState.IMPLICIT_OPEN \
-                and state is not ZoneState.EXPLICIT_OPEN:
-            self._open_logical_zone(desc)
-        # Accepted: only now does an append learn (and report) where it
-        # lands — a refused bio goes back to its caller as it came.
-        if bio.op is Op.ZONE_APPEND:
-            bio.offset = bio.result = offset
-        desc.write_pointer = end_offset
-        desc.last_write_time = self.sim.now
-        if end_offset == writable_end:
-            self._set_logical_state(desc, ZoneState.FULL)
-
-        # Pure geometry of this write — stripe segmentation, per-device
-        # piece bounds, target addresses — is cached in stripe-relative
-        # form.  Device assignment repeats every ``num_rotations`` stripes
-        # and everything else is an offset from the write's first stripe,
-        # so the key is (rotation phase, offset within stripe, length):
-        # a steady sequential workload cycles through a handful of keys
-        # and skips the per-piece address arithmetic entirely.  Runtime
-        # state (availability, conflicts, relocations) is checked per
-        # piece by the ``_emit_*`` helpers below.
-        width = desc.stripe_width
-        in_zone = offset - desc.start_lba
-        stripe0 = in_zone // width
-        key = ((stripe0 + zone) % self._num_rotations,
-               in_zone - stripe0 * width, bio.length)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            if len(self._plan_cache) >= _PLAN_CACHE_MAX:
-                self._plan_cache.clear()
-            plan = self._plan_cache[key] = self._build_write_plan(
-                desc, offset, bio.length)
-        pba_base = zone * self.phys_zone_size + \
-            stripe0 * self.config.stripe_unit_bytes
-        lba_base = desc.start_lba + stripe0 * width
-
-        free = self._join_free
-        if free:
-            join = free.pop()
-        else:
-            join = _WriteJoin(self)
-        join._reset(bio, done, desc)
-        # Plain int (0 or FUA): tested per fan-out piece, and Bio stores
-        # flags as an int anyway.
-        sub_flags = bio.flags & _FUA
-        # Fan out through a memoryview so every per-stripe chunk and
-        # per-device piece below is a zero-copy slice of the caller's
-        # payload; devices copy exactly once, into their media.
-        data = memoryview(bio.data) if bio.data else memoryview(b"")
-        # Device commands and deferred zero-delay hops are collected and
-        # dispatched together at the end of the fan-out: the whole
-        # write's commands go to the block layer in one ``submit_many``
-        # step and its metadata appends ride one batched scheduler entry.
-        # Per-device submission order is the piece order either way, so
-        # every channel grant — and with it every RNG draw — is unmoved.
-        cmds: List[tuple] = []
-        batch: List[tuple] = []
-        buffers = desc.buffers
-        row = self._tr_stripe_row
-        try:
-            for (dstripe, in_stripe, seg_lo, seg_hi, pieces, completes,
-                 parity_device, rel_ppba, rel_slba) in plan:
-                stripe = stripe0 + dstripe
-                chunk = data[seg_lo:seg_hi]
-                buffer = buffers.acquire(stripe)
-                if buffer is None:
-                    raise RaiznError(
-                        f"zone {zone}: all "
-                        f"{self.config.stripe_buffers_per_zone} "
-                        "stripe buffers occupied (should not happen: "
-                        "writes are sequential, so only the tail stripe "
-                        "is ever incomplete)")
-                buffer.absorb(in_stripe, chunk)
-                if row is not None:
-                    row[0] += 1
-                    row[2] += seg_hi - seg_lo
-                for device, rel_pba, rel_lba, piece_lo, piece_hi in pieces:
-                    self._emit_data_piece(join, desc, device,
-                                          pba_base + rel_pba,
-                                          lba_base + rel_lba,
-                                          data[piece_lo:piece_hi],
-                                          sub_flags, cmds, batch)
-                if completes:
-                    self._emit_full_parity(join, desc, stripe, parity_device,
-                                           pba_base + rel_ppba,
-                                           lba_base + rel_slba, buffer,
-                                           in_stripe, chunk, sub_flags,
-                                           cmds, batch)
-                    buffers.release(stripe)
-                else:
-                    self._emit_partial_parity(join, desc, stripe,
-                                              parity_device,
-                                              lba_base + rel_slba, in_stripe,
-                                              chunk, bool(sub_flags), batch)
-        except BaseException:
-            # Everything emitted before the raise still goes out, and the
-            # join is never armed (``submit`` fails the logical bio).
-            submit_many(cmds)
-            if batch:
-                self.sim.schedule_batch(0.0, batch)
-            raise
-
-        self.stats.account(bio)
-        submit_many(cmds)
-        # The arm call runs after every sibling append's start hop, in the
-        # now-queue slot the old completion-chain hop occupied.
-        batch.append((join._arm, ()))
-        self.sim.schedule_batch(0.0, batch)
-
-    def _build_write_plan(self, desc: LogicalZoneDesc, offset: int,
-                          length: int) -> tuple:
-        """Precompute the submission schedule for a write at ``offset``.
-
-        Returns a tuple of per-stripe segments
-        ``(dstripe, in_stripe, seg_lo, seg_hi, pieces, completes,
-        parity_device, rel_ppba, rel_slba)`` where ``pieces`` is a tuple
-        of ``(device, rel_pba, rel_lba, piece_lo, piece_hi)``.  The
-        ``*_lo``/``*_hi`` bounds index the bio payload; all other
-        addresses are relative to the write's first stripe (``dstripe``
-        counts stripes from it, ``rel_pba``/``rel_ppba`` are offsets
-        from its first PBA in the zone, ``rel_lba``/``rel_slba`` from
-        its first LBA).  Device assignment depends only on the parity
-        rotation phase of the first stripe, so the relative plan is
-        shared by every (zone, offset) with the same phase — the caller
-        keys the cache accordingly and adds the bases back.
-        """
-        su = self.config.stripe_unit_bytes
-        zone = desc.zone
-        width = desc.stripe_width
-        stripe0 = (offset - desc.start_lba) // width
-        segments = []
-        position = 0
-        while position < length:
-            in_zone = offset + position - desc.start_lba
-            stripe = in_zone // width
-            in_stripe = in_zone % width
-            take = min(length - position, width - in_stripe)
-            layout = self.mapper.stripe_layout(zone, stripe)
-            dstripe = stripe - stripe0
-            pieces = []
-            piece_pos = 0
-            while piece_pos < take:
-                stripe_offset = in_stripe + piece_pos
-                in_su = stripe_offset % su
-                piece_take = min(take - piece_pos, su - in_su)
-                pieces.append((layout.data_devices[stripe_offset // su],
-                               dstripe * su + in_su,
-                               dstripe * width + stripe_offset,
-                               position + piece_pos,
-                               position + piece_pos + piece_take))
-                piece_pos += piece_take
-            segments.append((dstripe, in_stripe, position, position + take,
-                             tuple(pieces), in_stripe + take == width,
-                             layout.parity_device, dstripe * su,
-                             dstripe * width))
-            position += take
-        return tuple(segments)
-
-    def _emit_data_piece(self, join: _WriteJoin, desc: LogicalZoneDesc,
-                         device: int, pba: int, lba: int, piece, sub_flags: int,
-                         cmds: List[tuple], batch: List[tuple]) -> None:
-        zone = desc.zone
-        if not self._device_available(device, zone):
-            return  # degraded write: the missing SU is omitted (§4.2)
-        pdesc = self.phys[device][zone]
-        if pdesc.state is ZoneState.READ_ONLY or \
-                pdesc.state is ZoneState.OFFLINE:
-            # The physical zone wore out (end-of-life transition); its
-            # write pointer is frozen, so every further piece for it is
-            # redirected to the metadata log like a §5.2 conflict.
-            self._relocate_join(join, desc, device, lba, piece,
-                                bool(sub_flags), batch)
-            return
-        if pdesc.write_pointer != pba or (
-                desc.has_relocations and
-                self.relocations.lookup(
-                    lba - (lba % self.config.stripe_unit_bytes)) is not None):
-            # Conflicting stripe unit (§5.2): either stale persisted data
-            # occupies this PBA (pointer ahead) or a stale gap sits below
-            # it (pointer behind, mid-stale-SU after a rollback); both
-            # redirect to the metadata zone.  An SU whose relocation unit
-            # is already armed always stays in the log even when the stale
-            # write pointer happens to line up with this piece's PBA —
-            # writing in place would split the SU between a garbage-
-            # prefixed device zone and the log, and recovery could not
-            # tell the stale prefix from real bytes.
-            self._relocate_join(join, desc, device, lba, piece,
-                                bool(sub_flags), batch)
-            return
-        pdesc.write_pointer = pba + len(piece)
-        wbio = Bio.write(pba, piece, sub_flags)
-        wbio.errors_as_status = True
-        # The integer lba doubles as the redirect tag: should the write
-        # come back with a wear-out error, ``_redirect_attempt`` rebuilds
-        # the relocation from (desc, device, lba, bio.data) — no closure.
-        wbio.wctx = (join, device, desc, lba, 0)
-        wbio.end_io = self._write_attempted
-        join._count += 1
-        cmds.append((self.devices[device], wbio))
-        if sub_flags:
-            join.fua_devices.add(device)
-
-    def _relocate_join(self, join: _WriteJoin, desc: LogicalZoneDesc,
-                       device: int, lba: int, piece, fua: bool,
-                       batch: List[tuple]) -> None:
-        """Fan-out-time relocation: register the log append on the join."""
-        done = self._relocate_write(desc, device, lba, piece, fua, batch)
-        done.add_callback(join._on_child)
-        join._count += 1
-
-    def _relocate_write(self, desc: LogicalZoneDesc, device: int, lba: int,
-                        piece, fua: bool,
-                        batch: Optional[List[tuple]] = None) -> Event:
-        su = self.config.stripe_unit_bytes
-        su_lba = lba - (lba % su)
-        unit = self.relocations.unit_for(su_lba, device,
-                                         self.mapper.zone_of(lba))
-        unit.write(lba, piece)
-        desc.has_relocations = True
-        entry = encode_relocated_su(lba, piece, self.generation[desc.zone])
-        # A FUA write must be durable before it is acknowledged; when the
-        # piece is redirected into the metadata log, the log append has to
-        # carry the FUA flag — ``_flush_unpersisted`` only covers SUs from
-        # *earlier* writes, so nothing else persists this entry before the
-        # ack and a crash could cut it from the log tail.
-        return self.mdzones[device].append_async(MetadataRole.GENERAL, entry,
-                                                 fua=fua, batch=batch)
-
-    def _attempt_write(self, join: _WriteJoin, device: int, desc, tag,
-                       pba: int, piece, flags: int, attempt: int) -> None:
-        """(Re)submit one protected device write (retry path)."""
-        wbio = Bio.write(pba, piece, flags)
-        wbio.errors_as_status = True
-        wbio.wctx = (join, device, desc, tag, attempt)
-        wbio.end_io = self._write_attempted
-        self.devices[device].submit(wbio)
-
-    def _write_attempted(self, bio: Bio) -> None:
-        """Completion of a protected device write — self-healing policy.
-
-        One shared bound method for every data/parity piece: the
-        per-attempt context rides on ``bio.wctx`` instead of a closure.
-        Transient command failures are retried up to
-        ``config.max_transient_retries`` times with a simulated backoff;
-        a zone-state failure (wear-out discovered mid-write) resyncs the
-        physical descriptor and redirects the piece to the metadata log;
-        a failed device degrades the write (§4.2: the piece is omitted
-        and parity covers it).  Anything else fails the logical write.
-        """
-        join, device, desc, tag, attempt = bio.wctx
-        exc = bio.error
-        if exc is None:
-            if self._failslow_on:
-                self._note_latency(device, False,
-                                   self.sim.now - bio.submit_time)
-            # ``join._child_ok`` inlined (the all-healthy hot path).
-            if not join._failed:
-                join._count = count = join._count - 1
-                if count == 0 and join._armed:
-                    join._fired()
-            return
-        if isinstance(exc, (TransientCommandError, WritePointerViolation)):
-            # A WritePointerViolation here is collateral of a transient
-            # fault on an *earlier* piece of the same zone: that piece was
-            # rejected at submission (device pointer not advanced), so this
-            # piece arrived ahead of the pointer.  The earlier piece's
-            # retry fires first (same backoff, scheduled earlier), after
-            # which this retry lands at the right pointer — mirroring the
-            # kernel's zone-write requeue ordering.
-            if attempt < self.config.max_transient_retries:
-                self.health.transient_retries += 1
-                self.sim.schedule(self.config.transient_backoff_s,
-                                  self._attempt_write, join, device, desc,
-                                  tag, bio.offset, bio.data, bio.flags,
-                                  attempt + 1)
-                return
-            self.health.transient_escalations += 1
-            self._note_device_error(device)
-            self.sim._now_queue.append((join._child_fail, (exc,)))
-            return
-        if isinstance(exc, ZoneStateError):
-            self.health.wear_errors += 1
-            self._note_device_error(device)
-            self._sync_phys_desc(device, bio.offset // self.phys_zone_size)
-            self._redirect_attempt(join, device, desc, tag, bio)
-            return
-        if isinstance(exc, (DeviceFailedError, PowerLossError)):
-            if isinstance(exc, DeviceFailedError) and not self.failed[device]:
-                try:
-                    self.fail_device(device, remove=False)
-                except DataLossError as loss:
-                    self.sim._now_queue.append((join._child_fail, (loss,)))
-                    return
-            if self.failed[device]:
-                # Degraded write: piece omitted (§4.2).
-                self.sim._now_queue.append((join._child_ok, ()))
-                return
-        self.sim._now_queue.append((join._child_fail, (exc,)))
-
-    def _redirect_attempt(self, join: _WriteJoin, device: int,
-                          desc: LogicalZoneDesc, tag, bio: Bio) -> None:
-        """Wear-out discovered by the failing write itself: redirect.
-
-        ``tag`` discriminates the piece kind: an ``int`` is a data
-        piece's lba (relocate into the general log); a ``(stripe,
-        stripe_lba)`` tuple is a full-parity write (keep the parity in
-        memory plus one cumulative partial-parity log entry covering the
-        whole stripe — the shape the metadata-GC checkpoint uses).
-        """
-        if not self._device_available(device, desc.zone):
-            # Degraded: omitted, parity (or memory) covers it.
-            self.sim._now_queue.append((join._child_ok, ()))
-            return
-        fua = bool(bio.flags & _FUA)
-        if type(tag) is int:
-            try:
-                done = self._relocate_write(desc, device, tag, bio.data, fua)
-            except (RaiznError, DeviceError) as exc:
-                self.sim._now_queue.append((join._child_fail, (exc,)))
-                return
-            done.add_callback(join._on_child_hop)
-            return
-        stripe, stripe_lba = tag
-        parity = bio.data
-        self.relocated_parity[(desc.zone, stripe)] = parity
-        entry = encode_partial_parity(
-            stripe_lba, stripe_lba + desc.stripe_width,
-            self.generation[desc.zone], 0, parity)
-        done = self.mdzones[device].append_async(
-            MetadataRole.PARTIAL_PARITY, entry, fua=fua)
-        done.add_callback(join._on_child_hop)
-
-    def _emit_full_parity(self, join: _WriteJoin, desc: LogicalZoneDesc,
-                          stripe: int, device: int, pba: int,
-                          stripe_lba: int, buffer: StripeBuffer,
-                          in_stripe: int, chunk, sub_flags: int,
-                          cmds: List[tuple], batch: List[tuple]) -> None:
-        if not self._device_available(device, desc.zone):
-            return
-        parity = buffer.full_parity()
-        row = self._tr_parity_full_row
-        if row is not None:
-            row[0] += 1
-            row[2] += len(parity)
-        pdesc = self.phys[device][desc.zone]
-        if pdesc.write_pointer != pba or \
-                pdesc.state is ZoneState.READ_ONLY or \
-                pdesc.state is ZoneState.OFFLINE:
-            # The parity SU's PBA conflicts with stale data (§5.2 after a
-            # rollback recovery) or the zone wore out.  Keep the full
-            # parity in memory and log the completing segment's delta to
-            # the partial-parity zone — XOR of all the stripe's deltas
-            # equals the full parity.
-            self.relocated_parity[(desc.zone, stripe)] = parity
-            self._emit_partial_parity(join, desc, stripe, device, stripe_lba,
-                                      in_stripe, chunk, bool(sub_flags),
-                                      batch)
-            return
-        pdesc.write_pointer = pba + len(parity)
-        wbio = Bio.write(pba, parity, sub_flags)
-        wbio.errors_as_status = True
-        # Tuple tag marks a parity piece for ``_redirect_attempt``.
-        wbio.wctx = (join, device, desc, (stripe, stripe_lba), 0)
-        wbio.end_io = self._write_attempted
-        join._count += 1
-        cmds.append((self.devices[device], wbio))
-        if sub_flags:
-            join.fua_devices.add(device)
-
-    def _emit_partial_parity(self, join: _WriteJoin, desc: LogicalZoneDesc,
-                             stripe: int, device: int, stripe_lba: int,
-                             in_stripe: int, chunk, fua: bool,
-                             batch: List[tuple]) -> None:
-        # Healthy-array short circuit; _device_available decides the
-        # degraded/rebuilding cases.
-        if self.failed[device] or self.devices[device] is None \
-                or self.rebuild_state is not None:
-            if not self._device_available(device, desc.zone):
-                return
-        offset, delta = StripeBuffer.delta_parity(
-            in_stripe, chunk, self.config.stripe_unit_bytes)
-        row = self._tr_parity_partial_row
-        if row is not None:
-            row[0] += 1
-            row[2] += len(delta)
-        encoded = encode_partial_parity_bytes(
-            stripe_lba + in_stripe, stripe_lba + in_stripe + len(chunk),
-            self.generation[desc.zone], offset, delta)
-        done = self.mdzones[device].append_encoded_async(
-            MetadataRole.PARTIAL_PARITY, encoded, fua=fua, batch=batch)
-        done.add_callback(join._on_child)
-        join._count += 1
-
-    def _flush_unpersisted(self, desc: LogicalZoneDesc, bio: Bio,
-                           fua_devices: Set[int]) -> List[Event]:
-        """Flush every device holding a non-persisted SU below this write.
-
-        Implements §5.3 with the paper's optimization: only the bitmap
-        from the stripe immediately preceding the write onwards needs
-        checking, because a set bit implies all earlier SUs on all
-        devices are persisted.
-        """
-        num_data = self.config.num_data
-        write_su = desc.su_index_of(bio.offset)
-        prev_stripe_su = (write_su // num_data - 1) * num_data
-        if prev_stripe_su < 0:
-            prev_stripe_su = 0
-        check_from = desc.persistence.frontier
-        if prev_stripe_su > check_from:
-            check_from = prev_stripe_su
-        # The steady state has nothing to flush (everything below the
-        # write went out FUA); defer the set until a device qualifies.
-        devices_to_flush: Optional[Set[int]] = None
-        for su_index in desc.persistence.unpersisted_in(check_from, write_su):
-            device = self._su_device(desc.zone, su_index)
-            if device not in fua_devices and \
-                    self._device_available(device, desc.zone):
-                if devices_to_flush is None:
-                    devices_to_flush = {device}
-                else:
-                    devices_to_flush.add(device)
-        if devices_to_flush is None:
-            return []
-        return [self.devices[d].submit(Bio.flush())
-                for d in devices_to_flush]
-
-    # ------------------------------------------------------------------ flush
-
-    def _run_flush(self, bio: Bio, done: Event) -> None:
-        """REQ_OP_FLUSH: duplicated to each array device (§5.3)."""
-        gather = self.sim.gather([
-            self.devices[d].submit(Bio.flush())
-            for d in self._alive_devices()])
-        gather.add_callback(lambda ev: self._flush_gathered(ev, bio, done))
-
-    def _flush_gathered(self, gather: Event, bio: Bio, done: Event) -> None:
-        if not gather.ok:
-            if isinstance(gather.value, DeviceError):
-                done.fail(gather.value)
-                return
-            raise gather.value
-        for desc in self.zone_descs:
-            if desc.state.is_active or desc.state is ZoneState.FULL:
-                if desc.written_bytes:
-                    # Full SUs only: a partial tail SU can be extended by
-                    # a later write, which would make its bit stale (see
-                    # _WriteJoin._flushed).
-                    desc.persistence.mark_up_to(
-                        desc.su_index_of(desc.write_pointer))
-        self.stats.account(bio)
-        bio.complete_time = self.sim.now
-        done.succeed(bio)
 
     # ------------------------------------------------------------------ zone reset
 
@@ -1646,7 +932,7 @@ class RaiznVolume:
         membership epoch.
         """
         self._membership_epoch += 1
-        self._plan_cache.clear()
+        self.writepath.invalidate_plans()
 
     def fail_device(self, index: int, remove: bool = True) -> None:
         """Fail (and optionally remove) one array device."""

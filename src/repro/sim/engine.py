@@ -42,12 +42,6 @@ def _raise_unhandled(exc: BaseException) -> None:
     raise exc
 
 
-def _run_batch(calls: List[Tuple[Callable, tuple]]) -> None:
-    """Run a sibling batch: every call in order, one scheduler entry."""
-    for fn, args in calls:
-        fn(*args)
-
-
 #: Added to the sequence number of a device completion's heap entry (see
 #: ``Simulator.complete_at``): at one instant every timer sorts before every
 #: completion, whichever was pushed first.  Far above any run's ``_seq``.
@@ -82,8 +76,8 @@ class Event:
         self.ok = True
         self.value: Any = None
         #: External references that would dangle if the event were pooled:
-        #: a pending timeout-heap ``_fire`` entry, or registration in a
-        #: combinator's child list.  Incremented at the referencing site,
+        #: a pending timeout-heap ``_fire`` entry, or registration in an
+        #: ``AllOf``'s child list.  Incremented at the referencing site,
         #: decremented when the reference is consumed; ``recycle`` refuses
         #: any event whose count is nonzero.
         self.refs = 0
@@ -252,25 +246,6 @@ class Process(Event):
             self._resume(None, event.value)
 
 
-class InlineProcess(Process):
-    """A process whose first step runs immediately, in the caller's frame.
-
-    ``Process`` defers its first step through the now-queue so that starting
-    a process never reorders work already queued.  Callback-style fast paths
-    that fall back to generator code for a rare slow path (e.g. metadata
-    zone rotation) have already consumed that start hop themselves; using a
-    plain ``Process`` for the fallback would insert an extra hop and change
-    event ordering relative to the all-generator implementation.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", gen: ProcessGenerator):
-        Event.__init__(self, sim)
-        self._gen = gen
-        self._resume(None, None)
-
-
 class AllOf(Event):
     """Triggers when every child event has triggered successfully.
 
@@ -307,101 +282,6 @@ class AllOf(Event):
             if self._pending == 0:
                 self.succeed(self._values)
         return on_child
-
-
-class Gather(Event):
-    """Triggers when every child has triggered; child values are discarded.
-
-    A leaner :class:`AllOf` for join points that only care about
-    completion (the RAIZN write path joins its sub-IOs this way): one
-    shared callback instead of a closure per child, and no values list.
-    Fails as soon as any child fails.  The hop structure is identical to
-    ``AllOf``, so swapping one for the other never reorders events.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        events = list(events)
-        self._pending = len(events)
-        if not events:
-            sim.schedule(0.0, self.succeed, None)
-            return
-        callback = self._on_child
-        for event in events:
-            event.refs += 1
-            event.add_callback(callback)
-
-    def _on_child(self, event: Event) -> None:
-        event.refs -= 1
-        if self.triggered:
-            return  # a sibling already failed this gather
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(None)
-
-
-class AnyOf(Event):
-    """Triggers when the first child event triggers; value is that child's."""
-
-    __slots__ = ("_done", "_children", "_callback")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._done = False
-        events = list(events)
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        self._children = events
-        # One bound method shared by every child so the winner can detach it
-        # from the losers by identity.
-        self._callback = self._on_child
-        for event in events:
-            event.refs += 1
-            event.add_callback(self._callback)
-
-    def _on_child(self, event: Event) -> None:
-        # This child's registration is consumed whether it is the winner
-        # or a loser whose callback was already queued in the same batch.
-        event.refs -= 1
-        if self._done:
-            # A child that triggered in the same dispatch batch as the
-            # winner: nothing to do and nothing to allocate.
-            return
-        self._done = True
-        # Detach from the losing children so they stop referencing this
-        # AnyOf (and never call back into it when they eventually trigger).
-        callback = self._callback
-        for child in self._children:
-            if child is event:
-                continue
-            if child.callback is callback:
-                # Keep the invariant that the overflow list is only ever
-                # populated behind a filled single slot.
-                overflow = child.callbacks
-                if overflow:
-                    child.callback = overflow.pop(0)
-                    if not overflow:
-                        child.callbacks = None
-                else:
-                    child.callback = None
-                child.refs -= 1
-            elif child.callbacks is not None:
-                try:
-                    child.callbacks.remove(callback)
-                except ValueError:
-                    pass  # already consumed; its pending dispatch decrements
-                else:
-                    child.refs -= 1
-        self._children = []
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            self.fail(event.value)
 
 
 class Simulator:
@@ -462,28 +342,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap,
                        (at, _COMPLETION_RANK + self._seq, fn, args))
-
-    def schedule_batch(self, delay: float,
-                       calls: List[Tuple[Callable, tuple]]) -> None:
-        """Run sibling ``(fn, args)`` calls after ``delay``, as ONE entry.
-
-        Work scheduled together with the same delay rides a single heap
-        (or now-queue) entry and executes in one consecutive sweep when it
-        comes due — the calls can never be interleaved with other entries
-        that land at the same timestamp.  Because the calls are enqueued
-        together, the sweep runs them in exactly the order separate
-        ``schedule`` calls made back-to-back would have, so batching is
-        order-neutral for fixed-seed replay; it just removes per-entry
-        queue traffic.  The caller must not mutate ``calls`` afterwards.
-        """
-        if delay == 0.0:
-            self._now_queue.append((_run_batch, (calls,)))
-            return
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay}")
-        self._seq += 1
-        heapq.heappush(self._heap,
-                       (self.now + delay, self._seq, _run_batch, (calls,)))
 
     # -- event factories -----------------------------------------------------
 
@@ -546,14 +404,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event triggering when all of ``events`` have succeeded."""
         return AllOf(self, events)
-
-    def gather(self, events: Iterable[Event]) -> Gather:
-        """Like :meth:`all_of` but discards child values (cheaper)."""
-        return Gather(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event triggering when the first of ``events`` triggers."""
-        return AnyOf(self, events)
 
     # -- execution -----------------------------------------------------------
 

@@ -1,8 +1,7 @@
 """Shared resources for simulated processes.
 
 ``Resource`` models a pool of identical servers (e.g. the parallel command
-channels of an SSD).  ``Queue`` is an unbounded FIFO hand-off between
-producer and consumer processes.  ``Lock`` is a single-holder mutex built on
+channels of an SSD).  ``Lock`` is a single-holder mutex built on
 ``Resource``.  ``ReadAhead`` keeps a bounded window of operations in flight
 and hands their results out in issue order.
 """
@@ -10,7 +9,7 @@ and hands their results out in issue order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Callable, Deque, Optional
 
 from ..errors import SimulationError
 from .engine import Event, Simulator
@@ -69,36 +68,6 @@ class Lock(Resource):
 
     def __init__(self, sim: Simulator):
         super().__init__(sim, capacity=1)
-
-
-class Queue:
-    """Unbounded FIFO queue connecting simulated processes."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item``, waking the oldest blocked getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """An event that succeeds with the next item (FIFO order)."""
-        event = self.sim.event()
-        if self._items:
-            # Inline succeed: brand-new event, nothing to dispatch.
-            event.triggered = True
-            event.value = self._items.popleft()
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 class ReadAhead:

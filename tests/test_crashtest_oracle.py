@@ -21,7 +21,7 @@ from repro.faults import (
 from repro.harness.campaign import LOGICAL_ZONE_CAPACITY, write_report
 from repro.harness.crashtest import explore, scripted_workload
 from repro.raizn.recovery import mount
-from repro.raizn.volume import RaiznVolume
+from repro.raizn.writepath import WritePath
 from repro.units import KiB
 
 from conftest import make_volume, pattern
@@ -171,7 +171,7 @@ class TestExploreEndToEnd:
         acks lie about cached stripe units — the explorer must find
         crash states that lose acked bytes."""
         monkeypatch.setattr(
-            RaiznVolume, "_flush_unpersisted",
+            WritePath, "flush_unpersisted",
             lambda self, desc, bio, fua_devices: [])
         report = explore(seed=0, num_ops=40, boundaries=12,
                          budget_per_boundary=6, double_crash_every=10,

@@ -1,4 +1,4 @@
-"""Hedge-race accounting: the AnyOf winner is exclusive.
+"""Hedge-race accounting: the winner of the race is exclusive.
 
 When a hedged reconstruction and the straggling primary read complete
 in the same simulated tick, the hedge already owns the serve and its

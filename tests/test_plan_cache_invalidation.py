@@ -19,10 +19,10 @@ STRIPE = 4 * SU
 def test_eviction_clears_cached_plans(sim):
     volume, devices = make_volume(sim)
     volume.execute(Bio.write(0, pattern(STRIPE, seed=1)))
-    assert volume._plan_cache, "steady-state writes should cache plans"
+    assert volume.writepath._plan_cache, "steady-state writes should cache plans"
     epoch = volume._membership_epoch
     volume.fail_device(2)
-    assert not volume._plan_cache
+    assert not volume.writepath._plan_cache
     assert volume._membership_epoch == epoch + 1
 
 
@@ -37,7 +37,7 @@ def test_rebuild_rejoin_and_completion_bump_epoch(sim):
     # One transition when the replacement rejoins (rebuilt_zones gating
     # starts), one when the rebuild completes (gating lifted).
     assert volume._membership_epoch == epoch + 2
-    assert not volume._plan_cache
+    assert not volume.writepath._plan_cache
 
 
 def test_mid_workload_eviction_keeps_data_consistent(sim):

@@ -41,6 +41,10 @@ class CountingQueue(deque):
         self.appended += 1
         super().append(item)
 
+    def extend(self, items):
+        self.appended += len(items)
+        super().extend(items)
+
 
 def written_volume(sim, stripes=16):
     volume, devices = make_volume(sim)
@@ -147,8 +151,9 @@ class TestWriteSteps:
     command plus one partial-parity log append (the 64 KiB writes close
     six stripes, whose parity goes to the parity device instead), 48
     device commands, some of which wait for a channel.  In the same
-    units, at the commit before the block layer's timeline, after it, and
-    with ``_WriteJoin``'s lone-chain hops turned into calls:
+    units, at the commit before the block layer's timeline, after it,
+    with ``_WriteJoin``'s lone-chain hops turned into calls, and with
+    the submission batch put on the now-queue call by call:
 
     ========================  =========  ====  ======
     24 x                      now-queue  heap  events
@@ -156,9 +161,11 @@ class TestWriteSteps:
     4 KiB FUA, before               192    96     119
     4 KiB FUA, timeline             168    48      71
     4 KiB FUA, lone chains           72    48      71
+    4 KiB FUA, batch by call         96    48      71
     64 KiB, before                  116    96     103
     64 KiB, timeline                108    48      55
     64 KiB, lone chains              66    48      55
+    64 KiB, batch by call            84    48      55
     ========================  =========  ====  ======
 
     The timeline took one heap entry (channel timer) per device command,
@@ -167,9 +174,12 @@ class TestWriteSteps:
     write, the hop from a log append's completion to the join (24 and
     18), the hop from the last child to ``_fired`` (24 and 24) and, for a
     durable write with nothing left to flush, the two hops to
-    ``_flushed`` (48): 7 -> 3 entries per 4 KiB FUA write.  What is left
-    is the submission batch, the logical bio's own completion and the
-    hops that start inside a populated tick.
+    ``_flushed`` (48): 7 -> 3 entries per 4 KiB FUA write.  The last row
+    runs the same calls: a write's batch (its log append's start hop and
+    the join's ``arm``) used to ride one ``schedule_batch`` entry and is
+    now ``extend``-ed onto the now-queue, one entry per call (24 and 18
+    more).  What is left is that batch, the logical bio's own completion
+    and the hops that start inside a populated tick.
     """
 
     WRITES = 24
@@ -189,11 +199,11 @@ class TestWriteSteps:
 
     def test_small_durable_writes(self, sim, monkeypatch):
         assert self.run_writes(sim, monkeypatch, 4096, BioFlags.FUA) == \
-            (192 - 24 - 96, 96 - self.COMMANDS, 119 - self.COMMANDS)
+            (192 - 24 - 96 + 24, 96 - self.COMMANDS, 119 - self.COMMANDS)
 
     def test_sub_stripe_writes(self, sim, monkeypatch):
         assert self.run_writes(sim, monkeypatch, SU, BioFlags.NONE) == \
-            (116 - 8 - 42, 96 - self.COMMANDS, 103 - self.COMMANDS)
+            (116 - 8 - 42 + 18, 96 - self.COMMANDS, 103 - self.COMMANDS)
 
 
 class TestSeams:

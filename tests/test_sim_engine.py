@@ -1,9 +1,14 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
+import repro.sim
 from repro.errors import SimulationError
-from repro.sim import Lock, Queue, ReadAhead, Resource, Simulator
+from repro.sim import Lock, ReadAhead, Resource, Simulator
 
 
 class TestEventBasics:
@@ -140,17 +145,6 @@ class TestCombinators:
         sim.run()
         assert proc.value == 1.0
 
-    def test_any_of_returns_first(self, sim):
-        def waiter():
-            value = yield sim.any_of([sim.timeout(2.0, "slow"),
-                                      sim.timeout(1.0, "fast")])
-            return value
-        assert sim.run_process(waiter()) == "fast"
-
-    def test_any_of_empty_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            sim.any_of([])
-
 
 class TestRunUntil:
     def test_run_until_stops_clock(self, sim):
@@ -220,32 +214,6 @@ class TestLockAndQueue:
         sim.process(worker(2))
         sim.run()
         assert held == [1, -1, 2, -2]
-
-    def test_queue_fifo_handoff(self, sim):
-        queue = Queue(sim)
-        got = []
-        def consumer():
-            for _ in range(3):
-                item = yield queue.get()
-                got.append(item)
-        sim.process(consumer())
-        for item in "xyz":
-            queue.put(item)
-        sim.run()
-        assert got == ["x", "y", "z"]
-
-    def test_queue_get_before_put(self, sim):
-        queue = Queue(sim)
-        event = queue.get()
-        queue.put("later")
-        sim.run()
-        assert event.value == "later"
-
-    def test_queue_len(self, sim):
-        queue = Queue(sim)
-        queue.put(1)
-        queue.put(2)
-        assert len(queue) == 2
 
 
 class TestReadAhead:
@@ -365,81 +333,6 @@ class TestNowQueue:
         assert order == ["a", "b"]
 
 
-class TestAnyOfDetach:
-    def test_loser_is_detached_from_winner(self, sim):
-        winner, loser = sim.event(), sim.event()
-        first = sim.any_of([winner, loser])
-        winner.succeed("w")
-        sim.run()
-        assert first.ok and first.value == "w"
-        # The losing child no longer references the AnyOf: no leak while
-        # the loser stays pending, and no callback when it triggers later.
-        assert loser.callback is None and not loser.callbacks
-
-    def test_late_loser_does_not_retrigger(self, sim):
-        winner, loser = sim.event(), sim.event()
-        first = sim.any_of([winner, loser])
-        winner.succeed("w")
-        sim.run()
-        loser.succeed("l")
-        sim.run()
-        assert first.value == "w"
-
-    def test_same_batch_children_are_harmless(self, sim):
-        a, b = sim.event(), sim.event()
-        first = sim.any_of([a, b])
-        a.succeed(1)
-        b.succeed(2)
-        sim.run()
-        assert first.value == 1
-
-
-class TestScheduleBatch:
-    def test_batch_runs_in_fifo_order(self, sim):
-        order = []
-        sim.schedule_batch(0.0, [(order.append, ("a",)),
-                                 (order.append, ("b",)),
-                                 (order.append, ("c",))])
-        sim.run()
-        assert order == ["a", "b", "c"]
-
-    def test_batch_matches_separate_schedules(self, sim):
-        """A batch interleaves with other entries exactly like the
-        back-to-back schedule() calls it replaces."""
-        order = []
-        sim.schedule(0.0, order.append, "before")
-        sim.schedule_batch(0.0, [(order.append, ("x",)),
-                                 (order.append, ("y",))])
-        sim.schedule(0.0, order.append, "after")
-        sim.run()
-        assert order == ["before", "x", "y", "after"]
-
-    def test_delayed_batch_single_heap_entry(self, sim):
-        order = []
-        sim.schedule_batch(1.0, [(order.append, (1,)), (order.append, (2,))])
-        sim.schedule(0.5, order.append, 0)
-        sim.run()
-        assert order == [0, 1, 2]
-        assert sim.now == 1.0
-
-    def test_same_tick_sibling_completions_deterministic(self, sim):
-        """Two runs of the same same-tick sibling batch produce identical
-        completion order (fixed-seed replay contract)."""
-
-        def run_once():
-            local = Simulator()
-            order = []
-            events = [local.event() for _ in range(4)]
-            for i, event in enumerate(events):
-                event.add_callback(lambda _e, i=i: order.append(i))
-            local.schedule_batch(
-                0.0, [(event.succeed, ()) for event in events])
-            local.run()
-            return order
-
-        assert run_once() == run_once() == [0, 1, 2, 3]
-
-
 class TestAbsoluteInstants:
     """``schedule_at`` / ``complete_at``: entries at an instant the caller
     computed, and the tie rule between timers and device completions."""
@@ -544,30 +437,6 @@ class TestEventRecycling:
         with pytest.raises(SimulationError, match="still referenced"):
             sim.recycle(timeout)
 
-    def test_recycle_rejects_event_pending_in_combinator(self, sim):
-        """A fired AnyOf child whose ``_on_child`` dispatch has not run yet
-        is still referenced from the combinator; recycling it would replay
-        the combinator callback against the event's next owner."""
-        winner, loser = sim.event(), sim.event()
-        chosen = sim.any_of([winner, loser])
-        winner.succeed("won")
-        # Fired and drained (succeed consumed the callback slot), but the
-        # queued ``_on_child(winner)`` still references the event.
-        with pytest.raises(SimulationError, match="still referenced"):
-            sim.recycle(winner)
-        sim.run()
-        assert chosen.triggered and chosen.value == "won"
-        sim.recycle(winner)  # reference consumed at dispatch
-
-    def test_recycle_rejects_pending_gather_child(self, sim):
-        child = sim.event()
-        sim.gather([child])
-        child.succeed()
-        with pytest.raises(SimulationError, match="still referenced"):
-            sim.recycle(child)
-        sim.run()
-        sim.recycle(child)
-
     def test_recycle_rejects_pending_allof_child(self, sim):
         child = sim.event()
         sim.all_of([child])
@@ -576,18 +445,6 @@ class TestEventRecycling:
             sim.recycle(child)
         sim.run()
         sim.recycle(child)
-
-    def test_anyof_detach_releases_loser_for_recycling(self, sim):
-        """Losers detached by the AnyOf winner drop their registration, so
-        a later fire-and-drain makes them pool-eligible again."""
-        winner, loser = sim.event(), sim.event()
-        sim.any_of([winner, loser])
-        winner.succeed()
-        sim.run()
-        assert loser.refs == 0
-        loser.succeed()
-        sim.run()
-        sim.recycle(loser)  # must not raise
 
     def test_recycled_timeout_refires(self, sim):
         timeout = sim.timeout(1.0, "first")
@@ -600,3 +457,24 @@ class TestEventRecycling:
         again.add_callback(lambda e: fired.append(e.value))
         sim.run()
         assert fired == ["first", "second"] and sim.now == 3.0
+
+
+class TestExportedSurface:
+    def test_every_export_has_a_caller_outside_sim(self):
+        """The engine carries nothing the simulator's users do not use: a
+        name exported by ``repro.sim`` appears somewhere under
+        ``src/repro`` outside ``sim/``, by name or — for an event class —
+        through its ``Simulator`` factory method."""
+        root = pathlib.Path(repro.__file__).parent
+        users = "\n".join(
+            path.read_text() for path in sorted(root.rglob("*.py"))
+            if root / "sim" not in path.parents)
+        unused = []
+        for name in repro.sim.__all__:
+            factory = re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
+            used = re.search(rf"\b{name}\b", users) or (
+                hasattr(Simulator, factory)
+                and re.search(rf"\.{factory}\(", users))
+            if not used:
+                unused.append(name)
+        assert not unused, f"exported by repro.sim, used nowhere: {unused}"

@@ -15,7 +15,7 @@ presence of many concurrent metadata log writes".
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..block.bio import _FUA as _BIO_FUA
 from ..block.bio import Bio
@@ -79,6 +79,12 @@ class DeviceMetadataZones:
             role: [] for role in MetadataRole}
         #: Mirror of bytes appended per metadata zone index.
         self.used: Dict[int, int] = {index: 0 for index in zone_indices}
+        #: Zones whose written bytes end in something the mount scan could
+        #: not parse (a torn tail; filled in by recovery).  Entries carry
+        #: no checksum, so an entry appended behind one would be read back
+        #: as the torn entry's payload: :meth:`recovery_compact` never
+        #: checkpoints into such a zone, it resets it.
+        self.torn: Set[int] = set()
         self._locks: Dict[MetadataRole, Lock] = {
             role: Lock(sim) for role in MetadataRole}
         #: Interned per-role trace-site ids, keyed by role value (valid
@@ -348,8 +354,13 @@ class DeviceMetadataZones:
         # where it always has), spilling into the next-emptiest when
         # needed, but keep at least two zones reclaimable: one for the
         # partial-parity role and one swap zone.
-        by_used = sorted(ordered, key=lambda z: self.used[z])
-        limit = len(ordered) - 2
+        by_used = sorted((z for z in ordered if z not in self.torn),
+                         key=lambda z: self.used[z])
+        if not by_used:
+            raise MetadataError(
+                f"dev {self.device_index}: every metadata zone ends in a "
+                "torn entry; no zone can take the recovery checkpoint")
+        limit = min(len(ordered) - 2, len(by_used))
         targets: List[int] = [by_used[0]]
         for role in (MetadataRole.GENERAL, MetadataRole.PARTIAL_PARITY):
             for entry in self.checkpoint_provider(role, self.device_index):
@@ -376,4 +387,5 @@ class DeviceMetadataZones:
         self.checkpoint_spill = {role: [] for role in MetadataRole}
         self.checkpoint_spill[MetadataRole.GENERAL] = targets[:-1]
         self.swap_zones = others[1:]
+        self.torn.clear()
         self.gc_cycles += 1

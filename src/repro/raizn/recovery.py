@@ -189,11 +189,15 @@ class _Recovery:
             if dev is None:
                 continue
             entries: List[MetadataEntry] = []
+            mdz = volume.mdzones[index]
             for zone_index in range(volume.num_data_zones, dev.num_zones):
-                entries.extend((yield from self._scan_zone(dev, zone_index)))
-                volume.mdzones[index].used[zone_index] = (
+                scanned = yield from self._scan_zone(dev, zone_index)
+                entries.extend(scanned)
+                mdz.used[zone_index] = (
                     dev.zone_info(zone_index).write_pointer
                     - zone_index * volume.phys_zone_size)
+                if sum(e.total_bytes for e in scanned) < mdz.used[zone_index]:
+                    mdz.torn.add(zone_index)
             self.entries[index] = entries
 
     def _all_entries(self) -> List[Tuple[int, MetadataEntry]]:

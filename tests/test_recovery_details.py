@@ -6,10 +6,11 @@ import random
 import pytest
 
 from repro.block import Bio
-from repro.errors import DataLossError, RecoveryError
+from repro.errors import DataLossError, MetadataError, RecoveryError
 from repro.faults import power_cycle
 from repro.raizn import RaiznVolume, mount
 from repro.raizn.mdzone import MetadataRole
+from repro.raizn.metadata import MetadataEntry, MetadataType
 from repro.sim import Simulator
 from repro.units import KiB
 from repro.zns import ZNSDevice, ZoneState
@@ -120,6 +121,47 @@ class TestMetadataCompaction:
         volume.execute(Bio.flush())
         remounted = mount(sim, devices)
         assert remounted.generation[0] >= generation
+
+    @staticmethod
+    def tear_tail(volume, dev, zones):
+        """End each metadata zone the way a power cut can: the header
+        sector and two payload sectors of a 64 KiB partial-parity entry."""
+        entry = MetadataEntry(MetadataType.PARTIAL_PARITY, 0, 64 * KiB, 1,
+                              payload=bytes(64 * KiB))
+        for zone in zones:
+            dev.execute(Bio.zone_append(zone * volume.phys_zone_size,
+                                        entry.encode()[:12 * KiB]))
+        dev.execute(Bio.flush())
+
+    def test_checkpoint_never_lands_behind_a_torn_entry(self, sim):
+        """Entries carry no checksum: a checkpoint appended behind a torn
+        entry is read back as that entry's payload, and the next mount
+        finds no superblock.  The emptiest zones of device 0 are torn, so
+        its checkpoint must go to the general log's own zone."""
+        volume, devices = make_volume(sim)
+        for _ in range(5):      # grow the general log past the torn zones'
+            volume.execute(Bio.write(0, b"\x01" * 4096))
+            volume.execute(Bio.zone_reset(0))
+        data = pattern(STRIPE, seed=11)
+        volume.execute(Bio.write(0, data))
+        volume.execute(Bio.flush())
+        mdz = volume.mdzones[0]
+        general = mdz.role_zone[MetadataRole.GENERAL]
+        self.tear_tail(volume, devices[0],
+                       [z for z in mdz.used if z != general])
+        remounted = mount(sim, devices)
+        assert remounted.mdzones[0].role_zone[MetadataRole.GENERAL] == general
+        assert not remounted.mdzones[0].torn
+        again = mount(sim, devices)
+        assert again.execute(Bio.read(0, STRIPE)).result == data
+
+    def test_mount_refuses_when_every_metadata_zone_is_torn(self, sim):
+        volume, devices = make_volume(sim)
+        volume.execute(Bio.write(0, pattern(STRIPE, seed=12)))
+        volume.execute(Bio.flush())
+        self.tear_tail(volume, devices[0], list(volume.mdzones[0].used))
+        with pytest.raises(MetadataError, match="torn"):
+            mount(sim, devices)
 
 
 class TestZoneStatesAfterMount:

@@ -71,6 +71,7 @@ def rewrite_physical_zone(volume, device_index: int, zone: int,
     if device is None or volume.failed[device_index]:
         raise RaiznError("cannot rewrite a zone on a missing device")
     mdz = volume.mdzones[device_index]
+    yield from mdz.quiesce()    # a reclaim in flight refills the swap pool
     if not mdz.swap_zones:
         raise MetadataError("no swap zone available for a zone rewrite")
     swap = mdz.swap_zones[0]

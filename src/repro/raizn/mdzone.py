@@ -8,6 +8,11 @@ redirects new log entries there, checkpoints the valid in-memory metadata
 (flagged so recovery can tell checkpoints from normal updates), and resets
 the old zone to serve as the next swap zone — Figure 4.
 
+Only the swap-in holds the role lock (``_swap_in``: repoint the role and
+*submit* the checkpoint — zone appends land in submission order, so it
+precedes every newer entry).  Awaiting it, flushing it and only then
+resetting the old zone is ``_reclaim``, a process no append waits for.
+
 All log writes use zone appends, "ensuring high throughput even in the
 presence of many concurrent metadata log writes".
 """
@@ -20,8 +25,8 @@ from typing import Callable, Dict, List, Optional, Set
 from ..block.bio import _FUA as _BIO_FUA
 from ..block.bio import Bio
 from ..block.device import BlockDevice
-from ..errors import MetadataError
-from ..sim import Event, Lock, Simulator
+from ..errors import DeviceError, MetadataError
+from ..sim import Event, Lock, Process, Simulator
 from .metadata import MetadataEntry
 
 
@@ -79,11 +84,9 @@ class DeviceMetadataZones:
             role: [] for role in MetadataRole}
         #: Mirror of bytes appended per metadata zone index.
         self.used: Dict[int, int] = {index: 0 for index in zone_indices}
-        #: Zones whose written bytes end in something the mount scan could
-        #: not parse (a torn tail; filled in by recovery).  Entries carry
-        #: no checksum, so an entry appended behind one would be read back
-        #: as the torn entry's payload: :meth:`recovery_compact` never
-        #: checkpoints into such a zone, it resets it.
+        #: Zones ending in bytes the mount scan could not parse (set by
+        #: recovery).  Entries carry no checksum: one appended behind a
+        #: torn tail would be read back as the torn entry's payload.
         self.torn: Set[int] = set()
         self._locks: Dict[MetadataRole, Lock] = {
             role: Lock(sim) for role in MetadataRole}
@@ -91,9 +94,15 @@ class DeviceMetadataZones:
         #: for one sink; the volume resets this when it attaches a
         #: tracer).
         self._tr_sites: Dict[str, int] = {}
+        #: Reclaims in flight: old zones on their way back to the pool.
+        self._reclaims: List[Process] = []
         #: Lifetime counters for Table 1 / ablation reporting.
         self.appended_bytes = 0
         self.gc_cycles = 0
+        #: Rotations that waited for a reclaim to refill the swap pool, and
+        #: simulated seconds appends spent queued on a role lock (summed).
+        self.swap_waits = 0
+        self.lock_wait_s = 0.0
 
     # -- append ------------------------------------------------------------------
 
@@ -101,8 +110,8 @@ class DeviceMetadataZones:
                fua: bool = False):
         """Process-style append; returns the PBA where the entry landed.
 
-        Rotates to a swap zone first when the entry does not fit.  The
-        per-role lock covers only space reservation and rotation — the
+        Swaps in a fresh zone first when the entry does not fit.  The
+        per-role lock covers only space reservation and the swap-in — the
         appends themselves run concurrently ("metadata is written using
         zone appends, ensuring high throughput even in the presence of
         many concurrent metadata log writes", §4.3).
@@ -144,7 +153,7 @@ class DeviceMetadataZones:
         done = self.sim.event()
         tracer = self.device.tracer
         if tracer is not None:
-            # The md span covers lock wait, any log rotation, and the
+            # The md span covers lock wait, any swap-in, and the
             # device append; it parents under the logical bio whose
             # synchronous fan-out issued this append (if any).  The span
             # doubles as the completion callback (see repro.trace).
@@ -183,25 +192,29 @@ class DeviceMetadataZones:
                 (self._append_locked, (role, encoded, fua, done)))
         else:
             waiter = Event(self.sim)
-            waiter.add_callback(
-                lambda _ev: self._append_locked(role, encoded, fua, done))
+            queued_at = self.sim.now
+
+            def granted(_ev):
+                self.lock_wait_s += self.sim.now - queued_at
+                self._append_locked(role, encoded, fua, done)
+            waiter.add_callback(granted)
             lock._waiters.append(waiter)
 
     def _append_locked(self, role: MetadataRole, encoded: bytes,
                        fua: bool, done: Event) -> None:
-        """Holding the role lock: submit, after rotating if the entry
-        does not fit (rare; the multi-step GC runs as a process)."""
+        """Holding the role lock: submit, after swapping in a fresh zone if
+        the entry does not fit (rare; it may wait for one, so a process)."""
         if self.used[self.role_zone[role]] + len(encoded) > \
                 self.zone_capacity:
             self.sim.process(
-                self._rotate_then_submit(role, encoded, fua, done))
+                self._swap_in_then_submit(role, encoded, fua, done))
         else:
             self._submit_append(role, encoded, fua, done)
 
-    def _rotate_then_submit(self, role: MetadataRole, encoded: bytes,
-                            fua: bool, done: Event):
+    def _swap_in_then_submit(self, role: MetadataRole, encoded: bytes,
+                             fua: bool, done: Event):
         try:
-            yield from self._rotate(role)
+            yield from self._swap_in(role)
         except BaseException as exc:  # noqa: BLE001 - deliver, don't unwind
             self._locks[role].release()
             done.fail(exc)
@@ -243,81 +256,91 @@ class DeviceMetadataZones:
 
     # -- garbage collection (Figure 4) ----------------------------------------------
 
-    def _rotate(self, role: MetadataRole):
-        """Swap in a fresh zone, checkpoint live metadata, reset old zones.
+    def _swap_in(self, role: MetadataRole):
+        """Holding the role lock: redirect ``role`` to a swap zone and
+        *submit* its checkpoint there; :meth:`_reclaim` finishes the
+        rotation behind the lock.
 
         A checkpoint larger than one zone — e.g. after heavy read-repair
         relocated whole stripe units into the general log — spills into
         further swap zones.  The spilled zones are tracked in
         :attr:`checkpoint_spill` and reclaimed at the next rotation.
         """
-        if not self.swap_zones:
-            raise MetadataError(
-                f"dev {self.device_index}: no swap zone available for "
-                f"metadata GC of {role.value}")
-        reclaim = [self.role_zone[role]] + self.checkpoint_spill[role]
+        old_zones = [self.role_zone[role]] + self.checkpoint_spill[role]
         self.checkpoint_spill[role] = []
         # Redirect new entries first so logging continues uninterrupted.
-        self.role_zone[role] = self.swap_zones.pop(0)
+        self.role_zone[role] = yield from self._take_swap_zone(role)
         # Checkpoint valid in-memory metadata into the new zone(s), flagged.
+        checkpoint: List[Event] = []
         for entry in self.checkpoint_provider(role, self.device_index):
             entry.checkpoint = True
             encoded = entry.encode()
             if self.used[self.role_zone[role]] + len(encoded) > \
                     self.zone_capacity:
-                if not self.swap_zones:
-                    raise MetadataError(
-                        f"dev {self.device_index}: checkpoint of "
-                        f"{role.value} does not fit in the available swap "
-                        "zones; metadata zones are too small")
                 self.checkpoint_spill[role].append(self.role_zone[role])
-                self.role_zone[role] = self.swap_zones.pop(0)
+                self.role_zone[role] = yield from self._take_swap_zone(role)
             zone_index = self.role_zone[role]
             self.used[zone_index] += len(encoded)
-            yield self.device.submit(
-                Bio.zone_append(zone_index * self.zone_size, encoded))
+            checkpoint.append(self.device.submit(
+                Bio.zone_append(zone_index * self.zone_size, encoded)))
+        reclaim = self.sim.process(self._reclaim(old_zones, checkpoint))
+        self._reclaims.append(reclaim)
+        if self.device.tracer is not None:
+            reclaim.add_callback(self.device.tracer.begin(
+                "md", "reclaim", self.device.name))
+        reclaim.add_callback(self._reclaimed)
+
+    def _take_swap_zone(self, role: MetadataRole):
+        """Process-style: pop a swap zone; with the pool empty, wait for a
+        reclaim in flight to refill it."""
+        while not self.swap_zones:
+            if not self._reclaims:
+                raise MetadataError(
+                    f"dev {self.device_index}: no swap zone available for "
+                    f"metadata GC of {role.value}")
+            self.swap_waits += 1
+            yield self._reclaims[0]
+        return self.swap_zones.pop(0)
+
+    def _reclaim(self, old_zones: List[int], checkpoint: List[Event]):
+        """Background half of a rotation: checkpoint → flush → reset."""
+        for appended in checkpoint:
+            yield appended
         # Make the checkpoint durable before destroying the old logs: a
         # crash between the reset and an unflushed checkpoint would lose
         # metadata that existed nowhere else.
         yield self.device.submit(Bio.flush())
         # The old zones' logs are now redundant; reset them into swap zones.
-        for old_zone in reclaim:
+        for old_zone in old_zones:
             yield self.device.submit(
                 Bio.zone_reset(old_zone * self.zone_size))
             self.used[old_zone] = 0
             self.swap_zones.append(old_zone)
         self.gc_cycles += 1
 
+    def _reclaimed(self, reclaim: Process) -> None:
+        # A reclaim that died with its device leaves its zones out of the
+        # pool; whoever is waiting on it hears the device's error.
+        self._reclaims.remove(reclaim)
+        if not reclaim.ok and not isinstance(reclaim.value, DeviceError):
+            raise reclaim.value
+
+    def quiesce(self):
+        """Process-style: return once no reclaim is in flight."""
+        while self._reclaims:
+            yield self._reclaims[0]
+
     def force_gc(self, role: MetadataRole):
-        """Trigger a rotation immediately (maintenance / tests)."""
+        """Rotate now (maintenance / tests); returns once the old zone is
+        a swap zone again."""
         yield self._locks[role].request()
         try:
-            yield from self._rotate(role)
+            yield from self._swap_in(role)
         finally:
             self._locks[role].release()
+        yield from self.quiesce()
 
     # -- recovery support ---------------------------------------------------------------
-
-    def scan_zone(self, zone_index: int):
-        """Process-style: parse every entry currently in one metadata zone."""
-        info = self.device.zone_info(zone_index)  # type: ignore[attr-defined]
-        written = info.write_pointer - info.start
-        if written == 0:
-            return []
-        bio = yield self.device.submit(Bio.read(info.start, written))
-        return MetadataEntry.scan(bio.result)
-
-    def scan_all(self):
-        """Process-style: entries from every metadata zone of this device.
-
-        Recovery ingests logs from *all* metadata zones — including swap
-        zones that may hold a partially-completed checkpoint — and relies
-        on generation counters to discard stale duplicates (§4.3).
-        """
-        entries: List[MetadataEntry] = []
-        for zone_index in self.all_zone_indices():
-            entries.extend((yield from self.scan_zone(zone_index)))
-        return entries
 
     def all_zone_indices(self) -> List[int]:
         ordered = [self.role_zone[MetadataRole.PARTIAL_PARITY],
@@ -333,6 +356,7 @@ class DeviceMetadataZones:
 
     def reset_all(self):
         """Process-style: reset every metadata zone (maintenance, §4.3)."""
+        yield from self.quiesce()
         for zone_index in self.all_zone_indices():
             yield self.device.submit(Bio.zone_reset(zone_index * self.zone_size))
             self.used[zone_index] = 0
@@ -348,30 +372,29 @@ class DeviceMetadataZones:
         crash at any point leaves either the old logs or a complete
         flushed checkpoint on media.
         """
+        yield from self.quiesce()
         ordered = self.all_zone_indices()
         # Fill the emptiest zones first (stable sort: ties keep their
         # role/swap ordering, so a single-zone checkpoint lands exactly
         # where it always has), spilling into the next-emptiest when
         # needed, but keep at least two zones reclaimable: one for the
         # partial-parity role and one swap zone.
+        # A torn zone takes no checkpoint: it is reset with the others.
         by_used = sorted((z for z in ordered if z not in self.torn),
                          key=lambda z: self.used[z])
-        if not by_used:
-            raise MetadataError(
-                f"dev {self.device_index}: every metadata zone ends in a "
-                "torn entry; no zone can take the recovery checkpoint")
         limit = min(len(ordered) - 2, len(by_used))
-        targets: List[int] = [by_used[0]]
+        targets: List[int] = []
         for role in (MetadataRole.GENERAL, MetadataRole.PARTIAL_PARITY):
             for entry in self.checkpoint_provider(role, self.device_index):
                 entry.checkpoint = True
                 encoded = entry.encode()
-                if self.used[targets[-1]] + len(encoded) > \
+                if not targets or self.used[targets[-1]] + len(encoded) > \
                         self.zone_capacity:
                     if len(targets) >= limit:
                         raise MetadataError(
                             f"dev {self.device_index}: recovery checkpoint "
-                            "does not fit in the reclaimable metadata zones")
+                            "does not fit in the metadata zones that are "
+                            "reclaimable and not torn")
                     targets.append(by_used[len(targets)])
                 self.used[targets[-1]] += len(encoded)
                 yield self.device.submit(

@@ -98,5 +98,7 @@ class MetricsRegistry:
             registry.register(
                 f"mdzone.{volume.devices[index].name}",
                 lambda m=mdz: {"appended_bytes": m.appended_bytes,
-                               "gc_cycles": m.gc_cycles})
+                               "gc_cycles": m.gc_cycles,
+                               "swap_waits": m.swap_waits,
+                               "lock_wait_s": m.lock_wait_s})
         return registry

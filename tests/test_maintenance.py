@@ -83,6 +83,30 @@ class TestZoneRewrite:
             Bio.read(0, volume.zone_info(zone).write_pointer)).result
         assert after == before
 
+    def test_rewrite_waits_for_a_metadata_reclaim_in_flight(self, sim):
+        """The rewrite stages its copy in a swap zone: with the only one
+        taken by a log rotation, it waits for the old log zone to come
+        back instead of refusing."""
+        from repro.raizn.mdzone import MetadataRole
+        volume, devices, wp, more = remapped_volume(sim, seed=1)
+        targets = sorted(volume.relocations.per_phys_zone)
+        if not targets:
+            pytest.skip("seed produced no relocations")
+        device_index, zone = targets[0]
+        before = volume.execute(
+            Bio.read(0, volume.zone_info(zone).write_pointer)).result
+        mdz = volume.mdzones[device_index]
+        rotation = sim.process(mdz.force_gc(MetadataRole.GENERAL))
+
+        def rewrite_mid_rotation():
+            yield sim.timeout(10e-6)
+            assert not mdz.swap_zones and not rotation.triggered
+            yield from rewrite_physical_zone(volume, device_index, zone)
+        sim.run_process(rewrite_mid_rotation())
+        assert rotation.ok
+        assert volume.execute(
+            Bio.read(0, volume.zone_info(zone).write_pointer)).result == before
+
     def test_rewrite_survives_crash_after_copy(self, sim):
         """Crash between swap-copy and write-back: the COPIED WAL makes
         the next mount redo the write-back from the swap zone."""

@@ -13,6 +13,7 @@ before the flush behind its checkpoint has completed.
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -49,16 +50,6 @@ from repro.zns import ZNSDevice
 #: recovery refused to checkpoint behind a torn tail, 0 after.
 EXPLORE = dict(seed=0, num_ops=300, boundaries=80, budget_per_boundary=6,
                double_crash_every=6)
-
-
-class _Rotation:
-    """One swap-in as the device saw it: the checkpoint appends that
-    supersede the retired zone."""
-
-    __slots__ = ("checkpoint",)
-
-    def __init__(self):
-        self.checkpoint = []
 
 
 class MdWatch:
@@ -108,18 +99,19 @@ class MdWatch:
                 else MetadataRole.GENERAL
             current = self._current[dev.name]
             if zone != current[role]:
-                rotation = self._rotation[dev.name][role] = _Rotation()
+                # The checkpoint appends that supersede the retired zone.
+                rotation = self._rotation[dev.name][role] = []
                 self._retired[dev.name][current[role]] = rotation
                 current[role] = zone
                 self.rotations[dev.name] += 1
                 self.open_windows += 1
             if entry.checkpoint:
-                self._rotation[dev.name][role].checkpoint.append(bio)
+                self._rotation[dev.name][role].append(bio)
         elif bio.op is Op.ZONE_RESET:
             rotation = self._retired[dev.name].get(zone)
             if rotation is None:
                 return
-            done = [b.complete_time for b in rotation.checkpoint]
+            done = [b.complete_time for b in rotation]
             if None in done:
                 self.barrier_breaches.append(
                     f"{dev.name}: zone {zone} reset at {dev.sim.now} with "
@@ -141,37 +133,36 @@ class MdWatch:
             self.open_windows -= 1
 
 
-def scripted_run(seed, num_ops):
-    """The crashtest script on the campaign array, watched."""
+Run = collections.namedtuple("Run", "sim devices volume watch recorder")
+
+
+def scripted_run(seed, num_ops, snapshot_at=()):
+    """The crashtest script on the campaign array, watched, with a crash
+    snapshot (and the frozen expectation) at each named boundary."""
     sim, devices, volume = fresh_array(seed)
+    expect = expectation_for(volume)
     watch = MdWatch(volume)
-    sim.run_process(drive_ops(volume, scripted_workload(seed, num_ops),
-                              expectation_for(volume)))
+    recorder = CompletionBoundaries(devices, snapshot_at,
+                                    aux_state=expect.copy)
+    sim.run_process(
+        drive_ops(volume, scripted_workload(seed, num_ops), expect))
     watch.disarm()
-    return volume, watch
+    recorder.disarm()
+    return Run(sim, devices, volume, watch, recorder)
 
 
-def explore_boundaries(run, boundaries, budget, double_crash_every, seed=0,
-                       batch_size=12):
+def explore_boundaries(replay, boundaries, budget, double_crash_every,
+                       seed=0, batch_size=12):
     """``crashtest.explore``'s pass 2 over a chosen list of completion
-    boundaries: ``run(arm)`` replays the workload on a fresh array after
-    calling ``arm(devices, expect)``; every sampled survivor state of
-    every boundary is mounted under the full oracle, remount included,
-    and every ``double_crash_every``-th gets a crash during recovery."""
+    boundaries (``replay(batch)`` is a :class:`Run` that snapshotted
+    them): every sampled survivor state of every boundary is mounted
+    under the full oracle, remount included, and every
+    ``double_crash_every``-th gets a crash during recovery."""
     report = _Report(seed)
     rng = random.Random(seed + 1)
     for start in range(0, len(boundaries), batch_size):
         batch = boundaries[start:start + batch_size]
-        armed = {}
-
-        def arm(devices, expect):
-            armed["devices"] = devices
-            armed["recorder"] = CompletionBoundaries(
-                devices, snapshot_at=batch, aux_state=expect.copy)
-
-        sim = run(arm)
-        devices, recorder = armed["devices"], armed["recorder"]
-        recorder.disarm()
+        sim, devices, _volume, _watch, recorder = replay(batch)
         for boundary in batch:
             snaps, frozen = recorder.snapshots[boundary]
             _spaces, assignments, _product = enumerate_crash_states(
@@ -199,7 +190,7 @@ def scripted():
 
 
 def test_script_rotates_every_device_behind_the_barrier(scripted):
-    volume, watch = scripted
+    volume, watch = scripted.volume, scripted.watch
     assert all(count >= 1 for count in watch.rotations.values()), \
         watch.rotations
     assert sum(watch.rotations.values()) == \
@@ -221,21 +212,14 @@ def test_every_boundary_inside_a_rotation_mounts(scripted):
     """Old zone full, new zone holding a checkpoint prefix — or the whole
     checkpoint and newer entries behind it: every completion boundary of
     every rotation window, not the 1-in-17 an even spread takes."""
-    _volume, watch = scripted
     seed, num_ops = EXPLORE["seed"], EXPLORE["num_ops"]
-
-    def run(arm):
-        sim, devices, volume = fresh_array(seed)
-        expect = expectation_for(volume)
-        arm(devices, expect)
-        sim.run_process(
-            drive_ops(volume, scripted_workload(seed, num_ops), expect))
-        return sim
-
-    report = explore_boundaries(run, watch.in_window, budget=3,
-                                double_crash_every=6, seed=seed)
+    inside = scripted.watch.in_window
+    report = explore_boundaries(
+        lambda batch: scripted_run(seed, num_ops, batch), inside,
+        budget=2, double_crash_every=6, seed=seed)   # the two corners
     assert report.violations == []
-    assert report.states_explored >= 2 * len(watch.in_window)
+    assert report.states_explored >= len(inside) >= 40
+    assert report.oracle_checks["mount_stability"] == report.states_explored
     assert report.double_crash_fired >= report.states_explored // 8
 
 
@@ -246,7 +230,7 @@ SU = 64 * KiB
 DEPTH = 8
 
 
-def closed_loop(arm=None, count=330):
+def closed_loop(snapshot_at=(), count=330):
     """QD 8 over four zones of an array with 256 KiB physical zones (a
     metadata zone holds 32 partial-parity entries of a 4 KiB write), the
     next write issued from the completion callback as in
@@ -262,8 +246,8 @@ def closed_loop(arm=None, count=330):
         array_uuid=b"mdzone-gc-crash!")
     expect = expectation_for(volume)
     watch = MdWatch(volume)
-    if arm is not None:
-        arm(devices, expect)
+    recorder = CompletionBoundaries(devices, snapshot_at,
+                                    aux_state=expect.copy)
     rng = random.Random(22)
     writes = iter(range(count))
 
@@ -292,15 +276,15 @@ def closed_loop(arm=None, count=330):
         pump()
     sim.run()
     watch.disarm()
-    return sim, volume, watch
+    recorder.disarm()
+    return Run(sim, devices, volume, watch, recorder)
 
 
 def test_closed_loop_crashes_with_appends_queued_behind_a_rotation():
-    _sim, volume, watch = closed_loop()
+    watch = closed_loop().watch
     assert sum(watch.rotations.values()) >= 10
     assert watch.barrier_breaches == []
-    report = explore_boundaries(lambda arm: closed_loop(arm)[0],
-                                watch.in_window[::5], budget=3,
+    report = explore_boundaries(closed_loop, watch.in_window[::5], budget=3,
                                 double_crash_every=5)
     assert report.violations == []
     assert report.double_crash_fired >= 10
@@ -337,18 +321,15 @@ def test_remount_after_a_crash_mid_checkpoint_changes_nothing(scripted):
     the next mount find no superblock), and a second mount must recover
     the same write pointers and write the checkpoint the first wrote,
     byte for byte but for the empty zones' generation counters."""
-    _volume, watch = scripted
-    seed, num_ops = EXPLORE["seed"], EXPLORE["num_ops"]
-    sim, devices, volume = fresh_array(seed)
+    # The first completions of each rotation window: the checkpoint is
+    # still in the device's write cache.
+    inside = set(scripted.watch.in_window)
+    inside = sorted(k for k in inside if k - 4 not in inside)
+    sim, devices, volume, _watch, recorder = scripted_run(
+        EXPLORE["seed"], EXPLORE["num_ops"], inside)
     md_first = volume.num_data_zones
-    expect = expectation_for(volume)
-    recorder = CompletionBoundaries(devices, snapshot_at=watch.in_window,
-                                    aux_state=expect.copy)
-    sim.run_process(
-        drive_ops(volume, scripted_workload(seed, num_ops), expect))
-    recorder.disarm()
     torn_states = 0
-    for boundary in watch.in_window:
+    for boundary in inside:
         snaps, _frozen = recorder.snapshots[boundary]
         spaces, _assignments, _product = enumerate_crash_states(
             devices, snaps, 2, random.Random(0))

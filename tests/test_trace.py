@@ -10,13 +10,17 @@ import json
 
 import pytest
 
-from repro.block.bio import Op
+from repro.block.bio import Bio, Op
 from repro.harness.tracecli import (_build, _workload, dump_spans, run_trace,
                                     spans_summary)
 from repro.harness.perfbench import _drive
 from repro.trace import (MetricsRegistry, TraceSink, Tracer,
                          format_trace_report, reconcile)
 from repro.trace.tracer import DEVICE_LAYERS, SITE_BITS
+from repro.raizn import RaiznConfig, RaiznVolume
+from repro.sim import Simulator
+from repro.units import KiB
+from repro.zns import ZNSDevice
 
 
 class FakeSim:
@@ -263,3 +267,79 @@ class TestMetricsRegistry:
         registry = MetricsRegistry.for_volume(volume)
         decoded = json.loads(registry.to_json())
         assert decoded.keys() == registry.snapshot().keys()
+
+
+class TestMetadataGcObservability:
+    """Metadata-zone GC is as visible as ``submit``: one ``md``/``reclaim``
+    span per rotation, tiled by the commands it waited for, and the
+    stall it used to cause as a registry counter."""
+
+    @staticmethod
+    def _rotating_volume(**config):
+        # 256 KiB zones: a metadata zone holds 32 partial-parity entries
+        # of a 4 KiB write, so the logs rotate under a QD-8 loop.
+        sim = Simulator()
+        devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=12,
+                             zone_capacity=256 * KiB, seed=40 + i)
+                   for i in range(5)]
+        volume = RaiznVolume.create(
+            sim, devices, RaiznConfig(num_data=4, stripe_unit_bytes=64 * KiB,
+                                      tracing=True, **config))
+        offsets = iter(range(0, 900 * KiB, 4 * KiB))
+
+        def pump(_event=None):
+            offset = next(offsets, None)
+            if offset is not None:
+                volume.submit(Bio.write(offset, bytes(4 * KiB))) \
+                    .add_callback(pump)
+        for _ in range(8):
+            pump()
+        sim.run()
+        return volume, devices
+
+    def test_one_reclaim_span_per_rotation_tiled_by_its_commands(self):
+        volume, devices = self._rotating_volume()
+        sink = volume.tracer.sink
+        assert sink.evicted == 0
+        records = [sink._ring_record(n) for n in range(sink.total_recorded)]
+        rotations = 0
+        for dev, mdz in zip(devices, volume.mdzones):
+            mine = [r for r in records if r["device"] == dev.name]
+            reclaims = [r for r in mine
+                        if (r["layer"], r["name"]) == ("md", "reclaim")]
+            assert len(reclaims) == mdz.gc_cycles
+            rotations += len(reclaims)
+            flushes = [r for r in mine if r["name"] == "flush"]
+            resets = [r for r in mine if r["name"] == "zone_reset"]
+            appends = [r for r in mine if r["name"] == "zone_append"]
+            for span in reclaims:
+                # checkpoint-await -> flush -> reset, back to back, the
+                # span ending with the old zone's reset.
+                reset = next(r for r in resets if r["end"] == span["end"])
+                flush = next(r for r in flushes if r["end"] == reset["start"])
+                assert span["start"] <= flush["start"]
+                checkpoint = [r["end"] for r in appends
+                              if r["start"] == span["start"]]
+                assert flush["start"] == max(checkpoint, default=span["start"])
+        assert rotations >= 5
+
+    def test_registry_exports_the_stall(self):
+        # One stripe of 4 KiB writes is two log zones of partial parity
+        # on one device: with a single swap zone the second rotation
+        # waits out the first one's reset, and the appends behind it too.
+        volume, devices = self._rotating_volume()
+        flat = MetricsRegistry.for_volume(volume).flat()
+        for dev, mdz in zip(devices, volume.mdzones):
+            assert flat[f"mdzone.{dev.name}.gc_cycles"] == mdz.gc_cycles
+            assert flat[f"mdzone.{dev.name}.swap_waits"] == mdz.swap_waits
+            assert flat[f"mdzone.{dev.name}.lock_wait_s"] == mdz.lock_wait_s
+            assert (mdz.lock_wait_s > 1e-3) == bool(mdz.swap_waits)
+        assert sum(mdz.swap_waits for mdz in volume.mdzones) >= 3
+
+    def test_no_append_waits_out_a_flush_or_a_reset(self):
+        """With a swap zone per rotation in flight the role lock is held
+        for the checkpoint submission only."""
+        volume, _devices = self._rotating_volume(num_metadata_zones=4)
+        assert sum(mdz.gc_cycles for mdz in volume.mdzones) >= 5
+        assert not any(mdz.swap_waits for mdz in volume.mdzones)
+        assert sum(mdz.lock_wait_s for mdz in volume.mdzones) == 0.0

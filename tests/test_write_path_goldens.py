@@ -75,12 +75,12 @@ class Array:
         #: Metadata-log rotations by role, counted from the test side.
         self.rotations = {role.value: 0 for role in MetadataRole}
         for mdz in self.volume.mdzones:
-            mdz._rotate = self._counting(mdz._rotate)
+            mdz._swap_in = self._counting(mdz._swap_in)
 
-    def _counting(self, rotate):
+    def _counting(self, swap_in):
         def counted(role):
             self.rotations[role.value] += 1
-            return rotate(role)
+            return swap_in(role)
         return counted
 
     def location(self, lba):
@@ -492,19 +492,15 @@ def small_md_zones(**config):
 
 @scenario
 def mdzone_rotation_partial_parity():
-    """The partial-parity log fills and rotates under the window: appends
-    queue behind the rotation's checkpoint, flush and reset."""
+    """The partial-parity log fills and rotates under the window: the old
+    zone's checkpoint, flush and reset run behind the appends."""
     array = small_md_zones()
     bios = Streams(array, 15, (0, 1, 2, 3)).mix(
         420, (4 * KiB, 4 * KiB, 8 * KiB, 12 * KiB), (BioFlags.NONE, FUA))
     return report(array, drive(array, bios))
 
 
-@scenario
-def mdzone_rotation_general():
-    """Relocated pieces fill the general log until it rotates, its
-    checkpoint carrying the relocated units themselves."""
-    array = small_md_zones(num_metadata_zones=4)   # both roles rotate at once
+def general_log_rotation(array):
     volume = array.volume
     volume.execute(Bio.write(0, random.Random(16).randbytes(8 * KiB)))
     armed = array.location(SU)[0]
@@ -515,6 +511,24 @@ def mdzone_rotation_general():
     bios = streams.mix(200, (4 * KiB, 4 * KiB, 8 * KiB),
                        (BioFlags.NONE, FUA))
     return report(array, drive(array, bios))
+
+
+@scenario
+def mdzone_rotation_general():
+    """Relocated pieces fill the general log until it rotates, its
+    checkpoint carrying the relocated units themselves."""
+    # Both roles of one device rotate at once: a swap zone for each.
+    return general_log_rotation(small_md_zones(num_metadata_zones=4))
+
+
+@scenario
+def mdzone_rotation_three_zones():
+    """The same with the default three metadata zones: the rotation that
+    finds the one swap zone taken waits for the other role's reclaim."""
+    array = small_md_zones()
+    result = general_log_rotation(array)
+    assert sum(mdz.swap_waits for mdz in array.volume.mdzones)
+    return result
 
 
 @scenario
@@ -641,7 +655,8 @@ def test_goldens_reach_the_branches_they_name():
                  "preflush_commits", "flush_beside_writes", "failed_device",
                  "relocation_armed", "read_only_physical_zone",
                  "wpv_collateral", "mdzone_rotation_partial_parity",
-                 "mdzone_rotation_general", "commits_beside_reads"):
+                 "mdzone_rotation_general", "mdzone_rotation_three_zones",
+                 "commits_beside_reads"):
         assert not golden[name]["errors"], name
     assert set(golden["zone_crossing"]["errors"]) == {
         "InvalidAddressError", "ZoneStateError"}
@@ -662,7 +677,15 @@ def test_goldens_reach_the_branches_they_name():
         assert golden[name]["relocations"], name
     assert golden["mdzone_rotation_partial_parity"]["md_rotations"][
         "partial_parity"] >= 5
-    assert golden["mdzone_rotation_general"]["md_rotations"]["general"]
+    for name in ("mdzone_rotation_general", "mdzone_rotation_three_zones"):
+        assert all(golden[name]["md_rotations"].values()), name
+    # The scenarios whose digest a change to metadata GC timing moves.
+    assert {name for name, entry in golden.items()
+            if any(entry["md_rotations"].values())} == {
+        "sub_stripe", "sub_stripe_traced", "fua_writes",
+        "device_fails_mid_write", "reset_racing_queued_writes",
+        "mdzone_rotation_partial_parity", "mdzone_rotation_general",
+        "mdzone_rotation_three_zones"}
     assert golden["reset_racing_queued_writes"]["errors"] == {
         "WritePointerViolation": 4}
     assert golden["failed_reset_releases_queued_writes"]["errors"] == {

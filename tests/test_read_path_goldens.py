@@ -170,6 +170,8 @@ def report(array, log):
     digest = hashlib.sha256(
         json.dumps(state, sort_keys=True).encode()).hexdigest()[:32]
     return {"digest": digest,
+            "device_reads": sum(dev["reads"] for dev in state["devices"]
+                                if dev is not None),
             "health": {k: v for k, v in state["health"].items() if v},
             "failed": [i for i, gone in enumerate(volume.failed) if gone],
             "errors": errors}
@@ -239,6 +241,15 @@ def failed_device():
     """One device gone before the reads: every piece on it is rebuilt
     from the survivors, the buffered tail comes from memory."""
     array = Array()
+    array.volume.fail_device(array.location(0)[0])
+    return report(array, drive(array, reads_of(read_mix(4))))
+
+
+@scenario
+def failed_device_traced():
+    """Tracing is inert on the degraded path too: same digest as
+    ``failed_device``."""
+    array = Array(tracing=True)
     array.volume.fail_device(array.location(0)[0])
     return report(array, drive(array, reads_of(read_mix(4))))
 
@@ -547,6 +558,126 @@ def rebuilding_zone():
     return report(array, log)
 
 
+# Degraded concurrency: reads in flight together over one lost device, so
+# a stripe's direct reads and a reconstruction's survivor reads want the
+# same bytes at the same time.  ``device_reads`` beside each digest is the
+# device read commands the whole scenario cost.
+
+def lose_data_device(array, stripes=(0, 1)):
+    """Fail a device that holds data (not parity) in each of zone 0's
+    ``stripes``; returns its index."""
+    mapper = array.volume.mapper
+    lost = next(device for device in range(len(array.devices))
+                if all(device in mapper.stripe_layout(0, stripe).data_devices
+                       for stripe in stripes))
+    array.volume.fail_device(lost)
+    return lost
+
+
+def unit_on(array, device, stripe, lost=True):
+    """LBA of the stripe unit of zone 0's ``stripe`` that ``device`` holds
+    (``lost``) or of the first one it does not."""
+    data_devices = array.volume.mapper.stripe_layout(0, stripe).data_devices
+    slot = data_devices.index(device)
+    if not lost:
+        slot = (slot + 1) % len(data_devices)
+    return stripe * STRIPE + slot * SU
+
+
+def reads_during(array, drive_reads):
+    before = sum(dev.stats.reads for dev in array.devices)
+    log = drive_reads()
+    return log, sum(dev.stats.reads for dev in array.devices) - before
+
+
+@scenario
+def degraded_full_stripe():
+    """One full-stripe read over a lost data device: three direct pieces
+    and a reconstruction that wants those same three units plus parity."""
+    array = Array()
+    lose_data_device(array)
+    return report(array, drive(array, reads_of([(0, STRIPE)])))
+
+
+@scenario
+def degraded_sequential_units():
+    """Eight 1-SU reads in flight across two stripes, as a sequential
+    reader at QD 8 issues them."""
+    array = Array()
+    lose_data_device(array)
+    return report(array, drive(array, reads_of(
+        [(unit * SU, SU) for unit in range(8)])))
+
+
+@scenario
+def degraded_same_bytes_twice():
+    """Two concurrent reads of the same lost unit, and of the same
+    surviving unit of another stripe: requests for the same logical bytes
+    are never coalesced, so each costs its own commands."""
+    array = Array()
+    lost = lose_data_device(array)
+    pairs = [(unit_on(array, lost, 0), SU)] * 2 + \
+        [(unit_on(array, lost, 1, lost=False), SU)] * 2
+    log, reads = reads_during(
+        array, lambda: drive(array, reads_of(pairs)))
+    assert reads == 2 * 4 + 2
+    return report(array, log)
+
+
+@scenario
+def shared_survivor_media_error():
+    """A surviving unit with a latent error is read directly while a
+    reconstruction of its stripe's lost unit wants it too: the direct
+    read tries to heal and fails on the lost device (DegradedModeError),
+    the reconstruction reports the double fault (MediaError), the rest of
+    the stripe is served."""
+    array = Array()
+    lost = lose_data_device(array)
+    bad = unit_on(array, lost, 0, lost=False)
+    device, pba = array.location(bad)
+    array.devices[device].mark_bad(pba, SU)
+    pairs = [(unit_on(array, lost, 0), SU), (bad, SU), (STRIPE, STRIPE)]
+    result = report(array, drive(array, reads_of(pairs), check=False))
+    assert result["errors"] == {"MediaError": 1, "DegradedModeError": 1}
+    return result
+
+
+@scenario
+def shared_survivor_transient_error():
+    """The same pair of consumers over a survivor whose commands fail
+    transiently in the first tick: both retry, both are served."""
+    array = Array()
+    lost = lose_data_device(array)
+    flaky = unit_on(array, lost, 0, lost=False)
+    device, pba = array.location(flaky)
+    until = array.sim.now + array.volume.config.transient_backoff_s / 2
+
+    def hook(dev, bio):
+        if bio.op is Op.READ and bio.offset == pba and array.sim.now < until:
+            raise TransientCommandError(f"{dev.name}: injected")
+    array.devices[device].add_hook("pre_apply", hook)
+    pairs = [(unit_on(array, lost, 0), SU), (flaky, SU)]
+    result = report(array, drive(array, reads_of(pairs)))
+    assert result["health"] == {"transient_retries": 2}
+    return result
+
+
+@scenario
+def foreground_reads_during_rebuild():
+    """Full-stripe reads of the zone rebuilt last, beside the rebuild
+    that is reading the same stripes for the replacement."""
+    array = Array()
+    sim, volume = array.sim, array.volume
+    lost = lose_data_device(array)
+    replacement = fresh_replacement(sim, array.devices[0], name="spare")
+    rebuild = sim.process(rebuild_process(sim, volume, lost, replacement))
+    array.devices[lost] = replacement
+    log = drive(array, reads_of(
+        [(stripe * STRIPE, STRIPE) for stripe in range(16)]), depth=2)
+    assert rebuild.triggered and rebuild.ok
+    return report(array, log)
+
+
 # ------------------------------------------------------------------- tests
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -562,6 +693,7 @@ def test_goldens_reach_the_branches_they_name():
     golden = json.loads(GOLDENS.read_text())
     assert sorted(golden) == sorted(SCENARIOS)
     assert golden["healthy"] == golden["healthy_traced"]
+    assert golden["failed_device"] == golden["failed_device_traced"]
     assert not golden["healthy"]["health"] and not golden["healthy"]["errors"]
     assert set(golden["refused_reads"]["errors"]) == {
         "ReadUnwrittenError", "InvalidAddressError"}
@@ -589,7 +721,11 @@ def test_goldens_reach_the_branches_they_name():
         "MediaError", "DegradedModeError"}
     for name in ("failed_device", "tail_stripe_from_buffer",
                  "device_powered_off_mid_read", "relocated_and_stitched",
-                 "demoted_device", "rebuilding_zone", "same_tick_writes"):
+                 "demoted_device", "rebuilding_zone", "same_tick_writes",
+                 "degraded_full_stripe", "degraded_sequential_units",
+                 "degraded_same_bytes_twice",
+                 "shared_survivor_transient_error",
+                 "foreground_reads_during_rebuild"):
         assert not golden[name]["errors"], name
 
 

@@ -120,17 +120,30 @@ class _Reconstruction:
     for good — a fault on a survivor is a double fault.
     """
 
-    __slots__ = ("piece", "accumulator", "pending", "then")
+    __slots__ = ("piece", "length", "accumulator", "pending", "then")
 
     def __init__(self, piece: _Piece, length: int, then: Callable):
         self.piece = piece
-        self.accumulator = bytearray(length)
+        self.length = length
+        #: The first source is copied in, not XOR-ed into zeroes.
+        self.accumulator: Optional[bytearray] = None
         self.pending = 1  # held by the fan-out, as in _ReadJoin
         self.then = then
+
+    def fold(self, data) -> None:
+        accumulator = self.accumulator
+        if accumulator is not None:
+            xor_into(accumulator, data)
+        else:
+            accumulator = self.accumulator = bytearray(data)
+            if len(accumulator) < self.length:  # a short tail-stripe source
+                accumulator.extend(bytes(self.length - len(accumulator)))
 
     def settle(self) -> None:
         self.pending -= 1
         if not self.pending:
+            if self.accumulator is None:  # no source had bytes to give
+                self.accumulator = bytearray(self.length)
             self.then(self, None)
 
 
@@ -373,7 +386,7 @@ class ReadPath:
         # failed reconstruction (a fault on a survivor is a double fault)
         # likewise keeps waiting on the straggler.
         if recon.piece.hedged and exc is None:
-            self._hedge_won(recon.piece, bytes(recon.accumulator))
+            self._hedge_won(recon.piece, recon.accumulator)
 
     def _hedge_won(self, piece: _Piece, data) -> None:
         piece.served_at = self.sim.now
@@ -392,7 +405,7 @@ class ReadPath:
         buffer = desc.buffers.get(stripe)
         if buffer is None:
             return None
-        return bytes(buffer.data[offset:offset + piece.length])
+        return bytes(memoryview(buffer.data)[offset:offset + piece.length])
 
     def _degraded(self, piece: _Piece, heal: bool = False) -> None:
         """Reconstruct a piece whose device is unavailable (§4.2) or,
@@ -413,7 +426,8 @@ class ReadPath:
         if exc is not None:
             piece.join.fail(exc)
         else:
-            piece.join.deliver(piece.index, bytes(recon.accumulator))
+            # The join copies: ``bytes.join`` never returns a bytearray.
+            piece.join.deliver(piece.index, recon.accumulator)
 
     def _healed(self, recon: _Reconstruction,
                 exc: Optional[BaseException]) -> None:
@@ -457,7 +471,6 @@ class ReadPath:
             in_su = 0
         pba += in_su
         recon = _Reconstruction(piece, length, then)
-        accumulator = recon.accumulator
         for other in range(volume.config.num_devices):
             if other == piece.device:
                 continue
@@ -469,7 +482,7 @@ class ReadPath:
                 if relocated is not None:
                     # The stripe's true parity lives in memory / the md
                     # zone; the on-device parity PBA holds stale data.
-                    xor_into(accumulator, relocated[in_su:in_su + length])
+                    recon.fold(relocated[in_su:in_su + length])
                     continue
             else:
                 unit = volume.relocations.lookup(volume.mapper.su_lba(
@@ -478,8 +491,7 @@ class ReadPath:
                                                     length):
                     # This source SU was itself relocated; its on-device
                     # bytes are stale.
-                    xor_into(accumulator,
-                             unit.read(unit.su_lba + in_su, length))
+                    recon.fold(unit.read(unit.su_lba + in_su, length))
                     continue
             # A source SU may be shorter than the requested range (the
             # tail stripe of a finished zone); its unwritten suffix
@@ -514,7 +526,7 @@ class ReadPath:
             if volume._failslow_on:
                 volume._note_latency(device, True,
                                      self.sim.now - bio.submit_time)
-            xor_into(recon.accumulator, bio.result)
+            recon.fold(bio.result)
             recon.settle()
         elif isinstance(exc, TransientCommandError) and \
                 attempt < volume.config.max_transient_retries:

@@ -37,6 +37,7 @@ import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..block.bio import Bio, BioFlags
+from ..errors import ReproError
 from ..faults.crashpoints import (
     CompletionBoundaries,
     array_crash_snapshot,
@@ -490,9 +491,10 @@ class _Campaign:
             self._phase_boundary(sim, volume, expect, phase)
             self._explore(sim, devices, recorder, phase)
             if spec.cycle and recorder.snapshots:
-                volume, expect = self._crash_cycle(sim, devices, recorder,
-                                                   phase)
-                devices = volume.devices
+                cycled = self._crash_cycle(sim, devices, recorder, phase)
+                if cycled is not None:
+                    volume, expect = cycled
+                    devices = volume.devices
             slow.disarm()
             report.slowed_commands += sum(
                 slow.counts.slowed_commands.values())
@@ -587,16 +589,26 @@ class _Campaign:
             })
 
     def _crash_cycle(self, sim, devices, recorder, phase):
-        """Really crash the live array and carry on from the recovery
-        (so, unlike a candidate state, a failed mount here propagates)."""
+        """Really crash the live array and carry on from the recovery.
+        A crash the array does not mount from is a violation like a
+        candidate state's; the campaign then carries on from the live
+        array it had (returns None)."""
         report = self.report
         snaps, frozen = recorder.snapshots[max(recorder.snapshots)]
         _spaces, assignments, _product = enumerate_crash_states(
             devices, snaps, 3, self.rng)
+        live = array_crash_snapshot(devices)
         enter_crash_state(devices, snaps, assignments[-1])
         report.crash_cycles += 1
         report.oracle_checks["crash_cycle"] += 1
-        volume = mount(sim, list(devices), **SOAK_OVERRIDES)
+        try:
+            volume = mount(sim, list(devices), **SOAK_OVERRIDES)
+        except ReproError as exc:
+            report.violation(phase=phase, where="crash_cycle",
+                             check="crash_cycle",
+                             detail=f"mount failed: {exc!r}")
+            array_restore_crash_snapshot(devices, live)
+            return None
         for detail in check_recovered_volume(volume, frozen):
             report.violation(phase=phase, where="crash_cycle",
                              check="crash_cycle", detail=detail)

@@ -17,7 +17,8 @@ calling instead of queueing these steps reorders nothing: DESIGN.md,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Tuple)
 
 from ..block.bio import Bio
 from ..errors import (DataLossError, DegradedModeError, DeviceError,
@@ -153,6 +154,12 @@ class ReadPath:
     def __init__(self, volume: "RaiznVolume"):
         self.volume = volume
         self.sim = volume.sim
+        #: Device reads in flight while a device is unavailable, keyed
+        #: ``(device, pba, length)``: ``[key, consumer, ...]`` with each
+        #: consumer the ``(handler, context)`` of a :meth:`_submit`.
+        self._inflight: Dict[Tuple[int, int, int], list] = {}
+        #: Device reads saved by joining a command already in flight.
+        self.joined_reads = 0
 
     def start(self, bio: Bio, done: Event) -> None:
         """Validate ``bio`` and queue its fan-out.
@@ -202,7 +209,8 @@ class ReadPath:
         """Serve ``length`` bytes at ``lba`` from memory, from ``device``
         at ``pba``, or from redundancy."""
         volume = self.volume
-        available = volume._device_available(device, desc.zone)
+        available = not volume._degraded or \
+            volume._device_available(device, desc.zone)
         if desc.has_relocations:
             unit = volume.relocations.lookup(lba - lba % desc.su)
             overlaps = unit.overlaps(lba, length) if unit is not None else []
@@ -258,22 +266,65 @@ class ReadPath:
         finally:
             tracer.current_parent = -1
 
+    # -- device reads, single-flight while degraded --------------------------
+
+    def _submit(self, device: int, pba: int, length: int, handler: Callable,
+                context, parent: int) -> None:
+        """Read ``length`` bytes at ``pba`` of ``device`` for
+        ``handler(bio)``, ``context`` riding ``bio.wctx``.
+
+        While a device is unavailable a stripe's direct reads and its
+        reconstruction's survivor reads want the same bytes at the same
+        time: the second of the two joins the first one's command instead
+        of issuing its own.  Only that pair is joined — a second consumer
+        with the same handler is a second request for the same logical
+        bytes and gets its own, unshared, command (DESIGN.md, "Read-path
+        fan-out")."""
+        volume = self.volume
+        if volume._degraded:
+            key = (device, pba, length)
+            entry = self._inflight.get(key)
+            if entry is None:
+                # Tabled: the command completes to whoever its entry holds.
+                context = self._inflight[key] = [key, (handler, context)]
+                handler = self._shared_attempted
+            elif len(entry) == 2 and entry[1][0] != handler:
+                entry.append((handler, context))
+                self.joined_reads += 1
+                return
+        bio = Bio.read(pba, length)
+        bio.errors_as_status = True
+        bio.wctx = context
+        bio.end_io = handler
+        submit = volume.devices[device].submit
+        if volume.tracer is None:
+            submit(bio)
+        else:
+            self._traced(parent, submit, bio)
+
+    def _shared_attempted(self, bio: Bio) -> None:
+        """Completion of a command in the in-flight table: every consumer
+        hears of it through its own handler, in arrival order, each
+        applying its own policy to the one ``bio.error``.  The command is
+        one latency sample, so only the first handler may feed it to the
+        fail-slow health score."""
+        key, *consumers = bio.wctx
+        del self._inflight[key]
+        fed = False
+        for handler, context in consumers:
+            bio.wctx = context
+            handler(bio, fed)
+            fed = True
+
     # -- self-healing device reads ------------------------------------------
 
     def _attempt_read(self, piece: _Piece) -> None:
         """(Re)submit a piece's device read under the self-healing policy
         of :meth:`_read_attempted`."""
         volume = self.volume
-        bio = Bio.read(piece.pba, piece.length)
-        bio.errors_as_status = True
-        bio.wctx = piece
-        bio.end_io = self._read_attempted
-        submit = volume.devices[piece.device].submit
-        if volume.tracer is None:
-            submit(bio)
-        else:
-            self._traced(piece.parent, submit, bio)
-        if piece.attempt == 0 and volume._failslow_on:
+        self._submit(piece.device, piece.pba, piece.length,
+                     self._read_attempted, piece, piece.parent)
+        if volume._failslow_on and piece.attempt == 0:
             # Hedge timer: if the read outlives the deadline derived from
             # this device's own latency distribution, race a parity
             # reconstruction against the straggler.
@@ -283,16 +334,18 @@ class ReadPath:
                 piece.hedged = True
                 self.sim.schedule(deadline, self._fire_hedge, piece)
 
-    def _read_attempted(self, bio: Bio) -> None:
+    def _read_attempted(self, bio: Bio, fed: bool = False) -> None:
         """Completion of a piece's device read — every attempt, every
-        outcome: deliver, retry, read-repair, or degrade (§5.2, §4.2)."""
+        outcome: deliver, retry, read-repair, or degrade (§5.2, §4.2).
+        ``fed``: a consumer before this one has had this command's
+        latency sample (:meth:`_shared_attempted`)."""
         piece = bio.wctx
         volume = self.volume
         exc = bio.error
         if volume._failslow_on:
             piece.hedged = False  # the straggler is in: its hedge is void
             served_at = piece.served_at
-            if exc is None and served_at != self.sim.now:
+            if exc is None and served_at != self.sim.now and not fed:
                 # A straggler completing in the very tick its hedge served
                 # met the deadline to the tick: the hedge owns the serve and
                 # its win counters, and charging the sample on top would
@@ -505,17 +558,10 @@ class ReadPath:
     def _attempt_source(self, recon: _Reconstruction, device: int, pba: int,
                         length: int, attempt: int) -> None:
         """(Re)submit one survivor read feeding ``recon``."""
-        bio = Bio.read(pba, length)
-        bio.errors_as_status = True
-        bio.wctx = (recon, device, attempt)
-        bio.end_io = self._source_attempted
-        submit = self.volume.devices[device].submit
-        if self.volume.tracer is None:
-            submit(bio)
-        else:
-            self._traced(recon.piece.parent, submit, bio)
+        self._submit(device, pba, length, self._source_attempted,
+                     (recon, device, attempt), recon.piece.parent)
 
-    def _source_attempted(self, bio: Bio) -> None:
+    def _source_attempted(self, bio: Bio, fed: bool = False) -> None:
         """Completion of a survivor read.  Transient command failures are
         retried like any piece; any other error (a media error on a
         survivor is a double fault) fails the reconstruction loudly."""
@@ -523,7 +569,7 @@ class ReadPath:
         volume = self.volume
         exc = bio.error
         if exc is None:
-            if volume._failslow_on:
+            if volume._failslow_on and not fed:
                 volume._note_latency(device, True,
                                      self.sim.now - bio.submit_time)
             recon.fold(bio.result)

@@ -341,6 +341,11 @@ class RaiznVolume:
         #: Bumped on every membership/degraded transition (eviction,
         #: rebuild start, rebuild completion).
         self._membership_epoch = 0
+        #: Cached "a device is unavailable" (failed or mid-rebuild), kept
+        #: by :meth:`invalidate_write_plans`.  While it is False every
+        #: ``_device_available`` is True: a read piece tests this instead
+        #: of calling that, and it gates the read path's in-flight table.
+        self._degraded = True in self.failed
         self.readpath = ReadPath(self)
         self.writepath = WritePath(self)
         # Logical open-zone budget: each device spends open slots on its
@@ -932,6 +937,7 @@ class RaiznVolume:
         membership epoch.
         """
         self._membership_epoch += 1
+        self._degraded = True in self.failed or self.rebuild_state is not None
         self.writepath.invalidate_plans()
 
     def fail_device(self, index: int, remove: bool = True) -> None:

@@ -79,11 +79,15 @@ class MetricsRegistry:
     def for_volume(cls, volume) -> "MetricsRegistry":
         """Registry covering a :class:`~repro.raizn.volume.RaiznVolume`:
         volume-level IO stats, per-device IO stats, volume health, the
-        per-device latency-health scores, metadata-zone counters and —
-        on a traced volume — rebuild progress."""
+        device reads the degraded read path saved by joining a command in
+        flight, the per-device latency-health scores, metadata-zone
+        counters and — on a traced volume — rebuild progress."""
         registry = cls()
         registry.register("volume", volume.stats)
         registry.register("health", volume.health)
+        registry.register(
+            "readpath",
+            lambda: {"joined_reads": volume.readpath.joined_reads})
         if volume.rebuild_counters is not None:
             registry.register("rebuild", lambda: volume.rebuild_counters)
         for index, device in enumerate(volume.devices):

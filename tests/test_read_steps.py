@@ -13,7 +13,9 @@ block layer computes a command's completion instant when it arrives.  The
 grant-by-grant service chain it replaced took 3 and 2 (grant hop, channel
 and pipeline timers), the generator read path before that 5 and 2.  A
 whole-unit degraded read (4 survivor commands) is 2 and 4; it took 6 and
-8, and 12 and 8.  Writes: ``TestWriteSteps``.
+8, and 12 and 8.  A full-stripe degraded read is 2 and 4 as well: its
+three direct pieces ride the reconstruction's survivor commands (2 and 7
+before ``ReadPath`` kept an in-flight table).  Writes: ``TestWriteSteps``.
 """
 
 from collections import deque
@@ -24,6 +26,7 @@ from repro.block import Bio, BioFlags
 from repro.errors import DataLossError, DeviceFailedError
 from repro.raizn.readpath import _ReadJoin
 from repro.sim import Event
+from repro.trace import MetricsRegistry
 
 from conftest import TEST_STRIPE_UNIT, make_volume, pattern
 
@@ -119,6 +122,33 @@ class TestEngineSteps:
         assert all(bytes(bio.result) == data[bio.offset:bio.offset + SU]
                    for bio in completed)
         assert (now_entries, heap_entries) == (2 * READS, 4 * READS)
+
+    def test_full_stripe_degraded_read(self, sim):
+        """Three direct pieces and a reconstruction that wants the same
+        three units plus parity: four device commands, each surviving
+        byte fetched once (seven before the in-flight table)."""
+        volume, devices, data = written_volume(sim)
+        lost = 2
+        volume.fail_device(lost)
+        stripes = [stripe for stripe in range(16) if lost in
+                   volume.mapper.stripe_layout(0, stripe).data_devices]
+        bios = [Bio.read(stripe * STRIPE, STRIPE) for stripe in stripes]
+        reads = sum(dev.stats.reads for dev in devices)
+        now_entries, heap_entries, completed = run_counted(sim, volume, bios)
+        assert all(bytes(bio.result) == data[bio.offset:bio.offset + STRIPE]
+                   for bio in completed)
+        assert (now_entries, heap_entries) == (2 * len(bios), 4 * len(bios))
+        assert sum(dev.stats.reads for dev in devices) - reads == \
+            4 * len(bios)
+        flat = MetricsRegistry.for_volume(volume).flat()
+        assert flat["readpath.joined_reads"] == 3 * len(bios)
+        assert not volume.readpath._inflight
+
+    def test_healthy_reads_join_nothing(self, sim):
+        volume, _devices, _data = written_volume(sim)
+        run_counted(sim, volume, [Bio.read(0, STRIPE)] * 4)
+        flat = MetricsRegistry.for_volume(volume).flat()
+        assert flat["readpath.joined_reads"] == 0
 
     def test_event_allocations_per_healthy_read(self, sim, monkeypatch):
         """One ``Event`` per read, fresh or pooled: the logical bio's.

@@ -212,6 +212,32 @@ class TestTracedRun:
         assert any(record["layer"] == "md" and record["parent"] in roots
                    for record in records)
 
+    def test_shared_degraded_read_parents_under_its_first_submitter(self):
+        """Two logical reads in flight over a lost device, the second
+        reconstructing from the unit the first reads directly: one device
+        command serves both and its span belongs to the read that
+        submitted it."""
+        from repro.block import Bio
+
+        sim, volume, _devices = _build(seed=11, quick=True)
+        su = volume.config.stripe_unit_bytes
+        volume.execute(Bio.write(0, bytes(range(256)) * (4 * su // 256)))
+        volume.fail_device(volume.mapper.lba_to_pba(2 * su)[0])
+        sink = volume.tracer.sink
+        first = sink.total_recorded
+        direct, degraded = Bio.read(0, su), Bio.read(2 * su, su)
+        _drive(sim, volume, [direct, degraded], 2)
+        assert volume.readpath.joined_reads == 1
+        records = [sink._ring_record(ordinal)
+                   for ordinal in range(first, sink.total_recorded)]
+        # Span ids are handed out at submission: the direct read's first.
+        direct_root, degraded_root = sorted(
+            record["id"] for record in records
+            if record["layer"] == "volume" and record["name"] == "read")
+        parents = [record["parent"] for record in records
+                   if record["layer"] == "zns" and record["name"] == "read"]
+        assert sorted(parents) == [direct_root] + [degraded_root] * 3
+
     def test_jsonl_dump_schema(self, tmp_path):
         _sim, volume, _devices = _traced_volume()
         path = tmp_path / "spans.jsonl"

@@ -69,8 +69,8 @@ class _WriteJoin:
     pieces (``child_settled``, ``on_redirected``).
     """
 
-    __slots__ = ("path", "sim", "bio", "done", "desc", "fua_devices",
-                 "pending", "armed", "failed")
+    __slots__ = ("path", "sim", "bio", "done", "desc", "marks",
+                 "fua_devices", "pending", "armed", "failed")
 
     def __init__(self, path: "WritePath"):
         self.path = path
@@ -81,8 +81,11 @@ class _WriteJoin:
               desc: Optional[LogicalZoneDesc]) -> None:
         self.bio = bio
         self.done = done
-        #: The written zone; None for an ``Op.FLUSH``.
+        #: The written zone; None for an ``Op.FLUSH``, which carries
+        #: ``marks`` — ``(desc, generation, SU count)`` per zone it may
+        #: mark persisted, as ``flush_all`` found them.
         self.desc = desc
+        self.marks = ()
         self.pending = 0
         self.armed = False
         self.failed = False
@@ -167,12 +170,14 @@ class _WriteJoin:
             desc.persistence.mark_up_to(
                 (bio.offset + bio.length - desc.start_lba) // desc.su)
         else:
+            # Exactly what the device flushes were sent to cover: a write
+            # accepted while they were in flight is behind none of them,
+            # and a zone reset since then starts over.
             volume = self.path.volume
-            for desc in volume.zone_descs:
-                if (desc.state.is_active or desc.state is ZoneState.FULL) \
-                        and desc.written_bytes:
-                    desc.persistence.mark_up_to(
-                        desc.su_index_of(desc.write_pointer))
+            generation = volume.generation
+            for desc, written_as, su_end in self.marks:
+                if generation[desc.zone] == written_as:
+                    desc.persistence.mark_up_to(su_end)
             volume.stats.account(bio)
         self._succeed()
 
@@ -706,4 +711,14 @@ class WritePath:
 
     def flush_all(self, bio: Bio, done: Event) -> None:
         """REQ_OP_FLUSH: duplicated to each array device (§5.3)."""
-        self.flush(self._join(bio, done, None), self.volume._alive_devices())
+        volume = self.volume
+        join = self._join(bio, done, None)
+        # What the device flushes below will have made durable, taken
+        # before they go out (``_WriteJoin.flushed`` marks just this).
+        join.marks = [
+            (desc, volume.generation[desc.zone],
+             desc.su_index_of(desc.write_pointer))
+            for desc in volume.zone_descs
+            if (desc.state.is_active or desc.state is ZoneState.FULL)
+            and desc.written_bytes]
+        self.flush(join, volume._alive_devices())

@@ -1,0 +1,84 @@
+"""An ``Op.FLUSH`` marks persisted what its device flushes covered, not
+what the zone holds when they complete (§5.3): a plain write accepted
+while they are in flight is behind none of them."""
+
+from repro.block import Bio, BioFlags, Op
+from repro.raizn import mount
+from repro.units import KiB
+
+from conftest import TEST_STRIPE_UNIT, make_volume, pattern
+
+SU = TEST_STRIPE_UNIT
+DURABLE = BioFlags.FUA | BioFlags.PREFLUSH
+
+
+def write_during_flush(sim):
+    """SU0 written; SU1 accepted 30 µs into an ``Op.FLUSH`` whose device
+    commands are still in flight; both acknowledged."""
+    volume, devices = make_volume(sim, num_zones=8)
+    data = [pattern(SU, seed=index) for index in range(3)]
+    volume.execute(Bio.write(0, data[0]))
+    flush = volume.submit(Bio.flush())
+    late = []
+    sim.schedule(30e-6, lambda: late.append(
+        volume.submit(Bio.write(SU, data[1]))))
+    sim.run()
+    assert flush.ok and late[0].ok
+    return volume, devices, data
+
+
+def test_write_accepted_during_a_flush_is_not_marked_persisted(sim):
+    volume, devices, _data = write_during_flush(sim)
+    su1_device = volume.mapper.stripe_layout(0, 0).data_devices[1]
+    # Device truth: no flush covered SU1 ...
+    assert devices[su1_device].zones[0].durable_pointer == 0
+    # ... and the bitmap says so.
+    persistence = volume.zone_descs[0].persistence
+    assert persistence.is_persisted(0)
+    assert not persistence.is_persisted(1)
+
+
+def test_next_fua_write_flushes_it_and_survives_crash_plus_device_loss(sim):
+    volume, devices, data = write_during_flush(sim)
+    su0_device, su1_device = \
+        volume.mapper.stripe_layout(0, 0).data_devices[:2]
+    flushed = []
+    for device in devices:
+        device.add_hook("pre_apply", lambda dev, bio: flushed.append(dev)
+                        if bio.op is Op.FLUSH else None)
+    volume.execute(Bio.write(2 * SU, data[2], DURABLE))
+    assert devices[su1_device] in flushed
+    assert devices[su1_device].zones[0].durable_pointer == SU
+    # Every cache is lost whole, then SU0's device: an acknowledged FUA
+    # write vouches for all three units, one of them through parity.
+    for device in devices:
+        device.power_fail_to({})
+    for device in devices:
+        device.power_on()
+    devices[su0_device].fail_device()
+    remounted = mount(sim, [None if index == su0_device else device
+                            for index, device in enumerate(devices)])
+    assert remounted.zone_info(0).write_pointer == 3 * SU
+    assert remounted.execute(Bio.read(0, 3 * SU)).result == b"".join(data)
+
+
+def test_zone_reset_during_a_flush_is_not_marked_persisted(sim):
+    """The generation guard: a zone reset and rewritten under the
+    in-flight device flushes keeps none of the old zone's marks."""
+    volume, devices = make_volume(sim, num_zones=8)
+    volume.execute(Bio.write(0, pattern(2 * SU, seed=7)))
+    # A device flush that outlasts the reset (1 ms a zone) and the rewrite.
+    devices[0].add_hook("service_delay", lambda dev, bio:
+                        10e-3 if bio.op is Op.FLUSH else 0.0)
+    flush = volume.submit(Bio.flush())
+    rewrite = []
+
+    def reset_then_write():
+        yield volume.submit(Bio.zone_reset(0))
+        rewrite.append((yield volume.submit(
+            Bio.write(0, pattern(2 * SU, seed=8)))))
+
+    sim.schedule(30e-6, sim.process, reset_then_write())
+    sim.run()
+    assert flush.ok and rewrite[0].complete_time < flush.value.complete_time
+    assert volume.zone_descs[0].persistence.frontier == 0

@@ -347,7 +347,10 @@ class _ZoneJob:
         pdesc = volume.phys[state.device_index][self.zone]
         pdesc.write_pointer = zone_pba + stream.position
         if desc.state is ZoneState.FULL:
-            yield device.submit(Bio.zone_finish(zone_pba))
+            # Written to capacity, the device made it FULL on the last
+            # write; a finish would only queue behind the next zone.
+            if stream.position != volume.phys_zone_capacity:
+                yield device.submit(Bio.zone_finish(zone_pba))
             pdesc.state = ZoneState.FULL
         elif stream.position:
             pdesc.state = ZoneState.CLOSED

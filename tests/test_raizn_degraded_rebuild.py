@@ -354,6 +354,26 @@ class TestRebuildPipeline:
         assert max(log.open_zones) <= 2
         assert max(log.in_pipeline) == 2   # it does overlap, and no further
 
+    def test_zone_written_to_capacity_is_not_finished(self, sim):
+        """The last write made the zone FULL on the device; a finish
+        behind it would hold a channel for nothing."""
+        volume, _d, _data, replacement, log, _reads, _report = self.run(sim)
+        assert not [c for c in log.commands if c[1] is Op.ZONE_FINISH]
+        for zone in (0, 1):
+            assert replacement.zone_info(zone).state is ZoneState.FULL
+            assert volume.phys[0][zone].state is ZoneState.FULL
+
+    def test_zone_finished_short_of_capacity_still_is(self, sim):
+        volume, devices = make_volume(sim)
+        volume.execute(Bio.write(0, pattern(STRIPE, seed=41)))
+        volume.execute(Bio.zone_finish(0))
+        volume.fail_device(0)
+        replacement = fresh_replacement(sim, devices[1], "new")
+        log = CommandLog(sim, replacement, volume)
+        rebuild(sim, volume, 0, replacement)
+        assert [c[2] for c in log.commands if c[1] is Op.ZONE_FINISH] == [0]
+        assert replacement.zone_info(0).state is ZoneState.FULL
+
     @pytest.mark.parametrize("failed_index", [0, 1, 2, 3, 4])
     def test_replacement_matches_lost_device_byte_for_byte(self, sim,
                                                            failed_index):

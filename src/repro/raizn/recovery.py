@@ -238,7 +238,7 @@ class _Recovery:
 
         Applies the paper's duplicate rule: a checkpointed entry whose LBA
         range overlaps a normal entry for the same stripe is discarded
-        (§4.3).
+        (§4.3) — while the normal entries still reach as far as it does.
         """
         volume = self.volume
         grouped: Dict[int, Dict[int, List[MetadataEntry]]] = {}
@@ -270,19 +270,27 @@ class _Recovery:
                     volume.relocated_parity[(zone, stripe)] = payload
                     continue
             grouped.setdefault(zone, {}).setdefault(stripe, []).append(entry)
-        for zone_map in grouped.values():
+        for zone, zone_map in grouped.items():
             for stripe, entries in zone_map.items():
                 normals = [e for e in entries if not e.checkpoint]
-                if not normals:
+                ckpts = [e for e in entries if e.checkpoint]
+                if not normals or not ckpts:
                     continue
-                keep = list(normals)
-                for ckpt in (e for e in entries if e.checkpoint):
-                    overlap = any(
+                last = max(ckpts, key=lambda e: e.end_lba)
+                if _ZoneContent._contiguous_coverage(
+                        normals, zone * volume.zone_capacity
+                        + stripe * volume.mapper.stripe_width) < last.end_lba:
+                    # The deltas the checkpoint stands in for went with the
+                    # reclaimed zone, and it already holds the one appended
+                    # behind it (the append that found the zone full): the
+                    # checkpoint is the chain's head, not the duplicate.
+                    zone_map[stripe] = [last] + [
+                        n for n in normals if n.start_lba >= last.end_lba]
+                    continue
+                zone_map[stripe] = normals + [
+                    ckpt for ckpt in ckpts if not any(
                         ckpt.start_lba < n.end_lba and n.start_lba < ckpt.end_lba
-                        for n in normals)
-                    if not overlap:
-                        keep.append(ckpt)
-                zone_map[stripe] = keep
+                        for n in normals)]
         return grouped
 
     def _ingest_relocations(self) -> None:

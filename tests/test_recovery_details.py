@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.block import Bio
+from repro.block import Bio, BioFlags
 from repro.errors import DataLossError, MetadataError, RecoveryError
 from repro.faults import power_cycle
 from repro.raizn import RaiznVolume, mount
@@ -80,6 +80,39 @@ class TestDegradedMount:
         degraded = mount(sim, presented)
         assert degraded.zone_info(0).write_pointer == len(data)
         assert degraded.execute(Bio.read(0, len(data))).result == data
+
+    def test_rotation_checkpoint_heads_the_partial_parity_chain(self, sim):
+        """A write that finds the parity device's log full goes in behind
+        the rotation's checkpoint, which already holds its delta (the
+        stripe buffer absorbed it first).  The earlier deltas went with
+        the reclaimed zone, so the checkpoint is the chain's head — the
+        §4.3 duplicate rule must not drop it for overlapping that write."""
+        volume, devices = make_volume(sim, num_zones=8)
+        layout = volume.mapper.stripe_layout(0, 0)
+        lost, parity = layout.data_devices[0], layout.parity_device
+        first, second = pattern(16 * KiB, seed=6), pattern(SU, seed=7)
+        volume.execute(Bio.write(0, first, BioFlags.FUA))
+        mdz = volume.mdzones[parity]
+        role = MetadataRole.PARTIAL_PARITY
+        other_zone = 7 * volume.zone_capacity
+        pad = MetadataEntry(MetadataType.PARTIAL_PARITY, other_zone,
+                            other_zone + 4 * KiB, 0, payload=bytes(60 * KiB))
+        while mdz.remaining(role) >= SU + 4 * KiB:
+            sim.run_process(mdz.append(role, pad))
+        volume.fail_device(lost)
+        volume.execute(Bio.write(len(first), second, BioFlags.FUA))
+        sim.run()
+        assert mdz.gc_cycles == 1
+        for device in devices:
+            device.power_fail_to({})
+            device.power_on()
+        degraded = mount(sim, [None if index == lost else device
+                               for index, device in enumerate(devices)])
+        # ``lost`` held the stripe's first unit: all of it comes from the
+        # partial-parity chain.
+        assert degraded.zone_info(0).write_pointer == len(first + second)
+        assert degraded.execute(
+            Bio.read(0, len(first + second))).result == first + second
 
     def test_degraded_mount_can_write(self, sim):
         volume, devices = make_volume(sim)

@@ -19,7 +19,7 @@ from typing import (Callable, Deque, Iterable, List, NamedTuple, Optional,
 from ..errors import DeviceError, DeviceFailedError, PowerLossError
 from ..sim import Event, Simulator
 from ..units import SECTOR_SIZE
-from .bio import Bio, BioFlags, Op
+from .bio import _FUA, Bio, BioFlags, Op
 from .timing import ServiceTimeModel
 
 #: Sector size is a power of two; a single masked test covers both the
@@ -165,6 +165,10 @@ class BlockDevice:
             deque()
         self._reset_channels()
         self.stats = DeviceStats()
+        #: WRITE/ZONE_APPEND commands accepted without FUA, ever — what a
+        #: cache flush is for.  Whoever saw this value as it submitted a
+        #: flush that then completed owes the device none until it moves.
+        self.volatile_writes = 0
         self.failed = False
         self.powered = True
         self._rng = random.Random(seed)
@@ -242,6 +246,8 @@ class BlockDevice:
                 stats.writes += 1
                 stats.bytes_written += bio.length
                 stats.media_bytes_written += bio.length
+                if not bio.flags & _FUA:
+                    self.volatile_writes += 1
             elif op is Op.READ:
                 stats.reads += 1
                 stats.bytes_read += bio.length

@@ -255,10 +255,18 @@ class WritePath:
         self._num_rotations = volume.mapper.num_rotations
         #: Recycled :class:`_WriteJoin` objects.
         self._join_free: List[_WriteJoin] = []
+        #: Per array slot, its device's ``volatile_writes`` as the last
+        #: flush that completed on it without error went out; -1 owes one.
+        self._flush_covered = [-1] * len(volume.devices)
+        #: Device flushes sent, and those an ``Op.FLUSH`` did not send.
+        self.flushes_issued = 0
+        self.flushes_elided = 0
 
     def invalidate_plans(self) -> None:
-        """Forget every cached plan (array membership changed)."""
+        """Forget every cached plan and every slot's flush record (array
+        membership changed: a slot may hold another device)."""
         self._plan_cache.clear()
+        self._flush_covered = [-1] * len(self._flush_covered)
 
     def _join(self, bio: Bio, done: Event,
               desc: Optional[LogicalZoneDesc]) -> _WriteJoin:
@@ -690,16 +698,21 @@ class WritePath:
 
     def flush(self, join: _WriteJoin, devices: Iterable[int]) -> None:
         """Flush ``devices``; ``join.flushed`` runs when all have."""
-        for device in devices:
+        for slot in devices:
+            device = self.volume.devices[slot]
             bio = Bio.flush()
             bio.errors_as_status = True
-            bio.wctx = join
+            bio.wctx = (join, slot, device, device.volatile_writes)
             bio.end_io = self._flush_attempted
             join.pending += 1
-            self.volume.devices[device].submit(bio)
+            self.flushes_issued += 1
+            device.submit(bio)
 
     def _flush_attempted(self, bio: Bio) -> None:
-        join = bio.wctx
+        join, slot, device, covered = bio.wctx
+        if bio.error is None and covered > self._flush_covered[slot] \
+                and self.volume.devices[slot] is device:
+            self._flush_covered[slot] = covered
         if join.failed:
             return
         if bio.error is not None:
@@ -710,15 +723,32 @@ class WritePath:
             join.flushed()
 
     def flush_all(self, bio: Bio, done: Event) -> None:
-        """REQ_OP_FLUSH: duplicated to each array device (§5.3)."""
+        """REQ_OP_FLUSH: to each array device that holds something the
+        flush would change (§5.3; DESIGN.md, "What a FLUSH costs")."""
         volume = self.volume
+        alive = volume._alive_devices()
+        # Owed a flush: a device that accepted a volatile write since its
+        # last completed one ...
+        owed = {slot for slot in alive if volume.devices[slot].volatile_writes
+                > self._flush_covered[slot]}
         join = self._join(bio, done, None)
-        # What the device flushes below will have made durable, taken
-        # before they go out (``_WriteJoin.flushed`` marks just this).
-        join.marks = [
-            (desc, volume.generation[desc.zone],
-             desc.su_index_of(desc.write_pointer))
-            for desc in volume.zone_descs
-            if (desc.state.is_active or desc.state is ZoneState.FULL)
-            and desc.written_bytes]
-        self.flush(join, volume._alive_devices())
+        # ... or holds a stripe unit this bio will mark persisted — taken
+        # before the flushes go out (``_WriteJoin.flushed`` marks just
+        # this): a FUA write in flight to one is durable at its own
+        # completion, so only a flush behind it makes the mark true.
+        marks = join.marks = []
+        layout = volume.mapper.stripe_layout
+        for desc in volume.zone_descs:
+            if (desc.state.is_active or desc.state is ZoneState.FULL) \
+                    and desc.written_bytes:
+                su_end = desc.su_index_of(desc.write_pointer)
+                marks.append((desc, volume.generation[desc.zone], su_end))
+                for su_index in range(desc.persistence.frontier, su_end):
+                    owed.add(layout(desc.zone, su_index // desc.num_data)
+                             .data_devices[su_index % desc.num_data])
+        owed = [slot for slot in alive if slot in owed]
+        self.flushes_elided += len(alive) - len(owed)
+        if owed:
+            self.flush(join, owed)
+        else:
+            self.sim.schedule(0.0, join.flushed)

@@ -78,22 +78,32 @@ class MetricsRegistry:
     @classmethod
     def for_volume(cls, volume) -> "MetricsRegistry":
         """Registry covering a :class:`~repro.raizn.volume.RaiznVolume`:
-        volume-level IO stats, per-device IO stats, volume health, the
+        volume-level IO stats, per-device IO stats (each with the count
+        of volatile writes that flush elision reads), volume health, the
         device reads the degraded read path saved by joining a command in
-        flight, the per-device latency-health scores, metadata-zone
-        counters and — on a traced volume — rebuild progress."""
+        flight, the device flushes the write path sent and those an
+        ``Op.FLUSH`` did not, the per-device latency-health scores,
+        metadata-zone counters and — on a traced volume — rebuild
+        progress."""
         registry = cls()
         registry.register("volume", volume.stats)
         registry.register("health", volume.health)
         registry.register(
             "readpath",
             lambda: {"joined_reads": volume.readpath.joined_reads})
+        registry.register(
+            "writepath",
+            lambda: {"flushes_issued": volume.writepath.flushes_issued,
+                     "flushes_elided": volume.writepath.flushes_elided})
         if volume.rebuild_counters is not None:
             registry.register("rebuild", lambda: volume.rebuild_counters)
         for index, device in enumerate(volume.devices):
             if device is None:
                 continue
-            registry.register(f"device.{device.name}", device.stats)
+            registry.register(
+                f"device.{device.name}",
+                lambda d=device: {**d.stats.to_dict(),
+                                  "volatile_writes": d.volatile_writes})
             registry.register(f"device_health.{device.name}",
                               volume.device_health[index])
         for index, mdz in enumerate(volume.mdzones):

@@ -38,7 +38,7 @@ BENCH_TAIL = REPO / "BENCH_tail.json"
 CASES = {
     **{f"{campaign}-ci-seed{seed}": [campaign, *size, "--seed", str(seed)]
        for seed in (0, 3)
-       for campaign, size in (("crashtest", ["--states", "60"]),
+       for campaign, size in (("crashtest", ["--states", "84"]),
                               ("errortest", ["--smoke"]),
                               ("slowtest", ["--quick"]),
                               ("soaktest", ["--quick"]))},

@@ -1,6 +1,6 @@
 """The crash oracle over metadata-zone garbage collection (§4.3, Figure 4).
 
-CI's ``crashtest --states 60`` scripts 90 ops and never fills a metadata
+CI's ``crashtest --states 84`` scripts 90 ops and never fills a metadata
 zone, so nothing mounted a crash taken while a log was being rotated.
 Here the same explorer runs a script long enough that every device
 rotates, and :class:`MdWatch` — device hooks only, nothing in ``raizn/``

@@ -310,15 +310,27 @@ def preflush_commits():
     return report(array, drive(array, streams.bios))
 
 
-@scenario
-def flush_beside_writes():
-    """``Op.FLUSH`` bios in the window with buffered and FUA writes."""
-    array = Array()
+def flush_beside_writes_bios(array):
     bios = Streams(array, 6, (0, 1, 2)).mix(
         90, SIZES, (BioFlags.NONE, BioFlags.NONE, FUA))
     for slot in range(85, 0, -7):
         bios.insert(slot, Bio.flush())
-    return report(array, drive(array, bios))
+    return bios
+
+
+@scenario
+def flush_beside_writes():
+    """``Op.FLUSH`` bios in the window with buffered and FUA writes."""
+    array = Array()
+    return report(array, drive(array, flush_beside_writes_bios(array)))
+
+
+@scenario
+def flush_beside_writes_traced():
+    """Tracing is inert where flushes are elided too: same digest as
+    ``flush_beside_writes``."""
+    array = Array(tracing=True)
+    return report(array, drive(array, flush_beside_writes_bios(array)))
 
 
 @scenario
@@ -651,6 +663,8 @@ def test_goldens_reach_the_branches_they_name():
     assert sorted(golden) == sorted(SCENARIOS)
     assert len(SCENARIOS) >= 20
     assert golden["sub_stripe"] == golden["sub_stripe_traced"]
+    assert golden["flush_beside_writes"] == \
+        golden["flush_beside_writes_traced"]
     for name in ("sub_stripe", "stripe_crossing", "fua_writes",
                  "preflush_commits", "flush_beside_writes", "failed_device",
                  "relocation_armed", "read_only_physical_zone",

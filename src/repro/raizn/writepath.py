@@ -81,11 +81,10 @@ class _WriteJoin:
               desc: Optional[LogicalZoneDesc]) -> None:
         self.bio = bio
         self.done = done
-        #: The written zone; None for an ``Op.FLUSH``, which carries
-        #: ``marks`` — ``(desc, generation, SU count)`` per zone it may
-        #: mark persisted, as ``flush_all`` found them.
+        #: The written zone; None for an ``Op.FLUSH``, for which
+        #: ``flush_all`` sets ``marks`` — ``(desc, generation, SU count)``
+        #: per zone it may mark persisted, as it found them.
         self.desc = desc
-        self.marks = ()
         self.pending = 0
         self.armed = False
         self.failed = False

@@ -38,7 +38,9 @@ class Run:
         self.sim = Simulator()
         self.volume, devices = make_volume(self.sim, num_zones=num_zones)
         self.flushed = []                   # device names, in submit order
-        self.inflight = {}      # id(bio) -> (device, zone, start, bio)
+        #: id(bio) -> (device, zone, start, bio); the bio rides along so
+        #: its id is not reused while the entry stands.
+        self.inflight = {}
         for device in devices:
             self.watch(device)
 

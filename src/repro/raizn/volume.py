@@ -790,6 +790,8 @@ class RaiznVolume:
             for key in [k for k in self.relocated_parity if k[0] == zone]:
                 del self.relocated_parity[key]
             desc.reset()
+            # The zone stays blocked until the new generation is durable:
+            # a write admitted before then would overtake the queued ones.
             yield self.sim.all_of(gen_events)
         except DeviceError as exc:
             desc.reset_in_progress = False
@@ -798,6 +800,7 @@ class RaiznVolume:
             # and succeeds or fails on its own.
             self._drain_reset_pending(zone)
             return
+        desc.reset_in_progress = False
         self.stats.account(bio)
         bio.complete_time = self.sim.now
         done.succeed(bio)

@@ -112,11 +112,11 @@ class LogicalZoneDesc:
         return (lba - self.start_lba) // self.su
 
     def reset(self) -> None:
-        """Return the descriptor to the EMPTY state."""
+        """Return the descriptor to the EMPTY state (``reset_in_progress``
+        is the reset operation's own to clear)."""
         self.state = ZoneState.EMPTY
         self.write_pointer = self.start_lba
         self.reset_pointer = None
-        self.reset_in_progress = False
         self.has_relocations = False
         self.persistence.reset()
         self.buffers.clear()

@@ -547,9 +547,9 @@ def mdzone_rotation_three_zones():
 def reset_racing_queued_writes():
     """A zone reset with the zone's writes still in flight, writes and a
     second reset queued behind it, and a neighbour zone written
-    throughout.  Pinned as found: a write submitted after the reset has
-    cleared ``reset_in_progress`` but before it drains its queue overtakes
-    the queued writes and is refused (ROADMAP item 1)."""
+    throughout.  A write submitted while the reset persists the zone's
+    new generation waits behind the queued writes instead of overtaking
+    them, so none is refused."""
     array = Array()
     streams = Streams(array, 17, (0, 1))
     for round_ in range(4):
@@ -700,8 +700,7 @@ def test_goldens_reach_the_branches_they_name():
         "device_fails_mid_write", "reset_racing_queued_writes",
         "mdzone_rotation_partial_parity", "mdzone_rotation_general",
         "mdzone_rotation_three_zones"}
-    assert golden["reset_racing_queued_writes"]["errors"] == {
-        "WritePointerViolation": 4}
+    assert golden["reset_racing_queued_writes"]["errors"] == {}
     assert golden["failed_reset_releases_queued_writes"]["errors"] == {
         "DeviceFailedError": 1, "WritePointerViolation": 1}
     for name in ("failed_device", "device_fails_mid_write"):

@@ -51,6 +51,7 @@ from ..faults.oracle import (
     check_persistence_bitmap_soundness,
     check_recovered_volume,
 )
+from ..raizn.address import AddressMapper
 from ..raizn.maintenance import run_scrub
 from ..raizn.rebuild import rebuild
 from ..raizn.recovery import mount
@@ -146,7 +147,7 @@ def mechanism_signature(volume: RaiznVolume) -> FrozenSet[str]:
 def candidate_mechanism_key(snaps: Sequence[CrashSnapshot],
                             spaces: Sequence[Dict[int, List[int]]],
                             assignment: Sequence[Dict[int, int]],
-                            md_start: Optional[int] = None) -> Tuple:
+                            mapper: AddressMapper) -> Tuple:
     """Pre-mount abstraction of which mechanisms a crash state can reach.
 
     Computed from the boundary snapshot + survivor assignment alone (no
@@ -157,22 +158,27 @@ def candidate_mechanism_key(snaps: Sequence[CrashSnapshot],
     way.  The key is: the set of failed devices (degraded assembly),
     whether any latent-error extent survives the cut on a live device
     (read repair / parity heal), whether any zone is worn out —
-    READ_ONLY/OFFLINE — (wear redirection), and the *worst* survivor
+    READ_ONLY/OFFLINE — (wear redirection), the *worst* survivor
     class among dirty data zones and, separately, metadata zones
     (0 = settled to the durable pointer, 2 = full cache survived,
-    1 = in between; ``md_start`` is the first metadata zone index,
-    without it all zones count as data).  The worst class decides
-    whether recovery faces rollback + relocation arming (class < 2) and
-    how deep; which particular zone triggered it does not change the
-    mechanism set.  Two candidates with equal keys put recovery in
-    front of the same mechanism triggers, so mounting one stands in for
-    both.
+    1 = in between; zones from ``mapper.num_data_zones`` on are
+    metadata), and whether a data-zone survivor ends mid-unit inside a
+    unit its device holds parity for (the mount relocates that stripe's
+    parity — §5.2 — and rebuilds it from the partial-parity log).  The
+    worst class decides whether recovery faces rollback + relocation
+    arming (class < 2) and how deep; which particular zone triggered it
+    does not change the mechanism set.  Two candidates with equal keys
+    put recovery in front of the same mechanism triggers, so mounting
+    one stands in for both.
     """
     failed = []
     any_bad = False
     worn = False
+    torn_parity = False
     data_worst = 2
     md_worst = 2
+    md_start = mapper.num_data_zones
+    su = mapper.su
     for index, snap in enumerate(snaps):
         if snap.failed:
             failed.append(index)
@@ -186,10 +192,14 @@ def candidate_mechanism_key(snaps: Sequence[CrashSnapshot],
                 cls = 2
             else:
                 cls = 1
-            if md_start is not None and zone >= md_start:
+            if zone >= md_start:
                 md_worst = min(md_worst, cls)
-            else:
-                data_worst = min(data_worst, cls)
+                continue
+            data_worst = min(data_worst, cls)
+            in_zone = survivor - zone * mapper.phys_zone_size
+            if in_zone % su and mapper.stripe_layout(
+                    zone, in_zone // su).parity_device == index:
+                torn_parity = True
         if not any_bad:
             for zone, extents in sorted(snap.bad_extents.items()):
                 # Unnamed zones settle to their durable pointer.
@@ -201,7 +211,7 @@ def candidate_mechanism_key(snaps: Sequence[CrashSnapshot],
                             or row[0] is ZoneState.OFFLINE
                             for row in snap.zones):
             worn = True
-    return (tuple(failed), any_bad, worn, data_worst, md_worst)
+    return (tuple(failed), any_bad, worn, data_worst, md_worst, torn_parity)
 
 
 # ---------------------------------------------------------------- campaign
@@ -438,7 +448,7 @@ class _Campaign:
         sim, _, volume = fresh_array(
             self.seed, zone_reset_limit=ENDURANCE_LIMIT, **SOAK_OVERRIDES)
         devices = volume.devices  # the live slots: rebuild swaps one
-        self.md_start = volume.num_data_zones
+        self.mapper = volume.mapper
         expect = expectation_for(volume)
         specs = _phase_specs(self.quick)
         report.phases = len(specs)
@@ -539,7 +549,7 @@ class _Campaign:
             for assignment in assignments:
                 report.candidates += 1
                 key = candidate_mechanism_key(snaps, spaces, assignment,
-                                              self.md_start)
+                                              self.mapper)
                 if key in self.explored:
                     report.pruned += 1
                     self._pruned_serial += 1

@@ -238,11 +238,13 @@ class ReadPath:
             # unreadable (device lost or zone OFFLINE): the whole range is
             # reconstructed from redundancy.
         piece = _Piece(join, device, pba, lba, length, desc, parent)
-        if available and not (volume._failslow_on and
-                              self._avoid_for_reads(device, desc.zone)):
-            self._attempt_read(piece)
-        else:
+        if not available:
             self._degraded(piece)
+        elif volume._failslow_on and self._avoid_for_reads(device,
+                                                            desc.zone):
+            self._degraded(piece, bypass=True)
+        else:
+            self._attempt_read(piece)
 
     def _avoid_for_reads(self, device: int, zone: int) -> bool:
         """Should reads skip this (demoted) device in favour of
@@ -460,9 +462,11 @@ class ReadPath:
             return None
         return bytes(memoryview(buffer.data)[offset:offset + piece.length])
 
-    def _degraded(self, piece: _Piece, heal: bool = False) -> None:
-        """Reconstruct a piece whose device is unavailable (§4.2) or,
-        with ``heal``, whose media is bad (read-repair, :meth:`_healed`).
+    def _degraded(self, piece: _Piece, heal: bool = False,
+                  bypass: bool = False) -> None:
+        """Reconstruct a piece whose device is unavailable (§4.2), with
+        ``heal`` one whose media is bad (read-repair, :meth:`_healed`),
+        with ``bypass`` one whose device is demoted (:meth:`_bypassed`).
         A piece still in the stripe buffer leaves the durable heal to a
         future read of the sealed stripe."""
         data = self._from_stripe_buffer(piece)
@@ -471,7 +475,8 @@ class ReadPath:
         elif heal:
             self._reconstruct(piece, self._healed, whole=True)
         else:
-            self._reconstruct(piece, self._reconstructed)
+            self._reconstruct(piece, self._bypassed if bypass
+                              else self._reconstructed)
 
     def _reconstructed(self, recon: _Reconstruction,
                        exc: Optional[BaseException]) -> None:
@@ -481,6 +486,16 @@ class ReadPath:
         else:
             # The join copies: ``bytes.join`` never returns a bytearray.
             piece.join.deliver(piece.index, recon.accumulator)
+
+    def _bypassed(self, recon: _Reconstruction,
+                  exc: Optional[BaseException]) -> None:
+        """A demoted device's piece, served from redundancy.  Demoted is
+        not failed: when a survivor faults (a latent error on one is no
+        double fault here), the straggler still serves the piece."""
+        if exc is None:
+            self._reconstructed(recon, exc)
+        else:
+            self._attempt_read(recon.piece)
 
     def _healed(self, recon: _Reconstruction,
                 exc: Optional[BaseException]) -> None:

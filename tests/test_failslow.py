@@ -21,7 +21,7 @@ from repro.raizn import run_health_maintenance, slow_evicted_devices
 from repro.raizn.config import RaiznConfig
 from repro.raizn.volume import RaiznVolume
 from repro.sim import Simulator
-from repro.units import MiB
+from repro.units import KiB, MiB
 from repro.zns import ZNSDevice
 
 from conftest import TEST_STRIPE_UNIT, make_zns_devices, pattern
@@ -247,3 +247,18 @@ class TestHedgedReads:
         assert volume.execute(Bio.read(0, STRIPE)).result == \
             pattern(STRIPE, seed=0)
         assert devices[victim].stats.reads == before
+
+    def test_demoted_device_serves_when_a_survivor_faults(self, sim):
+        """Demoted is not failed: a latent error on the stripe's parity is
+        no double fault while the demoted device still answers."""
+        volume, devices = protected_volume(sim)
+        stripes = fill_zone(volume, 0)
+        prime_health(volume, stripes)
+        layout = volume.mapper.stripe_layout(0, 0)
+        victim = layout.data_devices[0]
+        volume.device_health[victim].demoted = True
+        devices[layout.parity_device].mark_bad(0, 4 * KiB)
+        before = devices[victim].stats.reads
+        assert volume.execute(Bio.read(0, STRIPE)).result == \
+            pattern(STRIPE, seed=0)
+        assert devices[victim].stats.reads == before + 1

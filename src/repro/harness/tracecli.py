@@ -88,8 +88,10 @@ def run_trace(quick: bool = False, seed: int = 0,
     print(f"workload: {len(bios)} bios, {moved / MiB:.1f} MiB moved, "
           f"{sim.now * 1e3:.3f} ms simulated")
     print(f"device flushes: {volume.writepath.flushes_issued} issued, "
-          f"{volume.writepath.flushes_elided} elided "
-          "(registry: writepath.flushes_issued / flushes_elided)")
+          f"{volume.writepath.flushes_elided} elided; "
+          f"{volume.writepath.units_sealed} stripe units sealed by their "
+          "FUA write (registry: writepath.flushes_issued / flushes_elided "
+          "/ units_sealed)")
     print()
     print(format_trace_report(sink, registry))
     with open(out, "w") as fh:

@@ -82,7 +82,8 @@ class MetricsRegistry:
         of volatile writes that flush elision reads), volume health, the
         device reads the degraded read path saved by joining a command in
         flight, the device flushes the write path sent and those an
-        ``Op.FLUSH`` did not, the per-device latency-health scores,
+        ``Op.FLUSH`` did not, the stripe units its FUA writes sealed,
+        the per-device latency-health scores,
         metadata-zone counters and — on a traced volume — rebuild
         progress."""
         registry = cls()
@@ -94,7 +95,8 @@ class MetricsRegistry:
         registry.register(
             "writepath",
             lambda: {"flushes_issued": volume.writepath.flushes_issued,
-                     "flushes_elided": volume.writepath.flushes_elided})
+                     "flushes_elided": volume.writepath.flushes_elided,
+                     "units_sealed": volume.writepath.units_sealed})
         if volume.rebuild_counters is not None:
             registry.register("rebuild", lambda: volume.rebuild_counters)
         for index, device in enumerate(volume.devices):

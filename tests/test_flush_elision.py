@@ -1,20 +1,22 @@
 """Flush elision (DESIGN.md, "What a FLUSH costs"): an ``Op.FLUSH`` sends
 a device flush only where one would change something — the device has
-accepted a volatile write since the last flush it completed, or holds a
-stripe unit this bio is about to mark persisted.  Device truth
-(``durable_pointer``) is the oracle throughout; the volume's own
-bookkeeping is never consulted.
+accepted a volatile write since the last flush it completed — and a unit
+whose FUA write is still in flight is left for that write to seal.
+Device truth (``durable_pointer``) is the oracle for every
+acknowledgement, beside the white-box check that no unit the bitmap
+marks persisted is volatile on its device.
 """
 
 import collections
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.block import Bio, BioFlags, Op
 from repro.block.device import BlockDevice
 from repro.errors import DeviceError, TransientCommandError
 from repro.faults import fresh_replacement
+from repro.faults.oracle import check_persistence_bitmap_soundness
 from repro.raizn import mount, rebuild
 from repro.raizn.mdzone import MetadataRole
 from repro.raizn.writepath import WritePath
@@ -218,31 +220,6 @@ def test_rebuilt_slot_starts_owed():
     assert run.flushes_during(Bio.flush()) == []
 
 
-def test_flush_over_a_fua_write_in_flight_flushes_its_device():
-    """What a mark may claim.  The FLUSH finds SU0 written but not yet
-    marked: its FUA write is in flight, durable only at its own
-    completion.  Eliding that device and marking SU0 anyway would let
-    the next FUA write be acknowledged over a volatile unit."""
-    run = Run()
-    volume, sim = run.volume, run.sim
-    volume.execute(Bio.flush())
-    su0_device = volume.devices[
-        volume.mapper.stripe_layout(0, 0).data_devices[0]]
-    first = volume.submit(Bio.write(0, pattern(SU, 6), DURABLE))
-    flush = volume.submit(Bio.flush())
-    acked = []
-    flush.add_callback(lambda ev: acked.append(volume.submit(
-        Bio.write(SU, pattern(4 * KiB, 7), DURABLE))))
-    while not (acked and acked[0].triggered):
-        sim.run(until=sim.now + 1e-6)
-    assert acked[0].ok
-    assert su0_device.zones[0].durable_pointer == SU, \
-        "FUA write at SU1 acknowledged over a volatile SU0"
-    assert su0_device.name in run.flushed
-    sim.run()
-    assert first.ok
-
-
 def test_counters_reach_the_registry():
     run = Run()
     volume = run.volume
@@ -252,6 +229,7 @@ def test_counters_reach_the_registry():
     flat = MetricsRegistry.for_volume(volume).flat()
     assert flat["writepath.flushes_issued"] == 7
     assert flat["writepath.flushes_elided"] == 3
+    assert flat["writepath.units_sealed"] == 0
     assert flat["writepath.flushes_issued"] == sum(
         flat[f"device.{device.name}.flushes"] for device in volume.devices)
     data_device = volume.devices[
@@ -382,11 +360,19 @@ class Script(Run):
         if flags & FUA:
             self.check_fua_ack(zone, offset + size)
             self.durable[zone] = max(self.durable[zone], offset + size)
+        self.check_bitmap()
 
     def flush_acked(self, event, vouched, pointers):
         assert event.ok, event.value
         self.check_flush_ack(pointers)
         self.durable = [max(pair) for pair in zip(self.durable, vouched)]
+        self.check_bitmap()
+
+    def check_bitmap(self):
+        """A unit marked persisted is durable on its device: the next FUA
+        write skips that device on the bitmap's word."""
+        violations = check_persistence_bitmap_soundness(self.volume)
+        assert not violations, violations[0]
 
     def barrier(self, op):
         volume = self.volume
@@ -461,32 +447,59 @@ def test_flush_acks_are_true_and_survive_a_crash(ops, depth):
     Script(ops, depth).crash_and_check()
 
 
+def assert_property_fails(match):
+    """The property, with a bug injected, fails on ``match`` (unshrunk:
+    detection is the point, not the smallest example)."""
+    unshrunk = settings(PROPERTY, phases=[Phase.generate])(
+        given(OPS, st.integers(1, 16))(
+            test_flush_acks_are_true_and_survive_a_crash.hypothesis
+            .inner_test))
+    with pytest.raises(AssertionError, match=match):
+        unshrunk()
+
+
 def test_property_fails_without_the_count(monkeypatch):
     """Detection power: a device that never reports a volatile write is
     never owed a flush after its first."""
     monkeypatch.setattr(BlockDevice, "volatile_writes",
                         property(lambda self: 0, lambda self, value: None),
                         raising=False)
-    with pytest.raises(AssertionError, match="FLUSH acked with"):
-        test_flush_acks_are_true_and_survive_a_crash()
+    assert_property_fails("FLUSH acked with")
 
 
-def test_property_fails_when_a_mark_outruns_the_flushes(monkeypatch):
-    """Detection power for the other half of the rule: send an
-    ``Op.FLUSH`` by the count alone and it marks units whose FUA write is
-    still in flight."""
-    flush = WritePath.flush
+def test_property_fails_when_a_flush_marks_a_device_it_did_not_flush(
+        monkeypatch):
+    """Detection power for the marking rule: an ``Op.FLUSH`` that marks
+    every unit below the write pointer, flushed or not, marks units
+    whose FUA write is still in flight — and device truth alone sees a
+    FUA write acknowledged over one (the white-box check, which would
+    see the mark first, is off)."""
+    make_join = WritePath._join
 
-    def by_the_count_alone(self, join, devices):
-        if join.desc is None:
-            devices = [slot for slot in devices
-                       if self.volume.devices[slot].volatile_writes
-                       > self._flush_covered[slot]]
-        if devices:
-            flush(self, join, devices)
-        else:
-            self.sim.schedule(0.0, join.flushed)
+    def flush_claims_every_device(self, bio, done, desc):
+        join = make_join(self, bio, done, desc)
+        if desc is None:
+            join.durable_devices.update(range(len(self.volume.devices)))
+        return join
 
-    monkeypatch.setattr(WritePath, "flush", by_the_count_alone)
-    with pytest.raises(AssertionError, match="FUA write acked with"):
-        test_flush_acks_are_true_and_survive_a_crash()
+    monkeypatch.setattr(WritePath, "_join", flush_claims_every_device)
+    monkeypatch.setattr(Script, "check_bitmap", lambda self: None)
+    assert_property_fails("FUA write acked with")
+
+
+def test_property_fails_when_a_plain_piece_seals(monkeypatch):
+    """Detection power for the seal: only a FUA piece's completion makes
+    its unit durable; a plain piece that ends a unit leaves it in the
+    device cache."""
+    device_write = WritePath._device_write
+
+    def sealing_plain_pieces(self, piece):
+        desc = piece.desc
+        if piece.stripe is None and not piece.flags and not (
+                piece.lba + len(piece.data) - desc.start_lba) % desc.su:
+            piece.seal = (desc.su_index_of(piece.lba),
+                          self.volume.generation[desc.zone])
+        return device_write(self, piece)
+
+    monkeypatch.setattr(WritePath, "_device_write", sealing_plain_pieces)
+    assert_property_fails("bitmap says persistent")

@@ -1,14 +1,19 @@
-"""An ``Op.FLUSH`` marks persisted what its device flushes covered, not
-what the zone holds when they complete (§5.3): a plain write accepted
-while they are in flight is behind none of them."""
+"""What the §5.3 persistence bitmap may mark, and when.  An ``Op.FLUSH``
+marks what its device flushes covered, not what the zone holds when they
+complete: a plain write accepted while they are in flight is behind none
+of them.  A FUA write that ends a stripe unit marks (seals) that unit
+when its own device command completes — before its logical bio is
+acknowledged, and never in a zone reset since."""
 
 from repro.block import Bio, BioFlags, Op
+from repro.faults.oracle import check_persistence_bitmap_soundness
 from repro.raizn import mount
 from repro.units import KiB
 
 from conftest import TEST_STRIPE_UNIT, make_volume, pattern
 
 SU = TEST_STRIPE_UNIT
+FUA = BioFlags.FUA
 DURABLE = BioFlags.FUA | BioFlags.PREFLUSH
 
 
@@ -82,3 +87,82 @@ def test_zone_reset_during_a_flush_is_not_marked_persisted(sim):
     sim.run()
     assert flush.ok and rewrite[0].complete_time < flush.value.complete_time
     assert volume.zone_descs[0].persistence.frontier == 0
+
+
+def test_fua_write_seals_its_unit_when_the_device_write_completes(sim):
+    volume, devices = make_volume(sim, num_zones=8)
+    volume.execute(Bio.flush())
+    su0, su1 = (devices[slot] for slot in
+                volume.mapper.stripe_layout(0, 0).data_devices[:2])
+    # The write's last piece is held up, so its bio is still out when the
+    # piece that ends SU0 lands.
+    su1.add_hook("service_delay", lambda dev, bio:
+                 1e-3 if bio.op is Op.WRITE else 0.0)
+    done = volume.submit(Bio.write(0, pattern(SU + 4 * KiB, seed=1), FUA))
+    persistence = volume.zone_descs[0].persistence
+    while su0.zones[0].durable_pointer < SU:
+        sim.run(until=sim.now + 1e-6)
+    assert persistence.is_persisted(0) and not done.triggered
+    assert volume.writepath.units_sealed == 1
+    sim.run()
+    assert done.ok and not persistence.is_persisted(1)
+
+
+def test_flush_over_an_in_flight_sealing_write_leaves_the_unit_to_its_seal(
+        sim):
+    """Every write since the last flush was FUA, so the ``Op.FLUSH`` owes
+    no device anything; the unit whose FUA write is still in flight is
+    not its to mark."""
+    volume, devices = make_volume(sim, num_zones=8)
+    volume.execute(Bio.flush())
+    su0 = devices[volume.mapper.stripe_layout(0, 0).data_devices[0]]
+    flushed = []
+    for device in devices:
+        device.add_hook("pre_apply", lambda dev, bio: flushed.append(dev)
+                        if bio.op is Op.FLUSH else None)
+    write = volume.submit(Bio.write(0, pattern(SU, seed=2), FUA))
+    flush = volume.submit(Bio.flush())
+    persistence = volume.zone_descs[0].persistence
+    while not flush.triggered:
+        sim.run(until=sim.now + 1e-6)
+    assert flush.ok and flushed == []
+    assert not write.triggered and not persistence.is_persisted(0)
+    assert su0.zones[0].durable_pointer == 0
+    sim.run()
+    assert write.ok and persistence.is_persisted(0)
+    assert su0.zones[0].durable_pointer == SU and flushed == []
+
+
+def test_write_that_outlives_a_zone_reset_marks_nothing(sim):
+    """A FUA write held up on its device past a reset of its zone and a
+    plain rewrite: neither its seal nor its own acknowledgement may mark
+    the rewritten zone's unit, which a later plain write fills in the
+    device cache only."""
+    volume, devices = make_volume(sim, num_zones=8)
+    volume.execute(Bio.flush())
+    su0 = devices[volume.mapper.stripe_layout(0, 0).data_devices[0]]
+    held = []
+
+    def hold_first_fua_data_write(dev, bio):
+        if bio.op is Op.WRITE and bio.flags and bio.offset < SU \
+                and not held:
+            held.append(bio)
+            return 10e-3
+        return 0.0
+
+    su0.add_hook("service_delay", hold_first_fua_data_write)
+    stale = volume.submit(Bio.write(0, pattern(SU, seed=3), FUA))
+    rewritten = []
+
+    def reset_then_rewrite():
+        yield volume.submit(Bio.zone_reset(0))
+        rewritten.append((yield volume.submit(
+            Bio.write(0, pattern(4 * KiB, seed=4)))))
+
+    sim.schedule(30e-6, sim.process, reset_then_rewrite())
+    sim.run()
+    assert stale.ok and rewritten[0].complete_time < stale.value.complete_time
+    assert not volume.zone_descs[0].persistence.is_persisted(0)
+    assert volume.writepath.units_sealed == 0
+    volume.execute(Bio.write(4 * KiB, pattern(SU - 4 * KiB, seed=5)))
+    assert check_persistence_bitmap_soundness(volume) == []

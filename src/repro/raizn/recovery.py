@@ -113,7 +113,7 @@ class _Recovery:
         yield from self._resume_interrupted_rewrites()
         for zone in range(volume.num_data_zones):
             yield from self._recover_zone(zone, partial_parity.get(zone, {}))
-        yield from self._audit_relocated_parity()
+        yield from self._audit_relocated_parity(partial_parity)
         yield from self._run_threshold_rewrites()
         yield from self._flush_repairs()
         self._bump_empty_generations()
@@ -402,7 +402,8 @@ class _Recovery:
                     volume.zone_descs[zone].start_lba:
                 volume.generation[zone] += 1
 
-    def _audit_relocated_parity(self):
+    def _audit_relocated_parity(
+            self, partial_parity: Dict[int, Dict[int, List[MetadataEntry]]]):
         """Verify on-device parity of complete stripes in remapped zones.
 
         After a rollback recovery, the parity PBAs of re-filled stripes
@@ -411,12 +412,13 @@ class _Recovery:
         parity of every complete stripe in a relocation-flagged zone from
         its (relocation-aware) data and record mismatches in the
         in-memory relocated-parity map, which the metadata compaction
-        below persists.  Skipped on a degraded mount: with a device
-        missing, reads themselves depend on parity.
+        below persists.  A degraded mount cannot recompute (reads
+        themselves depend on parity) and reads the logs instead.
         """
         volume = self.volume
         if any(dev is None or volume.failed[i]
                for i, dev in enumerate(volume.devices)):
+            self._relocated_parity_from_logs(partial_parity)
             return
         from ..block.bio import Bio as _Bio
         from .parity import stripe_parity
@@ -448,6 +450,38 @@ class _Recovery:
                     if onboard.error is None and onboard.result == expected:
                         continue
                 volume.relocated_parity[(zone, stripe)] = expected
+
+    def _relocated_parity_from_logs(
+            self, partial_parity: Dict[int, Dict[int, List[MetadataEntry]]]
+    ) -> None:
+        """Degraded mount: the full parity of every complete stripe whose
+        completing write logged its delta.  Only a write whose full parity
+        could not go in place logs one (§5.2), so the on-device parity SU
+        is stale, and the XOR of the stripe's deltas is its true parity
+        (DESIGN.md decision 2).  A chain with a gap cannot give it, and
+        the missing device's unit of that stripe is lost: say so rather
+        than serve it from the stale copy."""
+        volume = self.volume
+        width = volume.mapper.stripe_width
+        for zone, stripes in partial_parity.items():
+            desc = volume.zone_descs[zone]
+            for stripe, entries in stripes.items():
+                stripe_end = desc.start_lba + (stripe + 1) * width
+                if stripe_end > desc.write_pointer or \
+                        max(e.end_lba for e in entries) < stripe_end:
+                    continue
+                if _ZoneContent._contiguous_coverage(
+                        entries, stripe_end - width) < stripe_end:
+                    if (zone, stripe) in volume.relocated_parity:
+                        continue
+                    raise DataLossError(
+                        f"zone {zone} stripe {stripe}: relocated parity "
+                        "not recoverable from its partial-parity log")
+                parity = bytearray(volume.config.stripe_unit_bytes)
+                for entry in entries:
+                    offset, delta = decode_partial_parity(entry)
+                    xor_into(parity, delta, offset)
+                volume.relocated_parity[(zone, stripe)] = bytes(parity)
 
     def _resume_interrupted_rewrites(self):
         """Finish §5.2 zone rewrites whose copy phase completed pre-crash.

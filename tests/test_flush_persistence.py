@@ -5,12 +5,15 @@ of them.  A FUA write that ends a stripe unit marks (seals) that unit
 when its own device command completes — before its logical bio is
 acknowledged, and never in a zone reset since."""
 
+import pytest
+
 from repro.block import Bio, BioFlags, Op
+from repro.errors import TransientCommandError
 from repro.faults.oracle import check_persistence_bitmap_soundness
-from repro.raizn import mount
+from repro.raizn import RaiznConfig, RaiznVolume, mount
 from repro.units import KiB
 
-from conftest import TEST_STRIPE_UNIT, make_volume, pattern
+from conftest import TEST_STRIPE_UNIT, make_volume, make_zns_devices, pattern
 
 SU = TEST_STRIPE_UNIT
 FUA = BioFlags.FUA
@@ -165,4 +168,43 @@ def test_write_that_outlives_a_zone_reset_marks_nothing(sim):
     assert not volume.zone_descs[0].persistence.is_persisted(0)
     assert volume.writepath.units_sealed == 0
     volume.execute(Bio.write(4 * KiB, pattern(SU - 4 * KiB, seed=5)))
+    assert check_persistence_bitmap_soundness(volume) == []
+
+
+@pytest.mark.parametrize("flush_after, backoff", [
+    (0.0, 100e-6), (50e-6, 100e-6),
+    # The retry is scheduled, sent and done while the device flush is out:
+    # nothing is outstanding at either end of the flush.
+    (0.0, 0.0)])
+def test_flush_marks_nothing_in_a_zone_with_a_retry_outstanding(
+        sim, flush_after, backoff):
+    """The 4 KiB write that fills SU0 is refused once, transiently; an
+    ``Op.FLUSH`` is submitted right behind it, or while the retry waits
+    out its backoff.  The retry reaches the device after the flush did, so the
+    FLUSH may not mark SU0."""
+    devices = make_zns_devices(sim, num_zones=8)
+    volume = RaiznVolume.create(sim, devices, RaiznConfig(
+        num_data=4, stripe_unit_bytes=SU, transient_backoff_s=backoff))
+    volume.execute(Bio.write(0, pattern(SU - 4 * KiB, seed=9)))
+    su0 = devices[volume.mapper.stripe_layout(0, 0).data_devices[0]]
+    refused = []
+
+    def refuse_once(dev, bio):
+        if bio.op is Op.WRITE and bio.offset == SU - 4 * KiB \
+                and not refused:
+            refused.append(bio)
+            raise TransientCommandError(f"{dev.name}: injected")
+
+    su0.add_hook("pre_apply", refuse_once)
+    write = volume.submit(Bio.write(SU - 4 * KiB, pattern(4 * KiB, seed=10)))
+    flushes = []
+    if flush_after:
+        sim.schedule(flush_after, lambda: flushes.append(
+            volume.submit(Bio.flush())))
+    else:
+        flushes.append(volume.submit(Bio.flush()))
+    sim.run()
+    assert write.ok and flushes[0].ok and refused
+    assert su0.zones[0].durable_pointer == SU - 4 * KiB
+    assert not volume.zone_descs[0].persistence.is_persisted(0)
     assert check_persistence_bitmap_soundness(volume) == []

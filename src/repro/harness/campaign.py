@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
+import traceback
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -228,9 +229,18 @@ def checked_read(volume: RaiznVolume, expect: WorkloadExpectation,
                  report: "CampaignReport", phase: str, zone: int,
                  offset: int, length: int):
     """Read a range of ``zone`` and compare it with what was acked
-    (process); a mismatch is ``report.corruption(phase, ...)``."""
-    bio = yield volume.submit(
-        Bio.read(zone * volume.zone_capacity + offset, length))
+    (process); a mismatch is ``report.corruption(phase, ...)``, an
+    exception that is no ``ReproError`` a ``traceback`` violation."""
+    try:
+        bio = yield volume.submit(
+            Bio.read(zone * volume.zone_capacity + offset, length))
+    except ReproError:
+        raise
+    except Exception:
+        report.violation(phase=phase, zone=zone, offset=offset,
+                         length=length, check="traceback",
+                         detail=traceback.format_exc())
+        return
     if bio.result != bytes(
             expect.zones[zone].submitted[offset:offset + length]):
         report.corruption(phase, zone, offset, length)
@@ -290,31 +300,39 @@ def mount_and_check(sim, devices, expect: WorkloadExpectation,
     detail=...)`` under ``check``, or under the failing oracle's own
     name when ``check`` is None; ``report.oracle_checks`` counts each
     oracle that ran.  ``stability`` adds the remount-is-idempotent
-    check.  Returns the mounted volume, or None if it did not mount.
+    check.  An exception that is no ``ReproError`` is a ``traceback``
+    violation.  Returns the mounted volume, or None if it did not mount.
     """
     def flag(name: str, detail: str) -> None:
         report.violation(**where, check=check or name, detail=detail)
 
+    volume = None
     try:
-        volume = mount(sim, list(devices), **mount_overrides)
-    except ReproError as exc:
-        flag("mount", f"mount failed: {exc!r}")
-        return None
-    report.oracle_checks["recovered_volume"] += 1
-    for detail in check_recovered_volume(volume, expect):
-        flag("recovered_volume", detail)
-    report.oracle_checks["persistence_bitmap"] += 1
-    for detail in check_persistence_bitmap_soundness(volume):
-        flag("persistence_bitmap", detail)
-    if stability:
         try:
-            remounted = mount(sim, list(devices), **mount_overrides)
+            volume = mount(sim, list(devices), **mount_overrides)
         except ReproError as exc:
-            flag("mount_stability", f"remount failed: {exc!r}")
-            return volume
-        report.oracle_checks["mount_stability"] += 1
-        for detail in check_mount_stability(volume, remounted):
-            flag("mount_stability", detail)
+            flag("mount", f"mount failed: {exc!r}")
+            return None
+        report.oracle_checks["recovered_volume"] += 1
+        for detail in check_recovered_volume(volume, expect):
+            flag("recovered_volume", detail)
+        report.oracle_checks["persistence_bitmap"] += 1
+        for detail in check_persistence_bitmap_soundness(volume):
+            flag("persistence_bitmap", detail)
+        if stability:
+            try:
+                remounted = mount(sim, list(devices), **mount_overrides)
+            except ReproError as exc:
+                flag("mount_stability", f"remount failed: {exc!r}")
+                return volume
+            report.oracle_checks["mount_stability"] += 1
+            for detail in check_mount_stability(volume, remounted):
+                flag("mount_stability", detail)
+    except ReproError:
+        raise
+    except Exception:
+        report.violation(**where, check="traceback",
+                         detail=traceback.format_exc())
     return volume
 
 

@@ -18,7 +18,9 @@ from repro.faults import (
     check_persistence_bitmap_soundness,
     check_recovered_volume,
 )
-from repro.harness.campaign import LOGICAL_ZONE_CAPACITY, write_report
+from repro.harness import campaign
+from repro.harness.campaign import (LOGICAL_ZONE_CAPACITY, CampaignReport,
+                                    write_report)
 from repro.harness.crashtest import explore, scripted_workload
 from repro.raizn.recovery import mount
 from repro.raizn.writepath import WritePath
@@ -122,6 +124,39 @@ class TestOracleChecks:
             BioFlags.FUA | BioFlags.PREFLUSH)
         remounted = mount(sim, list(devices))
         assert check_mount_stability(recovered, remounted) == []
+
+
+class TestKernelReportsWhatItCannotCheck:
+    """An exception that is no ``ReproError`` — a bug, not a finding of
+    the oracle — becomes a ``traceback`` violation instead of killing
+    the campaign."""
+
+    @staticmethod
+    def broken(*_args, **_kwargs):
+        raise AssertionError("invariant broken")
+
+    def test_mount_that_raises(self, sim, monkeypatch):
+        _volume, devices = make_volume(sim)
+        report = CampaignReport()
+        monkeypatch.setattr(campaign, "mount", self.broken)
+        assert campaign.mount_and_check(
+            sim, devices, WorkloadExpectation(1, KiB), report,
+            {"state": "s0"}) is None
+        [finding] = report.violations
+        assert finding["state"] == "s0" and finding["check"] == "traceback"
+        assert "AssertionError: invariant broken" in finding["detail"]
+
+    def test_read_that_raises(self, sim, monkeypatch):
+        volume, _devices = make_volume(sim)
+        expect = WorkloadExpectation(volume.num_data_zones,
+                                     volume.zone_capacity)
+        report = CampaignReport()
+        monkeypatch.setattr(volume, "submit", self.broken)
+        sim.run_process(campaign.checked_read(volume, expect, report,
+                                              "workload", 0, 0, 4 * KiB))
+        [finding] = report.violations
+        assert finding["check"] == "traceback" and not report.corruptions
+        assert "AssertionError: invariant broken" in finding["detail"]
 
 
 class TestScriptedWorkload:

@@ -14,7 +14,7 @@ capacity to match the usable capacity of the RAIZN volume").
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..conv.device import ConventionalSSD
 from ..mdraid.raid5 import MdraidVolume
@@ -49,10 +49,11 @@ class ArrayScale:
         """Conventional device size matching RAIZN usable capacity."""
         return self.data_zones * self.zone_capacity
 
-    def config(self) -> RaiznConfig:
+    def config(self, **overrides) -> RaiznConfig:
         return RaiznConfig(num_data=self.num_devices - 1,
                            stripe_unit_bytes=self.stripe_unit_bytes,
-                           num_metadata_zones=self.num_metadata_zones)
+                           num_metadata_zones=self.num_metadata_zones,
+                           **overrides)
 
 
 SMALL = ArrayScale(num_zones=16, zone_capacity=2 * MiB)
@@ -60,15 +61,21 @@ DEFAULT = ArrayScale()
 LARGE = ArrayScale(num_zones=64, zone_capacity=8 * MiB)
 
 
-def make_raizn(sim: Simulator, scale: ArrayScale = DEFAULT,
-               seed: int = 0) -> Tuple[RaiznVolume, List[ZNSDevice]]:
-    """A freshly formatted RAIZN array at ``scale``."""
+def make_raizn(sim: Simulator, scale: ArrayScale = DEFAULT, seed: int = 0,
+               array_uuid: Optional[bytes] = None,
+               **overrides) -> Tuple[RaiznVolume, List[ZNSDevice]]:
+    """A freshly formatted RAIZN array at ``scale``.
+
+    ``array_uuid`` pins the formatted media for reproducible digests;
+    ``overrides`` are further :class:`RaiznConfig` fields.
+    """
     devices = [
         ZNSDevice(sim, name=f"zns{i}", num_zones=scale.num_zones,
                   zone_capacity=scale.zone_capacity, seed=seed + i)
         for i in range(scale.num_devices)
     ]
-    volume = RaiznVolume.create(sim, devices, scale.config())
+    volume = RaiznVolume.create(sim, devices, scale.config(**overrides),
+                                array_uuid=array_uuid)
     return volume, devices
 
 

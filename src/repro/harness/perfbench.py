@@ -1,9 +1,8 @@
-"""Wall-clock performance macro-benchmark of the simulator datapath.
+"""Fixed-seed datapath scenarios: the simulator's behaviour pin.
 
-Every paper figure in this repository is produced by the discrete-event
-simulator, so the wall-clock rate at which simulated IOs retire bounds
-how large the reproduced sweeps can get.  This harness measures that
-rate on workloads representative of the figures:
+Eight scenarios, representative of the figures, each run on a fresh
+five-device array at the experiments' default geometry
+(``arrays.DEFAULT``):
 
 * ``seq_write`` — deep-queue sequential writes across many logical zones
   (the RAID-5 write path: stripe fan-out, parity, partial-parity logs);
@@ -16,164 +15,61 @@ rate on workloads representative of the figures:
   fourth stripe unit is reconstructed from parity;
 * ``scrub_overhead`` — the same reads with a background parity scrub
   running and a sprinkling of latent media errors, so the foreground
-  rate includes verify-and-heal traffic;
+  reads meet verify-and-heal traffic;
 * ``tail_latency`` — the same reads with fail-slow protection enabled
   and one gray-failing (persistently slow, intermittently stalling)
-  device, so the rate includes hedge timers, reconstruction races, and
-  health scoring (the committed tail-latency numbers themselves live in
+  device, so hedge timers, reconstruction races and health scoring run
+  (the committed tail-latency numbers themselves live in
   ``BENCH_tail.json``, produced by ``python -m repro slowtest``);
 * ``tracing_overhead`` — ``seq_write`` rerun with per-bio span tracing
   (``RaiznConfig.tracing``) enabled.  The tracer is inert, so the run
-  must produce the *same digest* as ``seq_write`` (asserted), and the
-  CPU-time delta between the two is the tracing tax, reported as
-  ``tracing_overhead_pct`` (budget: < 3% on an otherwise idle machine).
-  Because the effect is a few percent while timing noise on a shared
-  machine can be 10%+, the percentage comes from a dedicated
-  *interleaved paired* measurement (alternating fresh builds,
-  best-of-N CPU seconds each; see ``_paired_tracing_overhead``) rather
-  than from the two scenario rows.
+  must produce the *same digest* as ``seq_write``.
 
-Each scenario reports **simulated MiB moved per wall-clock second** —
-higher is a faster simulator, not a faster simulated device.  The run
-also produces a determinism digest (simulated clock, device/volume stats
-counters, SHA-256 of every device's media) so optimizations can assert
-byte-identical simulation results.
-
-Run it from the repository root::
-
-    PYTHONPATH=src python -m repro.harness.perfbench            # full
-    PYTHONPATH=src RAIZN_PERF_FAST=1 python -m repro.harness.perfbench
-
-Profile the dominant scenario::
-
-    PYTHONPATH=src python -m cProfile -s cumtime \
-        -m repro.harness.perfbench --only seq_write
+:func:`run_scenario` returns a determinism digest (simulated clock,
+device/volume stats counters, SHA-256 of every device's media), the
+simulated seconds and the bytes moved.  ``tests/test_perfbench.py``
+checks all eight against ``tests/data/perfbench_goldens.json``; a moved
+digest means datapath behaviour moved.  Host time is measured by the
+repository benchmark (``bench/run.py``), not here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import statistics
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..block.bio import Bio, BioFlags
-from ..raizn.config import RaiznConfig
 from ..raizn.volume import RaiznVolume
 from ..sim import Simulator, simulation_gc
-from ..units import KiB, MiB
+from ..units import KiB
 from ..zns.device import ZNSDevice
+from .arrays import DEFAULT, make_raizn
 
 #: Pinned array UUID so formatted media contents are reproducible.
 BENCH_UUID = bytes(range(16))
+
+#: The seed the committed digests were taken at.
+SEED = 20230403
+#: Logical zones each write scenario touches.
+ZONES_USED = 8
+#: Outstanding IOs per scenario driver.
+IODEPTH = 64
+#: Standalone flush every N writes in the OLTP scenario.
+FLUSH_INTERVAL = 32
 
 SCENARIO_NAMES = ("seq_write", "multizone_write", "oltp_flush",
                   "seq_read", "degraded_read", "scrub_overhead",
                   "tail_latency", "tracing_overhead")
 
-#: Scenarios whose wall-clock rate defines the write-path macro number.
-WRITE_PATH_SCENARIOS = ("seq_write", "multizone_write", "oltp_flush")
-
-
-@dataclasses.dataclass(frozen=True)
-class PerfScale:
-    """Array geometry and IO volume of one benchmark configuration."""
-
-    num_devices: int = 5
-    num_zones: int = 32
-    zone_capacity: int = 4 * MiB
-    stripe_unit_bytes: int = 64 * KiB
-    #: Logical zones each write scenario touches.
-    zones_used: int = 8
-    #: Outstanding IOs per scenario driver.
-    iodepth: int = 64
-    #: Standalone flush every N writes in the OLTP scenario.
-    flush_interval: int = 32
-
-    def config(self) -> RaiznConfig:
-        return RaiznConfig(num_data=self.num_devices - 1,
-                           stripe_unit_bytes=self.stripe_unit_bytes)
-
-
-FULL_SCALE = PerfScale()
-FAST_SCALE = PerfScale(num_zones=16, zone_capacity=1 * MiB, zones_used=4,
-                       iodepth=32, flush_interval=16)
-
-
-@dataclasses.dataclass
-class ScenarioResult:
-    """Outcome of one scenario run."""
-
-    name: str
-    simulated_bytes: int
-    wall_seconds: float
-    sim_seconds: float
-    mib_per_wall_second: float
-    digest: str
-    #: Median and population stddev of the per-repeat wall times: the
-    #: best-of-N number above is the rate estimate, these two say how
-    #: noisy the machine was while producing it.
-    wall_median_seconds: float = 0.0
-    wall_stddev_seconds: float = 0.0
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "simulated_bytes": self.simulated_bytes,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "wall_median_seconds": round(self.wall_median_seconds, 4),
-            "wall_stddev_seconds": round(self.wall_stddev_seconds, 4),
-            "sim_seconds": round(self.sim_seconds, 6),
-            "mib_per_wall_second": round(self.mib_per_wall_second, 1),
-            "digest": self.digest,
-        }
-
-
-@dataclasses.dataclass
-class PerfReport:
-    """Aggregated benchmark outcome."""
-
-    scenarios: List[ScenarioResult]
-    #: Combined digest over every scenario digest, in order.
-    digest: str
-    write_path_mib_per_wall_second: float
-    total_wall_seconds: float
-    #: CPU-time cost of span tracing: percent slowdown of
-    #: ``tracing_overhead`` vs ``seq_write``, from the interleaved
-    #: paired measurement (None if either scenario was skipped).
-    tracing_overhead_pct: Optional[float] = None
-
-    def scenario(self, name: str) -> ScenarioResult:
-        for result in self.scenarios:
-            if result.name == name:
-                return result
-        raise KeyError(name)
-
-    def to_json(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "scenarios": [s.to_json() for s in self.scenarios],
-            "digest": self.digest,
-            "write_path_mib_per_wall_second":
-                round(self.write_path_mib_per_wall_second, 1),
-            "total_wall_seconds": round(self.total_wall_seconds, 3),
-        }
-        if self.tracing_overhead_pct is not None:
-            out["tracing_overhead_pct"] = round(self.tracing_overhead_pct, 2)
-        return out
-
 
 # -- scenario plumbing ---------------------------------------------------------
 
 
-def _fresh_array(scale: PerfScale,
-                 seed: int) -> Tuple[Simulator, RaiznVolume, List[ZNSDevice]]:
+def _fresh_array(seed: int,
+                 **overrides) -> Tuple[Simulator, RaiznVolume, List[ZNSDevice]]:
     sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=scale.num_zones,
-                         zone_capacity=scale.zone_capacity, seed=seed + i)
-               for i in range(scale.num_devices)]
-    volume = RaiznVolume.create(sim, devices, scale.config(),
-                                array_uuid=BENCH_UUID)
+    volume, devices = make_raizn(sim, DEFAULT, seed, array_uuid=BENCH_UUID,
+                                 **overrides)
     return sim, volume, devices
 
 
@@ -192,8 +88,7 @@ class _Driver:
     process version is preserved 1:1 — grant hops land in the same slots,
     waiter wake-ups ride the same single-callback dispatch — so fixed-seed
     digests are unchanged while the per-bio process machinery (generator
-    send, resume trampoline, request-event allocation) disappears from
-    the measured wall time.
+    send, resume trampoline, request-event allocation) is gone.
     """
 
     __slots__ = ("sim", "volume", "requests", "in_flight", "iodepth",
@@ -293,36 +188,36 @@ def _drive(sim: Simulator, volume: RaiznVolume,
     return moved
 
 
-def _seq_write_bios(volume: RaiznVolume, scale: PerfScale,
-                    block_size: int, seed: int) -> List[Bio]:
+def _seq_write_bios(volume: RaiznVolume, block_size: int,
+                    seed: int) -> List[Bio]:
     data = _payload(block_size, seed)
     bios = []
-    for zone in range(scale.zones_used):
+    for zone in range(ZONES_USED):
         start = zone * volume.zone_capacity
         for off in range(0, volume.zone_capacity, block_size):
             bios.append(Bio.write(start + off, data))
     return bios
 
 
-def _multizone_write_bios(volume: RaiznVolume, scale: PerfScale,
-                          block_size: int, seed: int) -> List[Bio]:
+def _multizone_write_bios(volume: RaiznVolume, block_size: int,
+                          seed: int) -> List[Bio]:
     """Round-robin over zones: every zone sequential, globally interleaved."""
     data = _payload(block_size, seed)
-    cursors = [z * volume.zone_capacity for z in range(scale.zones_used)]
+    cursors = [z * volume.zone_capacity for z in range(ZONES_USED)]
     per_zone = volume.zone_capacity // block_size
     bios = []
     for step in range(per_zone):
-        for zone in range(scale.zones_used):
+        for zone in range(ZONES_USED):
             bios.append(Bio.write(cursors[zone], data))
             cursors[zone] += block_size
     return bios
 
 
-def _oltp_bios(volume: RaiznVolume, scale: PerfScale, seed: int) -> List[Bio]:
+def _oltp_bios(volume: RaiznVolume, seed: int) -> List[Bio]:
     """4 KiB FUA commits with periodic checkpoint-style flushes."""
     block_size = 4 * KiB
     data = _payload(block_size, seed)
-    zones = max(2, scale.zones_used // 2)
+    zones = ZONES_USED // 2
     cursors = [z * volume.zone_capacity for z in range(zones)]
     budget = volume.zone_capacity // 4 // block_size  # quarter zone each
     bios: List[Bio] = []
@@ -331,15 +226,14 @@ def _oltp_bios(volume: RaiznVolume, scale: PerfScale, seed: int) -> List[Bio]:
             bios.append(Bio.write(cursors[zone], data,
                                   BioFlags.FUA | BioFlags.PREFLUSH))
             cursors[zone] += block_size
-            if len(bios) % scale.flush_interval == 0:
+            if len(bios) % FLUSH_INTERVAL == 0:
                 bios.append(Bio.flush())
     return bios
 
 
-def _read_bios(volume: RaiznVolume, scale: PerfScale,
-               block_size: int) -> List[Bio]:
+def _read_bios(volume: RaiznVolume, block_size: int) -> List[Bio]:
     bios = []
-    for zone in range(scale.zones_used):
+    for zone in range(ZONES_USED):
         start = zone * volume.zone_capacity
         for off in range(0, volume.zone_capacity, block_size):
             bios.append(Bio.read(start + off, block_size))
@@ -370,172 +264,76 @@ def _digest_state(sim: Simulator, volume: RaiznVolume,
 # -- scenarios ------------------------------------------------------------------
 
 
-def _run_scenario(name: str, scale: PerfScale, seed: int,
-                  repeats: int = 1) -> ScenarioResult:
-    """Run one scenario ``repeats`` times; report the best wall-clock run.
-
-    The simulation itself is deterministic, so every repeat must produce
-    the same digest and simulated end time — asserted here — and the
-    minimum wall time is the least noise-contaminated estimate of the
-    simulator's speed (standard best-of-N benchmarking practice).
-    """
-    builder: Callable[..., Tuple] = _SCENARIOS[name]
-    walls: List[float] = []
-    digest: Optional[str] = None
-    for _ in range(repeats):
-        sim, volume, devices, bios = builder(scale, seed)
-        sim_start = sim.now
-        driver = _Driver(sim, volume, bios, scale.iodepth)
-        sim.schedule(0.0, driver._start)
-        # The timed window is the event-loop execution alone: driver
-        # setup, the drain verification below, and the context manager's
-        # closing gc.collect() all measure the harness, not the
-        # simulator, and were adding tens of milliseconds of noise.
-        with simulation_gc():
-            wall_start = time.perf_counter()
-            sim.run()
-            walls.append(time.perf_counter() - wall_start)
-        if driver.index < len(bios) or \
-                not all(e.triggered for e in driver.completions):
-            raise RuntimeError("driver stalled before draining all requests")
-        moved = sum(bio.length for bio in bios)
-        run_digest = _digest_state(sim, volume, devices)
-        if digest is None:
-            digest = run_digest
-        elif run_digest != digest:
-            raise AssertionError(
-                f"{name}: digest varies across same-seed repeats "
-                f"({digest[:16]} vs {run_digest[:16]})")
-        sim_seconds = sim.now - sim_start
-    assert walls and digest is not None
-    best_wall = min(walls)
-    return ScenarioResult(
-        name=name,
-        simulated_bytes=moved,
-        wall_seconds=best_wall,
-        sim_seconds=sim_seconds,
-        mib_per_wall_second=(moved / MiB) / best_wall if best_wall else 0.0,
-        digest=digest,
-        wall_median_seconds=statistics.median(walls),
-        wall_stddev_seconds=statistics.pstdev(walls) if len(walls) > 1
-        else 0.0,
-    )
+def _build_seq_write(seed: int):
+    sim, volume, devices = _fresh_array(seed)
+    return sim, volume, devices, _seq_write_bios(volume, 64 * KiB, seed)
 
 
-def _build_seq_write(scale: PerfScale, seed: int):
-    sim, volume, devices = _fresh_array(scale, seed)
-    return sim, volume, devices, _seq_write_bios(volume, scale, 64 * KiB,
-                                                 seed)
+def _build_multizone_write(seed: int):
+    sim, volume, devices = _fresh_array(seed)
+    return sim, volume, devices, _multizone_write_bios(volume, 16 * KiB, seed)
 
 
-def _build_multizone_write(scale: PerfScale, seed: int):
-    sim, volume, devices = _fresh_array(scale, seed)
-    return sim, volume, devices, _multizone_write_bios(volume, scale,
-                                                       16 * KiB, seed)
+def _build_oltp(seed: int):
+    sim, volume, devices = _fresh_array(seed)
+    return sim, volume, devices, _oltp_bios(volume, seed)
 
 
-def _build_oltp(scale: PerfScale, seed: int):
-    sim, volume, devices = _fresh_array(scale, seed)
-    return sim, volume, devices, _oltp_bios(volume, scale, seed)
+def _prime(sim: Simulator, volume: RaiznVolume, seed: int) -> None:
+    _drive(sim, volume, _seq_write_bios(volume, 256 * KiB, seed), IODEPTH)
 
 
-def _prime(sim: Simulator, volume: RaiznVolume, scale: PerfScale,
-           seed: int) -> None:
-    _drive(sim, volume, _seq_write_bios(volume, scale, 256 * KiB, seed),
-           scale.iodepth)
+def _build_seq_read(seed: int):
+    sim, volume, devices = _fresh_array(seed)
+    _prime(sim, volume, seed)
+    return sim, volume, devices, _read_bios(volume, 64 * KiB)
 
 
-def _build_seq_read(scale: PerfScale, seed: int):
-    sim, volume, devices = _fresh_array(scale, seed)
-    _prime(sim, volume, scale, seed)
-    return sim, volume, devices, _read_bios(volume, scale, 64 * KiB)
-
-
-def _build_degraded_read(scale: PerfScale, seed: int):
-    sim, volume, devices = _fresh_array(scale, seed)
-    _prime(sim, volume, scale, seed)
+def _build_degraded_read(seed: int):
+    sim, volume, devices = _fresh_array(seed)
+    _prime(sim, volume, seed)
     volume.fail_device(1)
-    return sim, volume, devices, _read_bios(volume, scale, 64 * KiB)
+    return sim, volume, devices, _read_bios(volume, 64 * KiB)
 
 
-def _build_scrub_overhead(scale: PerfScale, seed: int):
+def _build_scrub_overhead(seed: int):
     from ..raizn.maintenance import scrub_process
 
-    sim, volume, devices = _fresh_array(scale, seed)
-    _prime(sim, volume, scale, seed)
+    sim, volume, devices = _fresh_array(seed)
+    _prime(sim, volume, seed)
     # Deterministic sprinkling of latent (UNC) errors so the scrub and
     # the foreground reads both exercise the read-repair path.
-    su = scale.stripe_unit_bytes
-    for zone in range(scale.zones_used):
-        device = devices[(zone + 2) % scale.num_devices]
+    su = DEFAULT.stripe_unit_bytes
+    for zone in range(ZONES_USED):
+        device = devices[(zone + 2) % DEFAULT.num_devices]
         device.mark_bad(zone * volume.phys_zone_size + (zone % 4) * su, su)
     sim.process(scrub_process(sim, volume))
-    return sim, volume, devices, _read_bios(volume, scale, 64 * KiB)
+    return sim, volume, devices, _read_bios(volume, 64 * KiB)
 
 
-def _paired_tracing_overhead(scale: PerfScale, seed: int,
-                             repeats: int) -> float:
-    """Tracing tax, measured as interleaved best-of-N pairs.
-
-    Timing noise on a shared machine easily exceeds the few-percent
-    effect being measured, and it drifts over seconds — so comparing a
-    ``seq_write`` timed early in the benchmark against a
-    ``tracing_overhead`` timed much later mostly measures the machine.
-    Two countermeasures: alternate fresh builds of the two scenarios
-    and compare their per-scenario *minima* (the least
-    noise-contaminated estimate of each true cost), and time CPU
-    seconds (``time.process_time``) rather than wall seconds, which is
-    insensitive to the scheduler preempting the benchmark entirely.
-    """
-    best = {"seq_write": float("inf"), "tracing_overhead": float("inf")}
-    for _ in range(max(3, repeats)):
-        for name in best:
-            sim, volume, devices, bios = _SCENARIOS[name](scale, seed)
-            start = time.process_time()
-            _drive(sim, volume, bios, scale.iodepth)
-            cpu = time.process_time() - start
-            if cpu < best[name]:
-                best[name] = cpu
-    return ((best["tracing_overhead"] - best["seq_write"])
-            / best["seq_write"] * 100.0)
-
-
-def _build_tracing_overhead(scale: PerfScale, seed: int):
+def _build_tracing_overhead(seed: int):
     """``seq_write`` with span tracing on: same bios, same seed, same
     geometry — only ``config.tracing`` differs, so the digest must match
-    ``seq_write`` exactly and the wall-clock delta is pure tracer cost."""
-    sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=scale.num_zones,
-                         zone_capacity=scale.zone_capacity, seed=seed + i)
-               for i in range(scale.num_devices)]
-    config = dataclasses.replace(scale.config(), tracing=True)
-    volume = RaiznVolume.create(sim, devices, config, array_uuid=BENCH_UUID)
-    return sim, volume, devices, _seq_write_bios(volume, scale, 64 * KiB,
-                                                 seed)
+    ``seq_write`` exactly."""
+    sim, volume, devices = _fresh_array(seed, tracing=True)
+    return sim, volume, devices, _seq_write_bios(volume, 64 * KiB, seed)
 
 
-def _build_tail_latency(scale: PerfScale, seed: int):
+def _build_tail_latency(seed: int):
     """Hedged-read path under a gray failure: protection on, EWMAs
     primed by a clean read pass, then one device degraded 3x with
-    intermittent 5 ms stalls — the read rate includes hedge timers,
+    intermittent 5 ms stalls — the reads meet hedge timers,
     reconstruction races, and health-score bookkeeping."""
     from ..faults.failslow import SlowDeviceSpec, SlowPlan
 
-    sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=scale.num_zones,
-                         zone_capacity=scale.zone_capacity, seed=seed + i)
-               for i in range(scale.num_devices)]
-    config = RaiznConfig(num_data=scale.num_devices - 1,
-                         stripe_unit_bytes=scale.stripe_unit_bytes,
-                         failslow_protection=True)
-    volume = RaiznVolume.create(sim, devices, config, array_uuid=BENCH_UUID)
-    _prime(sim, volume, scale, seed)
-    _drive(sim, volume, _read_bios(volume, scale, 64 * KiB), scale.iodepth)
+    sim, volume, devices = _fresh_array(seed, failslow_protection=True)
+    _prime(sim, volume, seed)
+    _drive(sim, volume, _read_bios(volume, 64 * KiB), IODEPTH)
     plan = SlowPlan(seed=seed + 1, specs=[
         SlowDeviceSpec(device_index=1, degrade_factor=3.0,
                        stall_probability=0.1, stall_seconds=5e-3)])
     plan.arm(devices)
-    return sim, volume, devices, _read_bios(volume, scale, 64 * KiB)
+    return sim, volume, devices, _read_bios(volume, 64 * KiB)
 
 
 _SCENARIOS = {
@@ -550,213 +348,13 @@ _SCENARIOS = {
 }
 
 
-# -- entry points ---------------------------------------------------------------
+def run_scenario(name: str, seed: int = SEED) -> Tuple[str, float, int]:
+    """Run one scenario; return ``(digest, sim_seconds, simulated_bytes)``.
 
-
-def _run_scenario_job(packed: Tuple[str, bool, int, int]) -> ScenarioResult:
-    """Module-level trampoline so worker processes can unpickle the call."""
-    name, fast, seed, repeats = packed
-    return _run_scenario(name, FAST_SCALE if fast else FULL_SCALE, seed,
-                         repeats)
-
-
-def run_datapath_bench(fast: bool = False, seed: int = 20230403,
-                       only: Optional[List[str]] = None,
-                       repeats: int = 1, jobs: int = 1,
-                       paired_tracing: bool = True) -> PerfReport:
-    """Run the macro-benchmark; returns per-scenario rates and a digest.
-
-    ``jobs > 1`` fans the scenarios out over worker processes.  Each
-    scenario is a self-contained fixed-seed simulation, so parallelism
-    cannot change any digest; results are merged back in ``SCENARIO_NAMES``
-    order regardless of completion order, making the report byte-for-byte
-    identical to a sequential run apart from wall times (which then
-    measure contended CPUs — use ``jobs=1`` for committed numbers).
+    ``sim_seconds`` counts from the end of the scenario's setup (format,
+    priming) to the last completion of its measured bios.
     """
-    scale = FAST_SCALE if fast else FULL_SCALE
-    names = [n for n in SCENARIO_NAMES if only is None or n in only]
-    if jobs > 1 and len(names) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(names))) as pool:
-            # Results are collected per-scenario and merged BY NAME, never
-            # by completion order: a worker finishing out of order, dying,
-            # or answering for the wrong slot cannot silently drop or
-            # shuffle a scenario in the merged report (a dropped scenario
-            # used to sail through ``--check`` because only scenarios
-            # present in the report were compared).
-            handles = [(name, pool.apply_async(
-                _run_scenario_job, ((name, fast, seed, repeats),)))
-                for name in names]
-            collected: Dict[str, ScenarioResult] = {}
-            for name, handle in handles:
-                result = handle.get()
-                if result.name != name:
-                    raise AssertionError(
-                        f"worker answered for scenario {result.name!r} "
-                        f"in the {name!r} slot")
-                if name in collected:
-                    raise AssertionError(f"duplicate result for {name!r}")
-                collected[name] = result
-        lost = [name for name in names if name not in collected]
-        if lost:
-            raise AssertionError(f"worker results lost for {lost}")
-        results = [collected[name] for name in names]
-    else:
-        results = [_run_scenario(name, scale, seed, repeats)
-                   for name in names]
-    by_name = {r.name: r for r in results}
-    tracing_pct: Optional[float] = None
-    if "seq_write" in by_name and "tracing_overhead" in by_name:
-        base = by_name["seq_write"]
-        traced = by_name["tracing_overhead"]
-        if traced.digest != base.digest:
-            raise AssertionError(
-                "tracing is not inert: traced seq_write digest "
-                f"{traced.digest[:16]} != untraced {base.digest[:16]}")
-        if paired_tracing:
-            tracing_pct = _paired_tracing_overhead(scale, seed, repeats)
-    combined = hashlib.sha256()
-    for result in results:
-        combined.update(result.digest.encode())
-    write_bytes = sum(r.simulated_bytes for r in results
-                      if r.name in WRITE_PATH_SCENARIOS)
-    write_wall = sum(r.wall_seconds for r in results
-                     if r.name in WRITE_PATH_SCENARIOS)
-    return PerfReport(
-        scenarios=results,
-        digest=combined.hexdigest(),
-        write_path_mib_per_wall_second=(
-            (write_bytes / MiB) / write_wall if write_wall else 0.0),
-        total_wall_seconds=sum(r.wall_seconds for r in results),
-        tracing_overhead_pct=tracing_pct,
-    )
-
-
-def format_report(report: PerfReport) -> str:
-    lines = [f"{'scenario':<18}{'sim MiB':>9}{'wall s':>9}{'MiB/wall-s':>12}"]
-    for result in report.scenarios:
-        lines.append(
-            f"{result.name:<18}{result.simulated_bytes / MiB:>9.1f}"
-            f"{result.wall_seconds:>9.3f}"
-            f"{result.mib_per_wall_second:>12.1f}")
-    lines.append(f"write-path macro: "
-                 f"{report.write_path_mib_per_wall_second:.1f} MiB/wall-s")
-    if report.tracing_overhead_pct is not None:
-        lines.append(f"tracing overhead: {report.tracing_overhead_pct:+.2f}% "
-                     "cpu, paired best-of-N (budget < 3% on idle machine)")
-    lines.append(f"digest: {report.digest}")
-    return "\n".join(lines)
-
-
-def check_digests(report: PerfReport, reference_path: str,
-                  expected_names: Optional[Sequence[str]] = None) -> List[str]:
-    """Compare the report's digests against a committed report JSON.
-
-    Returns a list of human-readable mismatch descriptions (empty when
-    every scenario digest present in both reports agrees).  Wall times
-    and rates are machine-dependent and deliberately not compared.
-
-    ``expected_names`` lists the scenarios the run was asked to produce
-    (defaults to every scenario in the reference): any of them present in
-    the reference but absent from the report is itself a mismatch.  A
-    dropped worker result must fail the check loudly, not shrink the
-    comparison set.
-    """
-    import json
-
-    with open(reference_path) as fh:
-        reference = json.load(fh)
-    if "scenarios" not in reference and "current" in reference:
-        # BENCH_datapath.json nests the authoritative report under
-        # ``current``; accept both that shape and a raw ``--json`` report.
-        reference = reference["current"]
-    ref_digests = {s["name"]: s["digest"]
-                   for s in reference.get("scenarios", [])}
-    if not ref_digests:
-        # An empty comparison set must never read as a pass.
-        return [f"{reference_path}: reference contains no scenario digests"]
-    problems = []
-    for result in report.scenarios:
-        expected = ref_digests.get(result.name)
-        if expected is None:
-            continue
-        if result.digest != expected:
-            problems.append(
-                f"{result.name}: digest {result.digest[:16]}... != "
-                f"committed {expected[:16]}...")
-    ran = {result.name for result in report.scenarios}
-    if expected_names is None:
-        expected_names = list(ref_digests)
-    for name in expected_names:
-        if name in ref_digests and name not in ran:
-            problems.append(
-                f"{name}: missing from report (reference digest "
-                f"{ref_digests[name][:16]}...)")
-    return problems
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    import argparse
-    import os
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fast", action="store_true",
-                        default=bool(os.environ.get("RAIZN_PERF_FAST")))
-    parser.add_argument("--only", action="append", choices=SCENARIO_NAMES)
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="best-of-N wall-clock measurement (default 3)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run scenarios in N worker processes "
-                        "(deterministic merge; wall times then measure "
-                        "contended CPUs)")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: single repeat, skip the "
-                        "paired tracing-overhead measurement (digests are "
-                        "unaffected)")
-    parser.add_argument("--check", metavar="REFERENCE_JSON",
-                        help="compare scenario digests against a committed "
-                        "report (e.g. BENCH_datapath.json); exit 1 on "
-                        "mismatch")
-    parser.add_argument("--profile", metavar="PSTATS_PATH",
-                        help="run under cProfile and dump pstats data to "
-                        "PSTATS_PATH")
-    parser.add_argument("--json", metavar="PATH",
-                        help="also write the report as JSON to PATH")
-    args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
-    repeats = 1 if args.quick else args.repeat
-    kwargs = dict(fast=args.fast, only=args.only, repeats=repeats,
-                  jobs=args.jobs, paired_tracing=not args.quick)
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        report = run_datapath_bench(**kwargs)
-        profiler.disable()
-        profiler.dump_stats(args.profile)
-        print(f"profile written to {args.profile} "
-              "(inspect with `python -m pstats`)")
-    else:
-        report = run_datapath_bench(**kwargs)
-    print(format_report(report))
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
-    if args.check:
-        problems = check_digests(report, args.check,
-                                 expected_names=args.only)
-        if problems:
-            for problem in problems:
-                print(f"DIGEST MISMATCH: {problem}")
-            raise SystemExit(1)
-        print(f"digests match {args.check}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    sim, volume, devices, bios = _SCENARIOS[name](seed)
+    start = sim.now
+    moved = _drive(sim, volume, bios, IODEPTH)
+    return _digest_state(sim, volume, devices), sim.now - start, moved

@@ -26,12 +26,12 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..block.bio import Bio, BioFlags
-from ..raizn.config import RaiznConfig
 from ..raizn.volume import RaiznVolume
 from ..sim import Simulator
 from ..trace import MetricsRegistry, format_trace_report, reconcile
 from ..units import KiB, MiB
 from ..zns.device import ZNSDevice
+from .arrays import ArrayScale, make_raizn
 from .perfbench import _drive, _payload
 
 #: Pinned array UUID: trace runs are deterministic per seed.
@@ -40,15 +40,11 @@ TRACE_UUID = bytes(reversed(range(16)))
 
 def _build(seed: int, quick: bool) -> Tuple[Simulator, RaiznVolume,
                                             List[ZNSDevice]]:
-    num_zones = 8 if quick else 16
-    zone_capacity = (1 if quick else 2) * MiB
+    scale = ArrayScale(num_zones=8 if quick else 16,
+                       zone_capacity=(1 if quick else 2) * MiB)
     sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=num_zones,
-                         zone_capacity=zone_capacity, seed=seed + i)
-               for i in range(5)]
-    config = RaiznConfig(num_data=4, tracing=True)
-    volume = RaiznVolume.create(sim, devices, config,
-                                array_uuid=TRACE_UUID)
+    volume, devices = make_raizn(sim, scale, seed, array_uuid=TRACE_UUID,
+                                 tracing=True)
     return sim, volume, devices
 
 

@@ -16,9 +16,10 @@ Design constraints, in order:
    ``RaiznConfig.tracing`` opts in; every instrumentation site in the
    datapath is guarded by a single ``is None`` test on a cached
    attribute, and no tracer object exists at all.
-2. **Near-zero cost when enabled.**  The perfbench ``tracing_overhead``
-   scenario budgets < 3% wall-clock slowdown, which at the simulator's
-   IO rate leaves well under a microsecond per span.  Three things
+2. **Near-zero cost when enabled.**  The budget is < 3% wall-clock
+   slowdown of a traced ``seq_write`` (perfbench's ``tracing_overhead``
+   scenario against ``seq_write``), which at the simulator's IO rate
+   leaves well under a microsecond per span.  Three things
    matter at that scale, and all shape the layout here.  First,
    per-span CPU: each ``(layer, name, device)`` triple is interned once
    into an integer *site id* (:meth:`Tracer.site`) and a whole ring
@@ -35,8 +36,8 @@ Design constraints, in order:
    plain scalars.
 3. **Inert.**  The tracer never schedules events, never draws from any
    RNG, and never touches device state, so a traced run produces
-   byte-identical simulation results (the perfbench digest asserts
-   this).
+   byte-identical simulation results (``tests/test_perfbench.py``
+   holds ``tracing_overhead`` to ``seq_write``'s digest).
 """
 
 from __future__ import annotations

@@ -39,12 +39,12 @@ def _traced_volume():
 
 class TestDisabledByDefault:
     def test_no_tracer_without_config_flag(self):
-        from repro.harness.perfbench import FAST_SCALE, _SCENARIOS
+        from repro.harness.perfbench import IODEPTH, _SCENARIOS
 
-        sim, volume, devices, bios = _SCENARIOS["seq_write"](FAST_SCALE, 3)
+        sim, volume, devices, bios = _SCENARIOS["seq_write"](3)
         assert volume.tracer is None
         assert all(dev.tracer is None for dev in devices)
-        _drive(sim, volume, bios, FAST_SCALE.iodepth)
+        _drive(sim, volume, bios, IODEPTH)
         # The per-bio trace slots never get touched.
         assert all(bio.span is None for bio in bios)
 

@@ -90,12 +90,6 @@ class AddressMapper:
         """Device assignment for one stripe (left-symmetric rotation)."""
         return self._layouts[(stripe + zone) % len(self._layouts)]
 
-    def stripe_of(self, lba: int) -> StripeLocation:
-        """The stripe containing ``lba``."""
-        zone = self.zone_of(lba)
-        offset = lba - self.zone_start(zone)
-        return self.stripe_layout(zone, offset // self.stripe_width)
-
     # -- LBA -> device/PBA ----------------------------------------------------------
 
     def lba_to_pba(self, lba: int) -> Tuple[int, int]:

@@ -22,11 +22,19 @@ import struct
 from typing import List, Optional, Tuple
 
 from ..block.bio import Bio
-from ..errors import MetadataError, RaiznError
+from ..errors import MediaError, MetadataError, RaiznError
 from ..sim import Simulator
+from ..zns.spec import ZoneState
 from .mdzone import MetadataRole
-from .metadata import MetadataEntry, MetadataType, decode_op_wal, encode_op_wal
+from .metadata import (
+    MetadataEntry,
+    decode_op_wal,
+    encode_op_wal,
+    encode_partial_parity,
+)
+from .parity import stripe_parity
 from .rebuild import ZoneStream, heal_relocations, rebuild
+from .volume import DeviceHealth
 
 #: OP_WAL opcodes.
 OP_ZONE_REWRITE_START = 1   # copy phase beginning (original intact)
@@ -129,15 +137,6 @@ def _desired_content(volume, device_index: int, zone: int):
     return bytes(out)
 
 
-def run_pending_rewrites(volume):
-    """Process-style: rewrite every over-threshold zone (mount time)."""
-    rewritten = []
-    for device_index, zone in zones_needing_rewrite(volume):
-        yield from rewrite_physical_zone(volume, device_index, zone)
-        rewritten.append((device_index, zone))
-    return rewritten
-
-
 # -- generation counter maintenance (§4.3) ------------------------------------
 
 
@@ -177,16 +176,6 @@ def run_generation_maintenance(sim: Simulator, volume):
     return True
 
 
-def find_maintenance_wal(entries) -> bool:
-    """True if a generation-maintenance WAL entry is present."""
-    for entry in entries:
-        if entry.mdtype is MetadataType.OP_WAL:
-            opcode, _payload = decode_op_wal(entry)
-            if opcode == OP_GEN_MAINTENANCE:
-                return True
-    return False
-
-
 # -- background scrubbing ------------------------------------------------------
 
 
@@ -216,6 +205,33 @@ class ScrubReport:
         }
 
 
+def check_stripe_parity(volume, desc, stripe: int, probe_if):
+    """Process-style check of one complete stripe's parity: read the
+    stripe through the volume's read path (which heals latent data errors
+    on the way) and recompute its parity; if ``probe_if(parity_device,
+    pba)`` holds, read the parity unit from its device — a media error
+    coming back as status — and compare.
+
+    Returns ``(parity, error, matches)``: the recomputed parity, the
+    probe's error, and whether the unit on the device equals the parity —
+    None when it was not probed.
+    """
+    su = volume.config.stripe_unit_bytes
+    bio = yield volume.submit(Bio.read(
+        desc.start_lba + stripe * desc.stripe_width, desc.stripe_width))
+    parity = stripe_parity([bio.result[i * su:(i + 1) * su]
+                            for i in range(volume.config.num_data)], su)
+    device = volume.mapper.stripe_layout(desc.zone, stripe).parity_device
+    pba = desc.zone * volume.phys_zone_size + stripe * su
+    if not probe_if(device, pba):
+        return parity, None, None
+    probe = Bio.read(pba, su)
+    probe.errors_as_status = True
+    onboard = yield volume.devices[device].submit(probe)
+    return parity, onboard.error, \
+        onboard.error is None and onboard.result == parity
+
+
 def scrub_process(sim: Simulator, volume, idle_delay: float = 0.0,
                   report: Optional[ScrubReport] = None):
     """Process-style background scrub pass over every written stripe.
@@ -232,79 +248,60 @@ def scrub_process(sim: Simulator, volume, idle_delay: float = 0.0,
     stripes so the scrub trickles along behind foreground IO instead of
     monopolising the channels.
     """
-    from ..errors import MediaError
-    from ..zns.spec import ZoneState
-    from .parity import stripe_parity
-
     if report is None:
         report = ScrubReport()
-    su = volume.config.stripe_unit_bytes
     heals_before = volume.health.heals
     for desc in volume.zone_descs:
         zone = desc.zone
-        full_stripes = desc.written_bytes // desc.stripe_width
-        for stripe in range(full_stripes):
-            stripe_lba = desc.start_lba + stripe * desc.stripe_width
-            bio = yield volume.submit(Bio.read(stripe_lba,
-                                               desc.stripe_width))
+        for stripe in range(desc.written_bytes // desc.stripe_width):
+            expected, error, matches = yield from check_stripe_parity(
+                volume, desc, stripe, _stored_on_media(volume, zone, stripe))
             report.stripes_scanned += 1
-            units = [bio.result[i * su:(i + 1) * su]
-                     for i in range(volume.config.num_data)]
-            expected = stripe_parity(units, su)
-            layout = volume.mapper.stripe_layout(zone, stripe)
-            parity_device = layout.parity_device
-            key = (zone, stripe)
-            relocated = volume.relocated_parity.get(key)
-            if relocated is not None:
-                # The authoritative parity is the in-memory/logged copy.
-                if bytes(relocated) != expected:
-                    report.parity_mismatches += 1
-                    yield from _heal_parity_copy(volume, desc, stripe,
-                                                 expected, report)
-                if idle_delay:
-                    yield sim.timeout(idle_delay)
-                continue
-            if not volume._device_available(parity_device, zone):
-                # Degraded: the parity is gone with the device; the
-                # rebuild recreates it.
-                if idle_delay:
-                    yield sim.timeout(idle_delay)
-                continue
-            pdesc = volume.phys[parity_device][zone]
-            pba = zone * volume.phys_zone_size + stripe * su
-            if pdesc.state is ZoneState.OFFLINE or \
-                    pdesc.write_pointer < pba + su:
-                # The parity PBA is unreadable (worn-out zone) or holds
-                # nothing; until healed, this stripe's parity exists only
-                # in partial-parity deltas.  Re-establish a full copy so
-                # degraded reads stop depending on the log.
-                if pdesc.state is ZoneState.OFFLINE:
-                    report.parity_media_errors += 1
-                else:
-                    report.parity_mismatches += 1
-                yield from _heal_parity_copy(volume, desc, stripe,
-                                             expected, report)
-                if idle_delay:
-                    yield sim.timeout(idle_delay)
-                continue
-            probe = Bio.read(pba, su)
-            probe.errors_as_status = True
-            onboard = yield volume.devices[parity_device].submit(probe)
-            if onboard.error is not None:
-                if isinstance(onboard.error, MediaError):
+            parity_device = volume.mapper.stripe_layout(
+                zone, stripe).parity_device
+            relocated = volume.relocated_parity.get((zone, stripe))
+            if matches is not None:
+                if isinstance(error, MediaError):
                     report.parity_media_errors += 1
                     volume.health.media_errors += 1
                     volume._note_device_error(parity_device)
-                yield from _heal_parity_copy(volume, desc, stripe,
-                                             expected, report)
-            elif onboard.result != expected:
+                elif error is None and not matches:
+                    report.parity_mismatches += 1
+            elif relocated is not None:
+                # The authoritative parity is the in-memory/logged copy.
+                matches = bytes(relocated) == expected
+                report.parity_mismatches += not matches
+            elif not volume._device_available(parity_device, zone):
+                # Degraded: the parity is gone with the device; the
+                # rebuild recreates it.
+                matches = True
+            elif volume.phys[parity_device][zone].state is ZoneState.OFFLINE:
+                # The parity PBA is unreadable (worn-out zone)...
+                report.parity_media_errors += 1
+            else:
+                # ...or holds nothing: until healed, this stripe's parity
+                # exists only in partial-parity deltas.
                 report.parity_mismatches += 1
-                yield from _heal_parity_copy(volume, desc, stripe,
-                                             expected, report)
+            if not matches:
+                yield from _heal_parity_copy(volume, desc, stripe, expected,
+                                             report)
             if idle_delay:
                 yield sim.timeout(idle_delay)
     report.data_heals = volume.health.heals - heals_before
     return report
+
+
+def _stored_on_media(volume, zone: int, stripe: int):
+    """``check_stripe_parity``'s probe condition for the scrub: the
+    stripe's stored parity is its unit on the device — no relocated copy
+    stands in for it — and that unit is whole on a readable zone."""
+    def probe_if(device: int, pba: int) -> bool:
+        pdesc = volume.phys[device][zone]
+        return (zone, stripe) not in volume.relocated_parity and \
+            volume._device_available(device, zone) and \
+            pdesc.state is not ZoneState.OFFLINE and \
+            pdesc.write_pointer >= pba + volume.config.stripe_unit_bytes
+    return probe_if
 
 
 def _heal_parity_copy(volume, desc, stripe: int, parity: bytes, report):
@@ -312,7 +309,6 @@ def _heal_parity_copy(volume, desc, stripe: int, parity: bytes, report):
     parity map and persist it to the parity device's partial-parity log
     as a whole-stripe delta (offset 0), the same §5.2 path the write
     datapath uses when a parity PBA is unusable."""
-    from .metadata import encode_partial_parity
     zone = desc.zone
     layout = volume.mapper.stripe_layout(zone, stripe)
     volume.relocated_parity[(zone, stripe)] = parity
@@ -387,8 +383,6 @@ def run_health_maintenance(sim: Simulator, volume,
     but not-yet-evicted devices are only reported: demotion is reversible
     and the volume lifts it on sustained recovery.
     """
-    from .volume import DeviceHealth
-
     report = HealthSweepReport()
     report.demoted = [
         index for index in range(volume.config.num_devices)

@@ -354,13 +354,6 @@ class DeviceMetadataZones:
         ordered.extend(z for z in self.used if z not in ordered)
         return ordered
 
-    def reset_all(self):
-        """Process-style: reset every metadata zone (maintenance, §4.3)."""
-        yield from self.quiesce()
-        for zone_index in self.all_zone_indices():
-            yield self.device.submit(Bio.zone_reset(zone_index * self.zone_size))
-            self.used[zone_index] = 0
-
     def recovery_compact(self):
         """Mount-time compaction: rewrite all live metadata, reclaim zones.
 

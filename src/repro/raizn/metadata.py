@@ -19,9 +19,10 @@ sector-padded form — matching Table 1's "4 KiB (header) + ≤64 KiB
 (stripe unit)" accounting.
 
 Entries are written with zone appends and parsed back by scanning a
-metadata zone from its start to its write pointer.  The ZNS per-zone
-prefix-persistence guarantee means a torn entry can only be a truncated
-suffix, which the parser detects by length, so no checksum is needed.
+metadata zone from its start to its write pointer.  A torn entry is a
+truncated suffix the parser detects by length — until an entry appended
+behind it is read back as its payload.  Entries carry no checksum
+(ROADMAP item 4), so the torn-tail guard is ``DeviceMetadataZones.torn``.
 """
 
 from __future__ import annotations

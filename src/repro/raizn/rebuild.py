@@ -36,9 +36,8 @@ from ..sim import Event, ReadAhead, Simulator
 from ..zns.device import ZNSDevice
 from ..zns.spec import ZoneState
 from .mdzone import DeviceMetadataZones, MetadataRole
-from .metadata import MetadataType, Superblock
 from .parity import stripe_parity
-from .volume import SUPERBLOCK_VERSION, RaiznVolume, RebuildState
+from .volume import RaiznVolume, RebuildState
 
 
 @dataclasses.dataclass
@@ -388,20 +387,11 @@ def _rebuild_metadata(sim: Simulator, volume: RaiznVolume, index: int):
 
     Non-replicated metadata that died with the old device (its partial
     parity and relocation logs) is re-created from the in-memory state.
+    The superblock heads the general checkpoint and goes out FUA.
     """
-    superblock = Superblock(
-        version=SUPERBLOCK_VERSION, num_data=volume.config.num_data,
-        num_parity=volume.config.num_parity,
-        stripe_unit_bytes=volume.config.stripe_unit_bytes,
-        num_zones=volume.num_data_zones + volume.config.num_metadata_zones,
-        zone_capacity=volume.phys_zone_capacity,
-        num_metadata_zones=volume.config.num_metadata_zones,
-        device_index=index, array_uuid=volume.array_uuid)
     mdz = volume.mdzones[index]
-    yield from mdz.append(MetadataRole.GENERAL, superblock.to_entry(),
-                          fua=True)
-    for entry in volume._checkpoint(MetadataRole.GENERAL, index):
-        if entry.mdtype is not MetadataType.SUPERBLOCK:
-            yield from mdz.append(MetadataRole.GENERAL, entry)
+    for position, entry in enumerate(
+            volume._checkpoint(MetadataRole.GENERAL, index)):
+        yield from mdz.append(MetadataRole.GENERAL, entry, fua=position == 0)
     for entry in volume._checkpoint(MetadataRole.PARTIAL_PARITY, index):
         yield from mdz.append(MetadataRole.PARTIAL_PARITY, entry)

@@ -35,28 +35,44 @@ from ..sim import Simulator
 from ..zns.device import ZNSDevice
 from ..zns.spec import ZoneState
 from .config import RaiznConfig
+from .maintenance import (
+    OP_GEN_MAINTENANCE,
+    OP_ZONE_REWRITE_COPIED,
+    check_stripe_parity,
+    decode_rewrite_wal,
+    needs_generation_maintenance,
+    rewrite_physical_zone,
+    run_generation_maintenance,
+    zones_needing_rewrite,
+)
 from .mdzone import MetadataRole
 from .metadata import (
     MetadataEntry,
     MetadataType,
     Superblock,
     decode_generation_block,
+    decode_op_wal,
     decode_partial_parity,
     decode_zone_reset,
     encode_relocated_su,
 )
-from .parity import xor_into
+from .parity import stripe_parity, xor_into
 from .volume import RaiznVolume
 
 
-def _safe_rewrite_decode(entry):
-    """Decode a rewrite WAL entry, tolerating other OP_WAL payloads."""
-    from .maintenance import decode_rewrite_wal
-    try:
-        decoded = decode_rewrite_wal(entry)
-    except Exception:
-        return -1, None
-    return decoded[0], decoded
+def _contiguous_coverage(spans, start: int) -> int:
+    """End of the gap-free run of ``(lo, hi)`` spans reaching back to
+    ``start``."""
+    end = start
+    for lo, hi in sorted(spans):
+        if lo > end:
+            break
+        end = max(end, hi)
+    return end
+
+
+def _lba_spans(entries: List[MetadataEntry]):
+    return [(entry.start_lba, entry.end_lba) for entry in entries]
 
 
 def mount(sim: Simulator, devices: List[Optional[ZNSDevice]],
@@ -90,7 +106,9 @@ class _Recovery:
         self.raw_devices = devices
         self.config_overrides = config_overrides or {}
         self.volume: Optional[RaiznVolume] = None
-        self.entries: Dict[int, List[MetadataEntry]] = {}  # device -> entries
+        #: Every scanned log entry by type, as (device, entry) in scan order.
+        self.entries: Dict[MetadataType, List[Tuple[int, MetadataEntry]]] = {
+            mdtype: [] for mdtype in MetadataType}
 
     # -- top level ------------------------------------------------------------
 
@@ -111,8 +129,10 @@ class _Recovery:
         partial_parity = self._ingest_partial_parity()
         self._ingest_relocations()
         yield from self._resume_interrupted_rewrites()
+        reset_logged = self._reset_logged_zones()
         for zone in range(volume.num_data_zones):
-            yield from self._recover_zone(zone, partial_parity.get(zone, {}))
+            yield from self._recover_zone(zone, partial_parity.get(zone, {}),
+                                          zone in reset_logged)
         yield from self._audit_relocated_parity(partial_parity)
         yield from self._run_threshold_rewrites()
         yield from self._flush_repairs()
@@ -188,23 +208,31 @@ class _Recovery:
         for index, dev in enumerate(volume.devices):
             if dev is None:
                 continue
-            entries: List[MetadataEntry] = []
             mdz = volume.mdzones[index]
             for zone_index in range(volume.num_data_zones, dev.num_zones):
                 scanned = yield from self._scan_zone(dev, zone_index)
-                entries.extend(scanned)
+                for entry in scanned:
+                    self.entries[entry.mdtype].append((index, entry))
                 mdz.used[zone_index] = (
                     dev.zone_info(zone_index).write_pointer
                     - zone_index * volume.phys_zone_size)
                 if sum(e.total_bytes for e in scanned) < mdz.used[zone_index]:
                     mdz.torn.add(zone_index)
-            self.entries[index] = entries
 
-    def _all_entries(self) -> List[Tuple[int, MetadataEntry]]:
-        out = []
-        for device, entries in self.entries.items():
-            out.extend((device, e) for e in entries)
-        return out
+    def _current(self, zone: int, entry: MetadataEntry) -> bool:
+        """``entry`` concerns data zone ``zone`` and was logged in its
+        current generation (an older one's zone was reset since)."""
+        volume = self.volume
+        return zone < volume.num_data_zones and \
+            entry.generation == volume.generation[zone]
+
+    def _current_by_lba(self, mdtype: MetadataType):
+        """``(device, entry, zone)`` of every current entry of ``mdtype``,
+        a type whose start LBA names its zone."""
+        for device, entry in self.entries[mdtype]:
+            zone = entry.start_lba // self.volume.zone_capacity
+            if self._current(zone, entry):
+                yield device, entry, zone
 
     def _ingest_generation(self) -> None:
         """Componentwise max over all persisted generation blocks.
@@ -213,12 +241,9 @@ class _Recovery:
         exactly the newest persisted value for each zone.
         """
         volume = self.volume
-        for _device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.GENERATION:
-                continue
+        for _device, entry in self.entries[MetadataType.GENERATION]:
             first_zone, counters = decode_generation_block(entry)
-            for offset, value in enumerate(counters):
-                zone = first_zone + offset
+            for zone, value in enumerate(counters, first_zone):
                 if zone < volume.num_data_zones:
                     volume.generation[zone] = max(volume.generation[zone],
                                                   value)
@@ -241,20 +266,13 @@ class _Recovery:
         (§4.3) — while the normal entries still reach as far as it does.
         """
         volume = self.volume
+        width = volume.mapper.stripe_width
         grouped: Dict[int, Dict[int, List[MetadataEntry]]] = {}
-        for _device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.PARTIAL_PARITY:
-                continue
-            zone = entry.start_lba // volume.zone_capacity
-            if zone >= volume.num_data_zones:
-                continue
-            if entry.generation != volume.generation[zone]:
-                continue  # stale: the zone was reset since this was logged
-            in_zone = entry.start_lba - zone * volume.zone_capacity
-            width = volume.mapper.stripe_width
-            stripe = in_zone // width
-            if in_zone % width == 0 and \
-                    entry.end_lba - entry.start_lba == width:
+        for _device, entry, zone in self._current_by_lba(
+                MetadataType.PARTIAL_PARITY):
+            stripe, in_stripe = divmod(
+                entry.start_lba - zone * volume.zone_capacity, width)
+            if in_stripe == 0 and entry.end_lba - entry.start_lba == width:
                 # A whole-stripe entry is the cumulative *relocated
                 # parity* shape (logged when a completed stripe's parity
                 # SU could not be written in place, and re-emitted by the
@@ -277,9 +295,9 @@ class _Recovery:
                 if not normals or not ckpts:
                     continue
                 last = max(ckpts, key=lambda e: e.end_lba)
-                if _ZoneContent._contiguous_coverage(
-                        normals, zone * volume.zone_capacity
-                        + stripe * volume.mapper.stripe_width) < last.end_lba:
+                if _contiguous_coverage(
+                        _lba_spans(normals), zone * volume.zone_capacity
+                        + stripe * width) < last.end_lba:
                     # The deltas the checkpoint stands in for went with the
                     # reclaimed zone, and it already holds the one appended
                     # behind it (the append that found the zone full): the
@@ -295,61 +313,47 @@ class _Recovery:
 
     def _ingest_relocations(self) -> None:
         volume = self.volume
-        for device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.RELOCATED_SU:
-                continue
-            zone = entry.start_lba // volume.zone_capacity
-            if zone >= volume.num_data_zones:
-                continue
-            if entry.generation != volume.generation[zone]:
-                continue
-            su = volume.config.stripe_unit_bytes
+        su = volume.config.stripe_unit_bytes
+        for device, entry, zone in self._current_by_lba(
+                MetadataType.RELOCATED_SU):
             su_lba = entry.start_lba - (entry.start_lba % su)
             unit = volume.relocations.unit_for(su_lba, device, zone)
             if entry.payload:
                 unit.write(entry.start_lba, entry.payload)
             volume.zone_descs[zone].has_relocations = True
 
-    # -- per-zone recovery ---------------------------------------------------------------
+    def _reset_logged_zones(self) -> set:
+        """Data zones with a current §5.2 zone-reset write-ahead log."""
+        logged = set()
+        for _device, entry in self.entries[MetadataType.ZONE_RESET_LOG]:
+            zone, _reset_pointer = decode_zone_reset(entry)
+            if self._current(zone, entry):
+                logged.add(zone)
+        return logged
 
-    def _zone_reset_log(self, zone: int) -> Optional[MetadataEntry]:
-        volume = self.volume
-        for _device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.ZONE_RESET_LOG:
-                continue
-            logged_zone, _reset_pointer = decode_zone_reset(entry)
-            if logged_zone == zone and \
-                    entry.generation == volume.generation[zone]:
-                return entry
-        return None
+    # -- per-zone recovery ---------------------------------------------------------------
 
     def _zone_extents(self, zone: int) -> List[Optional[int]]:
         """Written bytes in each device's physical zone (None if missing)."""
         volume = self.volume
-        extents: List[Optional[int]] = []
-        for index in range(volume.config.num_devices):
-            if volume.devices[index] is None or volume.failed[index]:
-                extents.append(None)
-                continue
-            pdesc = volume.phys[index][zone]
-            extents.append(pdesc.write_pointer - zone * volume.phys_zone_size)
-        return extents
+        alive = volume._alive_devices()
+        return [volume.phys[index][zone].write_pointer
+                - zone * volume.phys_zone_size if index in alive else None
+                for index in range(volume.config.num_devices)]
 
     def _recover_zone(self, zone: int,
-                      partial_parity: Dict[int, List[MetadataEntry]]):
+                      partial_parity: Dict[int, List[MetadataEntry]],
+                      reset_logged: bool):
         volume = self.volume
         desc = volume.zone_descs[zone]
-        extents = self._zone_extents(zone)
-        known = [e for e in extents if e is not None]
-
-        reset_log = self._zone_reset_log(zone)
-        if reset_log is not None and any(known):
+        extents = self._zone_extents(zone)   # a missing device's is None
+        if reset_logged and any(extents):
             # §5.2: a valid reset log plus a non-empty zone means the
             # reset was interrupted; complete it now.
             yield from self._complete_zone_reset(zone)
             return
 
-        if not any(known):
+        if not any(extents):
             desc.reset()
             return
 
@@ -360,8 +364,9 @@ class _Recovery:
             desc.has_relocations = True
         if desc.write_pointer == desc.start_lba:
             desc.state = ZoneState.EMPTY
-        elif self._all_full(zone) and \
-                desc.write_pointer == desc.writable_end:
+        elif desc.write_pointer == desc.writable_end and all(
+                volume.phys[index][zone].state is ZoneState.FULL
+                for index in volume._alive_devices()):
             desc.state = ZoneState.FULL
         else:
             desc.state = ZoneState.CLOSED
@@ -371,15 +376,8 @@ class _Recovery:
             # over a torn tail SU).  Full SUs only: the recovered partial
             # tail SU is durable now, but a post-mount write can extend it
             # in the device cache and a set bit would go stale (see
-            # volume._finish_write_flushed).
+            # writepath._WriteJoin.flushed).
             desc.persistence.mark_up_to(desc.su_index_of(desc.write_pointer))
-
-    def _all_full(self, zone: int) -> bool:
-        volume = self.volume
-        return all(
-            volume.phys[i][zone].state is ZoneState.FULL
-            for i in range(volume.config.num_devices)
-            if volume.devices[i] is not None and not volume.failed[i])
 
     def _complete_zone_reset(self, zone: int):
         volume = self.volume
@@ -397,10 +395,9 @@ class _Recovery:
     def _bump_empty_generations(self) -> None:
         """§4.3: every empty zone's counter is incremented at mount time."""
         volume = self.volume
-        for zone in range(volume.num_data_zones):
-            if volume.zone_descs[zone].write_pointer == \
-                    volume.zone_descs[zone].start_lba:
-                volume.generation[zone] += 1
+        for desc in volume.zone_descs:
+            if desc.write_pointer == desc.start_lba:
+                volume.generation[desc.zone] += 1
 
     def _audit_relocated_parity(
             self, partial_parity: Dict[int, Dict[int, List[MetadataEntry]]]):
@@ -420,36 +417,19 @@ class _Recovery:
                for i, dev in enumerate(volume.devices)):
             self._relocated_parity_from_logs(partial_parity)
             return
-        from ..block.bio import Bio as _Bio
-        from .parity import stripe_parity
         su = volume.config.stripe_unit_bytes
         for desc in volume.zone_descs:
             if not desc.has_relocations:
                 continue
-            zone = desc.zone
-            full_stripes = desc.written_bytes // desc.stripe_width
-            for stripe in range(full_stripes):
-                layout = volume.mapper.stripe_layout(zone, stripe)
-                pba = zone * volume.phys_zone_size + stripe * su
-                parity_wp = volume.phys[layout.parity_device][zone] \
-                    .write_pointer
-                stripe_lba = desc.start_lba + stripe * desc.stripe_width
-                bio = yield volume.submit(
-                    _Bio.read(stripe_lba, desc.stripe_width))
-                units = [bio.result[i * su:(i + 1) * su]
-                         for i in range(volume.config.num_data)]
-                expected = stripe_parity(units, su)
-                if parity_wp >= pba + su:
-                    probe = _Bio.read(pba, su)
-                    # A latent media error on the parity PBA is itself a
-                    # mismatch — record the recomputed parity rather than
-                    # failing the mount.
-                    probe.errors_as_status = True
-                    onboard = yield volume.devices[
-                        layout.parity_device].submit(probe)
-                    if onboard.error is None and onboard.result == expected:
-                        continue
-                volume.relocated_parity[(zone, stripe)] = expected
+            for stripe in range(desc.written_bytes // desc.stripe_width):
+                # A parity unit not written in full, or with a latent media
+                # error, is a mismatch too: the recomputed parity is
+                # recorded rather than the mount failed.
+                parity, _error, matches = yield from check_stripe_parity(
+                    volume, desc, stripe, lambda device, pba: volume.phys[
+                        device][desc.zone].write_pointer >= pba + su)
+                if not matches:
+                    volume.relocated_parity[(desc.zone, stripe)] = parity
 
     def _relocated_parity_from_logs(
             self, partial_parity: Dict[int, Dict[int, List[MetadataEntry]]]
@@ -473,8 +453,8 @@ class _Recovery:
                 if stripe_end > desc.write_pointer or \
                         max(e.end_lba for e in entries) < stripe_end:
                     continue
-                if _ZoneContent._contiguous_coverage(
-                        entries, stripe_end - width) < stripe_end:
+                if _contiguous_coverage(
+                        _lba_spans(entries), stripe_end - width) < stripe_end:
                     if (zone, stripe) in volume.relocated_parity:
                         continue
                     raise DataLossError(
@@ -495,38 +475,25 @@ class _Recovery:
         START log without COPIED means the original is intact — the
         rewrite simply re-runs from scratch via the threshold check.
         """
-        from .maintenance import (
-            OP_ZONE_REWRITE_COPIED,
-            rewrite_physical_zone,
-        )
         volume = self.volume
         copied = {}
-        for _device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.OP_WAL:
+        for _device, entry in self.entries[MetadataType.OP_WAL]:
+            if decode_op_wal(entry)[0] != OP_ZONE_REWRITE_COPIED:
                 continue
-            opcode, payload = _safe_rewrite_decode(entry)
-            if opcode != OP_ZONE_REWRITE_COPIED:
-                continue
-            _op, device_index, zone, length = payload
-            if zone < volume.num_data_zones and \
-                    entry.generation == volume.generation[zone]:
+            _op, device_index, zone, length = decode_rewrite_wal(entry)
+            if self._current(zone, entry):
                 copied[(device_index, zone)] = length
         for (device_index, zone), length in sorted(copied.items()):
-            if volume.devices[device_index] is None or \
-                    volume.failed[device_index]:
-                continue
-            yield from rewrite_physical_zone(volume, device_index, zone,
-                                             resume_length=length)
+            if device_index in volume._alive_devices():
+                yield from rewrite_physical_zone(volume, device_index, zone,
+                                                 resume_length=length)
 
     def _run_threshold_rewrites(self):
         """§5.2: rewrite physical zones with too many relocated SUs."""
-        from .maintenance import rewrite_physical_zone, zones_needing_rewrite
         volume = self.volume
         for device_index, zone in zones_needing_rewrite(volume):
-            if volume.devices[device_index] is None or \
-                    volume.failed[device_index]:
-                continue
-            yield from rewrite_physical_zone(volume, device_index, zone)
+            if device_index in volume._alive_devices():
+                yield from rewrite_physical_zone(volume, device_index, zone)
 
     def _flush_repairs(self):
         """Make every repair patch durable before metadata finalization.
@@ -549,24 +516,16 @@ class _Recovery:
 
     def _finish_metadata(self):
         """Compact metadata — or complete generation maintenance (§4.3)."""
-        from .maintenance import (
-            find_maintenance_wal,
-            needs_generation_maintenance,
-            run_generation_maintenance,
-        )
         volume = self.volume
-        wal_present = find_maintenance_wal(
-            entry for _d, entry in self._all_entries())
+        wal_present = any(
+            decode_op_wal(entry)[0] == OP_GEN_MAINTENANCE
+            for _device, entry in self.entries[MetadataType.OP_WAL])
         if wal_present or needs_generation_maintenance(volume):
             volume.read_only = True
             yield from run_generation_maintenance(self.sim, volume)
         else:
-            yield from self._compact_metadata()
-
-    def _compact_metadata(self):
-        volume = self.volume
-        for index in volume._alive_devices():
-            yield from volume.mdzones[index].recovery_compact()
+            for index in volume._alive_devices():
+                yield from volume.mdzones[index].recovery_compact()
 
 
 class _ZoneContent:
@@ -614,13 +573,7 @@ class _ZoneContent:
         unit = self.volume.relocations.lookup(su_lba)
         if unit is None:
             return self._su_extent(stripe, device)
-        cover = 0
-        for lo, hi in sorted(unit.extents):
-            if lo <= cover:
-                cover = max(cover, hi)
-            else:
-                break
-        return cover
+        return _contiguous_coverage(unit.extents, 0)
 
     def _read_su_prefix(self, stripe: int, su_index: int, device: int,
                         length: int):
@@ -657,11 +610,9 @@ class _ZoneContent:
             raise bio.error
         self._repairing.add(key)
         try:
-            layout = volume.mapper.stripe_layout(self.zone, stripe)
             rebuilt = yield from self._reconstruct_su(
-                stripe, layout, su_index,
-                volume.mapper.zone_start(self.zone)
-                + (stripe + 1) * self.width)
+                stripe, volume.mapper.stripe_layout(self.zone, stripe),
+                su_index)
         finally:
             self._repairing.discard(key)
         # The rebuild within the latent extents (the whole prefix for any
@@ -713,8 +664,7 @@ class _ZoneContent:
             if not any_data and first_gap is not None:
                 break  # past the end of written data
 
-        missing_index = self._missing_device()
-        if missing_index is not None:
+        if self._missing_device() is not None:
             yield from self._analyze_degraded(max_written)
             return
 
@@ -729,10 +679,8 @@ class _ZoneContent:
         yield from self._repair_holes(first_gap, max_written)
 
     def _missing_device(self) -> Optional[int]:
-        for index, extent in enumerate(self.extents):
-            if extent is None:
-                return index
-        return None
+        return next((index for index, extent in enumerate(self.extents)
+                     if extent is None), None)
 
     # Hole repair (all devices present) -------------------------------------------
 
@@ -747,23 +695,17 @@ class _ZoneContent:
         first_stripe = min((first_gap - zone_start) // self.width,
                            min_extent // self.su)
         last_stripe = (max_written - 1 - zone_start) // self.width
-        rolled_back = False
         for stripe in range(first_stripe, last_stripe + 1):
-            if rolled_back:
-                break
-            repaired = yield from self._repair_stripe(stripe, max_written)
-            if not repaired:
-                rolled_back = True
-        if rolled_back:
-            # Hide the corrupted stripe unit(s): the write pointer rolls
-            # back to the first still-missing byte; stale data persisted
-            # beyond it is armed with relocation markers so this mount —
-            # and any future mount — can tell stale bytes from new ones.
-            self.logical_wp = self._first_missing_lba(max_written)
-            self.has_relocation_conflicts = True
-            yield from self._arm_stale_relocations(self.logical_wp)
-        else:
-            self.logical_wp = max_written
+            if not (yield from self._repair_stripe(stripe, max_written)):
+                # Hide the corrupted stripe unit(s): the write pointer rolls
+                # back to the first still-missing byte; stale data persisted
+                # beyond it is armed with relocation markers so this mount
+                # — and any future mount — can tell stale bytes from new.
+                self.logical_wp = self._first_missing_lba(max_written)
+                self.has_relocation_conflicts = True
+                yield from self._arm_stale_relocations(self.logical_wp)
+                return
+        self.logical_wp = max_written
 
     def _arm_stale_relocations(self, rollback_lwp: int):
         """Create persisted relocation markers for every stale SU.
@@ -774,8 +716,8 @@ class _ZoneContent:
         resurrect stale bytes (§5.2's remapped zones).
         """
         volume = self.volume
-        known = [e for e in self.extents if e is not None]
-        max_extent = max(known) if known else 0
+        max_extent = max((e for e in self.extents if e is not None),
+                         default=0)
         if max_extent == 0:
             return
         last_stripe = (max_extent - 1) // self.su
@@ -823,8 +765,9 @@ class _ZoneContent:
         layout = volume.mapper.stripe_layout(self.zone, stripe)
         zone_start = volume.mapper.zone_start(self.zone)
         stripe_lba = zone_start + stripe * self.width
-        # Expected extent of each data SU given data beyond it exists.
-        shorts: List[Tuple[int, int, int]] = []  # (su index, device, have)
+        # (su index, device, have, expected) of each data SU holding less
+        # than the data beyond it implies.
+        shorts: List[Tuple[int, int, int, int]] = []
         for i, device in enumerate(layout.data_devices):
             su_lba = volume.mapper.su_lba(self.zone, stripe, i)
             expected = max(0, min(self.su, max_written - su_lba))
@@ -834,16 +777,14 @@ class _ZoneContent:
                     # The missing bytes belong to a relocated SU; there
                     # is no writable hole on the device to repair into.
                     return False
-                shorts.append((i, device, have))
+                shorts.append((i, device, have, expected))
         if len(shorts) > 1:
             return False  # single parity cannot repair two holes
         if shorts:
-            su_index, device, have = shorts[0]
-            su_lba = volume.mapper.su_lba(self.zone, stripe, su_index)
-            needed_end = max(0, min(self.su, max_written - su_lba))
+            su_index, device, have, needed_end = shorts[0]
             try:
                 reconstructed = yield from self._reconstruct_su(
-                    stripe, layout, su_index, max_written)
+                    stripe, layout, su_index)
             except MediaError:
                 # A sibling's latent extent is a second hole: the torn
                 # bytes were never durable, so roll back over them.
@@ -886,20 +827,32 @@ class _ZoneContent:
             # mount-time parity audit records the true parity instead.
             return
         zone_pba = self.zone * volume.phys_zone_size
-        from .parity import stripe_parity
-        units = []
-        for j, other in enumerate(layout.data_devices):
-            data = yield from self._read_su_prefix(stripe, j, other, self.su)
-            units.append(data)
-        parity = stripe_parity(units, self.su)
+        parity = yield from self._stripe_parity(stripe, layout)
         pba = zone_pba + stripe * self.su + parity_extent
         yield volume.devices[layout.parity_device].submit(
             Bio.write(pba, parity[parity_extent:]))
         pdesc.write_pointer = zone_pba + (stripe + 1) * self.su
         self.extents[layout.parity_device] = (stripe + 1) * self.su
 
-    def _reconstruct_su(self, stripe: int, layout, su_index: int,
-                        max_written: int):
+    def _stripe_parity(self, stripe: int, layout,
+                       missing: Optional[int] = None):
+        """Process-style: the full parity of ``stripe``'s data units, each
+        read whole — the ``missing`` device's unit, where its relocation
+        log does not cover it, rebuilt from the relocated parity or the
+        partial-parity chain."""
+        units = []
+        for j, device in enumerate(layout.data_devices):
+            if device == missing and \
+                    (self._data_extent(stripe, j, device) or 0) < self.su:
+                unit = yield from self._reconstruct_degraded_chunk(
+                    stripe, layout, j, self.su)
+            else:
+                unit = yield from self._read_su_prefix(stripe, j, device,
+                                                       self.su)
+            units.append(unit)
+        return stripe_parity(units, self.su)
+
+    def _reconstruct_su(self, stripe: int, layout, su_index: int):
         """Missing-SU bytes from full parity or partial parity logs.
 
         Returns as many bytes as are recoverable (possibly fewer than
@@ -983,7 +936,7 @@ class _ZoneContent:
         best_end = stripe_lba
         coverage = stripe_lba
         first_polluted = self.su
-        for start, stop in sorted((e.start_lba, e.end_lba) for e in entries):
+        for start, stop in sorted(_lba_spans(entries)):
             if start > coverage:
                 break  # gap in the chain; later deltas are unusable
             for j, have in haves.items():
@@ -1020,18 +973,6 @@ class _ZoneContent:
                                                        su_covered)
                 xor_into(acc, data)
         return bytes(acc[:best])
-
-    @staticmethod
-    def _contiguous_coverage(entries: List[MetadataEntry],
-                             stripe_lba: int) -> int:
-        """End LBA of the gap-free partial-parity chain from stripe start."""
-        spans = sorted((e.start_lba, e.end_lba) for e in entries)
-        end = stripe_lba
-        for start, stop in spans:
-            if start > end:
-                break
-            end = max(end, stop)
-        return end
 
     # Degraded mount --------------------------------------------------------------
 
@@ -1072,8 +1013,7 @@ class _ZoneContent:
                 continue
             # Tail stripe: the missing device's contribution is bounded by
             # partial parity coverage; data beyond it is discarded.
-            wp = self._degraded_tail_wp(stripe, layout, missing, stripe_lba,
-                                        max_written)
+            wp = self._degraded_tail_wp(stripe, layout, missing, stripe_lba)
             if wp < stripe_lba + self.width:
                 break
             # Every data SU is fully covered (device, relocation log, or
@@ -1098,43 +1038,20 @@ class _ZoneContent:
         by the write-pointer scan above.
         """
         volume = self.volume
-        layout = volume.mapper.stripe_layout(self.zone, stripe)
         if (self.zone, stripe) in volume.relocated_parity:
             return
-        from .parity import stripe_parity
-        units = []
-        for j, device in enumerate(layout.data_devices):
-            if device == missing and \
-                    (self._data_extent(stripe, j, device) or 0) < self.su:
-                chunk = yield from self._reconstruct_degraded_chunk(
-                    stripe, layout, j, self.su)
-            else:
-                chunk = yield from self._read_su_prefix(stripe, j, device,
-                                                        self.su)
-            units.append(chunk)
         volume.relocated_parity[(self.zone, stripe)] = \
-            stripe_parity(units, self.su)
+            yield from self._stripe_parity(
+                stripe, volume.mapper.stripe_layout(self.zone, stripe),
+                missing)
 
     def _degraded_tail_wp(self, stripe: int, layout, missing: int,
-                          stripe_lba: int, max_written: int) -> int:
-        entries = self.partial_parity.get(stripe, [])
-        pp_end = self._contiguous_coverage(entries, stripe_lba)
-        if layout.parity_device == missing:
-            # Data devices all survive, but each may hold a crash-torn SU;
-            # the tail ends at the first gap among them.  Bytes beyond a
-            # gap were never flush-acknowledged (a flush ack requires
-            # every piece durable), so discarding them is legal — and with
-            # the parity device gone there is no redundancy to repair the
-            # hole from.  ``max_written`` alone would leap over the gap
-            # and resurrect unacknowledged data.
-            wp = stripe_lba
-            for i, device in enumerate(layout.data_devices):
-                su_lba = stripe_lba + i * self.su
-                extent = self._data_extent(stripe, i, device) or 0
-                if extent < self.su:
-                    return su_lba + extent
-                wp = su_lba + extent
-            return wp
+                          stripe_lba: int) -> int:
+        """The tail ends at the first gap among the data units: bytes past
+        a gap were never flush-acknowledged (a flush ack requires every
+        piece durable), so discarding them is legal."""
+        pp_end = _contiguous_coverage(
+            _lba_spans(self.partial_parity.get(stripe, [])), stripe_lba)
         wp = stripe_lba
         for i, device in enumerate(layout.data_devices):
             su_lba = stripe_lba + i * self.su
@@ -1223,8 +1140,8 @@ class _ZoneContent:
         volume = self.volume
         su_lba = volume.mapper.su_lba(self.zone, stripe, su_index)
         try:
-            rebuilt = yield from self._reconstruct_su(
-                stripe, layout, su_index, su_lba + take)
+            rebuilt = yield from self._reconstruct_su(stripe, layout,
+                                                      su_index)
         except MediaError:
             rebuilt = None
         content = bytes(rebuilt[:take]) if rebuilt else b""

@@ -406,20 +406,22 @@ class RaiznVolume:
             for info in dev.report_zones():
                 if info.state is not ZoneState.EMPTY:
                     yield dev.submit(Bio.zone_reset(info.start))
-        events = []
-        for index in range(len(self.devices)):
-            superblock = Superblock(
-                version=SUPERBLOCK_VERSION, num_data=self.config.num_data,
-                num_parity=self.config.num_parity,
-                stripe_unit_bytes=self.config.stripe_unit_bytes,
-                num_zones=self.devices[index].num_zones,
-                zone_capacity=self.phys_zone_capacity,
-                num_metadata_zones=self.config.num_metadata_zones,
-                device_index=index, array_uuid=self.array_uuid)
-            events.append(self.mdzones[index].append_async(
-                MetadataRole.GENERAL, superblock.to_entry(), fua=True))
+        events = [self.mdzones[index].append_async(
+            MetadataRole.GENERAL, self._superblock(index), fua=True)
+            for index in range(len(self.devices))]
         events.extend(self._persist_generation())
         yield self.sim.all_of(events)
+
+    def _superblock(self, index: int) -> MetadataEntry:
+        """Device ``index``'s superblock entry (§4.3)."""
+        return Superblock(
+            version=SUPERBLOCK_VERSION, num_data=self.config.num_data,
+            num_parity=self.config.num_parity,
+            stripe_unit_bytes=self.config.stripe_unit_bytes,
+            num_zones=self.num_data_zones + self.config.num_metadata_zones,
+            zone_capacity=self.phys_zone_capacity,
+            num_metadata_zones=self.config.num_metadata_zones,
+            device_index=index, array_uuid=self.array_uuid).to_entry()
 
     # ------------------------------------------------------------------ submission
 
@@ -655,34 +657,25 @@ class RaiznVolume:
 
     def _persist_generation(self, fua: bool = False) -> List[Event]:
         """Append the generation-counter block(s) to every live device."""
-        events = []
-        for first in range(0, self.num_data_zones, GENERATION_BLOCK_COUNTERS):
-            counters = self.generation[first:first + GENERATION_BLOCK_COUNTERS]
-            for index in self._alive_devices():
-                entry = encode_generation_block(first, list(counters))
-                events.append(self.mdzones[index].append_async(
-                    MetadataRole.GENERAL, entry, fua=fua))
-        return events
+        return [self.mdzones[index].append_async(
+            MetadataRole.GENERAL, entry, fua=fua)
+            for entry in self._generation_blocks()
+            for index in self._alive_devices()]
+
+    def _generation_blocks(self) -> List[MetadataEntry]:
+        """Every zone's generation counter, as GENERATION entries."""
+        return [encode_generation_block(
+            first, self.generation[first:first + GENERATION_BLOCK_COUNTERS])
+            for first in range(0, self.num_data_zones,
+                               GENERATION_BLOCK_COUNTERS)]
 
     def _checkpoint(self, role: MetadataRole,
                     device_index: int) -> List[MetadataEntry]:
         """Live metadata to checkpoint during metadata GC (§4.3, Figure 4)."""
         entries: List[MetadataEntry] = []
         if role is MetadataRole.GENERAL:
-            superblock = Superblock(
-                version=SUPERBLOCK_VERSION, num_data=self.config.num_data,
-                num_parity=self.config.num_parity,
-                stripe_unit_bytes=self.config.stripe_unit_bytes,
-                num_zones=self.num_data_zones + self.config.num_metadata_zones,
-                zone_capacity=self.phys_zone_capacity,
-                num_metadata_zones=self.config.num_metadata_zones,
-                device_index=device_index, array_uuid=self.array_uuid)
-            entries.append(superblock.to_entry())
-            for first in range(0, self.num_data_zones,
-                               GENERATION_BLOCK_COUNTERS):
-                counters = self.generation[
-                    first:first + GENERATION_BLOCK_COUNTERS]
-                entries.append(encode_generation_block(first, list(counters)))
+            entries.append(self._superblock(device_index))
+            entries.extend(self._generation_blocks())
             for unit in self.relocations.units_on_device(device_index):
                 zone = self.mapper.zone_of(unit.su_lba)
                 # The zero-length marker records that this SU is

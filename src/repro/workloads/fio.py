@@ -71,10 +71,6 @@ class FioResult:
     def throughput_mib_s(self) -> float:
         return self.total_bytes / self.elapsed / MiB if self.elapsed else 0.0
 
-    @property
-    def iops(self) -> float:
-        return self.latency.count / self.elapsed if self.elapsed else 0.0
-
 
 def run_fio(sim: Simulator, volume, spec: FioJobSpec,
             payload: Optional[bytes] = None) -> FioResult:

@@ -11,12 +11,14 @@ flushes, FUA) are applied at completion time.
 from __future__ import annotations
 
 import heapq
+import mmap
 import random
 from collections import deque
 from typing import (Callable, Deque, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
-from ..errors import DeviceError, DeviceFailedError, PowerLossError
+from ..errors import (DeviceError, DeviceFailedError, InvalidAddressError,
+                      PowerLossError)
 from ..sim import Event, Simulator
 from ..units import SECTOR_SIZE
 from .bio import _FUA, Bio, BioFlags, Op
@@ -150,9 +152,20 @@ class BlockDevice:
         model: ServiceTimeModel,
         seed: int = 0,
     ):
+        if size_bytes <= 0:
+            raise InvalidAddressError(
+                f"{name}: device size must be positive, not {size_bytes}")
         self.sim = sim
         self.name = name
         self.size_bytes = size_bytes
+        #: The media: a private anonymous mapping the kernel zero-fills a
+        #: page at first touch, so RAM follows what was written, not the
+        #: capacity.  ``MAP_PRIVATE`` is explicit because the default for
+        #: an anonymous map is ``MAP_SHARED`` (shmem: slower to fault, and
+        #: shared with a forked child).
+        self._media = mmap.mmap(-1, size_bytes, flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            self._media.madvise(mmap.MADV_HUGEPAGE)
         self.model = model
         # Pipeline latencies are per-op constants of the model; caching
         # them here skips a method call per command completion.

@@ -46,7 +46,6 @@ class ConventionalSSD(BlockDevice):
             op_ratio=op_ratio,
         ))
         self.erase_latency = erase_latency
-        self._media = bytearray(capacity_bytes)
 
     # -- command application -----------------------------------------------------
 
@@ -70,11 +69,11 @@ class ConventionalSSD(BlockDevice):
 
     def _apply_read(self, bio: Bio) -> float:
         self._check_range(bio)
-        # One copy, not two (a bytearray slice would copy before bytes()
-        # copied again).  Unlike the ZNS device this must stay a copy:
-        # conventional media is overwritable in place, so a borrowed view
-        # would alias whatever a later write puts at the same offset.
-        bio.result = bytes(memoryview(self._media)[bio.offset:bio.end_offset])
+        # A copy (slicing the mapping gives ``bytes``).  Unlike the ZNS
+        # device this must stay one: conventional media is overwritable in
+        # place, so a borrowed view would alias whatever a later write puts
+        # at the same offset.
+        bio.result = self._media[bio.offset:bio.end_offset]
         return 0.0
 
     def _apply_write(self, bio: Bio) -> float:

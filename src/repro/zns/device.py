@@ -88,6 +88,10 @@ class ZNSDevice(BlockDevice):
     ):
         if zone_size is None:
             zone_size = zone_capacity
+        if num_zones < 1 or zone_capacity < SECTOR_SIZE:
+            raise InvalidAddressError(
+                f"zone geometry needs num_zones >= 1 and zone_capacity >= "
+                f"{SECTOR_SIZE}, not {num_zones} and {zone_capacity}")
         if zone_capacity % SECTOR_SIZE or zone_size % SECTOR_SIZE:
             raise InvalidAddressError("zone geometry must be sector aligned")
         if atomic_write_bytes % SECTOR_SIZE:
@@ -104,7 +108,6 @@ class ZNSDevice(BlockDevice):
             Zone(i, i * zone_size, zone_size, zone_capacity)
             for i in range(num_zones)
         ]
-        self._media = bytearray(self.size_bytes)
         self._open_count = 0
         self._active_count = 0
         #: Zones whose write pointer is ahead of their durable pointer —
@@ -156,8 +159,6 @@ class ZNSDevice(BlockDevice):
         fail-slow injector uses this to couple its ramp to zone state.
         """
         zone = self.zones[index]
-        if self.zone_capacity == 0:
-            return 0.0
         return (zone.write_pointer - zone.start) / self.zone_capacity
 
     @property
@@ -414,7 +415,9 @@ class ZNSDevice(BlockDevice):
         # pointer are rejected, rewrites overwrite [0, wp) before it is
         # readable again, and the power-loss settle zeroes only spans it
         # rolls back — so nothing can observe them, and zero-filling the
-        # whole zone dominated reset-heavy workloads.
+        # whole zone dominated reset-heavy workloads.  The zone keeps its
+        # pages, too: handing them back (MADV_DONTNEED) would re-fault
+        # each one when the zone is rewritten.
         self._dirty_zones.discard(zone.index)
         # An erase block rewrite clears grown media defects for our model:
         # a reset zone starts over with clean media.

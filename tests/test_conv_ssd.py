@@ -80,8 +80,8 @@ class TestFTLDoorChecks:
                       gc_high_watermark=high)
 
     def test_device_refuses_bad_geometry(self, sim):
-        with pytest.raises(InvalidAddressError):
-            ConventionalSSD(sim, capacity_bytes=0)
+        # A zero capacity is refused by BlockDevice, before the FTL:
+        # tests/test_device_media.py.
         with pytest.raises(InvalidAddressError):
             ConventionalSSD(sim, capacity_bytes=16 * MiB, pages_per_block=0)
         with pytest.raises(ValueError):

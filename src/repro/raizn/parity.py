@@ -44,6 +44,13 @@ def xor_buffers(buffers: Sequence[bytes]) -> bytes:
     return np.bitwise_xor.reduce(stack, axis=0).tobytes()
 
 
+def full_stripe_parity(stripe, num_units: int) -> bytes:
+    """Parity of a whole stripe held in one buffer: one reduction over it
+    seen as ``(num_units, unit)``, with no copy of the units."""
+    units = np.frombuffer(stripe, dtype=np.uint8).reshape(num_units, -1)
+    return np.bitwise_xor.reduce(units, axis=0).tobytes()
+
+
 def stripe_parity(data_units: Iterable[bytes], unit_size: int) -> bytes:
     """Full parity stripe unit for a stripe's data units.
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import RaiznError
-from .parity import xor_into
+from .parity import full_stripe_parity, xor_into
 
 #: Recycled stripe-width backing arrays, keyed by width.  Zeroing a fresh
 #: multi-hundred-KiB bytearray per stripe dominated buffer cost, so arrays
@@ -104,9 +104,7 @@ class StripeBuffer:
         su = self.su
         fill_end = self.fill_end
         if fill_end == self.num_data * su:
-            units = np.frombuffer(self.data, dtype=np.uint8).reshape(
-                self.num_data, su)
-            return np.bitwise_xor.reduce(units, axis=0).tobytes()
+            return full_stripe_parity(self.data, self.num_data)
         # Partial stripe: only bytes below the fill end exist; the pooled
         # backing array is NOT zeroed past it, so fold exactly the filled
         # units and the tail fragment into a zero accumulator.

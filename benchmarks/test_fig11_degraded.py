@@ -25,14 +25,16 @@ def test_fig11_degraded_reads(benchmark, print_rows):
                     and p.block_size == block_size]
         return point
 
-    # Comparable degraded performance at every size (within 2x), with
-    # RAIZN at least on par for large sequential reads.
-    for workload in ("read", "randread"):
+    # Comparable degraded performance at every size: sequential within
+    # 0.8-1.25 now that both read each surviving chunk once, random
+    # within 2x, with RAIZN at least on par for large sequential reads.
+    for workload, (low, high) in (("read", (0.8, 1.25)),
+                                  ("randread", (0.5, 2.5))):
         for block_size in (4 * KiB, 64 * KiB, 256 * KiB, 1 * MiB):
             md = get("mdraid", workload, block_size)
             rz = get("raizn", workload, block_size)
             ratio = rz.throughput_mib_s / md.throughput_mib_s
-            assert 0.5 < ratio < 2.5, (workload, block_size, ratio)
+            assert low < ratio < high, (workload, block_size, ratio)
     md = get("mdraid", "read", 1 * MiB)
     rz = get("raizn", "read", 1 * MiB)
     assert rz.throughput_mib_s > 0.8 * md.throughput_mib_s

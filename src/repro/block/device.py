@@ -21,7 +21,7 @@ from ..errors import (DeviceError, DeviceFailedError, InvalidAddressError,
                       PowerLossError)
 from ..sim import Event, Simulator
 from ..units import SECTOR_SIZE
-from .bio import _FUA, Bio, BioFlags, Op
+from .bio import _FUA, Bio, Op
 from .timing import ServiceTimeModel
 
 #: Sector size is a power of two; a single masked test covers both the
@@ -500,23 +500,6 @@ class BlockDevice:
     def power_on(self) -> None:
         """Restore power after ``power_off``."""
         self.powered = True
-
-    # -- convenience coroutines (for use inside simulated processes) -------------
-
-    def read(self, offset: int, length: int):
-        """Process-style read: ``data = yield from dev.read(off, n)``."""
-        bio = yield self.submit(Bio.read(offset, length))
-        return bio.result
-
-    def write(self, offset: int, data: bytes, flags: BioFlags = BioFlags.NONE):
-        """Process-style write; returns the completed bio."""
-        bio = yield self.submit(Bio.write(offset, data, flags))
-        return bio
-
-    def flush(self):
-        """Process-style cache flush."""
-        bio = yield self.submit(Bio.flush())
-        return bio
 
 
 def submit_many(commands: Iterable[Tuple["BlockDevice", Bio]]) -> None:

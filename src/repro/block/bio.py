@@ -12,10 +12,11 @@ import enum
 from typing import Callable, Optional
 
 from ..errors import InvalidAddressError
+from ..members import Members
 from ..units import SECTOR_SIZE
 
 
-class Op(enum.Enum):
+class Op(Members):
     """Bio operation codes (subset of Linux ``REQ_OP_*`` relevant to ZNS)."""
 
     READ = "read"

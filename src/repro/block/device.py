@@ -426,11 +426,9 @@ class BlockDevice:
         parent = bio.span
         if parent is not None:
             bio.span = None
-            opname = op._value_  # str key: Enum.__hash__ is Python-level
-            try:
-                site = self._trace_sites[opname]
-            except KeyError:
-                site = self._trace_sites[opname] = self.tracer.site(
+            site = self._trace_sites.get(op)
+            if site is None:
+                site = self._trace_sites[op] = self.tracer.site(
                     self.trace_layer, op, self.name)
             self.tracer.complete_io(site, bio.submit_time, bio.span_grant,
                                     bio.length, parent)

@@ -19,30 +19,22 @@ presence of many concurrent metadata log writes".
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, Dict, List, Optional, Set
 
 from ..block.bio import _FUA as _BIO_FUA
 from ..block.bio import Bio
 from ..block.device import BlockDevice
 from ..errors import DeviceError, MetadataError
+from ..members import Members
 from ..sim import Event, Lock, Process, Simulator
 from .metadata import MetadataEntry
 
 
-class MetadataRole(enum.Enum):
+class MetadataRole(Members):
     """Which log stream a metadata zone currently serves."""
 
     PARTIAL_PARITY = "partial_parity"
     GENERAL = "general"
-
-    # Identity hash: role-keyed dict lookups (locks, zone map, usage) sit
-    # on the append hot path and Enum's default ``__hash__`` is a Python-
-    # level call.  Identity is consistent with Enum equality (members are
-    # singletons), and no role is ever iterated out of a set — the only
-    # role collections are insertion-ordered dicts and literal tuples — so
-    # per-process id variation cannot reorder events.
-    __hash__ = object.__hash__  # type: ignore[assignment]
 
 
 #: ``checkpoint_provider(role, device_index)`` returns the live in-memory
@@ -90,10 +82,9 @@ class DeviceMetadataZones:
         self.torn: Set[int] = set()
         self._locks: Dict[MetadataRole, Lock] = {
             role: Lock(sim) for role in MetadataRole}
-        #: Interned per-role trace-site ids, keyed by role value (valid
-        #: for one sink; the volume resets this when it attaches a
-        #: tracer).
-        self._tr_sites: Dict[str, int] = {}
+        #: Interned per-role trace-site ids (valid for one sink; the
+        #: volume resets this when it attaches a tracer).
+        self._tr_sites: Dict[MetadataRole, int] = {}
         #: Reclaims in flight: old zones on their way back to the pool.
         self._reclaims: List[Process] = []
         #: Lifetime counters for Table 1 / ablation reporting.
@@ -158,12 +149,9 @@ class DeviceMetadataZones:
             # synchronous fan-out issued this append (if any).  The span
             # doubles as the completion callback (see repro.trace).
             sites = self._tr_sites
-            rolename = role._value_  # str key: Enum.__hash__ is Python-level
-            try:
-                site = sites[rolename]
-            except KeyError:
-                site = sites[rolename] = tracer.site("md", role,
-                                                     self.device.name)
+            site = sites.get(role)
+            if site is None:
+                site = sites[role] = tracer.site("md", role, self.device.name)
             done.add_callback(tracer.begin_at(site))
         # Hop 1: where a process would start.
         if batch is not None:

@@ -1,10 +1,10 @@
 """The logical read path of a RAIZN volume (paper §4.1, §4.2, §5.2).
 
 Healthy reads are pure address arithmetic: validate once, split into
-per-device pieces of at most one stripe unit, one device command each.
-The rest is what happens when a piece cannot simply be read: it lives in
-a relocated unit, its device is gone, slow, worn out or mid-rebuild, or
-the command comes back with an error.
+per-device pieces of at most one stripe unit, one device command each (a
+one-unit read is that command alone).  The rest is a piece that cannot
+simply be read: it lives in a relocated unit, its device is gone, slow,
+worn out or mid-rebuild, or its command comes back with an error.
 
 One callback chain serves every piece kind.  A :class:`_ReadJoin` counts
 the pieces of a read; a :class:`_Piece` rides each device command's
@@ -185,6 +185,14 @@ class ReadPath:
 
     def _run_read(self, bio: Bio, done: Event, zone: int) -> None:
         volume = self.volume
+        desc = volume.zone_descs[zone]
+        if bio.offset % desc.su + bio.length <= desc.su and not (
+                volume._degraded or desc.has_relocations or
+                volume._failslow_on or volume.tracer is not None):
+            device, pba = volume.mapper.lba_to_pba(bio.offset)
+            self._submit(device, pba, bio.length, self._read_done,
+                         (bio, done, device, desc), -1)
+            return
         join = _ReadJoin(volume, bio, done)
         parent = -1
         if volume.tracer is not None and bio.span is not None:
@@ -245,6 +253,21 @@ class ReadPath:
             self._degraded(piece, bypass=True)
         else:
             self._attempt_read(piece)
+
+    def _read_done(self, command: Bio) -> None:
+        """Complete a one-unit read; a failed command becomes its one piece."""
+        bio, done, device, desc = command.wctx
+        if command.error is None:
+            bio.result = bytes(command.result)
+            self.volume.stats.account(bio)
+            bio.complete_time = self.sim.now
+            done.succeed(bio)
+            return
+        join = _ReadJoin(self.volume, bio, done)
+        join.pending = 0  # no fan-out holds a count: the piece's alone
+        command.wctx = _Piece(join, device, command.offset, bio.offset,
+                              bio.length, desc, -1)
+        self._read_attempted(command)
 
     def _avoid_for_reads(self, device: int, zone: int) -> bool:
         """Should reads skip this (demoted) device in favour of

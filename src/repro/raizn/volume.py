@@ -471,11 +471,9 @@ class RaiznVolume:
         tracer = self.tracer
         if tracer is not None:
             sites = self._tr_vol_sites
-            opname = bio.op._value_  # str key: Enum.__hash__ is Python-level
-            try:
-                site = sites[opname]
-            except KeyError:
-                site = sites[opname] = tracer.site("volume", bio.op)
+            site = sites.get(bio.op)
+            if site is None:
+                site = sites[bio.op] = tracer.site("volume", bio.op)
             # The root span is two ints parked on the bio (id + site,
             # packed) and a shared callback — no per-bio trace objects.
             code = tracer.root_code(site)
@@ -508,8 +506,8 @@ class RaiznVolume:
         if (bio.offset | bio.length) & _SECTOR_MASK:
             bio.check_alignment()
         op = bio.op
-        if (op is Op.WRITE or op is Op.ZONE_APPEND or op is Op.READ) and \
-                self.failed.count(True) > self.config.num_parity:
+        if self._degraded and self.failed.count(True) > self.config.num_parity \
+                and (op is Op.WRITE or op is Op.ZONE_APPEND or op is Op.READ):
             raise DegradedModeError(
                 f"{self.failed.count(True)} devices unavailable; single "
                 "parity serves IO through at most one loss")

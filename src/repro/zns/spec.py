@@ -10,10 +10,11 @@ enough erase blocks die.
 from __future__ import annotations
 
 import dataclasses
-import enum
+
+from ..members import Members
 
 
-class ZoneState(enum.Enum):
+class ZoneState(Members):
     """NVMe ZNS zone states (subset sufficient for RAIZN)."""
 
     EMPTY = "empty"

@@ -60,7 +60,7 @@ class Run:
             readpath._inflight = Forgetful()
         self.submitted, self.completed = [], []
         submit = readpath._submit
-        for name in ("_read_attempted", "_source_attempted"):
+        for name in ("_read_done", "_read_attempted", "_source_attempted"):
             setattr(readpath, name, self.completion_of(getattr(readpath, name)))
 
         def logged_submit(device, pba, length, handler, context, parent):
@@ -74,9 +74,9 @@ class Run:
                                 bio.length))
 
     def completion_of(self, handler):
-        def completion(bio, fed=False):
+        def completion(bio, *fed):
             self.completed.append((completion, bio.wctx))
-            handler(bio, fed)
+            handler(bio, *fed)
         return completion
 
     def read(self, batches):

@@ -15,17 +15,21 @@ and pipeline timers), the generator read path before that 5 and 2.  A
 whole-unit degraded read (4 survivor commands) is 2 and 4; it took 6 and
 8, and 12 and 8.  A full-stripe degraded read is 2 and 4 as well: its
 three direct pieces ride the reconstruction's survivor commands (2 and 7
-before ``ReadPath`` kept an in-flight table).  Writes: ``TestWriteSteps``;
-mdraid's plugged writes: ``TestMdraidWriteSteps``.
+before ``ReadPath`` kept an in-flight table).  A healthy read inside one
+stripe unit builds one device ``Bio`` and no ``_ReadJoin``: its command's
+completion completes the logical bio, and a command that fails becomes
+the read's one piece (``TestOneUnitReadFailures``).  Writes:
+``TestWriteSteps``; mdraid's plugged writes: ``TestMdraidWriteSteps``.
 """
 
 from collections import deque
 
 import pytest
 
-from repro.block import Bio, BioFlags
+from repro.block import Bio, BioFlags, Op
 from repro.conv import ConventionalSSD
-from repro.errors import DataLossError, DeviceFailedError
+from repro.errors import (DataLossError, DeviceFailedError,
+                          TransientCommandError)
 from repro.mdraid import MdraidVolume
 from repro.raizn.readpath import _ReadJoin
 from repro.sim import Event
@@ -83,20 +87,28 @@ def run_counted(sim, volume, bios):
     return queue.appended, sim._seq - seq, completed
 
 
+def counting_init(cls, created):
+    """``cls.__init__``, counting into ``created[cls]``."""
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        created[cls] += 1
+        init(self, *args, **kwargs)
+    return counted
+
+
 def run_counting_events(sim, volume, bios, monkeypatch):
     """``run_counted`` plus the ``Event`` objects the run obtained, fresh
-    (``Event.__init__``) or pooled (``sim._event_free.pop``)."""
-    created = [0]
-    init = Event.__init__
-
-    def counting_init(self, sim):
-        created[0] += 1
-        init(self, sim)
+    (``Event.__init__``) or pooled (``sim._event_free.pop``), and the
+    ``Bio``s and ``_ReadJoin``s it built."""
+    created = {Event: 0, Bio: 0, _ReadJoin: 0}
     pool = sim._event_free = CountingPool(sim._event_free)
     with monkeypatch.context() as patch:
-        patch.setattr(Event, "__init__", counting_init)
+        for cls in created:
+            patch.setattr(cls, "__init__", counting_init(cls, created))
         now_entries, heap_entries, completed = run_counted(sim, volume, bios)
-    return now_entries, heap_entries, created[0] + pool.pops, completed
+    return (now_entries, heap_entries, created[Event] + pool.pops, completed,
+            created[Bio], created[_ReadJoin])
 
 
 class TestEngineSteps:
@@ -156,13 +168,25 @@ class TestEngineSteps:
 
     def test_event_allocations_per_healthy_read(self, sim, monkeypatch):
         """One ``Event`` per read, fresh or pooled: the logical bio's.
-        The device commands under it complete through ``bio.end_io``."""
-        volume, _devices, _data = written_volume(sim)
+        One device ``Bio``, whose ``end_io`` completes the logical bio:
+        a read inside one stripe unit builds no ``_ReadJoin``."""
+        volume, _devices, data = written_volume(sim)
         bios = [Bio.read(i * 4096, 4096) for i in range(READS)]
-        _now, _heap, events, completed = run_counting_events(
+        now, heap, events, completed, commands, joins = run_counting_events(
             sim, volume, bios, monkeypatch)
-        assert len(completed) == READS
-        assert events == READS
+        assert [bytes(bio.result) for bio in completed] == \
+            [data[bio.offset:bio.offset + 4096] for bio in completed]
+        assert (now, heap, events, commands, joins) == \
+            (2 * READS, READS, READS, READS, 0)
+
+    def test_two_unit_read_still_joins(self, sim, monkeypatch):
+        volume, _devices, data = written_volume(sim)
+        bios = [Bio.read(SU - 4096 + i * STRIPE, 8192) for i in range(16)]
+        now, heap, events, completed, commands, joins = run_counting_events(
+            sim, volume, bios, monkeypatch)
+        assert all(bio.result == data[bio.offset:bio.offset + 8192]
+                   for bio in completed)
+        assert (now, heap, events, commands, joins) == (32, 32, 16, 32, 16)
 
     def test_read_from_memory_completes_in_the_start_hop(self, sim):
         """A read served entirely from the stripe buffer touches no
@@ -268,12 +292,7 @@ class TestMdraidWriteSteps:
                    for i in range(5)]
         md = MdraidVolume(sim, devices)
         data = pattern(SU, seed=5)
-        created = [0]
-        init = Event.__init__
-
-        def counting_init(self, sim):
-            created[0] += 1
-            init(self, sim)
+        created = {Event: 0}
         pool = sim._event_free = CountingPool(sim._event_free)
         queue = sim._now_queue = CountingQueue()
         seq = sim._seq
@@ -292,14 +311,14 @@ class TestMdraidWriteSteps:
             in_flight[0] -= 1
             pump(job, issued, in_flight)
         with monkeypatch.context() as patch:
-            patch.setattr(Event, "__init__", counting_init)
+            patch.setattr(Event, "__init__", counting_init(Event, created))
             for job in range(self.JOBS):
                 sim.schedule(0.0, pump, job, [0], [0])
             sim.run()
         writes = self.JOBS * self.PER_JOB
         assert completed == [True] * writes
         assert sum(dev.stats.writes for dev in devices) == writes // 4 * 5
-        assert (queue.appended, sim._seq - seq, created[0] + pool.pops) == \
+        assert (queue.appended, sim._seq - seq, created[Event] + pool.pops) == \
             (1224, 384, writes)
         assert queue.appended / writes == 4.78125
 
@@ -362,3 +381,60 @@ class TestSeams:
         join.fail(DeviceFailedError("first"))
         join.fail(DataLossError("straggler"))
         assert isinstance(join.done.value, DeviceFailedError)
+
+
+class TestOneUnitReadFailures:
+    """A healthy one-unit read is one device command; when that command
+    fails it becomes the read's one piece under ``_read_attempted``, so
+    the self-healing policy has one implementation."""
+
+    LBA = SU + 4096  # the second data unit of stripe 0
+
+    def one_unit(self, sim):
+        volume, devices, data = written_volume(sim, stripes=2)
+        device, pba = volume.mapper.lba_to_pba(self.LBA)
+        return volume, devices[device], pba, data[self.LBA:self.LBA + 4096]
+
+    def test_media_error_heals(self, sim):
+        volume, device, pba, expect = self.one_unit(sim)
+        device.mark_bad(pba, 4096)
+        assert volume.execute(Bio.read(self.LBA, 4096)).result == expect
+        assert (volume.health.media_errors, volume.health.heals) == (1, 1)
+        # Served from the relocated unit now, through the joined path.
+        assert volume.execute(Bio.read(self.LBA, 4096)).result == expect
+
+    def test_transient_error_retries(self, sim):
+        volume, device, _pba, expect = self.one_unit(sim)
+        refused = []
+
+        def refuse_once(dev, bio):
+            if bio.op is Op.READ and not refused:
+                refused.append(bio)
+                raise TransientCommandError(f"{dev.name}: injected")
+        device.add_hook("pre_apply", refuse_once)
+        assert volume.execute(Bio.read(self.LBA, 4096)).result == expect
+        assert len(refused) == 1
+        assert volume.health.transient_retries == 1
+
+    def test_device_failing_mid_io(self, sim):
+        volume, device, _pba, expect = self.one_unit(sim)
+        reads = device.stats.reads
+        done = volume.submit(Bio.read(self.LBA, 4096))
+        sim.schedule(1e-6, device.fail_device)  # after the start hop
+        sim.run()
+        assert device.stats.reads == reads + 1  # accepted, then lost
+        assert done.ok and done.value.result == expect
+        assert volume.failed[volume.devices.index(device)]
+
+
+def test_read_result_outlives_a_reset_and_rewrite(sim):
+    """A device read hands out a view of its media; the read path
+    copies it into ``bytes`` before the logical bio completes, so a
+    reset and rewrite of the zone cannot change a completed result."""
+    volume, _devices, data = written_volume(sim)  # the whole of zone 0
+    one_unit = volume.execute(Bio.read(4096, 4096)).result
+    two_units = volume.execute(Bio.read(SU - 4096, 8192)).result
+    volume.execute(Bio.zone_reset(0))
+    volume.execute(Bio.write(0, pattern(len(data), seed=9)))
+    assert type(one_unit) is bytes and one_unit == data[4096:8192]
+    assert type(two_units) is bytes and two_units == data[SU - 4096:SU + 4096]

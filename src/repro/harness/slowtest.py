@@ -35,7 +35,7 @@ from ..block.bio import Bio
 from ..faults.failslow import SlowDeviceSpec, SlowPlan
 from ..faults.oracle import WorkloadExpectation
 from ..raizn.maintenance import run_health_maintenance
-from ..raizn.volume import RaiznVolume
+from ..raizn.volume import HEDGE_MIN_SAMPLES, RaiznVolume
 from ..sim import Simulator
 from ..sim.stats import LatencyStats
 from .campaign import (
@@ -193,14 +193,13 @@ def run_campaign(name: str, seed: int = 0, protection: bool = True,
     expect = expectation_for(volume)
     sim.run_process(_fill_zones(volume, seed, expect))
     # Prime until every device's read-latency distribution is trusted
-    # (>= hedge_min_samples): the gray failure must arm against learned
+    # (>= HEDGE_MIN_SAMPLES): the gray failure must arm against learned
     # *healthy* baselines, or the slow device's early samples would be
     # absorbed into its own deadline.
-    min_samples = volume.config.hedge_min_samples
     for round_ in range(8):
         sim.run_process(_prime_reads(volume, seed + round_, expect,
                                      count=64 * NUM_DEVICES, report=report))
-        if not protection or all(h.read.samples >= min_samples
+        if not protection or all(h.read.samples >= HEDGE_MIN_SAMPLES
                                  for h in volume.device_health):
             break
 

@@ -81,8 +81,8 @@ def table1_rows(scale: ArrayScale = DEFAULT) -> List[Table1Row]:
                   fmt_bytes(len(superblock.encode())),
                   fmt_bytes(SECTOR_SIZE)),
         Table1Row("Stripe buffers", "-", "-",
-                  f"{fmt_bytes(buffer_bytes)} x "
-                  f"{config.stripe_buffers_per_zone} per open logical zone"),
+                  f"{fmt_bytes(buffer_bytes)} x 1 (the tail) per open "
+                  "logical zone"),
         Table1Row("Persistence bitmaps", "-", "-",
                   f"{fmt_bytes(bitmap_bytes)} per logical zone"),
         Table1Row("Physical zone descriptors", "-", "-",

@@ -29,7 +29,7 @@ from .parity import reconstruct_unit, stripe_parity, xor_buffers, xor_into
 from .rebuild import RebuildReport, rebuild, rebuild_process
 from .recovery import mount, mount_process
 from .relocation import RelocationStore
-from .stripebuf import StripeBuffer, StripeBufferPool
+from .stripebuf import StripeBuffer
 from .volume import DeviceHealth, HealthStats, RaiznVolume
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "mount_process",
     "RelocationStore",
     "StripeBuffer",
-    "StripeBufferPool",
     "DeviceHealth",
     "HealthStats",
     "RaiznVolume",

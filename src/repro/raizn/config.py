@@ -14,6 +14,10 @@ import dataclasses
 from ..errors import RaiznError
 from ..units import KiB, SECTOR_SIZE
 
+#: Simulated delay between transient-error retries, in seconds, on the
+#: read and the write path alike.
+TRANSIENT_BACKOFF_S = 100e-6
+
 
 @dataclasses.dataclass(frozen=True)
 class RaiznConfig:
@@ -29,9 +33,6 @@ class RaiznConfig:
     #: Metadata zones reserved per device (>= 3: partial parity, general,
     #: and at least one swap zone, §4.3).
     num_metadata_zones: int = 3
-    #: Pre-allocated stripe buffers per open logical zone (§5.1; 8 in the
-    #: paper's experiments).
-    stripe_buffers_per_zone: int = 8
     #: Relocated-stripe-unit count per physical zone beyond which the zone
     #: is rewritten during initialization (§5.2, "user-modifiable
     #: threshold").
@@ -40,8 +41,6 @@ class RaiznConfig:
     #: before the error escalates (the datapath counts the initial attempt
     #: separately, so ``2`` means up to 3 submissions total).
     max_transient_retries: int = 2
-    #: Simulated delay between transient-error retries, in seconds.
-    transient_backoff_s: float = 100e-6
     #: Media/command errors charged against one device before the volume
     #: evicts it into degraded mode (error-threshold eviction).
     device_error_threshold: int = 25
@@ -56,45 +55,16 @@ class RaiznConfig:
     #: IO timing and stats, so only fail-slow campaigns and tail-latency
     #: benchmarks opt in.
     failslow_protection: bool = False
-    #: EWMA weight for per-device completion-latency tracking (mean and
-    #: mean absolute deviation).
-    latency_ewma_alpha: float = 0.125
-    #: Latency samples a device must accumulate before its distribution
-    #: is trusted to derive hedge deadlines and outlier thresholds.
-    hedge_min_samples: int = 32
-    #: A completion is *slow* (and a pending read hedge-eligible) past
-    #: ``max(hedge_floor_s, ewma * hedge_latency_multiplier,
-    #: ewma + hedge_slack_deviations * deviation_ewma)``.
-    hedge_latency_multiplier: float = 1.5
-    hedge_slack_deviations: float = 6.0
-    hedge_floor_s: float = 200e-6
-    #: EWMA weight of the slow-outlier indicator that forms the health
-    #: score (score = 1 - outlier EWMA).
-    slow_score_alpha: float = 0.1
-    #: Outlier-EWMA above which a device is demoted to "avoid for
-    #: reads": reads are served by reconstruction instead (writes still
-    #: land on the device and keep feeding the score).
-    slow_demote_score: float = 0.5
     #: Outlier-EWMA above which a demoted device is evicted into
     #: degraded mode via the standard eviction flow (only while parity
     #: tolerance remains).
     slow_evict_score: float = 0.85
-    #: Latency samples observed *after* demotion before slow-eviction
-    #: may fire — a demoted device gets a grace window to recover.
-    slow_evict_min_samples: int = 25
     #: Per-bio span tracing (see :mod:`repro.trace`): the volume creates
     #: a :class:`~repro.trace.Tracer` shared with every array device,
     #: recording spans at the volume boundary, stripe assembly, parity
     #: compute, metadata appends, and each device command.  Off by
     #: default; the disabled datapath pays one attribute test per site.
     tracing: bool = False
-    #: Poison recycled stripe-buffer arrays with 0xA5 on release (audit
-    #: mode for the pooled no-re-zeroing contract; see
-    #: :mod:`repro.raizn.stripebuf`).  Any accessor reading past a
-    #: buffer's ``fill_end`` then sees loud garbage instead of
-    #: coincidental zeroes.  Process-wide once enabled; also switched on
-    #: by the ``REPRO_POISON_POOLS`` environment variable.
-    poison_pools: bool = False
 
     def __post_init__(self) -> None:
         if self.num_parity != 1:
@@ -108,21 +78,12 @@ class RaiznConfig:
             raise RaiznError(
                 "need >= 3 metadata zones per device "
                 "(partial parity + general + swap)")
-        if self.stripe_buffers_per_zone < 1:
-            raise RaiznError("need at least one stripe buffer per open zone")
         if self.max_transient_retries < 0:
             raise RaiznError("max_transient_retries must be >= 0")
-        if self.transient_backoff_s < 0:
-            raise RaiznError("transient_backoff_s must be >= 0")
         if self.device_error_threshold < 1:
             raise RaiznError("device_error_threshold must be >= 1")
-        for name in ("latency_ewma_alpha", "slow_score_alpha"):
-            if not 0 < getattr(self, name) <= 1:
-                raise RaiznError(f"{name} must be in (0, 1]")
-        for name in ("hedge_min_samples", "slow_evict_min_samples",
-                     "relocation_rebuild_threshold"):
-            if getattr(self, name) < 0:
-                raise RaiznError(f"{name} must be >= 0")
+        if self.relocation_rebuild_threshold < 0:
+            raise RaiznError("relocation_rebuild_threshold must be >= 0")
 
     @property
     def num_devices(self) -> int:

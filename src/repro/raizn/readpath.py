@@ -28,6 +28,7 @@ from ..errors import (DataLossError, DegradedModeError, DeviceError,
 from ..sim import Event
 from ..trace.tracer import SITE_BITS
 from ..zns.spec import ZoneState
+from . import config
 from .parity import xor_into
 from .zonedesc import LogicalZoneDesc
 
@@ -353,8 +354,7 @@ class ReadPath:
             # Hedge timer: if the read outlives the deadline derived from
             # this device's own latency distribution, race a parity
             # reconstruction against the straggler.
-            deadline = volume.device_health[piece.device].read.threshold(
-                volume.config)
+            deadline = volume.device_health[piece.device].read.threshold()
             if deadline is not None:
                 piece.hedged = True
                 self.sim.schedule(deadline, self._fire_hedge, piece)
@@ -393,7 +393,7 @@ class ReadPath:
             if piece.attempt < volume.config.max_transient_retries:
                 health.transient_retries += 1
                 piece.attempt += 1
-                self.sim.schedule(volume.config.transient_backoff_s,
+                self.sim.schedule(config.TRANSIENT_BACKOFF_S,
                                   self._attempt_read, piece)
                 return
             # Retries exhausted: charge the device and serve the read
@@ -480,8 +480,8 @@ class ReadPath:
         data."""
         desc = piece.desc
         stripe, offset = divmod(piece.lba - desc.start_lba, desc.stripe_width)
-        buffer = desc.buffers.get(stripe)
-        if buffer is None:
+        buffer = desc.tail
+        if buffer is None or buffer.stripe != stripe:
             return None
         return bytes(memoryview(buffer.data)[offset:offset + piece.length])
 
@@ -615,7 +615,7 @@ class ReadPath:
         elif isinstance(exc, TransientCommandError) and \
                 attempt < volume.config.max_transient_retries:
             volume.health.transient_retries += 1
-            self.sim.schedule(volume.config.transient_backoff_s,
+            self.sim.schedule(config.TRANSIENT_BACKOFF_S,
                               self._attempt_source, recon, device,
                               bio.offset, bio.length, attempt + 1)
         else:

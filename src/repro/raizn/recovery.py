@@ -57,6 +57,7 @@ from .metadata import (
     encode_relocated_su,
 )
 from .parity import stripe_parity, xor_into
+from .stripebuf import StripeBuffer
 from .volume import RaiznVolume
 
 
@@ -75,6 +76,11 @@ def _lba_spans(entries: List[MetadataEntry]):
     return [(entry.start_lba, entry.end_lba) for entry in entries]
 
 
+#: RaiznConfig fields the superblock persists; mount reads them back.
+_PERSISTED_GEOMETRY = ("num_data", "num_parity", "stripe_unit_bytes",
+                       "num_metadata_zones")
+
+
 def mount(sim: Simulator, devices: List[Optional[ZNSDevice]],
           **config_overrides) -> RaiznVolume:
     """Mount an existing RAIZN array; drains the event loop.
@@ -84,7 +90,8 @@ def mount(sim: Simulator, devices: List[Optional[ZNSDevice]],
     volume that can later be repaired with ``rebuild``.
 
     ``config_overrides`` sets the user-modifiable (non-persisted) knobs,
-    e.g. ``relocation_rebuild_threshold`` or ``stripe_buffers_per_zone``.
+    e.g. ``relocation_rebuild_threshold`` or ``failslow_protection``; the
+    geometry comes from the superblock and cannot be overridden.
     """
     return sim.run_process(mount_process(sim, devices, **config_overrides))
 
@@ -105,6 +112,11 @@ class _Recovery:
         self.sim = sim
         self.raw_devices = devices
         self.config_overrides = config_overrides or {}
+        for name in _PERSISTED_GEOMETRY:
+            if name in self.config_overrides:
+                raise RecoveryError(
+                    f"mount cannot override {name}: the superblock "
+                    "persists it")
         self.volume: Optional[RaiznVolume] = None
         #: Every scanned log entry by type, as (device, entry) in scan order.
         self.entries: Dict[MetadataType, List[Tuple[int, MetadataEntry]]] = {
@@ -114,12 +126,9 @@ class _Recovery:
 
     def run(self):
         ordered, superblock = yield from self._identify_devices()
-        config = RaiznConfig(
-            num_data=superblock.num_data,
-            num_parity=superblock.num_parity,
-            stripe_unit_bytes=superblock.stripe_unit_bytes,
-            num_metadata_zones=superblock.num_metadata_zones,
-            **self.config_overrides)
+        config = RaiznConfig(**{name: getattr(superblock, name)
+                                for name in _PERSISTED_GEOMETRY},
+                             **self.config_overrides)
         volume = RaiznVolume(self.sim, ordered, config,
                              array_uuid=superblock.array_uuid)
         self.volume = volume
@@ -1118,8 +1127,9 @@ class _ZoneContent:
                         desc, stripe, layout, i, device, take)
                     return
             data[lo:lo + take] = chunk
-        buffer = desc.buffers.acquire(stripe)
-        buffer.absorb(0, bytes(data))
+        desc.tail = StripeBuffer(self.zone, stripe, volume.config.num_data,
+                                 self.su)
+        desc.tail.absorb(0, data)
 
     def _rollback_torn_tail(self, desc, stripe: int, layout, su_index: int,
                             device: int, take: int):

@@ -1,16 +1,17 @@
 """Stripe buffers: in-memory caches of partially written stripes (§5.1).
 
 A stripe buffer lets RAIZN recompute parity for a growing stripe without
-reading the devices.  The ZNS open-zone limit bounds the number of
-incomplete stripes, so buffers are pre-allocated per open logical zone
-(8 in the paper's experiments) and write processing blocks when all are
-occupied.
+reading the devices.  The paper pre-allocates 8 per open logical zone and
+blocks write processing when all are occupied; here a zone's writes are
+accepted one at a time at its write pointer, so only its tail stripe is
+ever incomplete and each zone holds at most one buffer
+(``LogicalZoneDesc.tail``).  Nothing ever waits for a buffer.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -32,8 +33,8 @@ _FREE_ARRAYS_MAX = 64
 #: pool, so any accessor that reads past ``fill_end`` of a recycled
 #: buffer produces loud garbage instead of silently-zero bytes that
 #: happen to match the §5.1 zero-padding rule.  Enabled process-wide via
-#: the ``REPRO_POISON_POOLS`` environment variable or per-volume through
-#: ``RaiznConfig.poison_pools``.
+#: the ``REPRO_POISON_POOLS`` environment variable or
+#: :func:`enable_pool_poisoning`.
 _POISON_BYTE = 0xA5
 _poison = os.environ.get("REPRO_POISON_POOLS", "") not in ("", "0")
 
@@ -166,55 +167,3 @@ class StripeBuffer:
             position += take
         return lo, bytes(acc[lo:hi])
 
-
-class StripeBufferPool:
-    """The fixed-size pool of stripe buffers for one logical zone.
-
-    ``acquire`` returns an existing buffer for a stripe or allocates a new
-    one; allocation fails (returns None) when all slots are occupied, in
-    which case the write path must wait for a release — the paper
-    pre-allocates 8 buffers per open zone and "blocks write processing if
-    all stripe buffers are occupied".
-    """
-
-    def __init__(self, zone: int, num_data: int, su: int, capacity: int):
-        self.zone = zone
-        self.num_data = num_data
-        self.su = su
-        self.capacity = capacity
-        self._buffers: Dict[int, StripeBuffer] = {}
-
-    def get(self, stripe: int) -> Optional[StripeBuffer]:
-        """The buffer for ``stripe`` if one is active."""
-        return self._buffers.get(stripe)
-
-    def acquire(self, stripe: int) -> Optional[StripeBuffer]:
-        """The buffer for ``stripe``, allocating if a slot is free."""
-        buffer = self._buffers.get(stripe)
-        if buffer is not None:
-            return buffer
-        if len(self._buffers) >= self.capacity:
-            return None
-        buffer = StripeBuffer(self.zone, stripe, self.num_data, self.su)
-        self._buffers[stripe] = buffer
-        return buffer
-
-    def release(self, stripe: int) -> None:
-        """Free the slot held by ``stripe`` (after its full parity is safe)."""
-        buffer = self._buffers.pop(stripe, None)
-        if buffer is not None:
-            buffer.recycle()
-
-    def active(self) -> List[StripeBuffer]:
-        """All currently held buffers, in stripe order."""
-        return [self._buffers[s] for s in sorted(self._buffers)]
-
-    def clear(self) -> None:
-        """Drop every buffer (zone reset)."""
-        for buffer in self._buffers.values():
-            buffer.recycle()
-        self._buffers.clear()
-
-    @property
-    def occupied(self) -> int:
-        return len(self._buffers)

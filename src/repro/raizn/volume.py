@@ -53,7 +53,6 @@ from .metadata import (
 )
 from .readpath import ReadPath
 from .relocation import RelocationStore
-from .stripebuf import enable_pool_poisoning
 from .writepath import WritePath
 from .zonedesc import LogicalZoneDesc, PhysicalZoneDesc
 
@@ -140,6 +139,31 @@ class HealthStats:
         }
 
 
+# Fail-slow tuning (used only with ``RaiznConfig.failslow_protection``).
+#: EWMA weight for per-device completion-latency tracking (mean and mean
+#: absolute deviation).
+LATENCY_EWMA_ALPHA = 0.125
+#: Latency samples a device must accumulate before its distribution is
+#: trusted to derive hedge deadlines and outlier thresholds.
+HEDGE_MIN_SAMPLES = 32
+#: A completion is *slow* (and a pending read hedge-eligible) past
+#: ``max(HEDGE_FLOOR_S, ewma * HEDGE_LATENCY_MULTIPLIER,
+#: ewma + HEDGE_SLACK_DEVIATIONS * deviation_ewma)``.
+HEDGE_LATENCY_MULTIPLIER = 1.5
+HEDGE_SLACK_DEVIATIONS = 6.0
+HEDGE_FLOOR_S = 200e-6
+#: EWMA weight of the slow-outlier indicator that forms the health score
+#: (score = 1 - outlier EWMA).
+SLOW_SCORE_ALPHA = 0.1
+#: Outlier-EWMA above which a device is demoted to "avoid for reads":
+#: reads are served by reconstruction instead (writes still land on the
+#: device and keep feeding the score).
+SLOW_DEMOTE_SCORE = 0.5
+#: Latency samples observed *after* demotion before slow-eviction may
+#: fire: a demoted device gets a grace window to recover.
+SLOW_EVICT_MIN_SAMPLES = 25
+
+
 class _LatencyEwma:
     """EWMA of completion latency plus its mean absolute deviation.
 
@@ -155,26 +179,25 @@ class _LatencyEwma:
         self.dev = 0.0
         self.samples = 0
 
-    def threshold(self, config: RaiznConfig) -> Optional[float]:
+    def threshold(self) -> Optional[float]:
         """Adaptive slow-completion threshold, or None before the
-        distribution has ``hedge_min_samples`` observations."""
-        if self.samples < config.hedge_min_samples:
+        distribution has ``HEDGE_MIN_SAMPLES`` observations."""
+        if self.samples < HEDGE_MIN_SAMPLES:
             return None
-        return max(config.hedge_floor_s,
-                   self.mean * config.hedge_latency_multiplier,
-                   self.mean + config.hedge_slack_deviations * self.dev)
+        return max(HEDGE_FLOOR_S, self.mean * HEDGE_LATENCY_MULTIPLIER,
+                   self.mean + HEDGE_SLACK_DEVIATIONS * self.dev)
 
-    def observe(self, seconds: float, config: RaiznConfig) -> bool:
+    def observe(self, seconds: float) -> bool:
         """Fold one sample in; returns True if it was a slow outlier."""
         if self.samples == 0:
             self.mean = seconds
             self.samples = 1
             return False
-        threshold = self.threshold(config)
+        threshold = self.threshold()
         outlier = threshold is not None and seconds > threshold
         self.samples += 1
         if not outlier:
-            alpha = config.latency_ewma_alpha
+            alpha = LATENCY_EWMA_ALPHA
             self.dev += alpha * (abs(seconds - self.mean) - self.dev)
             self.mean += alpha * (seconds - self.mean)
         return outlier
@@ -218,14 +241,13 @@ class DeviceHealth:
         """Health score in [0, 1]; 1.0 is healthy."""
         return 1.0 - self.slow_score
 
-    def observe(self, is_read: bool, seconds: float,
-                config: RaiznConfig) -> bool:
+    def observe(self, is_read: bool, seconds: float) -> bool:
         """Fold one completion latency in; returns True on an outlier."""
         ewma = self.read if is_read else self.write
-        outlier = ewma.observe(seconds, config)
+        outlier = ewma.observe(seconds)
         if outlier:
             self.slow_outliers += 1
-        self.slow_score += config.slow_score_alpha * \
+        self.slow_score += SLOW_SCORE_ALPHA * \
             ((1.0 if outlier else 0.0) - self.slow_score)
         if self.demoted:
             self.samples_since_demote += 1
@@ -264,11 +286,6 @@ class RaiznVolume:
         self.sim = sim
         self.devices: List[Optional[ZNSDevice]] = list(devices)
         self.config = config
-        if config.poison_pools:
-            # Audit mode: recycled stripe-buffer arrays are filled with
-            # 0xA5 so stale reads past ``fill_end`` are unmistakable.
-            # Process-wide by design — the pool itself is process-wide.
-            enable_pool_poisoning()
         self.array_uuid = array_uuid
         self.num_data_zones = template.num_zones - config.num_metadata_zones
         if self.num_data_zones < 1:
@@ -281,8 +298,7 @@ class RaiznVolume:
         self.zone_descs = [
             LogicalZoneDesc(z, self.mapper.zone_start(z),
                             self.mapper.zone_capacity, config.num_data,
-                            config.stripe_unit_bytes,
-                            config.stripe_buffers_per_zone)
+                            config.stripe_unit_bytes)
             for z in range(self.num_data_zones)
         ]
         self.phys: List[List[PhysicalZoneDesc]] = [
@@ -338,9 +354,6 @@ class RaiznVolume:
             self.attach_tracer(Tracer(sim))
         #: Pending (bio, done) pairs per zone blocked by an in-flight reset.
         self._reset_pending: Dict[int, List[Tuple[Bio, Event]]] = {}
-        #: Bumped on every membership/degraded transition (eviction,
-        #: rebuild start, rebuild completion).
-        self._membership_epoch = 0
         #: Cached "a device is unavailable" (failed or mid-rebuild), kept
         #: by :meth:`invalidate_write_plans`.  While it is False every
         #: ``_device_available`` is True: a read piece tests this instead
@@ -511,9 +524,10 @@ class RaiznVolume:
             raise DegradedModeError(
                 f"{self.failed.count(True)} devices unavailable; single "
                 "parity serves IO through at most one loss")
+        if self.read_only and (op is Op.WRITE or op is Op.ZONE_APPEND or
+                               op is Op.ZONE_RESET or op is Op.ZONE_FINISH):
+            raise VolumeStateError("volume is read-only")
         if op is Op.WRITE or op is Op.ZONE_APPEND:
-            if self.read_only:
-                raise VolumeStateError("volume is read-only")
             zone = self.mapper.zone_of(bio.offset)
             desc = self.zone_descs[zone]
             if desc.reset_in_progress:
@@ -525,8 +539,6 @@ class RaiznVolume:
         elif op is Op.FLUSH:
             self.sim.schedule(0.0, self.writepath.flush_all, bio, done)
         elif op is Op.ZONE_RESET:
-            if self.read_only:
-                raise VolumeStateError("volume is read-only")
             self._start_reset(bio, done)
         elif op is Op.ZONE_FINISH:
             self.sim.process(self._run_finish(bio, done))
@@ -589,7 +601,7 @@ class RaiznVolume:
                       seconds: float) -> None:
         """Feed one completion latency into device ``index``'s health.
 
-        Escalation ladder: a score past ``slow_demote_score`` demotes the
+        Escalation ladder: a score past ``SLOW_DEMOTE_SCORE`` demotes the
         device (reads are served from redundancy instead, writes still
         land on it and keep feeding the score); a demoted device whose
         score recovers is reinstated; one that stays past
@@ -599,22 +611,21 @@ class RaiznVolume:
         ``error_counts`` — slowness and hard errors escalate separately.
         """
         health = self.device_health[index]
-        health.observe(is_read, seconds, self.config)
+        health.observe(is_read, seconds)
         config = self.config
         if not health.demoted:
-            if health.slow_score >= config.slow_demote_score:
+            if health.slow_score >= SLOW_DEMOTE_SCORE:
                 health.demoted = True
                 health.samples_since_demote = 0
                 self.health.slow_demotions += 1
             return
-        if health.slow_score <= config.slow_demote_score * 0.5:
+        if health.slow_score <= SLOW_DEMOTE_SCORE * 0.5:
             # Sustained recovery (hysteresis at half the demote score):
             # lift the demotion and give the device its reads back.
             health.demoted = False
             return
         if health.slow_score >= config.slow_evict_score \
-                and health.samples_since_demote >= \
-                config.slow_evict_min_samples \
+                and health.samples_since_demote >= SLOW_EVICT_MIN_SAMPLES \
                 and not self.failed[index] \
                 and sum(self.failed) < config.num_parity:
             self.fail_device(index, remove=False)
@@ -690,18 +701,18 @@ class RaiznVolume:
             # Partial parity: serialize the cumulative parity of every
             # incomplete stripe buffer whose parity lives on this device.
             for desc in self.zone_descs:
-                for buffer in desc.buffers.active():
-                    if buffer.fill_end == 0 or buffer.full:
-                        continue
-                    layout = self.mapper.stripe_layout(desc.zone, buffer.stripe)
-                    if layout.parity_device != device_index:
-                        continue
-                    stripe_lba = desc.start_lba + buffer.stripe * desc.stripe_width
-                    parity = buffer.full_parity()
-                    hi = min(buffer.fill_end, len(parity))
-                    entries.append(encode_partial_parity(
-                        stripe_lba, stripe_lba + buffer.fill_end,
-                        self.generation[desc.zone], 0, parity[:hi]))
+                buffer = desc.tail
+                if buffer is None or buffer.fill_end == 0 or buffer.full:
+                    continue
+                layout = self.mapper.stripe_layout(desc.zone, buffer.stripe)
+                if layout.parity_device != device_index:
+                    continue
+                stripe_lba = desc.start_lba + buffer.stripe * desc.stripe_width
+                parity = buffer.full_parity()
+                hi = min(buffer.fill_end, len(parity))
+                entries.append(encode_partial_parity(
+                    stripe_lba, stripe_lba + buffer.fill_end,
+                    self.generation[desc.zone], 0, parity[:hi]))
             # Relocated parity of completed stripes whose parity SU could
             # not be written in place: one cumulative entry covering the
             # whole stripe keeps it recoverable after the delta logs are
@@ -820,29 +831,27 @@ class RaiznVolume:
             fua_devices: Set[int] = set()
             # Seal the incomplete tail stripe's parity so degraded reads
             # work without consulting partial parity logs.
-            for buffer in list(desc.buffers.active()):
-                if buffer.fill_end and not buffer.full:
-                    layout = self.mapper.stripe_layout(zone, buffer.stripe)
-                    device = layout.parity_device
-                    if self._device_available(device, zone):
-                        parity = buffer.full_parity()
-                        pba = zone * self.phys_zone_size + \
-                            buffer.stripe * self.config.stripe_unit_bytes
-                        pdesc = self.phys[device][zone]
-                        if pdesc.write_pointer == pba and \
-                                pdesc.state is not ZoneState.READ_ONLY and \
-                                pdesc.state is not ZoneState.OFFLINE:
-                            pdesc.write_pointer = pba + len(parity)
-                            events.append(self.devices[device].submit(
-                                Bio.write(pba, parity)))
-                        else:
-                            # Conflicting parity PBA (or a worn-out parity
-                            # zone): the delta logs already cover the tail
-                            # stripe; keep the sealed parity in memory
-                            # (§5.2).
-                            self.relocated_parity[
-                                (zone, buffer.stripe)] = parity
-                desc.buffers.release(buffer.stripe)
+            buffer = desc.tail
+            if buffer is not None and buffer.fill_end and not buffer.full:
+                layout = self.mapper.stripe_layout(zone, buffer.stripe)
+                device = layout.parity_device
+                if self._device_available(device, zone):
+                    parity = buffer.full_parity()
+                    pba = zone * self.phys_zone_size + \
+                        buffer.stripe * self.config.stripe_unit_bytes
+                    pdesc = self.phys[device][zone]
+                    if pdesc.write_pointer == pba and \
+                            pdesc.state is not ZoneState.READ_ONLY and \
+                            pdesc.state is not ZoneState.OFFLINE:
+                        pdesc.write_pointer = pba + len(parity)
+                        events.append(self.devices[device].submit(
+                            Bio.write(pba, parity)))
+                    else:
+                        # Conflicting parity PBA (or a worn-out parity
+                        # zone): the delta logs already cover the tail
+                        # stripe; keep the sealed parity in memory (§5.2).
+                        self.relocated_parity[(zone, buffer.stripe)] = parity
+            desc.drop_tail()
             for device in self._alive_devices():
                 pdesc = self.phys[device][zone]
                 if pdesc.state is ZoneState.READ_ONLY or \
@@ -925,12 +934,10 @@ class RaiznVolume:
 
         Cached plans are pure geometry, but they are consumed under
         emit-time availability/conflict checks that assume the
-        membership they were built under; clearing the cache (and
-        bumping the epoch) on every eviction, rebuild start, and rejoin
-        keeps each cached plan trivially confined to a single
-        membership epoch.
+        membership they were built under; clearing the cache on every
+        eviction, rebuild start, and rejoin keeps each cached plan
+        trivially confined to a single membership epoch.
         """
-        self._membership_epoch += 1
         self._degraded = True in self.failed or self.rebuild_state is not None
         self.writepath.invalidate_plans()
 

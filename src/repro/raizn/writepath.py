@@ -1,7 +1,7 @@
 """The logical write path of a RAIZN volume (paper §5.1–§5.3).
 
 A write is validated against its logical zone, split by a cached,
-stripe-relative plan, absorbed into the zone's stripe buffers and emitted
+stripe-relative plan, absorbed into the zone's tail stripe buffer and emitted
 in ONE loop: every data piece goes to its device in place, into the
 metadata log (a §5.2 conflict or a worn physical zone) or nowhere (its
 device is unavailable and parity covers it); a stripe that completes
@@ -33,6 +33,7 @@ from ..errors import (DataLossError, DeviceError, DeviceFailedError,
                       ZoneStateError)
 from ..sim import Event
 from ..zns.spec import ZoneState
+from . import config
 from .mdzone import MetadataRole
 from .metadata import (encode_partial_parity, encode_partial_parity_bytes,
                        encode_relocated_su)
@@ -405,21 +406,23 @@ class WritePath:
         # every channel grant — and with it every RNG draw — is unmoved.
         cmds: List[tuple] = []
         batch: List[tuple] = []
-        buffers = desc.buffers
         row = volume._tr_stripe_row
         try:
             for (dstripe, in_stripe, seg_lo, seg_hi, pieces, completes,
                  parity_device, rel_ppba, rel_slba) in plan:
                 stripe = stripe0 + dstripe
                 chunk = data[seg_lo:seg_hi]
-                buffer = buffers.acquire(stripe)
+                # Writes land at the write pointer, so only the tail stripe
+                # is ever incomplete: a stripe's first write takes the
+                # zone's one buffer (absorb refuses it past offset 0).
+                buffer = desc.tail
                 if buffer is None:
+                    buffer = desc.tail = StripeBuffer(
+                        zone, stripe, desc.num_data, su)
+                elif buffer.stripe != stripe:
                     raise RaiznError(
-                        f"zone {zone}: all "
-                        f"{volume.config.stripe_buffers_per_zone} "
-                        "stripe buffers occupied (should not happen: "
-                        "writes are sequential, so only the tail stripe "
-                        "is ever incomplete)")
+                        f"zone {zone}: write to stripe {stripe} but the tail "
+                        f"buffer holds stripe {buffer.stripe}")
                 buffer.absorb(in_stripe, chunk)
                 if row is not None:
                     row[0] += 1
@@ -435,7 +438,7 @@ class WritePath:
                                            lba_base + rel_slba, buffer,
                                            in_stripe, chunk, sub_flags,
                                            cmds, batch)
-                    buffers.release(stripe)
+                    desc.drop_tail()
                 else:
                     self._emit_partial_parity(join, desc, parity_device,
                                               lba_base + rel_slba, in_stripe,
@@ -686,7 +689,7 @@ class WritePath:
                 piece.attempt += 1
                 self._retries[piece.desc.zone] += 1
                 self._retrying[piece.desc.zone] += 1
-                self.sim.schedule(volume.config.transient_backoff_s,
+                self.sim.schedule(config.TRANSIENT_BACKOFF_S,
                                   self._retry, piece)
                 return
             volume.health.transient_escalations += 1

@@ -1,7 +1,7 @@
 """In-memory logical and physical zone descriptors (Table 1).
 
 The volume keeps a descriptor per logical zone (state, write pointer,
-persistence bitmap, stripe buffer pool, relocation flag) and mirrors each
+persistence bitmap, tail stripe buffer, relocation flag) and mirrors each
 physical zone's write pointer so sub-IOs can be ordered and conflicting
 writes detected without querying the devices.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..zns.spec import ZoneState
-from .stripebuf import StripeBufferPool
+from .stripebuf import StripeBuffer
 
 
 class PersistenceBitmap:
@@ -73,7 +73,7 @@ class LogicalZoneDesc:
     """Mutable state of one logical zone."""
 
     def __init__(self, zone: int, start_lba: int, capacity: int,
-                 num_data: int, su: int, stripe_buffers: int):
+                 num_data: int, su: int):
         self.zone = zone
         self.start_lba = start_lba
         self.capacity = capacity
@@ -93,7 +93,11 @@ class LogicalZoneDesc:
         self.has_relocations = False
         num_su = (capacity // su)
         self.persistence = PersistenceBitmap(num_su)
-        self.buffers = StripeBufferPool(zone, num_data, su, stripe_buffers)
+        #: The incomplete tail stripe's data (§5.1).  Writes are accepted
+        #: one at a time at the write pointer, so no other stripe of the
+        #: zone is ever partial; None when the zone ends on a stripe
+        #: boundary.
+        self.tail: Optional[StripeBuffer] = None
 
     @property
     def writable_end(self) -> int:
@@ -119,7 +123,14 @@ class LogicalZoneDesc:
         self.reset_pointer = None
         self.has_relocations = False
         self.persistence.reset()
-        self.buffers.clear()
+        self.drop_tail()
+
+    def drop_tail(self) -> None:
+        """Recycle the tail buffer: its stripe completed, or the zone was
+        finished or reset."""
+        if self.tail is not None:
+            self.tail.recycle()
+            self.tail = None
 
 
 class PhysicalZoneDesc:

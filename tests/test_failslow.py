@@ -19,7 +19,7 @@ from repro.faults import (
 )
 from repro.raizn import run_health_maintenance, slow_evicted_devices
 from repro.raizn.config import RaiznConfig
-from repro.raizn.volume import RaiznVolume
+from repro.raizn.volume import HEDGE_MIN_SAMPLES, RaiznVolume
 from repro.sim import Simulator
 from repro.units import KiB, MiB
 from repro.zns import ZNSDevice
@@ -161,7 +161,7 @@ def fill_zone(volume, zone):
 def prime_health(volume, stripes, max_passes=8):
     """Read the filled zone until every device's read EWMA is warm."""
     for _ in range(max_passes):
-        if all(h.read.samples >= volume.config.hedge_min_samples
+        if all(h.read.samples >= HEDGE_MIN_SAMPLES
                for h in volume.device_health):
             return
         for stripe in range(stripes):
@@ -200,7 +200,7 @@ class TestHedgedReads:
     def test_ladder_demotes_evicts_and_rebuilds(self, sim):
         volume, devices = protected_volume(sim)
         stripes = fill_zone(volume, 0)
-        fill_zone(volume, 1)  # warms the write EWMAs past hedge_min_samples
+        fill_zone(volume, 1)  # warms the write EWMAs past HEDGE_MIN_SAMPLES
         prime_health(volume, stripes)
         victim = 1
         plan = SlowPlan(seed=5, specs=[stalling_device(

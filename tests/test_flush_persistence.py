@@ -10,7 +10,7 @@ import pytest
 from repro.block import Bio, BioFlags, Op
 from repro.errors import TransientCommandError
 from repro.faults.oracle import check_persistence_bitmap_soundness
-from repro.raizn import RaiznConfig, RaiznVolume, mount
+from repro.raizn import RaiznConfig, RaiznVolume, config, mount
 from repro.units import KiB
 
 from conftest import TEST_STRIPE_UNIT, make_volume, make_zns_devices, pattern
@@ -177,14 +177,15 @@ def test_write_that_outlives_a_zone_reset_marks_nothing(sim):
     # nothing is outstanding at either end of the flush.
     (0.0, 0.0)])
 def test_flush_marks_nothing_in_a_zone_with_a_retry_outstanding(
-        sim, flush_after, backoff):
+        sim, monkeypatch, flush_after, backoff):
     """The 4 KiB write that fills SU0 is refused once, transiently; an
     ``Op.FLUSH`` is submitted right behind it, or while the retry waits
     out its backoff.  The retry reaches the device after the flush did, so the
     FLUSH may not mark SU0."""
+    monkeypatch.setattr(config, "TRANSIENT_BACKOFF_S", backoff)
     devices = make_zns_devices(sim, num_zones=8)
     volume = RaiznVolume.create(sim, devices, RaiznConfig(
-        num_data=4, stripe_unit_bytes=SU, transient_backoff_s=backoff))
+        num_data=4, stripe_unit_bytes=SU))
     volume.execute(Bio.write(0, pattern(SU - 4 * KiB, seed=9)))
     su0 = devices[volume.mapper.stripe_layout(0, 0).data_devices[0]]
     refused = []

@@ -10,6 +10,7 @@ straggler — completing in a *later* tick — must still feed the score.
 import pytest
 
 from repro.block import Bio
+from repro.raizn import volume as volume_module
 from repro.raizn.config import RaiznConfig
 from repro.raizn.readpath import _Piece, _ReadJoin
 from repro.raizn.volume import RaiznVolume, _LatencyEwma
@@ -94,21 +95,22 @@ class TestHedgeTie:
 
 class TestLatencyEwma:
     def test_no_threshold_before_min_samples(self):
-        config = RaiznConfig(num_data=4, hedge_min_samples=4)
         ewma = _LatencyEwma()
-        for _ in range(4):
-            assert ewma.threshold(config) is None
-            ewma.observe(1e-3, config)
-        assert ewma.threshold(config) is not None
+        for _ in range(volume_module.HEDGE_MIN_SAMPLES):
+            assert ewma.threshold() is None
+            ewma.observe(1e-3)
+        # A steady 1 ms device has no deviation: the multiplier sets it.
+        multiplier = volume_module.HEDGE_LATENCY_MULTIPLIER
+        assert ewma.threshold() == 1e-3 * multiplier
 
-    def test_every_sample_counted_even_outliers(self):
+    def test_every_sample_counted_even_outliers(self, monkeypatch):
         """`samples` counts observations, not just healthy ones — the
         tie fix relies on dropped ties being the *only* uncounted
         completions."""
-        config = RaiznConfig(num_data=4, hedge_min_samples=2)
+        monkeypatch.setattr(volume_module, "HEDGE_MIN_SAMPLES", 2)
         ewma = _LatencyEwma()
         for _ in range(8):
-            ewma.observe(1e-3, config)
-        assert ewma.observe(1.0, config)  # a gross outlier
+            ewma.observe(1e-3)
+        assert ewma.observe(1.0)  # a gross outlier
         assert ewma.samples == 9
         assert ewma.mean < 2e-3  # outlier excluded from the mean

@@ -6,8 +6,11 @@ under.  Every eviction, rebuild start (rejoin), and rebuild completion
 must invalidate the cache so no plan crosses a membership epoch.
 """
 
+import pytest
+
 from repro.block import Bio
 from repro.faults.devicefail import fresh_replacement
+from repro.raizn import RaiznVolume
 from repro.raizn.rebuild import rebuild
 
 from conftest import TEST_STRIPE_UNIT, make_volume, pattern
@@ -16,27 +19,40 @@ SU = TEST_STRIPE_UNIT
 STRIPE = 4 * SU
 
 
-def test_eviction_clears_cached_plans(sim):
+@pytest.fixture
+def invalidations(monkeypatch):
+    """Count calls of ``RaiznVolume.invalidate_write_plans``."""
+    calls = []
+    original = RaiznVolume.invalidate_write_plans
+
+    def counted(volume):
+        calls.append(volume)
+        original(volume)
+    monkeypatch.setattr(RaiznVolume, "invalidate_write_plans", counted)
+    return calls
+
+
+def test_eviction_clears_cached_plans(sim, invalidations):
     volume, devices = make_volume(sim)
     volume.execute(Bio.write(0, pattern(STRIPE, seed=1)))
     assert volume.writepath._plan_cache, "steady-state writes should cache plans"
-    epoch = volume._membership_epoch
+    before = len(invalidations)
     volume.fail_device(2)
     assert not volume.writepath._plan_cache
-    assert volume._membership_epoch == epoch + 1
+    assert len(invalidations) == before + 1
 
 
-def test_rebuild_rejoin_and_completion_bump_epoch(sim):
+def test_rebuild_rejoin_and_completion_bump_epoch(sim, invalidations):
     volume, devices = make_volume(sim)
     volume.execute(Bio.write(0, pattern(2 * STRIPE, seed=2)))
     volume.execute(Bio.flush())
     volume.fail_device(1)
-    epoch = volume._membership_epoch
+    before = len(invalidations)
     replacement = fresh_replacement(sim, devices[0], "zns1b", seed=99)
     rebuild(sim, volume, 1, replacement)
     # One transition when the replacement rejoins (rebuilt_zones gating
     # starts), one when the rebuild completes (gating lifted).
-    assert volume._membership_epoch == epoch + 2
+    assert len(invalidations) == before + 2
     assert not volume.writepath._plan_cache
 
 

@@ -10,9 +10,14 @@ array is observationally identical to a fresh zero-backed one.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.raizn import stripebuf
 from repro.raizn.config import RaiznConfig
 from repro.raizn.stripebuf import (StripeBuffer, enable_pool_poisoning,
@@ -83,19 +88,18 @@ class TestPoisonMechanics:
         assert buffer.data_unit(0) == b"\x0f" * 16
         assert buffer.data_unit(1) == b"\x0f" * 4 + bytes(12)
 
-    def test_config_enables_poisoning(self):
-        prior = pool_poisoning_enabled()
-        enable_pool_poisoning(False)
-        try:
-            sim = Simulator()
-            devices = make_zns_devices(sim)
-            config = RaiznConfig(num_data=len(devices) - 1,
-                                 poison_pools=True)
-            RaiznVolume.create(sim, devices, config)
-            assert pool_poisoning_enabled()
-        finally:
-            enable_pool_poisoning(prior)
-            _drain_pool()
+    @pytest.mark.parametrize("value, enabled", [("1", True), ("0", False),
+                                                ("", False)])
+    def test_env_var_enables_poisoning(self, value, enabled):
+        """``REPRO_POISON_POOLS`` is read once, at import."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, REPRO_POISON_POOLS=value, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.raizn.stripebuf import pool_poisoning_enabled; "
+             "print(pool_poisoning_enabled())"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == str(enabled)
 
     def test_config_default_leaves_poisoning_alone(self):
         prior = pool_poisoning_enabled()

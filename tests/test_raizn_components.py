@@ -4,12 +4,17 @@ bitmaps, zone descriptors, and the relocation store."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.block import Bio
 from repro.errors import RaiznError
 from repro.raizn.relocation import RelocatedUnit, RelocationStore
-from repro.raizn.stripebuf import StripeBuffer, StripeBufferPool
+from repro.raizn.stripebuf import StripeBuffer
 from repro.raizn.zonedesc import LogicalZoneDesc, PersistenceBitmap
 from repro.units import KiB
 from repro.zns import ZoneState
+
+from conftest import TEST_STRIPE_UNIT, make_volume, pattern
+
+STRIPE = 4 * TEST_STRIPE_UNIT
 
 
 class TestStripeBuffer:
@@ -52,29 +57,54 @@ class TestStripeBuffer:
             StripeBuffer.delta_parity(0, b"", 16)
 
 
-class TestStripeBufferPool:
-    def test_acquire_release_cycle(self):
-        pool = StripeBufferPool(0, num_data=2, su=16, capacity=2)
-        a = pool.acquire(0)
-        assert pool.acquire(0) is a  # same stripe, same buffer
-        b = pool.acquire(1)
-        assert pool.occupied == 2
-        assert pool.acquire(2) is None  # exhausted
-        pool.release(0)
-        assert pool.acquire(2) is not None
+class TestTailBuffer:
+    """A zone holds one stripe buffer, for its incomplete tail stripe."""
 
-    def test_active_sorted(self):
-        pool = StripeBufferPool(0, num_data=2, su=16, capacity=4)
-        for stripe in (3, 1, 2):
-            pool.acquire(stripe)
-        assert [b.stripe for b in pool.active()] == [1, 2, 3]
+    def test_acquired_on_first_partial_write(self, sim):
+        volume, _ = make_volume(sim)
+        desc = volume.zone_descs[0]
+        assert desc.tail is None
+        volume.execute(Bio.write(0, pattern(8 * KiB, seed=1)))
+        tail = desc.tail
+        assert (tail.stripe, tail.fill_end) == (0, 8 * KiB)
+        volume.execute(Bio.write(8 * KiB, pattern(4 * KiB, seed=2)))
+        assert desc.tail is tail and tail.fill_end == 12 * KiB
 
-    def test_clear(self):
-        pool = StripeBufferPool(0, num_data=2, su=16, capacity=4)
-        pool.acquire(0)
-        pool.clear()
-        assert pool.occupied == 0
-        assert pool.get(0) is None
+    def test_released_when_stripe_completes(self, sim):
+        volume, _ = make_volume(sim)
+        desc = volume.zone_descs[0]
+        volume.execute(Bio.write(0, pattern(8 * KiB, seed=1)))
+        volume.execute(Bio.write(8 * KiB, pattern(STRIPE - 8 * KiB, seed=2)))
+        assert desc.tail is None
+        # Across a boundary: stripe 1 completes, stripe 2 becomes the tail.
+        volume.execute(Bio.write(STRIPE, pattern(STRIPE + 4 * KiB, seed=3)))
+        assert (desc.tail.stripe, desc.tail.fill_end) == (2, 4 * KiB)
+
+    def test_cleared_on_reset_and_finish(self, sim):
+        volume, _ = make_volume(sim)
+        starts = (0, volume.zone_capacity)
+        for start in starts:
+            volume.execute(Bio.write(start, pattern(8 * KiB, seed=1)))
+        volume.execute(Bio.zone_reset(starts[0]))
+        volume.execute(Bio.zone_finish(starts[1]))
+        assert [desc.tail for desc in volume.zone_descs[:2]] == [None, None]
+
+    def test_write_without_its_tail_fails_as_raizn_error(self, sim):
+        volume, _ = make_volume(sim)
+        desc = volume.zone_descs[0]
+        volume.execute(Bio.write(0, pattern(8 * KiB, seed=1)))
+        desc.tail = None
+        with pytest.raises(RaiznError, match="non-sequential"):
+            volume.execute(Bio.write(8 * KiB, pattern(4 * KiB, seed=2)))
+
+    def test_write_past_another_stripes_tail_fails_as_raizn_error(self, sim):
+        volume, _ = make_volume(sim)
+        desc = volume.zone_descs[0]
+        volume.execute(Bio.write(0, pattern(8 * KiB, seed=1)))
+        desc.tail = StripeBuffer(0, 3, num_data=4, su=TEST_STRIPE_UNIT)
+        desc.tail.absorb(0, bytes(8 * KiB))
+        with pytest.raises(RaiznError, match="tail buffer holds stripe 3"):
+            volume.execute(Bio.write(8 * KiB, pattern(4 * KiB, seed=2)))
 
 
 class TestPersistenceBitmap:
@@ -119,7 +149,7 @@ class TestLogicalZoneDesc:
     def make(self):
         return LogicalZoneDesc(zone=2, start_lba=8 * 1024 * 1024,
                                capacity=4 * 1024 * 1024, num_data=4,
-                               su=64 * KiB, stripe_buffers=8)
+                               su=64 * KiB)
 
     def test_initial_state(self):
         desc = self.make()
@@ -139,13 +169,13 @@ class TestLogicalZoneDesc:
         desc.state = ZoneState.IMPLICIT_OPEN
         desc.has_relocations = True
         desc.persistence.mark_up_to(2)
-        desc.buffers.acquire(0)
+        desc.tail = StripeBuffer(2, 0, num_data=4, su=64 * KiB)
         desc.reset()
         assert desc.state is ZoneState.EMPTY
         assert desc.write_pointer == desc.start_lba
         assert not desc.has_relocations
         assert desc.persistence.frontier == 0
-        assert desc.buffers.occupied == 0
+        assert desc.tail is None
 
 
 class TestRelocation:

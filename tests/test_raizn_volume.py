@@ -398,11 +398,17 @@ class TestFailureHandling:
             volume.fail_device(1)
 
     def test_read_only_volume_rejects_writes(self, volume):
+        volume.execute(Bio.write(0, b"\x01" * 4096))
         volume.read_only = True
         with pytest.raises(VolumeStateError):
-            volume.execute(Bio.write(0, b"\x01" * 4096))
+            volume.execute(Bio.write(4096, b"\x01" * 4096))
         with pytest.raises(VolumeStateError):
             volume.execute(Bio.zone_reset(0))
+        # A finish would seal the tail stripe's parity onto its device.
+        with pytest.raises(VolumeStateError):
+            volume.execute(Bio.zone_finish(0))
+        assert volume.zone_info(0).state is not ZoneState.FULL
+        assert volume.zone_descs[0].tail.fill_end == 4096
 
     def test_generation_overflow_forces_read_only(self, volume):
         volume.execute(Bio.write(0, b"\x01" * 4096))

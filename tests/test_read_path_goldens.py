@@ -38,7 +38,9 @@ from repro.block.timing import zns_zn540_model
 from repro.errors import TransientCommandError
 from repro.faults import fresh_replacement
 from repro.raizn import RaiznConfig, RaiznVolume
+from repro.raizn.config import TRANSIENT_BACKOFF_S
 from repro.raizn.rebuild import rebuild_process
+from repro.raizn.volume import HEDGE_MIN_SAMPLES
 from repro.sim import Simulator
 from repro.units import KiB, MiB
 from repro.zns import ZNSDevice
@@ -435,7 +437,7 @@ def warmed(array):
     """Read zone 0 until every device's read EWMA can derive a deadline."""
     volume = array.volume
     for _ in range(8):
-        if all(health.read.samples >= volume.config.hedge_min_samples
+        if all(health.read.samples >= HEDGE_MIN_SAMPLES
                for health in volume.device_health):
             return
         for lba in range(0, ZONE, STRIPE):
@@ -472,7 +474,7 @@ def stall_reads(array, victim, delay_for):
     def hook(dev, bio):
         if bio.op is not Op.READ:
             return 0.0
-        deadline = volume.device_health[victim].read.threshold(volume.config)
+        deadline = volume.device_health[victim].read.threshold()
         return delay_for(deadline, dev, bio)
     array.devices[victim].add_hook("service_delay", hook)
 
@@ -644,7 +646,7 @@ def shared_survivor_transient_error():
     lost = lose_data_device(array)
     flaky = unit_on(array, lost, 0, lost=False)
     device, pba = array.location(flaky)
-    until = array.sim.now + array.volume.config.transient_backoff_s / 2
+    until = array.sim.now + TRANSIENT_BACKOFF_S / 2
 
     def hook(dev, bio):
         if bio.op is Op.READ and bio.offset == pba and array.sim.now < until:

@@ -25,6 +25,19 @@ STRIPE = 4 * SU
 
 
 class TestSuperblockDiscovery:
+    @pytest.mark.parametrize("field", [
+        "num_data", "num_parity", "stripe_unit_bytes", "num_metadata_zones"])
+    def test_persisted_geometry_override_rejected(self, sim, field):
+        """The superblock fixes the geometry: overriding it is refused
+        before mount touches a device."""
+        _, devices = make_volume(sim)
+        commands = []
+        for dev in devices:
+            dev.add_hook("pre_apply", lambda dev, bio: commands.append(bio))
+        with pytest.raises(RecoveryError, match=field):
+            mount(sim, devices, **{field: 4})
+        assert commands == []
+
     def test_blank_devices_rejected(self, sim):
         devices = make_zns_devices(sim)
         with pytest.raises(RecoveryError):
@@ -372,8 +385,8 @@ class TestZoneStatesAfterMount:
         volume.execute(Bio.write(0, data))
         volume.execute(Bio.flush())
         remounted = mount(sim, devices)
-        buffer = remounted.zone_descs[0].buffers.get(0)
-        assert buffer is not None
+        buffer = remounted.zone_descs[0].tail
+        assert buffer is not None and buffer.stripe == 0
         assert buffer.fill_end == len(data)
         # Completing the stripe must produce correct parity: verify by
         # degraded read afterwards.

@@ -66,13 +66,13 @@ from .campaign import (
     Op,
     ZoneRules,
     drain,
-    drive_ops,
     enter_crash_state,
     enumerate_crash_states,
     expectation_for,
     fresh_array,
     mount_and_check,
     replacement_device,
+    run_ops,
     script_ops,
 )
 
@@ -487,8 +487,9 @@ class _Campaign:
             evict_at = self.num_ops // 2 if spec.evict else None
             ops = _phase_ops(self.seed, phase, volume, self.num_ops,
                              evict_at)
-            sim.run_process(drive_ops(volume, ops, expect, evict))
             report.workload_ops += len(ops)
+            if not run_ops(sim, volume, ops, expect, report, evict):
+                break  # the op driver died: on to the report
             drain(sim)
 
             # The slow plan stays armed through exploration so recovery

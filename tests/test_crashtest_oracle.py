@@ -18,7 +18,8 @@ from repro.faults import (
     check_persistence_bitmap_soundness,
     check_recovered_volume,
 )
-from repro.harness import campaign
+from repro.errors import WritePointerViolation
+from repro.harness import campaign, crashtest, errortest, soaktest
 from repro.harness.campaign import (LOGICAL_ZONE_CAPACITY, CampaignReport,
                                     write_report)
 from repro.harness.crashtest import explore, scripted_workload
@@ -156,6 +157,48 @@ class TestKernelReportsWhatItCannotCheck:
                                               "workload", 0, 0, 4 * KiB))
         [finding] = report.violations
         assert finding["check"] == "traceback" and not report.corruptions
+        assert "AssertionError: invariant broken" in finding["detail"]
+
+    @staticmethod
+    def break_on_call(n, method, exc):
+        """``method``, raising ``exc`` on its ``n``-th call only."""
+        calls = [0]
+
+        def wrapped(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == n:
+                raise exc
+            return method(*args, **kwargs)
+        return wrapped
+
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("datapath broke"),
+        WritePointerViolation("write at 0x0 != write pointer 0x1000")])
+    @pytest.mark.parametrize("campaign_run", ["crashtest", "errortest",
+                                              "soaktest"])
+    def test_op_driver_that_raises(self, monkeypatch, campaign_run, exc):
+        """Whatever escapes the op driver — a bug, or a ``ReproError``
+        the datapath should have absorbed — is one violation, and the
+        campaign still finishes and reports."""
+        monkeypatch.setattr(WritePath, "start", self.break_on_call(
+            6, WritePath.start, exc))
+        if campaign_run == "crashtest":
+            report = explore(**SMALL)
+        elif campaign_run == "errortest":
+            report = errortest.run_campaign(seed=0, quick=True).to_dict()
+        else:
+            report = soaktest.run_soaktest(seed=0, quick=True)
+        [finding] = report["violations"]
+        assert finding["check"] == "traceback" and not report["passed"]
+        assert f"{type(exc).__name__}: {exc}" in finding["detail"]
+
+    def test_double_crash_mount_that_raises(self, monkeypatch):
+        monkeypatch.setattr(crashtest, "mount", self.break_on_call(
+            1, crashtest.mount, AssertionError("invariant broken")))
+        report = explore(**SMALL)
+        assert report["double_crash_states"] > 1
+        [finding] = report["violations"]
+        assert finding["check"] == "traceback"
         assert "AssertionError: invariant broken" in finding["detail"]
 
 

@@ -377,12 +377,6 @@ class Script(Run):
     def barrier(self, op):
         volume = self.volume
         if op[0] == "reset":
-            if self.lost is not None and not self.replaced:
-                # Found here and left (ROADMAP item 1): a reset with a
-                # device lost leaves that slot's mirror of the zone at its
-                # old write pointer, rebuild skips the (empty) zone, and
-                # the replacement's first unit is relocated into the log.
-                return
             zone = op[1]
             volume.execute(Bio.zone_reset(zone * volume.zone_capacity))
             self.sent[zone] = bytearray()
@@ -401,14 +395,6 @@ class Script(Run):
 
     # -- the crash ----------------------------------------------------------
 
-    def only_the_lost_device_knew(self, zone):
-        """Found by this property and left (ROADMAP item 1): a zone whose
-        every written byte sat on the lost device — nothing in place on
-        any survivor, one partial-parity log entry — mounts empty."""
-        return self.lost is not None and not self.replaced \
-            and len(self.sent[zone]) <= SU and self.lost == \
-            self.volume.mapper.stripe_layout(zone, 0).data_devices[0]
-
     def crash_and_check(self):
         """Every cache lost whole; what an acknowledgement vouched for
         must be there, and nothing that was never sent."""
@@ -423,8 +409,6 @@ class Script(Run):
                 device.power_on()
         remounted = mount(self.sim, devices)
         for zone in range(ZONES):
-            if self.only_the_lost_device_knew(zone):
-                continue
             pointer = remounted.zone_info(zone).write_pointer \
                 - zone * volume.zone_capacity
             assert self.durable[zone] <= pointer <= len(self.sent[zone]), (

@@ -21,8 +21,8 @@ def fresh_replacement(sim: Simulator, template: ZNSDevice, name: str,
     return ZNSDevice(
         sim, name=name, num_zones=template.num_zones,
         zone_capacity=template.zone_capacity, zone_size=template.zone_size,
-        model=template.model, max_open_zones=template.max_open_zones,
-        max_active_zones=template.max_active_zones,
+        model=template.model, max_open_zones=template.budget.max_open,
+        max_active_zones=template.budget.max_active,
         atomic_write_bytes=template.atomic_write_bytes,
         zone_reset_limit=template.zone_reset_limit, seed=seed)
 

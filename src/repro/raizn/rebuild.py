@@ -256,7 +256,7 @@ class _Pipeline:
         (in practice two or three: sealing takes about as long as
         filling).
         """
-        open_limit = self.device.max_open_zones
+        open_limit = self.device.budget.max_open
         jobs: Deque[_ZoneJob] = deque()
         try:
             for zone in zones:

@@ -274,7 +274,7 @@ class CommandLog:
 
     def __call__(self, device, bio):
         self.commands.append((self.sim.now, bio.op, bio.offset, bio.length))
-        self.open_zones.append(device.open_zone_count)
+        self.open_zones.append(device.budget.open_count)
         zone = device.zone_index(bio.offset)
         if bio.op is Op.WRITE and zone < self.volume.num_data_zones:
             self._written.add(zone)

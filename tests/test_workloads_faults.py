@@ -160,4 +160,4 @@ class TestDeviceFaults:
         replacement = fresh_replacement(sim, zns, "new")
         assert replacement.num_zones == zns.num_zones
         assert replacement.zone_capacity == zns.zone_capacity
-        assert replacement.max_open_zones == zns.max_open_zones
+        assert replacement.budget.max_open == zns.budget.max_open

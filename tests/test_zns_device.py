@@ -180,7 +180,7 @@ class TestOpenZoneLimit:
                         max_open_zones=4, max_active_zones=20)
         for zone in range(6):
             dev.execute(Bio.write(zone * MiB, b"\xaa" * 4096))
-        assert dev.open_zone_count == 4
+        assert dev.budget.open_count == 4
         # The earliest-written zones were auto-closed.
         assert dev.zone_info(0).state is ZoneState.CLOSED
         assert dev.zone_info(5).state is ZoneState.IMPLICIT_OPEN
@@ -206,8 +206,8 @@ class TestOpenZoneLimit:
                         max_open_zones=2, max_active_zones=4)
         for zone in range(4):
             dev.execute(Bio.write(zone * MiB, b"\xaa" * MiB))
-        assert dev.open_zone_count == 0
-        assert dev.active_zone_count == 0
+        assert dev.budget.open_count == 0
+        assert dev.budget.active_count == 0
 
 
 class TestDurability:

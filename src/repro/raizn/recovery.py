@@ -3,11 +3,11 @@
 ``mount`` reassembles a :class:`~repro.raizn.volume.RaiznVolume` from its
 devices after a clean shutdown, a power loss, or a device failure:
 
-1. locate and read the superblock on each device, reorder devices by their
-   persisted index;
-2. ingest every metadata log entry from every metadata zone (including
-   swap zones holding partially-completed GC checkpoints), resolving
-   duplicates by generation counter;
+1. read each device's metadata zones once, from the top down: the first
+   superblock met gives the device's array slot and where its metadata
+   zones end;
+2. ingest every log entry read (swap zones holding partially-completed
+   GC checkpoints included), resolving duplicates by generation counter;
 3. replay valid zone-reset write-ahead logs;
 4. derive each logical zone's write pointer from the physical write
    pointers, detect stripe holes, repair them from (partial) parity when
@@ -118,21 +118,22 @@ class _Recovery:
                     f"mount cannot override {name}: the superblock "
                     "persists it")
         self.volume: Optional[RaiznVolume] = None
-        #: Every scanned log entry by type, as (device, entry) in scan order.
+        #: Every scanned log entry by type, as (device, entry) in slot
+        #: order, then ascending zone within a device.
         self.entries: Dict[MetadataType, List[Tuple[int, MetadataEntry]]] = {
             mdtype: [] for mdtype in MetadataType}
 
     # -- top level ------------------------------------------------------------
 
     def run(self):
-        ordered, superblock = yield from self._identify_devices()
+        ordered, superblock, scans = yield from self._scan_devices()
         config = RaiznConfig(**{name: getattr(superblock, name)
                                 for name in _PERSISTED_GEOMETRY},
                              **self.config_overrides)
         volume = RaiznVolume(self.sim, ordered, config,
                              array_uuid=superblock.array_uuid)
         self.volume = volume
-        yield from self._scan_metadata()
+        self._ingest_metadata(scans)
         self._ingest_generation()
         self._sync_physical_descriptors()
         partial_parity = self._ingest_partial_parity()
@@ -149,23 +150,22 @@ class _Recovery:
         volume.zoneops.budget.recount()
         yield from self._finish_metadata()
 
-    # -- device identification ----------------------------------------------------
+    # -- metadata scan ------------------------------------------------------------
 
-    def _identify_devices(self):
-        """Find superblocks, reorder devices into their array slots."""
-        found: List[Tuple[ZNSDevice, Superblock]] = []
+    def _scan_devices(self):
+        """Scan every presented device; returns the devices by array slot,
+        the superblock, and the scans in slot order."""
+        found = []
         for dev in self.raw_devices:
             if dev is None:
                 continue
             try:
-                superblock = yield from self._find_superblock(dev)
+                found.append((dev, *(yield from self._scan_device(dev))))
             except DeviceFailedError:
-                # A device can be present but failed (evicted with
-                # ``fail_device(remove=False)``); treat it exactly like a
-                # missing device and mount degraded — rejecting the mount
-                # would turn a within-tolerance fault into an outage.
+                # Present but failed (``fail_device(remove=False)``) or
+                # failing mid-scan: mount degraded, as if it were missing,
+                # rather than turn a within-tolerance fault into an outage.
                 continue
-            found.append((dev, superblock))
         if not found:
             raise RecoveryError("no device carries a RAIZN superblock")
         reference = found[0][1]
@@ -175,7 +175,7 @@ class _Recovery:
                 f"only {len(found)} of {width} devices present; beyond "
                 "parity tolerance")
         ordered: List[Optional[ZNSDevice]] = [None] * width
-        for dev, superblock in found:
+        for dev, superblock, _zones in found:
             if superblock.array_uuid != reference.array_uuid:
                 raise RecoveryError(
                     f"device {dev.name} belongs to a different array")
@@ -183,50 +183,50 @@ class _Recovery:
                 raise RecoveryError(
                     f"duplicate device index {superblock.device_index}")
             ordered[superblock.device_index] = dev
-        return ordered, reference
-
-    def _find_superblock(self, dev: ZNSDevice):
-        """Scan zones from the top of the device until a superblock appears.
-
-        Metadata zones always occupy the device's last
-        ``num_metadata_zones`` zones, and the general metadata zone always
-        contains a superblock entry (written at format time and
-        re-checkpointed by every metadata GC), so a bounded backwards scan
-        finds it.
-        """
-        for index in range(dev.num_zones - 1,
-                           max(-1, dev.num_zones - 17), -1):
-            entries = yield from self._scan_zone(dev, index)
-            for entry in entries:
-                if entry.mdtype is MetadataType.SUPERBLOCK:
-                    return Superblock.from_entry(entry)
-        raise RecoveryError(f"no superblock found on {dev.name}")
+        found.sort(key=lambda scan: scan[1].device_index)
+        return ordered, reference, found
 
     @staticmethod
-    def _scan_zone(dev: ZNSDevice, zone_index: int):
-        info = dev.zone_info(zone_index)
-        written = info.write_pointer - info.start
-        if written == 0:
-            return []
-        bio = yield dev.submit(Bio.read(info.start, written))
-        return MetadataEntry.scan(bio.result)
+    def _scan_device(dev: ZNSDevice):
+        """Read ``dev``'s metadata zones from the top down, each once.
 
-    # -- metadata ingest --------------------------------------------------------------
+        Metadata zones are the device's last ``num_metadata_zones``, and
+        the general one always holds a superblock (written at format time,
+        re-checkpointed by every metadata GC): the first superblock met
+        says where the scan stops.  Returns it and, top zone first,
+        ``(zone index, entries, bytes written)`` of each zone read.
+        """
+        superblock, zones = None, []
+        for index in range(dev.num_zones - 1, -1, -1):
+            if superblock is not None and \
+                    index < dev.num_zones - superblock.num_metadata_zones:
+                break
+            info = dev.zone_info(index)
+            written = info.write_pointer - info.start
+            entries = []
+            if written:
+                bio = yield dev.submit(Bio.read(info.start, written))
+                entries = MetadataEntry.scan(bio.result)
+            zones.append((index, entries, written))
+            superblock = superblock or next(
+                (Superblock.from_entry(entry) for entry in entries
+                 if entry.mdtype is MetadataType.SUPERBLOCK), None)
+        if superblock is None:
+            raise RecoveryError(f"no superblock found on {dev.name}")
+        return superblock, zones
 
-    def _scan_metadata(self):
-        volume = self.volume
-        for index, dev in enumerate(volume.devices):
-            if dev is None:
-                continue
-            mdz = volume.mdzones[index]
-            for zone_index in range(volume.num_data_zones, dev.num_zones):
-                scanned = yield from self._scan_zone(dev, zone_index)
-                for entry in scanned:
+    def _ingest_metadata(self, scans) -> None:
+        """File every scanned entry by type, in slot order and then
+        ascending zone, and mirror each metadata zone's fill (bytes that
+        do not all parse end in a torn tail)."""
+        for _dev, superblock, zones in scans:
+            index = superblock.device_index
+            mdz = self.volume.mdzones[index]
+            for zone_index, entries, written in reversed(zones):
+                for entry in entries:
                     self.entries[entry.mdtype].append((index, entry))
-                mdz.used[zone_index] = (
-                    dev.zone_info(zone_index).write_pointer
-                    - zone_index * volume.phys_zone_size)
-                if sum(e.total_bytes for e in scanned) < mdz.used[zone_index]:
+                mdz.used[zone_index] = written
+                if sum(entry.total_bytes for entry in entries) < written:
                     mdz.torn.add(zone_index)
 
     def _current(self, zone: int, entry: MetadataEntry) -> bool:
@@ -418,8 +418,7 @@ class _Recovery:
         themselves depend on parity) and reads the logs instead.
         """
         volume = self.volume
-        if any(dev is None or volume.failed[i]
-               for i, dev in enumerate(volume.devices)):
+        if len(volume._alive_devices()) < len(volume.devices):
             self._relocated_parity_from_logs(partial_parity)
             return
         su = volume.config.stripe_unit_bytes

@@ -8,7 +8,7 @@ import pytest
 from repro.block import Bio, BioFlags
 from repro.errors import DataLossError, MetadataError, RecoveryError
 from repro.faults import power_cycle
-from repro.raizn import RaiznVolume, mount
+from repro.raizn import RaiznConfig, RaiznVolume, mount
 from repro.raizn.mdzone import MetadataRole
 from repro.raizn.metadata import (MetadataEntry, MetadataType,
                                   encode_partial_parity)
@@ -69,6 +69,21 @@ class TestSuperblockDiscovery:
         volume.execute(Bio.flush())
         remounted = mount(sim, devices)
         assert remounted.execute(Bio.read(0, STRIPE)).result == data
+
+    def test_superblock_found_below_the_top_sixteen_zones(self, sim):
+        """With 20 metadata zones on 26-zone devices the general zone is
+        zone 7: the scan reads down to the superblock's own reservation,
+        not a fixed window of the top zones."""
+        devices = make_zns_devices(sim, num_zones=26)
+        config = RaiznConfig(num_data=4, stripe_unit_bytes=SU,
+                             num_metadata_zones=20)
+        volume = RaiznVolume.create(sim, devices, config)
+        assert volume.mdzones[0].role_zone[MetadataRole.GENERAL] == 7
+        volume.execute(Bio.flush())
+        remounted = mount(sim, devices)
+        assert remounted.config.num_metadata_zones == 20
+        assert [desc.state for desc in remounted.zone_descs] == \
+            [ZoneState.EMPTY] * 6
 
 
 class TestDegradedMount:

@@ -237,6 +237,23 @@ class TestDurability:
         zns.execute(Bio.zone_reset(0))
         assert zns.zones[0].durable_pointer == 0
 
+    @pytest.mark.parametrize("durable", ["flush", "fua"])
+    def test_durability_stops_at_a_reset(self, sim, zns, durable):
+        """A flush, or a FUA write, submitted before the zone's reset
+        persists nothing the zone holds after it: the 32 KiB written
+        behind the reset stay volatile, so a power loss may drop them."""
+        if durable == "flush":
+            zns.execute(Bio.write(0, b"\xaa" * 64 * KiB))
+            zns.submit(Bio.flush())
+        else:
+            zns.submit(Bio.write(0, b"\xaa" * 64 * KiB, BioFlags.FUA))
+        zns.submit(Bio.zone_reset(0))
+        zns.submit(Bio.write(0, b"\xbb" * 32 * KiB))
+        sim.run()
+        assert zns.zones[0].write_pointer == 32 * KiB
+        assert zns.zones[0].durable_pointer == 0
+        assert zns.survivor_state_space()[0][0] == 0
+
 
 class TestPowerLoss:
     def test_durable_data_survives(self, sim, zns):

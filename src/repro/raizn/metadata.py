@@ -22,7 +22,7 @@ Entries are written with zone appends and parsed back by scanning a
 metadata zone from its start to its write pointer.  A torn entry is a
 truncated suffix the parser detects by length — until an entry appended
 behind it is read back as its payload.  Entries carry no checksum
-(ROADMAP item 4), so the torn-tail guard is ``DeviceMetadataZones.torn``.
+(ROADMAP item 6), so the torn-tail guard is ``DeviceMetadataZones.torn``.
 """
 
 from __future__ import annotations

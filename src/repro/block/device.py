@@ -252,22 +252,11 @@ class BlockDevice:
         # from double-counting.
         if not bio.counted:
             bio.counted = True
-            # ``DeviceStats.account`` inlined: one call per command.
-            stats = self.stats
+            self.stats.account(bio)
             op = bio.op
-            if op is Op.WRITE or op is Op.ZONE_APPEND:
-                stats.writes += 1
-                stats.bytes_written += bio.length
-                stats.media_bytes_written += bio.length
-                if not bio.flags & _FUA:
-                    self.volatile_writes += 1
-            elif op is Op.READ:
-                stats.reads += 1
-                stats.bytes_read += bio.length
-            elif op is Op.FLUSH:
-                stats.flushes += 1
-            else:
-                stats.zone_mgmt += 1
+            if (op is Op.WRITE or op is Op.ZONE_APPEND) \
+                    and not bio.flags & _FUA:
+                self.volatile_writes += 1
         if self.tracer is not None:
             # Device spans stay off the object heap until completion:
             # the parent link rides in ``bio.span`` (an int, untracked
@@ -343,21 +332,13 @@ class BlockDevice:
             start = sim.now
         bio.span_grant = start  # queue wait ends, service begins
         op = bio.op
-        model = self.model
-        if op is Op.WRITE or op is Op.ZONE_APPEND:
-            # ``occupancy_time`` inlined for the dominant ops; the
-            # jitter expansion matches rng.uniform bit for bit (see
-            # the model's __post_init__).
-            occupancy = model.command_overhead + \
-                bio.length / model._write_rate
-            jitter = model.jitter
-            if jitter > 0:
-                occupancy *= 1.0 + (-jitter +
-                                    model._jitter_span * self._rng.random())
+        occupancy = self.model.occupancy_time(op, bio.length, self._rng)
+        if op is Op.READ:
+            pipeline = self._pl_read
+        elif op is Op.WRITE or op is Op.ZONE_APPEND:
             pipeline = self._pl_write
         else:
-            occupancy = model.occupancy_time(op, bio.length, self._rng)
-            pipeline = self._pl_read if op is Op.READ else 0.0
+            pipeline = 0.0
         if self.service_delay_hook is not None:
             occupancy += self.service_delay_hook(self, bio)
         freed = start + occupancy + extra_time
@@ -408,7 +389,7 @@ class BlockDevice:
                                 PowerLossError(f"{self.name} lost power mid-IO"))
             return
         now = self.sim.now
-        # ``DeviceStats`` latency accounting inlined, as with ``account``.
+        # Charge the submit→complete seconds by direction (DeviceStats).
         stats = self.stats
         elapsed = now - bio.submit_time
         op = bio.op

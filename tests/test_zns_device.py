@@ -43,6 +43,25 @@ class TestGeometry:
         with pytest.raises(InvalidAddressError):
             ZNSDevice(sim, num_zones=2, zone_capacity=1000)
 
+    @pytest.mark.parametrize("atomic_write_bytes", [0, -SECTOR_SIZE])
+    def test_atomic_write_unit_below_a_sector_rejected(
+            self, sim, atomic_write_bytes):
+        """Accepted, a zero unit made survivor_state_space() and
+        power_fail() divide by zero, and a negative one left a dirty zone
+        no legal survivor."""
+        with pytest.raises(InvalidAddressError):
+            ZNSDevice(sim, num_zones=2, zone_capacity=1 * MiB,
+                      atomic_write_bytes=atomic_write_bytes)
+
+    @pytest.mark.parametrize("max_open, max_active", [(0, 14), (4, 3)])
+    def test_open_limit_outside_one_to_active_limit_rejected(
+            self, sim, max_open, max_active):
+        """No open zone allowed refused every write; an open limit above
+        the active one is not a device NVMe describes (MOR <= MAR)."""
+        with pytest.raises(InvalidAddressError):
+            ZNSDevice(sim, num_zones=8, zone_capacity=1 * MiB,
+                      max_open_zones=max_open, max_active_zones=max_active)
+
 
 class TestSequentialWrites:
     def test_write_at_pointer_advances(self, zns):

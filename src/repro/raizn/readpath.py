@@ -157,7 +157,10 @@ class ReadPath:
         self.sim = volume.sim
         #: Device reads in flight while a device is unavailable, keyed
         #: ``(device, pba, length)``: ``[key, consumer, ...]`` with each
-        #: consumer the ``(handler, context)`` of a :meth:`_submit`.
+        #: consumer the ``(handler, context)`` of a :meth:`_submit`.  A
+        #: device read's bytes are valid only until its zone's next reset
+        #: (DESIGN, "a device read's bytes"), and the key holds no zone
+        #: generation: a join across a reset is not yet ruled out.
         self._inflight: Dict[Tuple[int, int, int], list] = {}
         #: Device reads saved by joining a command already in flight.
         self.joined_reads = 0

@@ -175,11 +175,14 @@ class _WriteJoin:
         # can extend it in the device cache — a set bit would then be
         # stale, the next FUA would skip flushing that device, and a crash
         # could lose acknowledged data.  Nor may a write that outlived a
-        # reset of its zone mark the zone written since.
+        # reset of its zone mark the zone written since.  A PREFLUSH
+        # alone covers what lies below the write: its own pieces went out
+        # without FUA.
         if desc is not None:
             if self.path.volume.generation[desc.zone] == self.generation:
-                desc.persistence.mark_up_to(
-                    (bio.offset + bio.length - desc.start_lba) // desc.su)
+                end = bio.offset + bio.length if bio.flags & _FUA \
+                    else bio.offset
+                desc.persistence.mark_up_to((end - desc.start_lba) // desc.su)
         else:
             # Exactly what the device flushes covered: units below the
             # write pointer as they went out, on a device flushed or gone.

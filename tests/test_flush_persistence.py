@@ -209,3 +209,23 @@ def test_flush_marks_nothing_in_a_zone_with_a_retry_outstanding(
     assert su0.zones[0].durable_pointer == SU - 4 * KiB
     assert not volume.zone_descs[0].persistence.is_persisted(0)
     assert check_persistence_bitmap_soundness(volume) == []
+
+
+def test_preflush_only_write_leaves_its_own_unit_volatile(sim):
+    """A PREFLUSH makes durable what lies below the write, not the write
+    itself: its device commands carry no FUA, so the unit it ends stays
+    unmarked, and the next durable write flushes that unit's device."""
+    volume, devices = make_volume(sim, num_zones=8)
+    for index in range(14):
+        volume.execute(Bio.write(index * 4 * KiB,
+                                 pattern(4 * KiB, seed=index), DURABLE))
+    su0 = devices[volume.mapper.stripe_layout(0, 0).data_devices[0]]
+    volume.execute(Bio.write(56 * KiB, pattern(8 * KiB, seed=14),
+                             BioFlags.PREFLUSH))
+    assert su0.zones[0].durable_pointer == 56 * KiB
+    assert not volume.zone_descs[0].persistence.is_persisted(0)
+    assert check_persistence_bitmap_soundness(volume) == []
+    volume.execute(Bio.write(SU, pattern(4 * KiB, seed=15), DURABLE))
+    assert volume.writepath.flushes_issued == 1
+    assert su0.zones[0].durable_pointer == SU
+    assert check_persistence_bitmap_soundness(volume) == []

@@ -9,7 +9,7 @@ each under the durability oracle — and write a JSON report.  This module
 holds one of each of those pieces; the four campaign modules keep only
 what is theirs (crashtest: boundary sampling + double crash; errortest:
 fault plan, eviction, detection power; slowtest: the three variants and
-the tail bound; soaktest: phase specs, wear rules, mechanism pruning).
+the tail bound; soaktest: phase specs and wear rules).
 """
 
 from __future__ import annotations

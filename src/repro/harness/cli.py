@@ -184,9 +184,7 @@ def _run_soaktest(args) -> Dict:
 
     report = run_soaktest(
         seed=args.seed, quick=args.quick,
-        progress=_progress(lambda r: (
-            f"{r.candidates} crash candidates "
-            f"({r.mounted} mounted, {r.pruned} pruned)")))
+        progress=_progress(lambda r: f"{r.candidates} crash states mounted"))
     print()
     return report
 
@@ -246,8 +244,7 @@ DESCRIPTIONS = {
     "crashtest": "systematic crash-state enumeration + durability oracle",
     "errortest": "seeded error campaign + integrity oracle (self-healing)",
     "slowtest": "fail-slow campaign + hedged-read tail-latency bound",
-    "soaktest": "compound-fault soak: crash x error x slow x wear, "
-                "mechanism-pruned",
+    "soaktest": "compound-fault soak: crash x error x slow x wear",
     "trace": "per-bio span tracing: attribution report + JSONL span dump",
     "table1": "Table 1: RAIZN metadata location and size",
     "rawdev": "§6.1 raw device throughput (model calibration)",

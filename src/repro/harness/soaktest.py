@@ -17,12 +17,10 @@ together on one long-lived array — and what this module adds to it:
 * **wear rules**: devices have a finite erase budget
   (``zone_reset_limit``) and the script recycles zones until it runs
   out, so wear-driven faults appear organically instead of injected;
-* **mechanism keys and signatures** (Silhouette-style pruning): a
-  candidate crash state whose pre-mount :func:`candidate_mechanism_key`
-  was already explored is skipped; every fifth skipped state is mounted
-  anyway and its :func:`mechanism_signature` must add no mechanism the
-  explored set missed, so the report can claim the pruner preserved
-  the exercised-mechanism set.
+* **mechanism signatures**: every sampled crash state is mounted (a
+  mount costs tens of milliseconds, so nothing is pruned) and its
+  :func:`mechanism_signature` names the recovery mechanisms it
+  exercised; the report lists them.
 
 Run via ``python -m repro soaktest`` (``--quick`` for the CI-sized
 campaign); emits a JSON mechanism-coverage report.
@@ -34,7 +32,7 @@ import dataclasses
 import hashlib
 import json
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from ..block.bio import Bio, BioFlags
 from ..errors import ReproError
@@ -51,14 +49,11 @@ from ..faults.oracle import (
     check_persistence_bitmap_soundness,
     check_recovered_volume,
 )
-from ..raizn.address import AddressMapper
 from ..raizn.maintenance import run_scrub
 from ..raizn.rebuild import rebuild
 from ..raizn.recovery import mount
 from ..raizn.volume import RaiznVolume
 from ..trace.metrics import MetricsRegistry
-from ..zns.device import CrashSnapshot
-from ..zns.spec import ZoneState
 from .campaign import (
     STRIPE_UNIT,
     WORKLOAD_ZONES,
@@ -142,76 +137,6 @@ def mechanism_signature(volume: RaiznVolume) -> FrozenSet[str]:
     if volume.relocated_parity:
         mechs.add("partial_parity_rebuild")
     return frozenset(mechs)
-
-
-def candidate_mechanism_key(snaps: Sequence[CrashSnapshot],
-                            spaces: Sequence[Dict[int, List[int]]],
-                            assignment: Sequence[Dict[int, int]],
-                            mapper: AddressMapper) -> Tuple:
-    """Pre-mount abstraction of which mechanisms a crash state can reach.
-
-    Computed from the boundary snapshot + survivor assignment alone (no
-    device mutation, no mount).  The recovery-mechanism signature is
-    *array-wide* — a mount either exercises read repair, relocation
-    rollback, degraded assembly, etc. or it does not, regardless of
-    which particular zone triggered it — so the key abstracts the same
-    way.  The key is: the set of failed devices (degraded assembly),
-    whether any latent-error extent survives the cut on a live device
-    (read repair / parity heal), whether any zone is worn out —
-    READ_ONLY/OFFLINE — (wear redirection), the *worst* survivor
-    class among dirty data zones and, separately, metadata zones
-    (0 = settled to the durable pointer, 2 = full cache survived,
-    1 = in between; zones from ``mapper.num_data_zones`` on are
-    metadata), and whether a data-zone survivor ends mid-unit inside a
-    unit its device holds parity for (the mount relocates that stripe's
-    parity — §5.2 — and rebuilds it from the partial-parity log).  The
-    worst class decides whether recovery faces rollback + relocation
-    arming (class < 2) and how deep; which particular zone triggered it
-    does not change the mechanism set.  Two candidates with equal keys
-    put recovery in front of the same mechanism triggers, so mounting
-    one stands in for both.
-    """
-    failed = []
-    any_bad = False
-    worn = False
-    torn_parity = False
-    data_worst = 2
-    md_worst = 2
-    md_start = mapper.num_data_zones
-    su = mapper.su
-    for index, snap in enumerate(snaps):
-        if snap.failed:
-            failed.append(index)
-            continue  # a failed device contributes no live reads
-        chosen = assignment[index]
-        for zone, states in sorted(spaces[index].items()):
-            survivor = chosen.get(zone, states[0])
-            if survivor == states[0]:
-                cls = 0
-            elif survivor == states[-1]:
-                cls = 2
-            else:
-                cls = 1
-            if zone >= md_start:
-                md_worst = min(md_worst, cls)
-                continue
-            data_worst = min(data_worst, cls)
-            in_zone = survivor - zone * mapper.phys_zone_size
-            if in_zone % su and mapper.stripe_layout(
-                    zone, in_zone // su).parity_device == index:
-                torn_parity = True
-        if not any_bad:
-            for zone, extents in sorted(snap.bad_extents.items()):
-                # Unnamed zones settle to their durable pointer.
-                survivor = chosen.get(zone, snap.zones[zone][2])
-                if any(start < survivor for start, _end in extents):
-                    any_bad = True
-                    break
-        if not worn and any(row[0] is ZoneState.READ_ONLY
-                            or row[0] is ZoneState.OFFLINE
-                            for row in snap.zones):
-            worn = True
-    return (tuple(failed), any_bad, worn, data_worst, md_worst, torn_parity)
 
 
 # ---------------------------------------------------------------- campaign
@@ -348,28 +273,22 @@ def _expectation_from_volume(volume: RaiznVolume) -> WorkloadExpectation:
 
 class _Report(CampaignReport):
     fields = ("seed", "quick", "phases", "workload_ops", "boundaries",
-              "pruning", "distinct_states", "evictions", "rebuilds",
+              "candidates", "distinct_states", "evictions", "rebuilds",
               "crash_cycles", "scrubs", "scrub_heals", "injected",
               "slowed_commands", "endurance", "oracle_checks",
               "oracle_violations", "violations", "mechanism_signatures",
               "mechanisms_exercised", "campaign_fingerprint", "passed",
               "elapsed_s")
-    PRUNE_FLOOR = 0.3
 
     def __init__(self, seed: int, quick: bool):
         super().__init__()
         self.seed = seed
         self.quick = quick
-        #: Pruning counters (reported together, under ``pruning``).
-        self.candidates = self.mounted = self.pruned = 0
-        self.pruned_verified = 0
-        self.pruned_escapes: List[Dict] = []
         self.distinct_states: set = set()
         self.oracle_checks = {
             "phase_boundary": 0,
             "recovered_volume": 0,
             "persistence_bitmap": 0,
-            "pruned_verification": 0,
             "crash_cycle": 0,
         }
         self.signatures: set = set()
@@ -380,24 +299,6 @@ class _Report(CampaignReport):
     def stamp(self, *chunks: str) -> None:
         for chunk in chunks:
             self._digest.update(chunk.encode())
-
-    @property
-    def prune_ratio(self) -> float:
-        if not self.candidates:
-            return 0.0
-        return self.pruned / self.candidates
-
-    @property
-    def pruning(self) -> Dict:
-        return {
-            "candidates": self.candidates,
-            "mounted": self.mounted,
-            "pruned": self.pruned,
-            "ratio": round(self.prune_ratio, 4),
-            "floor": self.PRUNE_FLOOR,
-            "verified_sample": self.pruned_verified,
-            "escapes": self.pruned_escapes,
-        }
 
     @property
     def oracle_violations(self) -> int:
@@ -417,9 +318,7 @@ class _Report(CampaignReport):
 
     @property
     def passed(self) -> bool:
-        return (not self.violations and not self.pruned_escapes
-                and self.prune_ratio >= self.PRUNE_FLOOR
-                and len(self.mechanisms_exercised) >= 3)
+        return not self.violations and len(self.mechanisms_exercised) >= 3
 
 
 # ---------------------------------------------------------------- explorer
@@ -432,14 +331,10 @@ class _Campaign:
         self.progress = progress
         self.report = _Report(seed, quick)
         self.rng = random.Random(seed + 101)
-        #: mechanism key -> signature observed for its representative.
-        self.explored: Dict[Tuple, FrozenSet[str]] = {}
         self.num_ops = 70 if quick else 110
         self.snap_every = 90
         self.max_snaps = 6 if quick else 9
         self.budget_per_boundary = 6 if quick else 8
-        self.verify_every = 5
-        self._pruned_serial = 0
 
     # -- top level -------------------------------------------------------------
 
@@ -448,7 +343,6 @@ class _Campaign:
         sim, _, volume = fresh_array(
             self.seed, zone_reset_limit=ENDURANCE_LIMIT, **SOAK_OVERRIDES)
         devices = volume.devices  # the live slots: rebuild swaps one
-        self.mapper = volume.mapper
         expect = expectation_for(volume)
         specs = _phase_specs(self.quick)
         report.phases = len(specs)
@@ -539,65 +433,31 @@ class _Campaign:
         report.scrub_heals += scrub.data_heals + scrub.parity_heals
 
     def _explore(self, sim, devices, recorder, phase) -> None:
-        """Prune-and-mount the phase's recorded crash candidates."""
+        """Mount every sampled crash state of the phase's boundaries."""
         report = self.report
         live = array_crash_snapshot(devices)
         for boundary in sorted(recorder.snapshots):
             snaps, frozen = recorder.snapshots[boundary]
             report.boundaries += 1
-            spaces, assignments, _product = enumerate_crash_states(
+            _spaces, assignments, _product = enumerate_crash_states(
                 devices, snaps, self.budget_per_boundary, self.rng)
+            report.candidates += len(assignments)
             for assignment in assignments:
-                report.candidates += 1
-                key = candidate_mechanism_key(snaps, spaces, assignment,
-                                              self.mapper)
-                if key in self.explored:
-                    report.pruned += 1
-                    self._pruned_serial += 1
-                    if self._pruned_serial % self.verify_every == 0:
-                        self._verify_pruned(sim, devices, snaps,
-                                            assignment, frozen, key, phase)
-                    continue
                 enter_crash_state(devices, snaps, assignment)
                 fingerprint = array_state_fingerprint(devices)
                 report.distinct_states.add(fingerprint)
-                report.mounted += 1
-                signature = self._mounted_signature(
-                    sim, devices, frozen, phase, "recovered_volume")
-                self.explored[key] = signature
+                # failslow_protection is a runtime knob, not superblock
+                # state: re-enable it on every recovery mount so hedged
+                # reads stay live while the SlowPlan drags a device.
+                volume = mount_and_check(
+                    sim, devices, frozen, report,
+                    {"phase": phase, "where": "crash_state"},
+                    check="recovered_volume", **SOAK_OVERRIDES)
+                signature = (frozenset() if volume is None
+                             else mechanism_signature(volume))
                 report.signatures.add(signature)
                 report.stamp(fingerprint, ",".join(sorted(signature)))
         array_restore_crash_snapshot(devices, live)
-
-    def _mounted_signature(self, sim, devices, frozen, phase,
-                           check: str) -> FrozenSet[str]:
-        """Mount-and-check the crash state the array is in; returns the
-        mechanisms its recovery exercised."""
-        # failslow_protection is a runtime knob, not superblock state:
-        # re-enable it on every recovery mount so hedged reads stay live
-        # while the SlowPlan drags a device.
-        volume = mount_and_check(
-            sim, devices, frozen, self.report,
-            {"phase": phase, "where": "crash_state"}, check=check,
-            **SOAK_OVERRIDES)
-        return frozenset() if volume is None else mechanism_signature(volume)
-
-    def _verify_pruned(self, sim, devices, snaps, assignment, frozen,
-                       key, phase) -> None:
-        """Mount a sampled pruned state: it must add no new mechanism."""
-        report = self.report
-        report.pruned_verified += 1
-        report.oracle_checks["pruned_verification"] += 1
-        enter_crash_state(devices, snaps, assignment)
-        signature = self._mounted_signature(sim, devices, frozen, phase,
-                                            "pruned_verification")
-        escaped = signature - set(report.mechanisms_exercised)
-        if escaped:
-            report.pruned_escapes.append({
-                "phase": phase,
-                "new_mechanisms": sorted(escaped),
-                "representative": sorted(self.explored.get(key, ())),
-            })
 
     def _crash_cycle(self, sim, devices, recorder, phase):
         """Really crash the live array and carry on from the recovery.

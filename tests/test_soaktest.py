@@ -7,19 +7,22 @@ integrity oracle at every phase boundary.  These tests pin the quick
 profile's acceptance bar and its bit-for-bit determinism.
 """
 
-from repro.harness.soaktest import (MECHANISMS, candidate_mechanism_key,
-                                    run_soaktest)
+import pytest
 
-from conftest import TEST_STRIPE_UNIT, make_volume
+from repro.harness.soaktest import MECHANISMS, run_soaktest
 
 
-def test_quick_campaign_passes():
-    report = run_soaktest(seed=0, quick=True)
+@pytest.fixture(scope="module")
+def seed0():
+    """One quick seed-0 report, shared by the tests that only read it."""
+    return run_soaktest(seed=0, quick=True)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_quick_campaign_passes(seed, seed0):
+    report = seed0 if seed == 0 else run_soaktest(seed=seed, quick=True)
     assert report["passed"], report["violations"] or report
     assert report["violations"] == []
-    assert report["pruning"]["escapes"] == []
-    assert report["pruning"]["ratio"] >= 0.3
-    assert report["pruning"]["verified_sample"] > 0
     assert len(report["mechanisms_exercised"]) >= 3
     assert set(report["mechanisms_exercised"]) <= set(MECHANISMS)
     assert report["injected"]["total"] > 0
@@ -27,40 +30,20 @@ def test_quick_campaign_passes():
     assert report["crash_cycles"] >= 1
 
 
-def test_quick_campaign_is_deterministic():
-    first = run_soaktest(seed=0, quick=True)
-    second = run_soaktest(seed=0, quick=True)
-    assert first["campaign_fingerprint"] == second["campaign_fingerprint"]
-    assert first["mechanism_signatures"] == second["mechanism_signatures"]
-    assert first["pruning"] == second["pruning"]
-    assert first["violations"] == second["violations"]
+def test_every_enumerated_crash_state_is_mounted(seed0):
+    # Every seed-0 state mounts, so the kernel counts one oracle run over
+    # a mounted volume per enumerated state.
+    assert seed0["candidates"] > 0
+    assert seed0["oracle_checks"]["recovered_volume"] == seed0["candidates"]
 
 
-def test_seed_changes_the_campaign():
-    base = run_soaktest(seed=0, quick=True)
+def test_quick_campaign_is_deterministic(seed0):
+    again = run_soaktest(seed=0, quick=True)
+    assert again["campaign_fingerprint"] == seed0["campaign_fingerprint"]
+    assert again["mechanism_signatures"] == seed0["mechanism_signatures"]
+    assert again["violations"] == seed0["violations"]
+
+
+def test_seed_changes_the_campaign(seed0):
     other = run_soaktest(seed=1, quick=True)
-    assert base["campaign_fingerprint"] != other["campaign_fingerprint"]
-
-
-def test_key_tells_a_torn_parity_unit_from_a_torn_data_unit(sim):
-    """A survivor that ends mid-unit sends the mount down the relocated-
-    parity path only when its device holds that unit's parity, so the
-    pruner must not let one state stand in for the other."""
-    volume, devices = make_volume(sim)
-    snaps = [device.crash_snapshot() for device in devices]
-    layout = volume.mapper.stripe_layout(0, 0)
-    su = TEST_STRIPE_UNIT
-
-    def key(device, survivor):
-        spaces = [{} for _ in devices]
-        assignment = [{} for _ in devices]
-        spaces[device] = {0: [0, survivor, su]}
-        assignment[device] = {0: survivor}
-        return candidate_mechanism_key(snaps, spaces, assignment,
-                                       volume.mapper)
-
-    torn_parity = key(layout.parity_device, su // 2)
-    torn_data = key(layout.data_devices[0], su // 2)
-    assert torn_parity[-1] and not torn_data[-1]
-    assert torn_parity[:-1] == torn_data[:-1]
-    assert not key(layout.parity_device, su)[-1]
+    assert seed0["campaign_fingerprint"] != other["campaign_fingerprint"]

@@ -18,6 +18,9 @@ from ..sim import Simulator
 from ..units import MSEC, SECTOR_SIZE
 from .ftl import FTLConfig, GCResult, PageMappedFTL
 
+#: Channel time one flash block erase costs during GC.
+ERASE_LATENCY = 2 * MSEC
+
 
 class ConventionalSSD(BlockDevice):
     """A block-interface SSD with page-mapped FTL and on-device GC."""
@@ -32,7 +35,6 @@ class ConventionalSSD(BlockDevice):
         model: Optional[ServiceTimeModel] = None,
         op_ratio: float = 0.07,
         pages_per_block: int = 256,
-        erase_latency: float = 2 * MSEC,
         seed: int = 0,
     ):
         if capacity_bytes % SECTOR_SIZE:
@@ -45,7 +47,6 @@ class ConventionalSSD(BlockDevice):
             pages_per_block=pages_per_block,
             op_ratio=op_ratio,
         ))
-        self.erase_latency = erase_latency
 
     # -- command application -----------------------------------------------------
 
@@ -105,7 +106,7 @@ class ConventionalSSD(BlockDevice):
         per_channel_read = self.model.read_bandwidth / self.model.channels
         copy_time = moved_bytes / per_channel_write + \
             moved_bytes / per_channel_read
-        return copy_time + gc.blocks_erased * self.erase_latency
+        return copy_time + gc.blocks_erased * ERASE_LATENCY
 
     def _persist(self, bio: Bio) -> None:
         # The conventional device's durability model is simple: data is

@@ -40,6 +40,9 @@ from ..raizn.parity import full_stripe_parity, xor_into
 from ..sim import Event, ReadAhead, Simulator
 from ..units import KiB
 
+#: md's stripe cache size in the paper's configuration (128 MiB).
+STRIPE_CACHE_BYTES = 128 * 1024 * KiB
+
 
 @dataclasses.dataclass
 class ResyncReport:
@@ -147,7 +150,6 @@ class MdraidVolume:
         sim: Simulator,
         devices: List[Optional[ConventionalSSD]],
         chunk_bytes: int = 64 * KiB,
-        stripe_cache_bytes: int = 128 * 1024 * KiB,
     ):
         if len(devices) < 3:
             raise RaiznError("RAID-5 needs at least 3 devices")
@@ -164,7 +166,7 @@ class MdraidVolume:
         self.device_capacity = template.size_bytes
         self.capacity = self.num_data * template.size_bytes
         self.stripes = template.size_bytes // chunk_bytes
-        cache_stripes = stripe_cache_bytes // (self.num_devices * chunk_bytes)
+        cache_stripes = STRIPE_CACHE_BYTES // (self.num_devices * chunk_bytes)
         self.cache = StripeCache(cache_stripes, self.num_data)
         self.failed = [dev is None for dev in devices]
         self.stats = DeviceStats()

@@ -7,9 +7,9 @@ acked-content model follows it, then check: read everything back on the
 live array, or crash the array into sampled survivor states and mount
 each under the durability oracle — and write a JSON report.  This module
 holds one of each of those pieces; the four campaign modules keep only
-what is theirs (crashtest: boundary sampling + double crash; errortest:
-fault plan, eviction, detection power; slowtest: the three variants and
-the tail bound; soaktest: phase specs and wear rules).
+what is theirs (crashtest: boundary sampling; errortest: fault plan,
+eviction, detection power; slowtest: the three variants and the tail
+bound; soaktest: phase specs, wear rules and the crash cycle).
 """
 
 from __future__ import annotations

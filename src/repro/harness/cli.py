@@ -154,8 +154,7 @@ def _run_crashtest(args) -> Dict:
         budget_per_boundary=budget, trace_out=args.trace,
         progress=_progress(lambda r: (
             f"explored {r.states_explored} states "
-            f"({len(r.distinct_states)} distinct, "
-            f"{r.double_crash_states} double-crash)")))
+            f"({len(r.distinct_states)} distinct)")))
     print()
     return report
 

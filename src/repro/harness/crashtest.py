@@ -13,9 +13,9 @@ restore → enumerate → crash → mount → oracle) this module adds:
   expectations at an even spread of those boundaries (pure copies:
   nothing is perturbed).  Every sampled survivor state of every sampled
   boundary is mounted under the full oracle, remount stability included.
-* **Double crash** — a fraction of states get a *second* crash at a
-  random command of recovery itself; the array must recover from that
-  too.
+
+A crash inside mount itself is checked at every command of the pinned
+mount states by ``tests/test_mount_restart.py``.
 
 Run via ``python -m repro crashtest``; emits a JSON coverage report
 (README, "Crash-consistency testing"; EXPERIMENTS.md has the numbers).
@@ -26,19 +26,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from ..block.device import remove_hooks
-from ..errors import PowerLossError, ReproError
 from ..faults.crashpoints import (
     CompletionBoundaries,
     array_state_fingerprint,
 )
-from ..faults.oracle import check_recovered_volume
-from ..faults.powerloss import CrashPoint
-from ..raizn.recovery import mount
 from .campaign import (
     CampaignReport,
     Op,
-    drain,
     enter_crash_state,
     enumerate_crash_states,
     expectation_for,
@@ -66,9 +60,8 @@ class _Report(CampaignReport):
 
     fields = ("seed", "workload_ops", "completion_boundaries",
               "boundaries_sampled", "survivor_product_total",
-              "states_explored", "distinct_states", "double_crash_states",
-              "double_crash_fired", "oracle_checks", "violations", "passed",
-              "elapsed_s")
+              "states_explored", "distinct_states", "oracle_checks",
+              "violations", "passed", "elapsed_s")
 
     def __init__(self, seed: int):
         super().__init__()
@@ -83,24 +76,21 @@ class _Report(CampaignReport):
             "recovered_volume": 0,
             "persistence_bitmap": 0,
             "mount_stability": 0,
-            "double_crash_recovery": 0,
         }
 
 
 def explore(seed: int = 0, num_ops: int = 90, boundaries: int = 60,
-            budget_per_boundary: int = 12, double_crash_every: int = 8,
-            batch_size: int = 12, progress=None,
-            trace_out: Optional[str] = None) -> Dict:
+            budget_per_boundary: int = 12, batch_size: int = 12,
+            progress=None, trace_out: Optional[str] = None) -> Dict:
     """Run the full crash-state exploration; returns the report dict.
 
     ``boundaries`` completion boundaries are sampled evenly from the
     trace; each contributes up to ``budget_per_boundary`` survivor
-    states.  Every ``double_crash_every``-th explored state additionally
-    gets a crash injected during its recovery.  ``batch_size`` bounds how
-    many boundary snapshots are held in memory at once (each batch costs
-    one extra workload replay).  ``trace_out`` traces the pass-1
-    workload replay (the reference run every crash state is carved
-    from) and dumps its spans there as JSONL.
+    states.  ``batch_size`` bounds how many boundary snapshots are held
+    in memory at once (each batch costs one extra workload replay).
+    ``trace_out`` traces the pass-1 workload replay (the reference run
+    every crash state is carved from) and dumps its spans there as
+    JSONL.
     """
     report = _Report(seed)
     ops = scripted_workload(seed, num_ops)
@@ -121,7 +111,6 @@ def explore(seed: int = 0, num_ops: int = 90, boundaries: int = 60,
                       for i in range(min(boundaries, total))})
     report.boundaries_sampled = len(sampled)
     rng = random.Random(seed + 1)
-    state_serial = 0
 
     for batch_start in range(0, len(sampled), batch_size):
         batch = sampled[batch_start:batch_start + batch_size]
@@ -148,7 +137,6 @@ def explore(seed: int = 0, num_ops: int = 90, boundaries: int = 60,
                 enter_crash_state(devices, snaps, assignment)
                 fingerprint = array_state_fingerprint(devices)
                 where = {"boundary": boundary, "state": fingerprint}
-                state_serial += 1
                 report.states_explored += 1
                 report.distinct_states.add(fingerprint)
                 check_key = (fingerprint, expect_key)
@@ -156,85 +144,8 @@ def explore(seed: int = 0, num_ops: int = 90, boundaries: int = 60,
                     report.checked_keys.add(check_key)
                     mount_and_check(sim, devices, frozen, report, where,
                                     stability=True)
-                if state_serial % double_crash_every == 0:
-                    _check_double_crash(sim, devices, snaps, assignment,
-                                        frozen, where, state_serial, seed,
-                                        report)
             if progress is not None:
                 progress(report)
 
     return report.to_dict()
 
-
-def _count_recovery_commands(sim, devices) -> int:
-    """How many device commands a clean recovery of this state issues.
-
-    Needed so the second crash can be placed anywhere in the *whole*
-    recovery — naive small depths only ever hit the superblock scan and
-    never reach hole repair or metadata compaction.
-    """
-    counts = [0]
-
-    def tally(device, bio) -> None:
-        counts[0] += 1
-
-    hooks = [dev.add_hook("pre_apply", tally) for dev in devices]
-    try:
-        mount(sim, list(devices))
-    except ReproError:
-        pass  # an unmountable state is reported by the single-crash check
-    finally:
-        remove_hooks(hooks)
-    return counts[0]
-
-
-def _check_double_crash(sim, devices, snaps, assignment, expect, where,
-                        state_serial, seed, report) -> None:
-    """Crash again *during* recovery, then demand a clean final mount.
-
-    An exception that is no ``ReproError`` out of any of its mounts is a
-    ``traceback`` violation, as under ``mount_and_check``."""
-    def flag(detail: str) -> None:
-        report.violation(**where, check="double_crash_recovery",
-                         detail=detail)
-
-    report.double_crash_states += 1
-    rng = random.Random(seed * 1000003 + state_serial)
-    enter_crash_state(devices, snaps, assignment)
-    try:
-        commands = _count_recovery_commands(sim, devices)
-    except Exception:
-        report.traceback_violation(**where)
-        return
-    enter_crash_state(devices, snaps, assignment)
-    crash = CrashPoint(devices, after=1 + rng.randrange(max(1, commands)),
-                       rng=rng)
-    try:
-        mount(sim, list(devices))
-    except PowerLossError:
-        pass
-    except ReproError as exc:
-        crash.disarm()
-        flag(f"first recovery died non-crash: {exc!r}")
-        return
-    except Exception:
-        crash.disarm()
-        report.traceback_violation(**where)
-        return
-    drain(sim)
-    crash.disarm()
-    if crash.fired:
-        report.double_crash_fired += 1
-    for dev in devices:
-        dev.power_on()
-    try:
-        final = mount(sim, list(devices))
-    except ReproError as exc:
-        flag(f"mount after double crash failed: {exc!r}")
-        return
-    except Exception:
-        report.traceback_violation(**where)
-        return
-    report.oracle_checks["double_crash_recovery"] += 1
-    for detail in check_recovered_volume(final, expect):
-        flag(detail)

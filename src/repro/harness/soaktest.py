@@ -35,7 +35,6 @@ import random
 from typing import Dict, FrozenSet, List, Optional
 
 from ..block.bio import Bio, BioFlags
-from ..errors import ReproError
 from ..faults.crashpoints import (
     CompletionBoundaries,
     array_crash_snapshot,
@@ -51,7 +50,6 @@ from ..faults.oracle import (
 )
 from ..raizn.maintenance import run_scrub
 from ..raizn.rebuild import rebuild
-from ..raizn.recovery import mount
 from ..raizn.volume import RaiznVolume
 from ..trace.metrics import MetricsRegistry
 from .campaign import (
@@ -460,10 +458,11 @@ class _Campaign:
         array_restore_crash_snapshot(devices, live)
 
     def _crash_cycle(self, sim, devices, recorder, phase):
-        """Really crash the live array and carry on from the recovery.
-        A crash the array does not mount from is a violation like a
-        candidate state's; the campaign then carries on from the live
-        array it had (returns None)."""
+        """Really crash the live array and carry on from the recovery,
+        mounted and checked as a candidate state is (under
+        ``crash_cycle``).  A crash the array does not mount from is a
+        violation; the campaign then carries on from the live array it
+        had (returns None)."""
         report = self.report
         snaps, frozen = recorder.snapshots[max(recorder.snapshots)]
         _spaces, assignments, _product = enumerate_crash_states(
@@ -472,17 +471,12 @@ class _Campaign:
         enter_crash_state(devices, snaps, assignments[-1])
         report.crash_cycles += 1
         report.oracle_checks["crash_cycle"] += 1
-        try:
-            volume = mount(sim, list(devices), **SOAK_OVERRIDES)
-        except ReproError as exc:
-            report.violation(phase=phase, where="crash_cycle",
-                             check="crash_cycle",
-                             detail=f"mount failed: {exc!r}")
+        volume = mount_and_check(sim, devices, frozen, report,
+                                 {"phase": phase, "where": "crash_cycle"},
+                                 check="crash_cycle", **SOAK_OVERRIDES)
+        if volume is None:
             array_restore_crash_snapshot(devices, live)
             return None
-        for detail in check_recovered_volume(volume, frozen):
-            report.violation(phase=phase, where="crash_cycle",
-                             check="crash_cycle", detail=detail)
         report.signatures.add(mechanism_signature(volume))
         report.stamp("cycle", array_state_fingerprint(
             [d for d in volume.devices if d is not None]))

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.block import Bio, BioFlags
+from repro.block.device import remove_hooks
 from repro.faults import (
     WorkloadExpectation,
     check_mount_stability,
@@ -19,7 +20,7 @@ from repro.faults import (
     check_recovered_volume,
 )
 from repro.errors import WritePointerViolation
-from repro.harness import campaign, crashtest, errortest, soaktest
+from repro.harness import campaign, errortest, soaktest
 from repro.harness.campaign import (LOGICAL_ZONE_CAPACITY, CampaignReport,
                                     write_report)
 from repro.harness.crashtest import explore, scripted_workload
@@ -192,14 +193,29 @@ class TestKernelReportsWhatItCannotCheck:
         assert finding["check"] == "traceback" and not report["passed"]
         assert f"{type(exc).__name__}: {exc}" in finding["detail"]
 
-    def test_double_crash_mount_that_raises(self, monkeypatch):
-        monkeypatch.setattr(crashtest, "mount", self.break_on_call(
-            1, crashtest.mount, AssertionError("invariant broken")))
-        report = explore(**SMALL)
-        assert report["double_crash_states"] > 1
+    def test_soak_crash_cycle_mount_that_raises(self, monkeypatch):
+        """The soak's crash cycle mounts through ``mount_and_check``: a
+        recovery mount raising a bug is one violation, and the soak
+        carries on from the live array it had and reports."""
+        crash_cycle = soaktest._Campaign._crash_cycle
+
+        def raise_in_mount(_device, _bio):
+            raise RuntimeError("mount broke")
+
+        def broken_cycle(run, sim, devices, recorder, phase):
+            hooks = [dev.add_hook("pre_apply", raise_in_mount)
+                     for dev in devices if dev is not None]
+            try:
+                return crash_cycle(run, sim, devices, recorder, phase)
+            finally:
+                remove_hooks(hooks)
+        monkeypatch.setattr(soaktest._Campaign, "_crash_cycle", broken_cycle)
+        report = soaktest.run_soaktest(seed=0, quick=True)
+        assert report["crash_cycles"] == 1
         [finding] = report["violations"]
         assert finding["check"] == "traceback"
-        assert "AssertionError: invariant broken" in finding["detail"]
+        assert finding["where"] == "crash_cycle"
+        assert "RuntimeError: mount broke" in finding["detail"]
 
 
 class TestScriptedWorkload:
@@ -222,7 +238,7 @@ class TestScriptedWorkload:
 
 
 SMALL = dict(seed=0, num_ops=20, boundaries=6, budget_per_boundary=4,
-             double_crash_every=5, batch_size=6)
+             batch_size=6)
 
 
 class TestExploreEndToEnd:
@@ -232,7 +248,6 @@ class TestExploreEndToEnd:
         assert report["violations"] == []
         assert report["states_explored"] > 0
         assert 0 < report["distinct_states"] <= report["states_explored"]
-        assert report["double_crash_states"] > 0
         assert report["oracle_checks"]["recovered_volume"] > 0
         assert report["oracle_checks"]["mount_stability"] > 0
         assert report["boundaries_sampled"] <= 6
@@ -254,8 +269,7 @@ class TestExploreEndToEnd:
             WritePath, "flush_unpersisted",
             lambda self, desc, bio, fua_devices: [])
         report = explore(seed=0, num_ops=80, boundaries=30,
-                         budget_per_boundary=6, double_crash_every=10,
-                         batch_size=6)
+                         budget_per_boundary=6, batch_size=6)
         assert not report["passed"]
         assert any("outside legal range" in v["detail"]
                    for v in report["violations"])

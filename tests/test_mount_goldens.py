@@ -53,10 +53,12 @@ generations moved only by §4.3's +1 on empty zones, the data-zone media
 untouched.  A state that fails this is a strict xfail in
 ``NOT_IDEMPOTENT``.
 
-crashtest places its second crash by counting mount's commands, so a
-change that moves this stream moves every campaign golden.  Regenerate
-with ``PYTHONPATH=src python tests/test_mount_goldens.py --regen`` only
-when that is the intent, and say why in CHANGES.md.
+``tests/test_mount_restart.py`` cuts the mount of every state that
+mounts once, with no latent extent and no ``double`` variant, at every
+command.
+
+Regenerate with ``PYTHONPATH=src python tests/test_mount_goldens.py
+--regen`` only when that is the intent, and say why in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -32,9 +32,10 @@ def test_quick_campaign_passes(seed, seed0):
 
 def test_every_enumerated_crash_state_is_mounted(seed0):
     # Every seed-0 state mounts, so the kernel counts one oracle run over
-    # a mounted volume per enumerated state.
+    # a mounted volume per enumerated state, and one per crash cycle.
     assert seed0["candidates"] > 0
-    assert seed0["oracle_checks"]["recovered_volume"] == seed0["candidates"]
+    assert seed0["oracle_checks"]["recovered_volume"] == \
+        seed0["candidates"] + seed0["crash_cycles"]
 
 
 def test_quick_campaign_is_deterministic(seed0):

@@ -626,8 +626,7 @@ class _ZoneContent:
         bad = sorted((lo - start, hi - start)
                      for lo, hi in dev.bad_extents(self.zone)
                      if start < hi and lo < start + take) or [(0, take)]
-        if rebuilt is None or \
-                len(rebuilt) < min(take, max(hi for _lo, hi in bad)):
+        if len(rebuilt) < min(take, max(hi for _lo, hi in bad)):
             raise bio.error
         out = bytearray(rebuilt[:take].ljust(take, b"\0"))
         at = 0
@@ -793,7 +792,7 @@ class _ZoneContent:
                 # A sibling's latent extent is a second hole: the torn
                 # bytes were never durable, so roll back over them.
                 return False
-            if reconstructed is None or len(reconstructed) < needed_end:
+            if len(reconstructed) < needed_end:
                 return False
             # Write the recovered bytes back at the device's write
             # pointer — the hole is exactly where the zone is writable.
@@ -842,8 +841,7 @@ class _ZoneContent:
                        missing: Optional[int] = None):
         """Process-style: the full parity of ``stripe``'s data units, each
         read whole — the ``missing`` device's unit, where its relocation
-        log does not cover it, rebuilt from the relocated parity or the
-        partial-parity chain."""
+        log does not cover it, rebuilt from the stripe's redundancy."""
         units = []
         for j, device in enumerate(layout.data_devices):
             if device == missing and \
@@ -856,25 +854,21 @@ class _ZoneContent:
             units.append(unit)
         return stripe_parity(units, self.su)
 
-    def _reconstruct_su(self, stripe: int, layout, su_index: int):
-        """Missing-SU bytes from full parity or partial parity logs.
+    def _rebuild_reach(self, stripe: int, layout,
+                       su_index: int) -> Tuple[int, Optional[int]]:
+        """§5.1: how many bytes of lost data unit ``su_index`` redundancy
+        rebuilds — the one rule ``_degraded_tail_wp`` bounds the unit by
+        and ``_reconstruct_su`` fetches it by.  Reads metadata only.
 
-        Returns as many bytes as are recoverable (possibly fewer than
-        requested when partial parity coverage ends early), or None when
-        no parity information exists.
+        The larger of two reaches: full parity's (relocated parity or a
+        whole on-device parity SU), and the partial-parity chain's usable
+        prefix.  Returns ``(reach, chain_end)``, ``chain_end`` the end LBA
+        of the deltas to fold when the chain reaches further; None when
+        full parity is the source, ties included.
         """
-        volume = self.volume
-        relocated = volume.relocated_parity.get((self.zone, stripe))
-        if relocated is not None and len(relocated) == self.su:
-            # Relocated parity (in-place write conflicted, §5.2): the
-            # true full parity — the on-device parity SU, if any, holds
-            # stale bytes and must not be read.
-            return (yield from self._xor_siblings(stripe, layout,
-                                                  su_index, relocated))
-        parity_extent = self._su_extent(stripe, layout.parity_device)
-        zone_pba = self.zone * volume.phys_zone_size
-        if parity_extent == self.su:
-            # Full parity was persisted: XOR it with the other data SUs.
+        prefix, chain_end = self._chain_prefix(stripe, layout, su_index)
+        if (self.zone, stripe) in self.volume.relocated_parity or \
+                self._su_extent(stripe, layout.parity_device) == self.su:
             # A full parity SU is computed over a *completely* written
             # stripe, so a sibling data SU shorter than the stripe unit
             # means real bytes were lost to crash rollback — the zero
@@ -882,46 +876,24 @@ class _ZoneContent:
             # not match what went into the parity, and XOR results at
             # those positions are garbage.  (§5.1's "treated as zeroes"
             # rule covers only partial parity, which is computed over
-            # zero-padded buffers.)  Reconstruction is therefore exact
-            # only up to the shortest sibling extent; returning the
-            # shorter prefix makes ``_repair_stripe`` roll the zone back
-            # instead of patching corrupt bytes onto the device.
-            probe = Bio.read(zone_pba + stripe * self.su, self.su)
-            # A latent media error on the parity PBA is tolerated: the
-            # partial-parity fallback below may still reconstruct.
-            probe.errors_as_status = True
-            bio = yield volume.devices[layout.parity_device].submit(probe)
-            if bio.error is None:
-                return (yield from self._xor_siblings(stripe, layout,
-                                                      su_index, bio.result))
-        return (yield from self._reconstruct_from_partial_parity(
-            stripe, layout, su_index))
+            # zero-padded buffers.)  Full parity is therefore exact only
+            # up to the shortest sibling extent; the shorter prefix makes
+            # ``_repair_stripe`` roll the zone back instead of patching
+            # corrupt bytes onto the device.
+            full = min((self._data_extent(stripe, j, other) or 0
+                        for j, other in enumerate(layout.data_devices)
+                        if j != su_index), default=self.su)
+            if full >= prefix:
+                return full, None
+        return prefix, chain_end
 
-    def _xor_siblings(self, stripe: int, layout, su_index: int, parity):
-        """XOR full parity against the sibling data SUs.
-
-        Exact only up to the shortest sibling extent (see the caller's
-        rollback rationale); the returned prefix is clipped accordingly.
-        """
-        acc = bytearray(parity)
-        valid = self.su
-        for j, other in enumerate(layout.data_devices):
-            if j == su_index:
-                continue
-            valid = min(valid, self._data_extent(stripe, j, other) or 0)
-            data = yield from self._read_su_prefix(stripe, j, other, self.su)
-            xor_into(acc, data)
-        return bytes(acc[:valid])
-
-    def _reconstruct_from_partial_parity(self, stripe: int, layout,
-                                         su_index: int):
-        """§5.1's reconstruction: ordered XOR of partial parity deltas."""
-        volume = self.volume
-        entries = self.partial_parity.get(stripe, [])
-        if not entries:
-            return None
-        zone_start = volume.mapper.zone_start(self.zone)
-        stripe_lba = zone_start + stripe * self.width
+    def _chain_prefix(self, stripe: int, layout,
+                      su_index: int) -> Tuple[int, int]:
+        """The partial-parity chain's usable prefix of data unit
+        ``su_index``: ``(bytes, end LBA of the deltas that rebuild
+        them)``."""
+        stripe_lba = self.volume.mapper.zone_start(self.zone) + \
+            stripe * self.width
         haves = {j: self._data_extent(stripe, j, other) or 0
                  for j, other in enumerate(layout.data_devices)
                  if j != su_index}
@@ -940,7 +912,8 @@ class _ZoneContent:
         best_end = stripe_lba
         coverage = stripe_lba
         first_polluted = self.su
-        for start, stop in sorted(_lba_spans(entries)):
+        for start, stop in sorted(_lba_spans(
+                self.partial_parity.get(stripe, []))):
             if start > coverage:
                 break  # gap in the chain; later deltas are unusable
             for j, have in haves.items():
@@ -956,18 +929,51 @@ class _ZoneContent:
             if usable > best:
                 best = usable
                 best_end = coverage
-        if best <= 0:
-            return None
-        acc = bytearray(self.su)
-        for entry in entries:
-            if entry.end_lba > best_end:
-                continue
-            parity_offset, delta = decode_partial_parity(entry)
-            xor_into(acc, delta, parity_offset)
+        return best, best_end
+
+    def _reconstruct_su(self, stripe: int, layout, su_index: int):
+        """Process-style: the first ``_rebuild_reach`` bytes of lost data
+        unit ``su_index``, from the source that reaches further.
+
+        A media error on the on-device parity falls back to the chain's
+        prefix, possibly empty.
+        """
+        volume = self.volume
+        reach, chain_end = self._rebuild_reach(stripe, layout, su_index)
+        stripe_lba = volume.mapper.zone_start(self.zone) + stripe * self.width
+        parity = None
+        if chain_end is None:
+            # Relocated parity (in-place write conflicted, §5.2) is the
+            # true full parity — the on-device parity SU, if any, holds
+            # stale bytes and must not be read.
+            parity = volume.relocated_parity.get((self.zone, stripe))
+            if parity is None:
+                probe = Bio.read(self.zone * volume.phys_zone_size
+                                 + stripe * self.su, self.su)
+                # A latent media error on the parity PBA is tolerated:
+                # the partial-parity chain may still reconstruct.
+                probe.errors_as_status = True
+                bio = yield volume.devices[layout.parity_device].submit(
+                    probe)
+                if bio.error is None:
+                    parity = bio.result
+                else:
+                    reach, chain_end = self._chain_prefix(stripe, layout,
+                                                          su_index)
+        if parity is not None:
+            acc = bytearray(parity)
+            covered = self.width
+        else:
+            # §5.1's reconstruction: ordered XOR of partial parity deltas.
+            acc = bytearray(self.su)
+            for entry in self.partial_parity.get(stripe, []):
+                if entry.end_lba <= chain_end:
+                    parity_offset, delta = decode_partial_parity(entry)
+                    xor_into(acc, delta, parity_offset)
+            covered = chain_end - stripe_lba
         # Fold in the surviving data SUs up to the covered end, zero
         # padding beyond each unit's persisted extent.  Positions past
-        # ``best`` may be garbage (polluted or uncovered) — sliced off.
-        covered = best_end - stripe_lba
+        # ``reach`` may be garbage (polluted or uncovered) — sliced off.
         for j, other in enumerate(layout.data_devices):
             if j == su_index:
                 continue
@@ -976,7 +982,7 @@ class _ZoneContent:
                 data = yield from self._read_su_prefix(stripe, j, other,
                                                        su_covered)
                 xor_into(acc, data)
-        return bytes(acc[:best])
+        return bytes(acc[:reach])
 
     # Degraded mount --------------------------------------------------------------
 
@@ -1016,12 +1022,12 @@ class _ZoneContent:
                 wp = stripe_lba + self.width
                 continue
             # Tail stripe: the missing device's contribution is bounded by
-            # partial parity coverage; data beyond it is discarded.
-            wp = self._degraded_tail_wp(stripe, layout, missing, stripe_lba)
+            # how far redundancy rebuilds it; data beyond it is discarded.
+            wp = self._degraded_tail_wp(stripe, layout, stripe_lba)
             if wp < stripe_lba + self.width:
                 break
             # Every data SU is fully covered (device, relocation log, or
-            # partial parity) — only the parity SU is torn or missing.
+            # redundancy) — only the parity SU is torn or missing.
             # That does not cap the write pointer any more than it does
             # in non-degraded recovery (``_heal_parity``); keep scanning,
             # and materialize the true parity below so degraded reads of
@@ -1038,8 +1044,8 @@ class _ZoneContent:
         path's reconstruction already prefers over the device copy).
 
         The missing device's data SU is rebuilt from its relocation unit
-        or the partial-parity chain — both verified to cover the full SU
-        by the write-pointer scan above.
+        or the stripe's redundancy — the write-pointer scan above found
+        that either covers the full SU.
         """
         volume = self.volume
         if (self.zone, stripe) in volume.relocated_parity:
@@ -1049,38 +1055,20 @@ class _ZoneContent:
                 stripe, volume.mapper.stripe_layout(self.zone, stripe),
                 missing)
 
-    def _degraded_tail_wp(self, stripe: int, layout, missing: int,
-                          stripe_lba: int) -> int:
+    def _degraded_tail_wp(self, stripe: int, layout, stripe_lba: int) -> int:
         """The tail ends at the first gap among the data units: bytes past
         a gap were never flush-acknowledged (a flush ack requires every
         piece durable), so discarding them is legal."""
-        pp_end = _contiguous_coverage(
-            _lba_spans(self.partial_parity.get(stripe, [])), stripe_lba)
-        wp = stripe_lba
         for i, device in enumerate(layout.data_devices):
-            su_lba = stripe_lba + i * self.su
-            if device == missing:
-                # A relocation unit (device-independent, replayed from
-                # the surviving metadata logs) can cover the missing
-                # device's SU; otherwise partial parity bounds it.
-                extent = self._data_extent(stripe, i, device)
-                if extent is None:
-                    extent = max(0, min(self.su, pp_end - su_lba))
-                    if (self.zone, stripe) in self.volume.relocated_parity:
-                        # Full relocated parity survives: the missing SU
-                        # is reconstructable wherever every live sibling
-                        # holds valid bytes.
-                        sib = min((self._data_extent(stripe, j, other) or 0
-                                   for j, other in
-                                   enumerate(layout.data_devices) if j != i),
-                                  default=self.su)
-                        extent = max(extent, sib)
-            else:
-                extent = self._data_extent(stripe, i, device) or 0
+            # A relocation unit (device-independent, replayed from the
+            # surviving metadata logs) can cover the missing device's SU;
+            # otherwise it reaches as far as redundancy rebuilds it.
+            extent = self._data_extent(stripe, i, device)
+            if extent is None:
+                extent = self._rebuild_reach(stripe, layout, i)[0]
             if extent < self.su:
-                return su_lba + extent
-            wp = su_lba + extent
-        return wp
+                return stripe_lba + i * self.su + extent
+        return stripe_lba + self.width
 
     # Tail stripe buffer -------------------------------------------------------------
 
@@ -1089,7 +1077,7 @@ class _ZoneContent:
 
         The buffer must exist so that future writes completing the stripe
         can compute full parity, and so degraded reads of the tail work.
-        A missing device's portion is reconstructed from partial parity.
+        A missing device's portion is reconstructed from redundancy.
         """
         volume = self.volume
         zone_start = desc.start_lba
@@ -1137,7 +1125,7 @@ class _ZoneContent:
         requires the covering partial parity to be durable first, so any
         acknowledged byte of this SU is reconstructable.  Salvage the
         longest genuine prefix — the clean on-media bytes before the bad
-        extent, or the partial-parity rebuild, whichever is longer —
+        extent, or the rebuild from redundancy, whichever is longer —
         into a persisted relocation unit (the media copy is untrustworthy
         past the bad extent's start), roll the logical write pointer back
         to its end, and arm relocation markers over the stale remainder.
@@ -1148,8 +1136,8 @@ class _ZoneContent:
             rebuilt = yield from self._reconstruct_su(stripe, layout,
                                                       su_index)
         except MediaError:
-            rebuilt = None
-        content = bytes(rebuilt[:take]) if rebuilt else b""
+            rebuilt = b""
+        content = bytes(rebuilt[:take])
         dev = volume.devices[device]
         pba = self.zone * volume.phys_zone_size + stripe * self.su
         bad = [max(0, lo - pba) for lo, hi in dev.bad_extents(self.zone)
@@ -1182,16 +1170,9 @@ class _ZoneContent:
 
     def _reconstruct_degraded_chunk(self, stripe: int, layout, su_index: int,
                                     take: int):
-        relocated = self.volume.relocated_parity.get((self.zone, stripe))
-        if relocated is not None and len(relocated) == self.su:
-            rebuilt = yield from self._xor_siblings(stripe, layout, su_index,
-                                                    relocated)
-            if len(rebuilt) >= take:
-                return rebuilt[:take]
-        reconstructed = yield from self._reconstruct_from_partial_parity(
-            stripe, layout, su_index)
-        if reconstructed is None or len(reconstructed) < take:
+        rebuilt = yield from self._reconstruct_su(stripe, layout, su_index)
+        if len(rebuilt) < take:
             raise RecoveryError(
                 f"zone {self.zone} stripe {stripe}: cannot reconstruct "
                 "missing tail data (insufficient partial parity)")
-        return reconstructed[:take]
+        return rebuilt[:take]

@@ -8,17 +8,19 @@ import pytest
 from repro.block import Bio, BioFlags
 from repro.errors import DataLossError, MetadataError, RecoveryError
 from repro.faults import power_cycle
+from repro.harness.soaktest import run_soaktest
 from repro.raizn import RaiznConfig, RaiznVolume, mount
 from repro.raizn.mdzone import MetadataRole
 from repro.raizn.metadata import (MetadataEntry, MetadataType,
                                   encode_partial_parity)
-from repro.raizn.recovery import _Recovery
+from repro.raizn.recovery import _Recovery, _ZoneContent
 from repro.raizn.writepath import WritePath
 from repro.sim import Simulator
 from repro.units import KiB
 from repro.zns import ZNSDevice, ZoneState
 
 from conftest import TEST_STRIPE_UNIT, make_volume, make_zns_devices, pattern
+import test_mount_goldens as goldens
 
 SU = TEST_STRIPE_UNIT
 STRIPE = 4 * SU
@@ -207,6 +209,72 @@ class TestDegradedMount:
         degraded.execute(Bio.write(STRIPE, more))
         got = degraded.execute(Bio.read(0, 2 * STRIPE)).result
         assert got == data + more
+
+
+
+def noting_errors(inner, errors):
+    """``yield from inner``, appending to ``errors`` every bio handed
+    back with an error status."""
+    value, thrown = None, None
+    while True:
+        try:
+            event = inner.send(value) if thrown is None else \
+                inner.throw(thrown)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            value, thrown = (yield event), None
+        except Exception as exc:
+            value, thrown = None, exc
+        else:
+            if getattr(value, "error", None) is not None:
+                errors.append(value.error)
+
+
+class TestRebuildReach:
+    """``_ZoneContent._rebuild_reach`` is the one rule for how far a lost
+    stripe unit is rebuilt.  ``_degraded_tail_wp`` bounds the zone by it,
+    and ``_reconstruct_su`` must fetch exactly that much: a result that
+    heard no media error is as long as the rule said before the I/O."""
+
+    @pytest.fixture
+    def reconstructions(self, monkeypatch):
+        """(degraded mount, predicted reach, bytes returned) of every
+        ``_reconstruct_su`` call that heard no error status."""
+        calls = []
+        original = _ZoneContent._reconstruct_su
+
+        def checked(self, stripe, layout, su_index):
+            reach = self._rebuild_reach(stripe, layout, su_index)[0]
+            errors = []
+            rebuilt = yield from noting_errors(
+                original(self, stripe, layout, su_index), errors)
+            if not errors:
+                calls.append((self._missing_device() is not None, reach,
+                              len(rebuilt)))
+            return rebuilt
+
+        monkeypatch.setattr(_ZoneContent, "_reconstruct_su", checked)
+        return calls
+
+    def test_degraded_mount_goldens_fetch_what_the_rule_predicts(
+            self, reconstructions, monkeypatch):
+        monkeypatch.setattr(goldens, "MATRIX", {
+            workload: (percents, [v for v in variants if "missing" in v])
+            for workload, (percents, variants) in goldens.MATRIX.items()})
+        records, _drifts = goldens.run_states()
+        assert len(records) == 8
+        assert any(degraded for degraded, _reach, _got in reconstructions)
+        assert [call for call in reconstructions if call[1] != call[2]] == []
+
+    def test_soak_seed_12_fetches_what_the_rule_predicts(
+            self, reconstructions):
+        """Quick soak seed 12 raised at zone 2 stripe 10 while the bound
+        counted the chain and the fetch took the shorter full parity."""
+        report = run_soaktest(seed=12, quick=True)
+        assert any(degraded for degraded, _reach, _got in reconstructions)
+        assert [call for call in reconstructions if call[1] != call[2]] == []
+        assert report["passed"]
 
 
 def tear_the_parity_of_a_completing_write(sim, torn_at, flags=BioFlags.FUA):

@@ -18,7 +18,21 @@ def seed0():
     return run_soaktest(seed=0, quick=True)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
+#: Why quick seed 4 is red: its zone 1 stripe 1 lost unit 0 with device
+#: 3, and the stripe's partial parity survives only as one metadata-GC
+#: checkpoint entry, [0x40000, 0x51000): the stripe buffer's cumulative
+#: parity.  That entry holds 4 KiB of unit 1, which device 4 lost from its
+#: cache, so no prefix of the chain rebuilds unit 0's acked 4 KiB and
+#: mount rolls them back (class (b)).  The fault is in the checkpoint, not
+#: in recovery (ROADMAP item 1).
+SEED4_CHECKPOINT = (
+    "zone 1: recovered write pointer 0x40000 outside legal range "
+    "[0x41000, 0x51000] — the metadata-GC checkpoint folds a sibling's "
+    "unflushed 4 KiB into the stripe's only partial parity")
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 12, 15, pytest.param(
+    4, marks=pytest.mark.xfail(strict=True, reason=SEED4_CHECKPOINT))])
 def test_quick_campaign_passes(seed, seed0):
     report = seed0 if seed == 0 else run_soaktest(seed=seed, quick=True)
     assert report["passed"], report["violations"] or report

@@ -58,12 +58,7 @@ class FaultCounts:
         return self.latent + self.transient + self.wear
 
     def to_dict(self) -> dict:
-        return {
-            "latent": self.latent,
-            "transient": self.transient,
-            "wear": self.wear,
-            "total": self.total,
-        }
+        return dict(vars(self), total=self.total)
 
 
 class FaultPlan:

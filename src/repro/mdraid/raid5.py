@@ -776,7 +776,7 @@ class _PendingStripe:
 
     def absorb(self, offset: int, data: bytes, segments: _Join) -> None:
         end = offset + len(data)
-        self.data[offset:end] = data
+        memoryview(self.data)[offset:end] = data
         merged = []
         lo, hi = offset, end
         for existing_lo, existing_hi in self.intervals:

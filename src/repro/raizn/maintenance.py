@@ -7,7 +7,7 @@ after power loss:
   relocated stripe units than the configured threshold, its live contents
   are copied into a swap zone, the zone is reset, and the data is written
   back with every relocated stripe unit at its correct address — healing
-  the relocations.  Runs during initialization.
+  the relocations.  A step on the mounted volume: :func:`run_zone_rewrites`.
 
 * **Generation counter maintenance** (§4.3): if any counter reaches its
   maximum, the volume goes read-only; maintenance garbage collects and
@@ -22,8 +22,9 @@ import struct
 from typing import List, Optional, Tuple
 
 from ..block.bio import Bio
-from ..errors import MediaError, MetadataError, RaiznError
+from ..errors import MediaError, RaiznError
 from ..sim import Simulator
+from ..units import SECTOR_SIZE
 from ..zns.spec import ZoneState
 from .mdzone import MetadataRole
 from .metadata import (
@@ -32,30 +33,36 @@ from .metadata import (
     encode_op_wal,
     encode_partial_parity,
 )
-from .parity import stripe_parity
+from .parity import full_stripe_parity
 from .rebuild import ZoneStream, heal_relocations, rebuild
 from .volume import DeviceHealth
 
 #: OP_WAL opcodes.
 OP_ZONE_REWRITE_START = 1   # copy phase beginning (original intact)
-OP_ZONE_REWRITE_COPIED = 2  # swap copy durable; original may be destroyed
+OP_ZONE_REWRITE_COPIED = 2  # staged copy durable; original may be destroyed
 OP_GEN_MAINTENANCE = 3      # generation counter maintenance in progress
+OP_ZONE_REWRITE_DONE = 4    # write-back durable; the staged copy is spent
 
-_REWRITE = struct.Struct("<QQQ")  # device, zone, content length
+#: device, zone, content length, staging zone (0, a data zone, for none).
+_REWRITE = struct.Struct("<QQQQ")
 
 
 def encode_rewrite_wal(opcode: int, device: int, zone: int, length: int,
-                       generation: int) -> MetadataEntry:
+                       generation: int,
+                       staging: Optional[int] = None) -> MetadataEntry:
     """A zone-rewrite WAL entry."""
-    return encode_op_wal(opcode, _REWRITE.pack(device, zone, length),
-                         generation=generation)
+    return encode_op_wal(
+        opcode, _REWRITE.pack(device, zone, length, staging or 0),
+        generation=generation)
 
 
-def decode_rewrite_wal(entry: MetadataEntry) -> Tuple[int, int, int, int]:
-    """Returns ``(opcode, device, zone, content_length)``."""
+def decode_rewrite_wal(
+        entry: MetadataEntry) -> Tuple[int, int, int, int, Optional[int]]:
+    """Returns ``(opcode, device, zone, content_length, staging zone)``,
+    the staging zone None when the entry names none."""
     opcode, payload = decode_op_wal(entry)
-    device, zone, length = _REWRITE.unpack_from(payload)
-    return opcode, device, zone, length
+    device, zone, length, staging = _REWRITE.unpack_from(payload)
+    return opcode, device, zone, length, staging or None
 
 
 def zones_needing_rewrite(volume) -> List[Tuple[int, int]]:
@@ -66,64 +73,76 @@ def zones_needing_rewrite(volume) -> List[Tuple[int, int]]:
                   if count >= threshold)
 
 
-def rewrite_physical_zone(volume, device_index: int, zone: int,
-                          resume_length: Optional[int] = None):
+def run_zone_rewrites(sim: Simulator, volume) -> List[Tuple[int, int]]:
+    """§5.2 maintenance on the mounted volume: rewrite, one after another,
+    every zone :func:`zones_needing_rewrite` names on a present device;
+    drains the event loop (a write to a zone being rewritten must wait).
+    Returns the ``(device, zone)`` pairs rewritten."""
+    targets = [key for key in zones_needing_rewrite(volume)
+               if key[0] in volume._alive_devices()]
+    for device_index, zone in targets:
+        sim.run_process(rewrite_physical_zone(volume, device_index, zone))
+    return targets
+
+
+def rewrite_physical_zone(volume, device_index: int, zone: int):
     """Process-style §5.2 zone rewrite for one (device, zone).
 
-    ``resume_length`` indicates a crash-interrupted rewrite whose swap
-    copy (of that many bytes) is already durable; the copy phase is
-    skipped and the write-back redone.
+    Stage 1 copies the zone's corrected image into a swap zone taken out
+    of the pool, which ``REWRITE_COPIED`` names; stage 2 resets the zone
+    and writes the image back.  ``REWRITE_DONE`` retires the WAL once
+    stage 2 is durable, and only then is the staging zone reset.  Last,
+    rotating both of the device's logs erases the WAL and the relocation
+    entries and relocated parity the rewrite healed.
     """
-    sim = volume.sim
     device = volume.devices[device_index]
     if device is None or volume.failed[device_index]:
         raise RaiznError("cannot rewrite a zone on a missing device")
     mdz = volume.mdzones[device_index]
-    yield from mdz.quiesce()    # a reclaim in flight refills the swap pool
-    if not mdz.swap_zones:
-        raise MetadataError("no swap zone available for a zone rewrite")
-    swap = mdz.swap_zones[0]
-    swap_start = swap * volume.phys_zone_size
+    content = yield from _desired_content(volume, device_index, zone)
+
+    def wal(opcode, staging=None):
+        return mdz.append(MetadataRole.GENERAL, encode_rewrite_wal(
+            opcode, device_index, zone, len(content),
+            volume.generation[zone], staging), fua=True)
+
+    # START, COPIED and DONE share one general zone: rotating the log in
+    # between would need a swap zone while the staging zone is out.
+    if mdz.remaining(MetadataRole.GENERAL) < 3 * SECTOR_SIZE:
+        yield from mdz.force_gc(MetadataRole.GENERAL)
+    yield from wal(OP_ZONE_REWRITE_START)
+    # Taken after the START append, which may rotate the log into a swap
+    # zone.
+    staging = yield from mdz._take_swap_zone(MetadataRole.GENERAL)
+    if content:
+        yield device.submit(Bio.write(staging * volume.phys_zone_size,
+                                      content))
+    yield device.submit(Bio.flush())
+    yield from wal(OP_ZONE_REWRITE_COPIED, staging)
+
+    yield from write_back(volume, device_index, zone, content)
+    yield device.submit(Bio.flush())
+    yield from wal(OP_ZONE_REWRITE_DONE, staging)
+    yield from mdz.quiesce()    # a log zone holding COPIED is reset first
+    yield device.submit(Bio.zone_reset(staging * volume.phys_zone_size))
+    mdz.used[staging] = 0
+    mdz.swap_zones.append(staging)
+
+    # The relocations this device held in the zone are healed in place.
+    heal_relocations(volume, device_index, zone)
+    for role in MetadataRole:
+        yield from mdz.force_gc(role)
+
+
+def write_back(volume, device_index: int, zone: int, content: bytes):
+    """Process-style stage 2 of a zone rewrite, which mount redoes from the
+    staged copy: reset the physical zone and write ``content`` back."""
+    device = volume.devices[device_index]
     zone_pba = zone * volume.phys_zone_size
-    generation = volume.generation[zone]
-
-    if resume_length is None:
-        content = yield from _desired_content(volume, device_index, zone)
-        # Stage 1: log intent, copy into the swap zone, make it durable.
-        yield from mdz.append(MetadataRole.GENERAL, encode_rewrite_wal(
-            OP_ZONE_REWRITE_START, device_index, zone, len(content),
-            generation), fua=True)
-        swap_info = device.zone_info(swap)
-        if swap_info.write_pointer != swap_info.start:
-            yield device.submit(Bio.zone_reset(swap_start))
-        if content:
-            yield device.submit(Bio.write(swap_start, content))
-        yield device.submit(Bio.flush())
-        yield from mdz.append(MetadataRole.GENERAL, encode_rewrite_wal(
-            OP_ZONE_REWRITE_COPIED, device_index, zone, len(content),
-            generation), fua=True)
-    else:
-        if resume_length:
-            bio = yield device.submit(Bio.read(swap_start, resume_length))
-            # Copy out of the media view: stage 2 resets the swap zone,
-            # which would zero the bytes a borrowed view points at.
-            content = bytes(bio.result)
-        else:
-            content = b""
-
-    # Stage 2: destroy and rewrite the zone with the corrected layout.
     yield device.submit(Bio.zone_reset(zone_pba))
     if content:
         yield device.submit(Bio.write(zone_pba, content))
-    yield device.submit(Bio.flush())
-    yield device.submit(Bio.zone_reset(swap_start))
-    mdz.used[swap] = 0
-
-    # The relocations this device held in the zone are healed in place.
-    pdesc = volume.phys[device_index][zone]
-    pdesc.write_pointer = zone_pba + len(content)
-    heal_relocations(volume, device_index, zone)
-    return len(content)
+    volume.phys[device_index][zone].write_pointer = zone_pba + len(content)
 
 
 def _desired_content(volume, device_index: int, zone: int):
@@ -196,13 +215,7 @@ class ScrubReport:
         self.parity_heals = 0
 
     def to_dict(self) -> dict:
-        return {
-            "stripes_scanned": self.stripes_scanned,
-            "data_heals": self.data_heals,
-            "parity_mismatches": self.parity_mismatches,
-            "parity_media_errors": self.parity_media_errors,
-            "parity_heals": self.parity_heals,
-        }
+        return dict(vars(self))
 
 
 def check_stripe_parity(volume, desc, stripe: int, probe_if):
@@ -219,8 +232,7 @@ def check_stripe_parity(volume, desc, stripe: int, probe_if):
     su = volume.config.stripe_unit_bytes
     bio = yield volume.submit(Bio.read(
         desc.start_lba + stripe * desc.stripe_width, desc.stripe_width))
-    parity = stripe_parity([bio.result[i * su:(i + 1) * su]
-                            for i in range(volume.config.num_data)], su)
+    parity = full_stripe_parity(bio.result, volume.config.num_data)
     device = volume.mapper.stripe_layout(desc.zone, stripe).parity_device
     pba = desc.zone * volume.phys_zone_size + stripe * su
     if not probe_if(device, pba):

@@ -203,6 +203,9 @@ class DeviceMetadataZones:
                              fua: bool, done: Event):
         try:
             yield from self._swap_in(role)
+            # A checkpoint that nearly fills the new zone leaves the entry
+            # no room behind it: the entry takes the next swap zone.
+            yield from self._spill_unless_fits(role, len(encoded))
         except BaseException as exc:  # noqa: BLE001 - deliver, don't unwind
             self._locks[role].release()
             done.fail(exc)
@@ -263,10 +266,7 @@ class DeviceMetadataZones:
         for entry in self.checkpoint_provider(role, self.device_index):
             entry.checkpoint = True
             encoded = entry.encode()
-            if self.used[self.role_zone[role]] + len(encoded) > \
-                    self.zone_capacity:
-                self.checkpoint_spill[role].append(self.role_zone[role])
-                self.role_zone[role] = yield from self._take_swap_zone(role)
+            yield from self._spill_unless_fits(role, len(encoded))
             zone_index = self.role_zone[role]
             self.used[zone_index] += len(encoded)
             checkpoint.append(self.device.submit(
@@ -277,6 +277,13 @@ class DeviceMetadataZones:
             reclaim.add_callback(self.device.tracer.begin(
                 "md", "reclaim", self.device.name))
         reclaim.add_callback(self._reclaimed)
+
+    def _spill_unless_fits(self, role: MetadataRole, size: int):
+        """Process-style: move the role to a swap zone unless ``size``
+        bytes fit in its zone, which stays as checkpoint spill."""
+        if self.used[self.role_zone[role]] + size > self.zone_capacity:
+            self.checkpoint_spill[role].append(self.role_zone[role])
+            self.role_zone[role] = yield from self._take_swap_zone(role)
 
     def _take_swap_zone(self, role: MetadataRole):
         """Process-style: pop a swap zone; with the pool empty, wait for a

@@ -36,7 +36,7 @@ from ..sim import Event, ReadAhead, Simulator
 from ..zns.device import ZNSDevice
 from ..zns.spec import ZoneState
 from .mdzone import DeviceMetadataZones, MetadataRole
-from .parity import stripe_parity
+from .parity import full_stripe_parity
 from .volume import RaiznVolume, RebuildState
 
 
@@ -211,10 +211,7 @@ class ZoneStream:
         layout = volume.mapper.stripe_layout(self.zone, self.position // su)
         chunk = bio.result
         if self.index == layout.parity_device:
-            view = memoryview(chunk)
-            chunk = stripe_parity(
-                [view[i * su:(i + 1) * su]
-                 for i in range(volume.config.num_data)], su)
+            chunk = full_stripe_parity(chunk, volume.config.num_data)
         self.position += len(chunk)
         return chunk
 

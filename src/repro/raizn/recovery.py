@@ -8,7 +8,8 @@ devices after a clean shutdown, a power loss, or a device failure:
    zones end;
 2. ingest every log entry read (swap zones holding partially-completed
    GC checkpoints included), resolving duplicates by generation counter;
-3. replay valid zone-reset write-ahead logs;
+3. redo the write-back of a §5.2 zone rewrite cut after its copy was
+   durable, and replay valid zone-reset write-ahead logs;
 4. derive each logical zone's write pointer from the physical write
    pointers, detect stripe holes, repair them from (partial) parity when
    possible, and otherwise roll the write pointer back and arm stripe-unit
@@ -17,7 +18,8 @@ devices after a clean shutdown, a power loss, or a device failure:
    incomplete tail stripes (reconstructing a missing device's data from
    partial parity logs);
 6. compact the metadata zones so the volume restarts with a clean,
-   checkpointed metadata state.
+   checkpointed metadata state.  Mount ends there: the §5.2 threshold
+   rewrite is maintenance on the mounted volume.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from .config import RaiznConfig
 from .maintenance import (
     OP_GEN_MAINTENANCE,
     OP_ZONE_REWRITE_COPIED,
+    OP_ZONE_REWRITE_DONE,
     check_stripe_parity,
     decode_rewrite_wal,
     needs_generation_maintenance,
-    rewrite_physical_zone,
     run_generation_maintenance,
-    zones_needing_rewrite,
+    write_back,
 )
 from .mdzone import MetadataRole
 from .metadata import (
@@ -130,21 +132,19 @@ class _Recovery:
         config = RaiznConfig(**{name: getattr(superblock, name)
                                 for name in _PERSISTED_GEOMETRY},
                              **self.config_overrides)
-        volume = RaiznVolume(self.sim, ordered, config,
-                             array_uuid=superblock.array_uuid)
-        self.volume = volume
+        self.volume = volume = RaiznVolume(self.sim, ordered, config,
+                                           array_uuid=superblock.array_uuid)
         self._ingest_metadata(scans)
         self._ingest_generation()
         self._sync_physical_descriptors()
         partial_parity = self._ingest_partial_parity()
         self._ingest_relocations()
-        yield from self._resume_interrupted_rewrites()
+        yield from self._resume_interrupted_rewrites(scans)
         reset_logged = self._reset_logged_zones()
         for zone in range(volume.num_data_zones):
             yield from self._recover_zone(zone, partial_parity.get(zone, {}),
                                           zone in reset_logged)
         yield from self._audit_relocated_parity(partial_parity)
-        yield from self._run_threshold_rewrites()
         yield from self._flush_repairs()
         self._bump_empty_generations()
         volume.zoneops.budget.recount()
@@ -194,7 +194,7 @@ class _Recovery:
         the general one always holds a superblock (written at format time,
         re-checkpointed by every metadata GC): the first superblock met
         says where the scan stops.  Returns it and, top zone first,
-        ``(zone index, entries, bytes written)`` of each zone read.
+        ``(zone index, entries, bytes read)`` of each zone read.
         """
         superblock, zones = None, []
         for index in range(dev.num_zones - 1, -1, -1):
@@ -203,11 +203,11 @@ class _Recovery:
                 break
             info = dev.zone_info(index)
             written = info.write_pointer - info.start
-            entries = []
+            data = b""
             if written:
-                bio = yield dev.submit(Bio.read(info.start, written))
-                entries = MetadataEntry.scan(bio.result)
-            zones.append((index, entries, written))
+                data = (yield dev.submit(Bio.read(info.start, written))).result
+            entries = MetadataEntry.scan(data)
+            zones.append((index, entries, data))
             superblock = superblock or next(
                 (Superblock.from_entry(entry) for entry in entries
                  if entry.mdtype is MetadataType.SUPERBLOCK), None)
@@ -222,11 +222,11 @@ class _Recovery:
         for _dev, superblock, zones in scans:
             index = superblock.device_index
             mdz = self.volume.mdzones[index]
-            for zone_index, entries, written in reversed(zones):
+            for zone_index, entries, data in reversed(zones):
                 for entry in entries:
                     self.entries[entry.mdtype].append((index, entry))
-                mdz.used[zone_index] = written
-                if sum(entry.total_bytes for entry in entries) < written:
+                mdz.used[zone_index] = len(data)
+                if sum(entry.total_bytes for entry in entries) < len(data):
                     mdz.torn.add(zone_index)
 
     def _current(self, zone: int, entry: MetadataEntry) -> bool:
@@ -470,34 +470,33 @@ class _Recovery:
                     xor_into(parity, delta, offset)
                 volume.relocated_parity[(zone, stripe)] = bytes(parity)
 
-    def _resume_interrupted_rewrites(self):
-        """Finish §5.2 zone rewrites whose copy phase completed pre-crash.
-
-        A REWRITE_COPIED log means the swap zone holds a durable copy and
-        the original physical zone may already be destroyed; the write-
-        back must be redone before zone analysis looks at the zone.  A
-        START log without COPIED means the original is intact — the
-        rewrite simply re-runs from scratch via the threshold check.
-        """
+    def _resume_interrupted_rewrites(self, scans):
+        """Before zone analysis, redo the §5.2 write-back of each rewrite
+        whose current ``REWRITE_COPIED`` has no ``REWRITE_DONE`` after it in
+        its metadata zone, from the staged copy the scan read (a staging
+        zone holding less was reset once the write-back was durable; an
+        entry naming none staged in the format-time first swap zone).
+        Compaction resets the zone holding the entry."""
         volume = self.volume
-        copied = {}
-        for _device, entry in self.entries[MetadataType.OP_WAL]:
-            if decode_op_wal(entry)[0] != OP_ZONE_REWRITE_COPIED:
-                continue
-            _op, device_index, zone, length = decode_rewrite_wal(entry)
-            if self._current(zone, entry):
-                copied[(device_index, zone)] = length
-        for (device_index, zone), length in sorted(copied.items()):
-            if device_index in volume._alive_devices():
-                yield from rewrite_physical_zone(volume, device_index, zone,
-                                                 resume_length=length)
-
-    def _run_threshold_rewrites(self):
-        """§5.2: rewrite physical zones with too many relocated SUs."""
-        volume = self.volume
-        for device_index, zone in zones_needing_rewrite(volume):
-            if device_index in volume._alive_devices():
-                yield from rewrite_physical_zone(volume, device_index, zone)
+        for _dev, superblock, zones in scans:
+            index, pending = superblock.device_index, {}
+            for holder, entries, _data in reversed(zones):
+                for entry in entries:
+                    if entry.mdtype is not MetadataType.OP_WAL:
+                        continue
+                    op, _, zone, length, staging = decode_rewrite_wal(entry)
+                    if op == OP_ZONE_REWRITE_DONE:
+                        pending.pop(zone, None)
+                    elif op == OP_ZONE_REWRITE_COPIED and \
+                            self._current(zone, entry):
+                        pending[zone] = (holder, length, staging)
+            mdz = volume.mdzones[index]
+            staged = {zone_index: data for zone_index, _, data in zones}
+            for zone, (holder, length, staging) in sorted(pending.items()):
+                mdz.torn.add(holder)
+                copy = staged.get(staging or mdz.swap_zones[0], b"")[:length]
+                if len(copy) == length:
+                    yield from write_back(volume, index, zone, bytes(copy))
 
     def _flush_repairs(self):
         """Make every repair patch durable before metadata finalization.

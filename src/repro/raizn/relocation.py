@@ -32,7 +32,7 @@ class RelocatedUnit:
         end = offset + len(data)
         if offset < 0 or end > self.su_size:
             raise ValueError("write outside the relocated stripe unit")
-        self.buffer[offset:end] = data
+        memoryview(self.buffer)[offset:end] = data
         self._add_extent(offset, end)
 
     def _add_extent(self, start: int, end: int) -> None:

@@ -97,7 +97,8 @@ class StripeBuffer:
         end = offset + len(chunk)
         if end > self.width:
             raise RaiznError("stripe buffer overflow")
-        self.data[offset:end] = chunk
+        # A view: a bytearray slice store copies a non-bytearray source.
+        memoryview(self.data)[offset:end] = chunk
         self.fill_end = end
 
     def full_parity(self) -> bytes:

@@ -122,20 +122,7 @@ class HealthStats:
         self.slow_evictions = 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "media_errors": self.media_errors,
-            "transient_retries": self.transient_retries,
-            "transient_escalations": self.transient_escalations,
-            "wear_errors": self.wear_errors,
-            "heals": self.heals,
-            "parity_heals": self.parity_heals,
-            "evictions": self.evictions,
-            "unrepaired_serves": self.unrepaired_serves,
-            "slow_hedges": self.slow_hedges,
-            "hedge_wins": self.hedge_wins,
-            "slow_demotions": self.slow_demotions,
-            "slow_evictions": self.slow_evictions,
-        }
+        return dict(vars(self))
 
 
 # Fail-slow tuning (used only with ``RaiznConfig.failslow_protection``).

@@ -16,12 +16,13 @@ from repro.raizn.maintenance import (
     needs_generation_maintenance,
     rewrite_physical_zone,
     run_generation_maintenance,
+    run_zone_rewrites,
     zones_needing_rewrite,
 )
 from repro.raizn.config import RaiznConfig
 from repro.raizn.volume import RaiznVolume
 from repro.sim import Simulator
-from repro.units import KiB
+from repro.units import SECTOR_SIZE, KiB
 from repro.zns import ZNSDevice
 
 from conftest import (
@@ -51,10 +52,11 @@ def remapped_volume(sim, seed=0):
 class TestRewriteWal:
     def test_wal_roundtrip(self):
         entry = encode_rewrite_wal(2, device=3, zone=7, length=12345,
-                                   generation=9)
-        opcode, device, zone, length = decode_rewrite_wal(entry)
-        assert (opcode, device, zone, length) == (2, 3, 7, 12345)
+                                   generation=9, staging=11)
+        assert decode_rewrite_wal(entry) == (2, 3, 7, 12345, 11)
         assert entry.generation == 9
+        unnamed = encode_rewrite_wal(2, 3, 7, 12345, 9)
+        assert decode_rewrite_wal(unnamed)[4] is None
 
     def test_threshold_detection(self, sim):
         volume, _devices = make_volume(sim)
@@ -106,6 +108,66 @@ class TestZoneRewrite:
         assert rotation.ok
         assert volume.execute(
             Bio.read(0, volume.zone_info(zone).write_pointer)).result == before
+
+    def test_rewrite_with_the_general_log_one_entry_short_of_full(
+            self, sim):
+        """The rewrite's WAL appends may rotate the general log into a
+        swap zone: its staging zone must not be that one.  (Staging in the
+        first swap zone taken before the START append reset the rotated
+        log and wrote the copy over it: the device lost its superblock.)"""
+        from repro.raizn.mdzone import MetadataRole
+        volume, devices, wp, more = remapped_volume(sim, seed=1)
+        targets = sorted(volume.relocations.per_phys_zone)
+        if not targets:
+            pytest.skip("seed produced no relocations")
+        device_index, zone = targets[0]
+        before = volume.execute(
+            Bio.read(0, volume.zone_info(zone).write_pointer)).result
+        mdz = volume.mdzones[device_index]
+        filler = volume._generation_blocks()[0]
+        while mdz.remaining(MetadataRole.GENERAL) > SECTOR_SIZE:
+            sim.run_process(mdz.append(MetadataRole.GENERAL, filler))
+        sim.run_process(rewrite_physical_zone(volume, device_index, zone))
+        assert volume.execute(
+            Bio.read(0, volume.zone_info(zone).write_pointer)).result == before
+        volume.execute(Bio.flush())
+        power_cycle(devices, random.Random(5))
+        again = mount(sim, devices)
+        assert again.execute(Bio.read(0, len(before))).result == before
+
+    def test_staging_zone_is_reset_only_once_its_wal_is_retired(self, sim):
+        """The rewrite never resets its staging zone while a COPIED entry
+        naming it is current: a REWRITE_DONE for it is appended first."""
+        from repro.block import Op
+        from repro.raizn.maintenance import (
+            OP_ZONE_REWRITE_COPIED,
+            OP_ZONE_REWRITE_DONE,
+        )
+        from repro.raizn.metadata import MetadataEntry, MetadataType
+        volume, devices, wp, more = remapped_volume(sim, seed=1)
+        targets = sorted(volume.relocations.per_phys_zone)
+        if not targets:
+            pytest.skip("seed produced no relocations")
+        device_index, zone = targets[0]
+        named, staged, resets = set(), set(), []
+
+        def watch(_dev, bio):
+            if bio.op is Op.ZONE_RESET:
+                resets.append(bio.offset // volume.phys_zone_size)
+                assert resets[-1] not in named, "staging zone reset early"
+            elif bio.op is Op.ZONE_APPEND:
+                entry, _size = MetadataEntry.decode(bytes(bio.data))
+                if entry.mdtype is MetadataType.OP_WAL:
+                    opcode, *_rest, staging = decode_rewrite_wal(entry)
+                    if opcode == OP_ZONE_REWRITE_COPIED:
+                        named.add(staging)
+                        staged.add(staging)
+                    elif opcode == OP_ZONE_REWRITE_DONE:
+                        named.discard(staging)
+        hook = devices[device_index].add_hook("pre_apply", watch)
+        sim.run_process(rewrite_physical_zone(volume, device_index, zone))
+        devices[device_index].remove_hook(hook)
+        assert len(staged) == 1 and staged <= set(resets) and not named
 
     def test_rewrite_survives_crash_after_copy(self, sim):
         """Crash between swap-copy and write-back: the COPIED WAL makes
@@ -161,8 +223,11 @@ class TestZoneRewrite:
         volume.execute(Bio.flush())
         if not volume.relocations.units():
             pytest.skip("seed produced no relocations")
-        # Remount: the threshold of 1 forces a rewrite during init.
+        # Remount with a threshold of 1: mount leaves the relocations,
+        # and the maintenance step after it rewrites every zone holding one.
         again = mount(sim, devices, relocation_rebuild_threshold=1)
+        assert again.relocations.units()
+        assert run_zone_rewrites(sim, again)
         assert not again.relocations.units()
         got = again.execute(Bio.read(wp, len(more))).result
         assert got == more

@@ -4,7 +4,7 @@ again."""
 
 import pytest
 
-from repro.block import Op
+from repro.block import Bio, Op
 from repro.errors import DeviceFailedError, MetadataError
 from repro.raizn.mdzone import DeviceMetadataZones, MetadataRole
 from repro.raizn.metadata import MetadataEntry, MetadataType
@@ -154,6 +154,32 @@ class TestEmptySwapPool:
         fill(sim, mdz, PP)
         with pytest.raises(MetadataError, match="no swap zone"):
             sim.run_process(mdz.append(PP, entry()))
+
+
+class TestEntryBehindACheckpoint:
+    def test_entry_that_does_not_fit_behind_the_checkpoint_moves_on(
+            self, sim):
+        """A 60 KiB checkpoint leaves 4 KiB of a 64 KiB zone: the 8 KiB
+        entry whose append rotated the log takes the next swap zone — here
+        the zone the rotation gives back, once reclaimed — and the
+        checkpoint's zone stays as spill.  The append does not overrun
+        the zone."""
+        mdz, _served = make_mdz(sim, checkpoint=(56,))
+        fill(sim, mdz, GENERAL)
+        old = mdz.role_zone[GENERAL]
+        landed = sim.run_process(mdz.append(GENERAL, entry(4)))
+        sim.run()
+        assert mdz.swap_waits == 1 and mdz.role_zone[GENERAL] == old
+        (spill,) = mdz.checkpoint_spill[GENERAL]
+        assert mdz.used[spill] == 60 * KiB
+        assert landed == mdz.role_zone[GENERAL] * ZONE
+        assert mdz.used[mdz.role_zone[GENERAL]] == 8 * KiB
+        # Both zones read back as whole entries.
+        for zone, sizes in ((spill, [60 * KiB]),
+                            (mdz.role_zone[GENERAL], [8 * KiB])):
+            data = mdz.device.execute(
+                Bio.read(zone * ZONE, mdz.used[zone])).result
+            assert [e.total_bytes for e in MetadataEntry.scan(data)] == sizes
 
 
 class TestReclaimOnADeadDevice:

@@ -22,14 +22,12 @@ only what was flushed, the whole write cache, or a random draw of the
 explorer's sampler.  ``missing`` leaves device ``k % 5`` out; ``latent``
 marks bad (``mark_bad``) the last 4 KiB of the last data-zone read the
 clean mount of that state sent; ``rewrite`` mounts with
-``relocation_rebuild_threshold=1``, so mount rewrites every physical zone
-holding a relocation (§5.2); ``double`` cuts power inside that mount — at
-its first data-zone reset if it has one, half-way through otherwise — and
-mounts again.  The ``rewrite-double`` states raise today: before its
-compaction, mount's metadata roles are a fresh volume's, so a mount-time
-rewrite stages its copy in the last metadata zone whatever that zone
-holds — here the live checkpoint (kin to ROADMAP item 1's metadata-zone
-siblings).
+``relocation_rebuild_threshold=1`` and then runs the §5.2 maintenance
+step, ``run_zone_rewrites``, which rewrites every physical zone holding a
+relocation (mount and the step are one bring-up, :func:`bring_up`, in
+every record below); ``double`` cuts power inside that bring-up — at its
+first data-zone reset if it has one (a zone rewrite's stage 2),
+half-way through otherwise — and brings the array up again.
 
 For each state ``tests/data/mount_goldens.json`` holds the number of
 device commands mount sent and a digest of them — (device, op, offset,
@@ -50,8 +48,7 @@ In the same pass every state that mounted is mounted a second time, and
 the second mount must recover what the first did (mount ∘ mount =
 mount): the same zones, relocation units and relocated parity, the
 generations moved only by §4.3's +1 on empty zones, the data-zone media
-untouched.  A state that fails this is a strict xfail in
-``NOT_IDEMPOTENT``.
+untouched.
 
 ``tests/test_mount_restart.py`` cuts the mount of every state that
 mounts once, with no latent extent and no ``double`` variant, at every
@@ -92,6 +89,7 @@ from repro.harness.campaign import (
 )
 from repro.harness.crashtest import scripted_workload
 from repro.raizn import RaiznConfig, RaiznVolume
+from repro.raizn.maintenance import run_zone_rewrites
 from repro.raizn.recovery import mount
 from repro.sim import Simulator
 from repro.units import SECTOR_SIZE, KiB
@@ -244,14 +242,25 @@ def data_media(devices, data_end) -> list:
             for dev in devices]
 
 
-def remount_drift(sim, presented, volume, data_end, overrides) -> list:
-    """Mount the array again over what ``volume``'s mount left; name what
-    the second mount recovers differently, or the data-zone media it
+def bring_up(sim, presented, rewrite=False):
+    """Mount the array; with ``rewrite``, at a relocation threshold of 1,
+    then run the §5.2 zone-rewrite maintenance step on the mounted
+    volume."""
+    if not rewrite:
+        return mount(sim, presented)
+    volume = mount(sim, presented, relocation_rebuild_threshold=1)
+    run_zone_rewrites(sim, volume)
+    return volume
+
+
+def remount_drift(sim, presented, volume, data_end, rewrite) -> list:
+    """Bring the array up again over what ``volume``'s bring-up left; name
+    what the second one recovers differently, or the data-zone media it
     changed.  Generations may only move by §4.3's +1 on empty zones."""
     alive = [dev for dev in presented if dev is not None]
     media = data_media(alive, data_end)
     try:
-        again = mount(sim, presented, **overrides)
+        again = bring_up(sim, presented, rewrite)
     except Exception as exc:
         return [f"remount raised {type(exc).__name__}"]
     first, second = recovered_fields(volume), recovered_fields(again)
@@ -296,7 +305,7 @@ class ReadTally:
 
 
 def mount_record(sim, devices, data_end, missing=None, crash_at=None,
-                 **overrides):
+                 rewrite=False):
     """Mount the crash state the array is in, ``devices[missing]`` not
     presented — with ``crash_at``, power is cut at that command of the
     mount and the array mounted again.  Returns the record, the list of
@@ -319,7 +328,7 @@ def mount_record(sim, devices, data_end, missing=None, crash_at=None,
             crash = CrashPoint(alive, after=crash_at,
                                rng=random.Random(crash_at))
             try:
-                mount(sim, presented, **overrides)
+                bring_up(sim, presented, rewrite)
             except PowerLossError:
                 pass
             drain(sim)
@@ -328,7 +337,7 @@ def mount_record(sim, devices, data_end, missing=None, crash_at=None,
             for dev in alive:
                 dev.power_on()
             reads.new_mount()
-        volume = mount(sim, presented, **overrides)
+        volume = bring_up(sim, presented, rewrite)
     except Exception as exc:      # the exception class is the outcome
         record, drift = {"raised": type(exc).__name__}, None
     else:
@@ -339,7 +348,7 @@ def mount_record(sim, devices, data_end, missing=None, crash_at=None,
     record.update(commands=len(commands), stream=stream,
                   read_bytes=reads.read, reread_bytes=reads.reread)
     if "recovered" in record:
-        drift = remount_drift(sim, presented, volume, data_end, overrides)
+        drift = remount_drift(sim, presented, volume, data_end, rewrite)
     return record, commands, drift
 
 
@@ -384,7 +393,7 @@ def run_states():
                 if "latent" in extras:
                     mark_latent(devices, streams[corner], data_end)
                 if "rewrite" in extras:
-                    kwargs["relocation_rebuild_threshold"] = 1
+                    kwargs["rewrite"] = True
                 if "double" in extras:
                     kwargs["crash_at"] = crash_point(
                         streams[variant[:-len("-double")]], data_end)
@@ -424,22 +433,9 @@ def test_mount_reads_each_metadata_byte_once(records):
             for name, record in records.items()} == dict.fromkeys(STATES, 0)
 
 
-#: Mounted states whose second mount does not recover what the first did
-#: (ROADMAP item 1).
-NOT_IDEMPOTENT = {
-    "relife1-rand-rewrite":
-        "the first mount's zone rewrite leaves its REWRITE_COPIED log "
-        "current, so the second mount resumes it from a swap zone the "
-        "first one reset: ReadUnwrittenError",
-}
-
-
 def mounted_states():
     golden = json.loads(GOLDENS.read_text())
-    return [pytest.param(name, marks=pytest.mark.xfail(
-                strict=True, reason=NOT_IDEMPOTENT[name]))
-            if name in NOT_IDEMPOTENT else name
-            for name in STATES if "recovered" in golden[name]]
+    return [name for name in STATES if "recovered" in golden[name]]
 
 
 @pytest.mark.parametrize("name", mounted_states())

@@ -4,9 +4,11 @@
 the 31 states of ``tests/test_mount_goldens.py`` that mount once, with no
 latent extent and no ``-double`` variant.  Each state is mounted once
 without interruption, and the N device commands that mount sends are
-counted.  Then, for every c = 1..N, the state is entered again, power is
-cut before command c of the same mount, the array is powered back on
-and mounted again, under three survivor choices for the cut:
+counted — in a ``rewrite`` state, mount's and then the zone-rewrite
+step's (:func:`test_mount_goldens.bring_up`).  Then, for every c = 1..N,
+the state is entered again, power is cut before command c of the same
+mount, the array is powered back on and mounted again, under three
+survivor choices for the cut:
 
 * ``min`` — every dirty zone settles to the first entry of its
   ``zone_survivor_states`` (only what was durable survives);
@@ -54,10 +56,10 @@ from repro.harness.campaign import (
     enumerate_crash_states,
 )
 from repro.raizn.mdzone import DeviceMetadataZones
-from repro.raizn.recovery import mount
 from test_mount_goldens import (
     MATRIX,
     NUM_DEVICES,
+    bring_up,
     data_media,
     recovered_fields,
     snapshot_run,
@@ -150,8 +152,7 @@ class Restart:
         self.presented = [None if index == missing else dev
                           for index, dev in enumerate(self.devices)]
         self.alive = [dev for dev in self.presented if dev is not None]
-        self.overrides = ({"relocation_rebuild_threshold": 1}
-                          if "rewrite" in extras else {})
+        self.rewrite = "rewrite" in extras
 
         self.enter()
         counts = [0]
@@ -174,7 +175,7 @@ class Restart:
         enter_crash_state(self.devices, self.snaps, self.assignment)
 
     def mount(self):
-        return mount(self.sim, self.presented, **self.overrides)
+        return bring_up(self.sim, self.presented, self.rewrite)
 
     def outcome(self, cut, survivor):
         """Cut power before command ``cut`` of the mount, under the

@@ -27,9 +27,9 @@ from ..errors import (DataLossError, DegradedModeError, DeviceError,
                       ZoneStateError)
 from ..sim import Event
 from ..trace.tracer import SITE_BITS
-from ..zns.spec import ZoneState
 from . import config
 from .parity import xor_into
+from .relocation import unit_sources
 from .zonedesc import LogicalZoneDesc
 
 if TYPE_CHECKING:
@@ -132,14 +132,13 @@ class _Reconstruction:
         self.pending = 1  # held by the fan-out, as in _ReadJoin
         self.then = then
 
-    def fold(self, data) -> None:
+    def fold(self, data, offset: int = 0) -> None:
         accumulator = self.accumulator
         if accumulator is not None:
-            xor_into(accumulator, data)
-        else:
-            accumulator = self.accumulator = bytearray(data)
-            if len(accumulator) < self.length:  # a short tail-stripe source
-                accumulator.extend(bytes(self.length - len(accumulator)))
+            xor_into(accumulator, data, offset)
+        else:  # zeroes around a piece or a short tail-stripe source
+            accumulator = self.accumulator = bytearray(offset) + data
+            accumulator.extend(bytes(self.length - len(accumulator)))
 
     def settle(self) -> None:
         self.pending -= 1
@@ -207,8 +206,10 @@ class ReadPath:
         try:
             while lba < end:
                 desc = volume.zone_descs[zone]
+                route = self._route_relocated if desc.has_relocations \
+                    else self._route
                 for device, pba, length in split(zone, lba, end):
-                    self._route(join, device, pba, lba, length, desc, parent)
+                    route(join, device, pba, lba, length, desc, parent)
                     lba += length
                 zone += 1
         except (DeviceError, RaiznError) as exc:
@@ -218,45 +219,33 @@ class ReadPath:
 
     def _route(self, join: _ReadJoin, device: int, pba: int, lba: int,
                length: int, desc: LogicalZoneDesc, parent: int) -> None:
-        """Serve ``length`` bytes at ``lba`` from memory, from ``device``
-        at ``pba``, or from redundancy."""
+        """Serve ``length`` bytes at ``lba`` from ``device`` at ``pba``, or
+        from redundancy."""
         volume = self.volume
-        available = not volume._degraded or \
-            volume._device_available(device, desc.zone)
-        if desc.has_relocations:
-            unit = volume.relocations.lookup(lba - lba % desc.su)
-            overlaps = unit.overlaps(lba, length) if unit is not None else []
-            if overlaps == [(0, length)] or (
-                    overlaps and available and
-                    volume.phys[device][desc.zone].state
-                    is not ZoneState.OFFLINE):
-                # Relocated bytes (§5.2) come from the unit.  A read can
-                # straddle the relocation boundary when recovery rolled the
-                # logical write pointer back into the middle of a stripe
-                # unit; the gaps between the unit's (sorted, disjoint)
-                # extents are still valid on the device and are read as
-                # pieces of their own.
-                cursor = 0
-                for lo, hi in overlaps + [(length, length)]:
-                    if cursor < lo:
-                        self._attempt_read(_Piece(
-                            join, device, pba + cursor, lba + cursor,
-                            lo - cursor, desc, parent))
-                    if lo < hi:
-                        join.chunks.append(unit.read(lba + lo, hi - lo))
-                    cursor = hi
-                return
-            # Partially relocated but the on-device gap bytes are
-            # unreadable (device lost or zone OFFLINE): the whole range is
-            # reconstructed from redundancy.
         piece = _Piece(join, device, pba, lba, length, desc, parent)
-        if not available:
+        if volume._degraded and not volume._device_available(device,
+                                                             desc.zone):
             self._degraded(piece)
         elif volume._failslow_on and self._avoid_for_reads(device,
                                                             desc.zone):
             self._degraded(piece, bypass=True)
         else:
             self._attempt_read(piece)
+
+    def _route_relocated(self, join: _ReadJoin, device: int, pba: int,
+                         lba: int, length: int, desc: LogicalZoneDesc,
+                         parent: int) -> None:
+        """:meth:`_route` in a zone with relocations: the bytes come from
+        where :func:`unit_sources` places them (DESIGN decision 16)."""
+        in_su = lba % desc.su
+        stripe, index = divmod(desc.su_index_of(lba), desc.num_data)
+        for lo, hi, source in unit_sources(self.volume, desc.zone, stripe,
+                                           index, in_su, in_su + length):
+            if isinstance(source, int):
+                self._route(join, device, pba + lo - in_su, lba + lo - in_su,
+                            hi - lo, desc, parent)
+            else:
+                join.chunks.append(source)
 
     def _read_done(self, command: Bio) -> None:
         """Complete a one-unit read; a failed command becomes its one piece."""
@@ -553,7 +542,6 @@ class ReadPath:
         zone = desc.zone
         stripe = (piece.lba - desc.start_lba) // desc.stripe_width
         layout = volume.mapper.stripe_layout(zone, stripe)
-        relocated = volume.relocated_parity.get((zone, stripe))
         in_su = piece.lba % desc.su
         length = piece.length
         pba = zone * volume.phys_zone_size + stripe * desc.su
@@ -563,7 +551,9 @@ class ReadPath:
             written = volume.phys[piece.device][zone].write_pointer - pba
             length = max(min(desc.su, written), in_su + length)
             in_su = 0
-        pba += in_su
+        end = in_su + length
+        relocated = desc.has_relocations or \
+            (zone, stripe) in volume.relocated_parity
         recon = _Reconstruction(piece, length, then)
         for other in range(volume.config.num_devices):
             if other == piece.device:
@@ -572,55 +562,55 @@ class ReadPath:
                 raise DegradedModeError(
                     f"two unavailable devices ({piece.device}, {other}); "
                     "single parity cannot reconstruct")
-            if other == layout.parity_device:
-                if relocated is not None:
-                    # The stripe's true parity lives in memory / the md
-                    # zone; the on-device parity PBA holds stale data.
-                    recon.fold(relocated[in_su:in_su + length])
-                    continue
-            else:
-                unit = volume.relocations.lookup(volume.mapper.su_lba(
-                    zone, stripe, layout.data_devices.index(other)))
-                if unit is not None and unit.covers(unit.su_lba + in_su,
-                                                    length):
-                    # This source SU was itself relocated; its on-device
-                    # bytes are stale.
-                    recon.fold(unit.read(unit.su_lba + in_su, length))
-                    continue
-            # A source SU may be shorter than the requested range (the
-            # tail stripe of a finished zone); its unwritten suffix
-            # counts as zeroes, matching the parity computation (§5.1).
-            take = min(length, volume.phys[other][zone].write_pointer - pba)
-            if take > 0:
-                recon.pending += 1
-                self._attempt_source(recon, other, pba, take, 0)
+            if not relocated:
+                self._attempt_source(recon, other, pba, in_su, end, 0)
+                continue
+            # A source's bytes, one fold per piece (DESIGN decision 16).
+            for lo, hi, source in unit_sources(
+                    volume, zone, stripe,
+                    None if other == layout.parity_device
+                    else layout.data_devices.index(other), in_su, end):
+                if isinstance(source, int):
+                    self._attempt_source(recon, other, pba, lo,
+                                         min(hi, source), lo - in_su)
+                else:
+                    recon.fold(source, lo - in_su)
         recon.settle()
 
     def _attempt_source(self, recon: _Reconstruction, device: int, pba: int,
-                        length: int, attempt: int) -> None:
-        """(Re)submit one survivor read feeding ``recon``."""
-        self._submit(device, pba, length, self._source_attempted,
-                     (recon, device, attempt), recon.piece.parent)
+                        lo: int, hi: int, offset: int,
+                        attempt: int = 0) -> None:
+        """(Re)submit the survivor read of ``[lo, hi)`` of ``device``'s unit
+        at ``pba`` into ``recon`` at ``offset``.  Bytes past the write pointer
+        (a finished zone's tail stripe) count as zeroes (§5.1): not read."""
+        if not attempt:
+            hi = min(hi, self.volume.phys[device][recon.piece.desc.zone]
+                     .write_pointer - pba)
+            if hi <= lo:
+                return
+            recon.pending += 1
+        self._submit(device, pba + lo, hi - lo, self._source_attempted,
+                     (recon, device, offset, attempt), recon.piece.parent)
 
     def _source_attempted(self, bio: Bio, fed: bool = False) -> None:
         """Completion of a survivor read.  Transient command failures are
         retried like any piece; any other error (a media error on a
         survivor is a double fault) fails the reconstruction loudly."""
-        recon, device, attempt = bio.wctx
+        recon, device, offset, attempt = bio.wctx
         volume = self.volume
         exc = bio.error
         if exc is None:
             if volume._failslow_on and not fed:
                 volume._note_latency(device, True,
                                      self.sim.now - bio.submit_time)
-            recon.fold(bio.result)
+            recon.fold(bio.result, offset)
             recon.settle()
         elif isinstance(exc, TransientCommandError) and \
                 attempt < volume.config.max_transient_retries:
             volume.health.transient_retries += 1
             self.sim.schedule(config.TRANSIENT_BACKOFF_S,
                               self._attempt_source, recon, device,
-                              bio.offset, bio.length, attempt + 1)
+                              bio.offset, 0, bio.length, offset, attempt + 1)
         else:
             # Not a lone chain: a survivor rejected at submission fails in
             # the tick (even the fan-out) of pieces failing on their own.

@@ -59,6 +59,7 @@ from .metadata import (
     encode_relocated_su,
 )
 from .parity import stripe_parity, xor_into
+from .relocation import unit_sources
 from .stripebuf import StripeBuffer
 from .volume import RaiznVolume
 
@@ -566,75 +567,77 @@ class _ZoneContent:
 
     def _data_extent(self, stripe: int, su_index: int,
                      device: int) -> Optional[int]:
-        """Effective *valid* bytes of a data SU, relocation-aware.
-
-        An SU with a relocation unit holds stale bytes on the device; its
-        valid content is whatever the relocation log covers contiguously
-        from the SU start (possibly nothing for a freshly armed marker).
-        """
-        su_lba = self.volume.mapper.su_lba(self.zone, stripe, su_index)
-        unit = self.volume.relocations.lookup(su_lba)
-        if unit is None:
-            return self._su_extent(stripe, device)
-        return _contiguous_coverage(unit.extents, 0)
+        """Valid bytes of a data SU from its start, where
+        :func:`unit_sources` places them (its device's only below the
+        unit's first extent); None when they start on a missing device."""
+        valid = 0
+        for lo, hi, source in unit_sources(self.volume, self.zone, stripe,
+                                           su_index, 0, self.su):
+            if isinstance(source, int) and lo == 0 < source:
+                have = self._su_extent(stripe, device)
+                if have is None:
+                    return None
+                hi = min(hi, source, have)
+            elif isinstance(source, int) or lo > valid:
+                break
+            valid = hi
+        return valid
 
     def _read_su_prefix(self, stripe: int, su_index: int, device: int,
                         length: int):
-        """Process-style: the first ``length`` valid bytes of a data SU,
-        zero-padded past the valid extent, honouring relocation units."""
+        """Process-style: the first ``length`` bytes of a data SU where
+        :func:`unit_sources` places them, zeroes past its valid bytes."""
         volume = self.volume
-        su_lba = volume.mapper.su_lba(self.zone, stripe, su_index)
-        unit = volume.relocations.lookup(su_lba)
-        if unit is not None:
-            out = bytearray(length)
-            for lo, hi in unit.overlaps(su_lba, length):
-                out[lo:hi] = unit.read(su_lba + lo, hi - lo)
-            return bytes(out)
-        dev_extent = self._su_extent(stripe, device) or 0
-        take = min(length, dev_extent)
-        if take == 0 or volume.devices[device] is None:
-            return bytes(length)
-        zone_pba = self.zone * volume.phys_zone_size
-        probe = Bio.read(zone_pba + stripe * self.su, take)
-        probe.errors_as_status = True
-        bio = yield volume.devices[device].submit(probe)
-        if bio.error is None:
-            # join() materializes bytes whether the device returned bytes
-            # or a media view.
-            return b"".join((bio.result, bytes(length - take)))
-        # A latent (UNC) media error under a recovery read — the compound
-        # case: the crash landed on an extent no scrub had healed yet.
-        # Rebuild this SU from the stripe's redundancy instead of failing
-        # the whole mount; the live read path re-heals the extent after
-        # mount.  A second fault inside the same stripe (recursion guard)
-        # is beyond single parity and genuinely unrecoverable.
-        key = (stripe, su_index)
-        if key in self._repairing:
-            raise bio.error
-        self._repairing.add(key)
-        try:
-            rebuilt = yield from self._reconstruct_su(
-                stripe, volume.mapper.stripe_layout(self.zone, stripe),
-                su_index)
-        finally:
-            self._repairing.discard(key)
-        # The rebuild within the latent extents (the whole prefix for any
-        # other error), the media around them.
-        start = zone_pba + stripe * self.su
         dev = volume.devices[device]
-        bad = sorted((lo - start, hi - start)
-                     for lo, hi in dev.bad_extents(self.zone)
-                     if start < hi and lo < start + take) or [(0, take)]
-        if len(rebuilt) < min(take, max(hi for _lo, hi in bad)):
-            raise bio.error
-        out = bytearray(rebuilt[:take].ljust(take, b"\0"))
-        at = 0
-        for lo, hi in bad + [(take, take)]:
-            if lo > at:
-                clean = yield dev.submit(Bio.read(start + at, lo - at))
-                out[at:lo] = clean.result
-            at = max(at, hi)
-        return b"".join((out, bytes(length - take)))
+        have = self._su_extent(stripe, device) or 0 if dev is not None else 0
+        start = self.zone * volume.phys_zone_size + stripe * self.su
+        out = bytearray(length)
+        for lo, hi, source in unit_sources(volume, self.zone, stripe,
+                                           su_index, 0, length):
+            if not isinstance(source, int):
+                out[lo:hi] = source
+                continue
+            hi = min(hi, source, have)
+            if hi <= lo:
+                continue
+            probe = Bio.read(start + lo, hi - lo)
+            probe.errors_as_status = True
+            bio = yield dev.submit(probe)
+            if bio.error is None:
+                out[lo:hi] = bio.result
+                continue
+            # A latent (UNC) media error under a recovery read — the
+            # compound case: the crash landed on an extent no scrub had
+            # healed yet.  Rebuild this SU from the stripe's redundancy
+            # instead of failing the whole mount; the live read path
+            # re-heals the extent after mount.  A second fault inside the
+            # same stripe (recursion guard) is beyond single parity and
+            # genuinely unrecoverable.
+            key = (stripe, su_index)
+            if key in self._repairing:
+                raise bio.error
+            self._repairing.add(key)
+            try:
+                rebuilt = yield from self._reconstruct_su(
+                    stripe, volume.mapper.stripe_layout(self.zone, stripe),
+                    su_index)
+            finally:
+                self._repairing.discard(key)
+            # The rebuild within the latent extents (the whole range for
+            # any other error), the media around them.
+            bad = sorted((max(lo, a - start), min(hi, b - start))
+                         for a, b in dev.bad_extents(self.zone)
+                         if start + lo < b and a < start + hi) or [(lo, hi)]
+            if len(rebuilt) < max(b for _a, b in bad):
+                raise bio.error
+            out[lo:hi] = rebuilt[lo:hi].ljust(hi - lo, b"\0")
+            at = lo
+            for a, b in bad + [(hi, hi)]:
+                if a > at:
+                    clean = yield dev.submit(Bio.read(start + at, a - at))
+                    out[at:a] = clean.result
+                at = max(at, b)
+        return bytes(out)
 
     # Analysis -----------------------------------------------------------------
 
@@ -733,7 +736,7 @@ class _ZoneContent:
                 dev_extent = self._su_extent(stripe, device) or 0
                 if dev_extent == 0:
                     continue  # nothing stale at this SU
-                if volume.relocations.lookup(su_lba) is not None:
+                if su_lba in volume.relocations:
                     continue
                 volume.relocations.unit_for(su_lba, device, self.zone)
                 entry = encode_relocated_su(
@@ -775,7 +778,7 @@ class _ZoneContent:
             expected = max(0, min(self.su, max_written - su_lba))
             have = self._data_extent(stripe, i, device) or 0
             if have < expected:
-                if volume.relocations.lookup(su_lba) is not None:
+                if su_lba in volume.relocations:
                     # The missing bytes belong to a relocated SU; there
                     # is no writable hole on the device to repair into.
                     return False
@@ -1003,16 +1006,10 @@ class _ZoneContent:
         for stripe in range(last + 1):
             layout = volume.mapper.stripe_layout(self.zone, stripe)
             stripe_lba = zone_start + stripe * self.width
-            complete = True
-            for i, device in enumerate(layout.data_devices):
-                if device == missing:
-                    continue
-                # Relocation-aware: an SU whose valid bytes live in the
-                # relocation log is complete even though the device's
-                # data zone holds fewer (or stale) bytes.
-                if (self._data_extent(stripe, i, device) or 0) < self.su:
-                    complete = False
-                    break
+            complete = all(
+                (self._data_extent(stripe, i, device) or 0) == self.su
+                for i, device in enumerate(layout.data_devices)
+                if device != missing)
             parity_ok = (layout.parity_device == missing
                          or (self._su_extent(stripe, layout.parity_device)
                              or 0) == self.su
@@ -1059,9 +1056,8 @@ class _ZoneContent:
         a gap were never flush-acknowledged (a flush ack requires every
         piece durable), so discarding them is legal."""
         for i, device in enumerate(layout.data_devices):
-            # A relocation unit (device-independent, replayed from the
-            # surviving metadata logs) can cover the missing device's SU;
-            # otherwise it reaches as far as redundancy rebuilds it.
+            # None: the unit starts on the missing device, and reaches
+            # as far as redundancy rebuilds it.
             extent = self._data_extent(stripe, i, device)
             if extent is None:
                 extent = self._rebuild_reach(stripe, layout, i)[0]

@@ -10,7 +10,10 @@ cached in memory in addition to being persisted.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from .volume import RaiznVolume
 
 
 class RelocatedUnit:
@@ -46,32 +49,45 @@ class RelocatedUnit:
         merged.sort()
         self.extents = merged
 
-    def covers(self, lba: int, length: int) -> bool:
-        """True when ``[lba, lba+length)`` lies within one written extent."""
-        offset = lba - self.su_lba
-        end = offset + length
-        return any(lo <= offset and end <= hi for lo, hi in self.extents)
-
     def read(self, lba: int, length: int) -> bytes:
-        """Bytes of a covered range (call :meth:`covers` first)."""
+        """Buffer bytes ``[lba, lba+length)``, in its extents or not."""
         offset = lba - self.su_lba
         return bytes(self.buffer[offset:offset + length])
 
-    def overlaps(self, lba: int, length: int) -> List[Tuple[int, int]]:
-        """Written intervals intersecting ``[lba, lba+length)``.
 
-        Returned as (start, end) offsets *relative to the queried range* —
-        used by the read path to stitch relocated bytes together with
-        still-valid on-device bytes when a read straddles the two.
-        """
-        offset = lba - self.su_lba
-        end = offset + length
-        out = []
-        for lo, hi in self.extents:
-            inter_lo, inter_hi = max(lo, offset), min(hi, end)
-            if inter_lo < inter_hi:
-                out.append((inter_lo - offset, inter_hi - offset))
-        return out
+def unit_sources(volume: RaiznVolume, zone: int, stripe: int,
+                 index: Optional[int], lo: int, hi: int) -> List[tuple]:
+    """Where bytes ``[lo, hi)`` of one stripe unit live (DESIGN decision
+    16): ordered ``(lo, hi, source)`` pieces tiling the range, in unit
+    offsets; ``index`` None is the stripe's parity unit.  A source is
+    ``bytes`` (a relocation-unit extent, or relocated parity) or an
+    ``int`` ``end``: the unit's device, its bytes valid below offset
+    ``end`` and below its write pointer, zeroes past either.  ``end`` is
+    the first extent's start (0 if none): an armed unit takes every later
+    write (``WritePath._emit_data``), so its device's bytes past that are
+    stale; a zone worn out mid-unit keeps the prefix below it.
+    """
+    su = volume.config.stripe_unit_bytes
+    if index is None:
+        parity = volume.relocated_parity.get((zone, stripe))
+        return [(lo, hi, su if parity is None else parity[lo:hi])]
+    unit = volume.relocations.lookup(volume.mapper.su_lba(zone, stripe,
+                                                          index))
+    if unit is None:
+        return [(lo, hi, su)]
+    end = unit.extents[0][0] if unit.extents else 0
+    pieces = []
+    for start, stop in unit.extents:
+        start, stop = max(start, lo), min(stop, hi)
+        if start < stop:
+            if lo < start:
+                pieces.append((lo, start, end))
+            pieces.append((start, stop,
+                           unit.read(unit.su_lba + start, stop - start)))
+            lo = stop
+    if lo < hi:
+        pieces.append((lo, hi, end))
+    return pieces
 
 
 class RelocationStore:
@@ -97,6 +113,9 @@ class RelocationStore:
 
     def lookup(self, su_lba: int) -> Optional[RelocatedUnit]:
         return self._units.get(su_lba)
+
+    def __contains__(self, su_lba: int) -> bool:
+        return su_lba in self._units
 
     def units(self) -> List[RelocatedUnit]:
         return [self._units[k] for k in sorted(self._units)]

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.block import Bio
 from repro.errors import RaiznError
-from repro.raizn.relocation import RelocatedUnit, RelocationStore
+from repro.raizn.relocation import (RelocatedUnit, RelocationStore,
+                                    unit_sources)
 from repro.raizn.stripebuf import StripeBuffer
 from repro.raizn.zonedesc import LogicalZoneDesc, PersistenceBitmap
 from repro.units import KiB
@@ -182,8 +183,7 @@ class TestRelocation:
     def test_unit_write_and_read(self):
         unit = RelocatedUnit(su_lba=1000 * KiB, device=1, su_size=64 * KiB)
         unit.write(1000 * KiB + 4096, b"\xab" * 4096)
-        assert unit.covers(1000 * KiB + 4096, 4096)
-        assert not unit.covers(1000 * KiB, 4096)
+        assert unit.extents == [(4096, 8192)]
         assert unit.read(1000 * KiB + 4096, 4096) == b"\xab" * 4096
 
     def test_extent_merge(self):
@@ -191,18 +191,32 @@ class TestRelocation:
         unit.write(0, b"\x01" * 4096)
         unit.write(4096, b"\x02" * 4096)
         assert unit.extents == [(0, 8192)]
-        assert unit.covers(0, 8192)
 
     def test_out_of_bounds_write_rejected(self):
         unit = RelocatedUnit(0, 0, 4096)
         with pytest.raises(ValueError):
             unit.write(4096, b"\x00" * 10)
 
-    def test_overlaps_relative_ranges(self):
-        unit = RelocatedUnit(0, 0, 64 * KiB)
-        unit.write(8192, b"\x01" * 4096)
-        assert unit.overlaps(4096, 12288) == [(4096, 8192)]
-        assert unit.overlaps(0, 4096) == []
+    def test_unit_sources_tile_the_range(self, sim):
+        """Device below the first extent, the unit's bytes, then the
+        device again with nothing valid past the first extent."""
+        volume, _devices = make_volume(sim)
+        su_lba = volume.mapper.su_lba(0, 0, 1)
+        device = volume.mapper.stripe_layout(0, 0).data_devices[1]
+        unit = volume.relocations.unit_for(su_lba, device, 0)
+        unit.write(su_lba + 8192, b"\x01" * 4096)
+        unit.write(su_lba + 16384, b"\x02" * 4096)
+        assert unit_sources(volume, 0, 0, 1, 4096, 24576) == [
+            (4096, 8192, 8192), (8192, 12288, b"\x01" * 4096),
+            (12288, 16384, 8192), (16384, 20480, b"\x02" * 4096),
+            (20480, 24576, 8192)]
+        assert unit_sources(volume, 0, 0, 2, 0, 4096) == \
+            [(0, 4096, TEST_STRIPE_UNIT)]
+        assert unit_sources(volume, 0, 0, None, 0, 4096) == \
+            [(0, 4096, TEST_STRIPE_UNIT)]
+        volume.relocated_parity[(0, 0)] = bytes(range(256)) * 256
+        assert unit_sources(volume, 0, 0, None, 16, 32) == \
+            [(16, 32, bytes(range(16, 32)))]
 
     def test_store_counts_per_zone(self):
         store = RelocationStore(su_size=64 * KiB)

@@ -221,7 +221,9 @@ class TestWriteEmission:
             if (device, pba, take) in writes:
                 outcome = "in place"
                 assert writes[(device, pba, take)] == int(flags)
-            elif unit is not None and unit.covers(lba, take):
+            elif unit is not None and any(
+                    lo <= lba % SU and lba % SU + take <= hi
+                    for lo, hi in unit.extents):
                 outcome = "relocated"
                 assert unit.device == device
             else:

@@ -29,6 +29,7 @@ from . import (
     ttr_sweep,
 )
 from .results import Series
+from .tracecli import run_trace
 
 MICRO_SCALE = ArrayScale(num_zones=16, zone_capacity=2 * MiB)
 GC_SCALE = ArrayScale(num_zones=19, zone_capacity=4 * MiB)
@@ -122,14 +123,6 @@ def run_fig14() -> None:
         [[c.system, c.workload, c.threads, round(c.tps),
           round(c.avg_latency * 1e3, 2), round(c.p95_latency * 1e3, 2)]
          for c in cells]))
-
-
-def run_trace_cli(quick: bool = False, seed: int = 0,
-                  out: str = "trace_spans.jsonl") -> int:
-    """Traced workload: attribution report + reconciliation + span dump."""
-    from .tracecli import run_trace
-
-    return run_trace(quick=quick, seed=seed, out=out)
 
 
 # -- fault campaigns ---------------------------------------------------------
@@ -290,8 +283,8 @@ def main(argv=None) -> int:
         return 0
     if args.experiment == "trace":
         began = time.time()
-        status = run_trace_cli(quick=args.quick, seed=args.seed,
-                               out=args.out or "trace_spans.jsonl")
+        status = run_trace(quick=args.quick, seed=args.seed,
+                           out=args.out or "trace_spans.jsonl")
         print(f"[trace completed in {time.time() - began:.1f}s wall]")
         return status
     if args.experiment in CAMPAIGNS:

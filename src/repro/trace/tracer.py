@@ -17,10 +17,9 @@ Design constraints, in order:
    datapath is guarded by a single ``is None`` test on a cached
    attribute, and no tracer object exists at all.
 2. **Near-zero cost when enabled.**  The budget is < 3% wall-clock
-   slowdown of a traced ``seq_write`` (perfbench's ``tracing_overhead``
-   scenario against ``seq_write``), which at the simulator's IO rate
-   leaves well under a microsecond per span.  Three things
-   matter at that scale, and all shape the layout here.  First,
+   slowdown of a traced run over the same run untraced, which at the
+   simulator's IO rate leaves well under a microsecond per span.  Three
+   things matter at that scale, and all shape the layout here.  First,
    per-span CPU: each ``(layer, name, device)`` triple is interned once
    into an integer *site id* (:meth:`Tracer.site`) and a whole ring
    record is written with a single ``struct.pack_into`` call.  Second,
@@ -36,8 +35,8 @@ Design constraints, in order:
    plain scalars.
 3. **Inert.**  The tracer never schedules events, never draws from any
    RNG, and never touches device state, so a traced run produces
-   byte-identical simulation results (``tests/test_perfbench.py``
-   holds ``tracing_overhead`` to ``seq_write``'s digest).
+   byte-identical simulation results (the ``tracing_overhead`` scenario
+   of ``tests/test_perfbench.py`` is held to ``seq_write``'s digest).
 """
 
 from __future__ import annotations
@@ -46,12 +45,6 @@ import json
 import math
 import struct
 from typing import Dict, IO, List, Optional, Tuple
-
-#: Names of the derived per-device breakdown rows in the report: device
-#: span time re-expressed as queue wait (submit → channel grant) and
-#: service (grant → complete).  Derived from the aggregate rows, never
-#: stored as rows of their own.
-BREAKDOWN_NAMES = frozenset({"queue", "service"})
 
 #: Layers whose spans measure device commands (submit→complete on a
 #: :class:`~repro.block.device.BlockDevice` subclass).  Only these count

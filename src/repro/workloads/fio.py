@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..block.bio import Bio
 from ..errors import ReproError
@@ -94,25 +94,33 @@ def run_fio(sim: Simulator, volume, spec: FioJobSpec,
                      latency=latency, series=series)
 
 
-def _job(sim: Simulator, volume, spec: FioJobSpec, job_index: int,
-         region: Tuple[int, int], latency: LatencyStats,
-         series: ThroughputSeries, payload: Optional[bytes]):
-    """One fio job: issue offsets in order, keeping ``iodepth`` in flight."""
-    window = Resource(sim, spec.iodepth)
+def issue(sim: Simulator, volume, bios: Iterable[Bio], iodepth: int,
+          on_done: Optional[Callable[[Bio], None]] = None):
+    """Process: submit ``bios`` in order, at most ``iodepth`` in flight.
+
+    The one windowed issue loop: every workload that keeps a queue depth
+    drives its bios through it.  ``on_done(bio)`` runs for each bio that
+    completes without error.  After the last submission the loop drains;
+    it raises the first failure and returns the bytes moved.
+    """
+    window = Resource(sim, iodepth)
     failures: List[BaseException] = []
     completions = []
-    data = payload or _default_payload(spec.block_size, spec.seed + job_index)
     moved = 0
-    for offset in _offsets(spec, job_index, region):
+
+    def done(event) -> None:
+        window.release()
+        if not event.ok:
+            failures.append(event.value)
+        elif on_done is not None:
+            on_done(event.value)
+
+    for bio in bios:
         yield window.request()
-        if spec.rw in ("write", "randwrite"):
-            bio = Bio.write(offset, data)
-        else:
-            bio = Bio.read(offset, spec.block_size)
         event = volume.submit(bio)
-        event.add_callback(_completion_cb(window, latency, series, failures))
+        event.add_callback(done)
         completions.append(event)
-        moved += spec.block_size
+        moved += bio.length
         if failures:
             raise failures[0]
     for event in completions:
@@ -123,17 +131,23 @@ def _job(sim: Simulator, volume, spec: FioJobSpec, job_index: int,
     return moved
 
 
-def _completion_cb(window: Resource, latency: LatencyStats,
-                   series: ThroughputSeries, failures: List[BaseException]):
-    def on_done(event) -> None:
-        window.release()
-        if not event.ok:
-            failures.append(event.value)
-            return
-        bio = event.value
+def _job(sim: Simulator, volume, spec: FioJobSpec, job_index: int,
+         region: Tuple[int, int], latency: LatencyStats,
+         series: ThroughputSeries, payload: Optional[bytes]):
+    """One fio job: issue offsets in order, keeping ``iodepth`` in flight."""
+    offsets = _offsets(spec, job_index, region)
+    if spec.rw in ("write", "randwrite"):
+        data = payload or _default_payload(spec.block_size,
+                                           spec.seed + job_index)
+        bios = (Bio.write(offset, data) for offset in offsets)
+    else:
+        bios = (Bio.read(offset, spec.block_size) for offset in offsets)
+
+    def on_done(bio: Bio) -> None:
         latency.add(bio.latency)
         series.record(bio.complete_time, bio.length)
-    return on_done
+
+    return (yield from issue(sim, volume, bios, spec.iodepth, on_done))
 
 
 def _offsets(spec: FioJobSpec, job_index: int,

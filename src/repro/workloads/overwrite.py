@@ -23,13 +23,8 @@ import random
 from typing import List, Tuple
 
 from ..block.bio import Bio
-from ..sim import (
-    LatencyStats,
-    Resource,
-    Simulator,
-    ThroughputSeries,
-    simulation_gc,
-)
+from ..sim import LatencyStats, Simulator, ThroughputSeries, simulation_gc
+from .fio import issue
 
 
 @dataclasses.dataclass
@@ -105,43 +100,23 @@ def run_overwrite(sim: Simulator, volume, block_size: int = 64 * 1024,
 def _writer(sim: Simulator, volume, start: int, length: int,
             block_size: int, iodepth: int, record, stats: LatencyStats,
             zoned: bool, seed: int):
-    """Sequentially (re)write ``[start, start+length)``."""
-    window = Resource(sim, iodepth)
-    rng = random.Random(seed)
-    payload = rng.randbytes(block_size)
-    failures: List[BaseException] = []
-    pending = []
+    """Sequentially (re)write ``[start, start+length)``.
 
-    def on_done(event) -> None:
-        window.release()
-        if event.ok:
-            record(event.value, stats)
-        else:
-            failures.append(event.value)
-
+    Zoned, each logical zone is one :func:`issue` segment: the ZNS-legal
+    overwrite resets the zone before rewriting it, after the previous
+    segment drained so the reset orders behind its writes.
+    """
+    payload = random.Random(seed).randbytes(block_size)
     zone_cap = getattr(volume, "zone_capacity", None) if zoned else None
-    position = start
-    while position < start + length:
-        if zone_cap is not None and position % zone_cap == 0:
-            # ZNS-legal overwrite: reset the zone before rewriting it,
-            # after draining writes so the reset orders behind them.
-            for event in pending:
-                if not event.triggered:
-                    yield event
-            pending.clear()
-            info = volume.zone_info(position // zone_cap)
+    segment = zone_cap or length
+    end = start + length
+    for base in range(start, end, segment or 1):
+        if zone_cap is not None:
+            info = volume.zone_info(base // zone_cap)
             if info.write_pointer > info.start:
-                yield volume.submit(Bio.zone_reset(position))
-        yield window.request()
-        event = volume.submit(Bio.write(position, payload))
-        event.add_callback(on_done)
-        pending.append(event)
-        if failures:
-            raise failures[0]
-        position += block_size
-    for event in pending:
-        if not event.triggered:
-            yield event
-    if failures:
-        raise failures[0]
+                yield volume.submit(Bio.zone_reset(base))
+        bios = (Bio.write(position, payload) for position in
+                range(base, min(base + segment, end), block_size))
+        yield from issue(sim, volume, bios, iodepth,
+                         lambda bio: record(bio, stats))
     return length

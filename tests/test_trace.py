@@ -11,15 +11,15 @@ import json
 import pytest
 
 from repro.block.bio import Bio, Op
-from repro.harness.tracecli import (_build, _workload, dump_spans, run_trace,
-                                    spans_summary)
-from repro.harness.perfbench import _drive
+from repro.harness.arrays import SMALL, make_raizn
+from repro.harness.tracecli import _build, _workload, dump_spans, run_trace
 from repro.trace import (MetricsRegistry, TraceSink, Tracer,
                          format_trace_report, reconcile)
 from repro.trace.tracer import DEVICE_LAYERS, SITE_BITS
 from repro.raizn import RaiznConfig, RaiznVolume
 from repro.sim import Simulator
 from repro.units import KiB
+from repro.workloads.fio import issue
 from repro.zns import ZNSDevice
 
 
@@ -28,6 +28,10 @@ class FakeSim:
 
     def __init__(self) -> None:
         self.now = 0.0
+
+
+def _drive(sim, volume, bios, iodepth):
+    return sim.run_process(issue(sim, volume, bios, iodepth))
 
 
 def _traced_volume():
@@ -39,12 +43,13 @@ def _traced_volume():
 
 class TestDisabledByDefault:
     def test_no_tracer_without_config_flag(self):
-        from repro.harness.perfbench import IODEPTH, _SCENARIOS
-
-        sim, volume, devices, bios = _SCENARIOS["seq_write"](3)
+        sim = Simulator()
+        volume, devices = make_raizn(sim, SMALL, seed=3)
+        bios = [Bio.write(offset, bytes(64 * KiB))
+                for offset in range(0, volume.zone_capacity, 64 * KiB)]
         assert volume.tracer is None
         assert all(dev.tracer is None for dev in devices)
-        _drive(sim, volume, bios, IODEPTH)
+        _drive(sim, volume, bios, 64)
         # The per-bio trace slots never get touched.
         assert all(bio.span is None for bio in bios)
 
@@ -254,12 +259,6 @@ class TestTracedRun:
             assert record["end"] >= record["start"]
             if record["layer"] in DEVICE_LAYERS:
                 assert record["device"] is not None
-
-    def test_spans_summary_counts(self):
-        _sim, volume, _devices = _traced_volume()
-        summary = spans_summary(volume)
-        assert summary["recorded"] == volume.tracer.sink.total_recorded
-        assert summary["evicted"] == 0  # quick run fits in the ring
 
     def test_run_trace_quick_passes(self, tmp_path, capsys):
         out = tmp_path / "spans.jsonl"

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import List
 
 from ..block.bio import Bio
+from ..errors import ReproError
 
 
 class ZoneExpectation:
@@ -104,7 +105,9 @@ def check_recovered_volume(volume, expect: WorkloadExpectation) -> List[str]:
 
     Returns human-readable violation strings (empty list = oracle
     passed).  Reads go through the normal volume read path, so parity
-    reconstruction and relocation stitching are exercised too.
+    reconstruction and relocation stitching are exercised too; a read-back
+    that fails with a ``ReproError`` (say, a stripe with two devices
+    unavailable) is a violation for its zone.
     """
     violations: List[str] = []
     for zone in range(volume.num_data_zones):
@@ -121,7 +124,13 @@ def check_recovered_volume(volume, expect: WorkloadExpectation) -> List[str]:
             continue
         if wp == 0:
             continue
-        got = bytes(volume.execute(Bio.read(desc.start_lba, wp)).result)
+        try:
+            got = bytes(volume.execute(Bio.read(desc.start_lba, wp)).result)
+        except ReproError as exc:
+            violations.append(
+                f"zone {zone}: read-back of [0, {wp:#x}) failed: "
+                f"{type(exc).__name__}: {exc}")
+            continue
         want = bytes(exp.submitted[:wp])
         if got != want:
             first_bad = next(

@@ -350,59 +350,66 @@ class _Campaign:
             report.evictions += 1
 
         for phase, spec in enumerate(specs):
-            if spec.rebuild and volume.failed[EVICT_TARGET]:
-                rebuild(sim, volume, EVICT_TARGET, replacement_device(
-                    sim, volume, f"soak-replacement{phase}",
-                    self.seed + 900 + phase))
-                report.rebuilds += 1
+            try:
+                if spec.rebuild and volume.failed[EVICT_TARGET]:
+                    rebuild(sim, volume, EVICT_TARGET, replacement_device(
+                        sim, volume, f"soak-replacement{phase}",
+                        self.seed + 900 + phase))
+                    report.rebuilds += 1
 
-            faults = FaultPlan(
-                seed=self.seed * 31 + phase,
-                num_data_zones=volume.num_data_zones,
-                stripe_unit_bytes=STRIPE_UNIT,
-                latent_rate=spec.latent, transient_rate=spec.transient,
-                max_latent=3, max_latent_per_device=1)
-            slow = SlowPlan(seed=self.seed * 37 + phase,
-                            specs=[spec.slow] if spec.slow else [])
-            faults.arm(devices)
-            slow.arm(devices)
-            # Recorder last: completion hooks run in install order, so a
-            # boundary snapshot sees the k-th completion's injected
-            # faults too.
-            recorder = CompletionBoundaries(
-                devices,
-                snapshot_at=range(self.snap_every,
-                                  self.snap_every * (self.max_snaps + 1),
-                                  self.snap_every),
-                aux_state=expect.copy)
+                faults = FaultPlan(
+                    seed=self.seed * 31 + phase,
+                    num_data_zones=volume.num_data_zones,
+                    stripe_unit_bytes=STRIPE_UNIT,
+                    latent_rate=spec.latent, transient_rate=spec.transient,
+                    max_latent=3, max_latent_per_device=1)
+                slow = SlowPlan(seed=self.seed * 37 + phase,
+                                specs=[spec.slow] if spec.slow else [])
+                faults.arm(devices)
+                slow.arm(devices)
+                # Recorder last: completion hooks run in install order, so a
+                # boundary snapshot sees the k-th completion's injected
+                # faults too.
+                recorder = CompletionBoundaries(
+                    devices,
+                    snapshot_at=range(self.snap_every,
+                                      self.snap_every * (self.max_snaps + 1),
+                                      self.snap_every),
+                    aux_state=expect.copy)
 
-            evict_at = self.num_ops // 2 if spec.evict else None
-            ops = _phase_ops(self.seed, phase, volume, self.num_ops,
-                             evict_at)
-            report.workload_ops += len(ops)
-            if not run_ops(sim, volume, ops, expect, report, evict):
-                break  # the op driver died: on to the report
-            drain(sim)
+                evict_at = self.num_ops // 2 if spec.evict else None
+                ops = _phase_ops(self.seed, phase, volume, self.num_ops,
+                                 evict_at)
+                report.workload_ops += len(ops)
+                if not run_ops(sim, volume, ops, expect, report, evict):
+                    break  # the op driver died: on to the report
+                drain(sim)
 
-            # The slow plan stays armed through exploration so recovery
-            # mounts see the gray failure too.
-            recorder.disarm()
-            faults.disarm()
-            for key, value in faults.counts.to_dict().items():
-                report.injected[key] = report.injected.get(key, 0) + value
+                # The slow plan stays armed through exploration so recovery
+                # mounts see the gray failure too.
+                recorder.disarm()
+                faults.disarm()
+                for key, value in faults.counts.to_dict().items():
+                    report.injected[key] = report.injected.get(key, 0) + value
 
-            self._phase_boundary(sim, volume, expect, phase)
-            self._explore(sim, devices, recorder, phase)
-            if spec.cycle and recorder.snapshots:
-                cycled = self._crash_cycle(sim, devices, recorder, phase)
-                if cycled is not None:
-                    volume, expect = cycled
-                    devices = volume.devices
-            slow.disarm()
-            report.slowed_commands += sum(
-                slow.counts.slowed_commands.values())
-            if self.progress is not None:
-                self.progress(report)
+                self._phase_boundary(sim, volume, expect, phase)
+                self._explore(sim, devices, recorder, phase)
+                if spec.cycle and recorder.snapshots:
+                    cycled = self._crash_cycle(sim, devices, recorder, phase)
+                    if cycled is not None:
+                        volume, expect = cycled
+                        devices = volume.devices
+                slow.disarm()
+                report.slowed_commands += sum(
+                    slow.counts.slowed_commands.values())
+                if self.progress is not None:
+                    self.progress(report)
+            except Exception:
+                # A phase body that raises (a double fault the scrub or
+                # rebuild cannot get past) is one finding; the campaign
+                # ends with its report, as it does when the op driver dies.
+                report.traceback_violation(phase=phase)
+                break
 
         report.endurance = [
             {"device": dev.name, **dev.endurance_report()}

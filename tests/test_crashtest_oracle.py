@@ -117,6 +117,29 @@ class TestOracleChecks:
         assert "diverges" in violations[0]
         assert "0xa" in violations[0]   # first divergent offset reported
 
+    def test_read_back_that_fails_is_a_violation(self, sim):
+        """A mounted volume with two devices unavailable under one stripe
+        (one failed, one with a latent error) cannot serve the read-back:
+        that is a finding for the zone, not an exception out of the
+        oracle."""
+        volume, devices = make_volume(sim)
+        expect = WorkloadExpectation(volume.num_data_zones,
+                                     volume.zone_capacity)
+        data = pattern(256 * KiB, seed=1)
+        expect.note_submit_write(0, data)
+        volume.execute(Bio.write(0, data, BioFlags.FUA | BioFlags.PREFLUSH))
+        expect.note_write_acked(0, fua=True)
+        recovered = mount(sim, list(devices))
+        su = recovered.config.stripe_unit_bytes
+        recovered.fail_device(recovered.mapper.lba_to_pba(0)[0])
+        latent, pba = recovered.mapper.lba_to_pba(su)
+        devices[latent].mark_bad(pba, 4 * KiB)
+        violations = check_recovered_volume(recovered, expect)
+        assert violations == [
+            "zone 0: read-back of [0, 0x40000) failed: DegradedModeError: "
+            "two unavailable devices (1, 0); single parity cannot "
+            "reconstruct"]
+
     def test_remount_is_stable(self, sim):
         volume, devices = make_volume(sim)
         expect = WorkloadExpectation(volume.num_data_zones,

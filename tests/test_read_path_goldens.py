@@ -36,7 +36,7 @@ import pytest
 from repro.block import Bio, Op
 from repro.block.timing import zns_zn540_model
 from repro.errors import TransientCommandError
-from repro.faults import fresh_replacement
+from repro.faults import fresh_replacement, wear_out_zone
 from repro.raizn import RaiznConfig, RaiznVolume
 from repro.raizn.config import TRANSIENT_BACKOFF_S
 from repro.raizn.rebuild import rebuild_process
@@ -59,9 +59,14 @@ DEPTH = 8
 
 
 class Array:
-    """One formatted, written five-device array plus what was written."""
+    """One formatted, written five-device array plus what was written.
 
-    def __init__(self, model=None, **config):
+    ``wear`` lists ``(lba, device)``: the device's zone under ``lba``
+    wears out READ_ONLY just before the write reaches ``lba``, so the
+    write path sends the rest of that unit, and the device's later units
+    in the zone, to relocation units (§5.2)."""
+
+    def __init__(self, model=None, wear=(), **config):
         self.sim = Simulator()
         self.devices = [
             ZNSDevice(self.sim, name=f"zns{i}", num_zones=12,
@@ -78,7 +83,15 @@ class Array:
             for lba in range(start, end, STRIPE):
                 data = rng.randbytes(min(STRIPE, end - lba))
                 self.expected[lba:lba + len(data)] = data
-                self.volume.execute(Bio.write(lba, data))
+                position = lba
+                for at, device in wear:
+                    if lba <= at < lba + len(data):
+                        self.volume.execute(Bio.write(
+                            position, data[position - lba:at - lba]))
+                        position = at
+                        wear_out_zone(self.devices[device], at // ZONE)
+                self.volume.execute(Bio.write(
+                    position, data[position - lba:]))
         self.volume.execute(Bio.flush())
 
     def location(self, lba):
@@ -380,57 +393,48 @@ def offline_zone():
     return report(array, drive(array, reads_of(read_mix(13))))
 
 
-def relocate(array, lba, data):
-    """Manufacture the §5.2 state: ``data`` at ``lba`` lives in a
-    relocated unit, the device still holds the bytes around it."""
-    su_lba = lba - lba % SU
-    device, _pba = array.location(su_lba)
-    zone = su_lba // ZONE
-    unit = array.volume.relocations.unit_for(su_lba, device, zone)
-    unit.write(lba, data)
-    array.volume.zone_descs[zone].has_relocations = True
-    array.expected[lba:lba + len(data)] = data
-
-
-def relocated_units(array):
-    rng = random.Random(14)
-    relocate(array, 4 * KiB, rng.randbytes(8 * KiB))        # middle of SU 0
-    relocate(array, SU, rng.randbytes(SU))                  # all of SU 1
-    relocate(array, 2 * SU + 16 * KiB, rng.randbytes(48 * KiB))  # suffix
-    relocate(array, 5 * SU, rng.randbytes(4 * KiB))         # prefix ...
-    relocate(array, 5 * SU + 32 * KiB, rng.randbytes(4 * KiB))  # ... + island
-    return [(0, SU), (0, 16 * KiB), (4 * KiB, 8 * KiB), (SU, SU),
-            (SU + 4 * KiB, 4 * KiB), (2 * SU, SU), (0, 2 * STRIPE),
-            (5 * SU, SU), (5 * SU + 4 * KiB, 40 * KiB), (4 * SU, STRIPE)]
+#: Two units at the end of zone 0 split between their device and the
+#: log: device 1 wears out 16 KiB into unit 0 of stripe 14, and device 2
+#: 48 KiB into unit 2 of stripe 15, so each device keeps that prefix and
+#: a relocation unit takes the rest; device 1's unit 1 of stripe 15 is
+#: relocated whole.
+WORN = 14 * STRIPE
+WEAR = ((WORN + 16 * KiB, 1), (WORN + STRIPE + 2 * SU + 48 * KiB, 2))
+#: Reads of the worn stripes: device prefix only, across the boundary,
+#: log only, whole stitched units, and the wholly relocated unit.
+WORN_READS = [
+    (WORN, SU), (WORN, 16 * KiB), (WORN + 8 * KiB, 16 * KiB),
+    (WORN + 16 * KiB, 48 * KiB), (WORN + SU, SU), (WORN, 2 * STRIPE),
+    (WORN + STRIPE + SU, SU), (WORN + STRIPE + 2 * SU, SU),
+    (WORN + STRIPE + 2 * SU + 40 * KiB, 16 * KiB), (WORN + STRIPE, STRIPE)]
 
 
 @scenario
 def relocated_and_stitched():
-    array = Array()
-    pairs = relocated_units(array)
-    return report(array, drive(array, reads_of(pairs * 3 + read_mix(14, 48))))
+    array = Array(wear=WEAR)
+    return report(array, drive(array, reads_of(WORN_READS * 3
+                                                + read_mix(14, 48))))
 
 
 @scenario
 def stitched_gap_needs_repair():
-    """The on-device gap bytes of two stitched units sit on bad media:
-    the gap read heals the whole unit."""
-    array = Array()
-    pairs = relocated_units(array)
-    for lba in (32 * KiB, 5 * SU + 48 * KiB):
+    """The on-device prefixes of the two stitched units sit on bad
+    media: the prefix read heals the whole unit."""
+    array = Array(wear=WEAR)
+    for lba in (WORN + 4 * KiB, WORN + STRIPE + 2 * SU + 32 * KiB):
         device, pba = array.location(lba)
         array.devices[device].mark_bad(pba, 4 * KiB)
-    return report(array, drive(array, reads_of(pairs * 2), check=False))
+    return report(array, drive(array, reads_of(WORN_READS * 2)))
 
 
 @scenario
 def stitched_unit_on_lost_device():
-    """The device under a partly relocated unit is gone: its gap bytes
-    are unreadable, so the whole piece is rebuilt from redundancy."""
-    array = Array()
-    pairs = relocated_units(array)
-    array.volume.fail_device(array.location(2 * SU)[0])
-    return report(array, drive(array, reads_of(pairs * 2), check=False))
+    """The device under a partly relocated unit is gone: its prefix
+    bytes are unreadable, so the whole piece is rebuilt from
+    redundancy."""
+    array = Array(wear=WEAR)
+    array.volume.fail_device(array.location(WORN + STRIPE + 2 * SU)[0])
+    return report(array, drive(array, reads_of(WORN_READS * 2)))
 
 
 def warmed(array):

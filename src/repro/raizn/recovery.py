@@ -10,13 +10,17 @@ devices after a clean shutdown, a power loss, or a device failure:
    GC checkpoints included), resolving duplicates by generation counter;
 3. redo the write-back of a §5.2 zone rewrite cut after its copy was
    durable, and replay valid zone-reset write-ahead logs;
-4. derive each logical zone's write pointer from the physical write
-   pointers, detect stripe holes, repair them from (partial) parity when
-   possible, and otherwise roll the write pointer back and arm stripe-unit
-   relocation for the hidden region;
+4. walk each logical zone's stripes once: a data unit reaches its valid
+   bytes, or as far as redundancy rebuilds it when they start on a
+   missing device; a unit short of the end is a hole, which a healthy
+   mount repairs from (partial) parity or else rolls the write pointer
+   back to, arming stripe-unit relocation for the hidden region, and
+   which ends the zone on a degraded mount; a complete stripe's torn
+   parity is completed in place, or recorded when a device is missing;
 5. rebuild persistence bitmaps and the in-memory stripe buffers of
-   incomplete tail stripes (reconstructing a missing device's data from
-   partial parity logs);
+   incomplete tail stripes (a missing device's data from redundancy).
+   One reader serves every stripe-unit read of steps 4–5 and holds the
+   bytes of the stripe it read last, so no unit is read twice;
 6. compact the metadata zones so the volume restarts with a clean,
    checkpointed metadata state.  Mount ends there: the §5.2 threshold
    rewrite is maintenance on the mounted volume.
@@ -24,6 +28,7 @@ devices after a clean shutdown, a power loss, or a device failure:
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
 from ..block.bio import Bio, Op
@@ -443,7 +448,7 @@ class _Recovery:
         completing write logged its delta, in the zones the healthy audit
         recomputes — a rollback can have left their parity SUs stale (a
         FUA write logs one too, and a torn parity SU is handled by
-        ``_record_degraded_parity``).  The XOR of the stripe's deltas is
+        ``_settle_parity``).  The XOR of the stripe's deltas is
         its true parity (DESIGN.md decision 2).  A chain with a gap cannot
         give it, and the missing device's unit of that stripe is lost: say
         so rather than serve it from the stale copy."""
@@ -547,6 +552,9 @@ class _ZoneContent:
         #: (stripe, su_index) pairs currently being reconstructed from
         #: redundancy, to bound the media-error fallback's recursion.
         self._repairing: set = set()
+        #: ``(stripe, {device: sorted (lo, hi, bytes) read})``: what
+        #: ``_read_unit`` holds of the stripe it read last.
+        self._held: Tuple[Optional[int], dict] = (None, {})
 
     # Helper shorthand ---------------------------------------------------------
 
@@ -583,6 +591,38 @@ class _ZoneContent:
             valid = hi
         return valid
 
+    def _read_unit(self, stripe: int, device: int, lo: int, hi: int):
+        """Process-style: bytes ``[lo, hi)`` of ``device``'s unit of
+        ``stripe`` and None, or None and the error a device read of them
+        met.  The device is asked only for what this stripe's earlier
+        reads do not hold: a zoned write lands only at the write pointer,
+        so bytes read stay valid until their zone's reset (DESIGN
+        decision 14), and mount resets no zone it is walking.  One stripe
+        is held at a time."""
+        if self._held[0] != stripe:
+            self._held = (stripe, {})
+        pieces = self._held[1].setdefault(device, [])
+        out, at, gaps = bytearray(hi - lo), lo, []
+        for a, b, data in pieces:
+            if b <= at or a >= hi:
+                continue
+            if a > at:
+                gaps.append((at, a))
+            at = min(b, hi)
+            out[max(a, lo) - lo:at - lo] = data[max(a, lo) - a:at - a]
+        if at < hi:
+            gaps.append((at, hi))
+        start = self.zone * self.volume.phys_zone_size + stripe * self.su
+        for a, b in gaps:
+            probe = Bio.read(start + a, b - a)
+            probe.errors_as_status = True
+            bio = yield self.volume.devices[device].submit(probe)
+            if bio.error is not None:
+                return None, bio.error
+            out[a - lo:b - lo] = bio.result
+            insort(pieces, (a, b, bio.result))
+        return bytes(out), None
+
     def _read_su_prefix(self, stripe: int, su_index: int, device: int,
                         length: int):
         """Process-style: the first ``length`` bytes of a data SU where
@@ -600,11 +640,9 @@ class _ZoneContent:
             hi = min(hi, source, have)
             if hi <= lo:
                 continue
-            probe = Bio.read(start + lo, hi - lo)
-            probe.errors_as_status = True
-            bio = yield dev.submit(probe)
-            if bio.error is None:
-                out[lo:hi] = bio.result
+            data, error = yield from self._read_unit(stripe, device, lo, hi)
+            if error is None:
+                out[lo:hi] = data
                 continue
             # A latent (UNC) media error under a recovery read — the
             # compound case: the crash landed on an extent no scrub had
@@ -615,7 +653,7 @@ class _ZoneContent:
             # genuinely unrecoverable.
             key = (stripe, su_index)
             if key in self._repairing:
-                raise bio.error
+                raise error
             self._repairing.add(key)
             try:
                 rebuilt = yield from self._reconstruct_su(
@@ -629,88 +667,122 @@ class _ZoneContent:
                          for a, b in dev.bad_extents(self.zone)
                          if start + lo < b and a < start + hi) or [(lo, hi)]
             if len(rebuilt) < max(b for _a, b in bad):
-                raise bio.error
+                raise error
             out[lo:hi] = rebuilt[lo:hi].ljust(hi - lo, b"\0")
             at = lo
             for a, b in bad + [(hi, hi)]:
                 if a > at:
-                    clean = yield dev.submit(Bio.read(start + at, a - at))
-                    out[at:a] = clean.result
+                    clean, error = yield from self._read_unit(stripe, device,
+                                                              at, a)
+                    if error is not None:
+                        raise error
+                    out[at:a] = clean
                 at = max(at, b)
         return bytes(out)
 
     # Analysis -----------------------------------------------------------------
 
     def analyze(self):
-        """Derive the logical write pointer; repair or hide stripe holes."""
+        """Derive the logical write pointer in one walk over the stripes.
+
+        A data unit reaches its valid bytes (``_data_extent``), or as far
+        as redundancy rebuilds it when they start on the missing device
+        (``_rebuild_reach``).  A unit that falls short of the walk's end
+        is a hole.  What a hole does is the one step that depends on the
+        mount: a healthy mount repairs it from parity, or else rolls the
+        write pointer back to it and arms the stale units past it; on a
+        degraded mount nothing is left to repair it from, and it is the
+        zone's end (§5.1: bytes past a gap were never flush-acknowledged,
+        a flush ack requires every piece durable).  Every complete stripe
+        the walk passes gets its parity settled.
+        """
         volume = self.volume
         zone_start = volume.mapper.zone_start(self.zone)
-        stripes = volume.mapper.stripes_per_zone
-        first_gap: Optional[int] = None  # LBA of first missing byte
-        max_written = zone_start
-
-        for stripe in range(stripes):
+        missing = self._missing_device()
+        end = self._walk_end(missing)
+        for stripe in range(-(-(end - zone_start) // self.width)):
             layout = volume.mapper.stripe_layout(self.zone, stripe)
-            any_data = False
+            shorts = []     # (index, LBA, reach) of each unit short of end
+            for i, device in enumerate(layout.data_devices):
+                su_lba = volume.mapper.su_lba(self.zone, stripe, i)
+                reach = self._data_extent(stripe, i, device)
+                if reach is None:
+                    reach = self._rebuild_reach(stripe, layout, i)[0]
+                if reach < min(self.su, end - su_lba):
+                    shorts.append((i, su_lba, reach))
+            if shorts and (missing is not None or not (
+                    yield from self._repair_stripe(stripe, layout, shorts,
+                                                   end))):
+                _i, su_lba, reach = shorts[0]
+                self.logical_wp = su_lba + reach
+                if missing is None:   # DESIGN decision 3: healthy only
+                    self.has_relocation_conflicts = True
+                    yield from self._arm_stale_relocations(self.logical_wp)
+                return
+            yield from self._settle_parity(stripe, layout, end, missing)
+        self.logical_wp = min(end, zone_start + volume.zone_capacity)
+
+    def _walk_end(self, missing: Optional[int]) -> int:
+        """Where the walk ends.  Healthy: past the last byte of a data
+        unit, scanning until a stripe holding nothing follows a short
+        unit.  Degraded: the end of the last stripe holding data or
+        logged partial parity — the missing device's unit bounds the tail
+        by its reach."""
+        volume = self.volume
+        zone_start = volume.mapper.zone_start(self.zone)
+        end, gap = zone_start, False
+        for stripe in range(volume.mapper.stripes_per_zone):
+            layout = volume.mapper.stripe_layout(self.zone, stripe)
+            any_data = bool(self._su_extent(stripe, layout.parity_device))
             for i, device in enumerate(layout.data_devices):
                 extent = self._data_extent(stripe, i, device)
-                su_lba = volume.mapper.su_lba(self.zone, stripe, i)
                 if extent is None:
-                    # Missing device: infer from parity coverage below.
-                    continue
+                    continue  # missing device: its reach bounds the tail
                 if extent > 0:
                     any_data = True
-                    max_written = max(max_written, su_lba + extent)
-                if extent < self.su and first_gap is None:
-                    first_gap = su_lba + extent
-            parity_extent = self._su_extent(stripe, layout.parity_device)
-            if parity_extent:
-                any_data = True
-            if not any_data and first_gap is not None:
+                    end = max(end, volume.mapper.su_lba(self.zone, stripe, i)
+                              + extent)
+                gap = gap or extent < self.su
+            if not any_data and gap:
                 break  # past the end of written data
-
-        if self._missing_device() is not None:
-            yield from self._analyze_degraded(max_written)
-            return
-
-        if first_gap is None or first_gap > max_written:
-            first_gap = max_written
-        # A torn parity SU of a complete stripe is no logical gap, but it
-        # leaves the stripe without redundancy: it is repaired too.
-        if first_gap == max_written and min(self.extents) >= \
-                (max_written - zone_start) // self.width * self.su:
-            self.logical_wp = max_written
-            return
-        yield from self._repair_holes(first_gap, max_written)
+        if missing is None:
+            return end
+        stripes = max([-(-(end - zone_start) // self.width)] +
+                      [stripe + 1 for stripe in self.partial_parity])
+        return zone_start + stripes * self.width
 
     def _missing_device(self) -> Optional[int]:
         return next((index for index, extent in enumerate(self.extents)
                      if extent is None), None)
 
-    # Hole repair (all devices present) -------------------------------------------
-
-    def _repair_holes(self, first_gap: int, max_written: int):
-        """Fill stripe holes from parity, or roll back and arm relocation."""
+    def _repair_stripe(self, stripe: int, layout, shorts, end: int):
+        """Healthy mount: rebuild the one short data unit of ``stripe``
+        from redundancy and write it back at its device's write pointer —
+        the hole is exactly where the zone is writable.  False when it
+        cannot be: two holes (beyond single parity), a relocated one (no
+        writable hole on the device to repair into), a sibling's latent
+        extent (a second hole: the torn bytes were never durable), or a
+        rebuild that falls short."""
         volume = self.volume
-        zone_start = volume.mapper.zone_start(self.zone)
-        # Start from the first stripe any device is short in — a torn
-        # *parity* SU does not show up as a logical-address gap but still
-        # blocks that device's zone and must be healed in stripe order.
-        min_extent = min(e for e in self.extents if e is not None)
-        first_stripe = min((first_gap - zone_start) // self.width,
-                           min_extent // self.su)
-        last_stripe = (max_written - 1 - zone_start) // self.width
-        for stripe in range(first_stripe, last_stripe + 1):
-            if not (yield from self._repair_stripe(stripe, max_written)):
-                # Hide the corrupted stripe unit(s): the write pointer rolls
-                # back to the first still-missing byte; stale data persisted
-                # beyond it is armed with relocation markers so this mount
-                # — and any future mount — can tell stale bytes from new.
-                self.logical_wp = self._first_missing_lba(max_written)
-                self.has_relocation_conflicts = True
-                yield from self._arm_stale_relocations(self.logical_wp)
-                return
-        self.logical_wp = max_written
+        if len(shorts) > 1 or shorts[0][1] in volume.relocations:
+            return False
+        su_index, su_lba, have = shorts[0]
+        try:
+            reconstructed = yield from self._reconstruct_su(stripe, layout,
+                                                            su_index)
+        except MediaError:
+            return False
+        needed_end = min(self.su, end - su_lba)
+        if len(reconstructed) < needed_end:
+            return False
+        device = layout.data_devices[su_index]
+        pba = self.zone * volume.phys_zone_size + stripe * self.su + have
+        yield volume.devices[device].submit(
+            Bio.write(pba, reconstructed[have:needed_end]))
+        volume.phys[device][self.zone].write_pointer = \
+            pba + needed_end - have
+        self.extents[device] = stripe * self.su + needed_end
+        return True
 
     def _arm_stale_relocations(self, rollback_lwp: int):
         """Create persisted relocation markers for every stale SU.
@@ -747,84 +819,34 @@ class _ZoneContent:
         if events:
             yield volume.sim.all_of(events)
 
-    def _first_missing_lba(self, max_written: int) -> int:
-        volume = self.volume
-        zone_start = volume.mapper.zone_start(self.zone)
-        position = zone_start
-        while position < max_written:
-            stripe = (position - zone_start) // self.width
-            in_stripe = (position - zone_start) % self.width
-            i = in_stripe // self.su
-            layout = volume.mapper.stripe_layout(self.zone, stripe)
-            extent = self._data_extent(stripe, i,
-                                       layout.data_devices[i]) or 0
-            su_lba = volume.mapper.su_lba(self.zone, stripe, i)
-            if extent < min(self.su, max_written - su_lba):
-                return su_lba + extent
-            position = su_lba + self.su
-        return max_written
-
-    def _repair_stripe(self, stripe: int, max_written: int):
-        """Rebuild this stripe's missing stripe-unit bytes, if possible."""
-        volume = self.volume
-        layout = volume.mapper.stripe_layout(self.zone, stripe)
-        zone_start = volume.mapper.zone_start(self.zone)
-        stripe_lba = zone_start + stripe * self.width
-        # (su index, device, have, expected) of each data SU holding less
-        # than the data beyond it implies.
-        shorts: List[Tuple[int, int, int, int]] = []
-        for i, device in enumerate(layout.data_devices):
-            su_lba = volume.mapper.su_lba(self.zone, stripe, i)
-            expected = max(0, min(self.su, max_written - su_lba))
-            have = self._data_extent(stripe, i, device) or 0
-            if have < expected:
-                if su_lba in volume.relocations:
-                    # The missing bytes belong to a relocated SU; there
-                    # is no writable hole on the device to repair into.
-                    return False
-                shorts.append((i, device, have, expected))
-        if len(shorts) > 1:
-            return False  # single parity cannot repair two holes
-        if shorts:
-            su_index, device, have, needed_end = shorts[0]
-            try:
-                reconstructed = yield from self._reconstruct_su(
-                    stripe, layout, su_index)
-            except MediaError:
-                # A sibling's latent extent is a second hole: the torn
-                # bytes were never durable, so roll back over them.
-                return False
-            if len(reconstructed) < needed_end:
-                return False
-            # Write the recovered bytes back at the device's write
-            # pointer — the hole is exactly where the zone is writable.
-            pba = self.zone * volume.phys_zone_size + stripe * self.su + have
-            patch = reconstructed[have:needed_end]
-            if patch:
-                yield volume.devices[device].submit(Bio.write(pba, patch))
-                pdesc = volume.phys[device][self.zone]
-                pdesc.write_pointer = pba + len(patch)
-                self.extents[device] = stripe * self.su + have + len(patch)
-        yield from self._heal_parity(stripe, layout, stripe_lba, max_written)
-        return True
-
-    def _heal_parity(self, stripe: int, layout, stripe_lba: int,
-                     max_written: int):
+    def _settle_parity(self, stripe: int, layout, end: int,
+                       missing: Optional[int]):
         """Complete a torn or missing parity SU of a fully-written stripe.
 
         A torn parity write would otherwise block future writes on that
-        device's zone (its write pointer sits mid-SU).  After the data
-        SUs are repaired, the parity is recomputed and its missing tail
-        appended in place.
+        device's zone (its write pointer sits mid-SU).  A healthy mount
+        recomputes the parity from the repaired data and appends its
+        missing tail in place.  A degraded one records it in
+        ``relocated_parity`` (the map the read path's reconstruction
+        prefers over the device copy), so degraded reads of the missing
+        device's unit do not XOR the torn copy; that unit is rebuilt from
+        its relocation unit or the stripe's redundancy, which the walk
+        found covers it whole.
         """
         volume = self.volume
-        if max_written < stripe_lba + self.width:
-            return  # incomplete stripe: no full parity SU exists yet
+        stripe_lba = volume.mapper.zone_start(self.zone) + stripe * self.width
         parity_extent = self._su_extent(stripe, layout.parity_device) or 0
-        if parity_extent >= self.su:
+        if end < stripe_lba + self.width or parity_extent >= self.su:
+            return  # incomplete stripe (no full parity SU yet), or whole
+        key = (self.zone, stripe)
+        if missing is not None:
+            if layout.parity_device != missing and \
+                    key not in volume.relocated_parity:
+                volume.relocated_parity[key] = \
+                    yield from self._stripe_parity(stripe, layout)
             return
         pdesc = volume.phys[layout.parity_device][self.zone]
-        if (self.extents[layout.parity_device] or 0) != \
+        if self.extents[layout.parity_device] != \
                 stripe * self.su + parity_extent or \
                 not pdesc.state.is_writable:
             # The device holds (stale) data beyond this parity SU, or its
@@ -839,17 +861,19 @@ class _ZoneContent:
         pdesc.write_pointer = zone_pba + (stripe + 1) * self.su
         self.extents[layout.parity_device] = (stripe + 1) * self.su
 
-    def _stripe_parity(self, stripe: int, layout,
-                       missing: Optional[int] = None):
+    def _stripe_parity(self, stripe: int, layout):
         """Process-style: the full parity of ``stripe``'s data units, each
-        read whole — the ``missing`` device's unit, where its relocation
-        log does not cover it, rebuilt from the stripe's redundancy."""
+        read whole — the missing device's unit, where its relocation log
+        does not cover it, rebuilt from the stripe's redundancy."""
+        missing = self._missing_device()
         units = []
         for j, device in enumerate(layout.data_devices):
             if device == missing and \
                     (self._data_extent(stripe, j, device) or 0) < self.su:
-                unit = yield from self._reconstruct_degraded_chunk(
-                    stripe, layout, j, self.su)
+                unit = yield from self._reconstruct_su(stripe, layout, j)
+                if len(unit) < self.su:
+                    raise RecoveryError(f"zone {self.zone} stripe {stripe}: "
+                                        "cannot reconstruct missing data")
             else:
                 unit = yield from self._read_su_prefix(stripe, j, device,
                                                        self.su)
@@ -859,8 +883,8 @@ class _ZoneContent:
     def _rebuild_reach(self, stripe: int, layout,
                        su_index: int) -> Tuple[int, Optional[int]]:
         """§5.1: how many bytes of lost data unit ``su_index`` redundancy
-        rebuilds — the one rule ``_degraded_tail_wp`` bounds the unit by
-        and ``_reconstruct_su`` fetches it by.  Reads metadata only.
+        rebuilds — the one rule ``analyze`` bounds the unit by and
+        ``_reconstruct_su`` fetches it by.  Reads metadata only.
 
         The larger of two reaches: full parity's (relocated parity or a
         whole on-device parity SU), and the partial-parity chain's usable
@@ -950,16 +974,11 @@ class _ZoneContent:
             # stale bytes and must not be read.
             parity = volume.relocated_parity.get((self.zone, stripe))
             if parity is None:
-                probe = Bio.read(self.zone * volume.phys_zone_size
-                                 + stripe * self.su, self.su)
                 # A latent media error on the parity PBA is tolerated:
                 # the partial-parity chain may still reconstruct.
-                probe.errors_as_status = True
-                bio = yield volume.devices[layout.parity_device].submit(
-                    probe)
-                if bio.error is None:
-                    parity = bio.result
-                else:
+                parity, error = yield from self._read_unit(
+                    stripe, layout.parity_device, 0, self.su)
+                if error is not None:
                     reach, chain_end = self._chain_prefix(stripe, layout,
                                                           su_index)
         if parity is not None:
@@ -986,85 +1005,6 @@ class _ZoneContent:
                 xor_into(acc, data)
         return bytes(acc[:reach])
 
-    # Degraded mount --------------------------------------------------------------
-
-    def _analyze_degraded(self, max_written: int):
-        """One device missing: trust parity for complete stripes; bound the
-        tail by partial-parity coverage (§5.1)."""
-        volume = self.volume
-        zone_start = volume.mapper.zone_start(self.zone)
-        if max_written == zone_start and not self.partial_parity:
-            self.logical_wp = zone_start
-            return
-        missing = self._missing_device()
-        # Find the last stripe with any evidence of data.
-        last = (max(max_written - 1, zone_start) - zone_start) // self.width
-        if self.partial_parity:
-            last = max(last, max(self.partial_parity))
-        wp = zone_start
-        torn_parity: List[int] = []
-        for stripe in range(last + 1):
-            layout = volume.mapper.stripe_layout(self.zone, stripe)
-            stripe_lba = zone_start + stripe * self.width
-            complete = all(
-                (self._data_extent(stripe, i, device) or 0) == self.su
-                for i, device in enumerate(layout.data_devices)
-                if device != missing)
-            parity_ok = (layout.parity_device == missing
-                         or (self._su_extent(stripe, layout.parity_device)
-                             or 0) == self.su
-                         or (self.zone, stripe) in volume.relocated_parity)
-            if complete and parity_ok:
-                wp = stripe_lba + self.width
-                continue
-            # Tail stripe: the missing device's contribution is bounded by
-            # how far redundancy rebuilds it; data beyond it is discarded.
-            wp = self._degraded_tail_wp(stripe, layout, stripe_lba)
-            if wp < stripe_lba + self.width:
-                break
-            # Every data SU is fully covered (device, relocation log, or
-            # redundancy) — only the parity SU is torn or missing.
-            # That does not cap the write pointer any more than it does
-            # in non-degraded recovery (``_heal_parity``); keep scanning,
-            # and materialize the true parity below so degraded reads of
-            # the missing device's SU do not XOR the torn on-device copy.
-            if layout.parity_device != missing:
-                torn_parity.append(stripe)
-        self.logical_wp = min(wp, zone_start + volume.zone_capacity)
-        for stripe in torn_parity:
-            yield from self._record_degraded_parity(stripe, missing)
-
-    def _record_degraded_parity(self, stripe: int, missing: int):
-        """True parity of a fully-covered stripe whose on-device parity
-        SU is torn, recorded in ``relocated_parity`` (the map the read
-        path's reconstruction already prefers over the device copy).
-
-        The missing device's data SU is rebuilt from its relocation unit
-        or the stripe's redundancy — the write-pointer scan above found
-        that either covers the full SU.
-        """
-        volume = self.volume
-        if (self.zone, stripe) in volume.relocated_parity:
-            return
-        volume.relocated_parity[(self.zone, stripe)] = \
-            yield from self._stripe_parity(
-                stripe, volume.mapper.stripe_layout(self.zone, stripe),
-                missing)
-
-    def _degraded_tail_wp(self, stripe: int, layout, stripe_lba: int) -> int:
-        """The tail ends at the first gap among the data units: bytes past
-        a gap were never flush-acknowledged (a flush ack requires every
-        piece durable), so discarding them is legal."""
-        for i, device in enumerate(layout.data_devices):
-            # None: the unit starts on the missing device, and reaches
-            # as far as redundancy rebuilds it.
-            extent = self._data_extent(stripe, i, device)
-            if extent is None:
-                extent = self._rebuild_reach(stripe, layout, i)[0]
-            if extent < self.su:
-                return stripe_lba + i * self.su + extent
-        return stripe_lba + self.width
-
     # Tail stripe buffer -------------------------------------------------------------
 
     def rebuild_tail_buffer(self, desc):
@@ -1089,9 +1029,11 @@ class _ZoneContent:
             if lo >= fill:
                 break
             take = min(self.su, fill - lo)
-            if device == missing or volume.devices[device] is None:
-                chunk = yield from self._reconstruct_degraded_chunk(
-                    stripe, layout, i, take)
+            if device == missing:
+                chunk = yield from self._reconstruct_su(stripe, layout, i)
+                if len(chunk) < take:
+                    raise RecoveryError(f"zone {self.zone} stripe {stripe}: "
+                                        "cannot reconstruct missing tail data")
             else:
                 try:
                     chunk = yield from self._read_su_prefix(
@@ -1104,7 +1046,7 @@ class _ZoneContent:
                     yield from self._rollback_torn_tail(
                         desc, stripe, layout, i, device, take)
                     return
-            data[lo:lo + take] = chunk
+            data[lo:lo + take] = chunk[:take]
         desc.tail = StripeBuffer(self.zone, stripe, volume.config.num_data,
                                  self.su)
         desc.tail.absorb(0, data)
@@ -1139,8 +1081,10 @@ class _ZoneContent:
                if lo < pba + take and hi > pba]
         clean = min(bad) if bad else 0
         if clean > len(content):
-            bio = yield dev.submit(Bio.read(pba, clean))
-            content = bytes(bio.result)
+            content, error = yield from self._read_unit(stripe, device, 0,
+                                                        clean)
+            if error is not None:
+                raise error
         if content:
             unit = volume.relocations.unit_for(su_lba, device, self.zone)
             unit.write(su_lba, content)
@@ -1162,12 +1106,3 @@ class _ZoneContent:
         # The salvaged SU is now served from its relocation unit, so
         # this cannot re-raise for the same extent.
         yield from self.rebuild_tail_buffer(desc)
-
-    def _reconstruct_degraded_chunk(self, stripe: int, layout, su_index: int,
-                                    take: int):
-        rebuilt = yield from self._reconstruct_su(stripe, layout, su_index)
-        if len(rebuilt) < take:
-            raise RecoveryError(
-                f"zone {self.zone} stripe {stripe}: cannot reconstruct "
-                "missing tail data (insufficient partial parity)")
-        return rebuilt[:take]

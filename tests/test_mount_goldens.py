@@ -42,7 +42,13 @@ the bytes among them one ``mount`` call had already read with no reset
 of their zone in between (a zoned write lands only past the write
 pointer, so without a reset it never lands on bytes already read).
 One scan per device reads each metadata zone once, so the metadata
-share of ``reread_bytes`` is 0 everywhere.
+share of ``reread_bytes`` is 0 everywhere.  One unit reader, which
+holds the bytes of the stripe it read last, serves every data-zone read
+of the stripe walk and the tail stripe buffer, so the data share is 0
+too in every state but a ``latent`` one (a unit read that meets the
+extent is rebuilt from redundancy, and the media around it read again)
+and a ``rewrite`` one (the zone rewrite reads its zone whole, through
+the read path).
 
 In the same pass every state that mounted is mounted a second time, and
 the second mount must recover what the first did (mount ∘ mount =
@@ -427,10 +433,15 @@ def test_mount_matches_golden(name, records, golden):
         f"{name}: mount's commands or recovered state changed"
 
 
-def test_mount_reads_each_metadata_byte_once(records):
-    """One scan per device finds the superblock and ingests the log."""
+def test_mount_reads_each_byte_once(records):
+    """One scan per device finds the superblock and ingests the log, and
+    one unit reader serves the stripe walk and the tail buffer."""
     assert {name: record["reread_bytes"]["metadata"]
             for name, record in records.items()} == dict.fromkeys(STATES, 0)
+    clean = [name for name in STATES
+             if "-latent" not in name and "-rewrite" not in name]
+    assert {name: records[name]["reread_bytes"]["data"]
+            for name in clean} == dict.fromkeys(clean, 0)
 
 
 def mounted_states():

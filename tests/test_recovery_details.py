@@ -233,9 +233,10 @@ def noting_errors(inner, errors):
 
 class TestRebuildReach:
     """``_ZoneContent._rebuild_reach`` is the one rule for how far a lost
-    stripe unit is rebuilt.  ``_degraded_tail_wp`` bounds the zone by it,
-    and ``_reconstruct_su`` must fetch exactly that much: a result that
-    heard no media error is as long as the rule said before the I/O."""
+    stripe unit is rebuilt.  Mount's stripe walk (``analyze``) bounds the
+    zone by it, and ``_reconstruct_su`` must fetch exactly that much: a
+    result that heard no media error is as long as the rule said before
+    the I/O."""
 
     @pytest.fixture
     def reconstructions(self, monkeypatch):

@@ -22,7 +22,7 @@ import struct
 from typing import List, Optional, Tuple
 
 from ..block.bio import Bio
-from ..errors import MediaError, RaiznError
+from ..errors import DegradedModeError, MediaError, RaiznError
 from ..sim import Simulator
 from ..units import SECTOR_SIZE
 from ..zns.spec import ZoneState
@@ -213,6 +213,9 @@ class ScrubReport:
         self.parity_media_errors = 0
         #: Parity copies re-established (in memory + partial-parity log).
         self.parity_heals = 0
+        #: Complete stripes the read could not serve: two devices
+        #: unavailable under them, beyond single parity.
+        self.unreadable_stripes = 0
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -266,8 +269,14 @@ def scrub_process(sim: Simulator, volume, idle_delay: float = 0.0,
     for desc in volume.zone_descs:
         zone = desc.zone
         for stripe in range(desc.written_bytes // desc.stripe_width):
-            expected, error, matches = yield from check_stripe_parity(
-                volume, desc, stripe, _stored_on_media(volume, zone, stripe))
+            try:
+                expected, error, matches = yield from check_stripe_parity(
+                    volume, desc, stripe,
+                    _stored_on_media(volume, zone, stripe))
+            except DegradedModeError:
+                # Nothing to verify or heal from: count it, go on.
+                report.unreadable_stripes += 1
+                continue
             report.stripes_scanned += 1
             parity_device = volume.mapper.stripe_layout(
                 zone, stripe).parity_device

@@ -42,6 +42,7 @@ class TestCleanScrub:
             "parity_mismatches": 0,
             "parity_media_errors": 0,
             "parity_heals": 0,
+            "unreadable_stripes": 0,
         }
 
 
@@ -107,3 +108,18 @@ class TestScrubProcess:
         # verify or heal until a rebuild recreates it.
         assert report.stripes_scanned == 2
         assert volume.execute(Bio.read(0, len(data))).result == data
+
+    def test_stripe_with_two_unavailable_devices_is_counted_and_passed(
+            self, sim):
+        """One device failed and a latent sector on a sibling's unit of
+        one complete stripe: that stripe cannot be read (two unavailable
+        devices under it), and the pass goes on to every other stripe."""
+        volume, devices, data = written_volume(sim, stripes=4)
+        layout = volume.mapper.stripe_layout(0, 2)
+        volume.fail_device(layout.data_devices[0])
+        devices[layout.data_devices[1]].mark_bad(2 * SU + 4096, 4096)
+        report = run_scrub(sim, volume)
+        assert report.unreadable_stripes == 1
+        assert report.stripes_scanned == 3
+        assert volume.execute(Bio.read(0, 2 * STRIPE)).result == \
+            data[:2 * STRIPE]

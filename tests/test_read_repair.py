@@ -3,7 +3,11 @@
 import pytest
 
 from repro.block import Bio, Op
-from repro.errors import DegradedModeError, TransientCommandError
+from repro.errors import (
+    DegradedModeError,
+    MediaError,
+    TransientCommandError,
+)
 from repro.raizn import RaiznConfig, RaiznVolume
 from repro.units import KiB
 
@@ -170,3 +174,30 @@ class TestDoubleFault:
         # which is gone — single parity cannot cover two losses.
         with pytest.raises(DegradedModeError):
             volume.execute(Bio.read(0, SU))
+
+
+class TestTwoLatentSectorsInOneStripe:
+    """Two units of one flushed stripe each hold a latent 4 KiB sector, at
+    different offsets: parity covers each sector from the other units'
+    same offsets, so every read can be served.  It is not: the heal
+    reconstructs the bad unit whole (``_degraded(heal=True)`` takes
+    ``_reconstruct(whole=True)``), which reads each sibling's whole
+    written extent, and ``_source_attempted`` fails the reconstruction on
+    the other unit's own latent sector (ROADMAP item 1)."""
+
+    @pytest.mark.xfail(strict=True, raises=MediaError, reason=(
+        "the heal reconstructs the bad unit whole and reads the other "
+        "bad unit's whole extent, which fails on its own latent sector"))
+    @pytest.mark.parametrize("lo, length", [
+        (4 * KiB, 4 * KiB), (2 * SU + 32 * KiB, 4 * KiB), (0, STRIPE)],
+        ids=["unit0-sector", "unit2-sector", "whole-stripe"])
+    def test_each_read_is_served_from_parity(self, sim, lo, length):
+        volume, devices = make_volume(sim)
+        data = pattern(STRIPE, seed=10)
+        volume.execute(Bio.write(0, data))
+        volume.execute(Bio.flush())
+        for slot, offset in ((0, 4 * KiB), (2, 32 * KiB)):
+            device, pba = su_location(volume, 0, 0, slot)
+            devices[device].mark_bad(pba + offset, 4 * KiB)
+        assert volume.execute(Bio.read(lo, length)).result == \
+            data[lo:lo + length]

@@ -100,10 +100,10 @@ class _Join:
     hold the commands, in issue order), ``fail(exc)`` one hop after the
     first error, and nothing runs for the stragglers of a failed batch."""
 
-    __slots__ = ("queue", "pending", "bios", "then", "fail")
+    __slots__ = ("sim", "pending", "bios", "then", "fail")
 
     def __init__(self, sim: Simulator, then: Callable, fail: Callable):
-        self.queue = sim._now_queue
+        self.sim = sim
         self.pending = 0
         self.bios: List[Bio] = []
         self.then = then
@@ -118,11 +118,11 @@ class _Join:
             return
         if exc is not None:
             self.pending = -1
-            self.queue.append((self.fail, (exc,)))
+            self.sim.schedule(0.0, self.fail, exc)
             return
         self.pending -= 1
         if not self.pending:
-            self.queue.append((self.then, (self,)))
+            self.sim.schedule(0.0, self.then, self)
 
 
 class _Request:
@@ -234,7 +234,7 @@ class MdraidVolume:
         except (RaiznError, DeviceError) as exc:
             self.sim.schedule(0.0, done.fail, exc)
             return done
-        self.sim._now_queue.append((start, (_Request(self, bio, done),)))
+        self.sim.schedule(0.0, start, _Request(self, bio, done))
         return done
 
     def execute(self, bio: Bio) -> Bio:
@@ -406,7 +406,7 @@ class MdraidVolume:
     def _unplug(self, pending: "_PendingStripe") -> None:
         if self._pending.get(pending.stripe) is pending:
             del self._pending[pending.stripe]
-            self.sim._now_queue.append((self._lock, (pending,)))
+            self.sim.schedule(0.0, self._lock, pending)
 
     def _lock(self, pending: "_PendingStripe") -> None:
         """Take the stripe lock: granted one hop from here, or one hop
@@ -414,14 +414,14 @@ class MdraidVolume:
         waiting = self._stripe_locks.get(pending.stripe)
         if waiting is None:
             self._stripe_locks[pending.stripe] = deque()
-            self.sim._now_queue.append((pending.next_interval, ()))
+            self.sim.schedule(0.0, pending.next_interval)
         else:
             waiting.append(pending)
 
     def _unlock(self, stripe: int) -> None:
         waiting = self._stripe_locks[stripe]
         if waiting:
-            self.sim._now_queue.append((waiting.popleft().next_interval, ()))
+            self.sim.schedule(0.0, waiting.popleft().next_interval)
         else:
             del self._stripe_locks[stripe]
 
@@ -753,7 +753,7 @@ class MdraidVolume:
                                 if not done and entry[0] >= self._recovered]
         for at, resume in waiting:
             if done or at < self._recovered:
-                self.sim._now_queue.append((resume, ()))
+                self.sim.schedule(0.0, resume)
 
 
 class _PendingStripe:
@@ -809,12 +809,12 @@ class _PendingStripe:
 
     def finish(self) -> None:
         self.volume._unlock(self.stripe)
-        queue = self.volume.sim._now_queue
+        sim = self.volume.sim
         for segments in self.waiters:
-            queue.append((segments.settle, ()))
+            sim.schedule(0.0, segments.settle)
 
     def fail(self, exc: BaseException) -> None:
-        queue = self.volume.sim._now_queue
+        sim = self.volume.sim
         for segments in self.waiters:
-            queue.append((segments.settle, (exc,)))
+            sim.schedule(0.0, segments.settle, exc)
         self.volume._unlock(self.stripe)

@@ -176,8 +176,8 @@ class DeviceMetadataZones:
             # interleaved same-tick work and shifts the fixed seed
             # digests — measured, not hypothetical.)
             lock.in_use += 1
-            self.sim._now_queue.append(
-                (self._append_locked, (role, encoded, fua, done)))
+            self.sim.schedule(0.0, self._append_locked, role, encoded, fua,
+                              done)
         else:
             waiter = Event(self.sim)
             queued_at = self.sim.now

@@ -124,13 +124,13 @@ class _WriteJoin:
             return
         self.pending -= 1
         if self.pending == 0 and self.armed:
-            self.sim._now_queue.append((self._fired, ()))
+            self.sim.schedule(0.0, self._fired)
 
     def child_failed(self, exc: BaseException) -> None:
         if self.failed:
             return
         self.failed = True
-        self.sim._now_queue.append((self._fail, (exc,)))
+        self.sim.schedule(0.0, self._fail, exc)
 
     def on_append(self, event: Event) -> None:
         """Completion callback of a log append emitted by the fan-out."""
@@ -146,9 +146,9 @@ class _WriteJoin:
         """Completion callback of a redirected piece's log append."""
         if event.ok:
             self.sim.recycle(event)
-            self.sim._now_queue.append((self.child_settled, ()))
+            self.sim.schedule(0.0, self.child_settled)
         else:
-            self.sim._now_queue.append((self.child_failed, (event.value,)))
+            self.sim.schedule(0.0, self.child_failed, event.value)
 
     # -- completion ---------------------------------------------------------
 
@@ -450,7 +450,8 @@ class WritePath:
             # Everything emitted before the raise still goes out, and the
             # join is never armed (``submit`` fails the logical bio).
             submit_many(cmds)
-            self.sim._now_queue.extend(batch)
+            for fn, args in batch:
+                self.sim.schedule(0.0, fn, *args)
             raise
 
         volume.stats.account(bio)
@@ -458,7 +459,8 @@ class WritePath:
         # The arm call runs after every sibling append's start hop, in the
         # now-queue slot the old completion-chain hop occupied.
         batch.append((join.arm, ()))
-        self.sim._now_queue.extend(batch)
+        for fn, args in batch:
+            self.sim.schedule(0.0, fn, *args)
 
     def _build_plan(self, desc: LogicalZoneDesc, offset: int,
                     length: int) -> tuple:
@@ -713,10 +715,10 @@ class WritePath:
             if volume.failed[device]:
                 # Degraded write: piece omitted (§4.2).
                 if join is not None:
-                    self.sim._now_queue.append((join.child_settled, ()))
+                    self.sim.schedule(0.0, join.child_settled)
                 return
         if join is not None:
-            self.sim._now_queue.append((join.child_failed, (exc,)))
+            self.sim.schedule(0.0, join.child_failed, exc)
 
     def _redirect(self, piece: _WritePiece) -> None:
         """Wear-out discovered by the failing write itself: a data piece
@@ -730,14 +732,14 @@ class WritePath:
         if not volume._device_available(device, desc.zone):
             # Degraded: omitted, parity (or memory) covers it.
             if join is not None:
-                self.sim._now_queue.append((join.child_settled, ()))
+                self.sim.schedule(0.0, join.child_settled)
             return
         fua = bool(piece.flags)
         if piece.stripe is None:
             try:
                 done = self.relocate(desc, device, piece.lba, piece.data, fua)
             except (RaiznError, DeviceError) as exc:
-                self.sim._now_queue.append((join.child_failed, (exc,)))
+                self.sim.schedule(0.0, join.child_failed, exc)
                 return
         else:
             volume.relocated_parity[(desc.zone, piece.stripe)] = piece.data

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.block import Bio, BioFlags, Op
-from repro.errors import (DataLossError, DeviceError, RaiznError,
-                          ZoneStateError)
+from repro.errors import (DataLossError, DeviceError, MediaError,
+                          RaiznError, ZoneStateError)
 from repro.faults import fail_and_rebuild, fresh_replacement, power_cycle
 from repro.raizn import RaiznConfig, RaiznVolume, mount, rebuild
 from repro.raizn.rebuild import rebuild_process
@@ -149,6 +149,30 @@ class TestRebuild:
         assert volume.execute(Bio.read(0, len(data))).result == data
         volume.fail_device((parity_device + 1) % 5)
         assert volume.execute(Bio.read(0, len(data))).result == data
+
+    @pytest.mark.xfail(strict=True, raises=MediaError, reason=(
+        "ZoneStream reads the lost unit through the logical read path; "
+        "the reconstruction's survivor read meets the latent sector, "
+        "_source_attempted fails the reconstruction, and _ZoneJob then "
+        "ends the whole rebuild (ROADMAP item 1, quick soak 30)"))
+    def test_rebuild_outlives_a_latent_sector_on_a_survivor(self, sim):
+        """A double fault in one stripe: device 1 lost, and 4 KiB of a
+        survivor's data unit in stripe 2 (where device 1 holds a data
+        unit) unreadable.  Only that stripe's lost unit cannot be rebuilt
+        over the bad sector; the rebuild should go on past it."""
+        volume, devices = make_volume(sim)
+        data = pattern(4 * STRIPE, seed=21)
+        volume.execute(Bio.write(0, data))
+        volume.execute(Bio.flush())
+        volume.fail_device(1)
+        layout = volume.mapper.stripe_layout(0, 2)
+        assert 1 in layout.data_devices
+        devices[layout.data_devices[0]].mark_bad(2 * SU + 8 * KiB, 4 * KiB)
+        rebuild(sim, volume, 1, fresh_replacement(sim, devices[0], "new"))
+        for stripe in (0, 1, 3):
+            lo = stripe * STRIPE
+            assert volume.execute(Bio.read(lo, STRIPE)).result == \
+                data[lo:lo + STRIPE]
 
     def test_rebuild_after_degraded_mount(self, sim):
         volume, devices = make_volume(sim)

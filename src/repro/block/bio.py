@@ -138,28 +138,31 @@ class Bio:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def fast_append(cls, zone_start: int, data, flags: int) -> "Bio":
-        """Bare ZONE_APPEND construction for trusted internal callers.
+    def command(cls, op: Op, offset: int, data, length: int, flags: int,
+                wctx: object, end_io: Callable[["Bio"], None]) -> "Bio":
+        """A device command from a trusted internal caller, completing
+        through ``end_io(bio)`` with errors as status.
 
-        Skips ``__init__``'s argument validation: the metadata-zone
-        append path validates its zone-start offsets itself, and the
-        constructor showed up in datapath profiles at one allocation per
-        device command.  ``flags`` must already be a plain int.
+        Skips ``__init__``'s argument checks: the RAIZN data path builds
+        its data/parity writes, device reads and metadata-log appends
+        from addresses it has already validated, one per device command.
+        ``length`` must be ``len(data)`` for a write or append, and
+        ``flags`` a plain int.
         """
         bio = cls.__new__(cls)
-        bio.op = Op.ZONE_APPEND
-        bio.offset = zone_start
+        bio.op = op
+        bio.offset = offset
         bio.data = data
-        bio.length = len(data)
+        bio.length = length
         bio.flags = flags
         bio.result = None
         bio.error = None
-        bio.errors_as_status = False
-        bio.end_io = None
+        bio.errors_as_status = True
+        bio.end_io = end_io
         bio.submit_time = None
         bio.complete_time = None
         bio.aux = None
-        bio.wctx = None
+        bio.wctx = wctx
         bio.counted = False
         bio.span = None
         bio.span_grant = 0.0

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set
 
 from ..block.bio import _FUA as _BIO_FUA
-from ..block.bio import Bio
+from ..block.bio import Bio, Op
 from ..block.device import BlockDevice
 from ..errors import DeviceError, MetadataError
 from ..members import Members
@@ -112,7 +112,7 @@ class DeviceMetadataZones:
         if oversized is not None:
             raise oversized
         done = self.sim.event()
-        self._append_start_encoded(role, encoded, fua, done)
+        self._append_start_encoded(role, encoded, fua, done, None)
         return (yield done)
 
     def _oversized(self, encoded: bytes) -> Optional[MetadataError]:
@@ -128,9 +128,20 @@ class DeviceMetadataZones:
 
     def append_encoded_async(self, role: MetadataRole, encoded: bytes,
                              fua: bool = False, batch: list = None) -> Event:
-        """:meth:`append_async` for a caller that already holds the encoded
-        bytes (the write path's partial-parity entries are produced by
-        :func:`repro.raizn.metadata.encode_partial_parity_bytes`).
+        """:meth:`append_async` for a caller that already holds the
+        encoded bytes."""
+        done = self.sim.event()
+        self.append_into(role, encoded, fua, done, batch)
+        return done
+
+    def append_into(self, role: MetadataRole, encoded: bytes, fua: bool,
+                    done, batch: list = None) -> None:
+        """Append ``encoded``, reporting the outcome to ``done``.
+
+        ``done`` is an :class:`Event` or anything that takes the same two
+        calls — the write path's join: ``succeed_inline(pba)`` on success,
+        in the frame of the command's completion, and ``fail(exc)``,
+        whose waiters hear of it one hop later.
 
         A callback chain, not a process: the RAIZN write path appends
         metadata on every partial-stripe write.  Each step is queued
@@ -141,32 +152,38 @@ class DeviceMetadataZones:
         ``(fn, args)`` call instead of being scheduled — the caller puts
         a whole write's appends on the now-queue side by side.
         """
-        done = self.sim.event()
+        span = None
         tracer = self.device.tracer
         if tracer is not None:
-            # The md span covers lock wait, any swap-in, and the
-            # device append; it parents under the logical bio whose
-            # synchronous fan-out issued this append (if any).  The span
-            # doubles as the completion callback (see repro.trace).
+            # The md span covers lock wait, any swap-in, and the device
+            # append; it parents under the logical bio whose synchronous
+            # fan-out issued this append (if any), and it ends before
+            # ``done`` hears of the outcome.
             sites = self._tr_sites
             site = sites.get(role)
             if site is None:
                 site = sites[role] = tracer.site("md", role, self.device.name)
-            done.add_callback(tracer.begin_at(site))
+            span = tracer.begin_at(site)
         # Hop 1: where a process would start.
         if batch is not None:
             batch.append((self._append_start_encoded,
-                          (role, encoded, fua, done)))
+                          (role, encoded, fua, done, span)))
         else:
             self.sim.schedule(0.0, self._append_start_encoded, role, encoded,
-                              fua, done)
-        return done
+                              fua, done, span)
+
+    def _append_failed(self, done, span, exc: BaseException) -> None:
+        """Fail the append: its span ends in the hop before ``done``'s
+        waiters hear of it."""
+        if span is not None:
+            self.sim.schedule(0.0, span, None)
+        done.fail(exc)
 
     def _append_start_encoded(self, role: MetadataRole, encoded: bytes,
-                              fua: bool, done: Event) -> None:
+                              fua: bool, done, span) -> None:
         oversized = self._oversized(encoded)
         if oversized is not None:
-            done.fail(oversized)
+            self._append_failed(done, span, oversized)
             return
         lock = self._locks[role]
         if lock.in_use < lock.capacity:
@@ -177,30 +194,30 @@ class DeviceMetadataZones:
             # digests — measured, not hypothetical.)
             lock.in_use += 1
             self.sim.schedule(0.0, self._append_locked, role, encoded, fua,
-                              done)
+                              done, span)
         else:
             waiter = Event(self.sim)
             queued_at = self.sim.now
 
             def granted(_ev):
                 self.lock_wait_s += self.sim.now - queued_at
-                self._append_locked(role, encoded, fua, done)
+                self._append_locked(role, encoded, fua, done, span)
             waiter.add_callback(granted)
             lock._waiters.append(waiter)
 
     def _append_locked(self, role: MetadataRole, encoded: bytes,
-                       fua: bool, done: Event) -> None:
+                       fua: bool, done, span) -> None:
         """Holding the role lock: submit, after swapping in a fresh zone if
         the entry does not fit (rare; it may wait for one, so a process)."""
         if self.used[self.role_zone[role]] + len(encoded) > \
                 self.zone_capacity:
             self.sim.process(
-                self._swap_in_then_submit(role, encoded, fua, done))
+                self._swap_in_then_submit(role, encoded, fua, done, span))
         else:
-            self._submit_append(role, encoded, fua, done)
+            self._submit_append(role, encoded, fua, done, span)
 
     def _swap_in_then_submit(self, role: MetadataRole, encoded: bytes,
-                             fua: bool, done: Event):
+                             fua: bool, done, span):
         try:
             yield from self._swap_in(role)
             # A checkpoint that nearly fills the new zone leaves the entry
@@ -208,38 +225,38 @@ class DeviceMetadataZones:
             yield from self._spill_unless_fits(role, len(encoded))
         except BaseException as exc:  # noqa: BLE001 - deliver, don't unwind
             self._locks[role].release()
-            done.fail(exc)
+            self._append_failed(done, span, exc)
             return
-        self._submit_append(role, encoded, fua, done)
+        self._submit_append(role, encoded, fua, done, span)
 
     def _submit_append(self, role: MetadataRole, encoded: bytes,
-                       fua: bool, done: Event) -> None:
+                       fua: bool, done, span) -> None:
         """Reserve the placement and submit the log append; completion is
         awaited outside the lock so appends pipeline."""
         try:
             zone_index = self.role_zone[role]
             self.used[zone_index] += len(encoded)
-            bio = Bio.fast_append(zone_index * self.zone_size, encoded,
-                                  _BIO_FUA if fua else 0)
-            bio.errors_as_status = True
-            bio.wctx = done
-            bio.end_io = self._append_done
-            self.device.submit(bio)
+            self.device.submit(Bio.command(
+                Op.ZONE_APPEND, zone_index * self.zone_size, encoded,
+                len(encoded), _BIO_FUA if fua else 0, (done, span),
+                self._append_done))
         except BaseException as exc:  # noqa: BLE001 - mirror process failure
             self._locks[role].release()
-            done.fail(exc)
+            self._append_failed(done, span, exc)
             return
         self._locks[role].release()
 
     def _append_done(self, bio: Bio) -> None:
-        done = bio.wctx
+        done, span = bio.wctx
         if bio.error is None:
             self.appended_bytes += bio.length
+            if span is not None:
+                span(None)
             # Success arrives from the command's own heap entry, alone in
             # the now-queue: the waiter runs in this frame (lone chain).
             done.succeed_inline(bio.result)
         else:
-            done.fail(bio.error)
+            self._append_failed(done, span, bio.error)
 
     def remaining(self, role: MetadataRole) -> int:
         """Bytes left in the role's current zone."""

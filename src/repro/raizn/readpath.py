@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Tuple)
 
-from ..block.bio import Bio
+from ..block.bio import Bio, Op
 from ..errors import (DataLossError, DegradedModeError, DeviceError,
                       DeviceFailedError, MediaError, RaiznError,
                       ReadUnwrittenError, TransientCommandError,
@@ -310,10 +310,7 @@ class ReadPath:
                 entry.append((handler, context))
                 self.joined_reads += 1
                 return
-        bio = Bio.read(pba, length)
-        bio.errors_as_status = True
-        bio.wctx = context
-        bio.end_io = handler
+        bio = Bio.command(Op.READ, pba, None, length, 0, context, handler)
         submit = volume.devices[device].submit
         if volume.tracer is None:
             submit(bio)
@@ -526,9 +523,10 @@ class ReadPath:
         # Relocate the unit (§5.2).  The original bytes may have been
         # acknowledged durable (FUA), so the healed copy is persisted FUA
         # before the read completes.
+        done = self.sim.event()
         self._traced(piece.parent, self.volume.writepath.relocate, desc,
-                     piece.device, piece.lba - in_su, data, True
-                     ).add_callback(piece.join.persisted)
+                     piece.device, piece.lba - in_su, data, True, done)
+        done.add_callback(piece.join.persisted)
 
     def _reconstruct(self, piece: _Piece, then: Callable,
                      whole: bool = False) -> None:

@@ -79,6 +79,9 @@ class LogicalZoneDesc:
         self.capacity = capacity
         self.num_data = num_data
         self.su = su
+        #: Fixed geometry, read on every write.
+        self.stripe_width = num_data * su
+        self.writable_end = start_lba + capacity
         self.state = ZoneState.EMPTY
         #: Next writable LBA.
         self.write_pointer = start_lba
@@ -100,16 +103,8 @@ class LogicalZoneDesc:
         self.tail: Optional[StripeBuffer] = None
 
     @property
-    def writable_end(self) -> int:
-        return self.start_lba + self.capacity
-
-    @property
     def written_bytes(self) -> int:
         return self.write_pointer - self.start_lba
-
-    @property
-    def stripe_width(self) -> int:
-        return self.num_data * self.su
 
     def su_index_of(self, lba: int) -> int:
         """Persistence-bitmap index of the SU containing ``lba``."""

@@ -14,8 +14,7 @@ import heapq
 import mmap
 import random
 from collections import deque
-from typing import (Callable, Deque, Iterable, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Callable, Deque, List, NamedTuple, Optional, Tuple
 
 from ..errors import (DeviceError, DeviceFailedError, InvalidAddressError,
                       PowerLossError)
@@ -479,19 +478,3 @@ class BlockDevice:
     def power_on(self) -> None:
         """Restore power after ``power_off``."""
         self.powered = True
-
-
-def submit_many(commands: Iterable[Tuple["BlockDevice", Bio]]) -> None:
-    """Submit a batch of ``(device, bio)`` commands in one step.
-
-    The upper layer (the RAIZN volume hands a whole stripe's device
-    commands here) builds the batch while computing its fan-out, then
-    submits everything with a single call.  Commands are applied strictly
-    in batch order, so per-device submission order — and with it every
-    zone write-pointer check and occupancy RNG draw — is identical to
-    issuing the same ``submit`` calls one by one.  Tracer spans are still
-    attributed per command by each device's completion path.  The
-    commands complete through their ``bio.end_io``.
-    """
-    for device, bio in commands:
-        device.submit(bio)

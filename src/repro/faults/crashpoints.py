@@ -107,20 +107,18 @@ def array_restore_crash_snapshot(devices: Iterable[ZNSDevice],
 
 
 def apply_survivor_assignment(devices: Sequence[ZNSDevice],
-                              assignment: Sequence[Dict[int, int]],
-                              restore_power: bool = True) -> None:
+                              assignment: Sequence[Dict[int, int]]) -> None:
     """Crash the array into one chosen survivor state.
 
     ``assignment`` holds one ``{zone_index: survivor_wp}`` mapping per
     device (see :func:`enumerate_survivor_assignments`); unnamed zones
-    keep only their durable prefix.  Power is restored afterwards unless
-    ``restore_power`` is false, leaving the array ready to mount.
+    keep only their durable prefix.  Power is restored afterwards,
+    leaving the array ready to mount.
     """
     for dev, survivors in zip(devices, assignment):
         dev.power_fail_to(survivors)
-    if restore_power:
-        for dev in devices:
-            dev.power_on()
+    for dev in devices:
+        dev.power_on()
 
 
 def array_state_fingerprint(devices: Iterable[ZNSDevice]) -> str:

@@ -18,14 +18,15 @@ import json
 import random
 import time
 import traceback
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..block.bio import Bio, BioFlags
 from ..errors import PowerLossError, ReproError
 from ..faults.crashpoints import (
     apply_survivor_assignment,
     array_restore_crash_snapshot,
+    array_state_fingerprint,
     enumerate_survivor_assignments,
 )
 from ..faults.devicefail import fresh_replacement
@@ -284,24 +285,58 @@ def verify_readback(sim: Simulator, volume: RaiznVolume,
 # ---------------------------------------------------------------- crash states
 
 
-def enumerate_crash_states(devices, snaps, budget: int, rng: random.Random):
-    """Restore a boundary snapshot and sample its survivor states.
-
-    Returns ``(spaces, assignments, product)``: the per-device survivor
-    spaces, the sampled assignments (all-min and all-max corners always
-    included) and the size of the full cross-zone product.
-    """
-    array_restore_crash_snapshot(devices, snaps)
-    spaces = [dev.survivor_state_space() for dev in devices]
-    assignments, product = enumerate_survivor_assignments(spaces, budget, rng)
-    return spaces, assignments, product
-
-
 def enter_crash_state(devices, snaps, assignment) -> None:
     """Crash the array into one survivor state of a boundary snapshot —
     an exact, replayable crash — and leave it powered on, ready to mount."""
     array_restore_crash_snapshot(devices, snaps)
     apply_survivor_assignment(devices, assignment)
+
+
+class CrashState(NamedTuple):
+    """The ``index``-th sampled survivor ``assignment`` of completion
+    ``boundary`` (whose survivor product is ``product``), the crashed
+    array's fingerprint, and the expectation frozen at the boundary."""
+
+    boundary: int
+    index: int
+    assignment: List[Dict[int, int]]
+    fingerprint: str
+    expect: WorkloadExpectation
+    product: int
+
+    def recipe(self, workload: Dict) -> Dict:
+        """The state as a crash-corpus entry (``tests/crash_corpus.py``):
+        ``workload`` replayed to ``boundary`` and crashed into
+        ``survivors`` is the array of ``fingerprint``."""
+        return {"workload": workload, "boundary": self.boundary,
+                "survivors": survivors(self.assignment),
+                "fingerprint": self.fingerprint}
+
+
+def survivors(assignment) -> List:
+    """A survivor assignment as JSON: ``[zone, write pointer]`` pairs."""
+    return [sorted(chosen.items()) for chosen in assignment]
+
+
+def crash_states(devices, snapshots, budget: int, rng: random.Random):
+    """The one way a campaign reaches its crash states (generator).
+
+    For each boundary of ``snapshots`` (``{boundary: (device snapshots,
+    frozen expectation)}``, a :class:`CompletionBoundaries` recording),
+    in order, sample its survivor states under ``budget`` (the all-min
+    and all-max corners always among them), crash the array into each
+    and yield its :class:`CrashState`, ready to mount.
+    """
+    for boundary in sorted(snapshots):
+        snaps, frozen = snapshots[boundary]
+        array_restore_crash_snapshot(devices, snaps)
+        assignments, product = enumerate_survivor_assignments(
+            [dev.survivor_state_space() for dev in devices], budget, rng)
+        for index, assignment in enumerate(assignments):
+            enter_crash_state(devices, snaps, assignment)
+            yield CrashState(boundary, index, assignment,
+                             array_state_fingerprint(devices), frozen,
+                             product)
 
 
 def mount_and_check(sim, devices, expect: WorkloadExpectation,

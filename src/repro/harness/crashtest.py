@@ -12,7 +12,10 @@ restore → enumerate → crash → mount → oracle) this module adds:
   device snapshot plus a frozen copy of the workload's durability
   expectations at an even spread of those boundaries (pure copies:
   nothing is perturbed).  Every sampled survivor state of every sampled
-  boundary is mounted under the full oracle, remount stability included.
+  boundary (:func:`~repro.harness.campaign.crash_states`) is mounted
+  under the full oracle, remount stability included, and a violation
+  carries the state's recipe, which replays it as a crash-corpus entry
+  (``tests/crash_corpus.py``).
 
 A crash inside mount itself is checked at every command of the pinned
 mount states by ``tests/test_mount_restart.py``.
@@ -26,15 +29,11 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from ..faults.crashpoints import (
-    CompletionBoundaries,
-    array_state_fingerprint,
-)
+from ..faults.crashpoints import CompletionBoundaries
 from .campaign import (
     CampaignReport,
     Op,
-    enter_crash_state,
-    enumerate_crash_states,
+    crash_states,
     expectation_for,
     fresh_array,
     mount_and_check,
@@ -111,6 +110,7 @@ def explore(seed: int = 0, num_ops: int = 90, boundaries: int = 60,
                       for i in range(min(boundaries, total))})
     report.boundaries_sampled = len(sampled)
     rng = random.Random(seed + 1)
+    workload = {"name": "script", "seed": seed, "num_ops": num_ops}
 
     for batch_start in range(0, len(sampled), batch_size):
         batch = sampled[batch_start:batch_start + batch_size]
@@ -125,27 +125,22 @@ def explore(seed: int = 0, num_ops: int = 90, boundaries: int = 60,
         if not ran:
             continue
 
-        for boundary in batch:
-            snaps, frozen = recorder.snapshots[boundary]
-            _spaces, assignments, product = enumerate_crash_states(
-                devices, snaps, budget_per_boundary, rng)
-            report.survivor_product_total += product
-            expect_key = tuple(
+        for state in crash_states(devices, recorder.snapshots,
+                                  budget_per_boundary, rng):
+            if state.index == 0:
+                report.survivor_product_total += state.product
+            report.states_explored += 1
+            report.distinct_states.add(state.fingerprint)
+            check_key = (state.fingerprint, tuple(
                 (zone.synced, len(zone.submitted), zone.resetting)
-                for zone in frozen.zones)
-            for assignment in assignments:
-                enter_crash_state(devices, snaps, assignment)
-                fingerprint = array_state_fingerprint(devices)
-                where = {"boundary": boundary, "state": fingerprint}
-                report.states_explored += 1
-                report.distinct_states.add(fingerprint)
-                check_key = (fingerprint, expect_key)
-                if check_key not in report.checked_keys:
-                    report.checked_keys.add(check_key)
-                    mount_and_check(sim, devices, frozen, report, where,
-                                    stability=True)
-            if progress is not None:
-                progress(report)
+                for zone in state.expect.zones))
+            if check_key not in report.checked_keys:
+                report.checked_keys.add(check_key)
+                mount_and_check(sim, devices, state.expect, report,
+                                {"recipe": state.recipe(workload)},
+                                stability=True)
+        if progress is not None:
+            progress(report)
 
     return report.to_dict()
 

@@ -56,17 +56,19 @@ from .campaign import (
     STRIPE_UNIT,
     WORKLOAD_ZONES,
     CampaignReport,
+    CrashState,
     Op,
     ZoneRules,
+    crash_states,
     drain,
     enter_crash_state,
-    enumerate_crash_states,
     expectation_for,
     fresh_array,
     mount_and_check,
     replacement_device,
     run_ops,
     script_ops,
+    survivors,
 )
 
 #: Erase budget per physical zone: low enough that the campaign's zone
@@ -319,7 +321,7 @@ class _Report(CampaignReport):
         return not self.violations and len(self.mechanisms_exercised) >= 3
 
 
-# ---------------------------------------------------------------- explorer
+# ---------------------------------------------------------------- campaign
 
 
 class _Campaign:
@@ -329,6 +331,9 @@ class _Campaign:
         self.progress = progress
         self.report = _Report(seed, quick)
         self.rng = random.Random(seed + 101)
+        #: phase -> the survivors of its crash cycle, drawn from ``rng``
+        #: unless a crash-corpus replay put them here.
+        self.cycles: Dict[int, List[Dict[int, int]]] = {}
         self.num_ops = 70 if quick else 110
         self.snap_every = 90
         self.max_snaps = 6 if quick else 9
@@ -338,87 +343,108 @@ class _Campaign:
 
     def run(self) -> Dict:
         report = self.report
-        sim, _, volume = fresh_array(
+        try:
+            for phase, recorder in self.live():
+                self._explore(self.sim, self.devices, recorder, phase)
+        except Exception:
+            # A phase that raises (a double fault the scrub or rebuild
+            # cannot get past) is one finding; the campaign ends with its
+            # report, as it does when the op driver dies.
+            report.traceback_violation(phase=self.phase)
+        report.endurance = [
+            {"device": dev.name, **dev.endurance_report()}
+            for dev in self.devices if dev is not None]
+        for entry in report.endurance:
+            report.stamp(json.dumps(entry, sort_keys=True))
+        report.stamp(array_state_fingerprint(
+            [d for d in self.devices if d is not None]))
+        return report.to_dict()
+
+    def live(self):
+        """The live path (generator): yields ``(phase, recorder)`` once a
+        phase's ops have run and its live array has been checked and
+        scrubbed, its slow plan still armed, then crash-cycles the array
+        if the phase says so.  ``sim``/``volume``/``devices`` are the
+        live array's.  Exploring (:meth:`run`) restores the live array,
+        so a crash-corpus replay runs this alone up to its state's phase;
+        the one draw the two share, each crash cycle's survivors, is
+        ``cycles``, which a replay hands back."""
+        report = self.report
+        self.sim, _, self.volume = fresh_array(
             self.seed, zone_reset_limit=ENDURANCE_LIMIT, **SOAK_OVERRIDES)
-        devices = volume.devices  # the live slots: rebuild swaps one
-        expect = expectation_for(volume)
+        self.devices = self.volume.devices
+        expect = expectation_for(self.volume)
         specs = _phase_specs(self.quick)
         report.phases = len(specs)
 
         def evict(op) -> None:
-            volume.fail_device(op[1], remove=False)
+            self.volume.fail_device(op[1], remove=False)
             report.evictions += 1
 
-        for phase, spec in enumerate(specs):
-            try:
-                if spec.rebuild and volume.failed[EVICT_TARGET]:
-                    rebuild(sim, volume, EVICT_TARGET, replacement_device(
-                        sim, volume, f"soak-replacement{phase}",
-                        self.seed + 900 + phase))
-                    report.rebuilds += 1
+        for self.phase, spec in enumerate(specs):
+            phase, sim, volume, devices = (self.phase, self.sim, self.volume,
+                                           self.devices)
+            if spec.rebuild and volume.failed[EVICT_TARGET]:
+                rebuild(sim, volume, EVICT_TARGET, replacement_device(
+                    sim, volume, f"soak-replacement{phase}",
+                    self.seed + 900 + phase))
+                report.rebuilds += 1
 
-                faults = FaultPlan(
-                    seed=self.seed * 31 + phase,
-                    num_data_zones=volume.num_data_zones,
-                    stripe_unit_bytes=STRIPE_UNIT,
-                    latent_rate=spec.latent, transient_rate=spec.transient,
-                    max_latent=3, max_latent_per_device=1)
-                slow = SlowPlan(seed=self.seed * 37 + phase,
-                                specs=[spec.slow] if spec.slow else [])
-                faults.arm(devices)
-                slow.arm(devices)
-                # Recorder last: completion hooks run in install order, so a
-                # boundary snapshot sees the k-th completion's injected
-                # faults too.
-                recorder = CompletionBoundaries(
-                    devices,
-                    snapshot_at=range(self.snap_every,
-                                      self.snap_every * (self.max_snaps + 1),
-                                      self.snap_every),
-                    aux_state=expect.copy)
+            faults = FaultPlan(
+                seed=self.seed * 31 + phase,
+                num_data_zones=volume.num_data_zones,
+                stripe_unit_bytes=STRIPE_UNIT,
+                latent_rate=spec.latent, transient_rate=spec.transient,
+                max_latent=3, max_latent_per_device=1)
+            slow = SlowPlan(seed=self.seed * 37 + phase,
+                            specs=[spec.slow] if spec.slow else [])
+            faults.arm(devices)
+            slow.arm(devices)
+            # Recorder last: completion hooks run in install order, so a
+            # boundary snapshot sees the k-th completion's injected
+            # faults too.
+            recorder = CompletionBoundaries(
+                devices,
+                snapshot_at=range(self.snap_every,
+                                  self.snap_every * (self.max_snaps + 1),
+                                  self.snap_every),
+                aux_state=expect.copy)
 
-                evict_at = self.num_ops // 2 if spec.evict else None
-                ops = _phase_ops(self.seed, phase, volume, self.num_ops,
-                                 evict_at)
-                report.workload_ops += len(ops)
-                if not run_ops(sim, volume, ops, expect, report, evict):
-                    break  # the op driver died: on to the report
-                drain(sim)
+            evict_at = self.num_ops // 2 if spec.evict else None
+            ops = _phase_ops(self.seed, phase, volume, self.num_ops,
+                             evict_at)
+            report.workload_ops += len(ops)
+            if not run_ops(sim, volume, ops, expect, report, evict):
+                return  # the op driver died: on to the report
+            drain(sim)
 
-                # The slow plan stays armed through exploration so recovery
-                # mounts see the gray failure too.
-                recorder.disarm()
-                faults.disarm()
-                for key, value in faults.counts.to_dict().items():
-                    report.injected[key] = report.injected.get(key, 0) + value
+            # The slow plan stays armed through exploration so recovery
+            # mounts see the gray failure too.
+            recorder.disarm()
+            faults.disarm()
+            for key, value in faults.counts.to_dict().items():
+                report.injected[key] = report.injected.get(key, 0) + value
 
-                self._phase_boundary(sim, volume, expect, phase)
-                self._explore(sim, devices, recorder, phase)
-                if spec.cycle and recorder.snapshots:
-                    cycled = self._crash_cycle(sim, devices, recorder, phase)
-                    if cycled is not None:
-                        volume, expect = cycled
-                        devices = volume.devices
-                slow.disarm()
-                report.slowed_commands += sum(
-                    slow.counts.slowed_commands.values())
-                if self.progress is not None:
-                    self.progress(report)
-            except Exception:
-                # A phase body that raises (a double fault the scrub or
-                # rebuild cannot get past) is one finding; the campaign
-                # ends with its report, as it does when the op driver dies.
-                report.traceback_violation(phase=phase)
-                break
+            self._phase_boundary(sim, volume, expect, phase)
+            yield phase, recorder
+            if spec.cycle and recorder.snapshots:
+                cycled = self._crash_cycle(sim, devices, recorder, phase)
+                if cycled is not None:
+                    self.volume, expect = cycled
+                    self.devices = self.volume.devices
+            slow.disarm()
+            report.slowed_commands += sum(
+                slow.counts.slowed_commands.values())
+            if self.progress is not None:
+                self.progress(report)
 
-        report.endurance = [
-            {"device": dev.name, **dev.endurance_report()}
-            for dev in devices if dev is not None]
-        for entry in report.endurance:
-            report.stamp(json.dumps(entry, sort_keys=True))
-        report.stamp(array_state_fingerprint(
-            [d for d in devices if d is not None]))
-        return report.to_dict()
+    def recipe(self, state: CrashState, phase: int) -> Dict:
+        """``state``, met in ``phase``, as a crash-corpus entry."""
+        return state.recipe({
+            "name": "soak", "seed": self.seed, "quick": self.quick,
+            "phase": phase, "cycles": [[cycled, survivors(assignment)]
+                                       for cycled, assignment
+                                       in sorted(self.cycles.items())]})
 
     # -- phase pieces ----------------------------------------------------------
 
@@ -441,27 +467,23 @@ class _Campaign:
         """Mount every sampled crash state of the phase's boundaries."""
         report = self.report
         live = array_crash_snapshot(devices)
-        for boundary in sorted(recorder.snapshots):
-            snaps, frozen = recorder.snapshots[boundary]
-            report.boundaries += 1
-            _spaces, assignments, _product = enumerate_crash_states(
-                devices, snaps, self.budget_per_boundary, self.rng)
-            report.candidates += len(assignments)
-            for assignment in assignments:
-                enter_crash_state(devices, snaps, assignment)
-                fingerprint = array_state_fingerprint(devices)
-                report.distinct_states.add(fingerprint)
-                # failslow_protection is a runtime knob, not superblock
-                # state: re-enable it on every recovery mount so hedged
-                # reads stay live while the SlowPlan drags a device.
-                volume = mount_and_check(
-                    sim, devices, frozen, report,
-                    {"phase": phase, "where": "crash_state"},
-                    check="recovered_volume", **SOAK_OVERRIDES)
-                signature = (frozenset() if volume is None
-                             else mechanism_signature(volume))
-                report.signatures.add(signature)
-                report.stamp(fingerprint, ",".join(sorted(signature)))
+        for state in crash_states(devices, recorder.snapshots,
+                                  self.budget_per_boundary, self.rng):
+            report.boundaries += state.index == 0
+            report.candidates += 1
+            report.distinct_states.add(state.fingerprint)
+            # failslow_protection is a runtime knob, not superblock
+            # state: re-enable it on every recovery mount so hedged
+            # reads stay live while the SlowPlan drags a device.
+            volume = mount_and_check(
+                sim, devices, state.expect, report,
+                {"phase": phase, "where": "crash_state",
+                 "recipe": self.recipe(state, phase)},
+                check="recovered_volume", **SOAK_OVERRIDES)
+            signature = (frozenset() if volume is None
+                         else mechanism_signature(volume))
+            report.signatures.add(signature)
+            report.stamp(state.fingerprint, ",".join(sorted(signature)))
         array_restore_crash_snapshot(devices, live)
 
     def _crash_cycle(self, sim, devices, recorder, phase):
@@ -471,15 +493,21 @@ class _Campaign:
         violation; the campaign then carries on from the live array it
         had (returns None)."""
         report = self.report
-        snaps, frozen = recorder.snapshots[max(recorder.snapshots)]
-        _spaces, assignments, _product = enumerate_crash_states(
-            devices, snaps, 3, self.rng)
+        boundary = max(recorder.snapshots)
         live = array_crash_snapshot(devices)
-        enter_crash_state(devices, snaps, assignments[-1])
+        if phase not in self.cycles:
+            *_, drawn = crash_states(devices, {
+                boundary: recorder.snapshots[boundary]}, 3, self.rng)
+            self.cycles[phase] = drawn.assignment
+        snaps, frozen = recorder.snapshots[boundary]
+        enter_crash_state(devices, snaps, self.cycles[phase])
+        state = CrashState(boundary, 0, self.cycles[phase],
+                           array_state_fingerprint(devices), frozen, 0)
         report.crash_cycles += 1
         report.oracle_checks["crash_cycle"] += 1
         volume = mount_and_check(sim, devices, frozen, report,
-                                 {"phase": phase, "where": "crash_cycle"},
+                                 {"phase": phase, "where": "crash_cycle",
+                                  "recipe": self.recipe(state, phase)},
                                  check="crash_cycle", **SOAK_OVERRIDES)
         if volume is None:
             array_restore_crash_snapshot(devices, live)

@@ -630,7 +630,6 @@ class _ZoneContent:
         volume = self.volume
         dev = volume.devices[device]
         have = self._su_extent(stripe, device) or 0 if dev is not None else 0
-        start = self.zone * volume.phys_zone_size + stripe * self.su
         out = bytearray(length)
         for lo, hi, source in unit_sources(volume, self.zone, stripe,
                                            su_index, 0, length):
@@ -661,24 +660,33 @@ class _ZoneContent:
                     su_index)
             finally:
                 self._repairing.discard(key)
-            # The rebuild within the latent extents (the whole range for
-            # any other error), the media around them.
-            bad = sorted((max(lo, a - start), min(hi, b - start))
-                         for a, b in dev.bad_extents(self.zone)
-                         if start + lo < b and a < start + hi) or [(lo, hi)]
-            if len(rebuilt) < max(b for _a, b in bad):
-                raise error
-            out[lo:hi] = rebuilt[lo:hi].ljust(hi - lo, b"\0")
-            at = lo
-            for a, b in bad + [(hi, hi)]:
-                if a > at:
-                    clean, error = yield from self._read_unit(stripe, device,
-                                                              at, a)
-                    if error is not None:
-                        raise error
-                    out[at:a] = clean
-                at = max(at, b)
+            # The rebuild within each bad extent a read meets, the media
+            # around it, going round again if that meets another extent.
+            spans = [(lo, hi, error)]
+            while spans:
+                lo, hi, error = spans.pop(0)
+                a, b = self._bad_span(stripe, error, lo, hi)
+                if len(rebuilt) < b:
+                    raise error
+                out[a:b] = rebuilt[a:b]
+                for x, y in ((lo, a), (b, hi)):
+                    if x < y:
+                        clean, error = yield from self._read_unit(
+                            stripe, device, x, y)
+                        if error is None:
+                            out[x:y] = clean
+                        else:
+                            spans.append((x, y, error))
         return bytes(out)
+
+    def _bad_span(self, stripe: int, error, lo: int, hi: int):
+        """What of bytes ``[lo, hi)`` of ``stripe``'s unit a device read's
+        ``error`` names unreadable: a ``MediaError``'s extent, else all."""
+        if not isinstance(error, MediaError):
+            return lo, hi
+        at = error.offset - self.zone * self.volume.phys_zone_size - \
+            stripe * self.su
+        return max(lo, at), min(hi, at + error.length)
 
     # Analysis -----------------------------------------------------------------
 
@@ -1038,13 +1046,13 @@ class _ZoneContent:
                 try:
                     chunk = yield from self._read_su_prefix(
                         stripe, i, device, take)
-                except MediaError:
+                except MediaError as error:
                     # Compound fault: a latent extent under the tail SU
                     # that parity could not fully rebuild.  Salvage the
                     # genuine prefix and roll the zone back instead of
                     # failing the mount.
                     yield from self._rollback_torn_tail(
-                        desc, stripe, layout, i, device, take)
+                        desc, stripe, layout, i, device, take, error)
                     return
             data[lo:lo + take] = chunk[:take]
         desc.tail = StripeBuffer(self.zone, stripe, volume.config.num_data,
@@ -1052,7 +1060,7 @@ class _ZoneContent:
         desc.tail.absorb(0, data)
 
     def _rollback_torn_tail(self, desc, stripe: int, layout, su_index: int,
-                            device: int, take: int):
+                            device: int, take: int, error: MediaError):
         """§5.2-style rollback over an unreconstructable torn tail SU.
 
         The SU cannot be read (unrecoverable media error) nor fully
@@ -1064,8 +1072,10 @@ class _ZoneContent:
         longest genuine prefix — the clean on-media bytes before the bad
         extent, or the rebuild from redundancy, whichever is longer —
         into a persisted relocation unit (the media copy is untrustworthy
-        past the bad extent's start), roll the logical write pointer back
-        to its end, and arm relocation markers over the stale remainder.
+        past the start of the bad extent ``error`` names; an error from
+        another device names none on this one), roll the logical write
+        pointer back to its end, and arm relocation markers over the
+        stale remainder.
         """
         volume = self.volume
         su_lba = volume.mapper.su_lba(self.zone, stripe, su_index)
@@ -1075,11 +1085,9 @@ class _ZoneContent:
         except MediaError:
             rebuilt = b""
         content = bytes(rebuilt[:take])
-        dev = volume.devices[device]
-        pba = self.zone * volume.phys_zone_size + stripe * self.su
-        bad = [max(0, lo - pba) for lo, hi in dev.bad_extents(self.zone)
-               if lo < pba + take and hi > pba]
-        clean = min(bad) if bad else 0
+        clean = 0
+        if error.device == volume.devices[device].name:
+            clean = self._bad_span(stripe, error, 0, take)[0]
         if clean > len(content):
             content, error = yield from self._read_unit(stripe, device, 0,
                                                         clean)

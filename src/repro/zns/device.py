@@ -560,10 +560,6 @@ class ZNSDevice(BlockDevice):
         self._bad_extents.setdefault(zone.index, []).append(
             (offset, offset + length))
 
-    def bad_extents(self, index: int) -> List[Tuple[int, int]]:
-        """The injected UNC spans currently live in zone ``index``."""
-        return list(self._bad_extents.get(index, ()))
-
     def zone_reset_count(self, index: int) -> int:
         """Lifetime erase (reset) cycles consumed by zone ``index``."""
         return self._reset_counts.get(index, 0)

@@ -15,6 +15,7 @@ from repro.block import Bio, BioFlags
 from repro.block.device import remove_hooks
 from repro.faults import (
     WorkloadExpectation,
+    array_state_fingerprint,
     check_mount_stability,
     check_persistence_bitmap_soundness,
     check_recovered_volume,
@@ -225,16 +226,21 @@ class TestKernelReportsWhatItCannotCheck:
         def raise_in_mount(_device, _bio):
             raise RuntimeError("mount broke")
 
+        live = []
+
         def broken_cycle(run, sim, devices, recorder, phase):
             hooks = [dev.add_hook("pre_apply", raise_in_mount)
                      for dev in devices if dev is not None]
+            live.append(array_state_fingerprint(devices))
             try:
                 return crash_cycle(run, sim, devices, recorder, phase)
             finally:
                 remove_hooks(hooks)
+                live.append(array_state_fingerprint(devices))
         monkeypatch.setattr(soaktest._Campaign, "_crash_cycle", broken_cycle)
         report = soaktest.run_soaktest(seed=0, quick=True)
         assert report["crash_cycles"] == 1
+        assert live[0] == live[1], "the soak did not go back to its live array"
         [finding] = report["violations"]
         assert finding["check"] == "traceback"
         assert finding["where"] == "crash_cycle"

@@ -9,41 +9,34 @@ is wrapped — says which completion boundaries fall inside a rotation
 old zone's reset) so that those can be sampled exhaustively, and checks
 the durability barrier command by command: no old log zone is reset
 before the flush behind its checkpoint has completed.
+
+The three enumerations (:func:`explorations`) mount every state they
+reach: ``python tests/test_mdzone_gc_crash.py`` runs them (CI's
+"Metadata-GC crash explorations" step).  Tier-1 replays a slice of their
+states from the crash corpus (``tests/crash_corpus.py``, the entries
+whose ``views`` name ``mdgc``), checks the barrier on both workloads,
+and remounts after a crash mid-checkpoint.
 """
 
 from __future__ import annotations
 
 import collections
 import random
+import sys
 
 import pytest
 
-from repro.block import Bio, BioFlags, Op
+import crash_corpus as corpus
+from repro.block import Op
 from repro.block.device import remove_hooks
-from repro.faults.crashpoints import (
-    CompletionBoundaries,
-    array_state_fingerprint,
-)
-from repro.harness.campaign import (
-    drive_ops,
-    enter_crash_state,
-    enumerate_crash_states,
-    expectation_for,
-    fresh_array,
-    mount_and_check,
-)
-from repro.harness.crashtest import _Report, explore, scripted_workload
-from repro.raizn import RaiznConfig, RaiznVolume
+from repro.harness.campaign import crash_states, mount_and_check
+from repro.harness.crashtest import _Report
 from repro.raizn.mdzone import MetadataRole
 from repro.raizn.metadata import MetadataEntry, MetadataType
 from repro.raizn.recovery import mount
-from repro.sim import Simulator
-from repro.units import KiB
-from repro.zns import ZNSDevice
 
-#: The exploration of ISSUE 22: 6 ``mount_stability`` violations before
-#: recovery refused to checkpoint behind a torn tail, 0 after.
-EXPLORE = dict(seed=0, num_ops=300, boundaries=80, budget_per_boundary=6)
+#: The 300-op crashtest script, in which every device rotates a log.
+SCRIPT = {"name": "script", "seed": 0, "num_ops": 300}
 
 
 class MdWatch:
@@ -127,56 +120,62 @@ class MdWatch:
             self.open_windows -= 1
 
 
-Run = collections.namedtuple("Run", "sim devices volume watch recorder")
+CLOSED_LOOP = {"name": "closed_loop"}
 
 
-def scripted_run(seed, num_ops, snapshot_at=()):
-    """The crashtest script on the campaign array, watched, with a crash
-    snapshot (and the frozen expectation) at each named boundary."""
-    sim, devices, volume = fresh_array(seed)
-    expect = expectation_for(volume)
-    watch = MdWatch(volume)
-    recorder = CompletionBoundaries(devices, snapshot_at,
-                                    aux_state=expect.copy)
-    sim.run_process(
-        drive_ops(volume, scripted_workload(seed, num_ops), expect))
-    watch.disarm()
-    recorder.disarm()
-    return Run(sim, devices, volume, watch, recorder)
-
-
-def explore_boundaries(replay, boundaries, budget, seed=0, batch_size=12):
-    """``crashtest.explore``'s pass 2 over a chosen list of completion
-    boundaries (``replay(batch)`` is a :class:`Run` that snapshotted
-    them): every sampled survivor state of every boundary is mounted
-    under the full oracle, remount included.  A crash inside mount is
+def explore(workload, boundaries, budget, batch_size=12):
+    """Mount every sampled survivor state of each of ``boundaries`` of
+    ``workload`` (a corpus recipe) under the full oracle, remount
+    included (:func:`crash_states`, ``mount_and_check``); returns the
+    report and every state's recipe.  A crash inside mount is
     ``tests/test_mount_restart.py``'s: its ``rotation`` states cut, at
     every command, the mount of a crash taken inside a rotation."""
-    report = _Report(seed)
-    rng = random.Random(seed + 1)
+    report = _Report(0)
+    rng = random.Random(1)
+    recipes = []
     for start in range(0, len(boundaries), batch_size):
-        batch = boundaries[start:start + batch_size]
-        sim, devices, _volume, _watch, recorder = replay(batch)
-        for boundary in batch:
-            snaps, frozen = recorder.snapshots[boundary]
-            _spaces, assignments, _product = enumerate_crash_states(
-                devices, snaps, budget, rng)
-            for assignment in assignments:
-                enter_crash_state(devices, snaps, assignment)
-                where = {"boundary": boundary,
-                         "state": array_state_fingerprint(devices)}
-                report.states_explored += 1
-                mount_and_check(sim, devices, frozen, report, where,
-                                stability=True)
-    return report
+        run = corpus.run(workload, boundaries[start:start + batch_size])
+        for state in crash_states(run.devices, run.snapshots, budget, rng):
+            recipes.append(state.recipe(workload))
+            report.states_explored += 1
+            mount_and_check(run.sim, run.devices, state.expect, report,
+                            {"recipe": recipes[-1]}, stability=True)
+    return report, recipes
 
 
-# ------------------------------------------------------- the scripted workload
+def explorations():
+    """The three enumerations (CI runs them): crashtest's even spread of
+    80 boundaries x 6 survivor states over the 300-op script (it found
+    that recovery used to checkpoint behind a torn log tail: 6
+    ``mount_stability`` violations before the fix, 0 after); every
+    completion boundary inside one of its rotation windows — old zone full, new zone holding a checkpoint
+    prefix, or the whole checkpoint and newer entries behind it — at
+    its two corners, not the 1-in-17 an even spread takes; and every
+    5th boundary inside a rotation of the QD-8 closed loop, 3 states
+    each.  Yields ``(name, report, recipes)``."""
+    watch = corpus.run(SCRIPT, watch=MdWatch).watch
+    spread = sorted({max(1, round((i + 1) * watch.count / 80))
+                     for i in range(80)})
+    report, recipes = explore(SCRIPT, spread, budget=6)
+    assert report.states_explored >= 400
+    yield "even spread", report.to_dict(), recipes
+    inside = watch.in_window
+    assert len(inside) >= 40
+    report, recipes = explore(SCRIPT, inside, budget=2)
+    yield "rotation windows", report.to_dict(), recipes
+    watch = corpus.run(CLOSED_LOOP, watch=MdWatch).watch
+    assert sum(watch.rotations.values()) >= 10
+    assert watch.barrier_breaches == []
+    report, recipes = explore(CLOSED_LOOP, watch.in_window[::5], budget=3)
+    yield "closed loop", report.to_dict(), recipes
+
+
+# ------------------------------------------------------- tier-1
 
 
 @pytest.fixture(scope="module")
 def scripted():
-    return scripted_run(EXPLORE["seed"], EXPLORE["num_ops"])
+    return corpus.run(SCRIPT, watch=MdWatch)
 
 
 def test_script_rotates_every_device_behind_the_barrier(scripted):
@@ -189,93 +188,38 @@ def test_script_rotates_every_device_behind_the_barrier(scripted):
     assert watch.barrier_breaches == []
 
 
-def test_exploration_through_metadata_gc_is_clean():
-    report = explore(**EXPLORE)
-    assert report["violations"] == []
-    assert report["states_explored"] >= 400
-    assert report["oracle_checks"]["mount_stability"] == \
-        report["states_explored"]
+SAMPLED = corpus.load("mdgc")
 
 
-def test_every_boundary_inside_a_rotation_mounts(scripted):
+@pytest.fixture(scope="module")
+def sampled():
+    """A slice of the three explorations' states (every 40th; the CI
+    step mounts all of them), each mounted under the full oracle,
+    remount included: ``{exploration: violations}``."""
+    replay = corpus.Corpus(SAMPLED)
+    found = collections.defaultdict(list)
+    for name, entry in SAMPLED.items():
+        found[name.rsplit("-", 1)[0]] += replay.check(entry, stability=True)
+    assert len(found) == 3
+    return found
+
+
+def test_exploration_through_metadata_gc_is_clean(sampled):
+    assert sampled["mdgc-even-spread"] == []
+
+
+def test_every_boundary_inside_a_rotation_mounts(sampled):
     """Old zone full, new zone holding a checkpoint prefix — or the whole
-    checkpoint and newer entries behind it: every completion boundary of
-    every rotation window, not the 1-in-17 an even spread takes."""
-    seed, num_ops = EXPLORE["seed"], EXPLORE["num_ops"]
-    inside = scripted.watch.in_window
-    report = explore_boundaries(
-        lambda batch: scripted_run(seed, num_ops, batch), inside,
-        budget=2, seed=seed)   # the two corners
-    assert report.violations == []
-    assert report.states_explored >= len(inside) >= 40
-    assert report.oracle_checks["mount_stability"] == report.states_explored
+    checkpoint and newer entries behind it."""
+    assert sampled["mdgc-rotation-window"] == []
 
 
-# ------------------------------------------------------- the QD-8 closed loop
-
-
-SU = 64 * KiB
-DEPTH = 8
-
-
-def closed_loop(snapshot_at=(), count=330):
-    """QD 8 over four zones of an array with 256 KiB physical zones (a
-    metadata zone holds 32 partial-parity entries of a 4 KiB write), the
-    next write issued from the completion callback as in
-    ``test_write_path_goldens.py``: appends queue behind the role lock
-    while a log rotates.  A FUA ack covers the zone up to the end of that
-    write; nothing is promised for what was submitted behind it."""
-    sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=12,
-                         zone_capacity=256 * KiB, seed=300 + i)
-               for i in range(5)]
-    volume = RaiznVolume.create(
-        sim, devices, RaiznConfig(num_data=4, stripe_unit_bytes=SU),
-        array_uuid=b"mdzone-gc-crash!")
-    expect = expectation_for(volume)
-    watch = MdWatch(volume)
-    recorder = CompletionBoundaries(devices, snapshot_at,
-                                    aux_state=expect.copy)
-    rng = random.Random(22)
-    writes = iter(range(count))
-
-    def pump():
-        index = next(writes, None)
-        if index is None:
-            return
-        zone = index % 4
-        data = rng.randbytes(rng.choice((4 * KiB, 4 * KiB, 8 * KiB,
-                                         12 * KiB)))
-        fua = rng.random() < 0.4
-        zexp = expect.zones[zone]
-        lba = zone * volume.zone_capacity + len(zexp.submitted)
-        expect.note_submit_write(zone, data)
-        end = len(zexp.submitted)
-
-        def done(event):
-            assert event.ok, event.value
-            if fua:
-                zexp.synced = max(zexp.synced, end)
-            pump()
-        volume.submit(Bio.write(lba, data, BioFlags.FUA if fua
-                                else BioFlags.NONE)).add_callback(done)
-
-    for _ in range(DEPTH):
-        pump()
-    sim.run()
-    watch.disarm()
-    recorder.disarm()
-    return Run(sim, devices, volume, watch, recorder)
-
-
-def test_closed_loop_crashes_with_appends_queued_behind_a_rotation():
-    watch = closed_loop().watch
+def test_closed_loop_crashes_with_appends_queued_behind_a_rotation(
+        sampled):
+    watch = corpus.run(CLOSED_LOOP, watch=MdWatch).watch
     assert sum(watch.rotations.values()) >= 10
     assert watch.barrier_breaches == []
-    report = explore_boundaries(closed_loop, watch.in_window[::5], budget=3)
-    assert report.violations == []
-    assert report.oracle_checks["mount_stability"] == \
-        report.states_explored > 0
+    assert sampled["mdgc-closed-loop"] == []
 
 
 # ------------------------------------------------------- mount o mount = mount
@@ -302,52 +246,41 @@ def recovery_checkpoints(devices, md_first):
     return checkpoints
 
 
-def test_remount_after_a_crash_mid_checkpoint_changes_nothing(scripted):
+def test_remount_after_a_crash_mid_checkpoint_changes_nothing():
     """A crash that tears the first checkpoint entry of a freshly
     swapped-in zone: mount must not checkpoint behind the torn bytes
     (the scanner would read the checkpoint as that entry's payload and
     the next mount find no superblock), and a second mount must recover
     the same write pointers and write the checkpoint the first wrote,
-    byte for byte but for the empty zones' generation counters."""
-    # The first completions of each rotation window: the checkpoint is
-    # still in the device's write cache.
-    inside = set(scripted.watch.in_window)
-    inside = sorted(k for k in inside if k - 4 not in inside)
-    sim, devices, volume, _watch, recorder = scripted_run(
-        EXPLORE["seed"], EXPLORE["num_ops"], inside)
-    md_first = volume.num_data_zones
-    torn_states = 0
-    for boundary in inside:
-        snaps, _frozen = recorder.snapshots[boundary]
-        spaces, _assignments, _product = enumerate_crash_states(
-            devices, snaps, 2, random.Random(0))
-        # Every dirty zone keeps all of its cache, except that a metadata
-        # zone holding nothing durable keeps three sectors of it: a
-        # header and part of a payload.
-        assignment = []
-        torn = False
-        for dev, space in zip(devices, spaces):
-            chosen = {}
-            for zone, states in space.items():
-                chosen[zone] = states[-1]
-                start = dev.zones[zone].start
-                if zone >= md_first and states[0] == start \
-                        and start + 12 * KiB in states[:-1]:
-                    chosen[zone] = start + 12 * KiB
-                    torn = True
-            assignment.append(chosen)
-        if not torn:
-            continue
-        torn_states += 1
-        enter_crash_state(devices, snaps, assignment)
-        first = mount(sim, list(devices))
-        left = recovery_checkpoints(devices, md_first)
-        second = mount(sim, list(devices))
-        assert recovery_checkpoints(devices, md_first) == left, boundary
+    byte for byte but for the empty zones' generation counters.  The
+    entries are the first completions of each rotation window (the
+    checkpoint still in the write cache), every dirty zone keeping its
+    whole cache but a metadata zone holding nothing durable, which keeps
+    three sectors of it: a header and part of a payload."""
+    entries = corpus.load("torn-checkpoint")
+    replay = corpus.Corpus(entries)
+    assert len(entries) >= 3
+    for name, entry in entries.items():
+        crashed = replay.enter(entry)
+        md_first = crashed.data_end // crashed.devices[0].zone_size
+        first = mount(crashed.sim, crashed.presented)
+        left = recovery_checkpoints(crashed.devices, md_first)
+        second = mount(crashed.sim, crashed.presented)
+        assert recovery_checkpoints(crashed.devices, md_first) == left, name
         assert [d.write_pointer for d in second.zone_descs] == \
             [d.write_pointer for d in first.zone_descs]
         # §4.3: each mount bumps the counter of every empty zone.
         assert second.generation == [
             generation + (desc.write_pointer == desc.start_lba)
             for generation, desc in zip(first.generation, first.zone_descs)]
-    assert torn_states >= 3
+
+
+if __name__ == "__main__":
+    failed = False
+    for name, report, _recipes in explorations():
+        print(f"{name}: {report['states_explored']} states, "
+              f"{len(report['violations'])} violations")
+        failed |= bool(report["violations"]) or \
+            report["oracle_checks"]["mount_stability"] != \
+            report["states_explored"]
+    sys.exit(1 if failed else 0)

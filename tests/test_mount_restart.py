@@ -1,33 +1,31 @@
 """Mount cut at every command: the remount recovers what mount recovers.
 
 §4.3's recovery must itself survive a power cut.  This check runs over
-the 31 states of ``tests/test_mount_goldens.py`` that mount once, with no
-latent extent and no ``-double`` variant.  Each state is mounted once
-without interruption, and the N device commands that mount sends are
-counted — in a ``rewrite`` state, mount's and then the zone-rewrite
-step's (:func:`test_mount_goldens.bring_up`).  Then, for every c = 1..N,
-the state is entered again, power is cut before command c of the same
-mount, the array is powered back on and mounted again, under three
-survivor choices for the cut:
+the 31 mount-golden corpus entries (``tests/crash_corpus.py``) with no
+latent extent and no ``cut``.  Each state is mounted once without
+interruption, and the N device commands that mount sends are counted —
+in a ``rewrite`` state, mount's and then the zone-rewrite step's
+(:func:`crash_corpus.bring_up`).  Then, for every c = 1..N, the state is
+entered again, power is cut before command c of the same mount, the
+array is powered back on and mounted again, under three survivor
+choices for the cut: ``min`` (every dirty zone keeps only what was
+durable), ``max`` (the whole write cache survives) and ``rand``
+(``CrashPoint``'s seeded draw, ``rng=Random(c)``).
 
-* ``min`` — every dirty zone settles to the first entry of its
-  ``zone_survivor_states`` (only what was durable survives);
-* ``max`` — every dirty zone settles to the last entry (the whole write
-  cache survives);
-* ``rand`` — ``CrashPoint``'s seeded draw, ``rng=Random(c)``, as
-  ``mount_record(..., crash_at=c)`` draws it.
-
-The remount must recover the uninterrupted mount's ``recovered_fields``
-(zones, relocation units, relocated parity) and leave the same
-data-zone media.  Generation counters may differ, but only by one and
-only on zones the uninterrupted mount recovered empty (DESIGN.md,
-decision 15 says why).
+The remount goes through the campaign kernel's ``mount_and_check``: it
+must pass the durability oracle against the expectation frozen at the
+state's boundary, recover the uninterrupted mount's
+``recovered_fields`` (zones, relocation units, relocated parity) and
+leave the same data-zone media.  Generation counters may differ, but
+only by one and only on zones the uninterrupted mount recovered empty
+(DESIGN.md, decision 15 says why).
 
 ``tests/data/mount_restart_goldens.json`` holds, per state, the number
 of cuts and every failing ``"cut survivor outcome"``, the outcome being
 the class of the exception the cut mount or the remount raised, or the
-fields the remount recovered differently.  The golden pins the red states on
-purpose (ROADMAP item 1): a fix or a new failure moves it.
+oracle checks that failed and the fields the remount recovered
+differently.  The golden pins the red states on purpose (ROADMAP item
+1): a fix or a new failure moves it.
 
 Tier-1 runs a fixed slice of the cuts, which reaches every red state.
 ``python tests/test_mount_restart.py`` runs every cut and compares with
@@ -41,37 +39,23 @@ import collections
 import json
 import pathlib
 import random
-import re
 import sys
 
 import pytest
 
+from crash_corpus import (Corpus, bring_up, cut_and_power_on, load,
+                          mounted, remount)
 from repro.block import Op
 from repro.block.device import remove_hooks
-from repro.errors import PowerLossError
 from repro.faults.powerloss import CrashPoint
-from repro.harness.campaign import (
-    drain,
-    enter_crash_state,
-    enumerate_crash_states,
-)
 from repro.raizn.mdzone import DeviceMetadataZones
-from test_mount_goldens import (
-    MATRIX,
-    NUM_DEVICES,
-    bring_up,
-    data_media,
-    recovered_fields,
-    snapshot_run,
-)
 
 GOLDENS = pathlib.Path(__file__).resolve().parent / "data" / \
     "mount_restart_goldens.json"
 
-STATES = [f"{workload}{k}-{variant}"
-          for workload, (percents, variants) in MATRIX.items()
-          for k in range(len(percents)) for variant in variants
-          if "latent" not in variant and "double" not in variant]
+ENTRIES = {name: entry for name, entry in load("mount").items()
+           if "latent" not in entry and "cut" not in entry}
+STATES = list(ENTRIES)
 
 SURVIVORS = ("min", "max", "rand")
 
@@ -112,99 +96,45 @@ CUTS = {
 # ---------------------------------------------------------------- the states
 
 
-def workload_states(workload):
-    """``(sim, devices, data_end, [(snapshots, {corner: survivor
-    assignment}) per boundary])``, drawn as ``run_states`` draws them."""
-    sim, devices, volume, snapshots = snapshot_run(workload,
-                                                   MATRIX[workload][0])
-    boundaries = []
-    for k, snaps in enumerate(snapshots):
-        _spaces, assignments, _product = enumerate_crash_states(
-            devices, snaps, 3, random.Random(k))
-        boundaries.append((snaps, {
-            "min": assignments[0],
-            "max": assignments[min(1, len(assignments) - 1)],
-            "rand": assignments[-1]}))
-    return sim, devices, volume.num_data_zones * volume.phys_zone_size, \
-        boundaries
-
-
-class Workloads(dict):
-    """Each workload's :func:`workload_states`, built on first use."""
-
-    def __missing__(self, workload):
-        self[workload] = states = workload_states(workload)
-        return states
-
-
 class Restart:
     """One pinned state: its crash state, and what its uninterrupted
     mount sent and recovered."""
 
-    def __init__(self, name, workloads):
-        workload, k, corner, extras = re.fullmatch(
-            r"([a-z]+)(\d)-([a-z]+)(.*)", name).groups()
-        self.sim, self.devices, self.data_end, boundaries = \
-            workloads[workload]
-        self.snaps, survivors = boundaries[int(k)]
-        self.assignment = survivors[corner]
-        missing = int(k) % NUM_DEVICES if "missing" in extras else None
-        self.presented = [None if index == missing else dev
-                          for index, dev in enumerate(self.devices)]
-        self.alive = [dev for dev in self.presented if dev is not None]
-        self.rewrite = "rewrite" in extras
-
-        self.enter()
+    def __init__(self, name, corpus):
+        self.entry, self.corpus = ENTRIES[name], corpus
+        crashed = self.enter()
+        self.alive = [dev for dev in crashed.presented if dev is not None]
         counts = [0]
 
         def tally(_dev, _bio):
             counts[0] += 1
         hooks = [dev.add_hook("pre_apply", tally) for dev in self.alive]
         try:
-            volume = self.mount()
+            volume = bring_up(crashed.sim, crashed.presented,
+                              crashed.rewrite)
         finally:
             remove_hooks(hooks)
         self.commands = counts[0]
-        self.fields = recovered_fields(volume)
-        self.generation = volume.generation
-        self.empty = [desc.write_pointer == desc.start_lba
-                      for desc in volume.zone_descs]
-        self.media = data_media(self.alive, self.data_end)
+        self.before = mounted(crashed, volume)
 
     def enter(self):
-        enter_crash_state(self.devices, self.snaps, self.assignment)
-
-    def mount(self):
-        return bring_up(self.sim, self.presented, self.rewrite)
+        return self.corpus.enter(self.entry)
 
     def outcome(self, cut, survivor):
         """Cut power before command ``cut`` of the mount, under the
         ``survivor`` choice, and mount again: None when the remount
-        recovers what the uninterrupted mount did, else what failed."""
-        self.enter()
+        passes the oracle and recovers what the uninterrupted mount did,
+        else what failed."""
+        crashed = self.enter()
         crash = CUTS[survivor](self.alive, cut)
         try:
-            try:
-                self.mount()
-            except PowerLossError:
-                pass
-            drain(self.sim)
-            crash.disarm()
-            assert crash.fired
-            for dev in self.alive:
-                dev.power_on()
-            again = self.mount()
+            cut_and_power_on(crashed, crash)
+            drift = remount(crashed, self.before, exact=False)
         except Exception as exc:      # the exception class is the outcome
             crash.disarm()
             return type(exc).__name__
-        fields = recovered_fields(again)
-        drift = [name for name in fields if fields[name] != self.fields[name]]
-        if any(after != before and (abs(after - before) > 1 or not empty)
-               for after, before, empty
-               in zip(again.generation, self.generation, self.empty)):
-            drift.append("generation")
-        if data_media(self.alive, self.data_end) != self.media:
-            drift.append("data-zone media")
+        if isinstance(drift, str):
+            return drift
         return "drift: " + ", ".join(drift) if drift else None
 
     def failures(self, cuts):
@@ -219,10 +149,10 @@ class Restart:
         return failures
 
 
-def sweep(name, workloads, cuts=None):
+def sweep(name, corpus, cuts=None):
     """``{"cuts": N, "failures": [...]}`` of state ``name`` over ``cuts``
     (every cut, 1..N, by default)."""
-    restart = Restart(name, workloads)
+    restart = Restart(name, corpus)
     if cuts is None:
         cuts = range(1, restart.commands + 1)
     return {"cuts": restart.commands, "failures": restart.failures(cuts)}
@@ -241,17 +171,17 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def workloads():
-    return Workloads()
+def corpus():
+    return Corpus(ENTRIES)
 
 
 @pytest.mark.parametrize("name", STATES)
-def test_remount_after_a_cut_matches_golden(name, golden, workloads):
+def test_remount_after_a_cut_matches_golden(name, golden, corpus):
     """Tier-1's slice of the cuts: the same cut count, and the same
     failing cuts of the slice, as the golden."""
     pinned = golden[name]
     cuts = [cut for cut in range(1, pinned["cuts"] + 1) if in_slice(cut)]
-    measured = sweep(name, workloads, cuts)
+    measured = sweep(name, corpus, cuts)
     assert measured == {"cuts": pinned["cuts"], "failures": [
         failure for failure in pinned["failures"]
         if in_slice(int(failure.split()[0]))]}
@@ -287,20 +217,20 @@ def compact_without_flush(mdzones):
 
 
 def test_check_catches_a_compaction_that_resets_before_its_flush(
-        monkeypatch, workloads):
+        monkeypatch, corpus):
     """Detection power: every cut of one state, under a mount whose
     compaction does not make its checkpoint durable before it resets the
     zones that held the old logs."""
     monkeypatch.setattr(DeviceMetadataZones, "recovery_compact",
                         compact_without_flush)
-    assert sweep("script0-min", workloads)["failures"]
+    assert sweep("script0-min", corpus)["failures"]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] not in ([], ["--regen"]):
         sys.exit("usage: python tests/test_mount_restart.py [--regen]")
-    workloads = Workloads()
-    measured = {name: sweep(name, workloads) for name in STATES}
+    corpus = Corpus(ENTRIES)
+    measured = {name: sweep(name, corpus) for name in STATES}
     cuts = sum(pinned["cuts"] for pinned in measured.values())
     outcomes = collections.Counter(
         failure.split(" ", 2)[2]

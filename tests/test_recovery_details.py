@@ -20,7 +20,7 @@ from repro.units import KiB
 from repro.zns import ZNSDevice, ZoneState
 
 from conftest import TEST_STRIPE_UNIT, make_volume, make_zns_devices, pattern
-import test_mount_goldens as goldens
+from crash_corpus import Corpus, load
 
 SU = TEST_STRIPE_UNIT
 STRIPE = 4 * SU
@@ -259,12 +259,13 @@ class TestRebuildReach:
         return calls
 
     def test_degraded_mount_goldens_fetch_what_the_rule_predicts(
-            self, reconstructions, monkeypatch):
-        monkeypatch.setattr(goldens, "MATRIX", {
-            workload: (percents, [v for v in variants if "missing" in v])
-            for workload, (percents, variants) in goldens.MATRIX.items()})
-        records, _drifts = goldens.run_states()
-        assert len(records) == 8
+            self, reconstructions):
+        degraded = {name: entry for name, entry in load("mount").items()
+                    if "missing" in entry}
+        corpus = Corpus(degraded)
+        assert len(degraded) == 8
+        for entry in degraded.values():
+            assert corpus.check(entry) == []
         assert any(degraded for degraded, _reach, _got in reconstructions)
         assert [call for call in reconstructions if call[1] != call[2]] == []
 

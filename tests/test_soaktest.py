@@ -18,39 +18,19 @@ def seed0():
     return run_soaktest(seed=0, quick=True)
 
 
-#: Why quick seed 4 is red: its zone 1 stripe 1 lost unit 0 with device
-#: 3, and the stripe's partial parity survives only as one metadata-GC
-#: checkpoint entry, [0x40000, 0x51000): the stripe buffer's cumulative
-#: parity.  That entry holds 4 KiB of unit 1, which device 4 lost from its
-#: cache, so no prefix of the chain rebuilds unit 0's acked 4 KiB and
-#: mount rolls them back (class (b)).  The fault is in the checkpoint, not
-#: in recovery (ROADMAP item 1).
-SEED4_CHECKPOINT = (
-    "zone 1: recovered write pointer 0x40000 outside legal range "
-    "[0x41000, 0x51000] — the metadata-GC checkpoint folds a sibling's "
-    "unflushed 4 KiB into the stripe's only partial parity")
-
-
-#: Why quick seeds 28 and 30 are red (ROADMAP item 1).  Seed 28 meets it
-#: in six crash states' mounts (devices 2 and 3).  Seed 30 meets it
-#: (devices 4 and 3) at phase 1's live boundary and in 12 of phase 1's
-#: crash states; the boundary scrub counts the stripe unreadable and goes
-#: on, and phase 2's rebuild of the evicted device then dies on the same
-#: stripe (one traceback violation).
-DOUBLE_FAULT = (
+#: Why quick seed 30 is red (ROADMAP item 1).  Its crash states, like
+#: quick seeds 4, 22 and 28's, are crash-corpus entries
+#: (``tests/test_crash_corpus.py``); no entry replays its live read-back
+#: or phase 2's rebuild of the evicted device, which dies on the stripe.
+SEED30_REBUILD = (
     "two unavailable devices under one stripe: a latent error on a "
-    "survivor beside the evicted device fails the oracle's read-back "
-    "with DegradedModeError")
-SEED30_REBUILD = DOUBLE_FAULT + (
-    ", and phase 2's rebuild of the evicted device dies on that stripe")
+    "survivor beside the evicted device fails the live read-back with "
+    "DegradedModeError, and phase 2's rebuild of the evicted device dies "
+    "on that stripe")
 
 
 @pytest.mark.parametrize("seed", [0, 3, 5, 12, 15, pytest.param(
-    4, marks=pytest.mark.xfail(strict=True, reason=SEED4_CHECKPOINT)),
-    pytest.param(28, marks=pytest.mark.xfail(strict=True,
-                                             reason=DOUBLE_FAULT)),
-    pytest.param(30, marks=pytest.mark.xfail(strict=True,
-                                             reason=SEED30_REBUILD))])
+    30, marks=pytest.mark.xfail(strict=True, reason=SEED30_REBUILD))])
 def test_quick_campaign_passes(seed, seed0):
     report = seed0 if seed == 0 else run_soaktest(seed=seed, quick=True)
     assert report["passed"], report["violations"] or report

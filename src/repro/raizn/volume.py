@@ -468,14 +468,9 @@ class RaiznVolume:
         done = sim.event()
         tracer = self.tracer
         if tracer is not None:
-            sites = self._tr_vol_sites
-            site = sites.get(bio.op)
-            if site is None:
-                site = sites[bio.op] = tracer.site("volume", bio.op)
             # The root span is two ints parked on the bio (id + site,
             # packed) and a shared callback — no per-bio trace objects.
-            code = tracer.root_code(site)
-            bio.span = code
+            code = bio.span = self._root_code(bio.op)
             done.add_callback(self._tr_root_cb)
             # The fan-out below is synchronous: device commands and
             # metadata appends it spawns parent themselves under this
@@ -489,6 +484,13 @@ class RaiznVolume:
             if tracer is not None:
                 tracer.current_parent = -1
         return done
+
+    def _root_code(self, op: Op) -> int:
+        """A traced logical ``op``'s root span: its packed id and site."""
+        site = self._tr_vol_sites.get(op)
+        if site is None:
+            site = self._tr_vol_sites[op] = self.tracer.site("volume", op)
+        return self.tracer.root_code(site)
 
     def execute(self, bio: Bio) -> Bio:
         """Synchronously run one bio to completion (drains the event loop)."""

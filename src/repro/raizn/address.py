@@ -105,12 +105,6 @@ class AddressMapper:
         pba = zone * self.phys_zone_size + stripe * self.su + in_su
         return device, pba
 
-    def parity_pba(self, zone: int, stripe: int) -> Tuple[int, int]:
-        """``(device_index, pba)`` of the parity SU of a stripe."""
-        layout = self.stripe_layout(zone, stripe)
-        pba = zone * self.phys_zone_size + stripe * self.su
-        return layout.parity_device, pba
-
     def su_lba(self, zone: int, stripe: int, su_index: int) -> int:
         """First LBA of data stripe unit ``su_index`` in a stripe."""
         return (self.zone_start(zone) + stripe * self.stripe_width
@@ -155,25 +149,3 @@ class AddressMapper:
                 base + stripe * su + in_su, take))
             offset += take
         return pieces
-
-    # -- device PBA -> LBA (used by rebuild and recovery) ---------------------------
-
-    def pba_to_lba(self, device: int, pba: int) -> Tuple[int, bool]:
-        """Map a device PBA back to ``(lba, is_parity)``.
-
-        For parity stripe units, the returned LBA is the first LBA of the
-        owning stripe and ``is_parity`` is True.
-        """
-        zone = pba // self.phys_zone_size
-        if zone >= self.num_data_zones:
-            raise InvalidAddressError(
-                f"PBA {pba:#x} is in a metadata zone, not the data area")
-        in_zone = pba - zone * self.phys_zone_size
-        stripe = in_zone // self.su
-        in_su = in_zone % self.su
-        layout = self.stripe_layout(zone, stripe)
-        stripe_lba = self.zone_start(zone) + stripe * self.stripe_width
-        if device == layout.parity_device:
-            return stripe_lba, True
-        su_index = layout.data_devices.index(device)
-        return stripe_lba + su_index * self.su + in_su, False

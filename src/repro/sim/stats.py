@@ -126,39 +126,6 @@ class LatencyStats:
             raise ValueError("no latency samples recorded")
         return {pct: self._interpolate(pct) for pct in ps}
 
-    def histogram(self, num_buckets: int = 16) -> List[Tuple[float, int]]:
-        """Export the distribution as ``[(upper_bound_seconds, count), ...]``.
-
-        Bucket widths grow geometrically across the sample range (latency
-        distributions are long-tailed, so linear buckets would dump the
-        whole body into one bin); the final bound is pinned to the
-        maximum sample.  Empty buckets are kept so exports from runs with
-        different shapes still line up bucket-for-bucket.
-        """
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
-        if not self._samples:
-            return []
-        self._ensure_sorted()
-        lo = self._samples[0]
-        hi = self._samples[-1]
-        if hi <= lo or num_buckets == 1:
-            return [(hi, len(self._samples))]
-        if lo > 0:
-            ratio = (hi / lo) ** (1.0 / num_buckets)
-            bounds = [lo * ratio ** (i + 1) for i in range(num_buckets)]
-        else:
-            step = (hi - lo) / num_buckets
-            bounds = [lo + step * (i + 1) for i in range(num_buckets)]
-        bounds[-1] = hi
-        counts = [0] * num_buckets
-        bucket = 0
-        for sample in self._samples:
-            while sample > bounds[bucket] and bucket < num_buckets - 1:
-                bucket += 1
-            counts[bucket] += 1
-        return list(zip(bounds, counts))
-
     def summary(self) -> Dict[str, float]:
         """All headline statistics as a dict (seconds)."""
         return {

@@ -38,12 +38,6 @@ def is_sector_aligned(offset: int) -> bool:
     return offset % SECTOR_SIZE == 0
 
 
-def check_sector_aligned(offset: int, what: str = "offset") -> None:
-    """Raise ``ValueError`` unless ``offset`` is sector aligned."""
-    if offset % SECTOR_SIZE != 0:
-        raise ValueError(f"{what} {offset:#x} is not {SECTOR_SIZE}-byte aligned")
-
-
 def fmt_bytes(nbytes: float) -> str:
     """Human-readable byte count, e.g. ``fmt_bytes(65536) == '64.0KiB'``."""
     value = float(nbytes)

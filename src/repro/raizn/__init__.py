@@ -25,7 +25,7 @@ from .maintenance import (
     zones_needing_rewrite,
 )
 from .metadata import MetadataEntry, MetadataType, Superblock
-from .parity import reconstruct_unit, stripe_parity, xor_buffers, xor_into
+from .parity import stripe_parity, xor_buffers, xor_into
 from .rebuild import RebuildReport, rebuild, rebuild_process
 from .recovery import mount, mount_process
 from .relocation import RelocationStore
@@ -39,7 +39,6 @@ __all__ = [
     "MetadataEntry",
     "MetadataType",
     "Superblock",
-    "reconstruct_unit",
     "stripe_parity",
     "xor_buffers",
     "xor_into",

@@ -71,15 +71,11 @@ def stripe_parity(data_units: Iterable[bytes], unit_size: int) -> bytes:
     return np.bitwise_xor.reduce(stack, axis=0).tobytes()
 
 
-def reconstruct_unit(surviving_units: Sequence[bytes], parity: bytes,
-                     unit_size: Optional[int] = None) -> bytes:
-    """Recover a missing stripe unit from the survivors plus parity."""
-    unit_size = unit_size if unit_size is not None else len(parity)
-    out = bytearray(unit_size)
-    xor_into(out, parity[:unit_size])
-    for unit in surviving_units:
-        if len(unit) > unit_size:
-            raise ValueError("surviving unit longer than the stripe unit size")
-        if unit:
-            xor_into(out, unit)
-    return bytes(out)
+def fold(accumulator: Optional[np.ndarray], data) -> np.ndarray:
+    """XOR ``data`` into ``accumulator`` in place and return it; the first
+    fold (``accumulator`` None) copies ``data``.  A fold reads ``data``
+    once, so a device read's view need not outlive its completion."""
+    source = np.frombuffer(data, dtype=np.uint8)
+    if accumulator is None:
+        return source.copy()
+    return np.bitwise_xor(accumulator, source, out=accumulator)

@@ -63,3 +63,57 @@ def volume_and_devices(sim):
 @pytest.fixture
 def volume(volume_and_devices):
     return volume_and_devices[0]
+
+
+def noting_errors(inner, errors):
+    """``yield from inner``, appending to ``errors`` every bio handed
+    back with an error status."""
+    value, thrown = None, None
+    while True:
+        try:
+            event = inner.send(value) if thrown is None else \
+                inner.throw(thrown)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            value, thrown = (yield event), None
+        except Exception as exc:
+            value, thrown = None, exc
+        else:
+            if getattr(value, "error", None) is not None:
+                errors.append(value.error)
+
+
+def record_reconstructions(monkeypatch):
+    """(degraded mount, predicted reach, bytes returned) of every
+    ``_ZoneContent._reconstruct_su`` call that heard no error status,
+    from now until ``monkeypatch`` is undone."""
+    from repro.raizn.recovery import _ZoneContent
+
+    calls = []
+    original = _ZoneContent._reconstruct_su
+
+    def checked(self, stripe, layout, su_index):
+        reach = self._rebuild_reach(stripe, layout, su_index)[0]
+        errors = []
+        rebuilt = yield from noting_errors(
+            original(self, stripe, layout, su_index), errors)
+        if not errors:
+            calls.append((self._missing_device() is not None, reach,
+                          len(rebuilt)))
+        return rebuilt
+
+    monkeypatch.setattr(_ZoneContent, "_reconstruct_su", checked)
+    return calls
+
+
+@pytest.fixture(scope="session")
+def soak_seed12():
+    """Quick soak seed 12, run once: ``(report, reconstructions)`` with
+    the reconstructions recorded by :func:`record_reconstructions`."""
+    from repro.harness.soaktest import run_soaktest
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = record_reconstructions(monkeypatch)
+        report = run_soaktest(seed=12, quick=True)
+    return report, calls

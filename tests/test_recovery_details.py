@@ -8,18 +8,18 @@ import pytest
 from repro.block import Bio, BioFlags
 from repro.errors import DataLossError, MetadataError, RecoveryError
 from repro.faults import power_cycle
-from repro.harness.soaktest import run_soaktest
 from repro.raizn import RaiznConfig, RaiznVolume, mount
 from repro.raizn.mdzone import MetadataRole
 from repro.raizn.metadata import (MetadataEntry, MetadataType,
                                   encode_partial_parity)
-from repro.raizn.recovery import _Recovery, _ZoneContent
+from repro.raizn.recovery import _Recovery
 from repro.raizn.writepath import WritePath
 from repro.sim import Simulator
 from repro.units import KiB
 from repro.zns import ZNSDevice, ZoneState
 
-from conftest import TEST_STRIPE_UNIT, make_volume, make_zns_devices, pattern
+from conftest import (TEST_STRIPE_UNIT, make_volume, make_zns_devices,
+                      pattern, record_reconstructions)
 from crash_corpus import Corpus, load
 
 SU = TEST_STRIPE_UNIT
@@ -212,25 +212,6 @@ class TestDegradedMount:
 
 
 
-def noting_errors(inner, errors):
-    """``yield from inner``, appending to ``errors`` every bio handed
-    back with an error status."""
-    value, thrown = None, None
-    while True:
-        try:
-            event = inner.send(value) if thrown is None else \
-                inner.throw(thrown)
-        except StopIteration as stop:
-            return stop.value
-        try:
-            value, thrown = (yield event), None
-        except Exception as exc:
-            value, thrown = None, exc
-        else:
-            if getattr(value, "error", None) is not None:
-                errors.append(value.error)
-
-
 class TestRebuildReach:
     """``_ZoneContent._rebuild_reach`` is the one rule for how far a lost
     stripe unit is rebuilt.  Mount's stripe walk (``analyze``) bounds the
@@ -240,23 +221,7 @@ class TestRebuildReach:
 
     @pytest.fixture
     def reconstructions(self, monkeypatch):
-        """(degraded mount, predicted reach, bytes returned) of every
-        ``_reconstruct_su`` call that heard no error status."""
-        calls = []
-        original = _ZoneContent._reconstruct_su
-
-        def checked(self, stripe, layout, su_index):
-            reach = self._rebuild_reach(stripe, layout, su_index)[0]
-            errors = []
-            rebuilt = yield from noting_errors(
-                original(self, stripe, layout, su_index), errors)
-            if not errors:
-                calls.append((self._missing_device() is not None, reach,
-                              len(rebuilt)))
-            return rebuilt
-
-        monkeypatch.setattr(_ZoneContent, "_reconstruct_su", checked)
-        return calls
+        return record_reconstructions(monkeypatch)
 
     def test_degraded_mount_goldens_fetch_what_the_rule_predicts(
             self, reconstructions):
@@ -269,11 +234,11 @@ class TestRebuildReach:
         assert any(degraded for degraded, _reach, _got in reconstructions)
         assert [call for call in reconstructions if call[1] != call[2]] == []
 
-    def test_soak_seed_12_fetches_what_the_rule_predicts(
-            self, reconstructions):
+    def test_soak_seed_12_fetches_what_the_rule_predicts(self, soak_seed12):
         """Quick soak seed 12 raised at zone 2 stripe 10 while the bound
-        counted the chain and the fetch took the shorter full parity."""
-        report = run_soaktest(seed=12, quick=True)
+        counted the chain and the fetch took the shorter full parity.  The
+        one run serves ``test_soaktest.py``'s seed-12 campaign too."""
+        report, reconstructions = soak_seed12
         assert any(degraded for degraded, _reach, _got in reconstructions)
         assert [call for call in reconstructions if call[1] != call[2]] == []
         assert report["passed"]

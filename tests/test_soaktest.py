@@ -31,8 +31,12 @@ SEED30_REBUILD = (
 
 @pytest.mark.parametrize("seed", [0, 3, 5, 12, 15, pytest.param(
     30, marks=pytest.mark.xfail(strict=True, reason=SEED30_REBUILD))])
-def test_quick_campaign_passes(seed, seed0):
-    report = seed0 if seed == 0 else run_soaktest(seed=seed, quick=True)
+def test_quick_campaign_passes(seed, seed0, request):
+    if seed in (0, 12):   # each run once, shared with other tests
+        report = seed0 if seed == 0 else \
+            request.getfixturevalue("soak_seed12")[0]
+    else:
+        report = run_soaktest(seed=seed, quick=True)
     assert report["passed"], report["violations"] or report
     assert report["violations"] == []
     assert len(report["mechanisms_exercised"]) >= 3

@@ -235,7 +235,7 @@ class ZoneStream:
         parent = -1 if unit.span is None else unit.span[0] >> SITE_BITS
         submit = self.volume.readpath._submit
         for other in survivors:
-            submit(other, pba, size, self._folded, unit, parent)
+            submit(other, pba, size, self._folded, unit, parent, False)
 
     def _folded(self, bio: Bio, _fed: bool = False) -> None:
         """Fold a survivor read into its unit; the first error sends the

@@ -14,6 +14,8 @@ order, as the address mapper alone predicts.
 from hypothesis import given, settings, strategies as st
 
 from repro.block import Bio, Op
+from repro.faults import fresh_replacement
+from repro.raizn.rebuild import rebuild_process
 from repro.sim import Simulator
 from repro.units import SECTOR_SIZE
 
@@ -63,9 +65,9 @@ class Run:
         for name in ("_read_done", "_read_attempted", "_source_attempted"):
             setattr(readpath, name, self.completion_of(getattr(readpath, name)))
 
-        def logged_submit(device, pba, length, handler, context, parent):
+        def logged_submit(device, pba, length, handler, context, *rest):
             self.submitted.append((handler, context))
-            submit(device, pba, length, handler, context, parent)
+            submit(device, pba, length, handler, context, *rest)
         readpath._submit = logged_submit
 
     def log_read(self, device, bio):
@@ -161,3 +163,27 @@ def test_healthy_array_never_consults_the_table(fill, batches):
         expected += mapper.split_extent(offset, len(result))
     assert run.stream == expected
     assert readpath.joined_reads == 0 and run.consumers_heard_once()
+
+
+def test_foreground_reconstruction_beside_the_rebuild_is_not_shared():
+    """The rebuild's survivor reads are a reconstruction: a foreground
+    degraded read of the unit the rebuild is regenerating wants the same
+    survivor bytes, and is a second request for them — it issues its own
+    survivor reads instead of riding the rebuild's."""
+    run = Run(2 * STRIPE)
+    volume, sim = run.volume, run.sim
+    lost = volume.mapper.stripe_layout(0, 0).data_devices[0]
+    volume.fail_device(lost)
+    replacement = fresh_replacement(sim, run.devices[0], name="spare")
+    rebuild = sim.process(rebuild_process(sim, volume, lost, replacement))
+    read = volume.submit(Bio.read(0, SU))   # stripe 0's unit on ``lost``
+    sim.run()
+    assert rebuild.ok and read.ok
+    assert bytes(read.value.result) == run.data[:SU]
+    survivors = [device for device in range(len(run.devices))
+                 if device != lost]
+    unit = [(device, 0, SU) for device in survivors]
+    assert [run.stream.count(command) for command in unit] == \
+        [2] * len(survivors)
+    assert volume.readpath.joined_reads == 0
+    assert not volume.readpath._inflight

@@ -222,14 +222,6 @@ class Bio:
     # -- properties -----------------------------------------------------------
 
     @property
-    def is_fua(self) -> bool:
-        return bool(self.flags & _FUA)
-
-    @property
-    def is_preflush(self) -> bool:
-        return bool(self.flags & _PREFLUSH)
-
-    @property
     def end_offset(self) -> int:
         """One past the last byte this bio touches."""
         return self.offset + self.length

@@ -57,11 +57,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a unit."""
-        return len(self._waiters)
-
 
 class Lock(Resource):
     """A mutex: a resource of capacity one."""

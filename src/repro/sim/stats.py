@@ -180,13 +180,6 @@ class ThroughputSeries:
             out.append((index * self.bucket_seconds, mib_s))
         return out
 
-    def mean_throughput_mib_s(self) -> float:
-        """Overall MiB/s between the first and last recorded completion."""
-        span = self.last_time - self.first_time
-        if span <= 0:
-            span = self.bucket_seconds
-        return self.total_bytes / span / MiB
-
 
 def throughput_mib_s(total_bytes: int, elapsed_seconds: float) -> float:
     """Throughput in MiB/s for ``total_bytes`` moved in ``elapsed_seconds``."""

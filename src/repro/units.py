@@ -33,11 +33,6 @@ def sectors(nbytes: int) -> int:
     return (nbytes + SECTOR_SIZE - 1) // SECTOR_SIZE
 
 
-def is_sector_aligned(offset: int) -> bool:
-    """True when ``offset`` (bytes) falls on a sector boundary."""
-    return offset % SECTOR_SIZE == 0
-
-
 def fmt_bytes(nbytes: float) -> str:
     """Human-readable byte count, e.g. ``fmt_bytes(65536) == '64.0KiB'``."""
     value = float(nbytes)

@@ -48,12 +48,6 @@ class ReferencePageMappedFTL:
 
     # -- bookkeeping helpers -----------------------------------------------------
 
-    @property
-    def free_block_count(self) -> int:
-        open_frontiers = sum(1 for b in (self.active_block, self.gc_block)
-                             if b is not None)
-        return len(self.free_blocks) + open_frontiers
-
     def mapped(self, lpn: int) -> bool:
         """True if logical page ``lpn`` currently maps to flash."""
         return bool(self.l2p[lpn] != self.UNMAPPED)

@@ -167,7 +167,9 @@ class TestFTLGarbageCollection:
         ftl.write(0, 1024)
         for _ in range(8192):
             ftl.write(rng.randrange(1024), 1)
-        assert ftl.free_block_count >= 1
+        open_frontiers = sum(1 for b in (ftl.active_block, ftl.gc_block)
+                             if b is not None)
+        assert len(ftl.free_blocks) + open_frontiers >= 1
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 255), st.integers(1, 16)),

@@ -24,7 +24,7 @@ UNMAPPED = PageMappedFTL.UNMAPPED
 ARRAYS = ("l2p", "p2l", "valid_count")
 SCALARS = ("free_blocks", "active_block", "active_offset", "gc_block",
            "gc_offset", "host_pages_written", "gc_pages_moved",
-           "blocks_erased", "free_block_count", "write_amplification")
+           "blocks_erased", "write_amplification")
 
 
 def assert_same_state(ftl, ref, where):

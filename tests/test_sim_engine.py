@@ -197,7 +197,7 @@ class TestResource:
         resource = Resource(sim, 1)
         resource.request()
         resource.request()
-        assert resource.queue_length == 1
+        assert len(resource._waiters) == 1
 
 
 class TestLockAndQueue:

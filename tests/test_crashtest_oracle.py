@@ -228,12 +228,13 @@ class TestKernelReportsWhatItCannotCheck:
 
         live = []
 
-        def broken_cycle(run, sim, devices, recorder, phase):
+        def broken_cycle(run, recorder, phase):
+            devices = run.devices
             hooks = [dev.add_hook("pre_apply", raise_in_mount)
                      for dev in devices if dev is not None]
             live.append(array_state_fingerprint(devices))
             try:
-                return crash_cycle(run, sim, devices, recorder, phase)
+                return crash_cycle(run, recorder, phase)
             finally:
                 remove_hooks(hooks)
                 live.append(array_state_fingerprint(devices))
@@ -266,8 +267,7 @@ class TestScriptedWorkload:
                 assert frontier[zone] <= LOGICAL_ZONE_CAPACITY
 
 
-SMALL = dict(seed=0, num_ops=20, boundaries=6, budget_per_boundary=4,
-             batch_size=6)
+SMALL = dict(seed=0, num_ops=20, boundaries=6, budget_per_boundary=4)
 
 
 class TestExploreEndToEnd:
@@ -298,7 +298,7 @@ class TestExploreEndToEnd:
             WritePath, "flush_unpersisted",
             lambda self, desc, bio, fua_devices: [])
         report = explore(seed=0, num_ops=80, boundaries=30,
-                         budget_per_boundary=6, batch_size=6)
+                         budget_per_boundary=6)
         assert not report["passed"]
         assert any("outside legal range" in v["detail"]
                    for v in report["violations"])

@@ -35,10 +35,12 @@ class TestSmokeCampaign:
         assert injected["wear"] > 0
         assert report.health["heals"] > 0
         assert report.health["transient_retries"] > 0
-        # Three verification passes: post-workload, degraded, post-rebuild.
+        # Three verification passes: post-scrub, degraded, post-rebuild.
         labels = [v["label"] for v in report.verify_passes]
-        assert labels == ["post-workload", "degraded", "post-rebuild"]
+        assert labels == ["post-scrub", "degraded", "post-rebuild"]
         assert all(v["corruptions"] == 0 for v in report.verify_passes)
+        # No read-back runs ahead of the scrub, so it meets latent units.
+        assert report.scrub["data_heals"] > 0
 
 
 class TestDeterminism:

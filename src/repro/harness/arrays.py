@@ -50,10 +50,10 @@ class ArrayScale:
         return self.data_zones * self.zone_capacity
 
     def config(self, **overrides) -> RaiznConfig:
-        return RaiznConfig(num_data=self.num_devices - 1,
-                           stripe_unit_bytes=self.stripe_unit_bytes,
-                           num_metadata_zones=self.num_metadata_zones,
-                           **overrides)
+        return RaiznConfig(**{"num_data": self.num_devices - 1,
+                              "stripe_unit_bytes": self.stripe_unit_bytes,
+                              "num_metadata_zones": self.num_metadata_zones,
+                              **overrides})
 
 
 SMALL = ArrayScale(num_zones=16, zone_capacity=2 * MiB)
@@ -63,15 +63,18 @@ LARGE = ArrayScale(num_zones=64, zone_capacity=8 * MiB)
 
 def make_raizn(sim: Simulator, scale: ArrayScale = DEFAULT, seed: int = 0,
                array_uuid: Optional[bytes] = None,
+               zone_reset_limit: Optional[int] = None,
                **overrides) -> Tuple[RaiznVolume, List[ZNSDevice]]:
     """A freshly formatted RAIZN array at ``scale``.
 
     ``array_uuid`` pins the formatted media for reproducible digests;
+    ``zone_reset_limit`` is each device's erase budget per zone;
     ``overrides`` are further :class:`RaiznConfig` fields.
     """
     devices = [
         ZNSDevice(sim, name=f"zns{i}", num_zones=scale.num_zones,
-                  zone_capacity=scale.zone_capacity, seed=seed + i)
+                  zone_capacity=scale.zone_capacity,
+                  zone_reset_limit=zone_reset_limit, seed=seed + i)
         for i in range(scale.num_devices)
     ]
     volume = RaiznVolume.create(sim, devices, scale.config(**overrides),

@@ -44,24 +44,20 @@ from ..faults.oracle import (
     check_persistence_bitmap_soundness,
     check_recovered_volume,
 )
-from ..raizn.config import RaiznConfig
 from ..raizn.maintenance import run_scrub
 from ..raizn.rebuild import rebuild
 from ..raizn.recovery import mount
 from ..raizn.volume import RaiznVolume
 from ..sim import Simulator
-from ..trace import Tracer
 from ..units import KiB, MiB
 from ..zns.device import ZNSDevice
+from .arrays import ArrayScale, make_raizn
 
 #: Array geometry: small enough that a single crash state mounts in
 #: milliseconds, rich enough for multi-zone / metadata-GC interleavings.
-NUM_DEVICES = 5
-NUM_ZONES = 12
-ZONE_CAPACITY = 1 * MiB
-STRIPE_UNIT = 64 * KiB
+SCALE = ArrayScale(num_zones=12, zone_capacity=1 * MiB)
 #: Bytes per logical zone (D physical zone capacities).
-LOGICAL_ZONE_CAPACITY = ZONE_CAPACITY * (NUM_DEVICES - 1)
+LOGICAL_ZONE_CAPACITY = SCALE.zone_capacity * (SCALE.num_devices - 1)
 #: Scripted workloads touch this many logical zones.
 WORKLOAD_ZONES = 3
 #: Fixed array UUID so every replay produces byte-identical media.
@@ -80,22 +76,15 @@ Op = Tuple[str, int, Optional[int], Optional[bytes], BioFlags]
 # ---------------------------------------------------------------- array
 
 
-def fresh_array(seed: int, zone_reset_limit: Optional[int] = None,
-                trace_out: Optional[str] = None, **config_overrides):
+def fresh_array(seed: int, trace_out: Optional[str] = None, **overrides):
     """A formatted campaign array in a fresh simulator (identical on
-    every call).  With ``trace_out`` it is traced from the start, for
+    every call); ``overrides`` go to :func:`make_raizn`.  With
+    ``trace_out`` it is traced from the start, for
     ``tracecli.dump_spans(volume, trace_out)`` to write out at the end
     (a no-op on an untraced array)."""
     sim = Simulator()
-    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=NUM_ZONES,
-                         zone_capacity=ZONE_CAPACITY,
-                         zone_reset_limit=zone_reset_limit, seed=seed + i)
-               for i in range(NUM_DEVICES)]
-    config = RaiznConfig(num_data=NUM_DEVICES - 1,
-                         stripe_unit_bytes=STRIPE_UNIT, **config_overrides)
-    volume = RaiznVolume.create(sim, devices, config, array_uuid=ARRAY_UUID)
-    if trace_out:
-        volume.attach_tracer(Tracer(sim))
+    volume, devices = make_raizn(sim, SCALE, seed, array_uuid=ARRAY_UUID,
+                                 tracing=bool(trace_out), **overrides)
     return sim, devices, volume
 
 
@@ -422,11 +411,14 @@ class CampaignReport:
     """Mutable campaign counters; serialises its declared ``fields``.
 
     ``to_dict`` emits ``fields`` in order, reading each name as an
-    attribute or property (a set is reported by its size).  A declared
-    field that is neither a property nor set by the subclass is a
+    attribute or property (a set is reported by its size).  The
+    constructor's keywords are a campaign's own starting values; a
+    declared field that is neither a property nor one of those is a
     counter starting at 0.  The base provides the shared ones:
-    ``violations``, ``corruptions``, ``passed`` and ``elapsed_s`` (wall
-    time since construction).
+    ``violations``, ``corruptions``, ``passed``, ``elapsed_s`` (wall
+    time since construction) and what :class:`Campaign`'s loop writes:
+    ``injected`` fault counts, the last ``scrub`` and ``rebuild`` and
+    the ``distinct_states`` explored.
     """
 
     fields: Tuple[str, ...] = ()
@@ -437,9 +429,14 @@ class CampaignReport:
     workload_ops = evictions = rebuilds = scrubs = scrub_heals = 0
     crash_cycles = slowed_commands = 0
 
-    def __init__(self) -> None:
+    def __init__(self, **values) -> None:
         self.violations: List[Dict] = []
         self.corruptions = 0
+        self.injected: Dict[str, int] = {}
+        self.scrub: Dict = {}
+        self.rebuild: Dict = {}
+        self.distinct_states: set = set()
+        self.__dict__.update(values)
         self._began = time.time()
         for name in self.fields:
             if not hasattr(type(self), name):
@@ -543,7 +540,7 @@ class Campaign:
 
     def start(self):
         sim, _, volume = fresh_array(self.seed)
-        return sim, volume, expectation_for(volume)
+        return sim, volume
 
     def ops(self, phase: int, spec: PhaseSpec) -> List[Op]:
         return []
@@ -590,7 +587,8 @@ class Campaign:
         up to its state's phase; the one draw the two share, each crash
         cycle's survivors, is ``cycles``, which a replay hands back."""
         report = self.report
-        self.sim, self.volume, self.expect = self.start()
+        self.sim, self.volume = self.start()
+        self.expect = expectation_for(self.volume)
         self.devices = self.volume.devices
         for self.phase, spec in enumerate(self.specs):
             phase, sim, volume, devices = (self.phase, self.sim, self.volume,
@@ -609,7 +607,7 @@ class Campaign:
                 faults = FaultPlan(
                     seed=self.seed * 31 + phase,
                     num_data_zones=volume.num_data_zones,
-                    stripe_unit_bytes=STRIPE_UNIT,
+                    stripe_unit_bytes=SCALE.stripe_unit_bytes,
                     latent_rate=spec.latent, transient_rate=spec.transient,
                     max_latent=3, max_latent_per_device=1)
                 faults.arm(devices)
@@ -657,20 +655,17 @@ class Campaign:
             if self.progress is not None:
                 self.progress(report)
 
-    def recipe(self, state: CrashState, phase: int) -> Dict:
-        """``state``, met in ``phase``, as a crash-corpus entry."""
-        return state.recipe(self.workload(phase))
-
     def _explore(self, recorder, phase: int, spec: PhaseSpec) -> None:
         devices = self.devices
         live = array_crash_snapshot(devices)
         for state in crash_states(devices, recorder.snapshots, spec.budget,
                                   self.rng):
+            self.report.distinct_states.add(state.fingerprint)
             if self.explored(state):
                 self.mounted(state, mount_and_check(
                     self.sim, devices, state.expect, self.report,
                     {"phase": phase, "where": "crash_state",
-                     "recipe": self.recipe(state, phase)},
+                     "recipe": state.recipe(self.workload(phase))},
                     check=self.check, stability=spec.stability,
                     **self.overrides))
         array_restore_crash_snapshot(devices, live)
@@ -696,7 +691,8 @@ class Campaign:
         report.oracle_checks["crash_cycle"] += 1
         volume = mount_and_check(self.sim, devices, frozen, report,
                                  {"phase": phase, "where": "crash_cycle",
-                                  "recipe": self.recipe(state, phase)},
+                                  "recipe": state.recipe(
+                                      self.workload(phase))},
                                  check="crash_cycle", **self.overrides)
         if volume is None:
             array_restore_crash_snapshot(devices, live)

@@ -57,24 +57,10 @@ def scripted_workload(seed: int, num_ops: int) -> List[Op]:
 
 
 class _Report(CampaignReport):
-    """Mutable counters the explorer fills in; serializes to JSON."""
-
     fields = ("seed", "workload_ops", "completion_boundaries",
               "boundaries_sampled", "survivor_product_total",
               "states_explored", "distinct_states", "oracle_checks",
               "violations", "passed", "elapsed_s")
-
-    def __init__(self, seed: int):
-        super().__init__()
-        self.seed = seed
-        self.distinct_states: set = set()
-        #: (fingerprint, expectation summary) pairs already oracle-checked.
-        self.checked_keys: set = set()
-        self.oracle_checks = {
-            "recovered_volume": 0,
-            "persistence_bitmap": 0,
-            "mount_stability": 0,
-        }
 
 
 class _Campaign(Campaign):
@@ -86,6 +72,8 @@ class _Campaign(Campaign):
         super().__init__(seed, [spec], report, random.Random(seed + 1),
                          progress)
         self.script = ops
+        #: (fingerprint, expectation summary) pairs already mounted.
+        self.checked: set = set()
 
     def ops(self, phase: int, spec: PhaseSpec) -> List[Op]:
         return self.script
@@ -95,15 +83,14 @@ class _Campaign(Campaign):
         if state.index == 0:
             report.survivor_product_total += state.product
         report.states_explored += 1
-        report.distinct_states.add(state.fingerprint)
         # The expectation matters: the same settled state reached at two
         # boundaries can carry different acked frontiers, and only the
         # stronger one may expose a lost-acked-byte violation.
         key = (state.fingerprint, tuple(
             (zone.synced, len(zone.submitted), zone.resetting)
             for zone in state.expect.zones))
-        fresh = key not in report.checked_keys
-        report.checked_keys.add(key)
+        fresh = key not in self.checked
+        self.checked.add(key)
         return fresh
 
     def workload(self, phase: int) -> Dict:
@@ -122,7 +109,8 @@ def explore(seed: int = 0, num_ops: int = 90, boundaries: int = 60,
     reference run every crash state is carved from) and dumps its spans
     there as JSONL.
     """
-    report = _Report(seed)
+    report = _Report(seed=seed, oracle_checks=dict.fromkeys(
+        ("recovered_volume", "persistence_bitmap", "mount_stability"), 0))
     ops = scripted_workload(seed, num_ops)
 
     # Pass 1: count completion boundaries.

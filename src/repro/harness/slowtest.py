@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..block.bio import Bio
 from ..faults.failslow import SlowDeviceSpec, SlowPlan
@@ -39,7 +39,7 @@ from ..raizn.volume import HEDGE_MIN_SAMPLES, RaiznVolume
 from ..sim import Simulator
 from ..sim.stats import LatencyStats
 from .campaign import (
-    NUM_DEVICES,
+    SCALE,
     WORKLOAD_ZONES,
     CampaignReport,
     checked_read,
@@ -70,19 +70,6 @@ class VariantReport(CampaignReport):
               "read_latency", "latency_digest", "health", "device_health",
               "slow_counts", "sweep", "verified_bytes", "corruptions",
               "violations")
-
-    def __init__(self, name: str, seed: int, protection: bool,
-                 injected: bool):
-        super().__init__()
-        self.name = name
-        self.seed = seed
-        self.protection = protection
-        self.injected = injected
-        self.latencies = LatencyStats()
-        self.health: Dict = {}
-        self.device_health: List[Dict] = []
-        self.slow_counts: Dict = {}
-        self.sweep: Dict = {}
 
     @property
     def read_latency(self) -> Dict[str, float]:
@@ -184,7 +171,9 @@ def run_campaign(name: str, seed: int = 0, protection: bool = True,
                  inject: bool = True, quick: bool = False,
                  trace_out: Optional[str] = None) -> VariantReport:
     """One fail-slow campaign variant; returns the filled-in report."""
-    report = VariantReport(name, seed, protection, inject)
+    report = VariantReport(name=name, seed=seed, protection=protection,
+                           injected=inject, latencies=LatencyStats(),
+                           slow_counts={}, sweep={})
     num_reads = 400 if quick else 2000
     num_writes = 100 if quick else 500
     sim, devices, volume = fresh_array(seed, trace_out=trace_out,
@@ -198,7 +187,7 @@ def run_campaign(name: str, seed: int = 0, protection: bool = True,
     # absorbed into its own deadline.
     for round_ in range(8):
         sim.run_process(_prime_reads(volume, seed + round_, expect,
-                                     count=64 * NUM_DEVICES, report=report))
+                                     64 * SCALE.num_devices, report))
         if not protection or all(h.read.samples >= HEDGE_MIN_SAMPLES
                                  for h in volume.device_health):
             break

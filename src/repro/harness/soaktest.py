@@ -45,7 +45,7 @@ from ..faults.oracle import (
 from ..raizn.volume import RaiznVolume
 from ..trace.metrics import MetricsRegistry
 from .campaign import (
-    STRIPE_UNIT,
+    SCALE,
     WORKLOAD_ZONES,
     Campaign,
     CampaignReport,
@@ -53,7 +53,6 @@ from .campaign import (
     Op,
     PhaseSpec,
     ZoneRules,
-    expectation_for,
     fresh_array,
     script_ops,
     survivors,
@@ -196,7 +195,7 @@ class _WearRules(ZoneRules):
         if self._budget(zone) > 0:
             return nbytes
         self.worn_writes += 1
-        return min(nbytes, STRIPE_UNIT)
+        return min(nbytes, SCALE.stripe_unit_bytes)
 
     def note_reset(self, zone: int) -> None:
         self.spent[zone] += 1
@@ -214,25 +213,9 @@ class _Report(CampaignReport):
               "mechanisms_exercised", "campaign_fingerprint", "passed",
               "elapsed_s")
 
-    def __init__(self, seed: int, quick: bool):
-        super().__init__()
-        self.seed = seed
-        self.quick = quick
-        self.distinct_states: set = set()
-        self.oracle_checks = {
-            "phase_boundary": 0,
-            "recovered_volume": 0,
-            "persistence_bitmap": 0,
-            "crash_cycle": 0,
-        }
-        self.signatures: set = set()
-        self.injected: Dict[str, int] = {}
-        self.endurance: List[dict] = []
-        self._digest = hashlib.blake2b(digest_size=16)
-
     def stamp(self, *chunks: str) -> None:
         for chunk in chunks:
-            self._digest.update(chunk.encode())
+            self.digest.update(chunk.encode())
 
     @property
     def oracle_violations(self) -> int:
@@ -248,7 +231,7 @@ class _Report(CampaignReport):
 
     @property
     def campaign_fingerprint(self) -> str:
-        return self._digest.hexdigest()
+        return self.digest.hexdigest()
 
     @property
     def passed(self) -> bool:
@@ -265,15 +248,21 @@ class _Campaign(Campaign):
     check = "recovered_volume"
 
     def __init__(self, seed: int, quick: bool, progress=None):
-        super().__init__(seed, _phase_specs(quick), _Report(seed, quick),
-                         random.Random(seed + 101), progress)
+        specs = _phase_specs(quick)
+        checks = ("phase_boundary", "recovered_volume", "persistence_bitmap",
+                  "crash_cycle")
+        report = _Report(seed=seed, quick=quick, phases=len(specs),
+                         signatures=set(),
+                         digest=hashlib.blake2b(digest_size=16),
+                         oracle_checks=dict.fromkeys(checks, 0))
+        super().__init__(seed, specs, report, random.Random(seed + 101),
+                         progress)
         self.quick = quick
-        self.report.phases = len(self.specs)
 
     def start(self):
         sim, _, volume = fresh_array(
             self.seed, zone_reset_limit=ENDURANCE_LIMIT, **SOAK_OVERRIDES)
-        return sim, volume, expectation_for(volume)
+        return sim, volume
 
     def ops(self, phase: int, spec: PhaseSpec) -> List[Op]:
         """Scripted ops for one phase, anchored to the live zone pointers.
@@ -307,10 +296,8 @@ class _Campaign(Campaign):
 
     def explored(self, state: CrashState) -> bool:
         # Nothing is pruned: every sampled state is mounted.
-        report = self.report
-        report.boundaries += state.index == 0
-        report.candidates += 1
-        report.distinct_states.add(state.fingerprint)
+        self.report.boundaries += state.index == 0
+        self.report.candidates += 1
         return True
 
     def mounted(self, state: CrashState,

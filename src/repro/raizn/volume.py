@@ -322,22 +322,48 @@ class RaiznVolume:
         self.stats = DeviceStats()
         #: Shared span tracer (see :mod:`repro.trace`); None unless
         #: ``config.tracing`` — the hot paths test this one attribute.
-        self.tracer: Optional[Tracer] = None
+        self.tracer = tracer = Tracer(sim) if config.tracing else None
         #: Cached live aggregate rows for the zero-duration counters
         #: (stripe assembly, parity computation): bumping a cached row
         #: in place is the cheapest possible instrumentation.
         self._tr_stripe_row: Optional[list] = None
         self._tr_parity_full_row: Optional[list] = None
         self._tr_parity_partial_row: Optional[list] = None
-        #: Interned per-op root-span sites, filled lazily per sink.
+        #: Interned per-op root-span sites, filled lazily.
         self._tr_vol_sites: dict = {}
-        #: Shared root-span completion callback (set by attach_tracer).
+        #: Shared root-span completion callback.
         self._tr_root_cb = None
         #: Rebuild progress counters (zones, bytes, peak_inflight) for the
         #: metrics registry; kept only while tracing.
         self.rebuild_counters: Optional[Dict[str, int]] = None
-        if config.tracing:
-            self.attach_tracer(Tracer(sim))
+        if tracer is not None:
+            self.rebuild_counters = {"zones": 0, "bytes": 0,
+                                     "peak_inflight": 0}
+            self._tr_stripe_row = tracer.aggregate_row("stripe", "assemble")
+            self._tr_parity_full_row = tracer.aggregate_row("parity", "full")
+            self._tr_parity_partial_row = tracer.aggregate_row("parity",
+                                                               "partial")
+            for dev in self.devices:    # every array device shares it
+                if dev is not None:
+                    dev.tracer = tracer
+                    dev._trace_sites = {}
+
+            def _root_cb(event) -> None:
+                # Shared completion callback for every logical bio's root
+                # span.  Only successful completions are charged (the device
+                # layer follows the same rule), and those events succeed
+                # with the bio itself, which carries the packed id/site
+                # code, the submit time, and the length.
+                if not event.ok:
+                    return
+                bio = event.value
+                code = bio.span
+                if code is None:
+                    return
+                bio.span = None
+                tracer.record_root(code, bio.submit_time, bio.length)
+
+            self._tr_root_cb = _root_cb
         #: Pending (bio, done) pairs per zone blocked by an in-flight reset.
         self._reset_pending: Dict[int, List[Tuple[Bio, Event]]] = {}
         #: Cached "a device is unavailable" (failed or mid-rebuild), kept
@@ -422,44 +448,6 @@ class RaiznVolume:
             device_index=index, array_uuid=self.array_uuid).to_entry()
 
     # ------------------------------------------------------------------ submission
-
-    def attach_tracer(self, tracer: Tracer) -> None:
-        """Arm span tracing: share ``tracer`` with every array device.
-
-        Normally driven by ``config.tracing`` at construction; harnesses
-        may attach later to trace only part of a run.
-        """
-        self.tracer = tracer
-        self.rebuild_counters = {"zones": 0, "bytes": 0, "peak_inflight": 0}
-        self._tr_stripe_row = tracer.aggregate_row("stripe", "assemble")
-        self._tr_parity_full_row = tracer.aggregate_row("parity", "full")
-        self._tr_parity_partial_row = tracer.aggregate_row("parity",
-                                                           "partial")
-        self._tr_vol_sites = {}  # ids are per-sink; drop stale ones
-        for dev in self.devices:
-            if dev is not None:
-                dev.tracer = tracer
-                dev._trace_sites = {}
-        for mdz in self.mdzones:
-            if mdz is not None:
-                mdz._tr_sites = {}
-
-        def _root_cb(event) -> None:
-            # Shared completion callback for every logical bio's root
-            # span.  Only successful completions are charged (the device
-            # layer follows the same rule), and those events succeed
-            # with the bio itself, which carries the packed id/site
-            # code, the submit time, and the length.
-            if not event.ok:
-                return
-            bio = event.value
-            code = bio.span
-            if code is None:
-                return
-            bio.span = None
-            tracer.record_root(code, bio.submit_time, bio.length)
-
-        self._tr_root_cb = _root_cb
 
     def submit(self, bio: Bio) -> Event:
         """Submit a logical bio; the event succeeds with the completed bio."""

@@ -380,24 +380,3 @@ class Tracer:
         skips those too, keeping span totals reconcilable.
         """
         self._pool.append(span)
-
-    def instant(self, layer: str, name, device: Optional[str] = None,
-                nbytes: int = 0) -> None:
-        """Record a zero-duration span (synchronous work whose
-        information is the count and byte volume, not elapsed time — the
-        simulated clock cannot advance inside a callback).  Convenience
-        wrapper; the datapath's own instants bypass it via
-        :meth:`aggregate_row`."""
-        span_id = self._next_id
-        self._next_id = span_id + 1
-        sink = self.sink
-        site = sink.site(layer, name, device)
-        ordinal = sink.total_recorded
-        sink.total_recorded = ordinal + 1
-        capacity = sink.capacity
-        offset = (ordinal % capacity) * RECORD_SIZE
-        if ordinal >= capacity:
-            sink._fold_one(offset)
-        now = self.sim.now
-        _RECORD.pack_into(sink.buf, offset, span_id, self.current_parent,
-                          site, now, _NAN, now, nbytes)

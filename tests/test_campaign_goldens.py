@@ -77,6 +77,18 @@ def test_report_matches_golden(name, tmp_path, capsys):
         f"{' '.join(CASES[name])})")
 
 
+def test_tracing_leaves_the_report_alone(tmp_path, capsys):
+    """``--trace`` traces the campaign array from its construction; the
+    report is the untraced run's, and the span dump is not empty."""
+    spans = tmp_path / "spans.jsonl"
+    untraced = run_case("errortest-ci-seed0", tmp_path)
+    traced = run_case("errortest-ci-seed0", tmp_path,
+                      extra=("--trace", str(spans)))
+    capsys.readouterr()
+    assert report_digest(traced) == report_digest(untraced)
+    assert spans.read_text().splitlines()
+
+
 def test_bench_tail_is_the_full_size_seed0_bench_block(tmp_path, capsys):
     bench_out = tmp_path / "bench_tail.json"
     report = run_case("slowtest-full-seed0", tmp_path,

@@ -130,7 +130,7 @@ def explore(workload, boundaries, budget, batch_size=12):
     report and every state's recipe.  A crash inside mount is
     ``tests/test_mount_restart.py``'s: its ``rotation`` states cut, at
     every command, the mount of a crash taken inside a rotation."""
-    report = _Report(0)
+    report = _Report(seed=0, oracle_checks=collections.Counter())
     rng = random.Random(1)
     recipes = []
     for start in range(0, len(boundaries), batch_size):

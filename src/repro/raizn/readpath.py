@@ -297,10 +297,11 @@ class ReadPath:
         reconstruction's survivor reads want the same bytes at the same
         time: the second of the two joins the first one's command instead
         of issuing its own.  Only that pair is joined — a second consumer
-        of the same kind (two direct reads, or two reconstructions, the
-        rebuild's among them) is a second request for the same logical
-        bytes and gets its own, unshared, command (DESIGN.md, "Read-path
-        fan-out")."""
+        of the same kind (two direct reads, or two reconstructions) is a
+        second request for the same logical bytes and gets its own,
+        unshared, command (DESIGN.md, "Read-path fan-out").  The
+        rebuild's run reads do not come here: no consumer asks for their
+        bytes but the run (``ZoneStream``)."""
         volume = self.volume
         if volume._degraded:
             key = (device, pba, length)

@@ -8,8 +8,8 @@ resyncs the full device address space regardless of fill (the Figure 12
 contrast).
 
 During rebuild, reads and writes touching not-yet-rebuilt zones are served
-in degraded mode.  A plain stripe's unit is the XOR of its survivors'
-units; any other unit comes through the volume's (relocation- and
+in degraded mode.  Plain stripes' units are the XOR of their survivors',
+read in runs; any other unit comes through the volume's (relocation- and
 parity-aware) logical read path, so relocated stripe units are healed onto
 the fresh device at their correct physical addresses.
 
@@ -148,10 +148,16 @@ def _device_target_extent(volume: RaiznVolume, index: int, zone: int,
     return extent
 
 
-class _Unit(Event):
-    """A stripe unit regenerated from its survivors' reads."""
+#: Stripe units per survivor command of a run (md's resync reads eight):
+#: four or eight lifted ``degraded_rebuild``'s peak RSS 7 % (fuller slots).
+RUN_UNITS = 2
 
-    __slots__ = ("lba", "length", "chunk", "pending", "span")
+
+class _Run(Event):
+    """Lost units of consecutive plain stripes, one read per survivor."""
+
+    __slots__ = ("offset", "size", "units", "logical", "chunk", "pending",
+                 "span")
 
 
 class ZoneStream:
@@ -160,16 +166,16 @@ class ZoneStream:
 
     The one implementation of "regenerate this device's chunk of stripe
     *s*", shared by rebuild (destination: the replacement) and the §5.2
-    zone rewrite (destination: the same device).  A lost unit (the device
-    unavailable for the zone) of a plain RAID-5 stripe — complete, no
-    relocation unit in its zone, no relocated parity, every other device
-    available and holding the whole unit, no fail-slow scoring — is the
-    XOR of its survivors' units, read through ``ReadPath._submit`` and
-    folded as each completes (DESIGN decision 14).  Any other chunk, or
-    one whose survivor read fails, comes through the logical read path
-    (relocation units, relocated parity, retries, read-repair): the
-    unit's LBA range for data, the whole stripe XORed once for parity.
-    Either is one logical read in ``volume.stats``.
+    zone rewrite (destination: the same device).  The lost unit of a
+    plain stripe (:meth:`_plain`) is the XOR of the other devices' units
+    at its PBA.  Up to :data:`RUN_UNITS` of them in a row are a run: one
+    read per survivor, outside the read path's single-flight table (no
+    one else wants those bytes), folded as each completes (DESIGN
+    decision 14).  Any other unit comes through the logical read path
+    alone (relocation units, relocated parity, retries, read-repair):
+    its LBA range for data, the whole stripe XORed once for parity; so
+    does each unit of a run whose survivor read fails.  Every unit is
+    the one logical read it stands for in ``volume.stats``.
 
     The stream follows the logical write pointer live: once it reports
     caught up, a later :meth:`next_chunk` picks up whatever foreground
@@ -190,73 +196,97 @@ class ZoneStream:
         self.reads = ReadAhead(
             self._issue, volume.devices[index].model.saturating_depth)
 
-    def _issue(self) -> Optional[Event]:
+    def _plain(self, stripe: int, wp: int) -> bool:
+        """The device unavailable for the zone, ``stripe`` complete below
+        ``wp``, no relocation unit nor relocated parity, no fail-slow
+        scoring, every other device available and holding the unit."""
         volume, zone = self.volume, self.zone
         desc = volume.zone_descs[zone]
-        wp = desc.write_pointer
-        if self.issued >= _device_target_extent(volume, self.index,
-                                                self.zone, wp):
-            return None
-        su = volume.config.stripe_unit_bytes
-        stripe, in_unit = divmod(self.issued, su)
-        layout = volume.mapper.stripe_layout(self.zone, stripe)
-        lba = desc.start_lba + stripe * desc.stripe_width
-        if self.index == layout.parity_device:
-            # Parity is only ever due for a complete stripe.
-            survivors = layout.data_devices
-            length = desc.stripe_width
-            self.issued += su
-        else:
-            survivors = self._others
-            lba += layout.data_devices.index(self.index) * su + in_unit
-            length = min(su - in_unit, wp - lba)
-            self.issued += length
-        pba = zone * volume.phys_zone_size + stripe * su
+        end = zone * volume.phys_zone_size + (stripe + 1) * desc.su
         plain = (stripe + 1) * desc.stripe_width <= wp - desc.start_lba \
             and not (volume._failslow_on or desc.has_relocations
                      or (zone, stripe) in volume.relocated_parity
                      or volume._device_available(self.index, zone))
-        for other in survivors:
+        for other in self._others:
             plain = plain and volume._device_available(other, zone) and \
-                volume.phys[other][zone].write_pointer >= pba + su
-        if not plain:
-            return volume.submit(Bio.read(lba, length))
-        unit = _Unit(volume.sim)
-        unit.lba, unit.length, unit.chunk = lba, length, None
-        unit.pending, unit.span = len(survivors), None
+                volume.phys[other][zone].write_pointer >= end
+        return plain
+
+    def _unit_read(self, offset: int) -> Bio:
+        """The logical read for the chunk from ``offset`` to unit end."""
+        desc = self.volume.zone_descs[self.zone]
+        stripe, in_unit = divmod(offset, desc.su)
+        layout = self.volume.mapper.stripe_layout(self.zone, stripe)
+        lba = desc.start_lba + stripe * desc.stripe_width
+        if self.index == layout.parity_device:
+            # Parity is only ever due for a complete stripe.
+            return Bio.read(lba, desc.stripe_width)
+        lba += layout.data_devices.index(self.index) * desc.su + in_unit
+        return Bio.read(lba, min(desc.su - in_unit, desc.write_pointer - lba))
+
+    def _chunk(self, bio: Bio):
+        """A :meth:`_unit_read`'s bytes as a chunk (a stripe's: parity)."""
+        if bio.length > self.volume.config.stripe_unit_bytes:
+            return full_stripe_parity(bio.result, self.volume.config.num_data)
+        return bio.result
+
+    def _issue(self) -> Optional[Event]:
+        volume, zone = self.volume, self.zone
+        desc = volume.zone_descs[zone]
+        wp, offset, su = desc.write_pointer, self.issued, desc.su
+        if offset >= _device_target_extent(volume, self.index, zone, wp):
+            return None
+        stripe, in_unit = divmod(offset, su)
+        if not self._plain(stripe, wp):
+            bio = self._unit_read(offset)
+            self.issued += min(bio.length, su - in_unit)
+            return volume.submit(bio)
+        # Plain stripes lie inside the extent; a mid-unit resume runs alone.
+        run = _Run(volume.sim)
+        run.offset, run.units, run.chunk, run.span = offset, 1, None, None
+        while not in_unit and run.units < RUN_UNITS \
+                and self._plain(stripe + run.units, wp):
+            run.units += 1
+        run.size = run.logical = run.units * su - in_unit
+        run.pending = len(self._others)
+        layouts = volume.mapper.stripe_layout
+        for s in range(stripe, stripe + run.units):
+            if layouts(zone, s).parity_device == self.index:
+                run.logical += desc.stripe_width - su   # read as a stripe
         if volume.tracer is not None:
-            unit.span = (volume._root_code(Op.READ), volume.sim.now)
-        # The read path's order and hop: the devices see one stream.
-        volume.sim.schedule(0.0, self._read_survivors, survivors,
-                            pba + in_unit, su - in_unit, unit)
-        return unit
+            run.span = (volume._root_code(Op.READ), volume.sim.now)
+        self.issued += run.size
+        # The read path's hop and trace parent: the devices see one stream.
+        volume.sim.schedule(
+            0.0, volume.readpath._traced,
+            -1 if run.span is None else run.span[0] >> SITE_BITS,
+            self._read_survivors, zone * volume.phys_zone_size + offset, run)
+        return run
 
-    def _read_survivors(self, survivors, pba, size, unit) -> None:
-        parent = -1 if unit.span is None else unit.span[0] >> SITE_BITS
-        submit = self.volume.readpath._submit
-        for other in survivors:
-            submit(other, pba, size, self._folded, unit, parent, False)
+    def _read_survivors(self, pba: int, run: _Run) -> None:
+        for other in self._others:
+            self.volume.devices[other].submit(Bio.command(
+                Op.READ, pba, None, run.size, 0, run, self._folded))
 
-    def _folded(self, bio: Bio, _fed: bool = False) -> None:
-        """Fold a survivor read into its unit; the first error sends the
-        unit through the read path and voids the reads still out."""
-        unit = bio.wctx
-        unit.pending -= 1
-        if unit.pending < 0:
+    def _folded(self, bio: Bio) -> None:
+        """Fold a survivor read into its run; the first error voids the
+        reads still out and leaves the run to :meth:`next_chunk`."""
+        run = bio.wctx
+        run.pending -= 1
+        if run.pending < 0:
             return
         if bio.error is not None:
-            unit.pending = -1
-            self.volume.submit(Bio.read(unit.lba, unit.length)).add_callback(
-                lambda e: (unit.succeed if e.ok else unit.fail)(e.value))
-        else:
-            unit.chunk = fold(unit.chunk, bio.result)
-        if unit.pending:
+            run.pending = -1
+            run.succeed(run)
             return
-        self.volume.stats.reads += 1
-        self.volume.stats.bytes_read += unit.length
-        if unit.span is not None:
-            self.volume.tracer.record_root(*unit.span, unit.length)
-        unit.succeed(unit.chunk.data)
+        run.chunk = fold(run.chunk, bio.result)
+        if run.pending:
+            return
+        self.volume.stats.reads += run.units
+        self.volume.stats.bytes_read += run.logical
+        if run.span is not None:
+            self.volume.tracer.record_root(*run.span, run.logical)
+        run.succeed(run.chunk.data)
 
     def next_chunk(self):
         """Process-style: the next chunk in zone order, or ``None``
@@ -266,12 +296,12 @@ class ZoneStream:
         if chunk is None:
             return None
         if isinstance(chunk, Bio):   # through the logical read path
-            volume = self.volume
-            layout = volume.mapper.stripe_layout(
-                self.zone, self.position // volume.config.stripe_unit_bytes)
-            chunk = chunk.result
-            if self.index == layout.parity_device:
-                chunk = full_stripe_parity(chunk, volume.config.num_data)
+            chunk = self._chunk(chunk)
+        elif isinstance(chunk, _Run):   # its units, one after another
+            run, chunk = chunk, b""
+            while len(chunk) < run.size:
+                chunk += self._chunk((yield self.volume.submit(
+                    self._unit_read(run.offset + len(chunk)))))
         self.position += len(chunk)
         return chunk
 

@@ -221,10 +221,12 @@ class TestRebuild:
         a zone the rebuild has not reached, and in one it has sealed."""
         volume, devices = make_volume(sim)
         zcap = volume.zone_capacity
-        # Rebuild order is active zones first: 0, 2, then the full zone 1.
+        # Rebuild order is active zones first: 0, 2, then the full zones
+        # 1 and 3.  Zone 3's writes come after zone 0 is sealed.
         expected = {0: bytearray(pattern(6 * STRIPE + 20 * KiB, seed=25)),
                     1: bytearray(pattern(zcap, seed=26)),
-                    2: bytearray(pattern(3 * STRIPE, seed=27))}
+                    2: bytearray(pattern(3 * STRIPE, seed=27)),
+                    3: bytearray(pattern(zcap, seed=29))}
         for zone, data in expected.items():
             volume.execute(Bio.write(zone * zcap, bytes(data)))
         # Lose the device holding zone 0's 20 KiB tail unit, and write
@@ -273,13 +275,14 @@ class TestRebuild:
         check()
 
 
-def multi_zone_volume(sim, tail=5 * STRIPE + 20 * KiB, **config_kwargs):
-    """Two full zones plus a zone with a partial tail stripe, failed at
-    nothing yet; returns (volume, devices, payload)."""
+def multi_zone_volume(sim, tail=5 * STRIPE + 20 * KiB, full_zones=2,
+                      **config_kwargs):
+    """``full_zones`` full zones plus a zone with a partial tail stripe,
+    failed at nothing yet; returns (volume, devices, payload)."""
     devices = make_zns_devices(sim)
     config = RaiznConfig(num_data=4, stripe_unit_bytes=SU, **config_kwargs)
     volume = RaiznVolume.create(sim, devices, config)
-    data = pattern(2 * volume.zone_capacity + tail, seed=40)
+    data = pattern(full_zones * volume.zone_capacity + tail, seed=40)
     for lba in range(0, len(data), volume.zone_capacity):
         volume.execute(Bio.write(lba, data[lba:lba + volume.zone_capacity]))
     return volume, devices, data
@@ -319,8 +322,9 @@ class TestRebuildPipeline:
             **config_kwargs):
         """Rebuild ``failed_index`` of :func:`multi_zone_volume`, after
         ``arrange(volume, devices)`` (which returns bytes it appended, or
-        None).  ``window`` is the most reads any zone's stream had in
-        flight, ``logical`` the LBAs of the logical reads it issued."""
+        None).  ``window`` is the most reads (commands per survivor) any
+        zone's stream had in flight, ``units`` the most stripe units,
+        ``logical`` the LBAs of the logical reads it issued."""
         volume, devices, data = multi_zone_volume(sim, **config_kwargs)
         if arrange is not None:
             data += arrange(volume, devices) or b""
@@ -335,7 +339,15 @@ class TestRebuildPipeline:
         class WatchedStream(stream_class):
             def __init__(self, *args):
                 super().__init__(*args)
+                self.peak_units = 0
                 streams.append(self)
+
+            def _issue(self):
+                event = super()._issue()
+                # Issued and not yet handed out: the window in units.
+                self.peak_units = max(self.peak_units,
+                                      -(-(self.issued - self.position) // SU))
+                return event
 
         submit = volume.submit
 
@@ -353,8 +365,10 @@ class TestRebuildPipeline:
             del volume.submit
         log.detach()
         window = max(stream.reads.peak for stream in streams)
+        units = max(stream.peak_units for stream in streams)
         return (volume, devices, data, replacement, log,
-                {"window": window, "logical": logical}, report)
+                {"window": window, "units": units, "logical": logical},
+                report)
 
     def test_zone_writes_contiguous_and_ascending(self, sim):
         _v, _d, _data, replacement, log, _reads, report = self.run(sim)
@@ -379,13 +393,18 @@ class TestRebuildPipeline:
         _v, _d, _data, replacement, _log, reads, report = self.run(sim)
         rate = report.bytes_written / report.duration
         assert rate >= 0.4 * replacement.model.write_bandwidth
-        assert reads["window"] > replacement.model.channels
+        assert reads["units"] > replacement.model.channels
 
     def test_reads_in_flight_bounded_by_derived_depth(self, sim):
         _v, _d, _data, replacement, _log, reads, _report = self.run(sim)
         assert reads["window"] <= replacement.model.saturating_depth
         assert replacement.model.saturating_depth == \
             2 * replacement.model.channels
+
+    def test_units_in_flight_bounded_by_run_length(self, sim):
+        _v, _d, _data, replacement, _log, reads, _report = self.run(sim)
+        assert reads["units"] <= 2 * replacement.model.saturating_depth
+        assert reads["units"] > reads["window"]   # runs were read
 
     def test_open_zones_within_replacement_limit(self, sim):
         """With a replacement that may hold only two zones open the
@@ -464,17 +483,12 @@ class TestRebuildPipeline:
         arrange, config = ARRANGEMENTS.get(case, (None, {}))
         volume, devices, data, replacement, _log, reads, _report = \
             self.run(sim, failed_index, arrange=arrange, **config)
-        lost = devices[failed_index]
-        for zone in range(volume.num_data_zones):
-            old, new = lost.zone_info(zone), replacement.zone_info(zone)
-            assert new.write_pointer == old.write_pointer, zone
-            span = slice(old.start, old.write_pointer)
-            assert replacement._media[span] == lost._media[span], zone
+        assert_rebuilt_exactly(volume, devices[failed_index], replacement,
+                               data)
         tail_stripe = 2 * volume.zone_capacity + 5 * STRIPE
         through_read_path = [lba for lba in reads["logical"]
                              if lba < tail_stripe]
         assert bool(through_read_path) == (case in ARRANGEMENTS), case
-        assert volume.execute(Bio.read(0, len(data))).result == data
         volume.fail_device((failed_index + 2) % 5)
         assert volume.execute(Bio.read(0, len(data))).result == data
 
@@ -517,6 +531,159 @@ ARRANGEMENTS = {
     "failslow": (None, {"failslow_protection": True}),
     "transient_survivor_read": (_transient_survivor_read, {}),
 }
+
+
+def is_run_read(bio):
+    """Is ``bio`` a survivor read of a :class:`ZoneStream` run?"""
+    return getattr(bio.end_io, "__func__", None) is \
+        rebuild_module.ZoneStream._folded
+
+
+class TestRebuildRuns:
+    """Where a run of plain stripes' lost units starts and where it ends.
+    Every case checks the replacement against the lost device's media and
+    the array against the written payload."""
+
+    def rebuild(self, sim, volume, devices, lost, data):
+        """Fail ``lost``, rebuild it and check the result; returns per
+        survivor the run reads ``(offset, length)``, the logical reads
+        ``(lba, length)`` the stream issued, and the rebuild's
+        ``(reads, bytes_read)`` in ``volume.stats``."""
+        volume.fail_device(lost)
+        replacement = fresh_replacement(sim, devices[(lost + 1) % 5], "new")
+        runs, logical = {}, []
+
+        def record(device, bio):
+            if is_run_read(bio):
+                runs.setdefault(devices.index(device), []).append(
+                    (bio.offset, bio.length))
+        hooks = [device.add_hook("pre_apply", record)
+                 for device in devices if device is not devices[lost]]
+        submit = volume.submit
+
+        def watched_submit(bio):
+            logical.append((bio.offset, bio.length))
+            return submit(bio)
+        volume.submit = watched_submit
+        stats = volume.stats.reads, volume.stats.bytes_read
+        try:
+            rebuild(sim, volume, lost, replacement)
+        finally:
+            del volume.submit
+            for hook in hooks:
+                hook.device.remove_hook(hook)
+        stats = (volume.stats.reads - stats[0],
+                 volume.stats.bytes_read - stats[1])
+        assert_rebuilt_exactly(volume, devices[lost], replacement, data)
+        volume.fail_device((lost + 2) % 5)
+        assert volume.execute(Bio.read(0, len(data))).result == data
+        return runs, logical, stats
+
+    @pytest.mark.parametrize("parity_stripe", [0, 1])
+    def test_run_across_parity_and_data(self, sim, parity_stripe):
+        """The lost device holds parity in one stripe of the run and data
+        in the other: one ``2 x SU`` command per survivor."""
+        volume, devices = make_volume(sim)
+        data = pattern(2 * STRIPE, seed=60)
+        volume.execute(Bio.write(0, data))
+        lost = volume.mapper.stripe_layout(0, parity_stripe).parity_device
+        assert lost in \
+            volume.mapper.stripe_layout(0, 1 - parity_stripe).data_devices
+        runs, logical, stats = self.rebuild(sim, volume, devices, lost, data)
+        assert runs == {d: [(0, 2 * SU)] for d in range(5) if d != lost}
+        assert logical == []
+        # Each unit is the logical read it stands for: parity a stripe's.
+        assert stats == (2, STRIPE + SU)
+
+    def test_relocated_parity_cuts_the_run(self, sim):
+        """Stripe 1's parity lives in memory: stripe 0 is a run of one,
+        stripe 1's lost unit goes alone through the read path, and
+        stripes 2 and 3 are a run again."""
+        volume, devices = make_volume(sim)
+        data = pattern(4 * STRIPE, seed=61)
+        volume.execute(Bio.write(0, data))
+        volume.execute(Bio.flush())
+        layout = volume.mapper.stripe_layout(0, 1)
+        devices[layout.parity_device].mark_bad(SU, SU)
+        run_scrub(sim, volume)
+        assert (0, 1) in volume.relocated_parity
+        lost = layout.data_devices[0]
+        runs, logical, _stats = self.rebuild(sim, volume, devices, lost,
+                                             data)
+        assert runs == {d: [(0, SU), (2 * SU, 2 * SU)]
+                        for d in range(5) if d != lost}
+        assert logical == [(STRIPE, SU)]
+
+    def test_a_zone_with_a_relocation_unit_goes_unit_by_unit(self, sim):
+        """Zone 2 holds relocation units: each of the lost device's units
+        there is one logical read, and the two full zones are read in
+        runs."""
+        volume, devices, data = multi_zone_volume(sim)
+        data += _relocation_units(volume, devices)
+        runs, logical, _stats = self.rebuild(sim, volume, devices, 0, data)
+        zone_size = volume.phys_zone_size
+        in_full_zones = [(zone * zone_size + offset, 2 * SU)
+                         for zone in (0, 1)
+                         for offset in range(0, zone_size, 2 * SU)]
+        assert {d: sorted(reads) for d, reads in runs.items()} == \
+            {d: in_full_zones for d in range(1, 5)}
+        zone2 = 2 * volume.zone_capacity
+        extent = volume.phys[0][2].write_pointer - 2 * zone_size
+        assert len(logical) == -(-extent // SU) > 1
+        for lba, length in logical:
+            assert zone2 <= lba < lba + length <= len(data)
+            assert lba // SU == (lba + length - 1) // SU or \
+                (length == STRIPE and lba % STRIPE == 0)
+
+    def test_odd_plain_stripes_then_a_tail(self, sim):
+        """Three plain stripes are a run of two and a run of one; the
+        lost device's 20 KiB in the tail stripe goes through the read
+        path."""
+        volume, devices = make_volume(sim)
+        data = pattern(3 * STRIPE + 20 * KiB, seed=62)
+        volume.execute(Bio.write(0, data))
+        lost = volume.mapper.stripe_layout(0, 3).data_devices[0]
+        runs, logical, stats = self.rebuild(sim, volume, devices, lost, data)
+        assert runs == {d: [(0, 2 * SU), (2 * SU, SU)]
+                        for d in range(5) if d != lost}
+        assert logical == [(3 * STRIPE, 20 * KiB)]
+        parity = [volume.mapper.stripe_layout(0, stripe).parity_device
+                  for stripe in range(3)].count(lost)
+        assert stats == (4, 3 * SU + parity * (STRIPE - SU) + 20 * KiB)
+
+    def test_survivor_error_sends_the_run_through_the_read_path(self, sim):
+        """A survivor's run read fails transiently: the run's two units,
+        parity then data, are read through the logical read path in
+        order, and the rebuild completes exactly."""
+        volume, devices = make_volume(sim)
+        data = pattern(2 * STRIPE, seed=63)
+        volume.execute(Bio.write(0, data))
+        lost = volume.mapper.stripe_layout(0, 0).parity_device
+        victim = (lost + 1) % 5
+        failed = []
+
+        def hook(device, bio):
+            if is_run_read(bio) and not failed:
+                failed.append((bio.offset, bio.length))
+                raise TransientCommandError(f"{device.name}: injected")
+        devices[victim].add_hook("pre_apply", hook)
+        _runs, logical, stats = self.rebuild(sim, volume, devices, lost,
+                                             data)
+        assert failed == [(0, 2 * SU)]
+        index = volume.mapper.stripe_layout(0, 1).data_devices.index(lost)
+        assert logical == [(0, STRIPE), (STRIPE + index * SU, SU)]
+        assert stats == (2, STRIPE + SU)
+
+
+def assert_rebuilt_exactly(volume, lost, replacement, data):
+    """The replacement holds what ``lost`` held in every data zone, and
+    the array reads back ``data``."""
+    for zone in range(volume.num_data_zones):
+        old, new = lost.zone_info(zone), replacement.zone_info(zone)
+        assert new.write_pointer == old.write_pointer, zone
+        span = slice(old.start, old.write_pointer)
+        assert replacement._media[span] == lost._media[span], zone
+    assert volume.execute(Bio.read(0, len(data))).result == data
 
 
 def watch_commands(device):
@@ -608,8 +775,9 @@ class TestRebuildObservability:
     """Spans and counters exist only under ``RaiznConfig.tracing`` and
     change nothing the devices see."""
 
-    def traced_rebuild(self, sim, tracing):
-        volume, devices, data = multi_zone_volume(sim, tracing=tracing)
+    def traced_rebuild(self, sim, tracing, full_zones=2):
+        volume, devices, data = multi_zone_volume(
+            sim, full_zones=full_zones, tracing=tracing)
         volume.fail_device(1)
         replacement = fresh_replacement(sim, devices[0], "new")
         log = CommandLog(sim, replacement, volume)
@@ -644,8 +812,10 @@ class TestRebuildObservability:
 
     def test_device_reads_have_a_parent(self, sim):
         """Each survivor read hangs under a root span: the logical read's,
-        or the volume read root a regenerated unit opens in its place."""
-        volume, _report, _log = self.traced_rebuild(sim, tracing=True)
+        or the volume read root a regenerated run opens in its place.
+        Four full zones: a run of two units is one read per survivor."""
+        volume, _report, _log = self.traced_rebuild(sim, tracing=True,
+                                                    full_zones=4)
         sink = volume.tracer.sink
         spans = [sink._ring_record(o)
                  for o in range(sink.evicted, sink.total_recorded)]

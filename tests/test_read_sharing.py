@@ -166,10 +166,11 @@ def test_healthy_array_never_consults_the_table(fill, batches):
 
 
 def test_foreground_reconstruction_beside_the_rebuild_is_not_shared():
-    """The rebuild's survivor reads are a reconstruction: a foreground
-    degraded read of the unit the rebuild is regenerating wants the same
-    survivor bytes, and is a second request for them — it issues its own
-    survivor reads instead of riding the rebuild's."""
+    """The rebuild reads both stripes' lost units as one run, one
+    ``2 x SU`` command per survivor, outside the table: a foreground
+    degraded read of the first unit wants survivor bytes the run is
+    fetching, and is a second request for them — it issues its own
+    ``SU`` survivor reads instead of riding the rebuild's."""
     run = Run(2 * STRIPE)
     volume, sim = run.volume, run.sim
     lost = volume.mapper.stripe_layout(0, 0).data_devices[0]
@@ -182,8 +183,9 @@ def test_foreground_reconstruction_beside_the_rebuild_is_not_shared():
     assert bytes(read.value.result) == run.data[:SU]
     survivors = [device for device in range(len(run.devices))
                  if device != lost]
-    unit = [(device, 0, SU) for device in survivors]
-    assert [run.stream.count(command) for command in unit] == \
-        [2] * len(survivors)
+    for device in survivors:
+        assert sorted(command for command in run.stream
+                      if command[0] == device) == \
+            [(device, 0, SU), (device, 0, 2 * SU)]
     assert volume.readpath.joined_reads == 0
     assert not volume.readpath._inflight

@@ -9,9 +9,9 @@ pointer.  ``tests/data/rebuild_traffic_goldens.json`` keeps, per
 scenario, the command count per device beside one digest of it all, so
 a moved digest shows which device's traffic moved.
 
-How a chunk is regenerated (through a logical read, or from its
-survivor reads directly) is host work: it must not change what the
-devices see.  Regenerate with
+Host work alone (how a chunk's bytes are folded or copied) must not
+change what the devices see; what is read per command does (a run of
+plain stripes' units is one read per survivor).  Regenerate with
 ``PYTHONPATH=src python tests/test_rebuild_traffic.py --regen`` only when
 the device traffic is meant to move, and say why in CHANGES.md.
 """
@@ -176,7 +176,10 @@ def _writes_during_rebuild(where):
         sim = Simulator()
         volume, devices = new_volume(sim)
         zcap = volume.zone_capacity
-        written = {0: 6 * STRIPE + 20 * KiB, 1: zcap, 2: 3 * STRIPE}
+        # Zone 3's writes come after zone 0 is sealed (rebuild order
+        # 0, 2, 1, 3).
+        written = {0: 6 * STRIPE + 20 * KiB, 1: zcap, 2: 3 * STRIPE,
+                   3: zcap}
         for zone, length in written.items():
             volume.execute(Bio.write(zone * zcap,
                                      pattern(length, seed=25 + zone)))

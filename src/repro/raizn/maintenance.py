@@ -242,7 +242,14 @@ def check_stripe_parity(volume, desc, stripe: int, probe_if):
         return parity, None, None
     probe = Bio.read(pba, su)
     probe.errors_as_status = True
-    onboard = yield volume.devices[device].submit(probe)
+    member, tracer = volume.devices[device], volume.tracer
+    if tracer is None:
+        onboard = yield member.submit(probe)
+    else:   # the probe's device read hangs under a scrub verify span
+        span = tracer.begin("scrub", "verify", member.name, su)
+        event = volume.readpath._traced(span.span_id, member.submit, probe)
+        event.add_callback(span)
+        onboard = yield event
     return parity, onboard.error, \
         onboard.error is None and onboard.result == parity
 

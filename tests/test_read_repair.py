@@ -181,13 +181,15 @@ class TestTwoLatentSectorsInOneStripe:
     different offsets: parity covers each sector from the other units'
     same offsets, so every read can be served.  It is not: the heal
     reconstructs the bad unit whole (``_degraded(heal=True)`` takes
-    ``_reconstruct(whole=True)``), which reads each sibling's whole
-    written extent, and ``_source_attempted`` fails the reconstruction on
-    the other unit's own latent sector (ROADMAP item 1)."""
+    ``_reconstruct(whole=True)``), whose ``ReadPath.reconstruct`` reads
+    each sibling's whole written extent, and ``_survivor_read`` fails the
+    reconstruction on the other unit's own latent sector (ROADMAP items 1
+    and 21 (b))."""
 
     @pytest.mark.xfail(strict=True, raises=MediaError, reason=(
-        "the heal reconstructs the bad unit whole and reads the other "
-        "bad unit's whole extent, which fails on its own latent sector"))
+        "ReadPath.reconstruct, healing the bad unit whole, reads the "
+        "other bad unit's whole extent, which fails on its own latent "
+        "sector"))
     @pytest.mark.parametrize("lo, length", [
         (4 * KiB, 4 * KiB), (2 * SU + 32 * KiB, 4 * KiB), (0, STRIPE)],
         ids=["unit0-sector", "unit2-sector", "whole-stripe"])

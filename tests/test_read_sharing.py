@@ -62,7 +62,7 @@ class Run:
             readpath._inflight = Forgetful()
         self.submitted, self.completed = [], []
         submit = readpath._submit
-        for name in ("_read_done", "_read_attempted", "_source_attempted"):
+        for name in ("_read_done", "_read_attempted", "_survivor_read"):
             setattr(readpath, name, self.completion_of(getattr(readpath, name)))
 
         def logged_submit(device, pba, length, handler, context, *rest):

@@ -201,6 +201,33 @@ class TestEngineSteps:
                    for bio in completed)
         assert (now, heap, events, commands, joins) == (32, 32, 16, 32, 16)
 
+    def test_degraded_one_unit_read_of_an_available_device(self, sim,
+                                                           monkeypatch):
+        """Device 2 lost: a read inside one unit of another device is one
+        command and no ``_ReadJoin``, as in a healthy array, and the
+        reconstruction of device 2's unit beside it still joins that
+        command instead of reading the same bytes again (the sharing
+        rule): four commands, one join, for the two reads."""
+        volume, devices, data = written_volume(sim)
+        lost = 2
+        volume.fail_device(lost)
+        stripe = next(s for s in range(16) if lost in
+                      volume.mapper.stripe_layout(0, s).data_devices)
+        index = volume.mapper.stripe_layout(0, stripe).data_devices.index(
+            lost)
+        other = stripe * STRIPE + (index + 1) % 4 * SU
+        bios = [Bio.read(other, SU), Bio.read(stripe * STRIPE + index * SU,
+                                              SU)]
+        reads = sum(dev.stats.reads for dev in devices if dev is not None)
+        now, heap, events, completed, commands, joins = run_counting_events(
+            sim, volume, bios, monkeypatch)
+        assert sorted(bytes(bio.result) for bio in completed) == sorted(
+            data[bio.offset:bio.offset + SU] for bio in bios)
+        assert (events, commands, joins) == (2, 4, 1)
+        assert volume.readpath.joined_reads == 1
+        assert sum(dev.stats.reads for dev in devices
+                   if dev is not None) - reads == 4
+
     def test_read_from_memory_completes_in_the_start_hop(self, sim):
         """A read served entirely from the stripe buffer touches no
         device and takes no hop beyond the start hop and its waiter."""

@@ -106,6 +106,10 @@ class F2FS:
         self._owners: Dict[int, Tuple[str, int]] = {}
         self.active: Dict[int, Optional[Segment]] = {
             self.NODE: None, self.DATA: None}
+        #: Where cleaning writes the blocks it migrates: a log head of its
+        #: own, kept from one cleaning to the next until it is full (a
+        #: fresh segment per victim strands the rest of the last one).
+        self._cleaned: Optional[Segment] = None
         #: Serializes segment rotation and cleaning across concurrent
         #: writers; the fast append path never takes it.
         self._alloc_lock = Lock(sim)
@@ -303,26 +307,28 @@ class F2FS:
             yield from self._migrate(victim)
 
     def _migrate(self, victim: Segment):
-        """Move every live block of ``victim`` to a fresh segment.
+        """Move every live block of ``victim`` to the cleaning log head.
 
-        Runs under the allocation lock, so it allocates destination
-        segments directly from the free list (the reserved segments
-        guarantee availability) instead of recursing into rotation.
+        Runs under the allocation lock, so it takes a new head directly
+        from the free list (the reserved segments guarantee availability)
+        instead of recursing into rotation.
         """
         live = [(lba, self._owners[lba])
                 for lba in range(victim.start, victim.start + victim.size,
                                  SECTOR_SIZE)
                 if lba in self._owners]
-        destination: Optional[Segment] = None
         for lba, (path, file_offset) in live:
-            if destination is None or destination.free_bytes == 0:
+            if self._cleaned is None:
                 if not self.free_segments:
                     raise F2FSError("no free segment for cleaning")
-                destination = self.segments[self.free_segments.pop(0)]
+                self._cleaned = self.segments[self.free_segments.pop(0)]
+            destination = self._cleaned
             bio = yield self.volume.submit(Bio.read(lba, SECTOR_SIZE))
             new_lba = destination.start + destination.write_offset
             destination.write_offset += SECTOR_SIZE
             destination.valid_bytes += SECTOR_SIZE
+            if destination.free_bytes == 0:
+                self._cleaned = None
             yield self.volume.submit(Bio.write(new_lba, bio.result))
             victim.valid_bytes -= SECTOR_SIZE
             self.gc_migrated_bytes += SECTOR_SIZE

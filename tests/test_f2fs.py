@@ -125,6 +125,28 @@ class TestCleaning:
             sim.run_process(fs.delete(name))
         assert sim.run_process(fs.read("keep", 0, len(keep))) == keep
 
+    def test_cleaning_migrates_live_blocks_out_of_dirty_segments(self, sim):
+        """Every segment holds live blocks of files that stay beside dead
+        versions of a file rewritten over and over, so no segment dies
+        whole: the free segments reach the reserve, cleaning migrates
+        the live blocks, and every file reads back its last bytes."""
+        volume, _devices = make_volume(sim, zone_capacity=256 * KiB)
+        fs = F2FS(sim, volume)
+        last = {}
+        for round_number in range(40):
+            keep = f"keep{round_number}"
+            fs.create(keep)
+            last[keep] = pattern(64 * KiB, seed=100 + round_number)
+            sim.run_process(fs.append(keep, last[keep]))
+            if fs.exists("hot"):
+                sim.run_process(fs.delete("hot"))
+            fs.create("hot")
+            last["hot"] = pattern(192 * KiB, seed=200 + round_number)
+            sim.run_process(fs.append("hot", last["hot"]))
+        assert fs.gc_migrated_bytes > 0
+        for path, data in last.items():
+            assert sim.run_process(fs.read(path, 0, len(data))) == data
+
     def test_out_of_space(self, sim):
         volume, _devices = make_volume(sim)
         fs = F2FS(sim, volume, reserved_segments=2)

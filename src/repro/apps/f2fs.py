@@ -128,17 +128,11 @@ class F2FS:
     def exists(self, path: str) -> bool:
         return path in self.files
 
-    def file_size(self, path: str) -> int:
-        return self._get(path).size
-
     def _get(self, path: str) -> File:
         try:
             return self.files[path]
         except KeyError:
             raise F2FSError(f"no such file: {path}") from None
-
-    def list_files(self) -> List[str]:
-        return sorted(self.files)
 
     # -- data path ------------------------------------------------------------------
 

@@ -40,11 +40,6 @@ class ArrayScale:
         return self.num_zones - self.num_metadata_zones
 
     @property
-    def raizn_usable(self) -> int:
-        """User-visible bytes of the RAIZN volume at this scale."""
-        return (self.num_devices - 1) * self.data_zones * self.zone_capacity
-
-    @property
     def conv_device_capacity(self) -> int:
         """Conventional device size matching RAIZN usable capacity."""
         return self.data_zones * self.zone_capacity

@@ -45,10 +45,6 @@ def enable_pool_poisoning(enabled: bool = True) -> None:
     _poison = enabled
 
 
-def pool_poisoning_enabled() -> bool:
-    return _poison
-
-
 class StripeBuffer:
     """Data of one in-flight stripe, filled strictly left to right.
 

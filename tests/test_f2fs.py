@@ -25,7 +25,7 @@ class TestNamespace:
         fs.create("a/b")
         assert fs.exists("a/b")
         assert not fs.exists("a/c")
-        assert fs.list_files() == ["a/b"]
+        assert sorted(fs.files) == ["a/b"]
 
     def test_duplicate_create_rejected(self, sim, fs):
         fs.create("x")
@@ -34,7 +34,7 @@ class TestNamespace:
 
     def test_missing_file_rejected(self, sim, fs):
         with pytest.raises(F2FSError):
-            fs.file_size("nope")
+            run(sim, fs.read("nope", 0, SECTOR_SIZE))
 
 
 class TestDataPath:
@@ -47,7 +47,7 @@ class TestDataPath:
     def test_append_pads_to_sector(self, sim, fs):
         fs.create("f")
         run(sim, fs.append("f", b"\x01" * 100))
-        assert fs.file_size("f") == SECTOR_SIZE
+        assert fs.files["f"].size == SECTOR_SIZE
 
     def test_multiple_appends_concatenate(self, sim, fs):
         fs.create("f")

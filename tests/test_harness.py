@@ -27,17 +27,20 @@ from repro.sim import Simulator
 from repro.units import KiB, MiB
 
 TINY = ArrayScale(num_zones=10, zone_capacity=1 * MiB)
+#: User-visible bytes of a RAIZN volume at TINY scale: D = 4 data units
+#: per stripe over its 7 data zones.
+TINY_USABLE = 4 * 7 * MiB
 
 
 class TestArrays:
     def test_make_raizn(self, sim):
         volume, devices = make_raizn(sim, TINY)
         assert len(devices) == 5
-        assert volume.capacity == TINY.raizn_usable
+        assert volume.capacity == TINY_USABLE
 
     def test_make_mdraid_matches_usable(self, sim):
         md, devices = make_mdraid(sim, TINY)
-        assert md.capacity == TINY.raizn_usable
+        assert md.capacity == TINY_USABLE
 
     def test_scales(self):
         assert TINY.data_zones == 7

@@ -20,12 +20,16 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.raizn import stripebuf
 from repro.raizn.config import RaiznConfig
-from repro.raizn.stripebuf import (StripeBuffer, enable_pool_poisoning,
-                                   pool_poisoning_enabled)
+from repro.raizn.stripebuf import StripeBuffer, enable_pool_poisoning
 from repro.raizn.volume import RaiznVolume
 from repro.sim import Simulator
 
 from conftest import make_zns_devices
+
+
+def pool_poisoning_enabled() -> bool:
+    """The process-wide poisoning switch, as the stripe buffers read it."""
+    return stripebuf._poison
 
 
 @pytest.fixture
@@ -96,8 +100,7 @@ class TestPoisonMechanics:
         env = dict(os.environ, REPRO_POISON_POOLS=value, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c",
-             "from repro.raizn.stripebuf import pool_poisoning_enabled; "
-             "print(pool_poisoning_enabled())"],
+             "from repro.raizn import stripebuf; print(stripebuf._poison)"],
             env=env, capture_output=True, text=True, check=True).stdout
         assert out.strip() == str(enabled)
 

@@ -99,7 +99,7 @@ def record_reconstructions(monkeypatch):
         rebuilt = yield from noting_errors(
             original(self, stripe, layout, su_index), errors)
         if not errors:
-            calls.append((self._missing_device() is not None, reach,
+            calls.append((self.missing is not None, reach,
                           len(rebuilt)))
         return rebuilt
 

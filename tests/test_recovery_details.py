@@ -12,7 +12,7 @@ from repro.raizn import RaiznConfig, RaiznVolume, mount
 from repro.raizn.mdzone import MetadataRole
 from repro.raizn.metadata import (MetadataEntry, MetadataType,
                                   encode_partial_parity)
-from repro.raizn.recovery import _Recovery
+from repro.raizn.recovery import _Chain, _ZoneContent
 from repro.raizn.writepath import WritePath
 from repro.sim import Simulator
 from repro.units import KiB
@@ -186,16 +186,19 @@ class TestDegradedMount:
         """In a zone with relocations the completing delta says stripe 1's
         on-device parity may be stale, but the chain does not reach back
         to the stripe's start: no parity to serve the missing unit from,
-        and the mount says so."""
-        volume, _devices = make_volume(sim, num_zones=8)
+        and the degraded walk says so when it settles the stripe."""
+        volume, devices = make_volume(sim, num_zones=8)
         volume.execute(Bio.write(0, pattern(2 * STRIPE, seed=10)))
         volume.zone_descs[0].has_relocations = True
         tail = encode_partial_parity(STRIPE + SU, 2 * STRIPE,
                                      volume.generation[0], 0, bytes(SU))
-        recovery = _Recovery(sim, [])
-        recovery.volume = volume
+        layout = volume.mapper.stripe_layout(0, 1)
+        extents = [None if index == layout.data_devices[0]
+                   else device.zones[0].write_pointer
+                   for index, device in enumerate(devices)]
+        walk = _ZoneContent(volume, 0, extents, {1: _Chain(STRIPE, [tail])})
         with pytest.raises(DataLossError, match="zone 0 stripe 1"):
-            recovery._relocated_parity_from_logs({0: {1: [tail]}})
+            sim.run_process(walk._settle_parity(1, layout, 2 * STRIPE))
 
     def test_degraded_mount_can_write(self, sim):
         volume, devices = make_volume(sim)
@@ -209,6 +212,37 @@ class TestDegradedMount:
         degraded.execute(Bio.write(STRIPE, more))
         got = degraded.execute(Bio.read(0, 2 * STRIPE)).result
         assert got == data + more
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 28: the degraded "
+                       "walk arms no stale unit (DESIGN decision 3)")
+    def test_a_degraded_rollback_keeps_its_stale_units_dead(self, sim):
+        """Stripe 1 is written whole and not flushed; the crash tears its
+        parity unit, and the device of its unit 0 is lost: the degraded
+        mount ends the zone at stripe 1 (no redundancy rebuilds unit 0),
+        with units 1-3's bytes stale on their devices past it.  A FUA
+        write then refills unit 0 only.  The next mount must not take
+        the stale units back as if they followed it."""
+        volume, devices = make_volume(sim, num_zones=8)
+        old = pattern(2 * STRIPE, seed=23)
+        volume.execute(Bio.write(0, old[:STRIPE]))
+        volume.execute(Bio.flush())
+        volume.execute(Bio.write(STRIPE, old[STRIPE:]))
+        layout = volume.mapper.stripe_layout(0, 1)
+        for index, device in enumerate(devices):
+            device.power_fail_to({zone.index: SU + SU // 2 if zone.index == 0
+                                  and index == layout.parity_device
+                                  else zone.write_pointer
+                                  for zone in device.zones})
+        for device in devices:
+            device.power_on()
+        presented = [None if index == layout.data_devices[0] else device
+                     for index, device in enumerate(devices)]
+        degraded = mount(sim, presented)
+        assert degraded.zone_info(0).write_pointer == STRIPE
+        new = pattern(SU, seed=24)
+        degraded.execute(Bio.write(STRIPE, new, BioFlags.FUA))
+        again = mount(sim, presented)
+        assert again.zone_info(0).write_pointer == STRIPE + SU
 
 
 
@@ -242,6 +276,60 @@ class TestRebuildReach:
         assert any(degraded for degraded, _reach, _got in reconstructions)
         assert [call for call in reconstructions if call[1] != call[2]] == []
         assert report["passed"]
+
+
+class TestUnitReaderFallbacks:
+    """Two fallbacks of mount's unit reads that no campaign-free test met
+    before: the one reader asking a device only for the gap before a
+    piece it holds, and a reconstruction whose parity read meets a
+    latent extent falling back to the partial-parity chain."""
+
+    def test_a_held_piece_leaves_only_the_gap_before_it_to_read(self, sim):
+        volume, devices = make_volume(sim, num_zones=8)
+        data = pattern(STRIPE, seed=21)
+        volume.execute(Bio.write(0, data))
+        volume.execute(Bio.flush())
+        reads = []
+        for dev in devices:
+            dev.add_hook("pre_apply", lambda dev, bio: reads.append(
+                (dev.name, bio.offset, bio.length)))
+        device = volume.mapper.stripe_layout(0, 0).data_devices[0]
+        extents = [dev.zones[0].write_pointer for dev in devices]
+        content = _ZoneContent(volume, 0, extents, {})
+        held, _error = sim.run_process(
+            content._read_unit(0, device, 8 * KiB, 16 * KiB))
+        whole, _error = sim.run_process(
+            content._read_unit(0, device, 0, 16 * KiB))
+        assert (held, whole) == (data[8 * KiB:16 * KiB], data[:16 * KiB])
+        name = devices[device].name
+        assert reads == [(name, 8 * KiB, 8 * KiB), (name, 0, 8 * KiB)]
+
+    def test_a_latent_parity_unit_falls_back_to_the_chain(self, sim):
+        """Stripe 0 is written one unit at a time, each logging its delta
+        but the last (the completing write puts the whole parity in
+        place), and never flushed.  The power cut keeps every cached byte
+        but unit 1's, and the parity unit has a latent extent.  A
+        healthy mount repairs unit 1: full parity reaches further, its
+        read fails, and the chain of the first three units rebuilds it —
+        without the fallback the repair falls short and the zone rolls
+        back to unit 1."""
+        volume, devices = make_volume(sim, num_zones=8)
+        data = pattern(STRIPE, seed=22)
+        for index in range(4):
+            volume.execute(Bio.write(index * SU, data[index * SU:
+                                                      (index + 1) * SU]))
+        layout = volume.mapper.stripe_layout(0, 0)
+        torn = layout.data_devices[1]
+        for index, device in enumerate(devices):
+            device.power_fail_to({zone.index: zone.write_pointer
+                                  for zone in device.zones
+                                  if zone.index or index != torn})
+        for device in devices:
+            device.power_on()
+        devices[layout.parity_device].mark_bad(0, 4 * KiB)
+        remounted = mount(sim, devices)
+        assert remounted.zone_info(0).write_pointer == STRIPE
+        assert remounted.execute(Bio.read(0, STRIPE)).result == data
 
 
 def tear_the_parity_of_a_completing_write(sim, torn_at, flags=BioFlags.FUA):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.raizn.address import AddressMapper
 from repro.raizn.config import RaiznConfig
@@ -250,11 +250,12 @@ def _stripe_frontier(array: _Array, zone: int, stripe: int,
     for lba in range(0, len(want), SECTOR_SIZE):
         index, offset = divmod(lba, su)
         own, valid, _bad = units[index]
-        if valid[offset // SECTOR_SIZE] and \
-                own[offset:offset + SECTOR_SIZE] == want[lba:lba + SECTOR_SIZE]:
-            derived.add((index, offset // SECTOR_SIZE))
+        sector = offset // SECTOR_SIZE
+        if valid[sector] and own[offset:offset + SECTOR_SIZE] == \
+                want[lba:lba + SECTOR_SIZE]:
+            derived.add((index, sector))
         else:
-            todo.append((index, offset // SECTOR_SIZE))
+            todo.append((index, sector))
     sources = array.parity_sources(zone, stripe) if todo else []
     while todo:
         found = [target for target in todo if any(

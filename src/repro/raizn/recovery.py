@@ -91,6 +91,10 @@ class _Chain:
         if normals and ckpts:
             last = max(ckpts, key=lambda e: e.end_lba)
             if _Chain(lba, normals).coverage() < last.end_lba:
+                # The deltas the checkpoint stands in for went with the
+                # reclaimed zone, and it already holds the one appended
+                # behind it (the append that found the zone full): the
+                # checkpoint is the chain's head, not the duplicate.
                 entries = [last] + [
                     n for n in normals if n.start_lba >= last.end_lba]
             else:
@@ -127,6 +131,11 @@ class _Chain:
         survive pollutes the parity from that sibling's extent on (§5.1:
         data past missing data is discarded), so a longer prefix does not
         always rebuild more: keep the best prefix before the first gap."""
+        # Polluted parity positions fall under §5.1's rollback rule (data
+        # at or past missing data is discarded) and cannot be cancelled
+        # out of the XOR: a late multi-SU delta can wipe out positions an
+        # earlier single-SU prefix rebuilt exactly.  So scan the prefixes,
+        # tracking coverage and the first polluted parity offset.
         best, best_end = 0, self.lba
         coverage, first_polluted = self.lba, su
         for start, stop in self.spans:
@@ -258,9 +267,11 @@ class _Recovery:
     @staticmethod
     def _scan_device(dev: ZNSDevice):
         """Read ``dev``'s metadata zones (its last ``num_metadata_zones``)
-        from the top down, each once: the first superblock met says where
-        they end.  Returns it and, top zone first, ``(zone index,
-        entries, bytes read)`` of each zone read."""
+        from the top down, each once.  The general zone always holds a
+        superblock (written at format time, re-checkpointed by every
+        metadata GC), so the first one met says where they end.  Returns
+        it and, top zone first, ``(zone index, entries, bytes read)`` of
+        each zone read."""
         superblock, zones = None, []
         for index in range(dev.num_zones - 1, -1, -1):
             if superblock is not None and \
@@ -332,9 +343,13 @@ class _Recovery:
 
     def _ingest_partial_parity(self) -> Dict[int, Dict[int, _Chain]]:
         """Each zone's partial-parity chains by stripe.  A whole-stripe
-        entry is the cumulative relocated-parity shape, self-contained
-        full parity and not a delta (DESIGN decision 10): it goes to the
-        relocated-parity map the read path prefers."""
+        entry is the cumulative relocated-parity shape (logged when a
+        complete stripe's parity unit could not be written in place, and
+        re-emitted by the metadata-GC checkpoint): self-contained full
+        parity, not a delta (DESIGN decision 10).  In the delta chain it
+        would double-count any surviving deltas, and the duplicate rule
+        would drop the checkpointed copy whenever one delta survives, so
+        it goes to the relocated-parity map the read path prefers."""
         volume = self.volume
         width, su = volume.mapper.stripe_width, volume.config.stripe_unit_bytes
         grouped: Dict[int, Dict[int, List[MetadataEntry]]] = {}
@@ -397,8 +412,9 @@ class _Recovery:
             return
         if not any(extents) and (reset_logged or (
                 not chains and not desc.has_relocations)):
-            # Nothing in place, logged or relocated (a zone whose data
-            # sits only in the logs goes the long way).
+            # Nothing in place, logged or relocated.  A zone whose data
+            # sits only in the logs (its one unit on the lost device, or
+            # every member worn out) goes the long way.
             desc.reset()
             return
 
@@ -424,11 +440,12 @@ class _Recovery:
 
     def _audit_relocated_parity(self):
         """Healthy mount: the true parity of every complete stripe in a
-        zone with relocations, where a rollback can have left a re-filled
-        stripe's parity unit stale (DESIGN decision 2), recomputed from
-        the data; a mismatch is recorded as relocated parity, which the
-        compaction below persists.  A degraded mount reads the logs
-        instead, in its stripe walk (``_settle_parity``)."""
+        zone with relocations, recomputed from the data.  A rollback can
+        have left a re-filled stripe's parity unit stale (DESIGN decision
+        2), and ZNS forbids overwriting it; a mismatch is recorded as
+        relocated parity, which the compaction below persists.  A
+        degraded mount cannot recompute (its reads depend on parity) and
+        reads the logs instead, in its stripe walk (``_settle_parity``)."""
         volume = self.volume
         if len(volume._alive_devices()) < len(volume.devices):
             return
@@ -474,11 +491,14 @@ class _Recovery:
                     yield from write_back(volume, index, zone, bytes(copy))
 
     def _flush_repairs(self):
-        """Make every repair durable before the metadata is finalized: the
-        rebuilt persistence bitmaps already count on them, and compaction
-        resets device N's old metadata zones before device N+1's repairs
-        would be flushed (generation maintenance may not compact at all),
-        so a crash in between would lose them."""
+        """Make every repair durable before the metadata is finalized.
+        Stripe repairs and parity heals are plain cached writes, yet the
+        rebuilt persistence bitmaps already count on them.  Compaction
+        flushes each device as a side effect, but it resets device N's
+        old metadata zones before device N+1's repairs are flushed, and
+        generation maintenance may not compact at all: a second crash
+        mid-finalization could lose repairs the next mount counts on.
+        One all-device barrier closes that window."""
         volume = self.volume
         events = [volume.devices[index].submit(Bio.flush())
                   for index in volume._alive_devices()]
@@ -610,6 +630,10 @@ class _ZoneContent:
             if error is None:
                 out[lo:hi] = data
                 continue
+            # A latent extent no scrub healed before the crash: rebuild
+            # the unit from redundancy rather than fail the mount (the
+            # read path re-heals the extent later).  A second fault in the
+            # stripe is beyond single parity.
             key = (stripe, su_index)
             if key in self._repairing:
                 raise error
@@ -666,8 +690,9 @@ class _ZoneContent:
         (``_rebuild_reach``); one short of the walk's end is a hole.  A
         healthy mount repairs a hole from parity or rolls back to it
         (``_roll_back``); on a degraded mount it is the zone's end (§5.1:
-        bytes past a gap were never flush-acknowledged).  Every complete
-        stripe the walk passes gets its parity settled."""
+        bytes past a gap were never flush-acknowledged: a flush ack needs
+        every piece durable).  Every complete stripe the walk passes gets
+        its parity settled."""
         volume = self.volume
         end = self._walk_end()
         for stripe in range(-(-(end - self.zone_start) // self.width)):
@@ -724,8 +749,9 @@ class _ZoneContent:
 
     def _repair_stripe(self, stripe: int, layout, shorts, end: int):
         """Healthy mount: rebuild the one short data unit of ``stripe`` and
-        write it back at its device's write pointer.  False when it cannot
-        be: two holes, a relocated one (no writable hole to repair into),
+        write it back at its device's write pointer, which is where the
+        hole is.  False when it cannot be: two holes (beyond single
+        parity), a relocated one (no writable hole to repair into),
         a sibling's latent extent (the torn bytes were never durable), or
         a rebuild that falls short."""
         if len(shorts) > 1 or shorts[0][1] in self.volume.relocations:
@@ -743,9 +769,11 @@ class _ZoneContent:
         return True
 
     def _roll_back(self, wp: int):
-        """The one rollback: the zone ends at ``wp``, and every stale unit
-        past it gets a persisted relocation marker, so a second crash
-        cannot resurrect its bytes (§5.2, DESIGN decision 3)."""
+        """The one rollback: the zone ends at ``wp``.  Bytes persisted past
+        it can never be served again (ZNS forbids overwriting them in
+        place), so every stale unit past it gets a persisted relocation
+        marker, and a second crash cannot resurrect its bytes (§5.2,
+        DESIGN decision 3)."""
         volume = self.volume
         self.logical_wp = wp
         written = max((e for e in self.extents if e is not None), default=0)
@@ -758,23 +786,27 @@ class _ZoneContent:
                         su_lba in volume.relocations:
                     continue  # valid, nothing stale there, or armed
                 volume.relocations.unit_for(su_lba, device, self.zone)
+                entry = encode_relocated_su(su_lba, b"",
+                                            volume.generation[self.zone])
                 events.append(volume.sim.process(volume.mdzones[device].append(
-                    MetadataRole.GENERAL, encode_relocated_su(
-                        su_lba, b"", volume.generation[self.zone]),
-                    fua=True)))
+                    MetadataRole.GENERAL, entry, fua=True)))
         if events:
             yield volume.sim.all_of(events)
 
     def _settle_parity(self, stripe: int, layout, end: int):
         """Settle the parity of a fully-written stripe.  A torn parity SU
-        (DESIGN decision 5) is completed in place on a healthy mount, and
-        recorded as relocated parity on a degraded one, which the read
-        path prefers over the torn copy.  A degraded mount also takes the
-        true parity of a stripe in a zone with relocations (a rollback can
-        have left its parity unit stale, decision 2) from a chain that
-        reaches the stripe's end.  A chain with a gap cannot give it, and
-        the missing unit is lost: say so rather than serve it from a
-        stale copy."""
+        (DESIGN decision 5) would block later writes to its device's zone,
+        whose write pointer sits mid-unit: it is completed in place on a
+        healthy mount, and recorded as relocated parity on a degraded
+        one, which the read path prefers over the torn copy.  A degraded
+        mount also takes the true parity of a stripe in a zone with
+        relocations (a rollback can have left its parity unit stale,
+        decision 2) from a chain that reaches the stripe's end.  A chain
+        with a gap cannot give it, and the missing unit is lost: say so
+        rather than serve it from a stale copy.  The relocations are
+        those the scan found: a relocation this mount's ``_salvage`` adds
+        later rolls back into the incomplete tail stripe only, and leaves
+        every complete stripe's parity unit as it was."""
         volume = self.volume
         stripe_end = self.zone_start + (stripe + 1) * self.width
         parity_extent = self._su_extent(stripe, layout.parity_device) or 0
@@ -800,7 +832,8 @@ class _ZoneContent:
                 != stripe * self.su + parity_extent or not volume.phys[
                     layout.parity_device][self.zone].state.is_writable:
             # Whole; or the device holds (stale) data beyond this parity
-            # SU, or its zone wore out: the parity audit records it.
+            # SU, or its zone wore out: it cannot be appended in place,
+            # and the parity audit records the true parity instead.
             return
         parity = yield from self._stripe_parity(stripe, layout)
         yield from self._append(layout.parity_device, stripe, parity_extent,
@@ -812,15 +845,17 @@ class _ZoneContent:
         return full_stripe_parity(data, self.volume.config.num_data)
 
     def _stripe_data(self, stripe: int, layout, fill: int, torn=None):
-        """Process-style: the first ``fill`` bytes of ``stripe``'s data,
-        the missing device's unit rebuilt from redundancy (or
-        ``RecoveryError`` when it falls short).  With ``torn``
+        """Process-style: the first ``fill`` bytes of ``stripe``'s data.
+        The missing device's unit is rebuilt from redundancy (or
+        ``RecoveryError`` when it falls short); in a complete stripe, only
+        where its relocation unit does not hold it whole.  With ``torn``
         a list, a live unit's media error goes there as ``(index, device,
         bytes wanted, error)`` and None is returned."""
         data = bytearray(fill)
         for i, device in enumerate(layout.data_devices[:-(-fill // self.su)]):
             take = min(self.su, fill - i * self.su)
-            if device == self.missing:
+            if device == self.missing and (fill < self.width or (
+                    self._data_extent(stripe, i, device) or 0) < self.su):
                 chunk = yield from self._reconstruct_su(stripe, layout, i)
                 if len(chunk) < take:
                     raise RecoveryError(f"zone {self.zone} stripe {stripe}: "
@@ -857,6 +892,13 @@ class _ZoneContent:
         if full_parity and (
                 (self.zone, stripe) in self.volume.relocated_parity or
                 self._su_extent(stripe, layout.parity_device) == self.su):
+            # Full parity is computed over a completely written stripe: a
+            # sibling shorter than the unit lost real bytes to a rollback,
+            # and the zeroes ``_read_su_prefix`` pads it with are not what
+            # went into the parity (§5.1's "treated as zeroes" holds for
+            # partial parity only, computed over zero-padded buffers).  So
+            # it is exact up to the shortest sibling; the shorter reach
+            # makes ``_repair_stripe`` roll back rather than write garbage.
             full = min(haves.values(), default=self.su)
             if full >= prefix:
                 return full, None
@@ -875,6 +917,8 @@ class _ZoneContent:
             # on-device parity SU, if any, holds stale bytes.
             parity = volume.relocated_parity.get((self.zone, stripe))
             if parity is None:
+                # A latent extent under the parity unit is tolerated: the
+                # chain may still rebuild the unit.
                 parity, error = yield from self._read_unit(
                     stripe, layout.parity_device, 0, self.su)
                 if error is not None:
@@ -892,17 +936,20 @@ class _ZoneContent:
         for j, other in enumerate(layout.data_devices):
             su_covered = max(0, min(self.su, covered - j * self.su))
             if j != su_index and su_covered:
-                xor_into(acc, (yield from self._read_su_prefix(
-                    stripe, j, other, su_covered)))
+                data = yield from self._read_su_prefix(stripe, j, other,
+                                                       su_covered)
+                xor_into(acc, data)
         return bytes(acc[:reach])
 
     # The tail ------------------------------------------------------------------
 
     def _load_tail(self):
-        """Reload the stripe buffer of an incomplete tail stripe.  A live
-        unit that neither its media nor redundancy serves whole is a torn
-        tail: the zone rolls back over it (``_salvage``) and loads the new
-        tail."""
+        """Reload the stripe buffer of an incomplete tail stripe: writes
+        that complete the stripe compute its full parity from it, and
+        degraded reads of the tail are served from it.  A live unit that
+        neither its media nor redundancy serves whole is a torn tail: the
+        zone rolls back over it (``_salvage``) and loads the new tail,
+        whose salvaged unit its relocation unit now serves."""
         while (self.logical_wp - self.zone_start) % self.width:
             stripe, fill = divmod(self.logical_wp - self.zone_start,
                                   self.width)
@@ -920,10 +967,13 @@ class _ZoneContent:
     def _salvage(self, stripe: int, layout, su_index: int, device: int,
                  take: int, error: MediaError):
         """Roll back over a torn tail unit, a latent extent the rebuild does
-        not cover: bytes never durably acknowledged.  Its longest genuine
-        prefix — the clean bytes before the extent ``error`` names, or the
-        rebuild, whichever is longer — goes to a persisted relocation
-        unit, and the zone ends there."""
+        not cover.  Those bytes were never durably acknowledged: a FUA or
+        flush ack needs the covering partial parity durable first, so an
+        acked byte of the unit is rebuildable.  Its longest genuine prefix
+        — the clean bytes before the extent ``error`` names (the media is
+        untrustworthy past its start; an error from another device names
+        none on this one), or the rebuild, whichever is longer — goes to a
+        persisted relocation unit, and the zone ends there."""
         volume = self.volume
         su_lba = volume.mapper.su_lba(self.zone, stripe, su_index)
         try:
@@ -939,10 +989,11 @@ class _ZoneContent:
             if error is not None:
                 raise error
         if content:
-            volume.relocations.unit_for(su_lba, device, self.zone).write(
-                su_lba, content)
+            unit = volume.relocations.unit_for(su_lba, device, self.zone)
+            unit.write(su_lba, content)
+            entry = encode_relocated_su(su_lba, content,
+                                        volume.generation[self.zone])
             yield from volume.mdzones[device].append(
-                MetadataRole.GENERAL, encode_relocated_su(
-                    su_lba, content, volume.generation[self.zone]), fua=True)
+                MetadataRole.GENERAL, entry, fua=True)
             self.relocated = True
         yield from self._roll_back(su_lba + len(content))

@@ -12,6 +12,7 @@ from repro.raizn import RaiznConfig, RaiznVolume, mount
 from repro.raizn.mdzone import MetadataRole
 from repro.raizn.metadata import (MetadataEntry, MetadataType,
                                   encode_partial_parity)
+from repro.raizn.parity import full_stripe_parity
 from repro.raizn.recovery import _Chain, _ZoneContent
 from repro.raizn.writepath import WritePath
 from repro.sim import Simulator
@@ -199,6 +200,29 @@ class TestDegradedMount:
         walk = _ZoneContent(volume, 0, extents, {1: _Chain(STRIPE, [tail])})
         with pytest.raises(DataLossError, match="zone 0 stripe 1"):
             sim.run_process(walk._settle_parity(1, layout, 2 * STRIPE))
+
+    def test_a_missing_unit_held_whole_in_its_relocation_unit_gives_parity(
+            self, sim):
+        """Stripe 1's unit 0 sits whole in its relocation unit, its device
+        is missing from the walk, and the stripe's parity unit is torn,
+        with no chain or relocated parity: redundancy rebuilds none of
+        unit 0.  Settling the torn parity reads unit 0 from its relocation
+        unit and records the stripe's true parity."""
+        volume, devices = make_volume(sim, num_zones=8)
+        data = pattern(2 * STRIPE, seed=25)
+        volume.execute(Bio.write(0, data))
+        volume.execute(Bio.flush())
+        layout = volume.mapper.stripe_layout(0, 1)
+        lost, parity = layout.data_devices[0], layout.parity_device
+        volume.relocations.unit_for(STRIPE, lost, 0).write(
+            STRIPE, data[STRIPE:STRIPE + SU])
+        extents = [None if index == lost else SU + SU // 2 if index == parity
+                   else device.zones[0].write_pointer
+                   for index, device in enumerate(devices)]
+        walk = _ZoneContent(volume, 0, extents, {})
+        sim.run_process(walk._settle_parity(1, layout, 2 * STRIPE))
+        assert volume.relocated_parity[(0, 1)] == full_stripe_parity(
+            data[STRIPE:], volume.config.num_data)
 
     def test_degraded_mount_can_write(self, sim):
         volume, devices = make_volume(sim)

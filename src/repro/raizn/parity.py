@@ -71,11 +71,16 @@ def stripe_parity(data_units: Iterable[bytes], unit_size: int) -> bytes:
     return np.bitwise_xor.reduce(stack, axis=0).tobytes()
 
 
-def fold(accumulator: Optional[np.ndarray], data) -> np.ndarray:
+def fold(accumulator: Optional[np.ndarray], data, into=None) -> np.ndarray:
     """XOR ``data`` into ``accumulator`` in place and return it; the first
-    fold (``accumulator`` None) copies ``data``.  A fold reads ``data``
-    once, so a device read's view need not outlive its completion."""
+    fold (``accumulator`` None) copies ``data``, into the writable buffer
+    ``into`` of its length if one is given.  A fold reads ``data`` once,
+    so a device read's view need not outlive its completion."""
     source = np.frombuffer(data, dtype=np.uint8)
     if accumulator is None:
-        return source.copy()
+        if into is None:
+            return source.copy()
+        accumulator = np.frombuffer(into, dtype=np.uint8)
+        accumulator[:] = source
+        return accumulator
     return np.bitwise_xor(accumulator, source, out=accumulator)

@@ -36,6 +36,7 @@ from ..trace.tracer import SITE_BITS
 from . import config
 from .parity import fold
 from .relocation import unit_sources
+from .stripebuf import take
 from .zonedesc import LogicalZoneDesc
 
 if TYPE_CHECKING:
@@ -125,16 +126,23 @@ class Reconstruction:
     bytes of the lost device from ``start`` on, folded into
     ``accumulator``; ``then(reconstruction, exc)`` runs once, when every
     source is in (``exc`` None) or one hop after the first survivor read
-    that fails for good (a fault on a survivor is a double fault)."""
+    that fails for good (a fault on a survivor is a double fault).  A
+    ``pooled`` one folds into ``array``, taken from the stripe buffers'
+    pool (``stripebuf.take``) when its first bytes arrive; the rebuild
+    gives it back once the replacement write is submitted, and an array
+    never given back is merely collected."""
 
     __slots__ = ("then", "context", "parent", "start", "length",
-                 "accumulator", "pending", "units", "logical")
+                 "accumulator", "pooled", "array", "pending", "units",
+                 "logical")
 
     def __init__(self, then: Callable, context, parent: int, start: int,
-                 length: int):
+                 length: int, pooled: bool = False):
         self.then, self.context, self.parent = then, context, parent
         self.start, self.length = start, length
         self.accumulator: Optional[np.ndarray] = None
+        self.pooled = pooled
+        self.array: Optional[bytearray] = None
         self.pending = 1  # held by the fan-out, as in _ReadJoin
         #: What a standalone reconstruction counts in ``volume.stats``.
         self.units = self.logical = 0
@@ -143,10 +151,27 @@ class Reconstruction:
         accumulator = self.accumulator
         if accumulator is None:
             if not offset and len(data) == self.length:
-                self.accumulator = fold(None, data)   # copied, not XOR-ed
+                # Copied, not XOR-ed.
+                self.accumulator = fold(None, data, self._take())
                 return
-            accumulator = self.accumulator = np.zeros(self.length, np.uint8)
+            accumulator = self.accumulator = self.zeros()
         fold(accumulator[offset:offset + len(data)], data)
+
+    def _take(self) -> Optional[bytearray]:
+        """The array a pooled accumulator lies over: taken only now, so a
+        run whose reads are still out holds none."""
+        if self.pooled:
+            self.array = take(self.length)
+        return self.array
+
+    def zeros(self) -> np.ndarray:
+        """A zeroed accumulator: over ``array`` if pooled."""
+        array = self._take()
+        if array is None:
+            return np.zeros(self.length, np.uint8)
+        accumulator = np.frombuffer(array, np.uint8)
+        accumulator.fill(0)
+        return accumulator
 
 
 class ReadPath:
@@ -585,7 +610,7 @@ class ReadPath:
         recon = Reconstruction(
             then, context, parent,
             zone * volume.phys_zone_size + stripe * su + lo,
-            (units - 1) * su + hi - lo)
+            (units - 1) * su + hi - lo, standalone)
         stripes = range(stripe, stripe + units)
         relocated = desc.has_relocations
         for s in stripes:
@@ -680,7 +705,7 @@ class ReadPath:
 
     def _settled(self, recon: Reconstruction) -> None:
         if recon.accumulator is None:   # no source had bytes to give
-            recon.accumulator = np.zeros(recon.length, np.uint8)
+            recon.accumulator = recon.zeros()
         if recon.logical:
             self.volume.stats.reads += recon.units
             self.volume.stats.bytes_read += recon.logical

@@ -31,6 +31,7 @@ from ..zns.device import ZNSDevice
 from ..zns.spec import ZoneState
 from .mdzone import DeviceMetadataZones, MetadataRole
 from .parity import full_stripe_parity
+from .stripebuf import give
 from .volume import RaiznVolume, RebuildState
 
 
@@ -141,20 +142,24 @@ def _device_target_extent(volume: RaiznVolume, index: int, zone: int,
     return extent
 
 
-#: Stripe units per survivor command of a run (md's resync reads eight):
-#: four or eight lifted ``degraded_rebuild``'s peak RSS 7 % (fuller slots).
-RUN_UNITS = 2
+#: The most stripe units per survivor command of a run (md's resync reads
+#: eight).  A run's array is pooled (``stripebuf.take``) from its first
+#: survivor bytes to its replacement write: four units leave 8 arrays of
+#: 256 KiB in ``degraded_rebuild``'s pool, +0.5 % peak RSS; eight would
+#: leave arrays of 512 KiB, a size no stripe buffer shares.
+RUN_UNITS = 4
 
 
 class ZoneStream:
     """What device ``index`` should hold in physical zone ``zone``,
     regenerated in stripe order with read-ahead: the one implementation
     shared by rebuild (to the replacement) and the §5.2 zone rewrite (to
-    the same device).  Up to :data:`RUN_UNITS` lost units in a row
+    the same device).  Up to :attr:`run_units` lost units in a row
     (:meth:`_plain`) are a run, one standalone
-    :meth:`~repro.raizn.readpath.ReadPath.reconstruct`; any other unit is
-    a logical read (its LBA range for data, the whole stripe XORed for
-    parity).  Every unit is the logical read it stands for in
+    :meth:`~repro.raizn.readpath.ReadPath.reconstruct` whose chunk is a
+    pooled ``bytearray`` (:class:`_ZoneJob` gives it back); any
+    other unit is a logical read (its LBA range for data, the whole stripe
+    XORed for parity).  Every unit is the logical read it stands for in
     ``volume.stats``.  The stream follows the logical write pointer: once
     caught up, a later :meth:`next_chunk` picks up what writes added.
     """
@@ -169,9 +174,13 @@ class ZoneStream:
         self.position = 0
         self._others = [d for d in range(len(volume.devices)) if d != index]
         # Either way the chunks are headed for the device in slot
-        # ``index``; its channels size the window.
-        self.reads = ReadAhead(
-            self._issue, volume.devices[index].model.saturating_depth)
+        # ``index``: its channels size the window, and a run is the
+        # zone's units over a full window, one to RUN_UNITS of them.
+        depth = volume.devices[index].model.saturating_depth
+        self.reads = ReadAhead(self._issue, depth)
+        units = volume.phys_zone_capacity // volume.config.stripe_unit_bytes
+        #: Stripe units per run.
+        self.run_units = max(1, min(units // depth, RUN_UNITS))
 
     def _plain(self, stripe: int, wp: int) -> bool:
         """The device unavailable for the zone, ``stripe`` complete below
@@ -222,7 +231,7 @@ class ZoneStream:
             return volume.submit(bio)
         # Plain stripes lie inside the extent; a mid-unit resume runs alone.
         units = 1
-        while not in_unit and units < RUN_UNITS \
+        while not in_unit and units < self.run_units \
                 and self._plain(stripe + units, wp):
             units += 1
         self.issued += units * su - in_unit
@@ -255,7 +264,7 @@ class ZoneStream:
             return
         if span is not None:
             self.volume.tracer.record_root(*span, recon.logical)
-        run.succeed(recon.accumulator.data)
+        run.succeed(recon.array)
 
     def next_chunk(self):
         """Process-style: the next chunk in zone order, or ``None``
@@ -393,6 +402,10 @@ class _ZoneJob:
             writes.append(device.submit(Bio.write(zone_pba + position,
                                                   chunk)))
             state.bytes_rebuilt += len(chunk)
+            if type(chunk) is bytearray:
+                # A run's (a logical read's chunk is bytes): the device
+                # copied it into its media at submit.
+                give(chunk)
         desc = volume.zone_descs[self.zone]
         pdesc = volume.phys[state.device_index][self.zone]
         pdesc.write_pointer = zone_pba + stream.position

@@ -18,23 +18,26 @@ import numpy as np
 from ..errors import RaiznError
 from .parity import full_stripe_parity, xor_into
 
-#: Recycled stripe-width backing arrays, keyed by width.  Zeroing a fresh
-#: multi-hundred-KiB bytearray per stripe dominated buffer cost, so arrays
-#: are reused WITHOUT re-zeroing: every read of a buffer (``full_parity``,
+#: Recycled backing arrays, keyed by size: stripe buffers' (a stripe's
+#: width) and standalone reconstructions' (a rebuild run's units, see
+#: ``readpath.Reconstruction``).  Zeroing a fresh multi-hundred-KiB
+#: bytearray per stripe dominated buffer cost, so arrays are reused
+#: WITHOUT re-zeroing: every read of a buffer (``full_parity``,
 #: ``data_unit``, and the volume's tail-stripe read paths, which only
-#: serve written LBAs) is bounded by ``fill_end``, so stale bytes past the
-#: fill can never be observed.  Process-wide on purpose — arrays carry no
-#: identity beyond their size.
+#: serve written LBAs) is bounded by ``fill_end``, and a run copies its
+#: first source over its whole array, or zeroes it, before it folds the
+#: rest, so stale bytes can never be observed.  Process-wide on purpose —
+#: arrays carry no identity beyond their size.
 _free_arrays: Dict[int, List[bytearray]] = {}
 _FREE_ARRAYS_MAX = 64
 
 #: Pool poisoning (the audit mode for the no-re-zeroing contract above):
 #: when enabled, every array is filled with 0xA5 as it returns to the
 #: pool, so any accessor that reads past ``fill_end`` of a recycled
-#: buffer produces loud garbage instead of silently-zero bytes that
-#: happen to match the §5.1 zero-padding rule.  Enabled process-wide via
-#: the ``REPRO_POISON_POOLS`` environment variable or
-#: :func:`enable_pool_poisoning`.
+#: buffer, or a run's chunk after its return, produces loud garbage
+#: instead of silently-zero bytes that happen to match the §5.1
+#: zero-padding rule.  Enabled process-wide via the ``REPRO_POISON_POOLS``
+#: environment variable or :func:`enable_pool_poisoning`.
 _POISON_BYTE = 0xA5
 _poison = os.environ.get("REPRO_POISON_POOLS", "") not in ("", "0")
 
@@ -43,6 +46,23 @@ def enable_pool_poisoning(enabled: bool = True) -> None:
     """Turn 0xA5 poisoning of recycled arrays on (or off) process-wide."""
     global _poison
     _poison = enabled
+
+
+def take(size: int) -> bytearray:
+    """An array of ``size`` bytes from the pool, its contents unspecified."""
+    free = _free_arrays.get(size)
+    return free.pop() if free else bytearray(size)
+
+
+def give(data: bytearray) -> None:
+    """Return ``data`` to the pool; nothing may read it afterwards."""
+    free = _free_arrays.setdefault(len(data), [])
+    if len(free) < _FREE_ARRAYS_MAX:
+        if _poison:
+            # Audit mode: fill the released array with 0xA5 so stale
+            # reads of the next owner are unmistakable.
+            data[:] = bytes([_POISON_BYTE]) * len(data)
+        free.append(data)
 
 
 class StripeBuffer:
@@ -63,21 +83,13 @@ class StripeBuffer:
         self.su = su
         #: Data bytes per stripe.
         self.width = num_data * su
-        free = _free_arrays.get(num_data * su)
-        self.data = free.pop() if free else bytearray(num_data * su)
+        self.data = take(self.width)
         #: Bytes filled from the start of the stripe (writes are sequential).
         self.fill_end = 0
 
     def recycle(self) -> None:
         """Return the backing array to the pool; the buffer dies here."""
-        data = self.data
-        free = _free_arrays.setdefault(len(data), [])
-        if len(free) < _FREE_ARRAYS_MAX:
-            if _poison:
-                # Audit mode: fill the released array with 0xA5 so stale
-                # reads of the next owner are unmistakable.
-                data[:] = bytes([_POISON_BYTE]) * len(data)
-            free.append(data)
+        give(self.data)
         self.data = b""
 
     @property

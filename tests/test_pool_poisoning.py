@@ -1,11 +1,14 @@
-"""Pool-poisoning audit mode (stripe-buffer recycling contract).
+"""Pool-poisoning audit mode (the recycled-array contract).
 
-Recycled stripe-buffer backing arrays are reused WITHOUT re-zeroing;
-every accessor must bound itself by ``fill_end``.  Poison mode fills
-released arrays with 0xA5 so a stale read produces loud garbage instead
-of coincidental zeroes.  These tests check the mechanics of the mode
-itself plus the contract it audits: a buffer built on a poisoned pooled
-array is observationally identical to a fresh zero-backed one.
+Recycled arrays — stripe buffers' and the rebuild's run accumulators —
+are reused WITHOUT re-zeroing; every stripe-buffer accessor must bound
+itself by ``fill_end``, and a run's array must not be read after it is
+given back.  Poison mode fills released arrays with 0xA5 so a stale read
+produces loud garbage instead of coincidental zeroes.  These tests check
+the mechanics of the mode itself plus the contract it audits: a buffer
+built on a poisoned pooled array is observationally identical to a fresh
+zero-backed one, and a rebuild whose runs fold into poisoned arrays
+writes the lost device's bytes.
 """
 
 from __future__ import annotations
@@ -18,13 +21,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.raizn import stripebuf
+from repro.block import Bio
+from repro.faults import fresh_replacement
+from repro.raizn import rebuild, stripebuf
 from repro.raizn.config import RaiznConfig
 from repro.raizn.stripebuf import StripeBuffer, enable_pool_poisoning
 from repro.raizn.volume import RaiznVolume
 from repro.sim import Simulator
+from repro.units import MiB
 
-from conftest import make_zns_devices
+from conftest import TEST_STRIPE_UNIT, make_zns_devices, pattern
+from test_raizn_degraded_rebuild import (_relocation_units,
+                                         assert_rebuilt_exactly,
+                                         multi_zone_volume)
 
 
 def pool_poisoning_enabled() -> bool:
@@ -116,6 +125,34 @@ class TestPoisonMechanics:
         finally:
             enable_pool_poisoning(prior)
             _drain_pool()
+
+
+@pytest.mark.parametrize("relocated", [False, True])
+def test_rebuild_runs_from_poisoned_arrays(poison, relocated):
+    """4 MiB device zones: the rebuild reads runs of four units, each
+    folded into an array of a stripe's width taken from the pool the
+    stripe buffers share, and given back once the replacement's write is
+    submitted.  With device 3's zone 2 worn out, and three more stripes
+    written, zone 2's second run folds relocation units from memory
+    first, into a zeroed pooled array.  The replacement holds the lost
+    device's bytes either way."""
+    sim = Simulator()
+    volume, devices, data = multi_zone_volume(sim, zone_capacity=4 * MiB)
+    if relocated:
+        data += _relocation_units(volume, devices)
+        more = pattern(4 * TEST_STRIPE_UNIT, seed=43)
+        volume.execute(Bio.write(len(data), more))
+        data += more
+    volume.fail_device(0)
+    replacement = fresh_replacement(sim, devices[1], "new")
+    run = 4 * TEST_STRIPE_UNIT
+    for _ in range(16):   # a window's worth: every run folds into one
+        stripebuf.give(bytearray(run))
+    rebuild(sim, volume, 0, replacement)
+    assert stripebuf._free_arrays[run]
+    assert all(bytes(array) == b"\xa5" * run
+               for array in stripebuf._free_arrays[run])
+    assert_rebuilt_exactly(volume, devices[0], replacement, data)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,14 +16,17 @@ from repro.raizn.readpath import ReadPath
 from repro.raizn.rebuild import rebuild_process
 from repro.trace import MetricsRegistry
 from repro.sim import Simulator
-from repro.units import KiB
+from repro.units import KiB, MiB
 from repro.zns import ZNSDevice, ZoneState
 
-from conftest import (TEST_STRIPE_UNIT, make_volume, make_zns_devices,
-                      pattern)
+from conftest import (TEST_STRIPE_UNIT, TEST_ZONE_CAPACITY, make_volume,
+                      make_zns_devices, pattern)
 
 SU = TEST_STRIPE_UNIT
 STRIPE = 4 * SU
+#: Device zones whose rebuild reads runs of two units: 32 units over the
+#: replacement's 16-command window.
+RUNS_OF_TWO = 2 * TEST_ZONE_CAPACITY
 #: The module (``repro.raizn.rebuild`` is also the function's name).
 rebuild_module = importlib.import_module("repro.raizn.rebuild")
 
@@ -277,10 +280,12 @@ class TestRebuild:
 
 
 def multi_zone_volume(sim, tail=5 * STRIPE + 20 * KiB, full_zones=2,
-                      **config_kwargs):
+                      zone_capacity=TEST_ZONE_CAPACITY, **config_kwargs):
     """``full_zones`` full zones plus a zone with a partial tail stripe,
-    failed at nothing yet; returns (volume, devices, payload)."""
-    devices = make_zns_devices(sim)
+    failed at nothing yet; returns (volume, devices, payload).  A rebuild
+    of 1 MiB zones reads one unit per command; ``zone_capacity`` of 2 MiB
+    gives runs of two (``ZoneStream.run_units``)."""
+    devices = make_zns_devices(sim, zone_capacity=zone_capacity)
     config = RaiznConfig(num_data=4, stripe_unit_bytes=SU, **config_kwargs)
     volume = RaiznVolume.create(sim, devices, config)
     data = pattern(full_zones * volume.zone_capacity + tail, seed=40)
@@ -403,9 +408,24 @@ class TestRebuildPipeline:
             2 * replacement.model.channels
 
     def test_units_in_flight_bounded_by_run_length(self, sim):
-        _v, _d, _data, replacement, _log, reads, _report = self.run(sim)
+        _v, _d, _data, replacement, _log, reads, _report = self.run(
+            sim, zone_capacity=RUNS_OF_TWO)
         assert reads["units"] <= 2 * replacement.model.saturating_depth
         assert reads["units"] > reads["window"]   # runs were read
+
+    #: Item 27's table (ROADMAP): the rebuild's simulated duration of
+    #: device 2 of :func:`multi_zone_volume` with this many full 1 MiB
+    #: zones, read one unit per command.  Runs of two units here made the
+    #: first write wait for 128 KiB reads: 1,701.6 / 2,687.3 / 3,903.3 /
+    #: 5,627.8 / 9,521.3 us.
+    ONE_UNIT_US = {0: 1059.4, 1: 2031.8, 2: 3247.8, 4: 5031.1, 8: 9010.2}
+
+    @pytest.mark.parametrize("full_zones", sorted(ONE_UNIT_US))
+    def test_short_rebuild_no_slower_than_one_unit_commands(self, sim,
+                                                            full_zones):
+        _v, _d, _data, _r, _log, _reads, report = self.run(
+            sim, 2, full_zones=full_zones)
+        assert report.duration * 1e6 <= self.ONE_UNIT_US[full_zones] + 0.05
 
     def test_open_zones_within_replacement_limit(self, sim):
         """With a replacement that may hold only two zones open the
@@ -582,11 +602,27 @@ class TestRebuildRuns:
         assert volume.execute(Bio.read(0, len(data))).result == data
         return runs, logical, stats
 
+    @pytest.mark.parametrize("zone_mib, units", [(1, 1), (2, 2), (4, 4),
+                                                 (8, 4)])
+    def test_run_length_follows_the_zone(self, sim, zone_mib, units):
+        """A run is the zone's units over the replacement's window (16
+        commands), one to ``RUN_UNITS`` of them: four stripes are read
+        in commands of ``units`` stripe units."""
+        volume, devices = make_volume(sim, zone_capacity=zone_mib * MiB)
+        data = pattern(4 * STRIPE, seed=64)
+        volume.execute(Bio.write(0, data))
+        runs, logical, stats = self.rebuild(sim, volume, devices, 1, data)
+        assert runs == {d: [(offset, units * SU)
+                            for offset in range(0, 4 * SU, units * SU)]
+                        for d in range(5) if d != 1}
+        assert logical == []
+        assert stats[0] == 4
+
     @pytest.mark.parametrize("parity_stripe", [0, 1])
     def test_run_across_parity_and_data(self, sim, parity_stripe):
         """The lost device holds parity in one stripe of the run and data
         in the other: one ``2 x SU`` command per survivor."""
-        volume, devices = make_volume(sim)
+        volume, devices = make_volume(sim, zone_capacity=RUNS_OF_TWO)
         data = pattern(2 * STRIPE, seed=60)
         volume.execute(Bio.write(0, data))
         lost = volume.mapper.stripe_layout(0, parity_stripe).parity_device
@@ -603,7 +639,7 @@ class TestRebuildRuns:
         one run, its survivor reads those ``unit_sources`` names (stripe
         1's parity device reads only its stripe-0 unit), and stripes 2 and
         3 are a run of one read per survivor; no logical read."""
-        volume, devices = make_volume(sim)
+        volume, devices = make_volume(sim, zone_capacity=RUNS_OF_TWO)
         data = pattern(4 * STRIPE, seed=61)
         volume.execute(Bio.write(0, data))
         volume.execute(Bio.flush())
@@ -626,7 +662,8 @@ class TestRebuildRuns:
         pieces in one read.  Device 3, worn out 20 KiB into its stripe-5
         unit, reads up to there; its later units are relocation units in
         memory.  The lost device holds nothing of the tail stripe."""
-        volume, devices, data = multi_zone_volume(sim)
+        volume, devices, data = multi_zone_volume(
+            sim, zone_capacity=RUNS_OF_TWO)
         data += _relocation_units(volume, devices)
         runs, logical, _stats = self.rebuild(sim, volume, devices, 0, data)
         zone_size = volume.phys_zone_size
@@ -647,7 +684,7 @@ class TestRebuildRuns:
         """Three plain stripes are a run of two and a run of one; the
         lost device's 20 KiB in the tail stripe goes through the read
         path."""
-        volume, devices = make_volume(sim)
+        volume, devices = make_volume(sim, zone_capacity=RUNS_OF_TWO)
         data = pattern(3 * STRIPE + 20 * KiB, seed=62)
         volume.execute(Bio.write(0, data))
         lost = volume.mapper.stripe_layout(0, 3).data_devices[0]
@@ -664,7 +701,7 @@ class TestRebuildRuns:
         retried after the backoff, the run's two units, parity then data,
         never go through the logical read path, and the rebuild completes
         exactly."""
-        volume, devices = make_volume(sim)
+        volume, devices = make_volume(sim, zone_capacity=RUNS_OF_TWO)
         data = pattern(2 * STRIPE, seed=63)
         volume.execute(Bio.write(0, data))
         lost = volume.mapper.stripe_layout(0, 0).parity_device

@@ -166,11 +166,12 @@ def test_healthy_array_never_consults_the_table(fill, batches):
 
 
 def test_foreground_reconstruction_beside_the_rebuild_is_not_shared():
-    """The rebuild reads both stripes' lost units as one run, one
-    ``2 x SU`` command per survivor, outside the table: a foreground
-    degraded read of the first unit wants survivor bytes the run is
-    fetching, and is a second request for them — it issues its own
-    ``SU`` survivor reads instead of riding the rebuild's."""
+    """The rebuild reads each stripe's lost unit as a run of one (1 MiB
+    zones), one ``SU`` command per survivor, outside the table: a
+    foreground degraded read of the same unit wants the very survivor
+    bytes the run is fetching, and is a second request for them — it
+    issues its own ``SU`` survivor reads instead of riding the
+    rebuild's."""
     run = Run(2 * STRIPE)
     volume, sim = run.volume, run.sim
     lost = volume.mapper.stripe_layout(0, 0).data_devices[0]
@@ -186,6 +187,6 @@ def test_foreground_reconstruction_beside_the_rebuild_is_not_shared():
     for device in survivors:
         assert sorted(command for command in run.stream
                       if command[0] == device) == \
-            [(device, 0, SU), (device, 0, 2 * SU)]
+            [(device, 0, SU), (device, 0, SU), (device, SU, SU)]
     assert volume.readpath.joined_reads == 0
     assert not volume.readpath._inflight

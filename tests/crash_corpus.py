@@ -34,6 +34,7 @@ from repro.faults.crashpoints import (
     array_state_fingerprint,
     enumerate_survivor_assignments,
 )
+from repro.faults.devicefail import fresh_replacement
 from repro.faults.powerloss import CrashPoint
 from repro.harness.campaign import (
     WORKLOAD_ZONES,
@@ -50,6 +51,7 @@ from repro.harness.crashtest import scripted_workload
 from repro.harness.soaktest import SOAK_OVERRIDES, _Campaign
 from repro.raizn import RaiznConfig, RaiznVolume
 from repro.raizn.maintenance import run_zone_rewrites
+from repro.raizn.rebuild import rebuild_process
 from repro.raizn.recovery import mount
 from repro.sim import Simulator
 from repro.units import KiB
@@ -204,9 +206,42 @@ def soak(snapshot_at, watch=None, seed=0, quick=True, phase=0, cycles=()):
     raise CorpusError(f"soak seed {seed} ended before phase {phase}")
 
 
+def rebuild_reset(snapshot_at, watch=None):
+    """Zone-ops row ``reset_mid_rebuild``: three zones of four stripes
+    and a unit, flushed; device 3 fails and a blank device takes its slot
+    under a rebuild; 200 us in, zones 0 and 2 are reset, and both resets
+    are acked while the rebuild streams them (ROADMAP item 25)."""
+    sim = Simulator()
+    devices = [ZNSDevice(sim, name=f"zns{i}", num_zones=20,
+                         zone_capacity=512 * KiB, seed=i) for i in range(5)]
+    volume = RaiznVolume.create(
+        sim, devices, RaiznConfig(num_data=4, stripe_unit_bytes=64 * KiB),
+        array_uuid=b"zone-ops-goldens")
+    expect = expectation_for(volume)
+    cap = volume.zone_capacity
+    sim.run_process(drive_ops(volume, [
+        ("write", zone, zone * cap,
+         random.Random(zone * 1009).randbytes(1088 * KiB), BioFlags.NONE)
+        for zone in range(3)] + [("flush", 0, 0, b"", BioFlags.NONE)],
+        expect))
+    volume.fail_device(3)
+    devices[3] = fresh_replacement(sim, devices[0], name="new")
+
+    def drive():
+        sim.process(rebuild_process(sim, volume, 3, devices[3]))
+        sim.run(until=sim.now + 200e-6)
+        for zone in (0, 2):
+            sim.process(drive_ops(
+                volume, [("reset", zone, zone * cap, b"", BioFlags.NONE)],
+                expect))
+        sim.run()
+    return _recorded(sim, devices, volume, expect, drive, snapshot_at, watch)
+
+
 #: The one workload registry every crash state is replayed from.
 WORKLOADS = {"script": script, "relife": relife, "rotation": rotation,
-             "closed_loop": closed_loop, "soak": soak}
+             "closed_loop": closed_loop, "soak": soak,
+             "rebuild_reset": rebuild_reset}
 
 
 def run(workload: Dict, snapshot_at=(), watch=None) -> Run:

@@ -224,7 +224,7 @@ def test_a_double_fault_keeps_the_acked_bytes_a_source_derives(name):
 #: eviction took two units of zone 0's stripes from 6 on), so their
 #: owner is the scrub that left the extent unhealed, item 21 (a).
 OWNERS = {"soak-quick4": "18", "soak-quick22": "18",
-          "soak-quick28": "21 (a)", "soak-full2": "6"}
+          "soak-quick28": "21 (a)", "soak-full2": "6", "rebuild-reset": "25"}
 
 ENTRIES = load()
 
